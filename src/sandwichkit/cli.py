@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -68,12 +67,6 @@ EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
 EXIT_HYPOTHESES = 2
 EXIT_INPUT = 3
-
-DUALITY_KINDS = (
-    "sublevel", "trivariate", "fenchel", "quadrivariate",
-    "bibivariate", "partial_infconv", "indicator_linear",
-)
-
 
 class ScenarioError(Exception):
     """Input problem tied to a specific field of the scenario file."""
@@ -885,8 +878,7 @@ def _run_batch(command: str, directory: Path, args) -> tuple:
     paths = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     if not paths:
         raise ScenarioError("file", f"no scenario files in {directory}")
-    with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-        results = list(pool.map(lambda p: _run_single(command, p, args), paths))
+    results = [_run_single(command, p, args) for p in paths]
     files = []
     codes = []
     for path, (code, doc) in zip(paths, results):
@@ -965,10 +957,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     mode = args.mode
-    if mode not in (EXACT, FLOAT):
-        mode = EXACT
     tolerance = None
     try:
+        if mode not in (EXACT, FLOAT):
+            # argparse checks --mode, but not a default taken from the environment
+            raise ScenarioError("SANDWICHKIT_MODE",
+                                f"mode must be 'exact' or 'float', got {mode!r}")
         if args.tolerance is not None:
             if mode == EXACT:
                 raise ScenarioError("--tolerance", "tolerance applies to float mode only")

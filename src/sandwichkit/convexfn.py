@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .geometry import AffineMap, Polytope
 from .numerics import (
-    EQ,
     GE,
     EXACT,
     POS_INF,
@@ -221,18 +220,16 @@ def eval_with_subgradient(
                 best, arg = v, a
         return best, arg
     b = LpBuilder()
-    lam = b.block(len(f.data), lo=0)
-    b.add({j: 1 for j in lam}, EQ, 1)
-    for c in range(f.dim):
-        b.add({lam[i]: f.data[i][0][c] for i in range(len(lam))}, EQ, x[c])
+    lam = b.convex_weights([p for p, _ in f.data], x)
     b.set_objective({lam[i]: f.data[i][1] for i in range(len(lam))})
     res = b.solve(mode, tolerance)
     if res.status == "infeasible":
         return POS_INF, None
     if res.status != "optimal":
         raise StructuralError("sample-form evaluation cannot be unbounded")
-    # duals: one multiplier for the weight row, then one per coordinate row;
-    # the coordinate multipliers are the slope of a supporting minorant at x
+    # duals in convex_weights' row order: the weight row, then one per
+    # coordinate; the coordinate multipliers are the slope of a supporting
+    # minorant at x
     sub = tuple(res.dual[1 + c] for c in range(f.dim))
     return res.value, sub
 
@@ -276,16 +273,10 @@ def sup_affine_minus_convex(
         if m.out_dim != psi.dim:
             raise StructuralError("term map lands in the wrong dimension for its function")
         if psi.form == V_FORM:
-            lam = b.block(len(psi.data), lo=0)
+            # the weights' combination equals M z: sum lam_i p_i - L z = offset
+            coupling = [{zvars[j]: -row[j] for j in range(n) if row[j]} for row in m.linear]
+            lam = b.convex_weights([p for p, _ in psi.data], m.offset, coupling)
             weight_vars.append(lam)
-            b.add({j: 1 for j in lam}, EQ, 1)
-            for c in range(psi.dim):
-                row = {lam[i]: psi.data[i][0][c] for i in range(len(lam))}
-                for j in range(n):
-                    coef = -m.linear[c][j]
-                    if coef:
-                        row[zvars[j]] = row.get(zvars[j], Fraction(0)) + coef
-                b.add(row, EQ, m.offset[c])
             for i in range(len(lam)):
                 if psi.data[i][1]:
                     b.add_objective_term(lam[i], -psi.data[i][1])

@@ -1,19 +1,31 @@
 """Exact two-sided verification of polyhedral conjugation identities.
 
 Each scenario kind pairs a composite convex function h with a dual formula
-for its conjugate.  The left side h*(query) is evaluated directly as a sup
-LP over primal variables; the right side solves the dual minimization over
-a covector (an epigraph LP).  Weak duality (gap >= 0) holds unconditionally;
-hypothesis flags record certified sufficient conditions under which the gap
-must be exactly zero with the minimum attained, and a certified-but-nonzero
-gap is treated as a kernel bug, never reported.
+for its conjugate, and every query is checked with one LP per side:
+
+* the left side h*(query) is sup over the primal variables z of an affine
+  objective minus a sum of terms f_k(M_k z), one `sup_affine_minus_convex`
+  call;
+* the right side is one epigraph dual (Rockafellar, Convex Analysis,
+  Thm 16.4 and Cor. 31.2.1): minimize sum_k phi_k(x*) + constant over the
+  covector x*, optionally subject to a linear constraint on x*.  Each group
+  phi_k is a polyhedral function of x*: in piece form it is
+  max over (beta, c) of c + <beta, x*>, one epigraph variable t_k with a row
+  t_k >= c + <beta, x*> per pair; in sample form (the conjugate of a
+  piece-form g) it is a block of convex weights matched to x*.
+
+Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
+certified sufficient conditions under which the gap must be exactly zero
+with the minimum attained, and a certified-but-nonzero gap is treated as a
+kernel bug, never reported.
 
 Layout conventions for concatenated variable blocks:
   quadrivariate functions live on (u, v, w, x) in that order;
   bibivariate f lives on (w, v), g on (x, u), and queries on (w, v);
-  partial inf-convolutions identify w = x and u = v (queries on (x, v)).
+  partial inf-convolutions identify w = x and u = v (queries on (x, v));
+  indicator scenarios take the sup over (w, u).
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,6 +34,7 @@ from .convexfn import (
     H_FORM,
     PolyhedralFunction,
     V_FORM,
+    indicator_of_point,
     indicator_of_zero,
     sup_affine_minus_convex,
 )
@@ -31,8 +44,10 @@ from .geometry import (
     cone_union_is_subspace,
     polytope_contains,
     solve_linear,
+    vec_neg,
+    zero_in_hull,
 )
-from .interiority import boundedness_condition
+from .interiority import _fiber_value, boundedness_condition
 from .numerics import (
     EQ,
     GE,
@@ -48,6 +63,7 @@ from .numerics import (
     dot,
     ext_sub,
     frac,
+    unit_vec,
     vec,
 )
 
@@ -122,8 +138,7 @@ class DualityScenario:
         if b_map.in_dim != phi.dim:
             raise StructuralError("direction map does not act on the function's space")
         if gamma is None:
-            m = fiber_inf([(phi, AffineMap.identity(phi.dim))],
-                          AffineMap.zero_map(phi.dim), b_map, ())
+            m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim)
             gamma = Fraction(1) if m is POS_INF else m + 1
         return DualityScenario(
             kind="sublevel",
@@ -283,8 +298,9 @@ def fiber_inf(terms: Sequence, a_map: AffineMap, b_map: AffineMap, p: Sequence,
     """inf of a sum of convex terms over {z : A z = p, B z = 0}.
 
     Each term is (function, map) with the function evaluated at the mapped
-    point.  +inf when the fiber misses the common domain; the bounded
-    domains make an unbounded LP impossible.
+    point.  Computed as minus the sup of the zero functional minus the
+    terms and the indicators of the fiber: +inf when the fiber misses the
+    common domain; the bounded domains make an unbounded sup impossible.
     """
     if not terms:
         raise StructuralError("fiber_inf needs at least one term")
@@ -294,73 +310,74 @@ def fiber_inf(terms: Sequence, a_map: AffineMap, b_map: AffineMap, p: Sequence,
     p = vec(p)
     if len(p) != a_map.out_dim:
         raise StructuralError("fiber parameter has the wrong dimension")
-    b = LpBuilder()
-    zvars = b.block(n)
-    objective: dict = {}
-
-    def map_rows(m: AffineMap, rhs_vec: Vec, extra=None):
-        for c in range(m.out_dim):
-            row = {} if extra is None else dict(extra[c])
-            for j in range(n):
-                coeff = m.linear[c][j]
-                if coeff:
-                    row[zvars[j]] = row.get(zvars[j], Fraction(0)) + coeff
-            b.add(row, EQ, rhs_vec[c] - m.offset[c])
-
-    for psi, m in terms:
-        if m.in_dim != n:
-            raise StructuralError("term map acts on the wrong space")
-        if m.out_dim != psi.dim:
-            raise StructuralError("term map does not land in the function's space")
-        if psi.form == V_FORM:
-            pts = [q for q, _ in psi.samples]
-            vals = [val for _, val in psi.samples]
-            lam = b.block(len(pts), lo=0)
-            b.add({j: 1 for j in lam}, EQ, 1)
-            comp = m
-            for c in range(psi.dim):
-                row = {lam[i]: pts[i][c] for i in range(len(pts))}
-                for j in range(n):
-                    coeff = comp.linear[c][j]
-                    if coeff:
-                        row[zvars[j]] = row.get(zvars[j], Fraction(0)) - coeff
-                b.add(row, EQ, comp.offset[c])
-            for i, val in enumerate(vals):
-                if val:
-                    objective[lam[i]] = objective.get(lam[i], Fraction(0)) + val
-        else:
-            t = b.var()
-            for piece, const in psi.pieces:
-                comp = AffineFunctional(piece, const).compose(m)
-                row = {t: Fraction(1)}
-                for j in range(n):
-                    if comp.coeffs[j]:
-                        row[zvars[j]] = row.get(zvars[j], Fraction(0)) - comp.coeffs[j]
-                b.add(row, GE, comp.constant)
-            objective[t] = objective.get(t, Fraction(0)) + 1
-    map_rows(a_map, p)
-    map_rows(b_map, (Fraction(0),) * b_map.out_dim)
-    b.set_objective(objective)
-    res = b.solve(mode, tolerance)
-    if res.status == "infeasible":
-        return POS_INF
-    if res.status != "optimal":
-        raise RuntimeError("fiber LP unbounded on bounded domains; kernel is unsound")
-    return res.value
-
-
-def _sup_lhs(query_phi: AffineFunctional, terms: Sequence, mode, tolerance):
-    """(lhs value, attaining point) with unbounded ruled out by compactness."""
-    sup = sup_affine_minus_convex(query_phi, terms, mode, tolerance)
+    fiber = [(indicator_of_point(p), a_map), (indicator_of_zero(b_map.out_dim), b_map)]
+    sup = sup_affine_minus_convex(AffineFunctional.zero(n), list(terms) + fiber,
+                                  mode, tolerance)
     if sup.status == "unbounded":
+        raise RuntimeError("fiber LP unbounded on bounded domains; kernel is unsound")
+    if sup.status == "empty":
+        return POS_INF
+    return -sup.value
+
+
+def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool, mode, tolerance):
+    """(lhs value, attaining point) of sup phi - sum of terms.
+
+    An unbounded sup is +inf where the variable space is a full vector
+    space (may_escape); on bounded domains it would be a kernel bug.
+    """
+    sup = sup_affine_minus_convex(phi, terms, mode, tolerance)
+    if sup.status == "unbounded":
+        if may_escape:
+            return POS_INF, None
         raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
     if sup.status == "empty":
         return NEG_INF, None
     return sup.value, sup.argmax
 
 
-def _epigraph_solve(b: LpBuilder, xs, mode, tolerance):
-    """(rhs value, witness covector, unbounded direction) from a min LP."""
+def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[PolyhedralFunction] = (),
+             constant=Fraction(0), constraint: Sequence = (), mode=EXACT, tolerance=None):
+    """(rhs value, witness covector, unbounded direction) of the epigraph dual.
+
+    Minimizes the sum of every group's value at x* plus constant, subject
+    to <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
+    function of x*: in piece form it is max over (beta, c) of
+    c + <beta, x*>, an epigraph variable t with one row t >= c + <beta, x*>
+    per piece; in sample form it is convex weights over its samples whose
+    combination is x*.  Columns: one t per group (all in piece form), then
+    x*, then each trailing group's t or weights.  Rows: the constraint,
+    then the groups' rows in order.
+    """
+    b = LpBuilder()
+    objective: dict = {}
+    lead = [(phi, b.var()) for phi in groups]
+    xs = b.block(groups[0].dim)
+
+    def epigraph(phi: PolyhedralFunction, t: int) -> None:
+        objective[t] = Fraction(1)
+        for beta, c in phi.pieces:
+            row = {t: Fraction(1)}
+            for xvar, bc in zip(xs, beta):
+                if bc:
+                    row[xvar] = -bc
+            b.add(row, GE, c)
+
+    for a, r in constraint:
+        b.add(dict(zip(xs, a)), EQ, r)
+    for phi, t in lead:
+        epigraph(phi, t)
+    for phi in trailing:
+        if phi.form == H_FORM:
+            epigraph(phi, b.var())
+            continue
+        # x* = sum_j theta_j p_j, written sum_j theta_j (-p_j) + x* = 0
+        theta = b.convex_weights([vec_neg(p) for p, _ in phi.samples],
+                                 (Fraction(0),) * phi.dim, [{xvar: 1} for xvar in xs])
+        for j, (_, value) in enumerate(phi.samples):
+            if value:
+                objective[theta[j]] = value
+    b.set_objective(objective, constant)
     res = b.solve(mode, tolerance)
     if res.status == "unbounded":
         return NEG_INF, None, tuple(res.ray[j] for j in xs)
@@ -369,70 +386,14 @@ def _epigraph_solve(b: LpBuilder, xs, mode, tolerance):
     return res.value, tuple(res.point[j] for j in xs), None
 
 
-def _trivariate_lhs(psi, a_map, b_map, query, mode, tolerance):
-    terms = [
-        (psi, AffineMap.identity(psi.dim)),
-        (indicator_of_zero(b_map.out_dim), b_map),
-    ]
-    return _sup_lhs(query.compose(a_map), terms, mode, tolerance)
+def _max_group(dim: int, pairs) -> PolyhedralFunction:
+    """x* -> max over (beta, c) of c + <beta, x*>."""
+    return PolyhedralFunction(dim, H_FORM, tuple(pairs))
 
 
-def _trivariate_rhs(psi, a_map, b_map, query, mode, tolerance):
-    b = LpBuilder()
-    t = b.var()
-    xs = b.block(b_map.out_dim)
-    for z, v in psi.samples:
-        bz = b_map(z)
-        row = {t: Fraction(1)}
-        for c, xvar in enumerate(xs):
-            if bz[c]:
-                row[xvar] = -bz[c]
-        b.add(row, GE, query(a_map(z)) - v)
-    b.set_objective({t: 1})
-    return _epigraph_solve(b, xs, mode, tolerance)
-
-
-def _fenchel_lhs(f, g, link, query, mode, tolerance):
-    terms = [(f, AffineMap.identity(f.dim)), (g, link)]
-    return _sup_lhs(query, terms, mode, tolerance)
-
-
-def _fenchel_rhs(f, g, link, query, mode, tolerance):
-    b = LpBuilder()
-    t_f = b.var()
-    xs = b.block(g.dim)
-    objective = {t_f: Fraction(1)}
-    for p, v in f.samples:
-        cp = link(p)
-        row = {t_f: Fraction(1)}
-        for c, xvar in enumerate(xs):
-            if cp[c]:
-                row[xvar] = cp[c]
-        b.add(row, GE, query(p) - v)
-    if g.form == V_FORM:
-        t_g = b.var()
-        objective[t_g] = Fraction(1)
-        for q, w in g.samples:
-            row = {t_g: Fraction(1)}
-            for c, xvar in enumerate(xs):
-                if q[c]:
-                    row[xvar] = -q[c]
-            b.add(row, GE, -w)
-    else:
-        # piece-form conjugate: finite exactly on the hull of the slopes
-        theta = b.block(len(g.pieces), lo=0)
-        b.add({j: 1 for j in theta}, EQ, 1)
-        for c, xvar in enumerate(xs):
-            row = {xvar: Fraction(1)}
-            for j, (slope, _) in enumerate(g.pieces):
-                if slope[c]:
-                    row[theta[j]] = -slope[c]
-            b.add(row, EQ, 0)
-        for j, (_, const) in enumerate(g.pieces):
-            if const:
-                objective[theta[j]] = -const
-    b.set_objective(objective)
-    return _epigraph_solve(b, xs, mode, tolerance)
+def _g_group(g: PolyhedralFunction, d_map: AffineMap, x: int, v_cov) -> PolyhedralFunction:
+    """x* -> g*(x*, v' after D), for g on the (x, u) product space."""
+    return _max_group(x, ((q[:x], dot(v_cov, d_map(q[x:])) - val) for q, val in g.samples))
 
 
 def _bibiv_outer_maps(c_map, d_map, dims):
@@ -469,100 +430,6 @@ def _bibiv_outer_maps(c_map, d_map, dims):
     g_offset = tuple(c_map.offset) + (Fraction(0),) * u
     m_g = AffineMap(tuple(g_rows), g_offset, total)
     return proj_wv, m_f, m_g
-
-
-def _bibiv_lhs(f, g, c_map, d_map, dims, query, mode, tolerance):
-    proj_wv, m_f, m_g = _bibiv_outer_maps(c_map, d_map, dims)
-    terms = [(f, m_f), (g, m_g)]
-    return _sup_lhs(query.compose(proj_wv), terms, mode, tolerance)
-
-
-def _bibiv_rhs(f, g, c_map, d_map, dims, query, mode, tolerance):
-    u, v, w, x = dims
-    v_cov = query.coeffs[w:]
-    b = LpBuilder()
-    t_f = b.var()
-    t_g = b.var()
-    xs = b.block(x)
-    for p, a in f.samples:
-        cw = c_map(p[:w])
-        row = {t_f: Fraction(1)}
-        for c, xvar in enumerate(xs):
-            if cw[c]:
-                row[xvar] = cw[c]
-        b.add(row, GE, query(p) - a)
-    for q, bval in g.samples:
-        du = d_map(q[x:])
-        row = {t_g: Fraction(1)}
-        for c, xvar in enumerate(xs):
-            if q[c]:
-                row[xvar] = -q[c]
-        b.add(row, GE, dot(v_cov, du) - bval)
-    b.set_objective({t_f: 1, t_g: 1})
-    return _epigraph_solve(b, xs, mode, tolerance)
-
-
-def _indicator_lhs(g, c_map, d_map, dims, query, mode, tolerance):
-    """sup over (w, u in dom-g slices) of <w', w> + v'(Du) + q0 - g(Cw, u).
-
-    One LP: w free, simplex weights over g's samples coupled by Cw = the
-    x-part of the sample combination.  +inf when the w-covector escapes
-    range(C^T); -inf when no sample combination meets range(C) x U.
-    """
-    u, v, w, x = dims
-    w_cov, v_cov = query.coeffs[:w], query.coeffs[w:]
-    pts = [q for q, _ in g.samples]
-    vals = [val for _, val in g.samples]
-    b = LpBuilder("max")
-    wvars = b.block(w)
-    lam = b.block(len(pts), lo=0)
-    b.add({j: 1 for j in lam}, EQ, 1)
-    for c in range(x):
-        row = {lam[i]: pts[i][c] for i in range(len(pts))}
-        for j in range(w):
-            coeff = c_map.linear[c][j]
-            if coeff:
-                row[wvars[j]] = row.get(wvars[j], Fraction(0)) - coeff
-        b.add(row, EQ, 0)
-    objective = {wvars[j]: w_cov[j] for j in range(w) if w_cov[j]}
-    for i in range(len(pts)):
-        gain = dot(v_cov, d_map(pts[i][x:])) - vals[i]
-        if gain:
-            objective[lam[i]] = objective.get(lam[i], Fraction(0)) + gain
-    b.set_objective(objective, constant=query.constant)
-    res = b.solve(mode, tolerance)
-    if res.status == "infeasible":
-        return NEG_INF, None
-    if res.status == "unbounded":
-        return POS_INF, None
-    combo_u = tuple(
-        sum((res.point[lam[i]] * pts[i][x + c] for i in range(len(pts))),
-            start=Fraction(0))
-        for c in range(u)
-    )
-    witness = tuple(res.point[j] for j in wvars) + combo_u
-    return res.value, witness
-
-
-def _indicator_rhs(g, c_map, d_map, dims, query, mode, tolerance):
-    """min g*(x*, v' after D) + q0 subject to x* after C = w'."""
-    u, v, w, x = dims
-    w_cov, v_cov = query.coeffs[:w], query.coeffs[w:]
-    b = LpBuilder()
-    t = b.var()
-    xs = b.block(x)
-    for j in range(w):
-        b.add({xs[c]: c_map.linear[c][j] for c in range(x) if c_map.linear[c][j]},
-              EQ, w_cov[j])
-    for q, bval in g.samples:
-        du = d_map(q[x:])
-        row = {t: Fraction(1)}
-        for c, xvar in enumerate(xs):
-            if q[c]:
-                row[xvar] = -q[c]
-        b.add(row, GE, dot(v_cov, du) - bval)
-    b.set_objective({t: 1}, constant=query.constant)
-    return _epigraph_solve(b, xs, mode, tolerance)
 
 
 def product_function(f: PolyhedralFunction, g: PolyhedralFunction) -> PolyhedralFunction:
@@ -737,18 +604,7 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
             ok, _ = cone_union_is_subspace(x_pts, lineality=c_cols)
             flags["closed_subspace"] = ok
             notes.append("queries are continuous in finite dimension")
-        b = LpBuilder()
-        lam = b.block(len(x_pts), lo=0)
-        wvars = b.block(w)
-        b.add({j: 1 for j in lam}, EQ, 1)
-        for c in range(x):
-            row = {lam[i]: x_pts[i][c] for i in range(len(x_pts))}
-            for j in range(w):
-                if s.c_map.linear[c][j]:
-                    row[wvars[j]] = row.get(wvars[j], Fraction(0)) - s.c_map.linear[c][j]
-            b.add(row, EQ, 0)
-        b.set_objective({})
-        flags["h_proper"] = b.solve(mode, tolerance).status == "optimal"
+        flags["h_proper"] = zero_in_hull(x_pts, x, c_cols)
         notes.append("the w-space is a full vector space by construction")
         return flags, tuple(notes)
     if s.kind == "fenchel" and s.g.form == H_FORM:
@@ -776,31 +632,59 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
 
 
 def _query_sides(s: DualityScenario, query: AffineFunctional, mode, tolerance):
-    if s.kind in ("trivariate", "sublevel"):
-        a_map = s.a_map if s.kind == "trivariate" else AffineMap.zero_map(s.psi.dim)
-        lhs, lhs_wit = _trivariate_lhs(s.psi, a_map, s.b_map, query, mode, tolerance)
-        rhs, wit, ray = _trivariate_rhs(s.psi, a_map, s.b_map, query, mode, tolerance)
+    """(lhs, lhs witness, rhs, dual witness, unbounded direction) at a query.
+
+    Each kind states its left side as an affine objective and a list of
+    (function, map) terms over its primal variables, and its right side as
+    groups over the covector x*, plus a linear constraint and a constant
+    for the indicator kind; then one LP per side.
+    """
+    trailing, constant, constraint = (), Fraction(0), ()
+    if s.kind in ("trivariate", "sublevel", "quadrivariate"):
+        if s.kind == "quadrivariate":
+            a_map, b_map = quad_fiber_maps(s.c_map, s.d_map, s.dims)
+        else:
+            a_map = s.a_map if s.kind == "trivariate" else AffineMap.zero_map(s.psi.dim)
+            b_map = s.b_map
+        # sup q(Az) - psi(z) over Bz = 0; min over x* of psi*(A^T q + B^T x*)
+        phi = query.compose(a_map)
+        terms = [(s.psi, AffineMap.identity(s.psi.dim)),
+                 (indicator_of_zero(b_map.out_dim), b_map)]
+        groups = [_max_group(b_map.out_dim, (
+            (b_map(z), query(a_map(z)) - v) for z, v in s.psi.samples))]
     elif s.kind == "fenchel":
-        lhs, lhs_wit = _fenchel_lhs(s.f, s.g, s.c_map, query, mode, tolerance)
-        rhs, wit, ray = _fenchel_rhs(s.f, s.g, s.c_map, query, mode, tolerance)
-    elif s.kind == "quadrivariate":
-        a_map, b_map = quad_fiber_maps(s.c_map, s.d_map, s.dims)
-        lhs, lhs_wit = _trivariate_lhs(s.psi, a_map, b_map, query, mode, tolerance)
-        rhs, wit, ray = _trivariate_rhs(s.psi, a_map, b_map, query, mode, tolerance)
+        # min over x* of f*(q - x* after C) + g*(x*)
+        f, g, link = s.f, s.g, s.c_map
+        phi, terms = query, [(f, AffineMap.identity(f.dim)), (g, link)]
+        groups = [_max_group(g.dim, (
+            (vec_neg(link(p)), query(p) - v) for p, v in f.samples))]
+        trailing = [g.conjugate()]
     elif s.kind in ("bibivariate", "partial_infconv"):
-        lhs, lhs_wit = _bibiv_lhs(
-            s.f, s.g, s.c_map, s.d_map, s.dims, query, mode, tolerance
-        )
-        rhs, wit, ray = _bibiv_rhs(
-            s.f, s.g, s.c_map, s.d_map, s.dims, query, mode, tolerance
-        )
+        # min over x* of f*(q - (x* after C, 0)) + g*(x*, v' after D)
+        u, v, w, x = s.dims
+        proj_wv, m_f, m_g = _bibiv_outer_maps(s.c_map, s.d_map, s.dims)
+        phi, terms = query.compose(proj_wv), [(s.f, m_f), (s.g, m_g)]
+        groups = [_max_group(x, ((vec_neg(s.c_map(p[:w])), query(p) - a)
+                                 for p, a in s.f.samples)),
+                  _g_group(s.g, s.d_map, x, query.coeffs[w:])]
     else:
-        lhs, lhs_wit = _indicator_lhs(
-            s.g, s.c_map, s.d_map, s.dims, query, mode, tolerance
-        )
-        rhs, wit, ray = _indicator_rhs(
-            s.g, s.c_map, s.d_map, s.dims, query, mode, tolerance
-        )
+        # variables z = (w, u) with the single term g(Cw, u); <v', D u>
+        # joins the objective, and w is free, so the sup may escape to +inf
+        u, v, w, x = s.dims
+        w_cov, v_cov = query.coeffs[:w], query.coeffs[w:]
+        via_d = AffineFunctional(v_cov, query.constant).compose(s.d_map)
+        phi = AffineFunctional(tuple(w_cov) + via_d.coeffs, via_d.constant)
+        zero_u = (Fraction(0),) * u
+        rows = [tuple(r) + zero_u for r in s.c_map.linear]
+        rows += [(Fraction(0),) * w + unit_vec(u, k) for k in range(u)]
+        terms = [(s.g, AffineMap(tuple(rows), (Fraction(0),) * (x + u), w + u))]
+        # min over x* of g*(x*, v' after D) + q0 subject to x* after C = w'
+        groups = [_g_group(s.g, s.d_map, x, v_cov)]
+        constraint = [(tuple(s.c_map.linear[c][j] for c in range(x)), w_cov[j])
+                      for j in range(w)]
+        constant = query.constant
+    lhs, lhs_wit = _sup_side(phi, terms, s.kind == "indicator_linear", mode, tolerance)
+    rhs, wit, ray = _dual_lp(groups, trailing, constant, constraint, mode, tolerance)
     return lhs, lhs_wit, rhs, wit, ray
 
 
@@ -838,8 +722,3 @@ def verify(s: DualityScenario, mode: str = EXACT, tolerance=None) -> list:
         ))
     return reports
 
-
-def verify_indicator_linear(s: DualityScenario, mode: str = EXACT, tolerance=None) -> list:
-    if s.kind != "indicator_linear":
-        raise PreconditionError("expected an indicator scenario")
-    return verify(s, mode, tolerance)

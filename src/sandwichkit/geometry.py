@@ -12,15 +12,12 @@ from typing import Iterable, Sequence
 
 from .numerics import (
     EQ,
-    GE,
-    LE,
     EXACT,
     LpBuilder,
     StructuralError,
     Vec,
     dot,
     frac,
-    lp_solve,
     vec,
 )
 
@@ -112,10 +109,6 @@ class AffineMap:
         )
 
 
-def affine_apply(m: AffineMap, z: Sequence) -> Vec:
-    return m(z)
-
-
 @dataclass(frozen=True)
 class Polytope:
     """Convex hull of finitely many vertices (vertex form only)."""
@@ -150,10 +143,7 @@ def polytope_contains(p: Polytope, x: Sequence, mode: str = EXACT, tolerance=Non
             f"point of dimension {len(x)} tested against polytope of dimension {p.dim}"
         )
     b = LpBuilder()
-    lam = b.block(len(p.vertices), lo=0)
-    b.add({j: 1 for j in lam}, EQ, 1)
-    for c in range(p.dim):
-        b.add({lam[i]: p.vertices[i][c] for i in range(len(lam))}, EQ, frac(x[c]))
+    b.convex_weights(p.vertices, x)
     return b.solve(mode, tolerance).status == "optimal"
 
 
@@ -170,12 +160,9 @@ def interior_margin(p: Polytope, x: Sequence, mode: str = EXACT, tolerance=None)
     r = b.var(lo=0)
     for c_dir in range(p.dim):
         for sign in (1, -1):
-            lam = b.block(len(p.vertices), lo=0)
-            b.add({j: 1 for j in lam}, EQ, 1)
-            for c in range(p.dim):
-                row = {lam[i]: p.vertices[i][c] for i in range(len(lam))}
-                row[r] = Fraction(-sign) if c == c_dir else Fraction(0)
-                b.add(row, EQ, frac(x[c]))
+            # the weights reach x + sign * r * e_{c_dir}
+            shift = [{r: -sign} if c == c_dir else {} for c in range(p.dim)]
+            b.convex_weights(p.vertices, x, shift)
     b.set_objective({r: 1})
     res = b.solve(mode, tolerance)
     if res.status != "optimal":
@@ -277,16 +264,13 @@ class Subspace:
         return in_span(self.basis, vec(v))
 
 
-def _zero_in_hull(points: Sequence[Vec], dim: int, lineality: Sequence[Vec] = ()) -> bool:
+def zero_in_hull(points: Sequence[Sequence], dim: int,
+                 lineality: Sequence[Sequence] = ()) -> bool:
+    """Whether 0 lies in conv(points) + span(lineality), decided exactly."""
     b = LpBuilder()
-    lam = b.block(len(points), lo=0)
     free = b.block(len(lineality))
-    b.add({j: 1 for j in lam}, EQ, 1)
-    for c in range(dim):
-        row = {lam[i]: points[i][c] for i in range(len(points))}
-        for k, direction in enumerate(lineality):
-            row[free[k]] = direction[c]
-        b.add(row, EQ, 0)
+    span = [{free[k]: d[c] for k, d in enumerate(lineality)} for c in range(dim)]
+    b.convex_weights(points, (Fraction(0),) * dim, span)
     return b.solve().status == "optimal"
 
 
@@ -324,7 +308,7 @@ def cone_union_is_subspace(points: Sequence[Sequence],
     # test nor the negation loop, only the LP count
     pts = list(dict.fromkeys(pts))
     zero = (Fraction(0),) * dim
-    if not _zero_in_hull(pts, dim, lin):
+    if not zero_in_hull(pts, dim, lin):
         return False, None
     for p in pts:
         if p != zero and not _in_cone(pts, vec_neg(p), dim, lin):
@@ -350,10 +334,7 @@ def minimal_vertices(points: Sequence[Sequence]) -> list[Vec]:
             keep.append(p)
             continue
         b = LpBuilder()
-        lam = b.block(len(others), lo=0)
-        b.add({j: 1 for j in lam}, EQ, 1)
-        for c in range(len(p)):
-            b.add({lam[k]: others[k][c] for k in range(len(others))}, EQ, p[c])
+        b.convex_weights(others, p)
         if b.solve().status != "optimal":
             keep.append(p)
     return keep

@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 from .convexfn import PolyhedralFunction, V_FORM, evaluate
 from .geometry import AffineMap, Subspace, cone_union_is_subspace, polytope_contains, vec_neg
 from .numerics import (
-    EQ,
     LE,
     EXACT,
     POS_INF,
@@ -104,15 +103,13 @@ class Corollary21Result:
     margin: MarginResult
 
 
-def _image_rows(b: LpBuilder, lam, points: Sequence[Vec], m: AffineMap,
-                target: Vec, r_var=None, direction: Optional[Vec] = None):
-    """Add rows sum_i lam_i * m(p_i)[c] [- r*d[c]] = target[c]."""
-    images = [m(p) for p in points]
-    for c in range(m.out_dim):
-        row = {lam[i]: images[i][c] for i in range(len(points))}
-        if r_var is not None:
-            row[r_var] = row.get(r_var, Fraction(0)) - direction[c]
-        b.add(row, EQ, target[c])
+def _stacked_images(points: Sequence[Vec], b_map: AffineMap, target: Vec, extra=None):
+    """Images of the points under b_map, stacked over a_map's when extra is
+    (a_map, a_target), and the matching stacked target."""
+    if extra is None:
+        return [b_map(p) for p in points], tuple(target)
+    a_map, a_target = extra
+    return [b_map(p) + a_map(p) for p in points], tuple(target) + tuple(a_target)
 
 
 def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec,
@@ -125,12 +122,7 @@ def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec,
     points = [p for p, _ in phi.samples]
     values = [v for _, v in phi.samples]
     b = LpBuilder()
-    lam = b.block(len(points), lo=0)
-    b.add({j: 1 for j in lam}, EQ, 1)
-    _image_rows(b, lam, points, b_map, target)
-    if extra is not None:
-        a_map, a_target = extra
-        _image_rows(b, lam, points, a_map, a_target)
+    lam = b.convex_weights(*_stacked_images(points, b_map, target, extra))
     b.set_objective({lam[i]: values[i] for i in range(len(points))})
     res = b.solve(mode, tolerance)
     if res.status == "infeasible":
@@ -159,17 +151,15 @@ def _direction_reach(phi: PolyhedralFunction, b_map: AffineMap, level: Fraction,
     points = [p for p, _ in phi.samples]
     values = [v for _, v in phi.samples]
     zero = (Fraction(0),) * b_map.out_dim
+    images, target = _stacked_images(points, b_map, zero, extra)
     best = None
     for d in directions:
         b = LpBuilder("max")
         r = b.var(lo=0)
-        lam = b.block(len(points), lo=0)
-        b.add({j: 1 for j in lam}, EQ, 1)
-        _image_rows(b, lam, points, b_map, zero, r_var=r, direction=d)
+        # B's rows reach r*d; the stacked a_map rows stay on their fiber
+        reach = [{r: -dc} for dc in d] + [{}] * (len(target) - len(d))
+        lam = b.convex_weights(images, target, reach)
         b.add({lam[i]: values[i] for i in range(len(points))}, LE, level)
-        if extra is not None:
-            a_map, a_target = extra
-            _image_rows(b, lam, points, a_map, a_target)
         b.set_objective({r: 1})
         res = b.solve(mode, tolerance)
         if res.status != "optimal":

@@ -9,8 +9,10 @@ inequalities never enter a program; callers express strictness by level
 shifts.
 
 The solver is a two-phase dense simplex with Bland's rule, which keeps it
-deterministic and cycle-free.  Variables are free unless bounded; bounds are
-folded into explicit rows so dual certificates cover them uniformly.
+deterministic and cycle-free; in exact mode each tableau row is held as
+integers over one common denominator.  Variables are free unless bounded;
+bounds are folded into explicit rows so dual certificates cover them
+uniformly.
 """
 from __future__ import annotations
 
@@ -219,13 +221,6 @@ class LpResult:
     farkas: tuple | None = None
     ray: tuple | None = None
 
-    @property
-    def dual_certificate(self):
-        for cert in (self.dual, self.farkas, self.ray):
-            if cert is not None:
-                return cert
-        return None
-
 
 def _expanded_rows(lp: LinearProgram) -> list[tuple[list[Fraction], str, Fraction]]:
     """Constraint rows plus bound rows, in certificate order."""
@@ -241,6 +236,38 @@ def _expanded_rows(lp: LinearProgram) -> list[tuple[list[Fraction], str, Fractio
                 coeffs[j] = Fraction(1)
                 rows.append((coeffs, LE, hi))
     return rows
+
+
+# Exact-mode tableau rows are lists of ints: the numerators of the row's
+# entries over one positive common denominator, which is kept last.  Integer
+# arithmetic on a whole row is several times faster than one Fraction per
+# entry, and the entries are the same rationals.
+
+def _int_row(values) -> list[int]:
+    # unpack a list, not a generator: CPython sizes a generator's argument
+    # tuple by resizing, and such tuples pile up in its tuple free list
+    den = math.lcm(*[v.denominator for v in values])
+    return _reduced([v.numerator * (den // v.denominator) for v in values] + [den])
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _unit_at(row: list[int], col: int) -> None:
+    """Divide row, in place, by its entry at col, so that it reads 1 there."""
+    p = row[col]
+    out = row[:-1] + [p] if p > 0 else [-x for x in row[:-1]] + [-p]
+    row[:] = _reduced(out)
+
+
+def _eliminate(row: list[int], unit: list[int], col: int) -> None:
+    """Subtract, in place, row's entry at col times unit, which reads 1 at col."""
+    f, ud = row[col], unit[-1]
+    out = [x * ud - f * y for x, y in zip(row, unit)]
+    out[-1] = row[-1] * ud
+    row[:] = _reduced(out)
 
 
 class _Unbounded(Exception):
@@ -264,7 +291,7 @@ def _solve_rows(rows, cost, n, exact, tol):
     m = len(rows)
     if exact:
         zero, one = Fraction(0), Fraction(1)
-        tolz = Fraction(0)
+        tolz = 0
         conv = lambda x: x
     else:
         zero, one = 0.0, 1.0
@@ -327,12 +354,22 @@ def _solve_rows(rows, cost, n, exact, tol):
         else:
             flips.append(1)
         row[ns + t] = one
-        row[-1] = bi
-        tab.append(row)
+        row[ncol] = bi
+        tab.append(_int_row(row) if exact else row)
     basis = [ns + t for t in range(mt)]
+
+    def at(row, j):
+        return Fraction(row[j], row[-1]) if exact else row[j]
 
     def pivot(rc, r, col):
         prow = tab[r]
+        if exact:
+            _unit_at(prow, col)
+            for other in (*tab, rc):
+                if other is not prow and other[col]:
+                    _eliminate(other, prow, col)
+            basis[r] = col
+            return
         inv = one / prow[col]
         for j in range(ncol + 1):
             prow[j] = prow[j] * inv
@@ -350,6 +387,14 @@ def _solve_rows(rows, cost, n, exact, tol):
         basis[r] = col
 
     def reduced_costs(costvec):
+        if exact:
+            # each basic column is a unit column, so clearing the cost row
+            # there subtracts exactly cost[basis[r]] times row r
+            rc = _int_row(list(costvec) + [zero])
+            for r, row in enumerate(tab):
+                if rc[basis[r]]:
+                    _eliminate(rc, row, basis[r])
+            return rc
         rc = list(costvec) + [zero]
         for r, row in enumerate(tab):
             cb = costvec[basis[r]]
@@ -377,7 +422,7 @@ def _solve_rows(rows, cost, n, exact, tol):
             for r in range(len(tab)):
                 e = tab[r][enter]
                 if e > tolz:
-                    ratio = tab[r][-1] / e
+                    ratio = Fraction(tab[r][ncol], e) if exact else tab[r][ncol] / e
                     if (
                         best is None
                         or ratio < best
@@ -399,14 +444,14 @@ def _solve_rows(rows, cost, n, exact, tol):
     except _Unbounded:  # pragma: no cover - phase 1 is bounded below by 0
         raise RuntimeError("phase-1 unbounded (internal bug)")
 
-    infeas = sum((tab[r][-1] for r in range(len(tab)) if basis[r] >= ns), start=zero)
+    infeas = sum((at(tab[r], ncol) for r in range(len(tab)) if basis[r] >= ns), start=zero)
     feas_slack = zero if exact else tol
     if infeas > feas_slack:
         farkas = [zero] * m
         for t, i in enumerate(gen):
-            farkas[i] = flips[t] * (one - rc1[ns + t])
+            farkas[i] = flips[t] * (one - at(rc1, ns + t))
         for j, i in bound_row.items():
-            farkas[i] = rc1[pos[j]]
+            farkas[i] = at(rc1, pos[j])
         return ("infeasible", farkas)
 
     # Clean-up: pivot surviving artificials out of the basis; a row with no
@@ -417,7 +462,7 @@ def _solve_rows(rows, cost, n, exact, tol):
             col = -1
             for j in range(ns):
                 e = tab[r][j]
-                if (e != zero) if exact else (abs(e) > tol):
+                if (e != 0) if exact else (abs(e) > tol):
                     col = j
                     break
             if col >= 0:
@@ -442,28 +487,44 @@ def _solve_rows(rows, cost, n, exact, tol):
         d = [zero] * ncol
         d[ub.col] = one
         for r in range(len(tab)):
-            d[basis[r]] = -tab[r][ub.col]
+            d[basis[r]] = -at(tab[r], ub.col)
         ray = [d[pos[j]] - (d[neg[j]] if neg[j] >= 0 else zero) for j in range(n)]
         return ("unbounded", ray)
 
     vals = [zero] * ncol
     for r in range(len(tab)):
-        vals[basis[r]] = tab[r][-1]
+        vals[basis[r]] = at(tab[r], ncol)
     point = [vals[pos[j]] - (vals[neg[j]] if neg[j] >= 0 else zero) for j in range(n)]
     # Duals are read off the artificial columns of the final objective row;
     # a dropped (redundant) row keeps its unit column and so reads back 0.
     duals = [zero] * m
     for t, i in enumerate(gen):
-        duals[i] = flips[t] * (-rc2[ns + t])
+        duals[i] = flips[t] * (-at(rc2, ns + t))
     for j, i in bound_row.items():
-        duals[i] = rc2[pos[j]]
+        duals[i] = at(rc2, pos[j])
     return ("optimal", point, duals)
+
+
+def _row_dot(a, x, start):
+    # zero coefficients are skipped: the checks only compare the sums
+    return sum((ai * xi for ai, xi in zip(a, x) if ai), start=start)
+
+
+def _combine_rows(rows, weights, n, start) -> list:
+    """sum_i weights[i] * rows[i].coeffs, one entry per each of n columns."""
+    out = [start] * n
+    for y, (a, _, _) in zip(weights, rows):
+        if y:
+            for j, aj in enumerate(a):
+                if aj:
+                    out[j] = out[j] + y * aj
+    return out
 
 
 def _check_rows_feasible(rows, point, exact, tol) -> bool:
     slack = Fraction(0) if exact else tol
     for a, rel, b in rows:
-        s = sum((ai * xi for ai, xi in zip(a, point)), start=Fraction(0) if exact else 0.0)
+        s = _row_dot(a, point, Fraction(0) if exact else 0.0)
         if rel == LE and not s <= b + slack:
             return False
         if rel == GE and not s >= b - slack:
@@ -485,48 +546,44 @@ def _check_rows_dual(rows, objective, sense, duals, value, exact, tol) -> bool:
     """Adjoint equation, sign pattern, and objective match for a dual vector."""
     minimize = sense == "min"
     slack = Fraction(0) if exact else tol
-    n = len(objective)
-    for j in range(n):
-        s = sum((duals[i] * rows[i][0][j] for i in range(len(rows))),
-                start=Fraction(0) if exact else 0.0)
-        if abs(s - objective[j]) > slack:
+    start = Fraction(0) if exact else 0.0
+    sums = _combine_rows(rows, duals, len(objective), start)
+    for s, c in zip(sums, objective):
+        if abs(s - c) > slack:
             return False
     for i, (_, rel, _) in enumerate(rows):
         if not _dual_sign_ok(rel, duals[i], minimize, slack):
             return False
-    yb = sum((duals[i] * rows[i][2] for i in range(len(rows))),
-             start=Fraction(0) if exact else 0.0)
+    yb = _row_dot(duals, [b for _, _, b in rows], start)
     return abs(yb - value) <= slack
 
 
 def _check_rows_farkas(rows, cert, exact, tol) -> bool:
     slack = Fraction(0) if exact else tol
-    n = len(rows[0][0]) if rows else 0
-    for j in range(n):
-        s = sum((cert[i] * rows[i][0][j] for i in range(len(rows))),
-                start=Fraction(0) if exact else 0.0)
+    start = Fraction(0) if exact else 0.0
+    for s in _combine_rows(rows, cert, len(rows[0][0]) if rows else 0, start):
         if abs(s) > slack:
             return False
     for i, (_, rel, _) in enumerate(rows):
         # Infeasibility certificates use the minimization sign pattern.
         if not _dual_sign_ok(rel, cert[i], True, slack):
             return False
-    yb = sum((cert[i] * rows[i][2] for i in range(len(rows))),
-             start=Fraction(0) if exact else 0.0)
+    yb = _row_dot(cert, [b for _, _, b in rows], start)
     return yb > slack
 
 
 def _check_rows_ray(rows, objective, sense, ray, exact, tol) -> bool:
     slack = Fraction(0) if exact else tol
+    start = Fraction(0) if exact else 0.0
     for a, rel, _ in rows:
-        s = sum((ai * di for ai, di in zip(a, ray)), start=Fraction(0) if exact else 0.0)
+        s = _row_dot(a, ray, start)
         if rel == LE and not s <= slack:
             return False
         if rel == GE and not s >= -slack:
             return False
         if rel == EQ and not abs(s) <= slack:
             return False
-    cd = sum((c * d for c, d in zip(objective, ray)), start=Fraction(0) if exact else 0.0)
+    cd = _row_dot(objective, ray, start)
     return cd < -slack if sense == "min" else cd > slack
 
 
@@ -636,6 +693,36 @@ class LpBuilder:
 
     def block(self, count: int, lo=None, hi=None) -> list[int]:
         return [self.var(lo, hi) for _ in range(count)]
+
+    def convex_weights(self, points: Sequence[Sequence], rhs: Sequence,
+                       extra: Sequence[Mapping[int, object]] | None = None) -> list[int]:
+        """Convex weights over points, matched coordinatewise to rhs.
+
+        Appends one variable lam_i >= 0 per point, then the row
+        sum_i lam_i = 1, then for each coordinate c the row
+        sum_i lam_i * points[i][c] + extra[c] = rhs[c], in that order: the
+        block's dual multipliers read the weight row first, then one per
+        coordinate, which is where a subgradient is read off.  extra, when
+        given, holds one sparse {index: coeff} map per coordinate, added into
+        that coordinate's row.  Each coefficient is converted once.  Returns
+        the weight variables.
+        """
+        lam = self.block(len(points), lo=0)
+        one = Fraction(1)
+        self._rows.append(({j: one for j in lam}, EQ, one))
+        for c, target in enumerate(rhs):
+            row: dict[int, Fraction] = {}
+            for j, p in zip(lam, points):
+                v = frac(p[c])
+                if v:
+                    row[j] = v
+            if extra is not None:
+                for j, v in extra[c].items():
+                    fv = frac(v)
+                    if fv:
+                        row[j] = row.get(j, Fraction(0)) + fv
+            self._rows.append((row, EQ, frac(target)))
+        return lam
 
     def add(self, coeffs: Mapping[int, object], rel: str, rhs) -> None:
         if rel not in _RELS:

@@ -137,6 +137,15 @@ class TestExitCodeContract:
         assert code == EXIT_INPUT
         assert doc["error"]["field"] == "--tolerance"
 
+    def test_bad_mode_in_environment_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SANDWICHKIT_MODE", "bogus")
+        code, doc = run_json(capsys, ["verify", str(CORPUS / "fenchel.json")])
+        assert code == EXIT_INPUT
+        assert doc["verdict"] == "input_error"
+        assert doc["error"]["field"] == "SANDWICHKIT_MODE"
+        assert "bogus" in doc["error"]["message"]
+        assert "queries" not in doc
+
     def test_violated_sandwich_reports_witness(self, capsys):
         code, doc = run_json(
             capsys, ["sandwich", str(CORPUS / "sandwich_violated.json")]

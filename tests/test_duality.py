@@ -16,7 +16,6 @@ from sandwichkit.duality import (
     quad_fiber_maps,
     scenario_to_trivariate,
     verify,
-    verify_indicator_linear,
 )
 from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.randomgen import (
@@ -276,7 +275,7 @@ def cross_indicator_scenario(queries, **kwargs) -> DualityScenario:
 
 class TestIndicatorLinear:
     def test_worked_example(self):
-        report = verify_indicator_linear(
+        report = verify(
             cross_indicator_scenario([(F(1), F(0), F(2))])
         )[0]
         assert report.lhs == 1
@@ -286,7 +285,7 @@ class TestIndicatorLinear:
         assert report.all_hypotheses_hold
 
     def test_query_outside_row_space_gives_twin_plus_infinity(self):
-        report = verify_indicator_linear(
+        report = verify(
             cross_indicator_scenario([(F(0), F(1), F(0))])
         )[0]
         assert report.lhs is POS_INF
@@ -315,10 +314,6 @@ class TestIndicatorLinear:
         assert report.lhs is NEG_INF
         assert report.rhs is NEG_INF
         assert not report.hypothesis_flags["h_proper"]
-
-    def test_kind_guard(self):
-        with pytest.raises(PreconditionError):
-            verify_indicator_linear(abs_fenchel([(F(0),)]))
 
     def test_lhs_witness_reconstructs_the_value(self):
         s = cross_indicator_scenario([(F(1), F(0), F(2))])

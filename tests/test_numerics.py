@@ -218,6 +218,18 @@ def test_determinism():
         assert lp_solve(p) == lp_solve(p)
 
 
+def test_exact_mode_reports_fractions():
+    """The integer tableau rows never leak: every reported number is a Fraction."""
+    rng = random.Random(5)
+    for _ in range(30):
+        r = lp_solve(random_program(rng))
+        if r.status == "optimal":
+            assert type(r.value) is Fraction
+        for cert in (r.point, r.dual, r.farkas, r.ray):
+            if cert is not None:
+                assert all(type(v) is Fraction for v in cert)
+
+
 def test_float_mode():
     p = lp(1, [1], "min", [([1], GE, 3)])
     r = lp_solve(p, mode="float")
@@ -268,3 +280,46 @@ def test_validation_errors():
         lp_solve(lp(1, [1], "min", [([1, 2], LE, 0)]))
     with pytest.raises(StructuralError):
         lp_solve(lp(1, [1], "best", []))
+
+
+class TestConvexWeights:
+    def test_row_order_weight_row_then_coordinates(self):
+        b = LpBuilder()
+        t = b.var()
+        lam = b.convex_weights([(1, 2), (3, "1/2"), (0, 0)], (2, 1))
+        assert lam == [1, 2, 3]
+        built = b.build()
+        assert [c.rel for c in built.constraints] == [EQ, EQ, EQ]
+        assert built.constraints[0].coeffs == vec((0, 1, 1, 1))
+        assert built.constraints[0].rhs == 1
+        assert built.constraints[1].coeffs == vec((0, 1, 3, 0))
+        assert built.constraints[1].rhs == 2
+        assert built.constraints[2].coeffs == vec((0, 2, "1/2", 0))
+        assert built.constraints[2].rhs == 1
+        assert built.bounds[t] == (None, None)
+        assert all(built.bounds[j] == (0, None) for j in lam)
+
+    def test_extra_merges_into_coordinate_rows(self):
+        b = LpBuilder()
+        r = b.var()
+        # weights get the next columns, 1 and 2; extra may name them too,
+        # and its coefficients add to the points' own
+        lam = b.convex_weights([(1, 0), (0, 1)], (0, 5),
+                               [{r: -1}, {r: 2, 2: "1/2"}])
+        rows = b.build().constraints
+        assert lam == [1, 2] and len(rows) == 3
+        assert rows[1].coeffs == vec((-1, 1, 0)) and rows[1].rhs == 0
+        assert rows[2].coeffs == vec((2, 0, "3/2")) and rows[2].rhs == 5
+
+    def test_duals_follow_the_row_order(self):
+        # min over the segment [(0, 0), (2, 2)] of 0 and 2 at its ends:
+        # the value at (1, 1) is 1 and the coordinate duals are a slope
+        b = LpBuilder()
+        lam = b.convex_weights([(0, 0), (2, 2)], (1, 1))
+        b.set_objective({lam[0]: 0, lam[1]: 2})
+        res = b.solve()
+        assert res.value == 1
+        weight_dual, slope = res.dual[0], res.dual[1:3]
+        assert weight_dual + 2 * slope[0] + 2 * slope[1] == 2
+        assert weight_dual == 0
+        assert slope[0] + slope[1] == 1

@@ -16,6 +16,7 @@ from sandwichkit.sandwich import (
     find_separator,
     hypothesis_check,
     separator_margin,
+    separator_via_conjugates,
     verify_hypothesis,
 )
 
@@ -139,6 +140,37 @@ class TestSeparator:
                                                    tight=bool(rng.getrandbits(1)))
             sep = find_separator(inst)
             assert sep.margin == hypothesis_check(inst).value == slack
+
+
+class TestSeparatorViaConjugates:
+    """The Fenchel route: lower bound in sample form, S in piece form."""
+
+    def test_worked_example(self):
+        sep, report = separator_via_conjugates(worked_instance())
+        assert sep.x_prime == (Fraction(1),)
+        assert sep.margin == 0 and report.rhs == 0 and report.gap == 0
+
+    def test_seeded_instances_match_the_direct_separator(self):
+        rng = random.Random(303)
+        satisfied = violated = 0
+        for trial in range(40):
+            satisfy = trial % 2 == 0
+            inst, slack = random_sandwich_instance(
+                rng, satisfy=satisfy, tight=trial % 4 == 0)
+            if satisfy:
+                sep, report = separator_via_conjugates(inst)
+                # the dual optimum is the max-margin separator; the shared
+                # optimal value is the negated hypothesis infimum
+                assert report.gap == 0 and report.attained
+                assert sep.margin == find_separator(inst).margin == -report.rhs
+                assert check_separator(inst, sep.x_prime)
+                satisfied += 1
+            else:
+                with pytest.raises(HypothesisViolated):
+                    separator_via_conjugates(inst)
+                assert not hypothesis_check(inst).holds
+                violated += 1
+        assert satisfied == violated == 20
 
 
 def konig_instance() -> SandwichInstance:
