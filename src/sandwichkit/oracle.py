@@ -1,16 +1,21 @@
 """Grid brute force for cross-checking the LP engines.
 
 Nothing in this module builds a linear program.  Envelope values come
-from affine interpolation over small sample subsets, suprema and fiber
-infima from barycentric probe grids, and dual-side values from direct
-max-over-samples arithmetic at the reported witness.  The point is an
-independent second opinion, so the code stays intentionally naive and
-is only meant for tiny instances.
+from each sample-form function's lower hull, built once per search by
+exact integer double description and then evaluated as a maximum over
+its facet pieces; suprema and fiber infima come from barycentric probe
+grids, and dual-side values from direct max-over-samples arithmetic at
+the reported witness.  The point is an independent second opinion.  The
+probe grids grow with the sample count, and the sample-form slope bound
+still interpolates every small sample subset, so large instances stay
+slow.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .convexfn import AffineFunctional, PolyhedralFunction, V_FORM
@@ -80,55 +85,160 @@ class OracleResult:
     argmax: Optional[Vec] = None
 
 
-def envelope_value(f: PolyhedralFunction, point: Sequence) -> Ext:
-    """Exact convex-envelope value at a point, by subset enumeration.
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
-    Every sample subset of at most dim + 1 points that expresses the
-    point as a convex combination contributes its interpolated value;
-    the minimum over subsets is the envelope, +inf off the hull.  The
-    facets of the lower hull are spanned by such subsets, so the
-    minimum misses nothing.
+
+def _primitive(v: Sequence[int]) -> tuple:
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _integer_row(coeffs: Sequence[Fraction]) -> tuple:
+    """A rational row scaled by the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+
+
+def _clear(v: tuple, row: Sequence[int], cut: tuple, rc: int) -> tuple:
+    """v plus a multiple of cut, on the row's hyperplane; rc is <row, cut>."""
+    rv = _dot(row, v)
+    if not rv:
+        return v
+    if rc < 0:
+        rc, rv = -rc, -rv
+    return _primitive([rc * x - rv * y for x, y in zip(v, cut)])
+
+
+def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple:
+    """Generators of the cone {x in Q^n : <r, x> <= 0 for every row r}.
+
+    Returns (lineality, rays), integer vectors with gcd 1: the cone is the
+    span of the lineality vectors plus the conic hull of the rays, and each
+    ray is extreme modulo the lineality.  Rows are added one at a time
+    (Motzkin et al. 1953; Fukuda and Prodon 1996).  A row that cuts the
+    current lineality pivots one cut lineality vector into a ray, after
+    clearing the row from the other lineality vectors and from every ray.
+    Otherwise the rays the row keeps stay, and each adjacent pair it
+    separates contributes the ray on the row's hyperplane between them;
+    adjacency is decided combinatorially, from the sets of processed rows
+    each ray makes tight.
     """
-    if f.form != V_FORM:
-        raise PreconditionError("envelope enumeration needs the sample form")
-    y = vec(point)
-    if len(y) != f.dim:
-        raise StructuralError("point dimension does not match the function")
-    pts = [p for p, _ in f.samples]
-    vals = [v for _, v in f.samples]
-    target = (Fraction(1),) + y
-    best: Optional[Fraction] = None
-    for size in range(1, f.dim + 2):
-        for idx in combinations(range(len(pts)), size):
-            rows = [[Fraction(1)] * size]
-            for c in range(f.dim):
-                rows.append([pts[i][c] for i in idx])
-            weights = solve_linear(rows, target)
-            if weights is None or any(wt < 0 for wt in weights):
-                continue
-            value = sum(
-                (weights[k] * vals[i] for k, i in enumerate(idx)),
-                start=Fraction(0),
-            )
-            if best is None or value < best:
-                best = value
-    return POS_INF if best is None else best
+    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # (ray, bitmask of the processed rows it makes tight)
+    rays: list = []
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        cut = next((v for v in lineality if _dot(row, v)), None)
+        if cut is not None:
+            rc = _dot(row, cut)
+            lineality = [_clear(v, row, cut, rc) for v in lineality if v is not cut]
+            # the cut vector was tight on every earlier row
+            rays = [(_clear(v, row, cut, rc), tight | bit) for v, tight in rays]
+            rays.append((tuple(-y if rc > 0 else y for y in cut), bit - 1))
+            continue
+        values = [_dot(row, v) for v, _ in rays]
+        kept = [
+            (v, tight if rv else tight | bit)
+            for (v, tight), rv in zip(rays, values)
+            if rv <= 0
+        ]
+        plus = [i for i, rv in enumerate(values) if rv > 0]
+        if plus:
+            minus = [i for i, rv in enumerate(values) if rv < 0]
+            tights = [tight for _, tight in rays]
+            # two adjacent rays span a 2-face, tight on rank n - dim L - 2 rows
+            need = n - len(lineality) - 2
+            for i in plus:
+                for j in minus:
+                    common = tights[i] & tights[j]
+                    if common.bit_count() < need:
+                        continue
+                    if any(
+                        (tz & common) == common and h != i and h != j
+                        for h, tz in enumerate(tights)
+                    ):
+                        continue
+                    vi, vj = rays[i][0], rays[j][0]
+                    ri, rj = values[i], values[j]
+                    kept.append((
+                        _primitive([ri * b - rj * a for a, b in zip(vi, vj)]),
+                        common | bit,
+                    ))
+        rays = kept
+    return lineality, [v for v, _ in rays]
+
+
+class LowerHull:
+    """The lower convex hull of a sample-form function, built once.
+
+    The affine minorants (a, b) of the samples, <a, p_i> + b <= v_i,
+    homogenise to the cone {(a, b, t) : <a, p_i> + b - t v_i <= 0, -t <= 0},
+    whose generators come from `double_description`.  Rays with t > 0 are
+    the facet pieces, so the envelope at y is the largest <a, y> + b over
+    them, divided by t.  Rays with t = 0 are the hull's inequalities and
+    lineality vectors its equalities: a point breaking one is off the hull.
+    """
+
+    def __init__(self, f: PolyhedralFunction):
+        if f.form != V_FORM:
+            raise PreconditionError("envelope evaluation needs the sample form")
+        self.dim = f.dim
+        rows = [(0,) * (f.dim + 1) + (-1,)] + [
+            _integer_row(p + (Fraction(1), -v)) for p, v in f.samples
+        ]
+        lineality, rays = double_description(rows, f.dim + 2)
+        self.pieces = [(r[:-1], r[-1]) for r in rays if r[-1] > 0]
+        self.walls = [r[:-1] for r in rays if r[-1] == 0]
+        self.equalities = [r[:-1] for r in lineality]
+
+    def __call__(self, point: Sequence[Fraction]) -> Ext:
+        """Envelope value at a point of Fractions or ints, +inf off the hull."""
+        if len(point) != self.dim:
+            raise StructuralError("point dimension does not match the function")
+        den = lcm(*(c.denominator for c in point))
+        y = [c.numerator * (den // c.denominator) for c in point]
+        y.append(den)
+        if any(_dot(w, y) > 0 for w in self.walls) or any(
+            _dot(e, y) for e in self.equalities
+        ):
+            return POS_INF
+        best, best_t = None, 1
+        for ab, t in self.pieces:
+            num = _dot(ab, y)
+            if best is None or num * best_t > best * t:
+                best, best_t = num, t
+        return Fraction(best, best_t * den)
+
+
+def envelope_value(f: PolyhedralFunction, point: Sequence) -> Ext:
+    """Exact convex-envelope value at a point, +inf off the sample hull.
+
+    Builds the function's `LowerHull` and evaluates it once; callers with
+    many points build the hull themselves and reuse it.
+    """
+    return LowerHull(f)(vec(point))
+
+
+def _evaluator(f: PolyhedralFunction):
+    """Exact evaluation of f at points: its lower hull, or its piece maximum."""
+    if f.form == V_FORM:
+        return LowerHull(f)
+    pieces = f.pieces
+    return lambda point: max(dot(a, point) + c for a, c in pieces)
 
 
 def oracle_eval(f: PolyhedralFunction, point: Sequence) -> Ext:
     """Envelope value for sample forms, exact piece maximum otherwise."""
-    if f.form == V_FORM:
-        return envelope_value(f, point)
-    y = vec(point)
-    return max(dot(a, y) + c for a, c in f.pieces)
+    return _evaluator(f)(vec(point))
 
 
 def _affine_trace(f: PolyhedralFunction) -> Optional[AffineFunctional]:
     """The affine function through all samples, when one exists.
 
     Sample values lying on a single affine graph make the envelope that
-    graph restricted to the hull, so hull points can skip the subset
-    enumeration entirely.
+    graph restricted to the hull, so its slope is the only one there is.
     """
     if f.form != V_FORM:
         return None
@@ -215,10 +325,11 @@ def weight_grid(count: int, resolution: int) -> list:
 
 
 def _combine(pts: Sequence[Vec], lam: Sequence[Fraction]) -> Vec:
+    # at resolution n at most n weights are nonzero
+    used = [(w, q) for w, q in zip(lam, pts) if w]
     dim = len(pts[0]) if pts else 0
     return tuple(
-        sum((lam[i] * pts[i][c] for i in range(len(pts))), start=Fraction(0))
-        for c in range(dim)
+        sum((w * q[c] for w, q in used), start=Fraction(0)) for c in range(dim)
     )
 
 
@@ -261,18 +372,15 @@ def grid_sup(phi: AffineFunctional, terms: Sequence, spec: GridSpec) -> OracleRe
     pts = [p for p, _ in f0.samples]
     slope_total = sum(abs(c) for c in phi.coeffs) + _slope_total(terms)
     bound = spec.gap_bound(pts, slope_total)
-    # probes lie in the first term's hull by construction, so its affine
-    # trace, when one exists, evaluates the envelope without enumeration
-    trace0 = _affine_trace(f0)
+    env0 = LowerHull(f0)
+    rest = [(_evaluator(fk), mk) for fk, mk in terms[1:]]
     best: Optional[Fraction] = None
     arg: Optional[Vec] = None
     for lam in weight_grid(len(pts), spec.resolution):
         z = _combine(pts, lam)
-        value: Optional[Fraction] = phi(z) - (
-            trace0(z) if trace0 is not None else envelope_value(f0, z)
-        )
-        for fk, mk in terms[1:]:
-            term = oracle_eval(fk, mk(z))
+        value: Optional[Fraction] = phi(z) - env0(z)
+        for evaluate_k, mk in rest:
+            term = evaluate_k(mk(z))
             if term == POS_INF:
                 value = None
                 break
@@ -314,8 +422,8 @@ def grid_fiber_inf(
     slope_total = _slope_total(terms)
     tol = Fraction(1, spec.resolution)
     bound = spec.gap_bound(pts, slope_total) + slope_total * tol
-    # same hull-membership shortcut as in grid_sup
-    trace0 = _affine_trace(f0)
+    env0 = LowerHull(f0)
+    rest = [(_evaluator(fk), mk) for fk, mk in terms[1:]]
     best: Optional[Fraction] = None
     best_res: Optional[Fraction] = None
     arg: Optional[Vec] = None
@@ -333,11 +441,9 @@ def grid_fiber_inf(
             nearest = residual
         if residual > tol:
             continue
-        value: Optional[Fraction] = (
-            trace0(z) if trace0 is not None else envelope_value(f0, z)
-        )
-        for fk, mk in terms[1:]:
-            term = oracle_eval(fk, mk(z))
+        value: Optional[Fraction] = env0(z)
+        for evaluate_k, mk in rest:
+            term = evaluate_k(mk(z))
             if term == POS_INF:
                 value = None
                 break
@@ -378,7 +484,8 @@ def dual_groups(s: DualityScenario, query: AffineFunctional):
 
     Returns (groups, constant, constraint).  Each group is either
     ("max", ((beta, c), ...)), contributing max of c + <x*, beta>, or
-    ("envelope", fn), contributing the sample-form envelope at x*; the
+    ("envelope", hull), contributing a sample-form function's envelope at
+    x* through its `LowerHull`, built here once for all probes; the
     objective is the sum of group contributions plus the constant.  The
     constraint, when present, is (rows, rhs) with rows x* = rhs required
     for dual feasibility.  Mirrors the dual LPs row for row.
@@ -408,7 +515,7 @@ def dual_groups(s: DualityScenario, query: AffineFunctional):
             conj = PolyhedralFunction.v_form(
                 s.g.dim, [(a, -c) for a, c in s.g.pieces]
             )
-            g_group = ("envelope", conj)
+            g_group = ("envelope", LowerHull(conj))
         return (("max", f_pairs), g_group), Fraction(0), None
     if s.kind in ("bibivariate", "partial_infconv"):
         u, v, w, x = s.dims
@@ -443,7 +550,7 @@ def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
         if tag == "max":
             total += max(c + dot(x, beta) for beta, c in data)
         else:
-            part = envelope_value(data, x)
+            part = data(x)
             if part == POS_INF:
                 return POS_INF
             total += part

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_acceptance import Stopwatch
 
 from sandwichkit import cli
 from sandwichkit.cli import (
@@ -274,6 +275,22 @@ class TestCommands:
             assert record["crosscheck"]["ok"] is True
             assert record["crosscheck"]["lhs_ok"] is True
             assert record["crosscheck"]["witness_ok"] is True
+
+    def test_crosscheck_gate_on_the_corpus(self, capsys):
+        # quadrivariate.json stays out: lipschitz_bound alone spends about
+        # 300 s enumerating sample subsets of its 36-sample psi
+        watch = Stopwatch(60)
+        for path in sorted(CORPUS.glob("*.json")):
+            expect = json.loads(path.read_text())["expect"]
+            if expect["command"] != "verify" or path.name == "quadrivariate.json":
+                continue
+            code, doc = run_json(capsys, ["verify", str(path), "--crosscheck"])
+            assert code == expect["exit"], path.name
+            for record in doc.get("queries", []):
+                check = record["crosscheck"]
+                if check["lhs_oracle"] is not None:
+                    assert check["ok"] is True, (path.name, check["notes"])
+        watch.check()
 
     def test_float_mode_via_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("SANDWICHKIT_MODE", "float")

@@ -1,9 +1,13 @@
 """Tests for the grid brute-force oracle and the scenario cross-checker."""
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from sandwichkit import cli
 from sandwichkit.convexfn import (
     AffineFunctional,
     PolyhedralFunction,
@@ -11,13 +15,14 @@ from sandwichkit.convexfn import (
     sup_affine_minus_convex,
 )
 from sandwichkit.duality import DualityScenario
-from sandwichkit.geometry import AffineMap
+from sandwichkit.geometry import AffineMap, solve_linear
 from sandwichkit.numerics import POS_INF, PreconditionError, StructuralError
 from sandwichkit.oracle import (
     CrosscheckReport,
     GridSpec,
     OracleResult,
     crosscheck_scenario,
+    double_description,
     dual_groups,
     dual_objective_value,
     envelope_value,
@@ -41,6 +46,39 @@ def abs_three() -> PolyhedralFunction:
 
 def identity(dim: int) -> AffineMap:
     return AffineMap.identity(dim)
+
+
+def subset_envelope(f: PolyhedralFunction, point) -> Fraction:
+    """Naive reference envelope: the least interpolated value over every
+    sample subset of at most dim + 1 points holding the point as a convex
+    combination, +inf when none does.  Facets of the lower hull are spanned
+    by such subsets, so the minimum misses nothing."""
+    pts = [p for p, _ in f.samples]
+    vals = [v for _, v in f.samples]
+    target = (Fraction(1),) + tuple(Fraction(c) for c in point)
+    best = None
+    for size in range(1, f.dim + 2):
+        for idx in combinations(range(len(pts)), size):
+            rows = [[Fraction(1)] * size]
+            for c in range(f.dim):
+                rows.append([pts[i][c] for i in idx])
+            weights = solve_linear(rows, target)
+            if weights is None or any(wt < 0 for wt in weights):
+                continue
+            value = sum(
+                (weights[k] * vals[i] for k, i in enumerate(idx)), start=Fraction(0)
+            )
+            if best is None or value < best:
+                best = value
+    return POS_INF if best is None else best
+
+
+def convex_combination(pts, weights) -> tuple:
+    total = sum(weights)
+    return tuple(
+        sum((Fraction(w, total) * p[c] for w, p in zip(weights, pts)), start=Fraction(0))
+        for c in range(len(pts[0]))
+    )
 
 
 class TestGridSpec:
@@ -79,6 +117,19 @@ class TestWeightGrid:
             assert all(w >= 0 for w in lam)
 
 
+class TestDoubleDescription:
+    def test_wedge_times_line(self):
+        # {x : x0 >= |x1|}, x2 free
+        lineality, rays = double_description([(-1, 1, 0), (-1, -1, 0)], 3)
+        assert {tuple(abs(c) for c in v) for v in lineality} == {(0, 0, 1)}
+        assert sorted(rays) == [(1, -1, 0), (1, 1, 0)]
+
+    def test_generators_are_primitive(self):
+        lineality, rays = double_description([(-6, 4), (2, -9)], 2)
+        assert lineality == []
+        assert sorted(rays) == [(2, 3), (9, 2)]
+
+
 class TestEnvelopeValue:
     def test_matches_lp_evaluation(self):
         rng = random.Random(701)
@@ -98,6 +149,61 @@ class TestEnvelopeValue:
 
     def test_outside_hull_is_infinite(self):
         assert envelope_value(abs_three(), (Fraction(2),)) == POS_INF
+
+    def test_matches_subset_enumeration(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True)
+        @hyp.given(st.data())
+        def check(data):
+            dim = data.draw(st.integers(1, 4), "dim")
+            m = data.draw(st.integers(1, 7), "samples")
+            point = st.tuples(*[scalar] * dim)
+            shape = data.draw(st.sampled_from(["general", "flat", "repeated"]))
+            if shape == "flat":
+                # collinear, coplanar, ...: a lower-dimensional hull
+                k = data.draw(st.integers(0, dim - 1), "flat dim")
+                base = data.draw(point)
+                dirs = [data.draw(point) for _ in range(k)]
+                coords = [data.draw(st.tuples(*[scalar] * k)) for _ in range(m)]
+                pts = [
+                    tuple(base[c] + sum((x * d[c] for x, d in zip(xs, dirs)),
+                                        start=Fraction(0)) for c in range(dim))
+                    for xs in coords
+                ]
+            elif shape == "repeated":
+                distinct = data.draw(st.lists(point, min_size=1, max_size=max(1, m - 1)))
+                pts = [data.draw(st.sampled_from(distinct)) for _ in range(m)]
+            else:
+                pts = [data.draw(point) for _ in range(m)]
+            f = PolyhedralFunction.v_form(dim, [(p, data.draw(scalar)) for p in pts])
+            weights = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+            weights[data.draw(st.integers(0, m - 1))] += 1
+            on_hull = convex_combination(pts, weights)
+            assert envelope_value(f, on_hull) == subset_envelope(f, on_hull) != POS_INF
+            anywhere = data.draw(point)
+            assert envelope_value(f, anywhere) == subset_envelope(f, anywhere)
+            beyond = (max(p[0] for p in pts) + Fraction(1, 7),) + anywhere[1:]
+            assert envelope_value(f, beyond) == subset_envelope(f, beyond) == POS_INF
+
+        check()
+
+    def test_quadrivariate_psi_within_budget(self):
+        text = (Path(cli.__file__).parent / "scenarios" / "quadrivariate.json").read_text()
+        psi = cli.parse_scenario(text).functions["psi"]
+        rng = random.Random(709)
+        pts = [p for p, _ in psi.samples]
+        probes = [
+            convex_combination(pts, [rng.randint(0, 2) for _ in pts])
+            for _ in range(50)
+        ]
+        start = time.perf_counter()
+        values = [envelope_value(psi, z) for z in probes]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, f"{elapsed:.1f}s for 50 calls exceeds 5s"
+        assert values == [evaluate(psi, z) for z in probes]
 
     def test_rejects_piece_form(self):
         h = PolyhedralFunction.h_form(1, [((1,), 0), ((-1,), 0)])
