@@ -34,7 +34,6 @@ from .convexfn import (
     H_FORM,
     PolyhedralFunction,
     V_FORM,
-    indicator_of_point,
     indicator_of_zero,
     sup_affine_minus_convex,
 )
@@ -291,33 +290,6 @@ class DualityReport:
     @property
     def all_hypotheses_hold(self) -> bool:
         return all(self.hypothesis_flags.values())
-
-
-def fiber_inf(terms: Sequence, a_map: AffineMap, b_map: AffineMap, p: Sequence,
-              mode: str = EXACT, tolerance=None) -> Ext:
-    """inf of a sum of convex terms over {z : A z = p, B z = 0}.
-
-    Each term is (function, map) with the function evaluated at the mapped
-    point.  Computed as minus the sup of the zero functional minus the
-    terms and the indicators of the fiber: +inf when the fiber misses the
-    common domain; the bounded domains make an unbounded sup impossible.
-    """
-    if not terms:
-        raise StructuralError("fiber_inf needs at least one term")
-    n = a_map.in_dim
-    if b_map.in_dim != n:
-        raise StructuralError("fiber maps act on different spaces")
-    p = vec(p)
-    if len(p) != a_map.out_dim:
-        raise StructuralError("fiber parameter has the wrong dimension")
-    fiber = [(indicator_of_point(p), a_map), (indicator_of_zero(b_map.out_dim), b_map)]
-    sup = sup_affine_minus_convex(AffineFunctional.zero(n), list(terms) + fiber,
-                                  mode, tolerance)
-    if sup.status == "unbounded":
-        raise RuntimeError("fiber LP unbounded on bounded domains; kernel is unsound")
-    if sup.status == "empty":
-        return POS_INF
-    return -sup.value
 
 
 def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool, mode, tolerance):

@@ -1,31 +1,27 @@
-"""Grid brute force for cross-checking the LP engines.
+"""Exact, LP-free second opinion on the duality verifier.
 
-Nothing in this module builds a linear program.  Envelope values come
-from each sample-form function's lower hull, built once per search by
-exact integer double description and then evaluated as a maximum over
-its facet pieces; suprema and fiber infima come from barycentric probe
-grids, and dual-side values from direct max-over-samples arithmetic at
-the reported witness.  The point is an independent second opinion.  The
-probe grids grow with the sample count, and the sample-form slope bound
-still interpolates every small sample subset, so large instances stay
-slow.
+Nothing in this module builds a linear program.  Both sides of every
+verified query are re-derived as the optimum of an explicit polyhedron,
+found by exact integer double description (Motzkin et al. 1953; Fukuda
+and Prodon 1996): the set {x : <a, x> <= r} homogenises to a cone whose
+rays with a positive last coordinate are its vertices, and whose other
+generators are its recession directions.  Sample-form functions enter
+through their lower hulls (`LowerHull`), piece-form functions and the
+dual's max groups through one epigraph row per piece.  The left side
+runs over the primal variables plus one epigraph variable per term, the
+right side over the covector plus one per dual group, so in exact mode
+the LP answers must match these optima exactly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .convexfn import AffineFunctional, PolyhedralFunction, V_FORM
-from .duality import (
-    DualityScenario,
-    bibivariate_to_quadrivariate,
-    quad_fiber_maps,
-    verify,
-)
-from .geometry import AffineMap, rref, solve_linear
+from .convexfn import AffineFunctional, H_FORM, PolyhedralFunction, V_FORM
+from .duality import DualityScenario, quad_fiber_maps, verify
+from .geometry import AffineMap
 from .numerics import (
     EXACT,
     NEG_INF,
@@ -40,15 +36,15 @@ from .numerics import (
     vec,
 )
 
+FIBER_KINDS = ("trivariate", "sublevel", "quadrivariate")
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution for the barycentric probe grids.
+    """Resolution of the former probe grids, kept as a validated argument.
 
-    Resolution n admits every weight vector whose entries share a
-    denominator of at most n.  The grids are therefore nested, refined
-    answers can only improve, and single-vertex weights appear at every
-    resolution, which is what makes vertex optima exact.
+    `crosscheck_scenario` still accepts one, but the exact oracle has no
+    resolution and ignores it.
     """
 
     resolution: int
@@ -57,31 +53,16 @@ class GridSpec:
         if not isinstance(self.resolution, int) or self.resolution < 1:
             raise StructuralError("grid resolution must be a positive integer")
 
-    def gap_bound(self, vertices: Sequence[Vec], slope_total: Fraction) -> Fraction:
-        """Worst-case gap between the grid optimum and the true one.
-
-        Rounding barycentric weights over m vertices to the grid moves a
-        point by at most 2(m-1)R/n per coordinate, and the objective
-        follows at the summed Lipschitz rate.
-        """
-        m = len(vertices)
-        if m <= 1:
-            return Fraction(0)
-        radius = max(
-            max((abs(c) for c in p), default=Fraction(0)) for p in vertices
-        )
-        return 2 * (m - 1) * radius * slope_total / self.resolution
-
 
 @dataclass(frozen=True)
 class OracleResult:
-    """One grid answer; value is None when the probes were inconclusive."""
+    """One exact optimum: value with the LP's sign, argmax when finite.
 
-    value: Optional[Ext]
+    The oracle always reaches a verdict, so conclusive is always True.
+    """
+
+    value: Ext
     conclusive: bool
-    resolution: int
-    bound: Fraction
-    residual: Optional[Fraction] = None
     argmax: Optional[Vec] = None
 
 
@@ -211,6 +192,16 @@ class LowerHull:
                 best, best_t = num, t
         return Fraction(best, best_t * den)
 
+    def epigraph(self) -> list:
+        """Triples (a, b, t): the envelope at y is at most s exactly when
+        <a, y> + b <= t s for each; walls and equalities carry t = 0."""
+        return (
+            [(r[:-1], r[-1], t) for r, t in self.pieces]
+            + [(w[:-1], w[-1], 0) for w in self.walls]
+            + [(e[:-1], e[-1], 0) for e in self.equalities]
+            + [(tuple(-c for c in e[:-1]), -e[-1], 0) for e in self.equalities]
+        )
+
 
 def envelope_value(f: PolyhedralFunction, point: Sequence) -> Ext:
     """Exact convex-envelope value at a point, +inf off the sample hull.
@@ -221,262 +212,122 @@ def envelope_value(f: PolyhedralFunction, point: Sequence) -> Ext:
     return LowerHull(f)(vec(point))
 
 
-def _evaluator(f: PolyhedralFunction):
-    """Exact evaluation of f at points: its lower hull, or its piece maximum."""
+def _polyhedron_max(objective: Sequence, constant, rows: Sequence, n: int) -> tuple:
+    """(sup, argmax) of <objective, x> + constant over {x : <a, x> <= r}.
+
+    rows are (a, r) pairs of rationals over Q^n; a may omit trailing
+    zeros.  The set homogenises to the cone {(x, s) : <a, x> - r s <= 0,
+    -s <= 0}, whose rays with s > 0 are its vertices x / s modulo the
+    lineality.  No such ray means the set is empty (-inf); a lineality
+    vector or an s = 0 ray that raises the objective means +inf; otherwise
+    the best vertex attains the sup.
+    """
+    cone = [(0,) * n + (-1,)] + [
+        _integer_row(tuple(a) + (0,) * (n - len(a)) + (-r,)) for a, r in rows
+    ]
+    lineality, rays = double_description(cone, n + 1)
+    scale = lcm(*(q.denominator for q in objective))
+    c = _integer_row(tuple(objective) + (0,))
+    best, vertex = None, None
+    for ray in rays:
+        num = _dot(c, ray)
+        if ray[-1] and (best is None or num * vertex[-1] > best * ray[-1]):
+            best, vertex = num, ray
+    if vertex is None:
+        return NEG_INF, None
+    if any(_dot(c, v) for v in lineality) or any(
+        _dot(c, r) > 0 for r in rays if not r[-1]
+    ):
+        return POS_INF, None
+    point = tuple(Fraction(x, vertex[-1]) for x in vertex[:-1])
+    return Fraction(best, vertex[-1] * scale) + constant, point
+
+
+def _epigraph(f) -> list:
+    """Triples (a, b, t) with f(y) <= s exactly when <a, y> + b <= t s for each."""
+    if isinstance(f, LowerHull):
+        return f.epigraph()
     if f.form == V_FORM:
-        return LowerHull(f)
-    pieces = f.pieces
-    return lambda point: max(dot(a, point) + c for a, c in pieces)
+        return LowerHull(f).epigraph()
+    return [(a, c, 1) for a, c in f.pieces]
 
 
-def oracle_eval(f: PolyhedralFunction, point: Sequence) -> Ext:
-    """Envelope value for sample forms, exact piece maximum otherwise."""
-    return _evaluator(f)(vec(point))
+def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> OracleResult:
+    """Exact sup of phi(z) - sum of f_k(M_k z) over {z : B z = 0, each B}.
 
-
-def _affine_trace(f: PolyhedralFunction) -> Optional[AffineFunctional]:
-    """The affine function through all samples, when one exists.
-
-    Sample values lying on a single affine graph make the envelope that
-    graph restricted to the hull, so its slope is the only one there is.
+    Each term is (f, M) with f a `PolyhedralFunction` or a `LowerHull`
+    and M an `AffineMap` on z; each fiber is an `AffineMap` on z.  The
+    polyhedron runs over z and one epigraph variable s_k per term, with
+    the rows of <a, M_k z> + b <= t s_k for f_k's epigraph triples and
+    two opposite rows per row of each fiber map.  The sup is -inf on an
+    empty polyhedron and +inf along an improving recession direction.
     """
-    if f.form != V_FORM:
-        return None
-    rows = [list(z) + [Fraction(1)] for z, _ in f.samples]
-    sol = solve_linear(rows, [v for _, v in f.samples])
-    if sol is None:
-        return None
-    return AffineFunctional(sol[:-1], sol[-1])
+    d, k = phi.dim, len(terms)
+    n = d + k
+    rows = []
+    for b_map in fibers:
+        for row, off in zip(b_map.linear, b_map.offset):
+            rows += [(row, -off), (tuple(-c for c in row), off)]
+    for slot, (f, m) in enumerate(terms, start=d):
+        if m.in_dim != d or m.out_dim != f.dim:
+            raise StructuralError("term map does not fit the variables and the function")
+        for a, b, t in _epigraph(f):
+            lin = AffineFunctional(a, b).compose(m)
+            coeffs = list(lin.coeffs) + [0] * k
+            coeffs[slot] = -t
+            rows.append((coeffs, -lin.constant))
+    value, x = _polyhedron_max(phi.coeffs + (-1,) * k, phi.constant, rows, n)
+    return OracleResult(value, True, None if x is None else x[:d])
 
 
-def lipschitz_bound(f: PolyhedralFunction) -> Fraction:
-    """Sound slope bound for the function, in the l1 covector norm.
-
-    Piece forms report their steepest piece.  Sample forms interpolate
-    every small sample subset through the Gram system of its difference
-    vectors; the largest tangential gradient dominates every facet of
-    the lower hull, at the price of also counting subsets that span no
-    facet.
-    """
-    if f.form != V_FORM:
-        return max(
-            (sum(abs(c) for c in a) for a, _ in f.pieces), default=Fraction(0)
-        )
-    trace = _affine_trace(f)
-    if trace is not None:
-        return sum((abs(c) for c in trace.coeffs), start=Fraction(0))
-    pts = [p for p, _ in f.samples]
-    vals = [v for _, v in f.samples]
-    best = Fraction(0)
-    for size in range(2, f.dim + 2):
-        for idx in combinations(range(len(pts)), size):
-            base = idx[0]
-            diffs = [
-                tuple(pts[i][c] - pts[base][c] for c in range(f.dim))
-                for i in idx[1:]
-            ]
-            deltas = [vals[i] - vals[base] for i in idx[1:]]
-            gram = [[dot(da, db) for db in diffs] for da in diffs]
-            coeffs = solve_linear(gram, deltas)
-            if coeffs is None:
-                continue
-            grad = tuple(
-                sum(
-                    (coeffs[k] * diffs[k][c] for k in range(len(diffs))),
-                    start=Fraction(0),
-                )
-                for c in range(f.dim)
-            )
-            slope = sum(abs(g) for g in grad)
-            if slope > best:
-                best = slope
-    return best
+def _fiber_maps(s: DualityScenario) -> tuple:
+    """(A, B) of a fiber kind: the query acts on A z over {B z = 0}."""
+    if s.kind == "quadrivariate":
+        return quad_fiber_maps(s.c_map, s.d_map, s.dims)
+    a_map = s.a_map if s.kind == "trivariate" else AffineMap.zero_map(s.psi.dim)
+    return a_map, s.b_map
 
 
-def _map_gain(m: AffineMap) -> Fraction:
-    """l-inf operator bound of the linear part: largest row l1 norm."""
-    return max(
-        (sum(abs(v) for v in row) for row in m.linear), default=Fraction(0)
+def _embed(n: int, *blocks) -> tuple:
+    """A row of length n holding each (start, coefficients) block."""
+    row = [Fraction(0)] * n
+    for start, coeffs in blocks:
+        row[start:start + len(coeffs)] = coeffs
+    return tuple(row)
+
+
+def _g_map(c_map: AffineMap, n: int, u: int) -> AffineMap:
+    """z -> (C w, u) for z of length n holding w first and u last: the
+    argument of g in the coupled kinds."""
+    rows = [_embed(n, (0, row)) for row in c_map.linear]
+    rows += [_embed(n, (n - u + k, (1,))) for k in range(u)]
+    return AffineMap(tuple(rows), tuple(c_map.offset) + (Fraction(0),) * u, n)
+
+
+def _left_side(s: DualityScenario, query: AffineFunctional) -> tuple:
+    """(phi, terms, fibers) with the left side equal to `exact_sup` of them."""
+    if s.kind in FIBER_KINDS:
+        a_map, b_map = _fiber_maps(s)
+        return query.compose(a_map), [(s.psi, AffineMap.identity(s.psi.dim))], [b_map]
+    if s.kind == "fenchel":
+        return query, [(s.f, AffineMap.identity(s.f.dim)), (s.g, s.c_map)], []
+    u, v, w, x = s.dims
+    if s.kind == "indicator_linear":
+        # z = (w, u), w free: <w', w> + <v', D u> + q0 - g(C w, u)
+        v_part = AffineFunctional(query.coeffs[w:], query.constant).compose(s.d_map)
+        phi = AffineFunctional(query.coeffs[:w] + v_part.coeffs, v_part.constant)
+        return phi, [(s.g, _g_map(s.c_map, w + u, u))], []
+    # z = (w, v, u): q(w, v) - f(w, v - D u) - g(C w, u)
+    n = w + v + u
+    f_rows = [_embed(n, (j, (1,))) for j in range(w)] + [
+        _embed(n, (w + r, (1,)), (w + v, tuple(-c for c in row)))
+        for r, row in enumerate(s.d_map.linear)
+    ]
+    f_map = AffineMap(
+        tuple(f_rows), (Fraction(0),) * w + tuple(-o for o in s.d_map.offset), n
     )
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def weight_grid(count: int, resolution: int) -> list:
-    """All barycentric weights over `count` vertices with denominator <= n."""
-    if count < 1:
-        raise StructuralError("a weight grid needs at least one vertex")
-    seen = set()
-    out = []
-    for k in range(1, resolution + 1):
-        for comp in _compositions(k, count):
-            lam = tuple(Fraction(c, k) for c in comp)
-            if lam not in seen:
-                seen.add(lam)
-                out.append(lam)
-    return out
-
-
-def _combine(pts: Sequence[Vec], lam: Sequence[Fraction]) -> Vec:
-    # at resolution n at most n weights are nonzero
-    used = [(w, q) for w, q in zip(lam, pts) if w]
-    dim = len(pts[0]) if pts else 0
-    return tuple(
-        sum((w * q[c] for w, q in used), start=Fraction(0)) for c in range(dim)
-    )
-
-
-def _check_terms(terms: Sequence) -> tuple:
-    if not terms:
-        raise StructuralError("grid search needs at least one term")
-    f0, m0 = terms[0]
-    if f0.form != V_FORM:
-        raise PreconditionError("grid probes need the first term in sample form")
-    if not m0.is_identity():
-        raise PreconditionError("the first term must carry the identity map")
-    for fk, mk in terms[1:]:
-        if mk.in_dim != f0.dim:
-            raise StructuralError("term map acts on the wrong space")
-        if mk.out_dim != fk.dim:
-            raise StructuralError("term map does not land in the function's space")
-    return f0, m0
-
-
-def _slope_total(terms: Sequence) -> Fraction:
-    return sum(
-        (lipschitz_bound(fk) * _map_gain(mk) for fk, mk in terms),
-        start=Fraction(0),
-    )
-
-
-def grid_sup(phi: AffineFunctional, terms: Sequence, spec: GridSpec) -> OracleResult:
-    """Grid maximum of phi(z) - sum of f_k(A_k z).
-
-    The first term must carry the identity map; its sample points span
-    the probe polytope, so every probe lies in that term's domain by
-    construction.  Probes outside another term's domain are skipped, so
-    the stated bound covers the true supremum only when near-optimal
-    probes survive the skipping; cross-check generators arrange that by
-    keeping domain intersections fat.
-    """
-    f0, _ = _check_terms(terms)
-    if phi.dim != f0.dim:
-        raise StructuralError("objective dimension does not match the terms")
-    pts = [p for p, _ in f0.samples]
-    slope_total = sum(abs(c) for c in phi.coeffs) + _slope_total(terms)
-    bound = spec.gap_bound(pts, slope_total)
-    env0 = LowerHull(f0)
-    rest = [(_evaluator(fk), mk) for fk, mk in terms[1:]]
-    best: Optional[Fraction] = None
-    arg: Optional[Vec] = None
-    for lam in weight_grid(len(pts), spec.resolution):
-        z = _combine(pts, lam)
-        value: Optional[Fraction] = phi(z) - env0(z)
-        for evaluate_k, mk in rest:
-            term = evaluate_k(mk(z))
-            if term == POS_INF:
-                value = None
-                break
-            value -= term
-        if value is None:
-            continue
-        if best is None or value > best:
-            best, arg = value, z
-    if best is None:
-        return OracleResult(None, False, spec.resolution, bound)
-    return OracleResult(best, True, spec.resolution, bound, argmax=arg)
-
-
-def grid_fiber_inf(
-    terms: Sequence,
-    a_map: AffineMap,
-    b_map: AffineMap,
-    p: Sequence,
-    spec: GridSpec,
-) -> OracleResult:
-    """Grid minimum of a sum of terms over probes near {A z = p, B z = 0}.
-
-    Probes come from the first term's sample hull and qualify when the
-    worst constraint violation stays within 1/resolution; the winner is
-    reported together with its own residual.  No qualifying probe means
-    an inconclusive answer, never an infinite one.  The stated bound
-    charges the allowed slack at the Lipschitz rate, which covers fibers
-    reachable by moving coordinates directly; cross-check generators use
-    constraint maps of that shape.
-    """
-    f0, _ = _check_terms(terms)
-    n = f0.dim
-    if a_map.in_dim != n or b_map.in_dim != n:
-        raise StructuralError("fiber maps act on the wrong space")
-    p = vec(p)
-    if len(p) != a_map.out_dim:
-        raise StructuralError("fiber parameter has the wrong dimension")
-    pts = [q for q, _ in f0.samples]
-    slope_total = _slope_total(terms)
-    tol = Fraction(1, spec.resolution)
-    bound = spec.gap_bound(pts, slope_total) + slope_total * tol
-    env0 = LowerHull(f0)
-    rest = [(_evaluator(fk), mk) for fk, mk in terms[1:]]
-    best: Optional[Fraction] = None
-    best_res: Optional[Fraction] = None
-    arg: Optional[Vec] = None
-    nearest: Optional[Fraction] = None
-    for lam in weight_grid(len(pts), spec.resolution):
-        z = _combine(pts, lam)
-        az = a_map(z)
-        bz = b_map(z)
-        residual = max(
-            [abs(az[c] - p[c]) for c in range(len(p))]
-            + [abs(v) for v in bz]
-            + [Fraction(0)]
-        )
-        if nearest is None or residual < nearest:
-            nearest = residual
-        if residual > tol:
-            continue
-        value: Optional[Fraction] = env0(z)
-        for evaluate_k, mk in rest:
-            term = evaluate_k(mk(z))
-            if term == POS_INF:
-                value = None
-                break
-            value += term
-        if value is None:
-            continue
-        if best is None or value < best or (value == best and residual < best_res):
-            best, best_res, arg = value, residual, z
-    if best is None:
-        return OracleResult(None, False, spec.resolution, bound, residual=nearest)
-    return OracleResult(
-        best, True, spec.resolution, bound, residual=best_res, argmax=arg
-    )
-
-
-def _nullspace(rows: Sequence[Sequence], dim: int) -> list:
-    """Basis of {x : rows x = 0}, read off the free columns of the rref."""
-    if not rows or dim == 0:
-        return [
-            tuple(Fraction(1 if c == j else 0) for c in range(dim))
-            for j in range(dim)
-        ]
-    reduced, pivots = rref(rows)
-    basis = []
-    for free in range(dim):
-        if free in pivots:
-            continue
-        direction = [Fraction(0)] * dim
-        direction[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            direction[pc] = -reduced[r][free]
-        basis.append(tuple(direction))
-    return basis
+    phi = AffineFunctional(query.coeffs + (Fraction(0),) * u, query.constant)
+    return phi, [(s.f, f_map), (s.g, _g_map(s.c_map, n, u))], []
 
 
 def dual_groups(s: DualityScenario, query: AffineFunctional):
@@ -485,21 +336,12 @@ def dual_groups(s: DualityScenario, query: AffineFunctional):
     Returns (groups, constant, constraint).  Each group is either
     ("max", ((beta, c), ...)), contributing max of c + <x*, beta>, or
     ("envelope", hull), contributing a sample-form function's envelope at
-    x* through its `LowerHull`, built here once for all probes; the
-    objective is the sum of group contributions plus the constant.  The
-    constraint, when present, is (rows, rhs) with rows x* = rhs required
-    for dual feasibility.  Mirrors the dual LPs row for row.
+    x* through its `LowerHull`; the objective is the sum of group
+    contributions plus the constant.  The constraint, when present, is
+    (rows, rhs) with rows x* = rhs required for dual feasibility.
     """
-    if s.kind in ("trivariate", "sublevel", "quadrivariate"):
-        if s.kind == "quadrivariate":
-            a_map, b_map = quad_fiber_maps(s.c_map, s.d_map, s.dims)
-        else:
-            a_map = (
-                s.a_map
-                if s.kind == "trivariate"
-                else AffineMap.zero_map(s.psi.dim)
-            )
-            b_map = s.b_map
+    if s.kind in FIBER_KINDS:
+        a_map, b_map = _fiber_maps(s)
         pairs = tuple(
             (b_map(z), query(a_map(z)) - v) for z, v in s.psi.samples
         )
@@ -517,28 +359,19 @@ def dual_groups(s: DualityScenario, query: AffineFunctional):
             )
             g_group = ("envelope", LowerHull(conj))
         return (("max", f_pairs), g_group), Fraction(0), None
-    if s.kind in ("bibivariate", "partial_infconv"):
+    if s.kind in ("bibivariate", "partial_infconv", "indicator_linear"):
         u, v, w, x = s.dims
-        v_cov = query.coeffs[w:]
+        g_pairs = tuple(
+            (q[:x], dot(query.coeffs[w:], s.d_map(q[x:])) - b) for q, b in s.g.samples
+        )
+        if s.kind == "indicator_linear":
+            rows = [[s.c_map.linear[c][j] for c in range(x)] for j in range(w)]
+            return (("max", g_pairs),), query.constant, (rows, query.coeffs[:w])
         f_pairs = tuple(
             (tuple(-c for c in s.c_map(pt[:w])), query(pt) - a)
             for pt, a in s.f.samples
         )
-        g_pairs = tuple(
-            (q[:x], dot(v_cov, s.d_map(q[x:])) - b) for q, b in s.g.samples
-        )
         return (("max", f_pairs), ("max", g_pairs)), Fraction(0), None
-    if s.kind == "indicator_linear":
-        u, v, w, x = s.dims
-        w_cov, v_cov = query.coeffs[:w], query.coeffs[w:]
-        g_pairs = tuple(
-            (q[:x], dot(v_cov, s.d_map(q[x:])) - b) for q, b in s.g.samples
-        )
-        rows = [
-            [s.c_map.linear[c][j] for c in range(x)] for j in range(w)
-        ]
-        constraint = (rows, w_cov)
-        return (("max", g_pairs),), query.constant, constraint
     raise PreconditionError(f"no dual description for kind {s.kind!r}")
 
 
@@ -555,6 +388,23 @@ def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
                 return POS_INF
             total += part
     return total
+
+
+def _dual_min(groups, constant: Fraction, constraint) -> Ext:
+    """Exact minimum of the dual objective, as minus an `exact_sup`."""
+    fns = [
+        data if tag == "envelope"
+        else PolyhedralFunction(len(data[0][0]), H_FORM, data)
+        for tag, data in groups
+    ]
+    dim = fns[0].dim
+    fibers = []
+    if constraint is not None:
+        rows, rhs = constraint
+        fibers.append(AffineMap(tuple(map(tuple, rows)), tuple(-r for r in rhs), dim))
+    identity = AffineMap.identity(dim)
+    sup = exact_sup(AffineFunctional.zero(dim), [(f, identity) for f in fns], fibers)
+    return constant - sup.value
 
 
 def _constraint_holds(constraint, xstar: Vec, slack=Fraction(0)) -> bool:
@@ -582,270 +432,61 @@ def _ray_drops(groups, constraint, ray: Vec, slack=Fraction(0)) -> bool:
     return slope < 0
 
 
-def _scan_points(witness: Vec, constraint, spec: GridSpec):
-    """Covector probes around the witness, inside the dual-feasible slice."""
-    dim = len(witness)
-    if constraint is None:
-        directions = [
-            tuple(Fraction(1 if c == j else 0) for c in range(dim))
-            for j in range(dim)
-        ]
-    else:
-        directions = _nullspace(constraint[0], dim)
-    if not directions:
-        yield witness
-        return
-    n = spec.resolution
-    if len(directions) <= 2:
-        offsets = [Fraction(j, n) for j in range(-n, n + 1)]
-    else:
-        offsets = [Fraction(-1), Fraction(0), Fraction(1)]
-    for combo in product(offsets, repeat=len(directions)):
-        yield tuple(
-            witness[c]
-            + sum(
-                (combo[d] * directions[d][c] for d in range(len(directions))),
-                start=Fraction(0),
-            )
-            for c in range(dim)
-        )
+def _witness_check(groups, constant, constraint, report, slack) -> tuple:
+    """(ok, notes): the LP's dual certificate, re-checked by arithmetic.
+
+    A finite right side must be reproduced at the witness, and -inf must
+    fall along the reported ray; +inf has no certificate to re-check.
+    """
+    rhs = report.rhs
+    if rhs is POS_INF:
+        return True, ()
+    if rhs is NEG_INF:
+        ray = report.unbounded_direction
+        ok = ray is not None and _ray_drops(groups, constraint, exact_point(ray), slack)
+        return ok, ("unbounded dual checked along the reported ray",)
+    if report.witness is None:
+        return False, ("finite dual value without a witness",)
+    # float-mode reports carry binary-float data; the recompute is exact
+    # on the rationalized witness and compared within the solve tolerance
+    wit = exact_point(report.witness)
+    value = dual_objective_value(groups, constant, wit)
+    ok = (
+        value is not POS_INF
+        and abs(value - rhs) <= slack
+        and _constraint_holds(constraint, wit, slack)
+    )
+    return ok, ()
+
+
+def _agrees(oracle: Ext, lp: Ext, slack) -> bool:
+    if oracle in (POS_INF, NEG_INF) or lp in (POS_INF, NEG_INF):
+        return oracle == lp
+    return abs(oracle - lp) <= slack
 
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Grid-oracle verdict for one verified query.
+    """Exact-oracle verdict for one verified query.
 
-    lhs_ok: the grid answer for the left side agrees within the stated
-    bound (or matches an infinite value for the right reason).
-    witness_ok: recomputing the dual objective at the LP witness by
-    direct arithmetic reproduces the right side exactly, including the
-    infinite cases via their certificates.  scan_ok: no covector in a
-    local grid box beats the LP optimum.
+    lhs_oracle is the oracle's left side (`exact_sup`), with the LP's
+    sign.  lhs_ok and rhs_ok: the oracle's left and right sides equal the
+    LP's, exactly in exact mode and within the solve tolerance in float
+    mode, infinities included.  witness_ok: the dual objective recomputed
+    at the LP witness reproduces the right side, or falls along the LP's
+    unbounded ray.
     """
 
     kind: str
     query: AffineFunctional
     lhs_lp: Ext
     rhs_lp: Ext
-    lhs_oracle: Optional[OracleResult]
+    lhs_oracle: OracleResult
     lhs_ok: bool
     witness_ok: bool
-    scan_ok: bool
+    rhs_ok: bool
     ok: bool
     notes: tuple = ()
-
-
-def _refined(run, spec: GridSpec, good):
-    """Run a grid search, doubling the resolution up to twice on a miss."""
-    result = run(spec)
-    n = spec.resolution
-    while (not result.conclusive or not good(result)) and n < spec.resolution * 4:
-        n *= 2
-        result = run(GridSpec(n))
-    return result
-
-
-def _tilted(psi: PolyhedralFunction, phi: AffineFunctional, a_map: AffineMap):
-    """Fold phi(A z) into the sample values.
-
-    Envelopes shift exactly under affine tilts, so the folded function's
-    envelope is the original one minus the tilt.
-    """
-    samples = [(z, v - phi(a_map(z))) for z, v in psi.samples]
-    return PolyhedralFunction.v_form(psi.dim, samples)
-
-
-def _fiber_lhs_check(terms, b_map, lhs_lp, spec):
-    """Left side of a fiber-form identity, as a negated grid minimum.
-
-    The query tilt must already be folded into the terms, so the left
-    side equals minus the constrained minimum of their sum.
-    """
-    zero_a = AffineMap.zero_map(b_map.in_dim)
-
-    def run(sp):
-        return grid_fiber_inf(terms, zero_a, b_map, (), sp)
-
-    def good(result):
-        if lhs_lp in (POS_INF, NEG_INF):
-            return True
-        return abs(lhs_lp + result.value) <= result.bound
-
-    result = _refined(run, spec, good)
-    notes = ("left side re-derived as a negated fiber minimum",)
-    if lhs_lp is NEG_INF:
-        # an empty fiber cannot be certified by finitely many probes;
-        # near-misses within tolerance are consistent either way
-        return result, True, notes + ("left side -inf; grid cannot refute",)
-    if lhs_lp is POS_INF:
-        return result, False, notes + ("finite-domain left side reported +inf",)
-    if not result.conclusive:
-        return result, False, notes + ("no probe reached the fiber tolerance",)
-    if result.residual == 0 and -result.value > lhs_lp:
-        return result, False, notes + ("an exact-fiber probe beats the LP value",)
-    return result, abs(lhs_lp + result.value) <= result.bound, notes
-
-
-def _sup_lhs_check(phi, terms, lhs_lp, spec):
-    """Left side of a sup-form identity, straight from the probe grid."""
-
-    def run(sp):
-        return grid_sup(phi, terms, sp)
-
-    def good(result):
-        if lhs_lp in (POS_INF, NEG_INF):
-            return True
-        return lhs_lp - result.value <= result.bound
-
-    result = _refined(run, spec, good)
-    if lhs_lp is NEG_INF:
-        if result.conclusive:
-            return result, False, ("grid found a feasible probe; left side is not -inf",)
-        return result, True, ("left side -inf and the grid found no feasible probe",)
-    if lhs_lp is POS_INF:
-        return result, False, ("compact left side reported +inf",)
-    if not result.conclusive:
-        return result, False, ("no probe met every term's domain",)
-    if result.value > lhs_lp:
-        return result, False, ("a grid probe beats the LP supremum",)
-    return result, lhs_lp - result.value <= result.bound, ()
-
-
-def _indicator_lhs_check(s: DualityScenario, query, lhs_lp, spec):
-    """Left side of an indicator identity, on the reachable slice of dom g.
-
-    With a preimage x0* of the w-covector, the sup becomes an ordinary
-    tilted sup over dom g restricted to {x in range(C)}; that membership
-    runs through the orthogonal projection onto the complement, so it
-    fits the fiber-grid shape.  No preimage means both sides are +inf.
-    """
-    u, v, w, x = s.dims
-    w_cov, v_cov = query.coeffs[:w], query.coeffs[w:]
-    ct_rows = [[s.c_map.linear[c][j] for c in range(x)] for j in range(w)]
-    x0 = (Fraction(0),) * x if w == 0 else solve_linear(ct_rows, w_cov)
-    if x0 is None:
-        result = OracleResult(POS_INF, True, spec.resolution, Fraction(0))
-        ok = lhs_lp is POS_INF
-        return result, ok, ("w-covector escapes range(C^T); left side must be +inf",)
-    u_coeffs = tuple(
-        sum(
-            (v_cov[r] * s.d_map.linear[r][k] for r in range(v)),
-            start=Fraction(0),
-        )
-        for k in range(u)
-    )
-    tilt = AffineFunctional(
-        tuple(x0) + u_coeffs,
-        dot(v_cov, s.d_map.offset) + query.constant,
-    )
-    folded = _tilted(s.g, tilt, AffineMap.identity(s.g.dim))
-    cols = [
-        tuple(s.c_map.linear[r][j] for r in range(x)) for j in range(w)
-    ]
-    proj_rows = []
-    for c in range(x):
-        e = tuple(Fraction(1 if r == c else 0) for r in range(x))
-        gram = [[dot(ca, cb) for cb in cols] for ca in cols]
-        rhs = [dot(ca, e) for ca in cols]
-        coeffs = solve_linear(gram, rhs) if cols else None
-        if coeffs is None:
-            shadow = (Fraction(0),) * x
-        else:
-            shadow = tuple(
-                sum(
-                    (coeffs[j] * cols[j][r] for j in range(len(cols))),
-                    start=Fraction(0),
-                )
-                for r in range(x)
-            )
-        proj_rows.append(
-            tuple(e[r] - shadow[r] for r in range(x)) + (Fraction(0),) * u
-        )
-    perp_map = AffineMap(tuple(proj_rows), (Fraction(0),) * x, x + u)
-    terms = [(folded, AffineMap.identity(s.g.dim))]
-    result, ok, notes = _fiber_lhs_check(terms, perp_map, lhs_lp, spec)
-    return result, ok, notes + ("membership in range(C) checked by projection",)
-
-
-def _selector(total: int, positions: Sequence[int]) -> AffineMap:
-    rows = tuple(
-        tuple(Fraction(1 if j == p else 0) for j in range(total))
-        for p in positions
-    )
-    return AffineMap(rows, (Fraction(0),) * len(positions), total)
-
-
-def _lhs_crosscheck(s: DualityScenario, query, lhs_lp, spec: GridSpec):
-    if s.kind == "fenchel":
-        terms = [(s.f, AffineMap.identity(s.f.dim)), (s.g, s.c_map)]
-        return _sup_lhs_check(query, terms, lhs_lp, spec)
-    if s.kind in ("trivariate", "sublevel"):
-        a_map = (
-            s.a_map if s.kind == "trivariate" else AffineMap.zero_map(s.psi.dim)
-        )
-        terms = [(_tilted(s.psi, query, a_map), AffineMap.identity(s.psi.dim))]
-        return _fiber_lhs_check(terms, s.b_map, lhs_lp, spec)
-    if s.kind == "quadrivariate":
-        a_map, b_map = quad_fiber_maps(s.c_map, s.d_map, s.dims)
-        terms = [(_tilted(s.psi, query, a_map), AffineMap.identity(s.psi.dim))]
-        return _fiber_lhs_check(terms, b_map, lhs_lp, spec)
-    if s.kind in ("bibivariate", "partial_infconv"):
-        # factor the product: the carrier holds the grid vertices and the
-        # affine query tilt, while f and g stay small on their own blocks,
-        # keeping the per-probe enumeration out of the product space
-        u, v, w, x = s.dims
-        quad = bibivariate_to_quadrivariate(s)
-        a_map, b_map = quad_fiber_maps(quad.c_map, quad.d_map, quad.dims)
-        total = u + v + w + x
-        carrier = PolyhedralFunction.v_form(
-            total, [(z, -query(a_map(z))) for z, _ in quad.psi.samples]
-        )
-        sel_f = _selector(
-            total, list(range(u + v, u + v + w)) + list(range(u, u + v))
-        )
-        sel_g = _selector(
-            total, list(range(u + v + w, total)) + list(range(0, u))
-        )
-        terms = [
-            (carrier, AffineMap.identity(total)),
-            (s.f, sel_f),
-            (s.g, sel_g),
-        ]
-        result, ok, notes = _fiber_lhs_check(terms, b_map, lhs_lp, spec)
-        return result, ok, notes + ("checked through the exact product rewrite",)
-    return _indicator_lhs_check(s, query, lhs_lp, spec)
-
-
-def _rhs_crosscheck(s: DualityScenario, report, spec: GridSpec, slack=Fraction(0)):
-    groups, constant, constraint = dual_groups(s, report.query)
-    rhs = report.rhs
-    if rhs is POS_INF:
-        if constraint is None:
-            return False, True, ("compact dual reported +inf",)
-        ok = solve_linear(*constraint) is None
-        return ok, True, ("dual infeasibility checked by linear solve",)
-    if rhs is NEG_INF:
-        ray = report.unbounded_direction
-        ok = ray is not None and _ray_drops(
-            groups, constraint, exact_point(ray), slack
-        )
-        return ok, True, ("unbounded dual checked along the reported ray",)
-    if report.witness is None:
-        return False, False, ("finite dual value without a witness",)
-    # float-mode reports carry binary-float data; the recompute is exact
-    # on the rationalized witness and compared within the solve tolerance
-    wit = exact_point(report.witness)
-    value = dual_objective_value(groups, constant, wit)
-    witness_ok = (
-        value is not POS_INF
-        and abs(value - rhs) <= slack
-        and _constraint_holds(constraint, wit, slack)
-    )
-    scan_ok = all(
-        dual_objective_value(groups, constant, pt) >= rhs - slack
-        for pt in _scan_points(wit, constraint, spec)
-    )
-    return witness_ok, scan_ok, ()
 
 
 def crosscheck_scenario(
@@ -855,24 +496,27 @@ def crosscheck_scenario(
     tolerance=None,
     reports: Optional[Sequence] = None,
 ) -> list:
-    """Replay each verified query of a scenario against the grid oracle.
+    """Replay each verified query of a scenario against the exact oracle.
 
-    The left side is re-derived on a barycentric probe grid and must
-    agree within the stated bound; the right side is recomputed at the
-    LP witness by direct arithmetic and defended by a local covector
-    scan that must not beat the LP optimum.  Grids that miss refine
-    themselves twice before giving up.
+    Both sides are recomputed as polyhedral optima by double description
+    and compared with the LP's; the LP's dual witness or ray is re-checked
+    by direct arithmetic.  spec is accepted for compatibility and ignored.
     """
-    spec = spec or GridSpec(3)
     slack = comparison_slack(mode, tolerance)
     if reports is None:
         reports = verify(s, mode, tolerance)
     out = []
     for rep in reports:
-        lhs_oracle, lhs_ok, lhs_notes = _lhs_crosscheck(
-            s, rep.query, rep.lhs, spec
-        )
-        witness_ok, scan_ok, rhs_notes = _rhs_crosscheck(s, rep, spec, slack)
+        lhs_oracle = exact_sup(*_left_side(s, rep.query))
+        groups, constant, constraint = dual_groups(s, rep.query)
+        rhs_oracle = _dual_min(groups, constant, constraint)
+        witness_ok, notes = _witness_check(groups, constant, constraint, rep, slack)
+        lhs_ok = _agrees(lhs_oracle.value, rep.lhs, slack)
+        rhs_ok = _agrees(rhs_oracle, rep.rhs, slack)
+        if not lhs_ok:
+            notes += (f"oracle left side is {lhs_oracle.value}",)
+        if not rhs_ok:
+            notes += (f"oracle right side is {rhs_oracle}",)
         out.append(
             CrosscheckReport(
                 kind=s.kind,
@@ -882,9 +526,9 @@ def crosscheck_scenario(
                 lhs_oracle=lhs_oracle,
                 lhs_ok=lhs_ok,
                 witness_ok=witness_ok,
-                scan_ok=scan_ok,
-                ok=lhs_ok and witness_ok and scan_ok,
-                notes=tuple(lhs_notes) + tuple(rhs_notes),
+                rhs_ok=rhs_ok,
+                ok=lhs_ok and witness_ok and rhs_ok,
+                notes=notes,
             )
         )
     return out

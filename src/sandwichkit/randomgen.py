@@ -300,12 +300,10 @@ def random_projection_map(rng: random.Random, in_dim: int, out_dim: int) -> Affi
 
 
 def random_crosscheck_scenario(rng: random.Random, kind: str, n_queries: int = 2):
-    """Tiny instance of the given kind, shaped for the grid oracle.
+    """Tiny instance of the given kind, for oracle cross-checks.
 
     Sample points come in +-pairs so the relevant fibers pass through the
-    barycenter, constraint maps move single coordinates so near-fiber
-    probes stay meaningful, and sample counts stay small enough for the
-    oracle's subset enumeration.
+    barycenter, and constraint maps move single coordinates.
     """
     from .duality import DualityScenario
 

@@ -277,19 +277,17 @@ class TestCommands:
             assert record["crosscheck"]["witness_ok"] is True
 
     def test_crosscheck_gate_on_the_corpus(self, capsys):
-        # quadrivariate.json stays out: lipschitz_bound alone spends about
-        # 300 s enumerating sample subsets of its 36-sample psi
         watch = Stopwatch(60)
         for path in sorted(CORPUS.glob("*.json")):
             expect = json.loads(path.read_text())["expect"]
-            if expect["command"] != "verify" or path.name == "quadrivariate.json":
+            if expect["command"] != "verify":
                 continue
             code, doc = run_json(capsys, ["verify", str(path), "--crosscheck"])
             assert code == expect["exit"], path.name
             for record in doc.get("queries", []):
                 check = record["crosscheck"]
-                if check["lhs_oracle"] is not None:
-                    assert check["ok"] is True, (path.name, check["notes"])
+                assert check["lhs_oracle"] is not None, path.name
+                assert check["ok"] is True, (path.name, check["notes"])
         watch.check()
 
     def test_float_mode_via_environment(self, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from sandwichkit.duality import (
     as_query,
     bibivariate_to_quadrivariate,
     fenchel_to_trivariate,
-    fiber_inf,
     product_function,
     quad_fiber_maps,
     scenario_to_trivariate,
@@ -201,39 +200,6 @@ class TestTrivariate:
         assert not report.attained
         assert report.unbounded_direction is not None
         assert not report.hypothesis_flags["h_proper"]
-
-
-class TestFiberInf:
-    def terms(self):
-        return [
-            (zero_on_interval(), AffineMap.from_rows([[1, 0]])),
-            (abs_on_two(), AffineMap.from_rows([[0, 1]])),
-        ]
-
-    def test_absolute_value_slice(self):
-        a = AffineMap.from_rows([[1, 0]])
-        b = AffineMap.from_rows([[-1, 1]])
-        for q in (F(0), F(1, 2), F(1)):
-            assert fiber_inf(self.terms(), a, b, (q,)) == q
-
-    def test_unreachable_parameter_is_plus_infinity(self):
-        a = AffineMap.from_rows([[1, 0]])
-        b = AffineMap.from_rows([[-1, 1]])
-        assert fiber_inf(self.terms(), a, b, (F(5),)) is POS_INF
-
-    def test_piece_form_term(self):
-        terms = [(abs_everywhere(), AffineMap.identity(1))]
-        value = fiber_inf(terms, AffineMap.identity(1), AffineMap.zero_map(1), (F(2),))
-        assert value == 2
-
-    def test_mixed_terms_share_the_point(self):
-        terms = [
-            (zero_on_interval(), AffineMap.identity(1)),
-            (abs_everywhere(), AffineMap.identity(1)),
-        ]
-        ident = AffineMap.identity(1)
-        assert fiber_inf(terms, ident, AffineMap.zero_map(1), (F(1, 2),)) == F(1, 2)
-        assert fiber_inf(terms, ident, AffineMap.zero_map(1), (F(3),)) is POS_INF
 
 
 def vee_on_square() -> PolyhedralFunction:

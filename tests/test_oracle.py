@@ -1,4 +1,6 @@
-"""Tests for the grid brute-force oracle and the scenario cross-checker."""
+"""Tests for the exact LP-free oracle and the scenario cross-checker."""
+import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
@@ -14,9 +16,10 @@ from sandwichkit.convexfn import (
     evaluate,
     sup_affine_minus_convex,
 )
-from sandwichkit.duality import DualityScenario
+from sandwichkit import randomgen
+from sandwichkit.duality import KINDS, DualityScenario, product_function, verify
 from sandwichkit.geometry import AffineMap, solve_linear
-from sandwichkit.numerics import POS_INF, PreconditionError, StructuralError
+from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.oracle import (
     CrosscheckReport,
     GridSpec,
@@ -26,17 +29,15 @@ from sandwichkit.oracle import (
     dual_groups,
     dual_objective_value,
     envelope_value,
-    grid_fiber_inf,
-    grid_sup,
-    lipschitz_bound,
-    oracle_eval,
-    weight_grid,
+    exact_sup,
 )
 from sandwichkit.randomgen import (
     random_crosscheck_scenario,
     random_vec,
     random_vform,
 )
+
+CORPUS = Path(cli.__file__).parent / "scenarios"
 
 
 def abs_three() -> PolyhedralFunction:
@@ -46,6 +47,18 @@ def abs_three() -> PolyhedralFunction:
 
 def identity(dim: int) -> AffineMap:
     return AffineMap.identity(dim)
+
+
+def abs_everywhere() -> PolyhedralFunction:
+    return PolyhedralFunction.h_form(1, [((1,), 0), ((-1,), 0)])
+
+
+def fiber_min(terms, a_map, b_map, p):
+    """inf of the summed terms over {A z = p, B z = 0}, as minus a sup."""
+    shifted = AffineMap(a_map.linear, tuple(o - c for o, c in zip(a_map.offset, p)),
+                        a_map.in_dim)
+    phi = AffineFunctional((Fraction(0),) * a_map.in_dim, Fraction(0))
+    return -exact_sup(phi, terms, [shifted, b_map]).value
 
 
 def subset_envelope(f: PolyhedralFunction, point) -> Fraction:
@@ -87,34 +100,6 @@ class TestGridSpec:
             GridSpec(0)
         with pytest.raises(StructuralError):
             GridSpec(-2)
-
-    def test_bound_shrinks_with_resolution(self):
-        pts = [(Fraction(-1),), (Fraction(1),)]
-        b4 = GridSpec(4).gap_bound(pts, Fraction(3))
-        b8 = GridSpec(8).gap_bound(pts, Fraction(3))
-        assert b8 == b4 / 2
-
-    def test_single_vertex_bound_is_zero(self):
-        assert GridSpec(1).gap_bound([(Fraction(2),)], Fraction(5)) == 0
-
-
-class TestWeightGrid:
-    def test_contains_vertices_at_every_resolution(self):
-        for n in (1, 2, 5):
-            grid = weight_grid(3, n)
-            for j in range(3):
-                unit = tuple(Fraction(1 if i == j else 0) for i in range(3))
-                assert unit in grid
-
-    def test_nested_refinement(self):
-        coarse = set(weight_grid(3, 2))
-        fine = set(weight_grid(3, 4))
-        assert coarse <= fine
-
-    def test_all_weights_sum_to_one(self):
-        for lam in weight_grid(4, 3):
-            assert sum(lam) == 1
-            assert all(w >= 0 for w in lam)
 
 
 class TestDoubleDescription:
@@ -209,52 +194,30 @@ class TestEnvelopeValue:
         h = PolyhedralFunction.h_form(1, [((1,), 0), ((-1,), 0)])
         with pytest.raises(PreconditionError):
             envelope_value(h, (0,))
-        assert oracle_eval(h, (Fraction(3),)) == 3
 
 
-class TestLipschitzBound:
-    def test_kinked_interval(self):
-        assert lipschitz_bound(abs_three()) == 1
-
-    def test_piece_form_steepest_piece(self):
-        h = PolyhedralFunction.h_form(1, [((3,), 0), ((-1,), 2)])
-        assert lipschitz_bound(h) == 3
-
-    def test_dominates_sampled_differences(self):
-        rng = random.Random(702)
-        for _ in range(15):
-            f = random_vform(rng, rng.randint(1, 2), 4)
-            bound = lipschitz_bound(f)
-            pts = [p for p, _ in f.samples]
-            for p in pts:
-                for q in pts:
-                    ep, eq = envelope_value(f, p), envelope_value(f, q)
-                    dist = max((abs(a - b) for a, b in zip(p, q)), default=Fraction(0))
-                    assert abs(ep - eq) <= bound * dist
-
-
-class TestGridSup:
-    def test_point_indicator_is_exact_anywhere(self):
+class TestExactSup:
+    def test_point_indicator(self):
         ind = PolyhedralFunction.v_form(1, [((0,), 0)])
-        for n in (1, 3, 8):
-            r = grid_sup(AffineFunctional((0,), 0), [(ind, identity(1))], GridSpec(n))
-            assert r.value == 0 and r.conclusive and r.bound == 0
+        r = exact_sup(AffineFunctional((5,), 0), [(ind, identity(1))])
+        assert r == OracleResult(0, True, (0,))
 
     def test_vertex_attained_worked_example(self):
-        r = grid_sup(AffineFunctional((3,), 0), [(abs_three(), identity(1))], GridSpec(8))
+        r = exact_sup(AffineFunctional((3,), 0), [(abs_three(), identity(1))])
         assert r.value == 2
         assert r.argmax == (Fraction(1),)
 
     def test_flat_direction_worked_example(self):
-        r = grid_sup(AffineFunctional((1,), 0), [(abs_three(), identity(1))], GridSpec(8))
+        r = exact_sup(AffineFunctional((1,), 0), [(abs_three(), identity(1))])
         assert r.value == 0
 
-    def test_requires_identity_first_term(self):
+    def test_shifted_term(self):
+        # 2z - |z + 1| on [-2, 0]: the map need not be the identity
         shift = AffineMap.from_rows([[1]], [1])
-        with pytest.raises(PreconditionError):
-            grid_sup(AffineFunctional((1,), 0), [(abs_three(), shift)], GridSpec(2))
+        r = exact_sup(AffineFunctional((2,), 0), [(abs_three(), shift)])
+        assert r.value == -1 and r.argmax == (0,)
 
-    def test_never_exceeds_lp_supremum(self):
+    def test_matches_lp_supremum(self):
         rng = random.Random(703)
         for _ in range(15):
             dim = rng.randint(1, 2)
@@ -262,94 +225,82 @@ class TestGridSup:
             phi = AffineFunctional(random_vec(rng, dim), Fraction(0))
             terms = [(f, identity(dim))]
             sup = sup_affine_minus_convex(phi, terms)
-            r = grid_sup(phi, terms, GridSpec(3))
+            r = exact_sup(phi, terms)
             assert sup.status == "attained"
-            assert r.conclusive
-            assert r.value <= sup.value
-            assert sup.value - r.value <= r.bound
+            assert r.value == sup.value
+            assert phi(r.argmax) - evaluate(f, r.argmax) == r.value
 
-    def test_exact_when_lp_argmax_is_a_sample(self):
-        rng = random.Random(704)
-        hits = 0
-        for _ in range(30):
-            dim = rng.randint(1, 2)
-            f = random_vform(rng, dim, 4)
-            phi = AffineFunctional(random_vec(rng, dim, -4, 4), Fraction(0))
-            terms = [(f, identity(dim))]
-            sup = sup_affine_minus_convex(phi, terms)
-            if sup.argmax in [p for p, _ in f.samples]:
-                hits += 1
-                r = grid_sup(phi, terms, GridSpec(1))
-                assert r.value == sup.value
-        assert hits >= 5
-
-    def test_monotone_refinement(self):
-        rng = random.Random(705)
-        for _ in range(10):
-            dim = rng.randint(1, 2)
-            f = random_vform(rng, dim, 5)
-            phi = AffineFunctional(random_vec(rng, dim), Fraction(0))
-            terms = [(f, identity(dim))]
-            values = [grid_sup(phi, terms, GridSpec(n)).value for n in (1, 2, 3, 4)]
-            assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_second_term_domain_skips_probes(self):
+    def test_second_term_domain(self):
         wide = PolyhedralFunction.v_form(1, [((-2,), 0), ((2,), 0)])
         narrow = PolyhedralFunction.v_form(1, [((0,), 0), ((1,), 0)])
-        r = grid_sup(AffineFunctional((1,), 0),
-                     [(wide, identity(1)), (narrow, identity(1))], GridSpec(4))
+        r = exact_sup(AffineFunctional((1,), 0),
+                      [(wide, identity(1)), (narrow, identity(1))])
         assert r.value == 1
         assert r.argmax == (Fraction(1),)
 
+    def test_unbounded_sup_is_plus_infinity(self):
+        # along a ray: sup of 2z - |z| over the line
+        r = exact_sup(AffineFunctional((2,), 0), [(abs_everywhere(), identity(1))])
+        assert r.value == POS_INF and r.argmax is None
+        # along a lineality direction: the term ignores z entirely
+        point = PolyhedralFunction.v_form(1, [((0,), 0)])
+        flat = AffineMap.from_rows([[0]])
+        r = exact_sup(AffineFunctional((-1,), 0), [(point, flat)])
+        assert r.value == POS_INF
 
-class TestGridFiberInf:
     def trimmed_product(self):
-        from sandwichkit.duality import product_function
-
         zero_on = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
         abs_two = PolyhedralFunction.v_form(1, [((-2,), 2), ((0,), 0), ((2,), 2)])
         return product_function(zero_on, abs_two)
 
     def test_coupled_fiber_worked_example(self):
-        prod = self.trimmed_product()
         a = AffineMap.from_rows([[1, 0]], in_dim=2)
         b = AffineMap.from_rows([[-1, 1]], in_dim=2)
-        r = grid_fiber_inf([(prod, identity(2))], a, b, (Fraction(1, 2),), GridSpec(8))
-        assert r.conclusive
-        assert r.residual == 0
-        assert r.value == Fraction(1, 2)
+        terms = [(self.trimmed_product(), identity(2))]
+        assert fiber_min(terms, a, b, (Fraction(1, 2),)) == Fraction(1, 2)
 
-    def test_far_fiber_is_inconclusive_not_infinite(self):
-        prod = self.trimmed_product()
+    def test_empty_fiber_is_minus_infinity(self):
+        # {z1 = 10, z2 = z1} misses [-1, 1] x [-2, 2]: the sup is -inf
         a = AffineMap.from_rows([[1, 0]], in_dim=2)
         b = AffineMap.from_rows([[-1, 1]], in_dim=2)
-        r = grid_fiber_inf([(prod, identity(2))], a, b, (Fraction(10),), GridSpec(8))
-        assert not r.conclusive
-        assert r.value is None
-        assert r.residual == 9
+        zero = AffineMap.from_rows([[1, 0]], [-10], in_dim=2)
+        phi = AffineFunctional((Fraction(1), Fraction(1)), Fraction(0))
+        r = exact_sup(phi, [(self.trimmed_product(), identity(2))], [zero, b])
+        assert r == OracleResult(NEG_INF, True, None)
+        assert fiber_min([(self.trimmed_product(), identity(2))], a, b, (10,)) == POS_INF
 
-    def test_singleton_domain_is_exact(self):
+    def test_singleton_domain(self):
         single = PolyhedralFunction.v_form(1, [((2,), 5)])
-        r = grid_fiber_inf([(single, identity(1))], identity(1),
-                           AffineMap.zero_map(1), (2,), GridSpec(1))
-        assert r.value == 5 and r.residual == 0
+        assert fiber_min([(single, identity(1))], identity(1),
+                         AffineMap.zero_map(1), (2,)) == 5
 
-    def test_reports_winning_residual(self):
-        f = PolyhedralFunction.v_form(1, [((0,), 1), ((1,), 0)])
-        a = identity(1)
-        r = grid_fiber_inf([(f, identity(1))], a, AffineMap.zero_map(1),
-                           (Fraction(1),), GridSpec(4))
-        # the exact hit wins even though nearby probes have smaller values
-        assert r.value == 0
-        assert r.residual == 0
+    def test_fiber_min_absolute_value_slice(self):
+        terms = [
+            (PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)]),
+             AffineMap.from_rows([[1, 0]])),
+            (PolyhedralFunction.v_form(1, [((-2,), 2), ((0,), 0), ((2,), 2)]),
+             AffineMap.from_rows([[0, 1]])),
+        ]
+        a = AffineMap.from_rows([[1, 0]])
+        b = AffineMap.from_rows([[-1, 1]])
+        for q in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            assert fiber_min(terms, a, b, (q,)) == q
+        assert fiber_min(terms, a, b, (Fraction(5),)) == POS_INF
+
+    def test_fiber_min_piece_form_terms(self):
+        ident = identity(1)
+        assert fiber_min([(abs_everywhere(), ident)], ident,
+                         AffineMap.zero_map(1), (2,)) == 2
+        zero_on = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
+        terms = [(zero_on, ident), (abs_everywhere(), ident)]
+        assert fiber_min(terms, ident, AffineMap.zero_map(1), (Fraction(1, 2),)) == Fraction(1, 2)
+        assert fiber_min(terms, ident, AffineMap.zero_map(1), (3,)) == POS_INF
 
 
 class TestDualRecompute:
     def test_fenchel_witness_value(self):
         f0 = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
         s = DualityScenario.fenchel(f0, abs_three(), identity(1), [(3,)])
-        from sandwichkit.duality import verify
-
         rep = verify(s)[0]
         groups, constant, constraint = dual_groups(s, rep.query)
         assert constraint is None
@@ -357,8 +308,6 @@ class TestDualRecompute:
 
     def test_box_scan_does_not_beat_lp(self):
         rng = random.Random(706)
-        from sandwichkit.duality import verify
-
         for _ in range(5):
             s = random_crosscheck_scenario(rng, "trivariate")
             for rep in verify(s):
@@ -399,8 +348,6 @@ class TestCrosscheckScenario:
         assert rep.lhs_oracle.value == POS_INF
 
     def test_every_kind_agrees(self):
-        from sandwichkit.duality import KINDS
-
         for k, kind in enumerate(KINDS):
             rng = random.Random(707 + k)
             for _ in range(3):
@@ -413,4 +360,60 @@ class TestCrosscheckScenario:
         rep = crosscheck_scenario(s, GridSpec(3))[0]
         assert isinstance(rep, CrosscheckReport)
         assert isinstance(rep.lhs_oracle, OracleResult)
-        assert rep.lhs_ok and rep.witness_ok and rep.scan_ok
+        assert rep.lhs_ok and rep.witness_ok and rep.rhs_ok
+
+    def test_worked_empty_fiber(self):
+        # B z = z + 5 never vanishes on [-1, 1]: the left side is -inf
+        psi = abs_three()
+        shift = AffineMap(((Fraction(1),),), (Fraction(5),), 1)
+        s = DualityScenario.trivariate(psi, identity(1), shift, [(0,), (2,)])
+        for rep in crosscheck_scenario(s):
+            assert rep.ok
+            assert rep.lhs_lp == rep.lhs_oracle.value == NEG_INF
+
+    def test_exact_agreement_on_seeded_generators(self):
+        gens = [
+            randomgen.random_fenchel_scenario,
+            randomgen.random_trivariate_scenario,
+            randomgen.random_bibivariate_scenario,
+            lambda rng: randomgen.random_bibivariate_scenario(rng, partial=True),
+            randomgen.random_indicator_scenario,
+            lambda rng: randomgen.random_indicator_scenario(
+                rng, hypothesis_mode="closed_subspace"),
+            randomgen.random_violating_fenchel,
+            lambda rng: randomgen.random_violating_fenchel(rng, touching=True),
+            randomgen.random_violating_trivariate,
+        ]
+        gens += [lambda rng, k=kind: random_crosscheck_scenario(rng, k) for kind in KINDS]
+        infinite = 0
+        for g, gen in enumerate(gens):
+            rng = random.Random(710 + g)
+            for _ in range(6):
+                for rep in crosscheck_scenario(gen(rng)):
+                    assert rep.lhs_oracle.value == rep.lhs_lp, (g, rep.notes)
+                    assert rep.rhs_ok and rep.ok, (g, rep.notes)
+                    infinite += NEG_INF in (rep.lhs_lp, rep.rhs_lp) or POS_INF in (rep.lhs_lp, rep.rhs_lp)
+        assert infinite > 0
+
+    def test_float_mode_agrees_within_tolerance(self):
+        rng = random.Random(711)
+        for kind in KINDS:
+            s = random_crosscheck_scenario(rng, kind)
+            for rep in crosscheck_scenario(s, mode="float"):
+                assert rep.ok, (kind, rep.notes)
+
+    def test_raised_lhs_is_refused_on_the_corpus(self):
+        refused = set()
+        for path in sorted(CORPUS.glob("*.json")):
+            if json.loads(path.read_text())["expect"] != {"command": "verify", "exit": 0}:
+                continue
+            sc = cli.parse_scenario(path.read_text())
+            if sc.task["kind"] not in KINDS:
+                continue
+            s = cli.build_duality_scenario(sc)
+            finite = [r for r in verify(s) if r.lhs not in (POS_INF, NEG_INF)]
+            raised = [dataclasses.replace(r, lhs=r.lhs + 1) for r in finite]
+            for rep in crosscheck_scenario(s, reports=raised):
+                assert not rep.lhs_ok and not rep.ok, path.name
+            refused.add(path.name)
+        assert len(refused) == 7
