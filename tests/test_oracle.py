@@ -230,6 +230,20 @@ class TestExactSup:
             assert r.value == sup.value
             assert phi(r.argmax) - evaluate(f, r.argmax) == r.value
 
+    def test_matches_lp_supremum_at_sample_argmax(self):
+        rng = random.Random(704)
+        hits = 0
+        for _ in range(30):
+            dim = rng.randint(1, 2)
+            f = random_vform(rng, dim, 4)
+            phi = AffineFunctional(random_vec(rng, dim, -4, 4), Fraction(0))
+            terms = [(f, identity(dim))]
+            sup = sup_affine_minus_convex(phi, terms)
+            if sup.argmax in [p for p, _ in f.samples]:
+                hits += 1
+                assert exact_sup(phi, terms).value == sup.value
+        assert hits >= 5
+
     def test_second_term_domain(self):
         wide = PolyhedralFunction.v_form(1, [((-2,), 0), ((2,), 0)])
         narrow = PolyhedralFunction.v_form(1, [((0,), 0), ((1,), 0)])
@@ -274,23 +288,32 @@ class TestExactSup:
         assert fiber_min([(single, identity(1))], identity(1),
                          AffineMap.zero_map(1), (2,)) == 5
 
-    def test_fiber_min_absolute_value_slice(self):
-        terms = [
+    def slice_terms(self):
+        return [
             (PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)]),
              AffineMap.from_rows([[1, 0]])),
             (PolyhedralFunction.v_form(1, [((-2,), 2), ((0,), 0), ((2,), 2)]),
              AffineMap.from_rows([[0, 1]])),
         ]
+
+    def test_fiber_min_absolute_value_slice(self):
         a = AffineMap.from_rows([[1, 0]])
         b = AffineMap.from_rows([[-1, 1]])
         for q in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            assert fiber_min(terms, a, b, (q,)) == q
-        assert fiber_min(terms, a, b, (Fraction(5),)) == POS_INF
+            assert fiber_min(self.slice_terms(), a, b, (q,)) == q
 
-    def test_fiber_min_piece_form_terms(self):
+    def test_fiber_min_unreachable_parameter_is_plus_infinity(self):
+        a = AffineMap.from_rows([[1, 0]])
+        b = AffineMap.from_rows([[-1, 1]])
+        assert fiber_min(self.slice_terms(), a, b, (Fraction(5),)) == POS_INF
+
+    def test_fiber_min_piece_form_term(self):
         ident = identity(1)
         assert fiber_min([(abs_everywhere(), ident)], ident,
                          AffineMap.zero_map(1), (2,)) == 2
+
+    def test_fiber_min_mixed_terms_share_the_point(self):
+        ident = identity(1)
         zero_on = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
         terms = [(zero_on, ident), (abs_everywhere(), ident)]
         assert fiber_min(terms, ident, AffineMap.zero_map(1), (Fraction(1, 2),)) == Fraction(1, 2)
