@@ -9,16 +9,21 @@ inequalities never enter a program; callers express strictness by level
 shifts.
 
 The solver is a two-phase dense simplex with Bland's rule, which keeps it
-deterministic and cycle-free; in exact mode each tableau row is held as
-integers over one common denominator.  Variables are free unless bounded;
-bounds are folded into explicit rows so dual certificates cover them
-uniformly.
+deterministic and cycle-free.  Variables are free unless bounded; bounds are
+folded into explicit rows so dual certificates cover them uniformly.  In
+exact mode the arithmetic between building a program and returning its
+result is on integers (Edmonds' fraction-free elimination; Applegate, Cook,
+Dash and Espinoza 2007): each row is read once as integers over a positive
+scale, each tableau row is held as integers over one common denominator,
+and each certificate is re-checked in integer arithmetic over common
+denominators.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul, truediv
 from typing import Iterable, Mapping, Sequence
 
 POS_INF = math.inf
@@ -222,19 +227,32 @@ class LpResult:
     ray: tuple | None = None
 
 
-def _expanded_rows(lp: LinearProgram) -> list[tuple[list[Fraction], str, Fraction]]:
-    """Constraint rows plus bound rows, in certificate order."""
-    rows = [(list(c.coeffs), c.rel, c.rhs) for c in lp.constraints]
+# lp_solve reads every expanded row once as integers: (A, rel, B, s) stands
+# for the row (A / s) . x  rel  B / s with the scale s > 0, so each sign and
+# each equality of the rational row is the same one of its integer image.
+
+def _int_image(values) -> tuple[list[int], int]:
+    """(X, D) with values == X / D, for ints or Fractions and one D > 0."""
+    # unpack a list, not a generator: CPython sizes a generator's argument
+    # tuple by resizing, and such tuples pile up in its tuple free list
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_rows(lp: LinearProgram) -> list[tuple[list[int], str, int, int]]:
+    """Constraint rows plus bound rows, in certificate order, as (A, rel, B, s)."""
+    rows = []
+    for c in lp.constraints:
+        a, s = _int_image([*c.coeffs, c.rhs])
+        b = a.pop()
+        rows.append((a, c.rel, b, s))
     if lp.bounds is not None:
         for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None:
-                coeffs = [Fraction(0)] * lp.num_vars
-                coeffs[j] = Fraction(1)
-                rows.append((coeffs, GE, lo))
-            if hi is not None:
-                coeffs = [Fraction(0)] * lp.num_vars
-                coeffs[j] = Fraction(1)
-                rows.append((coeffs, LE, hi))
+            for v, rel in ((lo, GE), (hi, LE)):
+                if v is not None:
+                    a = [0] * lp.num_vars
+                    a[j] = v.denominator
+                    rows.append((a, rel, v.numerator, v.denominator))
     return rows
 
 
@@ -242,13 +260,6 @@ def _expanded_rows(lp: LinearProgram) -> list[tuple[list[Fraction], str, Fractio
 # entries over one positive common denominator, which is kept last.  Integer
 # arithmetic on a whole row is several times faster than one Fraction per
 # entry, and the entries are the same rationals.
-
-def _int_row(values) -> list[int]:
-    # unpack a list, not a generator: CPython sizes a generator's argument
-    # tuple by resizing, and such tuples pile up in its tuple free list
-    den = math.lcm(*[v.denominator for v in values])
-    return _reduced([v.numerator * (den // v.denominator) for v in values] + [den])
-
 
 def _reduced(row: list[int]) -> list[int]:
     g = math.gcd(*row)
@@ -270,46 +281,58 @@ def _eliminate(row: list[int], unit: list[int], col: int) -> None:
     row[:] = _reduced(out)
 
 
+def _split_back(vals: dict, pos: list[int], neg: list[int], quotient) -> list:
+    """x_j = x+_j - x-_j from {column: (numerator, denominator)}."""
+    out = []
+    for p, q in zip(pos, neg):
+        a, b = vals.get(p, (0, 1))
+        c, d = vals.get(q, (0, 1))
+        out.append(quotient(a * d - c * b, b * d))
+    return out
+
+
 class _Unbounded(Exception):
     def __init__(self, col: int):
         self.col = col
 
 
-def _solve_rows(rows, cost, n, exact, tol):
-    """Two-phase simplex on relation rows over n variables, minimizing cost.
+def _solve_rows(rows, obj, minimize, n, exact, tol):
+    """Two-phase simplex on the integer rows of `_int_rows` over n variables.
 
-    A row of the form x_j >= 0 is folded into its column as a sign condition
-    (no split, no slack, no artificial); its multiplier in the returned
-    certificates is the final reduced cost at that column.  Every other
-    variable is split x = x+ - x-; one slack per inequality row; one
+    obj is the objective's integer image (C, s) from `_int_image`, minimized
+    or maximized.  A row of the form x_j >= 0 is folded into its column as a
+    sign condition (no split, no slack, no artificial); its multiplier in the
+    returned certificates is the final reduced cost at that column.  Every
+    other variable is split x = x+ - x-; one slack per inequality row; one
     artificial per row.  Returns one of
       ("optimal", point, duals_per_row)
       ("infeasible", farkas_per_row)
       ("unbounded", ray)
-    with everything expressed over the original n variables / len(rows) rows.
+    with everything expressed over the original n variables / len(rows) rows,
+    as Fractions in exact mode and floats otherwise.
     """
     m = len(rows)
+    sign = 1 if minimize else -1
     if exact:
-        zero, one = Fraction(0), Fraction(1)
-        tolz = 0
-        conv = lambda x: x
+        zero, one, tolz = 0, 1, 0
+        # results leave as Fractions; a row's denominator is its last entry
+        quotient, den = Fraction, (lambda row: row[-1])
     else:
-        zero, one = 0.0, 1.0
-        tolz = tol
-        conv = float
+        zero, one, tolz = 0.0, 1.0, tol
+        quotient, den = truediv, (lambda row: one)
 
     # At most one x_j >= 0 row is folded per variable; duplicates stay rows.
     bound_row: dict[int, int] = {}
     is_bound = [False] * m
-    for i, (a, rel, b) in enumerate(rows):
-        if rel != GE or b != 0:
+    for i, (a, rel, b, s) in enumerate(rows):
+        if rel != GE or b:
             continue
         j = -1
         simple = True
         for k, ak in enumerate(a):
-            if ak == 0:
+            if not ak:
                 continue
-            if j >= 0 or ak != 1:
+            if j >= 0 or ak != s:
                 simple = False
                 break
             j = k
@@ -332,34 +355,42 @@ def _solve_rows(rows, cost, n, exact, tol):
     ns = nv + n_slack
     ncol = ns + mt
 
+    def split_row(coeffs, width):
+        # coeffs over the n variables, on each x+ and x- column, in zeros
+        row = [zero] * width
+        for j, v in enumerate(coeffs):
+            row[pos[j]] = v
+            if neg[j] >= 0:
+                row[neg[j]] = -v
+        return row
+
     tab: list[list] = []
     flips: list[int] = []
     slack_idx = nv
     for t, i in enumerate(gen):
-        a, rel, b = rows[i]
-        row = [zero] * (ncol + 1)
-        for j in range(n):
-            v = conv(a[j])
-            row[pos[j]] = v
-            if neg[j] >= 0:
-                row[neg[j]] = -v
+        a, rel, b, s = rows[i]
+        if exact:
+            # entries over the denominator s, which appends last: 1 is s / s
+            unit = s
+        else:
+            a, b, unit = [x / s for x in a], b / s, one
+        row = split_row(a, ncol + 1)
         if rel != EQ:
-            row[slack_idx] = one if rel == LE else -one
+            row[slack_idx] = unit if rel == LE else -unit
             slack_idx += 1
-        bi = conv(b)
-        if bi < zero:
+        if b < zero:
             row = [-v for v in row]
-            bi = -bi
+            b = -b
             flips.append(-1)
         else:
             flips.append(1)
-        row[ns + t] = one
-        row[ncol] = bi
-        tab.append(_int_row(row) if exact else row)
+        row[ns + t] = unit
+        row[ncol] = b
+        if exact:
+            row.append(s)
+            row = _reduced(row)
+        tab.append(row)
     basis = [ns + t for t in range(mt)]
-
-    def at(row, j):
-        return Fraction(row[j], row[-1]) if exact else row[j]
 
     def pivot(rc, r, col):
         prow = tab[r]
@@ -386,22 +417,41 @@ def _solve_rows(rows, cost, n, exact, tol):
                 rc[j] = rc[j] - f * prow[j]
         basis[r] = col
 
-    def reduced_costs(costvec):
-        if exact:
-            # each basic column is a unit column, so clearing the cost row
-            # there subtracts exactly cost[basis[r]] times row r
-            rc = _int_row(list(costvec) + [zero])
-            for r, row in enumerate(tab):
+    def reduced_costs(rc):
+        # rc is the cost row, with a zero right-hand side (and, in exact
+        # mode, its denominator); each basic column is a unit column, so
+        # clearing rc there subtracts exactly rc's entry times row r (float
+        # mode takes the entry from the cost row, unaffected by roundoff)
+        cost = rc[:]
+        for r, row in enumerate(tab):
+            if exact:
                 if rc[basis[r]]:
                     _eliminate(rc, row, basis[r])
-            return rc
-        rc = list(costvec) + [zero]
-        for r, row in enumerate(tab):
-            cb = costvec[basis[r]]
+                continue
+            cb = cost[basis[r]]
             if cb != zero:
                 for j in range(ncol + 1):
                     rc[j] = rc[j] - cb * row[j]
         return rc
+
+    def leaving(enter):
+        # Bland's ratio test; an exact row's denominator cancels in b / e,
+        # so candidates compare by cross-multiplying b and e (e > 0)
+        leave = -1
+        best_b, best_e = zero, one
+        for r, row in enumerate(tab):
+            e = row[enter]
+            if e > tolz:
+                b = row[ncol]
+                if exact:
+                    lhs, rhs = b * best_e, best_b * e
+                    if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        best_b, best_e, leave = b, e, r
+                    continue
+                ratio = b / e
+                if leave < 0 or ratio < best_b or (ratio == best_b and basis[r] < basis[leave]):
+                    best_b, leave = ratio, r
+        return leave
 
     def run(rc, enter_limit):
         # Bland's rule: smallest improving column, smallest basis index on ties.
@@ -417,41 +467,30 @@ def _solve_rows(rows, cost, n, exact, tol):
                     break
             if enter < 0:
                 return
-            leave = -1
-            best = None
-            for r in range(len(tab)):
-                e = tab[r][enter]
-                if e > tolz:
-                    ratio = Fraction(tab[r][ncol], e) if exact else tab[r][ncol] / e
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[r] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = r
+            leave = leaving(enter)
             if leave < 0:
                 raise _Unbounded(enter)
             pivot(rc, leave, enter)
 
     # Phase 1: drive the artificial variables to zero.
-    c1 = [zero] * ncol
-    for t in range(mt):
-        c1[ns + t] = one
-    rc1 = reduced_costs(c1)
+    rc1 = reduced_costs([zero] * ns + [one] * mt + ([0, 1] if exact else [zero]))
     try:
         run(rc1, ncol)
     except _Unbounded:  # pragma: no cover - phase 1 is bounded below by 0
         raise RuntimeError("phase-1 unbounded (internal bug)")
 
-    infeas = sum((at(tab[r], ncol) for r in range(len(tab)) if basis[r] >= ns), start=zero)
-    feas_slack = zero if exact else tol
-    if infeas > feas_slack:
+    if exact:
+        # the ratio test keeps every right-hand side nonnegative
+        infeasible = any(tab[r][ncol] > 0 for r in range(len(tab)) if basis[r] >= ns)
+    else:
+        infeasible = sum(tab[r][ncol] for r in range(len(tab)) if basis[r] >= ns) > tol
+    if infeasible:
+        d = den(rc1)
         farkas = [zero] * m
         for t, i in enumerate(gen):
-            farkas[i] = flips[t] * (one - at(rc1, ns + t))
+            farkas[i] = quotient(flips[t] * (d - rc1[ns + t]), d)
         for j, i in bound_row.items():
-            farkas[i] = at(rc1, pos[j])
+            farkas[i] = quotient(rc1[pos[j]], d)
         return ("infeasible", farkas)
 
     # Clean-up: pivot surviving artificials out of the basis; a row with no
@@ -474,117 +513,126 @@ def _solve_rows(rows, cost, n, exact, tol):
         del basis[r]
 
     # Phase 2 over the real objective; artificial columns may not re-enter.
-    c2 = [zero] * ncol
-    for j in range(n):
-        v = conv(cost[j])
-        c2[pos[j]] = v
-        if neg[j] >= 0:
-            c2[neg[j]] = -v
-    rc2 = reduced_costs(c2)
+    c, s = obj
+    if exact:
+        rc2 = reduced_costs(_reduced(split_row([sign * x for x in c], ncol + 1) + [s]))
+    else:
+        rc2 = reduced_costs(split_row([sign * x / s for x in c], ncol + 1))
     try:
         run(rc2, ns)
     except _Unbounded as ub:
-        d = [zero] * ncol
-        d[ub.col] = one
-        for r in range(len(tab)):
-            d[basis[r]] = -at(tab[r], ub.col)
-        ray = [d[pos[j]] - (d[neg[j]] if neg[j] >= 0 else zero) for j in range(n)]
-        return ("unbounded", ray)
+        vals = {ub.col: (one, one)}
+        for r, row in enumerate(tab):
+            vals[basis[r]] = (-row[ub.col], den(row))
+        return ("unbounded", _split_back(vals, pos, neg, quotient))
 
-    vals = [zero] * ncol
-    for r in range(len(tab)):
-        vals[basis[r]] = at(tab[r], ncol)
-    point = [vals[pos[j]] - (vals[neg[j]] if neg[j] >= 0 else zero) for j in range(n)]
+    point = _split_back({basis[r]: (row[ncol], den(row)) for r, row in enumerate(tab)},
+                        pos, neg, quotient)
     # Duals are read off the artificial columns of the final objective row;
     # a dropped (redundant) row keeps its unit column and so reads back 0.
+    d = den(rc2)
     duals = [zero] * m
     for t, i in enumerate(gen):
-        duals[i] = flips[t] * (-at(rc2, ns + t))
+        duals[i] = quotient(-sign * flips[t] * rc2[ns + t], d)
     for j, i in bound_row.items():
-        duals[i] = at(rc2, pos[j])
+        duals[i] = quotient(sign * rc2[pos[j]], d)
     return ("optimal", point, duals)
 
 
-def _row_dot(a, x, start):
-    # zero coefficients are skipped: the checks only compare the sums
-    return sum((ai * xi for ai, xi in zip(a, x) if ai), start=start)
+# Exact certificate checks, on the rows of `_int_rows` and the objective's
+# integer image (C, s).  A point or ray is read as X / D, so row i holds
+# exactly when A_i . X compares with B_i D as the row's relation says.  A
+# multiplier vector y is read as y_i / s_i == Z_i / E, so sum_i y_i a_i is
+# sum_i Z_i A_i / E, y . b is sum_i Z_i B_i / E, and y_i has the sign of Z_i.
+
+def _row_holds(dot_a: int, rel: str, rhs: int) -> bool:
+    if rel == LE:
+        return dot_a <= rhs
+    if rel == GE:
+        return dot_a >= rhs
+    return dot_a == rhs
 
 
-def _combine_rows(rows, weights, n, start) -> list:
-    """sum_i weights[i] * rows[i].coeffs, one entry per each of n columns."""
-    out = [start] * n
-    for y, (a, _, _) in zip(weights, rows):
-        if y:
-            for j, aj in enumerate(a):
-                if aj:
-                    out[j] = out[j] + y * aj
+def _feasible(rows, x: list[int], d: int) -> bool:
+    return all(_row_holds(sum(map(mul, a, x)), rel, b * d) for a, rel, b, _ in rows)
+
+
+def _ray_ok(rows, obj, minimize: bool, ray) -> bool:
+    """Every row's recession condition holds, and the objective strictly improves."""
+    r, _ = _int_image(ray)
+    if not all(_row_holds(sum(map(mul, a, r)), rel, 0) for a, rel, _, _ in rows):
+        return False
+    gain = sum(map(mul, obj[0], r))
+    return gain < 0 if minimize else gain > 0
+
+
+def _multipliers(rows, y) -> tuple[list[int], int]:
+    """(Z, E) with y_i / s_i == Z_i / E for every row i, E > 0."""
+    nums, dens = [], []
+    for v, (_, _, _, s) in zip(y, rows):
+        g = math.gcd(v.numerator, s)
+        nums.append(v.numerator // g)
+        dens.append(v.denominator * (s // g))
+    e = math.lcm(*dens)
+    return [z * (e // d) for z, d in zip(nums, dens)], e
+
+
+def _combined(rows, z: list[int], n: int) -> list[int]:
+    """sum_i Z_i A_i, one entry per each of n columns."""
+    out = [0] * n
+    for zi, (a, _, _, _) in zip(z, rows):
+        if zi:
+            out = [o + zi * x for o, x in zip(out, a)]
     return out
 
 
-def _check_rows_feasible(rows, point, exact, tol) -> bool:
-    slack = Fraction(0) if exact else tol
-    for a, rel, b in rows:
-        s = _row_dot(a, point, Fraction(0) if exact else 0.0)
-        if rel == LE and not s <= b + slack:
+def _rhs_combined(rows, z: list[int]) -> int:
+    """sum_i Z_i B_i."""
+    return sum(zi * b for zi, (_, _, b, _) in zip(z, rows))
+
+
+def _signs_ok(rows, z: list[int], minimize: bool) -> bool:
+    """Each multiplier has its row's sign: of a lower bound on a minimum, or
+    of an upper bound on a maximum; equality rows take either sign."""
+    return not any(
+        zi and rel != EQ and (zi > 0) == ((rel == LE) == minimize)
+        for zi, (_, rel, _, _) in zip(z, rows)
+    )
+
+
+def _dual_ok(rows, obj, minimize: bool, y, value) -> bool:
+    """Adjoint equation, sign pattern, and objective match for a dual vector."""
+    if not is_finite(value):
+        return False
+    z, e = _multipliers(rows, y)
+    c, s = obj
+    if any(s * x != e * cj for x, cj in zip(_combined(rows, z, len(c)), c)):
+        return False
+    if not _signs_ok(rows, z, minimize):
+        return False
+    return _rhs_combined(rows, z) * value.denominator == value.numerator * e
+
+
+def _farkas_ok(rows, n: int, y) -> bool:
+    """y combines the rows to 0 = y . b > 0, with the minimization sign pattern."""
+    z, _ = _multipliers(rows, y)
+    if any(_combined(rows, z, n)) or not _signs_ok(rows, z, True):
+        return False
+    return _rhs_combined(rows, z) > 0
+
+
+def _feasible_within(rows, point, tol) -> bool:
+    """Float mode: every row holds up to tol."""
+    for a, rel, b, s in rows:
+        v = sum((x / s * p for x, p in zip(a, point) if x), start=0.0)
+        b = b / s
+        if rel == LE and not v <= b + tol:
             return False
-        if rel == GE and not s >= b - slack:
+        if rel == GE and not v >= b - tol:
             return False
-        if rel == EQ and not (abs(s - b) <= slack):
+        if rel == EQ and not abs(v - b) <= tol:
             return False
     return True
-
-
-def _dual_sign_ok(rel: str, y, minimize: bool, slack) -> bool:
-    if rel == EQ:
-        return True
-    if minimize:
-        return y <= slack if rel == LE else y >= -slack
-    return y >= -slack if rel == LE else y <= slack
-
-
-def _check_rows_dual(rows, objective, sense, duals, value, exact, tol) -> bool:
-    """Adjoint equation, sign pattern, and objective match for a dual vector."""
-    minimize = sense == "min"
-    slack = Fraction(0) if exact else tol
-    start = Fraction(0) if exact else 0.0
-    sums = _combine_rows(rows, duals, len(objective), start)
-    for s, c in zip(sums, objective):
-        if abs(s - c) > slack:
-            return False
-    for i, (_, rel, _) in enumerate(rows):
-        if not _dual_sign_ok(rel, duals[i], minimize, slack):
-            return False
-    yb = _row_dot(duals, [b for _, _, b in rows], start)
-    return abs(yb - value) <= slack
-
-
-def _check_rows_farkas(rows, cert, exact, tol) -> bool:
-    slack = Fraction(0) if exact else tol
-    start = Fraction(0) if exact else 0.0
-    for s in _combine_rows(rows, cert, len(rows[0][0]) if rows else 0, start):
-        if abs(s) > slack:
-            return False
-    for i, (_, rel, _) in enumerate(rows):
-        # Infeasibility certificates use the minimization sign pattern.
-        if not _dual_sign_ok(rel, cert[i], True, slack):
-            return False
-    yb = _row_dot(cert, [b for _, _, b in rows], start)
-    return yb > slack
-
-
-def _check_rows_ray(rows, objective, sense, ray, exact, tol) -> bool:
-    slack = Fraction(0) if exact else tol
-    start = Fraction(0) if exact else 0.0
-    for a, rel, _ in rows:
-        s = _row_dot(a, ray, start)
-        if rel == LE and not s <= slack:
-            return False
-        if rel == GE and not s >= -slack:
-            return False
-        if rel == EQ and not abs(s) <= slack:
-            return False
-    cd = _row_dot(objective, ray, start)
-    return cd < -slack if sense == "min" else cd > slack
 
 
 def lp_solve(lp: LinearProgram, mode: str = EXACT, tolerance=None) -> LpResult:
@@ -601,66 +649,78 @@ def lp_solve(lp: LinearProgram, mode: str = EXACT, tolerance=None) -> LpResult:
     exact = mode == EXACT
     tol = 1e-9 if tolerance is None else float(tolerance)
 
-    rows = _expanded_rows(lp)
+    rows = _int_rows(lp)
+    obj = _int_image(lp.objective)
     minimize = lp.sense == "min"
-    cost = list(lp.objective) if minimize else [-c for c in lp.objective]
-    out = _solve_rows(rows, cost, lp.num_vars, exact, tol)
+    out = _solve_rows(rows, obj, minimize, lp.num_vars, exact, tol)
 
     if out[0] == "infeasible":
         cert = tuple(out[1])
-        if exact and rows and not _check_rows_farkas(rows, cert, exact, tol):
+        if exact and not _farkas_ok(rows, lp.num_vars, cert):
             raise RuntimeError("internal: Farkas certificate failed verification")
         return LpResult("infeasible", POS_INF if minimize else NEG_INF, farkas=cert)
 
     if out[0] == "unbounded":
         ray = tuple(out[1])
-        if exact and not _check_rows_ray(rows, lp.objective, lp.sense, ray, exact, tol):
+        if exact and not _ray_ok(rows, obj, minimize, ray):
             raise RuntimeError("internal: unbounded direction failed verification")
         return LpResult("unbounded", NEG_INF if minimize else POS_INF, ray=ray)
 
     _, point, duals = out
-    if not minimize:
-        duals = [-y for y in duals]
-    value = sum((c * x for c, x in zip(lp.objective, point)),
-                start=Fraction(0) if exact else 0.0)
     if exact:
-        if not _check_rows_feasible(rows, point, exact, tol):
+        x, d = _int_image(point)
+        value = Fraction(sum(map(mul, obj[0], x)), obj[1] * d)
+        if not _feasible(rows, x, d):
             raise RuntimeError("internal: optimal point failed feasibility check")
-        if not _check_rows_dual(rows, lp.objective, lp.sense, duals, value, exact, tol):
+        if not _dual_ok(rows, obj, minimize, duals, value):
             raise RuntimeError("internal: dual certificate failed verification")
+    else:
+        value = sum((c * x for c, x in zip(lp.objective, point)), start=0.0)
     return LpResult("optimal", value, point=tuple(point), dual=tuple(duals))
+
+
+def _exact_vector(values, length: int, what: str) -> Vec:
+    """values as Fractions, refused unless there is exactly one per slot."""
+    if len(values) != length:
+        raise StructuralError(f"{what} length {len(values)} != {length}")
+    return vec(values)
 
 
 def check_point_feasible(lp: LinearProgram, point, mode: str = EXACT, tolerance=None) -> bool:
     lp.validate()
-    exact = mode == EXACT
-    tol = 1e-9 if tolerance is None else float(tolerance)
-    return _check_rows_feasible(_expanded_rows(lp), point, exact, tol)
+    rows = _int_rows(lp)
+    if mode != EXACT:
+        if len(point) != lp.num_vars:
+            raise StructuralError(f"point length {len(point)} != {lp.num_vars}")
+        return _feasible_within(rows, point, 1e-9 if tolerance is None else float(tolerance))
+    return _feasible(rows, *_int_image(_exact_vector(point, lp.num_vars, "point")))
 
 
 def check_dual_certificate(lp: LinearProgram, duals, value) -> bool:
     """True iff duals proves the bound `value` for lp (exact arithmetic)."""
     lp.validate()
-    return _check_rows_dual(_expanded_rows(lp), lp.objective, lp.sense, duals, value, True, 0)
+    rows = _int_rows(lp)
+    y = _exact_vector(duals, len(rows), "dual")
+    return _dual_ok(rows, _int_image(lp.objective), lp.sense == "min", y, parse_scalar(value))
 
 
 def check_farkas_certificate(lp: LinearProgram, cert) -> bool:
     lp.validate()
-    rows = _expanded_rows(lp)
-    return bool(rows) and _check_rows_farkas(rows, cert, True, 0)
+    rows = _int_rows(lp)
+    return _farkas_ok(rows, lp.num_vars, _exact_vector(cert, len(rows), "Farkas vector"))
 
 
 def check_ray_certificate(lp: LinearProgram, ray) -> bool:
     lp.validate()
-    return _check_rows_ray(_expanded_rows(lp), lp.objective, lp.sense, ray, True, 0)
+    ray = _exact_vector(ray, lp.num_vars, "ray")
+    return _ray_ok(_int_rows(lp), _int_image(lp.objective), lp.sense == "min", ray)
 
 
 def dual_objective(lp: LinearProgram, duals) -> Fraction:
     """The bound sum(y_i * b_i) claimed by a dual vector."""
-    rows = _expanded_rows(lp)
-    if len(duals) != len(rows):
-        raise StructuralError(f"dual length {len(duals)} != row count {len(rows)}")
-    return sum((duals[i] * rows[i][2] for i in range(len(rows))), start=Fraction(0))
+    rows = _int_rows(lp)
+    z, e = _multipliers(rows, _exact_vector(duals, len(rows), "dual"))
+    return Fraction(_rhs_combined(rows, z), e)
 
 
 class LpBuilder:

@@ -76,10 +76,15 @@ def _primitive(v: Sequence[int]) -> tuple:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
+def _scaled(coeffs: Sequence[Fraction]) -> tuple:
+    """(row, scale): a rational row times the lcm of its denominators."""
+    scale = lcm(*[c.denominator for c in coeffs])
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), scale
+
+
 def _integer_row(coeffs: Sequence[Fraction]) -> tuple:
     """A rational row scaled by the lcm of its denominators."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+    return _scaled(coeffs)[0]
 
 
 def _clear(v: tuple, row: Sequence[int], cut: tuple, rc: int) -> tuple:
@@ -249,7 +254,11 @@ def _epigraph(f) -> list:
         return f.epigraph()
     if f.form == V_FORM:
         return LowerHull(f).epigraph()
-    return [(a, c, 1) for a, c in f.pieces]
+    triples = []
+    for a, c in f.pieces:
+        row, scale = _scaled(a + (c,))
+        triples.append((row[:-1], row[-1], scale))
+    return triples
 
 
 def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> OracleResult:
@@ -271,11 +280,15 @@ def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> 
     for slot, (f, m) in enumerate(terms, start=d):
         if m.in_dim != d or m.out_dim != f.dim:
             raise StructuralError("term map does not fit the variables and the function")
+        # m z == (L z + o) / den with integer L and o: each epigraph row,
+        # times den, is integral
+        flat, den = _scaled([c for row in m.linear for c in row] + list(m.offset))
+        columns = [flat[j:d * f.dim:d] for j in range(d)]
+        offset = flat[d * f.dim:]
         for a, b, t in _epigraph(f):
-            lin = AffineFunctional(a, b).compose(m)
-            coeffs = list(lin.coeffs) + [0] * k
-            coeffs[slot] = -t
-            rows.append((coeffs, -lin.constant))
+            coeffs = [_dot(a, col) for col in columns] + [0] * k
+            coeffs[slot] = -t * den
+            rows.append((coeffs, -(_dot(a, offset) + b * den)))
     value, x = _polyhedron_max(phi.coeffs + (-1,) * k, phi.constant, rows, n)
     return OracleResult(value, True, None if x is None else x[:d])
 

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from sandwichkit import numerics
 from sandwichkit.numerics import (
     EQ,
     GE,
@@ -40,6 +42,77 @@ def lp(n, obj, sense, rows, bounds=None):
         tuple(Constraint(vec(a), rel, frac(b)) for a, rel, b in rows),
         bounds,
     )
+
+
+# The naive reference for the kernel's exact certificate checks: one Fraction
+# per entry, on the expanded rows as rationals.  The kernel checks the same
+# predicates in integer arithmetic over common denominators.
+
+def expanded_rows(p: LinearProgram) -> list:
+    """Constraint rows plus bound rows, in certificate order."""
+    rows = [(list(c.coeffs), c.rel, c.rhs) for c in p.constraints]
+    for j, (lo, hi) in enumerate(p.bounds or ()):
+        for v, rel in ((lo, GE), (hi, LE)):
+            if v is not None:
+                coeffs = [F(0)] * p.num_vars
+                coeffs[j] = F(1)
+                rows.append((coeffs, rel, v))
+    return rows
+
+
+def row_dot(a, x) -> Fraction:
+    return sum((ai * xi for ai, xi in zip(a, x)), start=F(0))
+
+
+def combine_rows(rows, weights, n) -> list:
+    out = [F(0)] * n
+    for y, (a, _, _) in zip(weights, rows):
+        for j, aj in enumerate(a):
+            out[j] += y * aj
+    return out
+
+
+def dual_sign_ok(rel, y, minimize) -> bool:
+    if rel == EQ:
+        return True
+    if minimize:
+        return y <= 0 if rel == LE else y >= 0
+    return y >= 0 if rel == LE else y <= 0
+
+
+def naive_feasible(p, point) -> bool:
+    for a, rel, b in expanded_rows(p):
+        s = row_dot(a, point)
+        if (rel == LE and s > b) or (rel == GE and s < b) or (rel == EQ and s != b):
+            return False
+    return True
+
+
+def naive_dual(p, duals, value) -> bool:
+    rows = expanded_rows(p)
+    if combine_rows(rows, duals, p.num_vars) != list(p.objective):
+        return False
+    if not all(dual_sign_ok(rel, y, p.sense == "min") for y, (_, rel, _) in zip(duals, rows)):
+        return False
+    return row_dot(duals, [b for _, _, b in rows]) == value
+
+
+def naive_farkas(p, cert) -> bool:
+    rows = expanded_rows(p)
+    if any(combine_rows(rows, cert, p.num_vars)):
+        return False
+    if not all(dual_sign_ok(rel, y, True) for y, (_, rel, _) in zip(cert, rows)):
+        return False
+    return row_dot(cert, [b for _, _, b in rows]) > 0
+
+
+def naive_ray(p, ray) -> bool:
+    for a, rel, _ in expanded_rows(p):
+        s = row_dot(a, ray)
+        if (rel == LE and s > 0) or (rel == GE and s < 0) or (rel == EQ and s != 0):
+            return False
+    gain = row_dot(p.objective, ray)
+    return gain < 0 if p.sense == "min" else gain > 0
 
 
 def test_frac_parsing():
@@ -323,3 +396,144 @@ class TestConvexWeights:
         assert weight_dual + 2 * slope[0] + 2 * slope[1] == 2
         assert weight_dual == 0
         assert slope[0] + slope[1] == 1
+
+
+class TestCertificateLengths:
+    """A vector of the wrong length is refused, not cut to fit by zip."""
+
+    def test_point(self):
+        p = lp(2, [-1, -2], "min", [([1, 1], LE, 4)], bounds=((F(0), F(3)), (F(0), None)))
+        r = lp_solve(p)
+        with pytest.raises(StructuralError):
+            check_point_feasible(p, r.point + (F(99),))
+        with pytest.raises(StructuralError):
+            check_point_feasible(p, r.point[:1])
+        with pytest.raises(StructuralError):
+            check_point_feasible(p, r.point[:1], mode="float")
+
+    def test_dual(self):
+        p = lp(1, [1], "min", [([1], GE, 3)])
+        r = lp_solve(p)
+        with pytest.raises(StructuralError):
+            check_dual_certificate(p, r.dual + (F(5),), r.value)
+
+    def test_farkas(self):
+        p = lp(1, [1], "min", [([1], LE, 0), ([1], GE, 1)])
+        r = lp_solve(p)
+        with pytest.raises(StructuralError):
+            check_farkas_certificate(p, r.farkas + (F(-7),))
+
+    def test_ray(self):
+        p = lp(2, [1, 0], "min", [([0, 1], EQ, 2)])
+        r = lp_solve(p)
+        with pytest.raises(StructuralError):
+            check_ray_certificate(p, r.ray + (F(3),))
+
+
+def test_exact_checks_refuse_binary_floats():
+    p = lp(1, [1], "min", [([1], GE, 3)])
+    with pytest.raises(StructuralError):
+        check_point_feasible(p, (3.0,))
+
+
+def corner_program(rng: random.Random) -> LinearProgram:
+    """A seeded program with zero coefficients, a redundant row (a positive
+    multiple of another row), bound rows more often than not, and either
+    sense."""
+    n = rng.randint(1, 4)
+
+    def rnd():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-5, 5), rng.randint(1, 3))
+
+    rows = [
+        ([rnd() for _ in range(n)], rng.choice([LE, GE, EQ]), rnd())
+        for _ in range(rng.randint(1, 5))
+    ]
+    a, rel, b = rng.choice(rows)
+    k = F(rng.randint(1, 3), rng.randint(1, 2))
+    rows.append(([k * x for x in a], rel, k * b))
+    bounds = None
+    if rng.random() < 0.6:
+        bounds = tuple(
+            (rng.choice([None, F(0), F(-rng.randint(1, 4), 2)]),
+             rng.choice([None, F(rng.randint(0, 5), rng.randint(1, 2))]))
+            for _ in range(n)
+        )
+    return lp(n, [rnd() for _ in range(n)], rng.choice(["min", "max"]), rows, bounds)
+
+
+def corrupted(rng: random.Random, cert: tuple) -> list:
+    """cert with one entry moved, one nonzero entry's sign flipped, and all
+    entries doubled (which keeps a Farkas vector or a ray valid)."""
+    out = [tuple(2 * v for v in cert)]
+    if cert:
+        moved = list(cert)
+        moved[rng.randrange(len(cert))] += F(rng.choice([-1, 1]), rng.randint(1, 3))
+        out.append(tuple(moved))
+    nonzero = [i for i, v in enumerate(cert) if v]
+    if nonzero:
+        flipped = list(cert)
+        i = rng.choice(nonzero)
+        flipped[i] = -flipped[i]
+        out.append(tuple(flipped))
+    return out
+
+
+def test_certificate_checks_agree_with_the_naive_reference():
+    """True and corrupted certificates of all three statuses, both senses,
+    bound rows, redundant rows and zero coefficients: the integer checks
+    give the naive Fraction checks' verdict every time, and both verdicts
+    occur for each check."""
+    rng = random.Random(20261018)
+    verdicts = set()
+    statuses = set()
+
+    def agree(name, check, naive, *args):
+        got = check(*args)
+        assert got == naive(*args), (name, args)
+        verdicts.add((name, got))
+
+    for _ in range(300):
+        p = corner_program(rng)
+        r = lp_solve(p)
+        statuses.add(r.status)
+        if r.status == "optimal":
+            for x in (r.point, *corrupted(rng, r.point)):
+                agree("point", check_point_feasible, naive_feasible, p, x)
+            for y in (r.dual, *corrupted(rng, r.dual)):
+                for v in (r.value, r.value + F(1, 7), -r.value - 1):
+                    agree("dual", check_dual_certificate, naive_dual, p, y, v)
+        elif r.status == "infeasible":
+            for y in (r.farkas, *corrupted(rng, r.farkas)):
+                agree("farkas", check_farkas_certificate, naive_farkas, p, y)
+        else:
+            for d in (r.ray, *corrupted(rng, r.ray)):
+                agree("ray", check_ray_certificate, naive_ray, p, d)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert verdicts == {(name, v) for name in ("point", "dual", "farkas", "ray")
+                        for v in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "program, slot, message",
+    [
+        (lp(1, [1], "min", [([1], LE, 0), ([1], GE, 1)]), 1,
+         "Farkas certificate failed verification"),
+        (lp(2, [1, 0], "min", [([0, 1], EQ, 2)]), 1,
+         "unbounded direction failed verification"),
+        (lp(1, [1], "min", [([1], GE, 3)]), 1, "optimal point failed feasibility check"),
+        (lp(1, [1], "min", [([1], GE, 3)]), 2, "dual certificate failed verification"),
+    ],
+)
+def test_lp_solve_refuses_a_corrupted_result(monkeypatch, program, slot, message):
+    """Each of lp_solve's four re-checks stops a wrong kernel result."""
+    solve = numerics._solve_rows
+
+    def wrong(*args):
+        out = list(solve(*args))
+        out[slot] = [v - 1 for v in out[slot]]
+        return tuple(out)
+
+    monkeypatch.setattr(numerics, "_solve_rows", wrong)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        lp_solve(program)
