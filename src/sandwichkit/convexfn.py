@@ -62,11 +62,7 @@ class AffineFunctional:
             raise StructuralError(
                 f"cannot compose functional on dimension {self.dim} with map into dimension {m.out_dim}"
             )
-        coeffs = tuple(
-            sum((self.coeffs[i] * m.linear[i][j] for i in range(self.dim)),
-                start=Fraction(0))
-            for j in range(m.in_dim)
-        )
+        coeffs = tuple(dot(self.coeffs, col) for col in m.columns())
         return AffineFunctional(coeffs, dot(self.coeffs, m.offset) + self.constant)
 
     @staticmethod

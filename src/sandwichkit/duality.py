@@ -46,7 +46,7 @@ from .geometry import (
     vec_neg,
     zero_in_hull,
 )
-from .interiority import _fiber_value, boundedness_condition
+from .interiority import _fiber_value, boundedness_condition, boundedness_over_samples
 from .numerics import (
     EQ,
     GE,
@@ -511,24 +511,10 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
-def _zero_fiber_nonempty(psi, b_map, mode, tolerance) -> bool:
-    images = [b_map(p) for p, _ in psi.samples]
-    return polytope_contains(Polytope.of(images), (Fraction(0),) * b_map.out_dim,
+def _zero_fiber_nonempty(images, out_dim, mode, tolerance) -> bool:
+    """Whether 0 lies in the hull of the samples' images under the map."""
+    return polytope_contains(Polytope.of(images), (Fraction(0),) * out_dim,
                              mode, tolerance)
-
-
-def _boundedness_flag(psi, a_map, b_map, mode, tolerance) -> bool:
-    delta = max(v for _, v in psi.samples) + 1
-    seen = set()
-    for z0, _ in psi.samples:
-        # the tested slice depends on z0 only through its a_map image
-        key = a_map(z0)
-        if key in seen:
-            continue
-        seen.add(key)
-        if boundedness_condition(psi, a_map, b_map, z0, delta, mode, tolerance):
-            return True
-    return False
 
 
 def _scenario_flags(s: DualityScenario, mode, tolerance):
@@ -542,7 +528,9 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
         flags["interiority"] = (
             interiority_margin(q, mode, tolerance).holds if q.subspace_ok else False
         )
-        flags["h_proper"] = _zero_fiber_nonempty(s.psi, s.b_map, mode, tolerance)
+        flags["h_proper"] = _zero_fiber_nonempty(
+            [s.b_map(p) for p, _ in s.psi.samples], s.b_map.out_dim, mode, tolerance
+        )
         notes.append(f"interiority tested at level {s.gamma}")
         return flags, tuple(notes)
     if s.kind == "indicator_linear":
@@ -589,16 +577,18 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
         notes.append("piece-form upper function is finite everywhere")
         return flags, tuple(notes)
     tri = scenario_to_trivariate(s)
+    b_images = [tri.b_map(p) for p, _ in tri.psi.samples]
     if s.hypothesis_mode == "boundedness":
-        flags["boundedness"] = _boundedness_flag(
-            tri.psi, tri.a_map, tri.b_map, mode, tolerance
+        delta = max(v for _, v in tri.psi.samples) + 1
+        flags["boundedness"] = boundedness_over_samples(
+            tri.psi, tri.a_map, tri.b_map, delta, mode, tolerance, b_images=b_images
         )
         notes.append("delta_uniformity_not_checked")
     else:
-        ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
+        ok, _ = cone_union_is_subspace(b_images)
         flags["closed_subspace"] = ok
         notes.append("queries are continuous in finite dimension")
-    flags["h_proper"] = _zero_fiber_nonempty(tri.psi, tri.b_map, mode, tolerance)
+    flags["h_proper"] = _zero_fiber_nonempty(b_images, tri.b_map.out_dim, mode, tolerance)
     notes.append("sample-form functions are closed by construction")
     return flags, tuple(notes)
 

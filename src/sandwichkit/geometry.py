@@ -59,19 +59,18 @@ class AffineMap:
             raise StructuralError(
                 f"cannot compose: inner output {inner.out_dim} != outer input {self.in_dim}"
             )
-        rows = []
-        for row in self.linear:
-            rows.append(
-                tuple(
-                    sum((row[k] * inner.linear[k][j] for k in range(self.in_dim)),
-                        start=Fraction(0))
-                    for j in range(inner.in_dim)
-                )
-            )
+        cols = inner.columns()
+        rows = tuple(tuple(dot(row, col) for col in cols) for row in self.linear)
         off = tuple(
             dot(row, inner.offset) + o for row, o in zip(self.linear, self.offset)
         )
-        return AffineMap(tuple(rows), off, inner.in_dim)
+        return AffineMap(rows, off, inner.in_dim)
+
+    def columns(self) -> tuple[Vec, ...]:
+        """The linear part's columns, one per input coordinate."""
+        if not self.linear:
+            return ((),) * self.in_dim
+        return tuple(zip(*self.linear))
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":

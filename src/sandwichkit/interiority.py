@@ -103,55 +103,55 @@ class Corollary21Result:
     margin: MarginResult
 
 
-def _stacked_images(points: Sequence[Vec], b_map: AffineMap, target: Vec, extra=None):
-    """Images of the points under b_map, stacked over a_map's when extra is
-    (a_map, a_target), and the matching stacked target."""
-    if extra is None:
-        return [b_map(p) for p in points], tuple(target)
-    a_map, a_target = extra
-    return [b_map(p) + a_map(p) for p in points], tuple(target) + tuple(a_target)
+def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
+              mode: str = EXACT, tolerance=None):
+    """(min of sum lam_i values_i over convex weights with sum lam_i images_i
+    = target, the optimal weights), or (+inf, None) when target is not hit."""
+    b = LpBuilder()
+    lam = b.convex_weights(images, target)
+    b.set_objective({lam[i]: values[i] for i in range(len(values))})
+    res = b.solve(mode, tolerance)
+    if res.status == "infeasible":
+        return POS_INF, None
+    if res.status != "optimal":
+        raise StructuralError("sample values bound the fiber LP below")
+    return res.value, [res.point[j] for j in lam]
 
 
 def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec,
-                 extra=None, mode: str = EXACT, tolerance=None):
-    """(inf of phi over {b_map z = target} [and a_map z = a_target], argmin).
+                 mode: str = EXACT, tolerance=None):
+    """(inf of phi over {b_map z = target}, argmin).
 
     Returns (+inf, None) when the fiber misses the domain.  The infimum is
     attained, so a finite value always comes with an attaining point.
     """
     points = [p for p, _ in phi.samples]
     values = [v for _, v in phi.samples]
-    b = LpBuilder()
-    lam = b.convex_weights(*_stacked_images(points, b_map, target, extra))
-    b.set_objective({lam[i]: values[i] for i in range(len(points))})
-    res = b.solve(mode, tolerance)
-    if res.status == "infeasible":
-        return POS_INF, None
-    if res.status != "optimal":
-        raise StructuralError("sample values bound the fiber LP below")
-    weights = [res.point[j] for j in lam]
+    value, weights = _fiber_lp(values, [b_map(p) for p in points], tuple(target),
+                               mode, tolerance)
+    if weights is None:
+        return value, None
     argmin = tuple(
         sum((w * p[c] for w, p in zip(weights, points)), start=Fraction(0))
         for c in range(phi.dim)
     )
-    return res.value, argmin
+    return value, argmin
 
 
-def _direction_reach(phi: PolyhedralFunction, b_map: AffineMap, level: Fraction,
-                     directions: Sequence[Vec], extra=None,
+def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
+                     level: Fraction, directions: Sequence[Vec],
                      mode: str = EXACT, tolerance=None) -> Fraction:
     """Largest r so that every r*d is hit by B from the level-sublevel set.
 
+    images and target are B's images of the samples and B's target, possibly
+    followed by further coordinates (a fiber map's images and its target)
+    that stay fixed while the first len(d) coordinates move to target + r*d.
     One small LP per direction; the result is the minimum of the
     per-direction maxima.  Callers pick levels strictly above the fiber
     infimum, so r = 0 stays feasible and a zero minimum exits early.
     """
     if not directions:
         raise StructuralError("reach needs at least one direction")
-    points = [p for p, _ in phi.samples]
-    values = [v for _, v in phi.samples]
-    zero = (Fraction(0),) * b_map.out_dim
-    images, target = _stacked_images(points, b_map, zero, extra)
     best = None
     for d in directions:
         b = LpBuilder("max")
@@ -159,7 +159,7 @@ def _direction_reach(phi: PolyhedralFunction, b_map: AffineMap, level: Fraction,
         # B's rows reach r*d; the stacked a_map rows stay on their fiber
         reach = [{r: -dc} for dc in d] + [{}] * (len(target) - len(d))
         lam = b.convex_weights(images, target, reach)
-        b.add({lam[i]: values[i] for i in range(len(points))}, LE, level)
+        b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)
         b.set_objective({r: 1})
         res = b.solve(mode, tolerance)
         if res.status != "optimal":
@@ -171,17 +171,19 @@ def _direction_reach(phi: PolyhedralFunction, b_map: AffineMap, level: Fraction,
     return best
 
 
-def _margin_sweep(phi: PolyhedralFunction, b_map: AffineMap, gamma: Fraction,
-                  directions: Sequence[Vec], extra=None,
+def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
+                  gamma: Fraction, directions: Sequence[Vec],
                   mode: str = EXACT, tolerance=None) -> MarginResult:
     """Dyadic level sweep deciding relative interiority with a margin.
 
-    The per-level reach is concave and nondecreasing in the level, so a zero
-    reach at two increasing levels forces zero reach at every level below
-    gamma; the sweep never needs more than two levels.
+    values are the sample values of phi; images and target are the stacked
+    images and target that the fiber LP and every reach LP share (see
+    _direction_reach), built once by the caller.  The per-level reach is
+    concave and nondecreasing in the level, so a zero reach at two
+    increasing levels forces zero reach at every level below gamma; the
+    sweep never needs more than two levels.
     """
-    m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim, extra,
-                        mode, tolerance)
+    m, _ = _fiber_lp(values, images, target, mode, tolerance)
     if m is POS_INF or m >= gamma:
         return MarginResult(False, Fraction(0), gamma)
     if not directions:
@@ -194,7 +196,7 @@ def _margin_sweep(phi: PolyhedralFunction, b_map: AffineMap, gamma: Fraction,
     level = gamma
     for k in (1, 2):
         level = gamma - (gamma - m) / 2**k
-        reach = _direction_reach(phi, b_map, level, directions, extra,
+        reach = _direction_reach(values, images, target, level, directions,
                                  mode, tolerance)
         if reach > 0:
             return MarginResult(True, reach, level)
@@ -224,10 +226,34 @@ def interiority_margin(q: SublevelQuery, mode: str = EXACT, tolerance=None) -> M
         )
     if q.y.is_trivial:
         m, _ = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim,
-                            None, mode, tolerance)
+                            mode, tolerance)
         return MarginResult(m < q.gamma, Fraction(0), q.gamma)
-    return _margin_sweep(q.phi, q.b_map, q.gamma, _basis_directions(q.y),
-                         None, mode, tolerance)
+    values = [v for _, v in q.phi.samples]
+    images = [q.b_map(p) for p, _ in q.phi.samples]
+    return _margin_sweep(values, images, (Fraction(0),) * q.b_map.out_dim, q.gamma,
+                         _basis_directions(q.y), mode, tolerance)
+
+
+def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMap) -> None:
+    if psi.form != V_FORM:
+        raise StructuralError("the boundedness test needs a sample-form function")
+    if a_map.in_dim != psi.dim or b_map.in_dim != psi.dim:
+        raise StructuralError("fiber and direction maps must act on the function's space")
+
+
+def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], a_target: Vec,
+                       b_dim: int, delta: Fraction, mode: str, tolerance) -> bool:
+    """The margin sweep over B's unit directions on the fiber {A z = a_target}.
+
+    stacked holds each sample's B image followed by its A image.
+    """
+    units = []
+    for c in range(b_dim):
+        e = tuple(Fraction(1 if i == c else 0) for i in range(b_dim))
+        units.append(e)
+        units.append(vec_neg(e))
+    target = (Fraction(0),) * b_dim + tuple(a_target)
+    return _margin_sweep(values, stacked, target, delta, units, mode, tolerance).holds
 
 
 def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
@@ -238,22 +264,42 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     Decides 0 in int B({z : a_map z = a_map z0, psi z < delta}) with the
     interior taken in all of B's target space.  z0 must lie in dom psi.
     """
-    if psi.form != V_FORM:
-        raise StructuralError("the boundedness test needs a sample-form function")
-    if a_map.in_dim != psi.dim or b_map.in_dim != psi.dim:
-        raise StructuralError("fiber and direction maps must act on the function's space")
+    _check_fiber_maps(psi, a_map, b_map)
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0, mode, tolerance):
         raise PreconditionError(f"base point {z0} lies outside the domain")
+    values = [v for _, v in psi.samples]
+    stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
+    return _boundedness_sweep(values, stacked, a_map(z0), b_map.out_dim, frac(delta),
+                              mode, tolerance)
+
+
+def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
+                             b_map: AffineMap, delta, mode: str = EXACT,
+                             tolerance=None, *, b_images=None) -> bool:
+    """Whether boundedness_condition holds at some sample of psi as base point.
+
+    Equal to any(boundedness_condition(psi, a_map, b_map, z0, delta)) over
+    the sample points z0 of psi, in sample order.  The samples lie in
+    dom psi by definition, so no domain check is made; the tested fiber
+    depends on z0 only through a_map(z0), so each distinct A-image is swept
+    once.  The B and A images of the samples are stacked once for every
+    sweep; b_images, when given, are the samples' B images already computed
+    by the caller.
+    """
+    _check_fiber_maps(psi, a_map, b_map)
     delta = frac(delta)
-    extra = (a_map, a_map(z0))
-    dim = b_map.out_dim
-    units = []
-    for c in range(dim):
-        e = tuple(Fraction(1 if i == c else 0) for i in range(dim))
-        units.append(e)
-        units.append(vec_neg(e))
-    return _margin_sweep(psi, b_map, delta, units, extra, mode, tolerance).holds
+    values = [v for _, v in psi.samples]
+    if b_images is None:
+        b_images = [b_map(p) for p, _ in psi.samples]
+    elif len(b_images) != len(psi.samples):
+        raise StructuralError("b_images needs one image per sample")
+    a_images = [a_map(p) for p, _ in psi.samples]
+    stacked = [bi + ai for bi, ai in zip(b_images, a_images)]
+    for key in dict.fromkeys(a_images):
+        if _boundedness_sweep(values, stacked, key, b_map.out_dim, delta, mode, tolerance):
+            return True
+    return False
 
 
 def theorem20_equivalence(q: SublevelQuery, mode: str = EXACT, tolerance=None) -> Theorem20Result:
@@ -269,7 +315,7 @@ def theorem20_equivalence(q: SublevelQuery, mode: str = EXACT, tolerance=None) -
             "the equivalence needs that precondition"
         )
     m, argmin = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim,
-                             None, mode, tolerance)
+                             mode, tolerance)
     c26 = m is not POS_INF and m < q.gamma
     if argmin is None:
         c25 = False
@@ -297,7 +343,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
         raise PreconditionError("scaled domain images do not span a subspace")
     delta = frac(delta)
     m, _ = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim,
-                        None, mode, tolerance)
+                        mode, tolerance)
     if m is POS_INF or delta <= m:
         raise PreconditionError("the level must exceed the fiber infimum")
     assignments = []
@@ -311,7 +357,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
         found = None
         for i in range(1, i_max + 1):
             target = tuple(c / i for c in probe)
-            value, _ = _fiber_value(q.phi, q.b_map, target, None, mode, tolerance)
+            value, _ = _fiber_value(q.phi, q.b_map, target, mode, tolerance)
             if value is not POS_INF and value < delta:
                 found = i
                 break
@@ -328,7 +374,7 @@ def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap,
     Requires a nonempty zero-fiber and the subspace precondition; with both
     in place the margin sweep must succeed, and a failure is a kernel bug.
     """
-    m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim, None,
+    m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim,
                         mode, tolerance)
     if m is POS_INF:
         raise PreconditionError("the zero-fiber misses the domain; no level works")

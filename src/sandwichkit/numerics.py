@@ -144,9 +144,34 @@ def unit_vec(n: int, j: int) -> Vec:
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
+    """Exact inner product of two equally long vectors, as a Fraction.
+
+    The terms are accumulated as integers over a running common denominator
+    (the lcm of the term denominators seen so far), zero terms are skipped,
+    and one Fraction is built at the end.  Entries without an integer
+    numerator (binary floats) fall back to a plain sum started at
+    Fraction(0).
+    """
     if len(a) != len(b):
         raise StructuralError(f"dot product length mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), start=Fraction(0))
+    num, den = 0, 1
+    try:
+        for x, y in zip(a, b):
+            xn = x.numerator
+            yn = y.numerator
+            if xn and yn:
+                d = x.denominator * y.denominator
+                if d == 1:
+                    num += xn * yn * den
+                    continue
+                if den % d:
+                    scale = d // math.gcd(den, d)
+                    num *= scale
+                    den *= scale
+                num += xn * yn * (den // d)
+    except AttributeError:
+        return sum((x * y for x, y in zip(a, b)), start=Fraction(0))
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def vec_add(a: Sequence, b: Sequence) -> Vec:
@@ -777,29 +802,46 @@ class LpBuilder:
                 if v:
                     row[j] = v
             if extra is not None:
-                for j, v in extra[c].items():
-                    fv = frac(v)
-                    if fv:
-                        row[j] = row.get(j, Fraction(0)) + fv
+                self._merge(row, extra[c])
             self._rows.append((row, EQ, frac(target)))
         return lam
+
+    def _index(self, j) -> int:
+        """j itself, when it names a variable this builder created."""
+        if type(j) is not int or not 0 <= j < len(self._bounds):
+            raise StructuralError(
+                f"variable index {j!r} is not one of the {len(self._bounds)} created"
+            )
+        return j
+
+    def _merge(self, row: dict, coeffs: Mapping[int, object]) -> None:
+        """Add the nonzero coefficients into the sparse row."""
+        for j, v in coeffs.items():
+            self._index(j)
+            fv = frac(v)
+            if fv:
+                if j in row:
+                    row[j] += fv
+                else:
+                    row[j] = fv
 
     def add(self, coeffs: Mapping[int, object], rel: str, rhs) -> None:
         if rel not in _RELS:
             raise StructuralError(f"bad relation {rel!r}")
         row: dict[int, Fraction] = {}
-        for j, v in coeffs.items():
-            fv = frac(v)
-            if fv:
-                row[j] = row.get(j, Fraction(0)) + fv
+        self._merge(row, coeffs)
         self._rows.append((row, rel, frac(rhs)))
 
     def set_objective(self, coeffs: Mapping[int, object], constant=0) -> None:
-        self._obj = {j: frac(v) for j, v in coeffs.items()}
+        self._obj = {self._index(j): frac(v) for j, v in coeffs.items()}
         self.constant = frac(constant)
 
     def add_objective_term(self, j: int, coeff) -> None:
-        self._obj[j] = self._obj.get(j, Fraction(0)) + frac(coeff)
+        fv = frac(coeff)
+        if self._index(j) in self._obj:
+            self._obj[j] += fv
+        else:
+            self._obj[j] = fv
 
     def build(self) -> LinearProgram:
         n = self.num_vars

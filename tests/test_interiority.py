@@ -1,20 +1,24 @@
 """Tests for interiority margins, the fiber boundedness test, and friends."""
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from sandwichkit.convexfn import PolyhedralFunction
+from sandwichkit import randomgen
+from sandwichkit.convexfn import V_FORM, PolyhedralFunction
+from sandwichkit.duality import scenario_to_trivariate
 from sandwichkit.geometry import AffineMap
 from sandwichkit.interiority import (
     SublevelQuery,
     boundedness_condition,
+    boundedness_over_samples,
     corollary21_auto,
     interiority_margin,
     lemma19a_check,
     theorem20_equivalence,
 )
-from sandwichkit.numerics import PreconditionError
+from sandwichkit.numerics import PreconditionError, StructuralError
 from sandwichkit.randomgen import random_sublevel_query
 
 
@@ -117,6 +121,74 @@ class TestBoundedness:
         psi, a_map, b_map = self.product_example()
         with pytest.raises(PreconditionError):
             boundedness_condition(psi, a_map, b_map, (3, 3), 1)
+
+
+# Seeded generators of every scenario kind whose boundedness flag runs the
+# sample loop; each kind gets a generator on which the flag can hold and
+# one on which it can fail.
+FLAG_GENERATORS = {
+    "trivariate": (
+        lambda rng: randomgen.random_crosscheck_scenario(rng, "trivariate"),
+        randomgen.random_trivariate_scenario,
+        randomgen.random_violating_trivariate,
+    ),
+    "fenchel": (
+        lambda rng: randomgen.random_crosscheck_scenario(rng, "fenchel"),
+        randomgen.random_violating_fenchel,
+    ),
+    "quadrivariate": (
+        lambda rng: randomgen.random_crosscheck_scenario(rng, "quadrivariate"),
+    ),
+    "bibivariate": (
+        lambda rng: randomgen.random_crosscheck_scenario(rng, "bibivariate"),
+        randomgen.random_bibivariate_scenario,
+    ),
+    "partial_infconv": (
+        lambda rng: randomgen.random_crosscheck_scenario(rng, "partial_infconv"),
+        lambda rng: randomgen.random_bibivariate_scenario(rng, partial=True),
+    ),
+}
+
+
+class TestBoundednessOverSamples:
+    def test_worked_examples(self):
+        # one fiber, the whole line: |x| < 1 around 0, and nothing below 0
+        psi, zero, ident = abs_on_unit(), AffineMap.zero_map(1), AffineMap.identity(1)
+        assert boundedness_over_samples(psi, zero, ident, 1)
+        assert not boundedness_over_samples(psi, zero, ident, 0)
+
+    def test_only_sample_base_points_count(self):
+        # the fiber through (0, 0) passes, but no fiber through a sample does
+        psi, a_map, b_map = TestBoundedness.product_example()
+        assert boundedness_condition(psi, a_map, b_map, (0, 0), 1)
+        assert not boundedness_over_samples(psi, a_map, b_map, 1)
+
+    @pytest.mark.parametrize("kind", sorted(FLAG_GENERATORS))
+    def test_equals_the_condition_at_some_sample(self, kind):
+        gens = FLAG_GENERATORS[kind]
+        rng = random.Random(f"flags:{kind}")
+        outcomes = set()
+        for i in range(30):
+            s = gens[i % len(gens)](rng)
+            if s.kind == "fenchel" and s.g.form != V_FORM:
+                continue
+            tri = scenario_to_trivariate(
+                dataclasses.replace(s, hypothesis_mode="boundedness"))
+            delta = max(v for _, v in tri.psi.samples) + 1
+            want = any(boundedness_condition(tri.psi, tri.a_map, tri.b_map, z0, delta)
+                       for z0, _ in tri.psi.samples)
+            got = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
+            b_images = [tri.b_map(p) for p, _ in tri.psi.samples]
+            assert got == want
+            assert boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta,
+                                            b_images=b_images) == want
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_refuses_short_b_images(self):
+        psi, a_map, b_map = TestBoundedness.product_example()
+        with pytest.raises(StructuralError):
+            boundedness_over_samples(psi, a_map, b_map, 1, b_images=[(0,)])
 
 
 class TestTheorem20:

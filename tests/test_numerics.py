@@ -346,6 +346,48 @@ def test_builder_merges_repeated_indices():
     assert lp1.constraints[0].coeffs == (F(1),)
 
 
+class TestBuilderIndices:
+    """Every entry point refuses a variable index the builder never created."""
+
+    def test_add(self):
+        b = LpBuilder("max")
+        b.var()
+        y = b.var(hi=3)
+        # -1 would name the last variable if it reached a list index
+        for bad in (-1, 2, True):
+            with pytest.raises(StructuralError):
+                b.add({bad: 1}, LE, 1)
+        b.set_objective({y: 1})
+        assert b.solve().value == 3
+
+    def test_convex_weights_extra(self):
+        b = LpBuilder()
+        with pytest.raises(StructuralError):
+            b.convex_weights([(1,), (0,)], (0,), [{2: 1}])
+
+    def test_set_objective(self):
+        b = LpBuilder()
+        b.var()
+        with pytest.raises(StructuralError):
+            b.set_objective({1: 1})
+
+    def test_add_objective_term(self):
+        b = LpBuilder()
+        x = b.var()
+        b.add_objective_term(x, 1)
+        b.add_objective_term(x, 2)
+        assert b.build().objective == (F(3),)
+        with pytest.raises(StructuralError):
+            b.add_objective_term(-1, 1)
+
+
+def test_dot_falls_back_to_a_float_sum():
+    terms = ((0.5, F(1, 3)), (F(0), 2.0), (1, F(3, 4)))
+    expected = sum((x * y for x, y in terms), start=F(0))
+    got = numerics.dot(*zip(*terms))
+    assert got == expected and type(got) is float
+
+
 def test_validation_errors():
     with pytest.raises(StructuralError):
         lp_solve(lp(2, [1], "min", []))
