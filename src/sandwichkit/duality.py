@@ -511,12 +511,6 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
-def _zero_fiber_nonempty(images, out_dim, mode, tolerance) -> bool:
-    """Whether 0 lies in the hull of the samples' images under the map."""
-    return polytope_contains(Polytope.of(images), (Fraction(0),) * out_dim,
-                             mode, tolerance)
-
-
 def _scenario_flags(s: DualityScenario, mode, tolerance):
     notes: list = []
     flags: dict = {}
@@ -528,8 +522,9 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
         flags["interiority"] = (
             interiority_margin(q, mode, tolerance).holds if q.subspace_ok else False
         )
-        flags["h_proper"] = _zero_fiber_nonempty(
-            [s.b_map(p) for p, _ in s.psi.samples], s.b_map.out_dim, mode, tolerance
+        flags["h_proper"] = polytope_contains(
+            Polytope.of([s.b_map(p) for p, _ in s.psi.samples]),
+            (Fraction(0),) * s.b_map.out_dim, mode, tolerance,
         )
         notes.append(f"interiority tested at level {s.gamma}")
         return flags, tuple(notes)
@@ -581,14 +576,16 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
     if s.hypothesis_mode == "boundedness":
         delta = max(v for _, v in tri.psi.samples) + 1
         flags["boundedness"] = boundedness_over_samples(
-            tri.psi, tri.a_map, tri.b_map, delta, mode, tolerance, b_images=b_images
+            tri.psi, tri.a_map, tri.b_map, delta, mode, tolerance
         )
         notes.append("delta_uniformity_not_checked")
     else:
         ok, _ = cone_union_is_subspace(b_images)
         flags["closed_subspace"] = ok
         notes.append("queries are continuous in finite dimension")
-    flags["h_proper"] = _zero_fiber_nonempty(b_images, tri.b_map.out_dim, mode, tolerance)
+    flags["h_proper"] = polytope_contains(
+        Polytope.of(b_images), (Fraction(0),) * tri.b_map.out_dim, mode, tolerance
+    )
     notes.append("sample-form functions are closed by construction")
     return flags, tuple(notes)
 

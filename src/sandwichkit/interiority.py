@@ -276,7 +276,7 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
 
 def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
                              b_map: AffineMap, delta, mode: str = EXACT,
-                             tolerance=None, *, b_images=None) -> bool:
+                             tolerance=None) -> bool:
     """Whether boundedness_condition holds at some sample of psi as base point.
 
     Equal to any(boundedness_condition(psi, a_map, b_map, z0, delta)) over
@@ -284,18 +284,13 @@ def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
     dom psi by definition, so no domain check is made; the tested fiber
     depends on z0 only through a_map(z0), so each distinct A-image is swept
     once.  The B and A images of the samples are stacked once for every
-    sweep; b_images, when given, are the samples' B images already computed
-    by the caller.
+    sweep.
     """
     _check_fiber_maps(psi, a_map, b_map)
     delta = frac(delta)
     values = [v for _, v in psi.samples]
-    if b_images is None:
-        b_images = [b_map(p) for p, _ in psi.samples]
-    elif len(b_images) != len(psi.samples):
-        raise StructuralError("b_images needs one image per sample")
     a_images = [a_map(p) for p, _ in psi.samples]
-    stacked = [bi + ai for bi, ai in zip(b_images, a_images)]
+    stacked = [b_map(p) + ai for (p, _), ai in zip(psi.samples, a_images)]
     for key in dict.fromkeys(a_images):
         if _boundedness_sweep(values, stacked, key, b_map.out_dim, delta, mode, tolerance):
             return True

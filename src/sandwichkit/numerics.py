@@ -149,8 +149,7 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     The terms are accumulated as integers over a running common denominator
     (the lcm of the term denominators seen so far), zero terms are skipped,
     and one Fraction is built at the end.  Entries without an integer
-    numerator (binary floats) fall back to a plain sum started at
-    Fraction(0).
+    numerator, such as binary floats, are refused like frac refuses them.
     """
     if len(a) != len(b):
         raise StructuralError(f"dot product length mismatch: {len(a)} vs {len(b)}")
@@ -169,8 +168,10 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
                     num *= scale
                     den *= scale
                 num += xn * yn * (den // d)
-    except AttributeError:
-        return sum((x * y for x, y in zip(a, b)), start=Fraction(0))
+    except AttributeError as exc:
+        raise StructuralError(
+            "dot product entries must be ints or Fractions; binary floats are not exact"
+        ) from exc
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 

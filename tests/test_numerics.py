@@ -381,11 +381,11 @@ class TestBuilderIndices:
             b.add_objective_term(-1, 1)
 
 
-def test_dot_falls_back_to_a_float_sum():
-    terms = ((0.5, F(1, 3)), (F(0), 2.0), (1, F(3, 4)))
-    expected = sum((x * y for x, y in terms), start=F(0))
-    got = numerics.dot(*zip(*terms))
-    assert got == expected and type(got) is float
+def test_dot_refuses_binary_floats():
+    with pytest.raises(StructuralError):
+        numerics.dot((F(1, 3), 0.5), (1, 2))
+    with pytest.raises(StructuralError):
+        numerics.dot((1,), (2.0,))
 
 
 def test_validation_errors():
