@@ -16,7 +16,6 @@ strings, a sha256 digest of the input instead of timestamps.
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -44,15 +43,11 @@ from .interiority import (
     theorem20_equivalence,
 )
 from .numerics import (
-    EXACT,
-    FLOAT,
     NEG_INF,
     POS_INF,
     PreconditionError,
     StructuralError,
     Vec,
-    comparison_slack,
-    frac,
 )
 from .oracle import crosscheck_scenario
 from .sandwich import (
@@ -67,6 +62,10 @@ EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
 EXIT_HYPOTHESES = 2
 EXIT_INPUT = 3
+
+#: every report's "mode": all arithmetic is exact
+MODE = "exact"
+
 
 class ScenarioError(Exception):
     """Input problem tied to a specific field of the scenario file."""
@@ -107,20 +106,18 @@ def to_int(value, field: str) -> int:
 
 
 def encode_scalar(value):
-    """Exact values as strings, floats as numbers, infinities by name."""
+    """Exact values as strings, infinities by name."""
     if value is None or isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        if value == POS_INF:
-            return "inf"
-        if value == NEG_INF:
-            return "-inf"
-        return value
-    raise TypeError(f"cannot encode {type(value).__name__}")
+    if value == POS_INF:
+        return "inf"
+    if value == NEG_INF:
+        return "-inf"
+    raise TypeError(f"cannot encode {value!r}")
 
 
 def encode_vector(v) -> Optional[list]:
@@ -349,7 +346,7 @@ def _task_queries(sc: Scenario) -> list:
     return queries
 
 
-def _task_mode(sc: Scenario) -> str:
+def _hypothesis_mode(sc: Scenario) -> str:
     return sc.task.get("hypothesis_mode", "boundedness")
 
 
@@ -365,7 +362,7 @@ def build_duality_scenario(sc: Scenario) -> DualityScenario:
                 _named(sc, "functions", t.get("f"), "task.f"),
                 _named(sc, "functions", t.get("g"), "task.g"),
                 _named(sc, "maps", t.get("link"), "task.link"),
-                _task_queries(sc), _task_mode(sc),
+                _task_queries(sc), _hypothesis_mode(sc),
             )
         if kind == "sublevel":
             gamma = None
@@ -374,14 +371,14 @@ def build_duality_scenario(sc: Scenario) -> DualityScenario:
             return DualityScenario.sublevel(
                 _named(sc, "functions", t.get("phi"), "task.phi"),
                 _named(sc, "maps", t.get("b"), "task.b"),
-                gamma, _task_mode(sc),
+                gamma, _hypothesis_mode(sc),
             )
         if kind == "trivariate":
             return DualityScenario.trivariate(
                 _named(sc, "functions", t.get("psi"), "task.psi"),
                 _named(sc, "maps", t.get("a"), "task.a"),
                 _named(sc, "maps", t.get("b"), "task.b"),
-                _task_queries(sc), _task_mode(sc),
+                _task_queries(sc), _hypothesis_mode(sc),
             )
         if kind == "quadrivariate":
             raw = t.get("dims")
@@ -393,7 +390,7 @@ def build_duality_scenario(sc: Scenario) -> DualityScenario:
                 _named(sc, "functions", t.get("psi"), "task.psi"),
                 _named(sc, "maps", t.get("c"), "task.c"),
                 _named(sc, "maps", t.get("d"), "task.d"),
-                blocks, _task_queries(sc), _task_mode(sc),
+                blocks, _task_queries(sc), _hypothesis_mode(sc),
             )
         if kind == "bibivariate":
             return DualityScenario.bibivariate(
@@ -401,7 +398,7 @@ def build_duality_scenario(sc: Scenario) -> DualityScenario:
                 _named(sc, "functions", t.get("g"), "task.g"),
                 _named(sc, "maps", t.get("c"), "task.c"),
                 _named(sc, "maps", t.get("d"), "task.d"),
-                _task_queries(sc), _task_mode(sc),
+                _task_queries(sc), _hypothesis_mode(sc),
             )
         if kind == "partial_infconv":
             x_dim = t.get("x_dim")
@@ -412,14 +409,14 @@ def build_duality_scenario(sc: Scenario) -> DualityScenario:
             return DualityScenario.partial_infconv(
                 _named(sc, "functions", t.get("f"), "task.f"),
                 _named(sc, "functions", t.get("g"), "task.g"),
-                x_dim, _task_queries(sc), _task_mode(sc),
+                x_dim, _task_queries(sc), _hypothesis_mode(sc),
             )
         if kind == "indicator_linear":
             return DualityScenario.indicator_linear(
                 _named(sc, "functions", t.get("g"), "task.g"),
                 _named(sc, "maps", t.get("c"), "task.c"),
                 _named(sc, "maps", t.get("d"), "task.d"),
-                _task_queries(sc), _task_mode(sc),
+                _task_queries(sc), _hypothesis_mode(sc),
             )
     except StructuralError as exc:
         involved = ", ".join(_describe(sc, n) for n in names)
@@ -460,21 +457,20 @@ def build_sandwich_instance(sc: Scenario) -> SandwichInstance:
 # command runners: each returns (exit_code, report_body)
 
 
-def run_verify(sc: Scenario, mode: str, tolerance, crosscheck: bool):
+def run_verify(sc: Scenario, crosscheck: bool):
     kind = sc.task["kind"]
     if kind == "sandwich":
-        return run_sandwich(sc, mode, tolerance)
+        return run_sandwich(sc)
     if kind == "interiority":
-        return run_interiority(sc, mode, tolerance)
+        return run_interiority(sc)
     s = build_duality_scenario(sc)
-    slack = comparison_slack(mode, tolerance)
     try:
-        reports = verify(s, mode, tolerance)
+        reports = verify(s)
     except PreconditionError as exc:
         return EXIT_HYPOTHESES, {"kind": kind, "queries": [], "notes": [str(exc)]}
     checks = [None] * len(reports)
     if crosscheck:
-        checks = crosscheck_scenario(s, mode=mode, tolerance=tolerance, reports=reports)
+        checks = crosscheck_scenario(s, reports=reports)
     records = []
     code = EXIT_PASS
     for report, check in zip(reports, checks):
@@ -490,17 +486,16 @@ def run_verify(sc: Scenario, mode: str, tolerance, crosscheck: bool):
             "hypothesis_flags": dict(sorted(report.hypothesis_flags.items())),
             "notes": list(report.notes),
         }
-        gap_zero = abs(report.gap) <= slack
         if report.all_hypotheses_hold:
             finite = report.lhs not in (POS_INF, NEG_INF)
-            if not gap_zero or (finite and not report.attained):
+            if report.gap != 0 or (finite and not report.attained):
                 record["verdict"] = "math_failure"
                 code = EXIT_MATH_FAILURE
             else:
                 record["verdict"] = "pass"
         else:
             record["verdict"] = "hypotheses_unsatisfied"
-            if not gap_zero:
+            if report.gap != 0:
                 record["notes"].append("equality not asserted; hypotheses unsatisfied")
             if code == EXIT_PASS:
                 code = EXIT_HYPOTHESES
@@ -520,9 +515,9 @@ def run_verify(sc: Scenario, mode: str, tolerance, crosscheck: bool):
     return code, {"kind": kind, "queries": records}
 
 
-def run_sandwich(sc: Scenario, mode: str, tolerance):
+def run_sandwich(sc: Scenario):
     inst = build_sandwich_instance(sc)
-    check = hypothesis_check(inst, mode, tolerance)
+    check = hypothesis_check(inst)
     body = {
         "kind": "sandwich",
         "hypothesis": {
@@ -535,7 +530,7 @@ def run_sandwich(sc: Scenario, mode: str, tolerance):
         body["verdict"] = "hypotheses_unsatisfied"
         return EXIT_HYPOTHESES, body
     try:
-        sep = find_separator(inst, mode, tolerance)
+        sep = find_separator(inst)
     except HypothesisViolated as exc:
         body["hypothesis"] = {
             "holds": False,
@@ -544,7 +539,7 @@ def run_sandwich(sc: Scenario, mode: str, tolerance):
         }
         body["verdict"] = "hypotheses_unsatisfied"
         return EXIT_HYPOTHESES, body
-    valid = check_separator(inst, sep.x_prime, mode, tolerance)
+    valid = check_separator(inst, sep.x_prime)
     body["separator"] = {
         "x_prime": encode_vector(sep.x_prime),
         "margin": encode_scalar(sep.margin),
@@ -554,7 +549,7 @@ def run_sandwich(sc: Scenario, mode: str, tolerance):
     return (EXIT_PASS if valid else EXIT_MATH_FAILURE), body
 
 
-def run_interiority(sc: Scenario, mode: str, tolerance):
+def run_interiority(sc: Scenario):
     t = sc.task
     phi = _named(sc, "functions", t.get("function"), "task.function")
     b_map = _named(sc, "maps", t.get("map"), "task.map")
@@ -565,7 +560,7 @@ def run_interiority(sc: Scenario, mode: str, tolerance):
         if "gamma" in t:
             gamma = to_frac(t["gamma"], "task.gamma")
             q = SublevelQuery.build(phi, b_map, gamma)
-            res = interiority_margin(q, mode, tolerance)
+            res = interiority_margin(q)
             body["margin"] = {
                 "gamma": encode_scalar(gamma),
                 "holds": res.holds,
@@ -580,7 +575,7 @@ def run_interiority(sc: Scenario, mode: str, tolerance):
                           for i, p in enumerate(t.get("probes", []))]
                 if not probes:
                     raise ScenarioError("task.probes", "the covering check needs probes")
-                cover = lemma19a_check(q, delta, probes, mode=mode, tolerance=tolerance)
+                cover = lemma19a_check(q, delta, probes)
                 body["covering"] = {
                     "delta": encode_scalar(delta),
                     "ok": cover.ok,
@@ -591,7 +586,7 @@ def run_interiority(sc: Scenario, mode: str, tolerance):
                 if not cover.ok:
                     code = EXIT_HYPOTHESES
         else:
-            res = corollary21_auto(phi, b_map, mode, tolerance)
+            res = corollary21_auto(phi, b_map)
             body["margin"] = {
                 "gamma": encode_scalar(res.gamma),
                 "holds": res.margin.holds,
@@ -602,8 +597,7 @@ def run_interiority(sc: Scenario, mode: str, tolerance):
             a_map = _named(sc, "maps", t.get("a"), "task.a")
             z0 = to_vector(t["z0"], "task.z0")
             delta = to_frac(t.get("delta", 1), "task.delta")
-            bounded = boundedness_condition(phi, a_map, b_map, z0, delta,
-                                            mode, tolerance)
+            bounded = boundedness_condition(phi, a_map, b_map, z0, delta)
             body["boundedness"] = {
                 "z0": encode_vector(z0),
                 "delta": encode_scalar(delta),
@@ -626,7 +620,7 @@ def run_interiority(sc: Scenario, mode: str, tolerance):
     return code, body
 
 
-def run_theorem20(sc: Scenario, mode: str, tolerance):
+def run_theorem20(sc: Scenario):
     t = sc.task
     phi = _named(sc, "functions", t.get("function"), "task.function")
     b_map = _named(sc, "maps", t.get("map"), "task.map")
@@ -635,7 +629,7 @@ def run_theorem20(sc: Scenario, mode: str, tolerance):
     gamma = to_frac(t["gamma"], "task.gamma")
     try:
         q = SublevelQuery.build(phi, b_map, gamma)
-        res = theorem20_equivalence(q, mode, tolerance)
+        res = theorem20_equivalence(q)
     except PreconditionError as exc:
         return EXIT_HYPOTHESES, {
             "kind": "theorem20",
@@ -663,14 +657,14 @@ def run_theorem20(sc: Scenario, mode: str, tolerance):
     return (EXIT_PASS if agree else EXIT_MATH_FAILURE), body
 
 
-def run_conjugate(sc: Scenario, name: str, at: Vec, mode: str, tolerance):
+def run_conjugate(sc: Scenario, name: str, at: Vec):
     f = _named(sc, "functions", name, "--function")
     if len(at) != f.dim:
         raise ScenarioError(
             "--at",
             f"covector of dimension {len(at)} against {_describe(sc, name)}",
         )
-    value = evaluate(f.conjugate(), at, mode, tolerance)
+    value = evaluate(f.conjugate(), at)
     body = {
         "kind": "conjugate",
         "function": name,
@@ -684,14 +678,14 @@ def run_conjugate(sc: Scenario, name: str, at: Vec, mode: str, tolerance):
     return EXIT_PASS, body
 
 
-def run_eval(sc: Scenario, name: str, at: Vec, mode: str, tolerance):
+def run_eval(sc: Scenario, name: str, at: Vec):
     f = _named(sc, "functions", name, "--function")
     if len(at) != f.dim:
         raise ScenarioError(
             "--at",
             f"point of dimension {len(at)} against {_describe(sc, name)}",
         )
-    value = evaluate(f, at, mode, tolerance)
+    value = evaluate(f, at)
     body = {
         "kind": "eval",
         "function": name,
@@ -702,7 +696,7 @@ def run_eval(sc: Scenario, name: str, at: Vec, mode: str, tolerance):
     return EXIT_PASS, body
 
 
-def run_selftest(seed: int, mode: str, tolerance):
+def run_selftest(seed: int):
     from .randomgen import (
         random_crosscheck_scenario,
         random_fenchel_scenario,
@@ -730,34 +724,31 @@ def run_selftest(seed: int, mode: str, tolerance):
         # raw sample values (dominated samples sit above the envelope)
         f = random_vform(rng, rng.randint(1, 3), max_samples=6)
         ff = f.conjugate().conjugate()
-        return all(
-            evaluate(ff, p, mode, tolerance) == evaluate(f, p, mode, tolerance)
-            for p, _ in f.samples
-        )
+        return all(evaluate(ff, p) == evaluate(f, p) for p, _ in f.samples)
 
     ok &= suite("biconjugation", 10, biconjugation)
 
     def fenchel_gap():
         s = random_fenchel_scenario(rng)
-        return all(r.gap == 0 and r.attained for r in verify(s, mode, tolerance))
+        return all(r.gap == 0 and r.attained for r in verify(s))
 
     ok &= suite("fenchel_duality", 5, fenchel_gap)
 
     def trivariate_gap():
         s = random_trivariate_scenario(rng)
-        return all(r.gap == 0 for r in verify(s, mode, tolerance))
+        return all(r.gap == 0 for r in verify(s))
 
     ok &= suite("trivariate_duality", 5, trivariate_gap)
 
     def sandwich_separator():
         inst, _ = random_sandwich_instance(rng, satisfy=True)
-        sep = find_separator(inst, mode, tolerance)
-        return check_separator(inst, sep.x_prime, mode, tolerance)
+        sep = find_separator(inst)
+        return check_separator(inst, sep.x_prime)
 
     ok &= suite("sandwich", 5, sandwich_separator)
 
     def equivalence():
-        res = theorem20_equivalence(random_sublevel_query(rng), mode, tolerance)
+        res = theorem20_equivalence(random_sublevel_query(rng))
         return res.c24 == res.c25 == res.c26
 
     ok &= suite("interiority_equivalence", 10, equivalence)
@@ -765,7 +756,7 @@ def run_selftest(seed: int, mode: str, tolerance):
     def oracle_agreement():
         kind = rng.choice(("fenchel", "sublevel"))
         s = random_crosscheck_scenario(rng, kind)
-        return all(c.ok for c in crosscheck_scenario(s, mode=mode, tolerance=tolerance))
+        return all(c.ok for c in crosscheck_scenario(s))
 
     ok &= suite("oracle_crosscheck", 2, oracle_agreement)
 
@@ -786,11 +777,11 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def make_document(command: str, digest: str, mode: str, code: int, body: dict) -> dict:
+def make_document(command: str, digest: str, code: int, body: dict) -> dict:
     doc = {
         "command": command,
         "input_digest": digest,
-        "mode": mode,
+        "mode": MODE,
         "version": __version__,
     }
     doc.update(body)
@@ -823,8 +814,8 @@ def _flat(value) -> str:
     return str(value)
 
 
-def _error_document(command: str, digest: str, mode: str, exc: ScenarioError) -> dict:
-    return make_document(command, digest, mode, EXIT_INPUT, {
+def _error_document(command: str, digest: str, exc: ScenarioError) -> dict:
+    return make_document(command, digest, EXIT_INPUT, {
         "error": {"field": exc.field, "message": str(exc)},
         "verdict": "input_error",
     })
@@ -847,28 +838,27 @@ def _run_single(command: str, path: Path, args) -> tuple:
     try:
         sc, digest = _load(path)
         if command == "verify":
-            code, body = run_verify(sc, args.mode, args.tolerance, args.crosscheck)
+            code, body = run_verify(sc, args.crosscheck)
         elif command == "sandwich":
             if sc.task["kind"] != "sandwich":
                 raise ScenarioError("task.kind", "the sandwich command needs a sandwich task")
-            code, body = run_sandwich(sc, args.mode, args.tolerance)
+            code, body = run_sandwich(sc)
         elif command == "interiority":
-            code, body = run_interiority(sc, args.mode, args.tolerance)
+            code, body = run_interiority(sc)
         elif command == "theorem20":
-            code, body = run_theorem20(sc, args.mode, args.tolerance)
+            code, body = run_theorem20(sc)
         elif command == "conjugate":
-            code, body = run_conjugate(sc, args.function, args.at, args.mode, args.tolerance)
+            code, body = run_conjugate(sc, args.function, args.at)
         else:
-            code, body = run_eval(sc, args.function, args.at, args.mode, args.tolerance)
+            code, body = run_eval(sc, args.function, args.at)
         if sc.description is not None:
             body.setdefault("description", sc.description)
-        return code, make_document(command, digest, args.mode, code, body)
+        return code, make_document(command, digest, code, body)
     except ScenarioError as exc:
-        return EXIT_INPUT, _error_document(command, digest, args.mode, exc)
+        return EXIT_INPUT, _error_document(command, digest, exc)
     except RuntimeError as exc:
         body = {"error": {"field": None, "message": str(exc)}, "verdict": "math_failure"}
-        return EXIT_MATH_FAILURE, make_document(command, digest, args.mode,
-                                                EXIT_MATH_FAILURE, body)
+        return EXIT_MATH_FAILURE, make_document(command, digest, EXIT_MATH_FAILURE, body)
 
 
 def _run_batch(command: str, directory: Path, args) -> tuple:
@@ -892,7 +882,7 @@ def _run_batch(command: str, directory: Path, args) -> tuple:
         if level in codes:
             batch = level
             break
-    doc = make_document(command, digest, args.mode, batch, {"files": files})
+    doc = make_document(command, digest, batch, {"files": files})
     return batch, doc
 
 
@@ -918,14 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_file=True):
         if needs_file:
             p.add_argument("file", help="scenario file (or directory for batches)")
-        p.add_argument("--mode", choices=(EXACT, FLOAT),
-                       default=os.environ.get("SANDWICHKIT_MODE", EXACT))
-        p.add_argument("--tolerance", default=None,
-                       help="acceptance slack, float mode only")
         p.add_argument("--report", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--crosscheck", action="store_true",
-                       help="attach exact LP-free oracle checks of both sides")
 
     p = sub.add_parser("conjugate", help="evaluate a named function's conjugate")
     common(p)
@@ -945,41 +928,21 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         common(p)
+        if name == "verify":
+            p.add_argument("--crosscheck", action="store_true",
+                           help="attach exact LP-free oracle checks of both sides")
 
     p = sub.add_parser("selftest", help="run the random property suites")
     common(p, needs_file=False)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    mode = args.mode
-    tolerance = None
-    try:
-        if mode not in (EXACT, FLOAT):
-            # argparse checks --mode, but not a default taken from the environment
-            raise ScenarioError("SANDWICHKIT_MODE",
-                                f"mode must be 'exact' or 'float', got {mode!r}")
-        if args.tolerance is not None:
-            if mode == EXACT:
-                raise ScenarioError("--tolerance", "tolerance applies to float mode only")
-            tolerance = frac(args.tolerance)
-    except (ValueError, ZeroDivisionError):
-        exc = ScenarioError("--tolerance", f"not an exact number: {args.tolerance!r}")
-        doc = _error_document(args.command, "sha256:" + "0" * 64, mode, exc)
-        sys.stdout.write(render(doc, args.report))
-        return EXIT_INPUT
-    except ScenarioError as exc:
-        doc = _error_document(args.command, "sha256:" + "0" * 64, mode, exc)
-        sys.stdout.write(render(doc, args.report))
-        return EXIT_INPUT
-    args.tolerance = tolerance
-    args.mode = mode
-
     if args.command == "selftest":
-        code, body = run_selftest(args.seed, mode, tolerance)
-        doc = make_document("selftest", _digest(f"seed:{args.seed}".encode()),
-                            mode, code, body)
+        code, body = run_selftest(args.seed)
+        doc = make_document("selftest", _digest(f"seed:{args.seed}".encode()), code, body)
         sys.stdout.write(render(doc, args.report))
         return code
 
@@ -994,7 +957,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             code, doc = _run_single(args.command, path, args)
     except ScenarioError as exc:
-        doc = _error_document(args.command, "sha256:" + "0" * 64, mode, exc)
+        doc = _error_document(args.command, "sha256:" + "0" * 64, exc)
         code = EXIT_INPUT
     sys.stdout.write(render(doc, args.report))
     return code

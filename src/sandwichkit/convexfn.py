@@ -21,7 +21,6 @@ from typing import Sequence
 from .geometry import AffineMap, Polytope
 from .numerics import (
     GE,
-    EXACT,
     POS_INF,
     NEG_INF,
     Ext,
@@ -174,8 +173,8 @@ class PolyhedralFunction:
         return PolyhedralFunction(self.dim, other,
                                   tuple((p, -v) for p, v in self.data))
 
-    def __call__(self, x: Sequence, mode: str = EXACT, tolerance=None) -> Ext:
-        return evaluate(self, x, mode, tolerance)
+    def __call__(self, x: Sequence) -> Ext:
+        return evaluate(self, x)
 
 
 def indicator_of_point(point: Sequence) -> PolyhedralFunction:
@@ -193,14 +192,12 @@ def constant_function(dim: int, value) -> PolyhedralFunction:
     return PolyhedralFunction.h_form(dim, [(zero_vec(dim), frac(value))])
 
 
-def evaluate(f: PolyhedralFunction, x: Sequence, mode: str = EXACT, tolerance=None) -> Ext:
-    value, _ = eval_with_subgradient(f, x, mode, tolerance)
+def evaluate(f: PolyhedralFunction, x: Sequence) -> Ext:
+    value, _ = eval_with_subgradient(f, x)
     return value
 
 
-def eval_with_subgradient(
-    f: PolyhedralFunction, x: Sequence, mode: str = EXACT, tolerance=None
-) -> tuple[Ext, Vec | None]:
+def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec | None]:
     """Value and one subgradient; (+inf, None) outside the domain."""
     if len(x) != f.dim:
         raise StructuralError(
@@ -218,7 +215,7 @@ def eval_with_subgradient(
     b = LpBuilder()
     lam = b.convex_weights([p for p, _ in f.data], x)
     b.set_objective({lam[i]: f.data[i][1] for i in range(len(lam))})
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status == "infeasible":
         return POS_INF, None
     if res.status != "optimal":
@@ -248,8 +245,6 @@ class SupResult:
 def sup_affine_minus_convex(
     phi: AffineFunctional,
     terms: Sequence[tuple[PolyhedralFunction, AffineMap]],
-    mode: str = EXACT,
-    tolerance=None,
 ) -> SupResult:
     """sup over z of phi(z) - sum_k Psi_k(M_k z), solved as one LP.
 
@@ -287,7 +282,7 @@ def sup_affine_minus_convex(
                         row[zvars[j]] = row.get(zvars[j], Fraction(0)) - comp.coeffs[j]
                 b.add(row, GE, comp.constant)
             b.add_objective_term(s, Fraction(-1))
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status == "infeasible":
         return SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms))
     if res.status == "unbounded":
@@ -303,12 +298,10 @@ def sup_affine_minus_convex(
     return SupResult("attained", res.value, argmax, None, tuple(weights))
 
 
-def fenchel_young_gap(
-    f: PolyhedralFunction, z: Sequence, x: Sequence, mode: str = EXACT, tolerance=None
-) -> Ext:
+def fenchel_young_gap(f: PolyhedralFunction, z: Sequence, x: Sequence) -> Ext:
     """f(z) + f*(x) - <x, z>; nonnegative, and 0 exactly on subgradient pairs."""
-    fz = evaluate(f, z, mode, tolerance)
-    fx = evaluate(f.conjugate(), x, mode, tolerance)
+    fz = evaluate(f, z)
+    fx = evaluate(f.conjugate(), x)
     if fz == POS_INF or fx == POS_INF:
         return POS_INF
     return fz + fx - dot(vec(x), vec(z))

@@ -50,7 +50,6 @@ from .interiority import _fiber_value, boundedness_condition, boundedness_over_s
 from .numerics import (
     EQ,
     GE,
-    EXACT,
     NEG_INF,
     POS_INF,
     Ext,
@@ -58,7 +57,6 @@ from .numerics import (
     PreconditionError,
     StructuralError,
     Vec,
-    comparison_slack,
     dot,
     ext_sub,
     frac,
@@ -292,13 +290,13 @@ class DualityReport:
         return all(self.hypothesis_flags.values())
 
 
-def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool, mode, tolerance):
+def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool):
     """(lhs value, attaining point) of sup phi - sum of terms.
 
     An unbounded sup is +inf where the variable space is a full vector
     space (may_escape); on bounded domains it would be a kernel bug.
     """
-    sup = sup_affine_minus_convex(phi, terms, mode, tolerance)
+    sup = sup_affine_minus_convex(phi, terms)
     if sup.status == "unbounded":
         if may_escape:
             return POS_INF, None
@@ -309,7 +307,7 @@ def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool, mode, to
 
 
 def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[PolyhedralFunction] = (),
-             constant=Fraction(0), constraint: Sequence = (), mode=EXACT, tolerance=None):
+             constant=Fraction(0), constraint: Sequence = ()):
     """(rhs value, witness covector, unbounded direction) of the epigraph dual.
 
     Minimizes the sum of every group's value at x* plus constant, subject
@@ -350,7 +348,7 @@ def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[Polyhedral
             if value:
                 objective[theta[j]] = value
     b.set_objective(objective, constant)
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status == "unbounded":
         return NEG_INF, None, tuple(res.ray[j] for j in xs)
     if res.status == "infeasible":
@@ -511,7 +509,7 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
-def _scenario_flags(s: DualityScenario, mode, tolerance):
+def _scenario_flags(s: DualityScenario):
     notes: list = []
     flags: dict = {}
     if s.kind == "sublevel":
@@ -519,12 +517,9 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
 
         q = SublevelQuery.build(s.psi, s.b_map, s.gamma)
         flags["subspace"] = q.subspace_ok
-        flags["interiority"] = (
-            interiority_margin(q, mode, tolerance).holds if q.subspace_ok else False
-        )
+        flags["interiority"] = interiority_margin(q).holds if q.subspace_ok else False
         flags["h_proper"] = polytope_contains(
-            Polytope.of([s.b_map(p) for p, _ in s.psi.samples]),
-            (Fraction(0),) * s.b_map.out_dim, mode, tolerance,
+            Polytope.of(q.images), (Fraction(0),) * s.b_map.out_dim
         )
         notes.append(f"interiority tested at level {s.gamma}")
         return flags, tuple(notes)
@@ -550,7 +545,7 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
                     for r in range(x)
                 )
                 slide = AffineMap(slide_rows, tuple(-t for t in q[:x]), x + u)
-                if boundedness_condition(s.g, proj_u, slide, q, delta, mode, tolerance):
+                if boundedness_condition(s.g, proj_u, slide, q, delta):
                     found = True
                     break
             flags["boundedness"] = found
@@ -575,22 +570,20 @@ def _scenario_flags(s: DualityScenario, mode, tolerance):
     b_images = [tri.b_map(p) for p, _ in tri.psi.samples]
     if s.hypothesis_mode == "boundedness":
         delta = max(v for _, v in tri.psi.samples) + 1
-        flags["boundedness"] = boundedness_over_samples(
-            tri.psi, tri.a_map, tri.b_map, delta, mode, tolerance
-        )
+        flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
         notes.append("delta_uniformity_not_checked")
     else:
         ok, _ = cone_union_is_subspace(b_images)
         flags["closed_subspace"] = ok
         notes.append("queries are continuous in finite dimension")
     flags["h_proper"] = polytope_contains(
-        Polytope.of(b_images), (Fraction(0),) * tri.b_map.out_dim, mode, tolerance
+        Polytope.of(b_images), (Fraction(0),) * tri.b_map.out_dim
     )
     notes.append("sample-form functions are closed by construction")
     return flags, tuple(notes)
 
 
-def _query_sides(s: DualityScenario, query: AffineFunctional, mode, tolerance):
+def _query_sides(s: DualityScenario, query: AffineFunctional):
     """(lhs, lhs witness, rhs, dual witness, unbounded direction) at a query.
 
     Each kind states its left side as an affine objective and a list of
@@ -642,12 +635,12 @@ def _query_sides(s: DualityScenario, query: AffineFunctional, mode, tolerance):
         constraint = [(tuple(s.c_map.linear[c][j] for c in range(x)), w_cov[j])
                       for j in range(w)]
         constant = query.constant
-    lhs, lhs_wit = _sup_side(phi, terms, s.kind == "indicator_linear", mode, tolerance)
-    rhs, wit, ray = _dual_lp(groups, trailing, constant, constraint, mode, tolerance)
+    lhs, lhs_wit = _sup_side(phi, terms, s.kind == "indicator_linear")
+    rhs, wit, ray = _dual_lp(groups, trailing, constant, constraint)
     return lhs, lhs_wit, rhs, wit, ray
 
 
-def verify(s: DualityScenario, mode: str = EXACT, tolerance=None) -> list:
+def verify(s: DualityScenario) -> list:
     """Two-sided check of the scenario's identity at each query.
 
     Always returns a report per query.  Weak duality (gap >= 0) is enforced
@@ -655,22 +648,19 @@ def verify(s: DualityScenario, mode: str = EXACT, tolerance=None) -> list:
     flag is certified, in which case a nonzero gap raises rather than being
     reported as a counterexample.
     """
-    flags, notes = _scenario_flags(s, mode, tolerance)
-    # float-mode pivoting leaves roundoff in the gap; the invariants and
-    # attainment then hold up to the solve tolerance (exactly, in exact mode)
-    slack = comparison_slack(mode, tolerance)
+    flags, notes = _scenario_flags(s)
     reports = []
     for query in s.queries:
-        lhs, lhs_wit, rhs, wit, ray = _query_sides(s, query, mode, tolerance)
+        lhs, lhs_wit, rhs, wit, ray = _query_sides(s, query)
         gap = ext_sub(rhs, lhs)
-        if gap < -slack:
+        if gap < 0:
             raise RuntimeError("weak duality violated; LP kernel is unsound")
         extra = ()
         if s.kind == "indicator_linear" and lhs is POS_INF:
             extra = ("query escapes range(C^T); both sides are +inf",)
-        attained = wit is not None and abs(gap) <= slack
+        attained = wit is not None and gap == 0
         if all(flags.values()) and lhs not in (POS_INF, NEG_INF):
-            if abs(gap) > slack or not attained:
+            if gap != 0 or not attained:
                 raise RuntimeError(
                     "certified hypotheses with a nonzero gap; LP kernel is unsound"
                 )

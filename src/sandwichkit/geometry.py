@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 from .numerics import (
     EQ,
-    EXACT,
     LpBuilder,
     StructuralError,
     Vec,
@@ -131,11 +130,11 @@ class Polytope:
             raise StructuralError("a polytope needs at least one vertex")
         return Polytope(len(pts[0]), pts)
 
-    def contains(self, point: Sequence, mode: str = EXACT, tolerance=None) -> bool:
-        return polytope_contains(self, point, mode, tolerance)
+    def contains(self, point: Sequence) -> bool:
+        return polytope_contains(self, point)
 
 
-def polytope_contains(p: Polytope, x: Sequence, mode: str = EXACT, tolerance=None) -> bool:
+def polytope_contains(p: Polytope, x: Sequence) -> bool:
     """Membership in conv(vertices), decided by LP feasibility."""
     if len(x) != p.dim:
         raise StructuralError(
@@ -143,10 +142,10 @@ def polytope_contains(p: Polytope, x: Sequence, mode: str = EXACT, tolerance=Non
         )
     b = LpBuilder()
     b.convex_weights(p.vertices, x)
-    return b.solve(mode, tolerance).status == "optimal"
+    return b.solve().status == "optimal"
 
 
-def interior_margin(p: Polytope, x: Sequence, mode: str = EXACT, tolerance=None) -> Fraction:
+def interior_margin(p: Polytope, x: Sequence) -> Fraction:
     """Largest r with x +- r e_j in p for every coordinate direction; 0 if none.
 
     A positive value certifies x lies in the ambient interior of p.
@@ -163,7 +162,7 @@ def interior_margin(p: Polytope, x: Sequence, mode: str = EXACT, tolerance=None)
             shift = [{r: -sign} if c == c_dir else {} for c in range(p.dim)]
             b.convex_weights(p.vertices, x, shift)
     b.set_objective({r: 1})
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status != "optimal":
         return Fraction(0)
     return res.value

@@ -3,7 +3,7 @@
 The central question: given a sample-form convex function Phi, an affine map
 B into a direction space, and a level gamma, does 0 lie in the relative
 interior of B({Phi < gamma})?  Everything reduces to small LPs over simplex
-weights, so answers are exact in the default mode.
+weights, so every answer is exact.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,15 +13,12 @@ from .convexfn import PolyhedralFunction, V_FORM, evaluate
 from .geometry import AffineMap, Subspace, cone_union_is_subspace, polytope_contains, vec_neg
 from .numerics import (
     LE,
-    EXACT,
     POS_INF,
     Ext,
     LpBuilder,
     PreconditionError,
     StructuralError,
     Vec,
-    comparison_slack,
-    exact_point,
     frac,
     vec,
 )
@@ -31,7 +28,8 @@ from .numerics import (
 class SublevelQuery:
     """A function, a map into the direction space, and a level to test at.
 
-    y is the span of the scaled images of dom(phi) under b_map when those
+    images holds b_map's image of each sample of phi, in sample order.  y
+    is the span of the scaled images of dom(phi) under b_map when those
     images positively span a linear subspace; subspace_ok records whether
     they do.  Most operations require subspace_ok, since the relative
     interior is taken within y.
@@ -42,6 +40,7 @@ class SublevelQuery:
     gamma: Fraction
     subspace_ok: bool
     y: Optional[Subspace]
+    images: tuple[Vec, ...]
 
     @staticmethod
     def build(phi: PolyhedralFunction, b_map: AffineMap, gamma) -> "SublevelQuery":
@@ -49,9 +48,9 @@ class SublevelQuery:
             raise StructuralError("sublevel queries need a sample-form function")
         if b_map.in_dim != phi.dim:
             raise StructuralError("direction map does not act on the function's space")
-        images = [b_map(p) for p, _ in phi.samples]
+        images = tuple(b_map(p) for p, _ in phi.samples)
         ok, span = cone_union_is_subspace(images)
-        return SublevelQuery(phi, b_map, frac(gamma), ok, span)
+        return SublevelQuery(phi, b_map, frac(gamma), ok, span, images)
 
 
 @dataclass(frozen=True)
@@ -103,14 +102,13 @@ class Corollary21Result:
     margin: MarginResult
 
 
-def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
-              mode: str = EXACT, tolerance=None):
+def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec):
     """(min of sum lam_i values_i over convex weights with sum lam_i images_i
     = target, the optimal weights), or (+inf, None) when target is not hit."""
     b = LpBuilder()
     lam = b.convex_weights(images, target)
     b.set_objective({lam[i]: values[i] for i in range(len(values))})
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status == "infeasible":
         return POS_INF, None
     if res.status != "optimal":
@@ -118,8 +116,7 @@ def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
     return res.value, [res.point[j] for j in lam]
 
 
-def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec,
-                 mode: str = EXACT, tolerance=None):
+def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec):
     """(inf of phi over {b_map z = target}, argmin).
 
     Returns (+inf, None) when the fiber misses the domain.  The infimum is
@@ -127,8 +124,7 @@ def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec,
     """
     points = [p for p, _ in phi.samples]
     values = [v for _, v in phi.samples]
-    value, weights = _fiber_lp(values, [b_map(p) for p in points], tuple(target),
-                               mode, tolerance)
+    value, weights = _fiber_lp(values, [b_map(p) for p in points], tuple(target))
     if weights is None:
         return value, None
     argmin = tuple(
@@ -139,8 +135,7 @@ def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec,
 
 
 def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
-                     level: Fraction, directions: Sequence[Vec],
-                     mode: str = EXACT, tolerance=None) -> Fraction:
+                     level: Fraction, directions: Sequence[Vec]) -> Fraction:
     """Largest r so that every r*d is hit by B from the level-sublevel set.
 
     images and target are B's images of the samples and B's target, possibly
@@ -161,7 +156,7 @@ def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: 
         lam = b.convex_weights(images, target, reach)
         b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)
         b.set_objective({r: 1})
-        res = b.solve(mode, tolerance)
+        res = b.solve()
         if res.status != "optimal":
             raise StructuralError("reach LP is feasible at r = 0 and bounded")
         if best is None or res.value < best:
@@ -172,8 +167,7 @@ def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: 
 
 
 def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
-                  gamma: Fraction, directions: Sequence[Vec],
-                  mode: str = EXACT, tolerance=None) -> MarginResult:
+                  gamma: Fraction, directions: Sequence[Vec]) -> MarginResult:
     """Dyadic level sweep deciding relative interiority with a margin.
 
     values are the sample values of phi; images and target are the stacked
@@ -183,21 +177,16 @@ def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec
     increasing levels forces zero reach at every level below gamma; the
     sweep never needs more than two levels.
     """
-    m, _ = _fiber_lp(values, images, target, mode, tolerance)
+    m, _ = _fiber_lp(values, images, target)
     if m is POS_INF or m >= gamma:
         return MarginResult(False, Fraction(0), gamma)
     if not directions:
         # zero-dimensional direction space: membership is all there is
         return MarginResult(True, Fraction(0), gamma)
-    if not isinstance(m, Fraction):
-        # float-mode fiber value: any exact level between it and gamma
-        # serves the sweep, and LP rows are built exactly in every mode
-        m = Fraction(m)
     level = gamma
     for k in (1, 2):
         level = gamma - (gamma - m) / 2**k
-        reach = _direction_reach(values, images, target, level, directions,
-                                 mode, tolerance)
+        reach = _direction_reach(values, images, target, level, directions)
         if reach > 0:
             return MarginResult(True, reach, level)
     return MarginResult(False, Fraction(0), level)
@@ -211,7 +200,7 @@ def _basis_directions(y: Subspace) -> list:
     return dirs
 
 
-def interiority_margin(q: SublevelQuery, mode: str = EXACT, tolerance=None) -> MarginResult:
+def interiority_margin(q: SublevelQuery) -> MarginResult:
     """Decide 0 in relint B({phi < gamma}) and report a witnessing margin.
 
     The margin is a radius r > 0 such that every +-r*(basis direction of y)
@@ -224,14 +213,12 @@ def interiority_margin(q: SublevelQuery, mode: str = EXACT, tolerance=None) -> M
             "scaled images of the domain do not positively span a subspace; "
             "the relative interior is not defined by this query"
         )
-    if q.y.is_trivial:
-        m, _ = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim,
-                            mode, tolerance)
-        return MarginResult(m < q.gamma, Fraction(0), q.gamma)
     values = [v for _, v in q.phi.samples]
-    images = [q.b_map(p) for p, _ in q.phi.samples]
-    return _margin_sweep(values, images, (Fraction(0),) * q.b_map.out_dim, q.gamma,
-                         _basis_directions(q.y), mode, tolerance)
+    zero = (Fraction(0),) * q.b_map.out_dim
+    if q.y.is_trivial:
+        m, _ = _fiber_lp(values, q.images, zero)
+        return MarginResult(m < q.gamma, Fraction(0), q.gamma)
+    return _margin_sweep(values, q.images, zero, q.gamma, _basis_directions(q.y))
 
 
 def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMap) -> None:
@@ -242,7 +229,7 @@ def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMa
 
 
 def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], a_target: Vec,
-                       b_dim: int, delta: Fraction, mode: str, tolerance) -> bool:
+                       b_dim: int, delta: Fraction) -> bool:
     """The margin sweep over B's unit directions on the fiber {A z = a_target}.
 
     stacked holds each sample's B image followed by its A image.
@@ -253,12 +240,11 @@ def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], a_tar
         units.append(e)
         units.append(vec_neg(e))
     target = (Fraction(0),) * b_dim + tuple(a_target)
-    return _margin_sweep(values, stacked, target, delta, units, mode, tolerance).holds
+    return _margin_sweep(values, stacked, target, delta, units).holds
 
 
 def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
-                          b_map: AffineMap, z0: Sequence, delta,
-                          mode: str = EXACT, tolerance=None) -> bool:
+                          b_map: AffineMap, z0: Sequence, delta) -> bool:
     """Full-space interiority of B over one fiber of A, below level delta.
 
     Decides 0 in int B({z : a_map z = a_map z0, psi z < delta}) with the
@@ -266,17 +252,15 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     """
     _check_fiber_maps(psi, a_map, b_map)
     z0 = vec(z0)
-    if not polytope_contains(psi.domain(), z0, mode, tolerance):
+    if not polytope_contains(psi.domain(), z0):
         raise PreconditionError(f"base point {z0} lies outside the domain")
     values = [v for _, v in psi.samples]
     stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
-    return _boundedness_sweep(values, stacked, a_map(z0), b_map.out_dim, frac(delta),
-                              mode, tolerance)
+    return _boundedness_sweep(values, stacked, a_map(z0), b_map.out_dim, frac(delta))
 
 
 def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
-                             b_map: AffineMap, delta, mode: str = EXACT,
-                             tolerance=None) -> bool:
+                             b_map: AffineMap, delta) -> bool:
     """Whether boundedness_condition holds at some sample of psi as base point.
 
     Equal to any(boundedness_condition(psi, a_map, b_map, z0, delta)) over
@@ -292,12 +276,12 @@ def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
     a_images = [a_map(p) for p, _ in psi.samples]
     stacked = [b_map(p) + ai for (p, _), ai in zip(psi.samples, a_images)]
     for key in dict.fromkeys(a_images):
-        if _boundedness_sweep(values, stacked, key, b_map.out_dim, delta, mode, tolerance):
+        if _boundedness_sweep(values, stacked, key, b_map.out_dim, delta):
             return True
     return False
 
 
-def theorem20_equivalence(q: SublevelQuery, mode: str = EXACT, tolerance=None) -> Theorem20Result:
+def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:
     """Compute the margin, membership, and infimum forms independently.
 
     c26 reads the fiber LP's optimal value; c25 re-evaluates the fiber LP's
@@ -309,25 +293,21 @@ def theorem20_equivalence(q: SublevelQuery, mode: str = EXACT, tolerance=None) -
             "scaled images of the domain do not positively span a subspace; "
             "the equivalence needs that precondition"
         )
-    m, argmin = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim,
-                             mode, tolerance)
+    m, argmin = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim)
     c26 = m is not POS_INF and m < q.gamma
     if argmin is None:
         c25 = False
     else:
-        # float-mode argmin components are rationalized so the evaluation
-        # LP is built exactly; the agreement check then allows the solve
-        # tolerance instead of demanding float identity
-        value = evaluate(q.phi, exact_point(argmin), mode, tolerance)
-        if abs(value - m) > comparison_slack(mode, tolerance):
+        value = evaluate(q.phi, argmin)
+        if value != m:
             raise RuntimeError("fiber argmin re-evaluation disagrees; LP kernel is unsound")
         c25 = value < q.gamma
-    c24 = interiority_margin(q, mode, tolerance).holds
+    c24 = interiority_margin(q).holds
     return Theorem20Result(c24, c25, c26, m)
 
 
 def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
-                   i_max: int = 16, mode: str = EXACT, tolerance=None) -> Lemma19aResult:
+                   i_max: int = 16) -> Lemma19aResult:
     """Cover each probe direction by an integer-scaled sublevel image.
 
     For probe y the check finds the smallest i <= i_max with y/i in
@@ -337,8 +317,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
     delta = frac(delta)
-    m, _ = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim,
-                        mode, tolerance)
+    m, _ = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim)
     if m is POS_INF or delta <= m:
         raise PreconditionError("the level must exceed the fiber infimum")
     assignments = []
@@ -352,7 +331,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
         found = None
         for i in range(1, i_max + 1):
             target = tuple(c / i for c in probe)
-            value, _ = _fiber_value(q.phi, q.b_map, target, mode, tolerance)
+            value, _ = _fiber_value(q.phi, q.b_map, target)
             if value is not POS_INF and value < delta:
                 found = i
                 break
@@ -362,26 +341,20 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     return Lemma19aResult(all_ok, tuple(assignments))
 
 
-def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap,
-                     mode: str = EXACT, tolerance=None) -> Corollary21Result:
+def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap) -> Corollary21Result:
     """Pick the level fiber-infimum + 1, where interiority always holds.
 
     Requires a nonempty zero-fiber and the subspace precondition; with both
     in place the margin sweep must succeed, and a failure is a kernel bug.
     """
-    m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim,
-                        mode, tolerance)
+    m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim)
     if m is POS_INF:
         raise PreconditionError("the zero-fiber misses the domain; no level works")
-    if not isinstance(m, Fraction):
-        # float-mode fiber value: the level one above it is still valid,
-        # and downstream LP rows are built exactly in every mode
-        m = Fraction(m)
     gamma = m + 1
     q = SublevelQuery.build(phi, b_map, gamma)
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
-    res = interiority_margin(q, mode, tolerance)
+    res = interiority_margin(q)
     if not res.holds:
         raise RuntimeError("automatic level failed the margin sweep; LP kernel is unsound")
     return Corollary21Result(gamma, res)

@@ -3,27 +3,26 @@
 Every decision made by this package reduces to a linear program solved here,
 so the contract is strict: finite data is `fractions.Fraction`, the extended
 values +inf/-inf appear only as optimum statuses and function values (never
-inside constraint data), and every certificate produced in exact mode is
+inside constraint data), and every certificate the solver produces is
 re-verified in exact arithmetic before the caller sees it.  Strict
 inequalities never enter a program; callers express strictness by level
 shifts.
 
 The solver is a two-phase dense simplex with Bland's rule, which keeps it
 deterministic and cycle-free.  Variables are free unless bounded; bounds are
-folded into explicit rows so dual certificates cover them uniformly.  In
-exact mode the arithmetic between building a program and returning its
-result is on integers (Edmonds' fraction-free elimination; Applegate, Cook,
-Dash and Espinoza 2007): each row is read once as integers over a positive
-scale, each tableau row is held as integers over one common denominator,
-and each certificate is re-checked in integer arithmetic over common
-denominators.
+folded into explicit rows so dual certificates cover them uniformly.  The
+arithmetic between building a program and returning its result is on
+integers (Edmonds' fraction-free elimination; Applegate, Cook, Dash and
+Espinoza 2007): each row is read once as integers over a positive scale,
+each tableau row is held as integers over one common denominator, and each
+certificate is re-checked in integer arithmetic over common denominators.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul, truediv
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 POS_INF = math.inf
@@ -38,10 +37,6 @@ LE = "<="
 EQ = "="
 GE = ">="
 _RELS = (LE, EQ, GE)
-
-EXACT = "exact"
-FLOAT = "float"
-
 
 class StructuralError(ValueError):
     """Malformed data: bad dimensions, relations, or unparseable scalars."""
@@ -108,27 +103,6 @@ def ext_sub(a: Ext, b: Ext) -> Ext:
     if not is_finite(b):
         return POS_INF if b == NEG_INF else NEG_INF
     return a - b
-
-
-def comparison_slack(mode: str, tolerance=None):
-    """Zero in exact mode; the float-mode solve tolerance otherwise.
-
-    Boundary decisions on solver outputs (gap zero, margin nonnegative)
-    must allow exactly this much roundoff in float mode and none in exact
-    mode; the default matches lp_solve's.
-    """
-    if mode == EXACT:
-        return Fraction(0)
-    return 1e-9 if tolerance is None else float(tolerance)
-
-
-def exact_point(values: Sequence) -> Vec:
-    """Rationalize a solver point: binary floats are exact rationals.
-
-    Keeps constructed data exact in float mode; only solve arithmetic and
-    comparisons are approximate.
-    """
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def vec(values: Iterable) -> Vec:
@@ -282,7 +256,7 @@ def _int_rows(lp: LinearProgram) -> list[tuple[list[int], str, int, int]]:
     return rows
 
 
-# Exact-mode tableau rows are lists of ints: the numerators of the row's
+# Tableau rows are lists of ints: the numerators of the row's
 # entries over one positive common denominator, which is kept last.  Integer
 # arithmetic on a whole row is several times faster than one Fraction per
 # entry, and the entries are the same rationals.
@@ -307,13 +281,13 @@ def _eliminate(row: list[int], unit: list[int], col: int) -> None:
     row[:] = _reduced(out)
 
 
-def _split_back(vals: dict, pos: list[int], neg: list[int], quotient) -> list:
+def _split_back(vals: dict, pos: list[int], neg: list[int]) -> list[Fraction]:
     """x_j = x+_j - x-_j from {column: (numerator, denominator)}."""
     out = []
     for p, q in zip(pos, neg):
         a, b = vals.get(p, (0, 1))
         c, d = vals.get(q, (0, 1))
-        out.append(quotient(a * d - c * b, b * d))
+        out.append(Fraction(a * d - c * b, b * d))
     return out
 
 
@@ -322,7 +296,7 @@ class _Unbounded(Exception):
         self.col = col
 
 
-def _solve_rows(rows, obj, minimize, n, exact, tol):
+def _solve_rows(rows, obj, minimize, n):
     """Two-phase simplex on the integer rows of `_int_rows` over n variables.
 
     obj is the objective's integer image (C, s) from `_int_image`, minimized
@@ -335,17 +309,10 @@ def _solve_rows(rows, obj, minimize, n, exact, tol):
       ("infeasible", farkas_per_row)
       ("unbounded", ray)
     with everything expressed over the original n variables / len(rows) rows,
-    as Fractions in exact mode and floats otherwise.
+    as Fractions.
     """
     m = len(rows)
     sign = 1 if minimize else -1
-    if exact:
-        zero, one, tolz = 0, 1, 0
-        # results leave as Fractions; a row's denominator is its last entry
-        quotient, den = Fraction, (lambda row: row[-1])
-    else:
-        zero, one, tolz = 0.0, 1.0, tol
-        quotient, den = truediv, (lambda row: one)
 
     # At most one x_j >= 0 row is folded per variable; duplicates stay rows.
     bound_row: dict[int, int] = {}
@@ -383,100 +350,64 @@ def _solve_rows(rows, obj, minimize, n, exact, tol):
 
     def split_row(coeffs, width):
         # coeffs over the n variables, on each x+ and x- column, in zeros
-        row = [zero] * width
+        row = [0] * width
         for j, v in enumerate(coeffs):
             row[pos[j]] = v
             if neg[j] >= 0:
                 row[neg[j]] = -v
         return row
 
-    tab: list[list] = []
+    tab: list[list[int]] = []
     flips: list[int] = []
     slack_idx = nv
     for t, i in enumerate(gen):
+        # entries over the denominator s, which appends last: 1 is s / s
         a, rel, b, s = rows[i]
-        if exact:
-            # entries over the denominator s, which appends last: 1 is s / s
-            unit = s
-        else:
-            a, b, unit = [x / s for x in a], b / s, one
         row = split_row(a, ncol + 1)
         if rel != EQ:
-            row[slack_idx] = unit if rel == LE else -unit
+            row[slack_idx] = s if rel == LE else -s
             slack_idx += 1
-        if b < zero:
+        if b < 0:
             row = [-v for v in row]
             b = -b
             flips.append(-1)
         else:
             flips.append(1)
-        row[ns + t] = unit
+        row[ns + t] = s
         row[ncol] = b
-        if exact:
-            row.append(s)
-            row = _reduced(row)
-        tab.append(row)
+        row.append(s)
+        tab.append(_reduced(row))
     basis = [ns + t for t in range(mt)]
 
     def pivot(rc, r, col):
         prow = tab[r]
-        if exact:
-            _unit_at(prow, col)
-            for other in (*tab, rc):
-                if other is not prow and other[col]:
-                    _eliminate(other, prow, col)
-            basis[r] = col
-            return
-        inv = one / prow[col]
-        for j in range(ncol + 1):
-            prow[j] = prow[j] * inv
-        for other in tab:
-            if other is prow:
-                continue
-            f = other[col]
-            if f != zero:
-                for j in range(ncol + 1):
-                    other[j] = other[j] - f * prow[j]
-        f = rc[col]
-        if f != zero:
-            for j in range(ncol + 1):
-                rc[j] = rc[j] - f * prow[j]
+        _unit_at(prow, col)
+        for other in (*tab, rc):
+            if other is not prow and other[col]:
+                _eliminate(other, prow, col)
         basis[r] = col
 
     def reduced_costs(rc):
-        # rc is the cost row, with a zero right-hand side (and, in exact
-        # mode, its denominator); each basic column is a unit column, so
-        # clearing rc there subtracts exactly rc's entry times row r (float
-        # mode takes the entry from the cost row, unaffected by roundoff)
-        cost = rc[:]
+        # rc is the cost row, with a zero right-hand side and its
+        # denominator; each basic column is a unit column, so clearing rc
+        # there subtracts exactly rc's entry times row r
         for r, row in enumerate(tab):
-            if exact:
-                if rc[basis[r]]:
-                    _eliminate(rc, row, basis[r])
-                continue
-            cb = cost[basis[r]]
-            if cb != zero:
-                for j in range(ncol + 1):
-                    rc[j] = rc[j] - cb * row[j]
+            if rc[basis[r]]:
+                _eliminate(rc, row, basis[r])
         return rc
 
     def leaving(enter):
-        # Bland's ratio test; an exact row's denominator cancels in b / e,
-        # so candidates compare by cross-multiplying b and e (e > 0)
+        # Bland's ratio test; a row's denominator cancels in b / e, so
+        # candidates compare by cross-multiplying b and e (e > 0)
         leave = -1
-        best_b, best_e = zero, one
+        best_b, best_e = 0, 1
         for r, row in enumerate(tab):
             e = row[enter]
-            if e > tolz:
+            if e > 0:
                 b = row[ncol]
-                if exact:
-                    lhs, rhs = b * best_e, best_b * e
-                    if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                        best_b, best_e, leave = b, e, r
-                    continue
-                ratio = b / e
-                if leave < 0 or ratio < best_b or (ratio == best_b and basis[r] < basis[leave]):
-                    best_b, leave = ratio, r
+                lhs, rhs = b * best_e, best_b * e
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    best_b, best_e, leave = b, e, r
         return leave
 
     def run(rc, enter_limit):
@@ -488,7 +419,7 @@ def _solve_rows(rows, obj, minimize, n, exact, tol):
                 raise RuntimeError("simplex iteration cap exceeded (internal bug)")
             enter = -1
             for j in range(enter_limit):
-                if rc[j] < -tolz:
+                if rc[j] < 0:
                     enter = j
                     break
             if enter < 0:
@@ -499,24 +430,20 @@ def _solve_rows(rows, obj, minimize, n, exact, tol):
             pivot(rc, leave, enter)
 
     # Phase 1: drive the artificial variables to zero.
-    rc1 = reduced_costs([zero] * ns + [one] * mt + ([0, 1] if exact else [zero]))
+    rc1 = reduced_costs([0] * ns + [1] * mt + [0, 1])
     try:
         run(rc1, ncol)
     except _Unbounded:  # pragma: no cover - phase 1 is bounded below by 0
         raise RuntimeError("phase-1 unbounded (internal bug)")
 
-    if exact:
-        # the ratio test keeps every right-hand side nonnegative
-        infeasible = any(tab[r][ncol] > 0 for r in range(len(tab)) if basis[r] >= ns)
-    else:
-        infeasible = sum(tab[r][ncol] for r in range(len(tab)) if basis[r] >= ns) > tol
-    if infeasible:
-        d = den(rc1)
-        farkas = [zero] * m
+    # the ratio test keeps every right-hand side nonnegative
+    if any(tab[r][ncol] > 0 for r in range(len(tab)) if basis[r] >= ns):
+        d = rc1[-1]
+        farkas = [0] * m
         for t, i in enumerate(gen):
-            farkas[i] = quotient(flips[t] * (d - rc1[ns + t]), d)
+            farkas[i] = Fraction(flips[t] * (d - rc1[ns + t]), d)
         for j, i in bound_row.items():
-            farkas[i] = quotient(rc1[pos[j]], d)
+            farkas[i] = Fraction(rc1[pos[j]], d)
         return ("infeasible", farkas)
 
     # Clean-up: pivot surviving artificials out of the basis; a row with no
@@ -524,12 +451,7 @@ def _solve_rows(rows, obj, minimize, n, exact, tol):
     dropped: list[int] = []
     for r in range(len(tab)):
         if basis[r] >= ns:
-            col = -1
-            for j in range(ns):
-                e = tab[r][j]
-                if (e != 0) if exact else (abs(e) > tol):
-                    col = j
-                    break
+            col = next((j for j in range(ns) if tab[r][j]), -1)
             if col >= 0:
                 pivot(rc1, r, col)
             else:
@@ -540,28 +462,25 @@ def _solve_rows(rows, obj, minimize, n, exact, tol):
 
     # Phase 2 over the real objective; artificial columns may not re-enter.
     c, s = obj
-    if exact:
-        rc2 = reduced_costs(_reduced(split_row([sign * x for x in c], ncol + 1) + [s]))
-    else:
-        rc2 = reduced_costs(split_row([sign * x / s for x in c], ncol + 1))
+    rc2 = reduced_costs(_reduced(split_row([sign * x for x in c], ncol + 1) + [s]))
     try:
         run(rc2, ns)
     except _Unbounded as ub:
-        vals = {ub.col: (one, one)}
+        vals = {ub.col: (1, 1)}
         for r, row in enumerate(tab):
-            vals[basis[r]] = (-row[ub.col], den(row))
-        return ("unbounded", _split_back(vals, pos, neg, quotient))
+            vals[basis[r]] = (-row[ub.col], row[-1])
+        return ("unbounded", _split_back(vals, pos, neg))
 
-    point = _split_back({basis[r]: (row[ncol], den(row)) for r, row in enumerate(tab)},
-                        pos, neg, quotient)
+    point = _split_back({basis[r]: (row[ncol], row[-1]) for r, row in enumerate(tab)},
+                        pos, neg)
     # Duals are read off the artificial columns of the final objective row;
     # a dropped (redundant) row keeps its unit column and so reads back 0.
-    d = den(rc2)
-    duals = [zero] * m
+    d = rc2[-1]
+    duals = [0] * m
     for t, i in enumerate(gen):
-        duals[i] = quotient(-sign * flips[t] * rc2[ns + t], d)
+        duals[i] = Fraction(-sign * flips[t] * rc2[ns + t], d)
     for j, i in bound_row.items():
-        duals[i] = quotient(sign * rc2[pos[j]], d)
+        duals[i] = Fraction(sign * rc2[pos[j]], d)
     return ("optimal", point, duals)
 
 
@@ -647,61 +566,38 @@ def _farkas_ok(rows, n: int, y) -> bool:
     return _rhs_combined(rows, z) > 0
 
 
-def _feasible_within(rows, point, tol) -> bool:
-    """Float mode: every row holds up to tol."""
-    for a, rel, b, s in rows:
-        v = sum((x / s * p for x, p in zip(a, point) if x), start=0.0)
-        b = b / s
-        if rel == LE and not v <= b + tol:
-            return False
-        if rel == GE and not v >= b - tol:
-            return False
-        if rel == EQ and not abs(v - b) <= tol:
-            return False
-    return True
+def lp_solve(lp: LinearProgram) -> LpResult:
+    """Solve lp exactly, returning an optimum with a certificate.
 
-
-def lp_solve(lp: LinearProgram, mode: str = EXACT, tolerance=None) -> LpResult:
-    """Solve lp, returning an optimum with a certificate, exactly by default.
-
-    Exact mode re-verifies the point and certificate before returning; a
+    The point and the certificate are re-verified before returning; a
     verification failure raises RuntimeError (it would mean a kernel bug, not
-    a property of the input).  Float mode runs the same pivoting with a
-    comparison tolerance (default 1e-9) and skips exact verification.
+    a property of the input).
     """
     lp.validate()
-    if mode not in (EXACT, FLOAT):
-        raise StructuralError(f"mode must be 'exact' or 'float', got {mode!r}")
-    exact = mode == EXACT
-    tol = 1e-9 if tolerance is None else float(tolerance)
-
     rows = _int_rows(lp)
     obj = _int_image(lp.objective)
     minimize = lp.sense == "min"
-    out = _solve_rows(rows, obj, minimize, lp.num_vars, exact, tol)
+    out = _solve_rows(rows, obj, minimize, lp.num_vars)
 
     if out[0] == "infeasible":
         cert = tuple(out[1])
-        if exact and not _farkas_ok(rows, lp.num_vars, cert):
+        if not _farkas_ok(rows, lp.num_vars, cert):
             raise RuntimeError("internal: Farkas certificate failed verification")
         return LpResult("infeasible", POS_INF if minimize else NEG_INF, farkas=cert)
 
     if out[0] == "unbounded":
         ray = tuple(out[1])
-        if exact and not _ray_ok(rows, obj, minimize, ray):
+        if not _ray_ok(rows, obj, minimize, ray):
             raise RuntimeError("internal: unbounded direction failed verification")
         return LpResult("unbounded", NEG_INF if minimize else POS_INF, ray=ray)
 
     _, point, duals = out
-    if exact:
-        x, d = _int_image(point)
-        value = Fraction(sum(map(mul, obj[0], x)), obj[1] * d)
-        if not _feasible(rows, x, d):
-            raise RuntimeError("internal: optimal point failed feasibility check")
-        if not _dual_ok(rows, obj, minimize, duals, value):
-            raise RuntimeError("internal: dual certificate failed verification")
-    else:
-        value = sum((c * x for c, x in zip(lp.objective, point)), start=0.0)
+    x, d = _int_image(point)
+    value = Fraction(sum(map(mul, obj[0], x)), obj[1] * d)
+    if not _feasible(rows, x, d):
+        raise RuntimeError("internal: optimal point failed feasibility check")
+    if not _dual_ok(rows, obj, minimize, duals, value):
+        raise RuntimeError("internal: dual certificate failed verification")
     return LpResult("optimal", value, point=tuple(point), dual=tuple(duals))
 
 
@@ -712,13 +608,9 @@ def _exact_vector(values, length: int, what: str) -> Vec:
     return vec(values)
 
 
-def check_point_feasible(lp: LinearProgram, point, mode: str = EXACT, tolerance=None) -> bool:
+def check_point_feasible(lp: LinearProgram, point) -> bool:
     lp.validate()
     rows = _int_rows(lp)
-    if mode != EXACT:
-        if len(point) != lp.num_vars:
-            raise StructuralError(f"point length {len(point)} != {lp.num_vars}")
-        return _feasible_within(rows, point, 1e-9 if tolerance is None else float(tolerance))
     return _feasible(rows, *_int_image(_exact_vector(point, lp.num_vars, "point")))
 
 
@@ -862,8 +754,8 @@ class LpBuilder:
             bounds_arg = bounds
         return LinearProgram(n, tuple(obj), self._sense, tuple(constraints), bounds_arg)
 
-    def solve(self, mode: str = EXACT, tolerance=None) -> LpResult:
-        res = lp_solve(self.build(), mode, tolerance)
+    def solve(self) -> LpResult:
+        res = lp_solve(self.build())
         if self.constant:
             if res.status == "optimal":
                 res = replace(res, value=res.value + self.constant)

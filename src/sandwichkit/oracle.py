@@ -9,8 +9,8 @@ generators are its recession directions.  Sample-form functions enter
 through their lower hulls (`LowerHull`), piece-form functions and the
 dual's max groups through one epigraph row per piece.  The left side
 runs over the primal variables plus one epigraph variable per term, the
-right side over the covector plus one per dual group, so in exact mode
-the LP answers must match these optima exactly.
+right side over the covector plus one per dual group, and the LP answers
+must match these optima exactly.
 """
 
 from dataclasses import dataclass
@@ -23,16 +23,13 @@ from .convexfn import AffineFunctional, H_FORM, PolyhedralFunction, V_FORM
 from .duality import DualityScenario, quad_fiber_maps, verify
 from .geometry import AffineMap
 from .numerics import (
-    EXACT,
     NEG_INF,
     POS_INF,
     Ext,
     PreconditionError,
     StructuralError,
     Vec,
-    comparison_slack,
     dot,
-    exact_point,
     vec,
 )
 
@@ -420,14 +417,14 @@ def _dual_min(groups, constant: Fraction, constraint) -> Ext:
     return constant - sup.value
 
 
-def _constraint_holds(constraint, xstar: Vec, slack=Fraction(0)) -> bool:
+def _constraint_holds(constraint, xstar: Vec) -> bool:
     if constraint is None:
         return True
     rows, rhs = constraint
-    return all(abs(dot(row, xstar) - rhs[j]) <= slack for j, row in enumerate(rows))
+    return all(dot(row, xstar) == rhs[j] for j, row in enumerate(rows))
 
 
-def _ray_drops(groups, constraint, ray: Vec, slack=Fraction(0)) -> bool:
+def _ray_drops(groups, constraint, ray: Vec) -> bool:
     """Whether the dual objective falls without bound along the ray.
 
     A max group's asymptotic slope is its largest slope; an envelope
@@ -435,7 +432,7 @@ def _ray_drops(groups, constraint, ray: Vec, slack=Fraction(0)) -> bool:
     """
     if constraint is not None:
         rows, _ = constraint
-        if any(abs(dot(row, ray)) > slack for row in rows):
+        if any(dot(row, ray) != 0 for row in rows):
             return False
     slope = Fraction(0)
     for tag, data in groups:
@@ -445,7 +442,7 @@ def _ray_drops(groups, constraint, ray: Vec, slack=Fraction(0)) -> bool:
     return slope < 0
 
 
-def _witness_check(groups, constant, constraint, report, slack) -> tuple:
+def _witness_check(groups, constant, constraint, report) -> tuple:
     """(ok, notes): the LP's dual certificate, re-checked by arithmetic.
 
     A finite right side must be reproduced at the witness, and -inf must
@@ -456,26 +453,13 @@ def _witness_check(groups, constant, constraint, report, slack) -> tuple:
         return True, ()
     if rhs is NEG_INF:
         ray = report.unbounded_direction
-        ok = ray is not None and _ray_drops(groups, constraint, exact_point(ray), slack)
+        ok = ray is not None and _ray_drops(groups, constraint, ray)
         return ok, ("unbounded dual checked along the reported ray",)
     if report.witness is None:
         return False, ("finite dual value without a witness",)
-    # float-mode reports carry binary-float data; the recompute is exact
-    # on the rationalized witness and compared within the solve tolerance
-    wit = exact_point(report.witness)
-    value = dual_objective_value(groups, constant, wit)
-    ok = (
-        value is not POS_INF
-        and abs(value - rhs) <= slack
-        and _constraint_holds(constraint, wit, slack)
-    )
+    value = dual_objective_value(groups, constant, report.witness)
+    ok = value == rhs and _constraint_holds(constraint, report.witness)
     return ok, ()
-
-
-def _agrees(oracle: Ext, lp: Ext, slack) -> bool:
-    if oracle in (POS_INF, NEG_INF) or lp in (POS_INF, NEG_INF):
-        return oracle == lp
-    return abs(oracle - lp) <= slack
 
 
 @dataclass(frozen=True)
@@ -484,10 +468,9 @@ class CrosscheckReport:
 
     lhs_oracle is the oracle's left side (`exact_sup`), with the LP's
     sign.  lhs_ok and rhs_ok: the oracle's left and right sides equal the
-    LP's, exactly in exact mode and within the solve tolerance in float
-    mode, infinities included.  witness_ok: the dual objective recomputed
-    at the LP witness reproduces the right side, or falls along the LP's
-    unbounded ray.
+    LP's exactly, infinities included.  witness_ok: the dual objective
+    recomputed at the LP witness reproduces the right side, or falls along
+    the LP's unbounded ray.
     """
 
     kind: str
@@ -505,27 +488,26 @@ class CrosscheckReport:
 def crosscheck_scenario(
     s: DualityScenario,
     spec: Optional[GridSpec] = None,
-    mode: str = EXACT,
-    tolerance=None,
     reports: Optional[Sequence] = None,
 ) -> list:
     """Replay each verified query of a scenario against the exact oracle.
 
     Both sides are recomputed as polyhedral optima by double description
     and compared with the LP's; the LP's dual witness or ray is re-checked
-    by direct arithmetic.  spec is accepted for compatibility and ignored.
+    by direct arithmetic.  reports, when given, are verify(s)'s reports,
+    which are then not computed again.  spec is accepted for compatibility
+    and ignored.
     """
-    slack = comparison_slack(mode, tolerance)
     if reports is None:
-        reports = verify(s, mode, tolerance)
+        reports = verify(s)
     out = []
     for rep in reports:
         lhs_oracle = exact_sup(*_left_side(s, rep.query))
         groups, constant, constraint = dual_groups(s, rep.query)
         rhs_oracle = _dual_min(groups, constant, constraint)
-        witness_ok, notes = _witness_check(groups, constant, constraint, rep, slack)
-        lhs_ok = _agrees(lhs_oracle.value, rep.lhs, slack)
-        rhs_ok = _agrees(rhs_oracle, rep.rhs, slack)
+        witness_ok, notes = _witness_check(groups, constant, constraint, rep)
+        lhs_ok = lhs_oracle.value == rep.lhs
+        rhs_ok = rhs_oracle == rep.rhs
         if not lhs_ok:
             notes += (f"oracle left side is {lhs_oracle.value}",)
         if not rhs_ok:

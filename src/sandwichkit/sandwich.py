@@ -18,17 +18,13 @@ from .geometry import AffineMap, Polytope, polytope_contains
 from .numerics import (
     EQ,
     GE,
-    EXACT,
-    POS_INF,
     NEG_INF,
     Ext,
     LpBuilder,
     PreconditionError,
     StructuralError,
     Vec,
-    comparison_slack,
     dot,
-    exact_point,
     vec,
 )
 
@@ -96,7 +92,7 @@ class Separator:
     margin: Fraction
 
 
-def hypothesis_check(inst: SandwichInstance, mode: str = EXACT, tolerance=None) -> HypothesisCheck:
+def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
     """Minimize S(Bz) + k(z) over the samples' hull; the witness attains it."""
     linked = inst.linked_samples()
     b = LpBuilder()
@@ -112,17 +108,16 @@ def hypothesis_check(inst: SandwichInstance, mode: str = EXACT, tolerance=None) 
     for i, (_, v) in enumerate(linked):
         obj[lam[i]] = v
     b.set_objective(obj)
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status != "optimal":
         raise StructuralError("hypothesis LP is feasible and bounded by construction")
-    weights = exact_point(res.point[j] for j in lam)
+    weights = tuple(res.point[j] for j in lam)
     witness = tuple(
         sum((w * p[c] for w, (p, _) in zip(weights, inst.convex.samples)),
             start=Fraction(0))
         for c in range(inst.z_dim)
     )
-    return HypothesisCheck(res.value >= -comparison_slack(mode, tolerance),
-                           res.value, witness)
+    return HypothesisCheck(res.value >= 0, res.value, witness)
 
 
 def separator_margin(inst: SandwichInstance, x_prime: Sequence) -> Fraction:
@@ -131,16 +126,15 @@ def separator_margin(inst: SandwichInstance, x_prime: Sequence) -> Fraction:
     return min(dot(x, bx) + v for bx, v in inst.linked_samples())
 
 
-def check_separator(inst: SandwichInstance, x_prime: Sequence,
-                    mode: str = EXACT, tolerance=None) -> bool:
+def check_separator(inst: SandwichInstance, x_prime: Sequence) -> bool:
     """Dominated by S (hull membership) and majorizes -k on every sample."""
     x = vec(x_prime)
-    if not polytope_contains(inst.sublinear.generator_hull(), x, mode, tolerance):
+    if not polytope_contains(inst.sublinear.generator_hull(), x):
         return False
-    return separator_margin(inst, x) >= -comparison_slack(mode, tolerance)
+    return separator_margin(inst, x) >= 0
 
 
-def find_separator(inst: SandwichInstance, mode: str = EXACT, tolerance=None) -> Separator:
+def find_separator(inst: SandwichInstance) -> Separator:
     """Maximize the worst sample slack over the generator hull.
 
     The optimum equals the hypothesis infimum, so a negative margin is a
@@ -158,27 +152,27 @@ def find_separator(inst: SandwichInstance, mode: str = EXACT, tolerance=None) ->
             row[theta[j]] = dot(g, bx)
         b.add(row, GE, -v)
     b.set_objective({s: 1})
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status != "optimal":
         raise StructuralError("margin LP is feasible and bounded by construction")
-    if res.value < -comparison_slack(mode, tolerance):
-        check = hypothesis_check(inst, mode, tolerance)
+    if res.value < 0:
+        check = hypothesis_check(inst)
         raise HypothesisViolated(check.witness, check.value)
-    weights = exact_point(res.point[j] for j in theta)
+    weights = tuple(res.point[j] for j in theta)
     x_prime = tuple(
         sum((weights[j] * gens[j][c] for j in range(len(gens))), start=Fraction(0))
         for c in range(inst.x_dim)
     )
-    if not check_separator(inst, x_prime, mode, tolerance):
+    if not check_separator(inst, x_prime):
         raise RuntimeError("separator failed re-verification; LP kernel is unsound")
     return Separator(x_prime, weights, separator_margin(inst, x_prime))
 
 
-def verify_hypothesis(inst: SandwichInstance, mode: str = EXACT, tolerance=None) -> bool:
-    return hypothesis_check(inst, mode, tolerance).holds
+def verify_hypothesis(inst: SandwichInstance) -> bool:
+    return hypothesis_check(inst).holds
 
 
-def aux_T(inst: SandwichInstance, x: Sequence, mode: str = EXACT, tolerance=None) -> Ext:
+def aux_T(inst: SandwichInstance, x: Sequence) -> Ext:
     """Value of the auxiliary sublinear minorant at x.
 
     T(x) = inf over nonnegative weights mu of S(x + sum mu_i B(z_i)) + sum
@@ -203,7 +197,7 @@ def aux_T(inst: SandwichInstance, x: Sequence, mode: str = EXACT, tolerance=None
     for i, (_, v) in enumerate(linked):
         obj[mu[i]] = v
     b.set_objective(obj)
-    res = b.solve(mode, tolerance)
+    res = b.solve()
     if res.status == "unbounded":
         return NEG_INF
     if res.status != "optimal":
@@ -211,7 +205,7 @@ def aux_T(inst: SandwichInstance, x: Sequence, mode: str = EXACT, tolerance=None
     return res.value
 
 
-def separator_via_conjugates(inst: SandwichInstance, mode: str = EXACT, tolerance=None):
+def separator_via_conjugates(inst: SandwichInstance):
     """Recover a separator from the conjugate-duality route.
 
     Builds the additive-coupling identity with the lower bound as the first
@@ -229,15 +223,15 @@ def separator_via_conjugates(inst: SandwichInstance, mode: str = EXACT, toleranc
         link=inst.link,
         queries=[(Fraction(0),) * inst.z_dim],
     )
-    report = verify(scenario, mode=mode, tolerance=tolerance)[0]
+    report = verify(scenario)[0]
     if report.witness is None:
-        check = hypothesis_check(inst, mode, tolerance)
+        check = hypothesis_check(inst)
         raise HypothesisViolated(check.witness, check.value)
     x_prime = report.witness
     margin = separator_margin(inst, x_prime)
     if margin < 0:
-        check = hypothesis_check(inst, mode, tolerance)
+        check = hypothesis_check(inst)
         raise HypothesisViolated(check.witness, check.value)
-    if not check_separator(inst, x_prime, mode, tolerance):
+    if not check_separator(inst, x_prime):
         raise RuntimeError("conjugate-route separator failed re-verification")
     return Separator(x_prime, None, margin), report

@@ -130,22 +130,26 @@ class TestExitCodeContract:
         assert code == EXIT_INPUT
         assert doc["error"]["field"] == "file"
 
-    def test_tolerance_requires_float_mode(self, capsys):
-        code, doc = run_json(capsys, [
-            "eval", str(CORPUS / "fenchel.json"),
-            "--function", "g", "--at", "0", "--tolerance", "1/100",
-        ])
-        assert code == EXIT_INPUT
-        assert doc["error"]["field"] == "--tolerance"
+    def test_no_float_mode(self, capsys, monkeypatch):
+        argv = ["verify", str(CORPUS / "fenchel.json"), "--report", "json"]
+        monkeypatch.delenv("SANDWICHKIT_MODE", raising=False)
+        code, out = run(capsys, argv)
+        monkeypatch.setenv("SANDWICHKIT_MODE", "float")
+        assert run(capsys, argv) == (code, out)
+        assert json.loads(out)["mode"] == "exact"
+        for extra in (["--mode", "exact"], ["--tolerance", "1/100"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv + extra)
+            assert info.value.code == 2
 
-    def test_bad_mode_in_environment_is_an_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SANDWICHKIT_MODE", "bogus")
-        code, doc = run_json(capsys, ["verify", str(CORPUS / "fenchel.json")])
-        assert code == EXIT_INPUT
-        assert doc["verdict"] == "input_error"
-        assert doc["error"]["field"] == "SANDWICHKIT_MODE"
-        assert "bogus" in doc["error"]["message"]
-        assert "queries" not in doc
+    def test_options_live_on_their_one_subcommand(self):
+        at = ["--function", "g", "--at", "0"]
+        for argv in (["eval", str(CORPUS / "fenchel.json"), *at, "--seed", "3"],
+                     ["interiority", str(CORPUS / "fenchel.json"), "--crosscheck"],
+                     ["selftest", "--crosscheck"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2, argv
 
     def test_violated_sandwich_reports_witness(self, capsys):
         code, doc = run_json(
@@ -290,15 +294,6 @@ class TestCommands:
                 assert check["ok"] is True, (path.name, check["notes"])
         watch.check()
 
-    def test_float_mode_via_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SANDWICHKIT_MODE", "float")
-        code, doc = run_json(capsys, [
-            "eval", str(CORPUS / "fenchel.json"), "--function", "g", "--at", "1/2",
-        ])
-        assert code == EXIT_PASS
-        assert doc["mode"] == "float"
-        assert doc["value"] == 0.5
-
     def test_text_report_has_verdict_line(self, capsys):
         code, out = run(capsys, ["verify", str(CORPUS / "fenchel.json")])
         assert code == EXIT_PASS
@@ -333,7 +328,7 @@ class TestCommands:
         from sandwichkit.convexfn import AffineFunctional
         from sandwichkit.duality import DualityReport
 
-        def doctored(s, mode, tolerance):
+        def doctored(s):
             return [DualityReport(
                 kind=s.kind, query=AffineFunctional((Fraction(3),), Fraction(0)),
                 hypothesis_flags={"boundedness": True, "h_proper": True},
@@ -348,7 +343,7 @@ class TestCommands:
         assert doc["queries"][0]["gap"] == "1"
 
     def test_kernel_canary_maps_to_exit_one(self, capsys, monkeypatch):
-        def exploding(s, mode, tolerance):
+        def exploding(s):
             raise RuntimeError("weak duality violated; LP kernel is unsound")
 
         monkeypatch.setattr(cli, "verify", exploding)

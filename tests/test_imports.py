@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+No linter runs over the package, so this parses each module with `ast`
+and refuses an import that binds a name the module never reads.
+"""
+import ast
+from pathlib import Path
+
+import sandwichkit
+
+MODULES = sorted(Path(sandwichkit.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """{bound name: line} for every import statement, __future__ aside."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def read_names(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_imports():
+    assert {p.name for p in MODULES} >= {"cli.py", "numerics.py", "oracle.py"}
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        read = read_names(tree)
+        for name, line in imported_names(tree).items():
+            if name not in read:
+                unused.append(f"{path.name}:{line}: {name}")
+    assert not unused, unused

@@ -1,4 +1,4 @@
-"""LP kernel: worked optima, certificates, determinism, modes."""
+"""LP kernel: worked optima, certificates, determinism."""
 from __future__ import annotations
 
 import random
@@ -303,27 +303,6 @@ def test_exact_mode_reports_fractions():
                 assert all(type(v) is Fraction for v in cert)
 
 
-def test_float_mode():
-    p = lp(1, [1], "min", [([1], GE, 3)])
-    r = lp_solve(p, mode="float")
-    assert r.status == "optimal"
-    assert abs(r.value - 3.0) < 1e-9
-    assert isinstance(r.value, float)
-    with pytest.raises(StructuralError):
-        lp_solve(p, mode="approx")
-
-
-def test_float_mode_tracks_exact_on_random_programs():
-    rng = random.Random(99)
-    for _ in range(40):
-        p = random_program(rng)
-        re = lp_solve(p)
-        rf = lp_solve(p, mode="float", tolerance=F(1, 10**9))
-        assert re.status == rf.status
-        if re.status == "optimal":
-            assert abs(float(re.value) - rf.value) < 1e-6
-
-
 def test_builder():
     b = LpBuilder("max")
     x = b.var(lo=0)
@@ -450,8 +429,6 @@ class TestCertificateLengths:
             check_point_feasible(p, r.point + (F(99),))
         with pytest.raises(StructuralError):
             check_point_feasible(p, r.point[:1])
-        with pytest.raises(StructuralError):
-            check_point_feasible(p, r.point[:1], mode="float")
 
     def test_dual(self):
         p = lp(1, [1], "min", [([1], GE, 3)])
