@@ -8,12 +8,14 @@ report document on standard output and exits with:
     0   every verdict passed
     1   a mathematical verdict failed under satisfied hypotheses (a bug)
     2   hypotheses unsatisfied (reported, not a failure)
-    3   input error (unreadable file, bad field, dimension mismatch)
+    3   input error (unreadable file, bad field, dimension mismatch, or an
+        argument the parser refuses; its usage message goes to stderr)
 
 JSON reports are fully deterministic: keys sorted, exact rationals as
 strings, a sha256 digest of the input instead of timestamps.
 """
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -897,8 +899,18 @@ def _parse_at(text: str) -> Vec:
     return tuple(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments as input errors: usage on stderr, exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command's parser, built once per process."""
+    parser = _Parser(
         prog="sandwichkit",
         description="Exact verification of polyhedral conjugation identities.",
     )

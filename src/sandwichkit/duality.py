@@ -1,11 +1,11 @@
 """Exact two-sided verification of polyhedral conjugation identities.
 
 Each scenario kind pairs a composite convex function h with a dual formula
-for its conjugate, and every query is checked with one LP per side:
+for its conjugate.  `query_program` states both sides of one query as
+polyhedral data, once for every kind, in a `QueryProgram`:
 
 * the left side h*(query) is sup over the primal variables z of an affine
-  objective minus a sum of terms f_k(M_k z), one `sup_affine_minus_convex`
-  call;
+  objective minus a sum of terms f_k(M_k z), over the fibers {B z = 0};
 * the right side is one epigraph dual (Rockafellar, Convex Analysis,
   Thm 16.4 and Cor. 31.2.1): minimize sum_k phi_k(x*) + constant over the
   covector x*, optionally subject to a linear constraint on x*.  Each group
@@ -13,6 +13,9 @@ for its conjugate, and every query is checked with one LP per side:
   max over (beta, c) of c + <beta, x*>, one epigraph variable t_k with a row
   t_k >= c + <beta, x*> per pair; in sample form (the conjugate of a
   piece-form g) it is a block of convex weights matched to x*.
+
+`verify` solves each side with one LP; `oracle.crosscheck_scenario` solves
+the same program again by double description, with no LP code.
 
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
@@ -41,12 +44,13 @@ from .geometry import (
     AffineMap,
     Polytope,
     cone_union_is_subspace,
+    embed,
     polytope_contains,
     solve_linear,
     vec_neg,
     zero_in_hull,
 )
-from .interiority import _fiber_value, boundedness_condition, boundedness_over_samples
+from .interiority import _boundedness_at, _fiber_value, boundedness_over_samples
 from .numerics import (
     EQ,
     GE,
@@ -60,7 +64,6 @@ from .numerics import (
     dot,
     ext_sub,
     frac,
-    unit_vec,
     vec,
 )
 
@@ -118,10 +121,6 @@ class DualityScenario:
         if not self.queries:
             raise StructuralError("a scenario needs at least one query")
 
-    @property
-    def query_dim(self) -> int:
-        return self.queries[0].dim
-
     @staticmethod
     def sublevel(phi: PolyhedralFunction, b_map: AffineMap, gamma=None,
                  hypothesis_mode: str = "boundedness") -> "DualityScenario":
@@ -135,7 +134,8 @@ class DualityScenario:
         if b_map.in_dim != phi.dim:
             raise StructuralError("direction map does not act on the function's space")
         if gamma is None:
-            m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim)
+            images = [b_map(p) for p, _ in phi.samples]
+            m, _ = _fiber_value(phi, images, (Fraction(0),) * b_map.out_dim)
             gamma = Fraction(1) if m is POS_INF else m + 1
         return DualityScenario(
             kind="sublevel",
@@ -366,40 +366,12 @@ def _g_group(g: PolyhedralFunction, d_map: AffineMap, x: int, v_cov) -> Polyhedr
     return _max_group(x, ((q[:x], dot(v_cov, d_map(q[x:])) - val) for q, val in g.samples))
 
 
-def _bibiv_outer_maps(c_map, d_map, dims):
-    """Projection and term maps for the (w, v, u) outer space."""
-    u, v, w, x = dims
-    total = w + v + u
-
-    def unit_row(j):
-        return tuple(Fraction(1 if k == j else 0) for k in range(total))
-
-    proj_wv = AffineMap(
-        tuple(unit_row(j) for j in range(w + v)),
-        (Fraction(0),) * (w + v), total,
-    )
-    f_rows = [unit_row(j) for j in range(w)]
-    for r in range(v):
-        row = [Fraction(0)] * total
-        row[w + r] = Fraction(1)
-        for k in range(u):
-            row[w + v + k] = -d_map.linear[r][k]
-        f_rows.append(tuple(row))
-    f_offset = (Fraction(0),) * w + tuple(-o for o in d_map.offset)
-    m_f = AffineMap(tuple(f_rows), f_offset, total)
-    g_rows = []
-    for r in range(x):
-        row = [Fraction(0)] * total
-        for k in range(w):
-            row[k] = c_map.linear[r][k]
-        g_rows.append(tuple(row))
-    for r in range(u):
-        row = [Fraction(0)] * total
-        row[w + v + r] = Fraction(1)
-        g_rows.append(tuple(row))
-    g_offset = tuple(c_map.offset) + (Fraction(0),) * u
-    m_g = AffineMap(tuple(g_rows), g_offset, total)
-    return proj_wv, m_f, m_g
+def _g_term_map(c_map: AffineMap, n: int, u: int) -> AffineMap:
+    """z -> (C w, u) for z of length n holding w first and u last: the
+    argument of g in the coupled kinds."""
+    rows = [embed(n, (0, row)) for row in c_map.linear]
+    rows += [embed(n, (n - u + k, (1,))) for k in range(u)]
+    return AffineMap(tuple(rows), tuple(c_map.offset) + (Fraction(0),) * u, n)
 
 
 def product_function(f: PolyhedralFunction, g: PolyhedralFunction) -> PolyhedralFunction:
@@ -422,17 +394,11 @@ def fenchel_to_trivariate(s: DualityScenario) -> DualityScenario:
     f, g, link = s.f, s.g, s.c_map
     psi = product_function(f, g)
     n, m = f.dim, g.dim
-    a_rows = tuple(
-        tuple(Fraction(1 if j == c else 0) for j in range(n + m)) for c in range(n)
-    )
-    a_map = AffineMap(a_rows, (Fraction(0),) * n, n + m)
-    b_rows = []
-    for c in range(m):
-        row = [-x for x in link.linear[c]] + [
-            Fraction(1 if j == c else 0) for j in range(m)
-        ]
-        b_rows.append(tuple(row))
-    b_map = AffineMap(tuple(b_rows), tuple(-o for o in link.offset), n + m)
+    a_map = AffineMap(tuple(embed(n + m, (c, (1,))) for c in range(n)),
+                      (Fraction(0),) * n, n + m)
+    b_rows = tuple(embed(n + m, (0, vec_neg(row)), (n + c, (1,)))
+                   for c, row in enumerate(link.linear))
+    b_map = AffineMap(b_rows, tuple(-o for o in link.offset), n + m)
     return DualityScenario.trivariate(psi, a_map, b_map, s.queries, s.hypothesis_mode)
 
 
@@ -457,27 +423,12 @@ def quad_fiber_maps(c_map: AffineMap, d_map: AffineMap, dims: Sequence):
     """A(u,v,w,x) = (w, v + Du) and B(u,v,w,x) = x - Cw on the (u,v,w,x) layout."""
     u, v, w, x = (int(n) for n in dims)
     total = u + v + w + x
-    a_rows = []
-    for r in range(w):
-        row = [Fraction(0)] * total
-        row[u + v + r] = Fraction(1)
-        a_rows.append(tuple(row))
-    for r in range(v):
-        row = [Fraction(0)] * total
-        row[u + r] = Fraction(1)
-        for k in range(u):
-            row[k] = d_map.linear[r][k]
-        a_rows.append(tuple(row))
-    a_offset = (Fraction(0),) * w + tuple(d_map.offset)
-    a_map = AffineMap(tuple(a_rows), a_offset, total)
-    b_rows = []
-    for r in range(x):
-        row = [Fraction(0)] * total
-        row[u + v + w + r] = Fraction(1)
-        for k in range(w):
-            row[u + v + k] = -c_map.linear[r][k]
-        b_rows.append(tuple(row))
-    b_map = AffineMap(tuple(b_rows), tuple(-o for o in c_map.offset), total)
+    a_rows = [embed(total, (u + v + r, (1,))) for r in range(w)]
+    a_rows += [embed(total, (0, row), (u + r, (1,))) for r, row in enumerate(d_map.linear)]
+    a_map = AffineMap(tuple(a_rows), (Fraction(0),) * w + tuple(d_map.offset), total)
+    b_rows = tuple(embed(total, (u + v, vec_neg(row)), (u + v + w + r, (1,)))
+                   for r, row in enumerate(c_map.linear))
+    b_map = AffineMap(b_rows, tuple(-o for o in c_map.offset), total)
     return a_map, b_map
 
 
@@ -526,29 +477,18 @@ def _scenario_flags(s: DualityScenario):
     if s.kind == "indicator_linear":
         u, v, w, x = s.dims
         x_pts = [q[:x] for q, _ in s.g.samples]
-        c_cols = [
-            tuple(s.c_map.linear[r][j] for r in range(x)) for j in range(w)
-        ]
+        c_cols = s.c_map.columns()
         if s.hypothesis_mode == "boundedness":
-            proj_u_rows = tuple(
-                tuple(Fraction(1 if c == x + r else 0) for c in range(x + u))
-                for r in range(u)
-            )
-            proj_u = AffineMap(proj_u_rows, (Fraction(0),) * u, x + u)
+            proj_u = AffineMap(tuple(embed(x + u, (x + r, (1,))) for r in range(u)),
+                               (Fraction(0),) * u, x + u)
+            slide_rows = tuple(embed(x + u, (r, (1,))) for r in range(x))
             delta = max(val for _, val in s.g.samples) + 1
-            found = False
-            for q, _ in s.g.samples:
-                if solve_linear(s.c_map.linear, q[:x]) is None:
-                    continue
-                slide_rows = tuple(
-                    tuple(Fraction(1 if c == r else 0) for c in range(x + u))
-                    for r in range(x)
-                )
-                slide = AffineMap(slide_rows, tuple(-t for t in q[:x]), x + u)
-                if boundedness_condition(s.g, proj_u, slide, q, delta):
-                    found = True
-                    break
-            flags["boundedness"] = found
+            # each base point q is a sample of g, so it lies in dom g
+            flags["boundedness"] = any(
+                _boundedness_at(s.g, proj_u, AffineMap(slide_rows, vec_neg(q[:x]), x + u),
+                                q, delta)
+                for q, _ in s.g.samples if solve_linear(s.c_map.linear, q[:x]) is not None
+            )
             notes.append("delta_uniformity_not_checked")
         else:
             ok, _ = cone_union_is_subspace(x_pts, lineality=c_cols)
@@ -583,61 +523,81 @@ def _scenario_flags(s: DualityScenario):
     return flags, tuple(notes)
 
 
-def _query_sides(s: DualityScenario, query: AffineFunctional):
-    """(lhs, lhs witness, rhs, dual witness, unbounded direction) at a query.
+@dataclass(frozen=True, kw_only=True)
+class QueryProgram:
+    """Both sides of one query, stated as polyhedral data.
 
-    Each kind states its left side as an affine objective and a list of
-    (function, map) terms over its primal variables, and its right side as
-    groups over the covector x*, plus a linear constraint and a constant
-    for the indicator kind; then one LP per side.
+    Left side: sup over z of objective(z) - sum_k f_k(M_k z) over
+    {z : B z = 0 for each B in fibers}, with terms the (f_k, M_k) pairs.
+    escapes: z ranges over a full vector space, so an unbounded sup is
+    +inf rather than a kernel bug.  Right side: min over the covector x*
+    of the sum of groups and trailing groups at x*, plus constant, subject
+    to <a, x*> = r for each (a, r) in constraint.  Groups are in piece form;
+    a trailing group may be in either form, and its LP columns follow x*'s.
     """
-    trailing, constant, constraint = (), Fraction(0), ()
+
+    objective: AffineFunctional
+    terms: tuple
+    fibers: tuple = ()
+    escapes: bool = False
+    groups: tuple
+    trailing: tuple = ()
+    constant: Fraction = Fraction(0)
+    constraint: tuple = ()
+
+
+def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
+    """The one statement of both sides of a query, for every kind."""
     if s.kind in ("trivariate", "sublevel", "quadrivariate"):
-        if s.kind == "quadrivariate":
-            a_map, b_map = quad_fiber_maps(s.c_map, s.d_map, s.dims)
-        else:
-            a_map = s.a_map if s.kind == "trivariate" else AffineMap.zero_map(s.psi.dim)
-            b_map = s.b_map
+        tri = scenario_to_trivariate(s)
+        a_map, b_map = tri.a_map, tri.b_map
         # sup q(Az) - psi(z) over Bz = 0; min over x* of psi*(A^T q + B^T x*)
-        phi = query.compose(a_map)
-        terms = [(s.psi, AffineMap.identity(s.psi.dim)),
-                 (indicator_of_zero(b_map.out_dim), b_map)]
-        groups = [_max_group(b_map.out_dim, (
-            (b_map(z), query(a_map(z)) - v) for z, v in s.psi.samples))]
-    elif s.kind == "fenchel":
+        return QueryProgram(
+            objective=query.compose(a_map),
+            terms=((s.psi, AffineMap.identity(s.psi.dim)),),
+            fibers=(b_map,),
+            groups=(_max_group(b_map.out_dim, (
+                (b_map(z), query(a_map(z)) - v) for z, v in s.psi.samples)),),
+        )
+    if s.kind == "fenchel":
         # min over x* of f*(q - x* after C) + g*(x*)
         f, g, link = s.f, s.g, s.c_map
-        phi, terms = query, [(f, AffineMap.identity(f.dim)), (g, link)]
-        groups = [_max_group(g.dim, (
-            (vec_neg(link(p)), query(p) - v) for p, v in f.samples))]
-        trailing = [g.conjugate()]
-    elif s.kind in ("bibivariate", "partial_infconv"):
-        # min over x* of f*(q - (x* after C, 0)) + g*(x*, v' after D)
-        u, v, w, x = s.dims
-        proj_wv, m_f, m_g = _bibiv_outer_maps(s.c_map, s.d_map, s.dims)
-        phi, terms = query.compose(proj_wv), [(s.f, m_f), (s.g, m_g)]
-        groups = [_max_group(x, ((vec_neg(s.c_map(p[:w])), query(p) - a)
-                                 for p, a in s.f.samples)),
-                  _g_group(s.g, s.d_map, x, query.coeffs[w:])]
-    else:
-        # variables z = (w, u) with the single term g(Cw, u); <v', D u>
-        # joins the objective, and w is free, so the sup may escape to +inf
-        u, v, w, x = s.dims
+        return QueryProgram(
+            objective=query,
+            terms=((f, AffineMap.identity(f.dim)), (g, link)),
+            groups=(_max_group(g.dim, (
+                (vec_neg(link(p)), query(p) - v) for p, v in f.samples)),),
+            trailing=(g.conjugate(),),
+        )
+    u, v, w, x = s.dims
+    if s.kind == "indicator_linear":
+        # z = (w, u), w free: <w', w> + <v', D u> + q0 - g(C w, u), so the
+        # sup may escape to +inf; min over x* of g*(x*, v' after D) + q0
+        # subject to x* after C = w'
         w_cov, v_cov = query.coeffs[:w], query.coeffs[w:]
         via_d = AffineFunctional(v_cov, query.constant).compose(s.d_map)
-        phi = AffineFunctional(tuple(w_cov) + via_d.coeffs, via_d.constant)
-        zero_u = (Fraction(0),) * u
-        rows = [tuple(r) + zero_u for r in s.c_map.linear]
-        rows += [(Fraction(0),) * w + unit_vec(u, k) for k in range(u)]
-        terms = [(s.g, AffineMap(tuple(rows), (Fraction(0),) * (x + u), w + u))]
-        # min over x* of g*(x*, v' after D) + q0 subject to x* after C = w'
-        groups = [_g_group(s.g, s.d_map, x, v_cov)]
-        constraint = [(tuple(s.c_map.linear[c][j] for c in range(x)), w_cov[j])
-                      for j in range(w)]
-        constant = query.constant
-    lhs, lhs_wit = _sup_side(phi, terms, s.kind == "indicator_linear")
-    rhs, wit, ray = _dual_lp(groups, trailing, constant, constraint)
-    return lhs, lhs_wit, rhs, wit, ray
+        return QueryProgram(
+            objective=AffineFunctional(w_cov + via_d.coeffs, via_d.constant),
+            terms=((s.g, _g_term_map(s.c_map, w + u, u)),),
+            escapes=True,
+            groups=(_g_group(s.g, s.d_map, x, v_cov),),
+            constant=query.constant,
+            constraint=tuple(zip(s.c_map.columns(), w_cov)),
+        )
+    # z = (w, v, u): q(w, v) - f(w, v - D u) - g(C w, u);
+    # min over x* of f*(q - (x* after C, 0)) + g*(x*, v' after D)
+    n = w + v + u
+    f_rows = [embed(n, (j, (1,))) for j in range(w)]
+    f_rows += [embed(n, (w + r, (1,)), (w + v, vec_neg(row)))
+               for r, row in enumerate(s.d_map.linear)]
+    f_map = AffineMap(tuple(f_rows), (Fraction(0),) * w + vec_neg(s.d_map.offset), n)
+    return QueryProgram(
+        objective=AffineFunctional(query.coeffs + (Fraction(0),) * u, query.constant),
+        terms=((s.f, f_map), (s.g, _g_term_map(s.c_map, n, u))),
+        groups=(_max_group(x, ((vec_neg(s.c_map(p[:w])), query(p) - a)
+                               for p, a in s.f.samples)),
+                _g_group(s.g, s.d_map, x, query.coeffs[w:])),
+    )
 
 
 def verify(s: DualityScenario) -> list:
@@ -651,12 +611,16 @@ def verify(s: DualityScenario) -> list:
     flags, notes = _scenario_flags(s)
     reports = []
     for query in s.queries:
-        lhs, lhs_wit, rhs, wit, ray = _query_sides(s, query)
+        p = query_program(s, query)
+        # each fiber B enters the LP as the indicator of B z = 0
+        terms = p.terms + tuple((indicator_of_zero(b.out_dim), b) for b in p.fibers)
+        lhs, lhs_wit = _sup_side(p.objective, terms, p.escapes)
+        rhs, wit, ray = _dual_lp(p.groups, p.trailing, p.constant, p.constraint)
         gap = ext_sub(rhs, lhs)
         if gap < 0:
             raise RuntimeError("weak duality violated; LP kernel is unsound")
         extra = ()
-        if s.kind == "indicator_linear" and lhs is POS_INF:
+        if p.escapes and lhs is POS_INF:
             extra = ("query escapes range(C^T); both sides are +inf",)
         attained = wit is not None and gap == 0
         if all(flags.values()) and lhs not in (POS_INF, NEG_INF):

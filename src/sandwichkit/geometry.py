@@ -17,6 +17,7 @@ from .numerics import (
     Vec,
     dot,
     frac,
+    unit_vec,
     vec,
 )
 
@@ -73,9 +74,7 @@ class AffineMap:
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-        )
+        rows = tuple(unit_vec(dim, i) for i in range(dim))
         return AffineMap(rows, (Fraction(0),) * dim, dim)
 
     @staticmethod
@@ -105,6 +104,14 @@ class AffineMap:
             for i in range(self.out_dim)
             for j in range(self.in_dim)
         )
+
+
+def embed(n: int, *blocks) -> Vec:
+    """A row of n Fractions holding each (start, coefficients) block, else 0."""
+    row = [Fraction(0)] * n
+    for start, coeffs in blocks:
+        row[start:start + len(coeffs)] = vec(coeffs)
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -245,8 +252,7 @@ class Subspace:
 
     @classmethod
     def full(cls, dim: int) -> "Subspace":
-        return cls(dim, tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim))
-                              for i in range(dim)))
+        return cls(dim, tuple(unit_vec(dim, i) for i in range(dim)))
 
     @property
     def dim(self) -> int:

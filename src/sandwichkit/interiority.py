@@ -20,6 +20,7 @@ from .numerics import (
     StructuralError,
     Vec,
     frac,
+    unit_vec,
     vec,
 )
 
@@ -116,19 +117,19 @@ def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec):
     return res.value, [res.point[j] for j in lam]
 
 
-def _fiber_value(phi: PolyhedralFunction, b_map: AffineMap, target: Vec):
-    """(inf of phi over {b_map z = target}, argmin).
+def _fiber_value(phi: PolyhedralFunction, images: Sequence[Vec], target: Vec):
+    """(inf of phi over {B z = target}, argmin), images being B's image of
+    each sample of phi in sample order.
 
     Returns (+inf, None) when the fiber misses the domain.  The infimum is
     attained, so a finite value always comes with an attaining point.
     """
-    points = [p for p, _ in phi.samples]
     values = [v for _, v in phi.samples]
-    value, weights = _fiber_lp(values, [b_map(p) for p in points], tuple(target))
+    value, weights = _fiber_lp(values, images, tuple(target))
     if weights is None:
         return value, None
     argmin = tuple(
-        sum((w * p[c] for w, p in zip(weights, points)), start=Fraction(0))
+        sum((w * p[c] for w, (p, _) in zip(weights, phi.samples)), start=Fraction(0))
         for c in range(phi.dim)
     )
     return value, argmin
@@ -236,7 +237,7 @@ def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], a_tar
     """
     units = []
     for c in range(b_dim):
-        e = tuple(Fraction(1 if i == c else 0) for i in range(b_dim))
+        e = unit_vec(b_dim, c)
         units.append(e)
         units.append(vec_neg(e))
     target = (Fraction(0),) * b_dim + tuple(a_target)
@@ -254,6 +255,12 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0):
         raise PreconditionError(f"base point {z0} lies outside the domain")
+    return _boundedness_at(psi, a_map, b_map, z0, delta)
+
+
+def _boundedness_at(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMap,
+                    z0: Vec, delta) -> bool:
+    """boundedness_condition for a base point z0 known to lie in dom psi."""
     values = [v for _, v in psi.samples]
     stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
     return _boundedness_sweep(values, stacked, a_map(z0), b_map.out_dim, frac(delta))
@@ -293,7 +300,7 @@ def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:
             "scaled images of the domain do not positively span a subspace; "
             "the equivalence needs that precondition"
         )
-    m, argmin = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim)
+    m, argmin = _fiber_value(q.phi, q.images, (Fraction(0),) * q.b_map.out_dim)
     c26 = m is not POS_INF and m < q.gamma
     if argmin is None:
         c25 = False
@@ -317,7 +324,8 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
     delta = frac(delta)
-    m, _ = _fiber_value(q.phi, q.b_map, (Fraction(0),) * q.b_map.out_dim)
+    values = [v for _, v in q.phi.samples]
+    m, _ = _fiber_lp(values, q.images, (Fraction(0),) * q.b_map.out_dim)
     if m is POS_INF or delta <= m:
         raise PreconditionError("the level must exceed the fiber infimum")
     assignments = []
@@ -331,7 +339,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
         found = None
         for i in range(1, i_max + 1):
             target = tuple(c / i for c in probe)
-            value, _ = _fiber_value(q.phi, q.b_map, target)
+            value, _ = _fiber_lp(values, q.images, target)
             if value is not POS_INF and value < delta:
                 found = i
                 break
@@ -347,14 +355,15 @@ def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap) -> Corollary21Re
     Requires a nonempty zero-fiber and the subspace precondition; with both
     in place the margin sweep must succeed, and a failure is a kernel bug.
     """
-    m, _ = _fiber_value(phi, b_map, (Fraction(0),) * b_map.out_dim)
+    images = tuple(b_map(p) for p, _ in phi.samples)
+    m, _ = _fiber_lp([v for _, v in phi.samples], images, (Fraction(0),) * b_map.out_dim)
     if m is POS_INF:
         raise PreconditionError("the zero-fiber misses the domain; no level works")
-    gamma = m + 1
-    q = SublevelQuery.build(phi, b_map, gamma)
-    if not q.subspace_ok:
+    ok, span = cone_union_is_subspace(images)
+    if not ok:
         raise PreconditionError("scaled domain images do not span a subspace")
-    res = interiority_margin(q)
+    gamma = m + 1
+    res = interiority_margin(SublevelQuery(phi, b_map, gamma, ok, span, images))
     if not res.holds:
         raise RuntimeError("automatic level failed the margin sweep; LP kernel is unsound")
     return Corollary21Result(gamma, res)

@@ -149,22 +149,6 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-def vec_add(a: Sequence, b: Sequence) -> Vec:
-    if len(a) != len(b):
-        raise StructuralError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence, b: Sequence) -> Vec:
-    if len(a) != len(b):
-        raise StructuralError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence) -> Vec:
-    return tuple(c * x for x in a)
-
-
 @dataclass(frozen=True)
 class Constraint:
     coeffs: Vec

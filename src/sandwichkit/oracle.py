@@ -1,16 +1,18 @@
 """Exact, LP-free second opinion on the duality verifier.
 
-Nothing in this module builds a linear program.  Both sides of every
-verified query are re-derived as the optimum of an explicit polyhedron,
-found by exact integer double description (Motzkin et al. 1953; Fukuda
-and Prodon 1996): the set {x : <a, x> <= r} homogenises to a cone whose
-rays with a positive last coordinate are its vertices, and whose other
-generators are its recession directions.  Sample-form functions enter
-through their lower hulls (`LowerHull`), piece-form functions and the
-dual's max groups through one epigraph row per piece.  The left side
-runs over the primal variables plus one epigraph variable per term, the
-right side over the covector plus one per dual group, and the LP answers
-must match these optima exactly.
+Nothing in this module builds a linear program.  It solves the verifier's
+own statement of each query, `duality.query_program`, by a different
+algorithm: each side is the optimum of an explicit polyhedron, found by
+exact integer double description (Motzkin et al. 1953; Fukuda and Prodon
+1996).  The set {x : <a, x> <= r} homogenises to a cone whose rays with a
+positive last coordinate are its vertices, and whose other generators are
+its recession directions.  Sample-form functions enter through their lower
+hulls (`LowerHull`), piece-form functions and the dual's max groups
+through one epigraph row per piece.  The left side runs over the primal
+variables plus one epigraph variable per term, the right side over the
+covector plus one per dual group.  The two sides are derived differently,
+so a mis-stated side shows up as a nonzero gap, and the LP answers must
+match these optima exactly.
 """
 
 from dataclasses import dataclass
@@ -19,8 +21,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .convexfn import AffineFunctional, H_FORM, PolyhedralFunction, V_FORM
-from .duality import DualityScenario, quad_fiber_maps, verify
+from .convexfn import AffineFunctional, PolyhedralFunction, V_FORM
+from .duality import DualityScenario, query_program, verify
 from .geometry import AffineMap
 from .numerics import (
     NEG_INF,
@@ -32,8 +34,6 @@ from .numerics import (
     dot,
     vec,
 )
-
-FIBER_KINDS = ("trivariate", "sublevel", "quadrivariate")
 
 
 @dataclass(frozen=True)
@@ -290,138 +290,35 @@ def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> 
     return OracleResult(value, True, None if x is None else x[:d])
 
 
-def _fiber_maps(s: DualityScenario) -> tuple:
-    """(A, B) of a fiber kind: the query acts on A z over {B z = 0}."""
-    if s.kind == "quadrivariate":
-        return quad_fiber_maps(s.c_map, s.d_map, s.dims)
-    a_map = s.a_map if s.kind == "trivariate" else AffineMap.zero_map(s.psi.dim)
-    return a_map, s.b_map
-
-
-def _embed(n: int, *blocks) -> tuple:
-    """A row of length n holding each (start, coefficients) block."""
-    row = [Fraction(0)] * n
-    for start, coeffs in blocks:
-        row[start:start + len(coeffs)] = coeffs
-    return tuple(row)
-
-
-def _g_map(c_map: AffineMap, n: int, u: int) -> AffineMap:
-    """z -> (C w, u) for z of length n holding w first and u last: the
-    argument of g in the coupled kinds."""
-    rows = [_embed(n, (0, row)) for row in c_map.linear]
-    rows += [_embed(n, (n - u + k, (1,))) for k in range(u)]
-    return AffineMap(tuple(rows), tuple(c_map.offset) + (Fraction(0),) * u, n)
-
-
-def _left_side(s: DualityScenario, query: AffineFunctional) -> tuple:
-    """(phi, terms, fibers) with the left side equal to `exact_sup` of them."""
-    if s.kind in FIBER_KINDS:
-        a_map, b_map = _fiber_maps(s)
-        return query.compose(a_map), [(s.psi, AffineMap.identity(s.psi.dim))], [b_map]
-    if s.kind == "fenchel":
-        return query, [(s.f, AffineMap.identity(s.f.dim)), (s.g, s.c_map)], []
-    u, v, w, x = s.dims
-    if s.kind == "indicator_linear":
-        # z = (w, u), w free: <w', w> + <v', D u> + q0 - g(C w, u)
-        v_part = AffineFunctional(query.coeffs[w:], query.constant).compose(s.d_map)
-        phi = AffineFunctional(query.coeffs[:w] + v_part.coeffs, v_part.constant)
-        return phi, [(s.g, _g_map(s.c_map, w + u, u))], []
-    # z = (w, v, u): q(w, v) - f(w, v - D u) - g(C w, u)
-    n = w + v + u
-    f_rows = [_embed(n, (j, (1,))) for j in range(w)] + [
-        _embed(n, (w + r, (1,)), (w + v, tuple(-c for c in row)))
-        for r, row in enumerate(s.d_map.linear)
-    ]
-    f_map = AffineMap(
-        tuple(f_rows), (Fraction(0),) * w + tuple(-o for o in s.d_map.offset), n
-    )
-    phi = AffineFunctional(query.coeffs + (Fraction(0),) * u, query.constant)
-    return phi, [(s.f, f_map), (s.g, _g_map(s.c_map, n, u))], []
-
-
-def dual_groups(s: DualityScenario, query: AffineFunctional):
-    """Hand-evaluable description of a scenario's dual objective.
-
-    Returns (groups, constant, constraint).  Each group is either
-    ("max", ((beta, c), ...)), contributing max of c + <x*, beta>, or
-    ("envelope", hull), contributing a sample-form function's envelope at
-    x* through its `LowerHull`; the objective is the sum of group
-    contributions plus the constant.  The constraint, when present, is
-    (rows, rhs) with rows x* = rhs required for dual feasibility.
-    """
-    if s.kind in FIBER_KINDS:
-        a_map, b_map = _fiber_maps(s)
-        pairs = tuple(
-            (b_map(z), query(a_map(z)) - v) for z, v in s.psi.samples
-        )
-        return (("max", pairs),), Fraction(0), None
-    if s.kind == "fenchel":
-        f_pairs = tuple(
-            (tuple(-c for c in s.c_map(pt)), query(pt) - v)
-            for pt, v in s.f.samples
-        )
-        if s.g.form == V_FORM:
-            g_group = ("max", tuple((q, -w) for q, w in s.g.samples))
-        else:
-            conj = PolyhedralFunction.v_form(
-                s.g.dim, [(a, -c) for a, c in s.g.pieces]
-            )
-            g_group = ("envelope", LowerHull(conj))
-        return (("max", f_pairs), g_group), Fraction(0), None
-    if s.kind in ("bibivariate", "partial_infconv", "indicator_linear"):
-        u, v, w, x = s.dims
-        g_pairs = tuple(
-            (q[:x], dot(query.coeffs[w:], s.d_map(q[x:])) - b) for q, b in s.g.samples
-        )
-        if s.kind == "indicator_linear":
-            rows = [[s.c_map.linear[c][j] for c in range(x)] for j in range(w)]
-            return (("max", g_pairs),), query.constant, (rows, query.coeffs[:w])
-        f_pairs = tuple(
-            (tuple(-c for c in s.c_map(pt[:w])), query(pt) - a)
-            for pt, a in s.f.samples
-        )
-        return (("max", f_pairs), ("max", g_pairs)), Fraction(0), None
-    raise PreconditionError(f"no dual description for kind {s.kind!r}")
-
-
 def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
-    """Evaluate a dual objective description at a covector, by arithmetic."""
+    """Evaluate a dual objective at a covector, by arithmetic.
+
+    Each group is a piece-form `PolyhedralFunction`, contributing its
+    largest piece at x*, or a `LowerHull`, contributing its envelope.
+    """
     x = vec(xstar)
     total = constant
-    for tag, data in groups:
-        if tag == "max":
-            total += max(c + dot(x, beta) for beta, c in data)
-        else:
-            part = data(x)
-            if part == POS_INF:
-                return POS_INF
-            total += part
+    for f in groups:
+        if not isinstance(f, LowerHull):
+            total += max(c + dot(x, beta) for beta, c in f.pieces)
+            continue
+        part = f(x)
+        if part == POS_INF:
+            return POS_INF
+        total += part
     return total
 
 
 def _dual_min(groups, constant: Fraction, constraint) -> Ext:
     """Exact minimum of the dual objective, as minus an `exact_sup`."""
-    fns = [
-        data if tag == "envelope"
-        else PolyhedralFunction(len(data[0][0]), H_FORM, data)
-        for tag, data in groups
-    ]
-    dim = fns[0].dim
-    fibers = []
-    if constraint is not None:
-        rows, rhs = constraint
-        fibers.append(AffineMap(tuple(map(tuple, rows)), tuple(-r for r in rhs), dim))
+    dim = groups[0].dim
+    fibers = ()
+    if constraint:
+        rows = tuple(a for a, _ in constraint)
+        fibers = (AffineMap(rows, tuple(-r for _, r in constraint), dim),)
     identity = AffineMap.identity(dim)
-    sup = exact_sup(AffineFunctional.zero(dim), [(f, identity) for f in fns], fibers)
+    sup = exact_sup(AffineFunctional.zero(dim), [(f, identity) for f in groups], fibers)
     return constant - sup.value
-
-
-def _constraint_holds(constraint, xstar: Vec) -> bool:
-    if constraint is None:
-        return True
-    rows, rhs = constraint
-    return all(dot(row, xstar) == rhs[j] for j, row in enumerate(rows))
 
 
 def _ray_drops(groups, constraint, ray: Vec) -> bool:
@@ -430,15 +327,13 @@ def _ray_drops(groups, constraint, ray: Vec) -> bool:
     A max group's asymptotic slope is its largest slope; an envelope
     group has a compact domain, so no ray escapes it downward.
     """
-    if constraint is not None:
-        rows, _ = constraint
-        if any(dot(row, ray) != 0 for row in rows):
-            return False
+    if any(dot(a, ray) for a, _ in constraint):
+        return False
     slope = Fraction(0)
-    for tag, data in groups:
-        if tag != "max":
+    for f in groups:
+        if isinstance(f, LowerHull):
             return False
-        slope += max(dot(ray, beta) for beta, _ in data)
+        slope += max(dot(ray, beta) for beta, _ in f.pieces)
     return slope < 0
 
 
@@ -458,7 +353,7 @@ def _witness_check(groups, constant, constraint, report) -> tuple:
     if report.witness is None:
         return False, ("finite dual value without a witness",)
     value = dual_objective_value(groups, constant, report.witness)
-    ok = value == rhs and _constraint_holds(constraint, report.witness)
+    ok = value == rhs and all(dot(a, report.witness) == r for a, r in constraint)
     return ok, ()
 
 
@@ -492,20 +387,22 @@ def crosscheck_scenario(
 ) -> list:
     """Replay each verified query of a scenario against the exact oracle.
 
-    Both sides are recomputed as polyhedral optima by double description
-    and compared with the LP's; the LP's dual witness or ray is re-checked
-    by direct arithmetic.  reports, when given, are verify(s)'s reports,
-    which are then not computed again.  spec is accepted for compatibility
-    and ignored.
+    Both sides of the query's `query_program` are recomputed as polyhedral
+    optima by double description and compared with the LP's; the LP's dual
+    witness or ray is re-checked by direct arithmetic.  reports, when
+    given, are verify(s)'s reports, which are then not computed again.
+    spec is accepted for compatibility and ignored.
     """
     if reports is None:
         reports = verify(s)
     out = []
     for rep in reports:
-        lhs_oracle = exact_sup(*_left_side(s, rep.query))
-        groups, constant, constraint = dual_groups(s, rep.query)
-        rhs_oracle = _dual_min(groups, constant, constraint)
-        witness_ok, notes = _witness_check(groups, constant, constraint, rep)
+        p = query_program(s, rep.query)
+        lhs_oracle = exact_sup(p.objective, p.terms, p.fibers)
+        # one hull per sample-form group, shared by every check below
+        groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups + p.trailing]
+        rhs_oracle = _dual_min(groups, p.constant, p.constraint)
+        witness_ok, notes = _witness_check(groups, p.constant, p.constraint, rep)
         lhs_ok = lhs_oracle.value == rep.lhs
         rhs_ok = rhs_oracle == rep.rhs
         if not lhs_ok:

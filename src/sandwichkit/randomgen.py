@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .convexfn import PolyhedralFunction, SublinearFunctional
 from .geometry import AffineMap
-from .numerics import Vec
+from .numerics import Vec, unit_vec
 
 
 def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3,
@@ -28,13 +28,6 @@ def random_vform(rng: random.Random, dim: int, max_samples: int = 5) -> Polyhedr
     n = rng.randint(1, max_samples)
     return PolyhedralFunction.v_form(
         dim, [(random_vec(rng, dim), random_fraction(rng)) for _ in range(n)]
-    )
-
-
-def random_hform(rng: random.Random, dim: int, max_pieces: int = 4) -> PolyhedralFunction:
-    n = rng.randint(1, max_pieces)
-    return PolyhedralFunction.h_form(
-        dim, [(random_vec(rng, dim, -2, 2), random_fraction(rng)) for _ in range(n)]
     )
 
 
@@ -292,10 +285,7 @@ def random_sublevel_query(rng: random.Random, max_dim: int = 2):
 def random_projection_map(rng: random.Random, in_dim: int, out_dim: int) -> AffineMap:
     """Linear map whose rows each move a single distinct coordinate."""
     coords = rng.sample(range(in_dim), out_dim)
-    rows = tuple(
-        tuple(Fraction(1 if j == c else 0) for j in range(in_dim))
-        for c in coords
-    )
+    rows = tuple(unit_vec(in_dim, c) for c in coords)
     return AffineMap(rows, (Fraction(0),) * out_dim, in_dim)
 
 

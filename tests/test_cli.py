@@ -140,16 +140,18 @@ class TestExitCodeContract:
         for extra in (["--mode", "exact"], ["--tolerance", "1/100"]):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv + extra)
-            assert info.value.code == 2
+            assert info.value.code == EXIT_INPUT
 
-    def test_options_live_on_their_one_subcommand(self):
+    def test_options_live_on_their_one_subcommand(self, capsys):
         at = ["--function", "g", "--at", "0"]
         for argv in (["eval", str(CORPUS / "fenchel.json"), *at, "--seed", "3"],
                      ["interiority", str(CORPUS / "fenchel.json"), "--crosscheck"],
                      ["selftest", "--crosscheck"]):
             with pytest.raises(SystemExit) as info:
                 cli.main(argv)
-            assert info.value.code == 2, argv
+            assert info.value.code == EXIT_INPUT, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: sandwichkit"), argv
 
     def test_violated_sandwich_reports_witness(self, capsys):
         code, doc = run_json(

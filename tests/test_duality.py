@@ -1,4 +1,5 @@
 """Tests for two-sided conjugation identities across all scenario kinds."""
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from sandwichkit.convexfn import AffineFunctional, PolyhedralFunction, evaluate
 from sandwichkit.geometry import AffineMap
 from sandwichkit.duality import (
+    KINDS,
+    MODES,
     DualityScenario,
     as_query,
     bibivariate_to_quadrivariate,
@@ -19,6 +22,7 @@ from sandwichkit.duality import (
 from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.randomgen import (
     random_bibivariate_scenario,
+    random_crosscheck_scenario,
     random_fenchel_scenario,
     random_indicator_scenario,
     random_trivariate_scenario,
@@ -394,6 +398,23 @@ class TestStrongDuality:
                     assert report.all_hypotheses_hold
                     assert report.gap == 0
                     assert report.attained
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_finite_lhs_closes_whatever_the_flags(self, kind):
+        # polyhedral data needs no qualification beyond a nonempty domain
+        # (Rockafellar, Thm 20.1), so a finite lhs forces gap 0 and
+        # attainment; a mis-stated side of either program would break it
+        rng = random.Random(f"invariant:{kind}")
+        finite = 0
+        for _ in range(20):
+            s = random_crosscheck_scenario(rng, kind)
+            for mode in MODES:
+                for report in verify(dataclasses.replace(s, hypothesis_mode=mode)):
+                    if report.lhs in (POS_INF, NEG_INF):
+                        continue
+                    finite += 1
+                    assert report.gap == 0 and report.attained, (mode, report)
+        assert finite > 0
 
 
 class TestWeakDuality:

@@ -38,3 +38,35 @@ def test_no_unused_imports():
             if name not in read:
                 unused.append(f"{path.name}:{line}: {name}")
     assert not unused, unused
+
+
+def used_names(node: ast.AST) -> set:
+    """Names a subtree reads, loads as attributes or imports by name."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_no_dead_top_level_definitions():
+    """Every top-level function or class of the package is used somewhere
+    in the package or the tests, outside its own definition."""
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    # (module, top-level statement, names the statement uses)
+    statements = []
+    for path in MODULES + tests:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            statements.append((path, node, used_names(node)))
+    dead = []
+    for path, node, _ in statements:
+        if path not in MODULES or not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not any(node.name in names for _, other, names in statements if other is not node):
+            dead.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not dead, dead

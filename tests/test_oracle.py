@@ -17,7 +17,7 @@ from sandwichkit.convexfn import (
     sup_affine_minus_convex,
 )
 from sandwichkit import randomgen
-from sandwichkit.duality import KINDS, DualityScenario, product_function, verify
+from sandwichkit.duality import KINDS, DualityScenario, product_function, query_program, verify
 from sandwichkit.geometry import AffineMap, solve_linear
 from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.oracle import (
@@ -26,7 +26,6 @@ from sandwichkit.oracle import (
     OracleResult,
     crosscheck_scenario,
     double_description,
-    dual_groups,
     dual_objective_value,
     envelope_value,
     exact_sup,
@@ -325,19 +324,19 @@ class TestDualRecompute:
         f0 = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
         s = DualityScenario.fenchel(f0, abs_three(), identity(1), [(3,)])
         rep = verify(s)[0]
-        groups, constant, constraint = dual_groups(s, rep.query)
-        assert constraint is None
-        assert dual_objective_value(groups, constant, rep.witness) == rep.rhs
+        p = query_program(s, rep.query)
+        assert p.constraint == ()
+        assert dual_objective_value(p.groups + p.trailing, p.constant, rep.witness) == rep.rhs
 
     def test_box_scan_does_not_beat_lp(self):
         rng = random.Random(706)
         for _ in range(5):
             s = random_crosscheck_scenario(rng, "trivariate")
             for rep in verify(s):
-                groups, constant, _ = dual_groups(s, rep.query)
+                p = query_program(s, rep.query)
                 for j in range(-4, 5):
                     probe = tuple(w + Fraction(j, 4) for w in rep.witness)
-                    assert dual_objective_value(groups, constant, probe) >= rep.rhs
+                    assert dual_objective_value(p.groups, p.constant, probe) >= rep.rhs
 
     def test_unbounded_dual_ray(self):
         psi = abs_three()
