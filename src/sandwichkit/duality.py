@@ -14,8 +14,11 @@ polyhedral data, once for every kind, in a `QueryProgram`:
   t_k >= c + <beta, x*> per pair; in sample form (the conjugate of a
   piece-form g) it is a block of convex weights matched to x*.
 
-`verify` solves each side with one LP; `oracle.crosscheck_scenario` solves
-the same program again by double description, with no LP code.
+`verify` solves each side with one LP and keeps, on each report, the
+program and the LP's primal-dual pair (a `Certificate`);
+`oracle.crosscheck_scenario` re-checks that pair by arithmetic and, where
+it does not prove both sides, solves the same program again by double
+description, with no LP code.
 
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
@@ -28,7 +31,7 @@ Layout conventions for concatenated variable blocks:
   partial inf-convolutions identify w = x and u = v (queries on (x, v));
   indicator scenarios take the sup over (w, u).
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -50,7 +53,7 @@ from .geometry import (
     vec_neg,
     zero_in_hull,
 )
-from .interiority import _boundedness_at, _fiber_value, boundedness_over_samples
+from .interiority import _boundedness_sweep, _fiber_value, boundedness_over_samples
 from .numerics import (
     EQ,
     GE,
@@ -270,7 +273,10 @@ class DualityReport:
     sup (kind-specific layout; for indicator scenarios it is (w, u)).
     witness is the dual covector attaining the min, when attained; it pairs
     with the kernel map through a plus sign, so rewriting a scenario into
-    fiber form leaves the witness unchanged.
+    fiber form leaves the witness unchanged.  certificate is what `verify`
+    solved and the LP's weights (a `Certificate`); it is no part of the
+    report's value, so it stays out of its repr, its equality and the JSON
+    document, and a hand-built report may leave it None.
     """
 
     kind: str
@@ -284,6 +290,7 @@ class DualityReport:
     attained: bool
     unbounded_direction: Optional[Vec] = None
     notes: tuple = ()
+    certificate: Optional["Certificate"] = field(default=None, repr=False, compare=False)
 
     @property
     def all_hypotheses_hold(self) -> bool:
@@ -291,24 +298,23 @@ class DualityReport:
 
 
 def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool):
-    """(lhs value, attaining point) of sup phi - sum of terms.
+    """(lhs value, attaining point, term weights) of sup phi - sum of terms.
 
-    An unbounded sup is +inf where the variable space is a full vector
-    space (may_escape); on bounded domains it would be a kernel bug.
+    The term weights are `SupResult.term_weights`, all None unless the sup
+    is attained.  An unbounded sup is +inf where the variable space is a
+    full vector space (may_escape); on bounded domains it would be a
+    kernel bug.
     """
     sup = sup_affine_minus_convex(phi, terms)
-    if sup.status == "unbounded":
-        if may_escape:
-            return POS_INF, None
+    if sup.status == "unbounded" and not may_escape:
         raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-    if sup.status == "empty":
-        return NEG_INF, None
-    return sup.value, sup.argmax
+    return sup.value, sup.argmax, sup.term_weights
 
 
 def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[PolyhedralFunction] = (),
              constant=Fraction(0), constraint: Sequence = ()):
-    """(rhs value, witness covector, unbounded direction) of the epigraph dual.
+    """(rhs value, witness, unbounded direction, trailing weights) of the
+    epigraph dual.
 
     Minimizes the sum of every group's value at x* plus constant, subject
     to <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
@@ -317,7 +323,9 @@ def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[Polyhedral
     per piece; in sample form it is convex weights over its samples whose
     combination is x*.  Columns: one t per group (all in piece form), then
     x*, then each trailing group's t or weights.  Rows: the constraint,
-    then the groups' rows in order.
+    then the groups' rows in order.  The trailing weights hold, per
+    trailing group, the optimal weights in sample form and None in piece
+    form; they are empty unless the minimum is attained.
     """
     b = LpBuilder()
     objective: dict = {}
@@ -337,23 +345,28 @@ def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[Polyhedral
         b.add(dict(zip(xs, a)), EQ, r)
     for phi, t in lead:
         epigraph(phi, t)
+    thetas = []
     for phi in trailing:
         if phi.form == H_FORM:
             epigraph(phi, b.var())
+            thetas.append(None)
             continue
         # x* = sum_j theta_j p_j, written sum_j theta_j (-p_j) + x* = 0
         theta = b.convex_weights([vec_neg(p) for p, _ in phi.samples],
                                  (Fraction(0),) * phi.dim, [{xvar: 1} for xvar in xs])
+        thetas.append(theta)
         for j, (_, value) in enumerate(phi.samples):
             if value:
                 objective[theta[j]] = value
     b.set_objective(objective, constant)
     res = b.solve()
     if res.status == "unbounded":
-        return NEG_INF, None, tuple(res.ray[j] for j in xs)
+        return NEG_INF, None, tuple(res.ray[j] for j in xs), ()
     if res.status == "infeasible":
-        return POS_INF, None, None
-    return res.value, tuple(res.point[j] for j in xs), None
+        return POS_INF, None, None, ()
+    weights = tuple(None if theta is None else tuple(res.point[j] for j in theta)
+                    for theta in thetas)
+    return res.value, tuple(res.point[j] for j in xs), None, weights
 
 
 def _max_group(dim: int, pairs) -> PolyhedralFunction:
@@ -475,19 +488,22 @@ def _scenario_flags(s: DualityScenario):
         notes.append(f"interiority tested at level {s.gamma}")
         return flags, tuple(notes)
     if s.kind == "indicator_linear":
-        u, v, w, x = s.dims
+        x = s.dims[3]
         x_pts = [q[:x] for q, _ in s.g.samples]
         c_cols = s.c_map.columns()
         if s.hypothesis_mode == "boundedness":
-            proj_u = AffineMap(tuple(embed(x + u, (x + r, (1,))) for r in range(u)),
-                               (Fraction(0),) * u, x + u)
-            slide_rows = tuple(embed(x + u, (r, (1,))) for r in range(x))
-            delta = max(val for _, val in s.g.samples) + 1
-            # each base point q is a sample of g, so it lies in dom g
+            values = [val for _, val in s.g.samples]
+            points = [q for q, _ in s.g.samples]
+            delta = max(values) + 1
+            # the boundedness condition at each sample q of g that C reaches:
+            # the x-part slides around q[:x] (B z = z[:x] - q[:x]) on the
+            # fiber that fixes the u-part at q[x:].  With the convex weights
+            # summing to 1, B's target 0 is the x-part's target q[:x], so the
+            # stacked (B, A) images are the sample points themselves and the
+            # target is q.  A repeated sample is swept once.
             flags["boundedness"] = any(
-                _boundedness_at(s.g, proj_u, AffineMap(slide_rows, vec_neg(q[:x]), x + u),
-                                q, delta)
-                for q, _ in s.g.samples if solve_linear(s.c_map.linear, q[:x]) is not None
+                _boundedness_sweep(values, points, q, x, delta)
+                for q in dict.fromkeys(points) if solve_linear(s.c_map.linear, q[:x]) is not None
             )
             notes.append("delta_uniformity_not_checked")
         else:
@@ -544,6 +560,28 @@ class QueryProgram:
     trailing: tuple = ()
     constant: Fraction = Fraction(0)
     constraint: tuple = ()
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What `verify` solved for one query, and the LP's weights.
+
+    program is `query_program(scenario, query)`.  With the report's
+    lhs_witness z and witness x*, the weights complete the LP's
+    primal-dual pair.  term_weights holds, per term of the program, the sup
+    LP's convex weights over a sample-form term's samples, which combine to
+    M_k z (None for a piece-form term).  trailing_weights holds, per
+    trailing group, the dual LP's weights theta over a sample-form group's
+    samples, which combine to x* (None in piece form).  Where a side is
+    infinite the weights are all None or empty, and only the program is of
+    use.
+    """
+
+    scenario: DualityScenario
+    query: AffineFunctional
+    program: QueryProgram
+    term_weights: tuple
+    trailing_weights: tuple
 
 
 def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
@@ -606,7 +644,8 @@ def verify(s: DualityScenario) -> list:
     Always returns a report per query.  Weak duality (gap >= 0) is enforced
     as a kernel invariant; equality is only asserted when every hypothesis
     flag is certified, in which case a nonzero gap raises rather than being
-    reported as a counterexample.
+    reported as a counterexample.  Each report carries the query's program
+    and the LP's weights as its certificate, for `oracle.crosscheck_scenario`.
     """
     flags, notes = _scenario_flags(s)
     reports = []
@@ -614,8 +653,8 @@ def verify(s: DualityScenario) -> list:
         p = query_program(s, query)
         # each fiber B enters the LP as the indicator of B z = 0
         terms = p.terms + tuple((indicator_of_zero(b.out_dim), b) for b in p.fibers)
-        lhs, lhs_wit = _sup_side(p.objective, terms, p.escapes)
-        rhs, wit, ray = _dual_lp(p.groups, p.trailing, p.constant, p.constraint)
+        lhs, lhs_wit, weights = _sup_side(p.objective, terms, p.escapes)
+        rhs, wit, ray, thetas = _dual_lp(p.groups, p.trailing, p.constant, p.constraint)
         gap = ext_sub(rhs, lhs)
         if gap < 0:
             raise RuntimeError("weak duality violated; LP kernel is unsound")
@@ -632,6 +671,7 @@ def verify(s: DualityScenario) -> list:
             kind=s.kind, query=query, hypothesis_flags=dict(flags),
             lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=lhs_wit,
             attained=attained, unbounded_direction=ray, notes=notes + extra,
+            certificate=Certificate(s, query, p, weights[:len(p.terms)], thetas),
         ))
     return reports
 

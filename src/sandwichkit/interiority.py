@@ -229,19 +229,20 @@ def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMa
         raise StructuralError("fiber and direction maps must act on the function's space")
 
 
-def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], a_target: Vec,
+def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], target: Vec,
                        b_dim: int, delta: Fraction) -> bool:
-    """The margin sweep over B's unit directions on the fiber {A z = a_target}.
+    """The margin sweep over the unit directions of the first b_dim coordinates.
 
-    stacked holds each sample's B image followed by its A image.
+    stacked holds each sample's B image followed by its A image, and target
+    B's target followed by A's: the fiber {A z = A's target} stays fixed
+    while B's coordinates move around B's target.
     """
     units = []
     for c in range(b_dim):
         e = unit_vec(b_dim, c)
         units.append(e)
         units.append(vec_neg(e))
-    target = (Fraction(0),) * b_dim + tuple(a_target)
-    return _margin_sweep(values, stacked, target, delta, units).holds
+    return _margin_sweep(values, stacked, tuple(target), delta, units).holds
 
 
 def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
@@ -255,15 +256,10 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0):
         raise PreconditionError(f"base point {z0} lies outside the domain")
-    return _boundedness_at(psi, a_map, b_map, z0, delta)
-
-
-def _boundedness_at(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMap,
-                    z0: Vec, delta) -> bool:
-    """boundedness_condition for a base point z0 known to lie in dom psi."""
     values = [v for _, v in psi.samples]
     stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
-    return _boundedness_sweep(values, stacked, a_map(z0), b_map.out_dim, frac(delta))
+    target = (Fraction(0),) * b_map.out_dim + a_map(z0)
+    return _boundedness_sweep(values, stacked, target, b_map.out_dim, frac(delta))
 
 
 def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
@@ -282,8 +278,9 @@ def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
     values = [v for _, v in psi.samples]
     a_images = [a_map(p) for p, _ in psi.samples]
     stacked = [b_map(p) + ai for (p, _), ai in zip(psi.samples, a_images)]
+    zero = (Fraction(0),) * b_map.out_dim
     for key in dict.fromkeys(a_images):
-        if _boundedness_sweep(values, stacked, key, b_map.out_dim, delta):
+        if _boundedness_sweep(values, stacked, zero + key, b_map.out_dim, delta):
             return True
     return False
 

@@ -1,18 +1,32 @@
 """Exact, LP-free second opinion on the duality verifier.
 
-Nothing in this module builds a linear program.  It solves the verifier's
-own statement of each query, `duality.query_program`, by a different
-algorithm: each side is the optimum of an explicit polyhedron, found by
-exact integer double description (Motzkin et al. 1953; Fukuda and Prodon
-1996).  The set {x : <a, x> <= r} homogenises to a cone whose rays with a
-positive last coordinate are its vertices, and whose other generators are
-its recession directions.  Sample-form functions enter through their lower
-hulls (`LowerHull`), piece-form functions and the dual's max groups
-through one epigraph row per piece.  The left side runs over the primal
-variables plus one epigraph variable per term, the right side over the
-covector plus one per dual group.  The two sides are derived differently,
-so a mis-stated side shows up as a nonzero gap, and the LP answers must
-match these optima exactly.
+Nothing in this module builds a linear program.  Each query is decided in
+one of two ways, and each record names which one decided it.
+
+* By certificate.  `verify` keeps, on each report, the `QueryProgram` it
+  solved and the LP's primal-dual pair: the maximizer z with each
+  sample-form term's convex weights, and the dual covector x* with the
+  weights of any sample-form trailing group.  Exact arithmetic checks that
+  both points are feasible and evaluates each side's objective at its
+  point, with the weights' combined values standing in for the envelopes.
+  That gives L <= sup and U >= min, and weak duality (sup <= min, from the
+  Fenchel-Young inequality) holds with no hypothesis at all.  So L == U
+  proves both sides exactly, and no LP code is trusted.  This is the
+  certifying-algorithm pattern (McConnell, Mehlhorn, Naher and Schweitzer
+  2011).
+* By enumeration.  Whatever the pair does not prove (an infinite side, a
+  report without a certificate, a failed check, a mismatch) is solved
+  again from the same program by a different algorithm: each side is the
+  optimum of an explicit polyhedron, found by exact integer double
+  description (Motzkin et al. 1953; Fukuda and Prodon 1996).  The set
+  {x : <a, x> <= r} homogenises to a cone whose rays with a positive last
+  coordinate are its vertices, and whose other generators are its
+  recession directions.  Sample-form functions enter through their lower
+  hulls (`LowerHull`), piece-form functions and the dual's max groups
+  through one epigraph row per piece.  The left side runs over the primal
+  variables plus one epigraph variable per term, the right side over the
+  covector plus one per dual group.  The LP answers must match these
+  optima exactly.
 """
 
 from dataclasses import dataclass
@@ -22,7 +36,14 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .convexfn import AffineFunctional, PolyhedralFunction, V_FORM
-from .duality import DualityScenario, query_program, verify
+from .duality import (
+    Certificate,
+    DualityReport,
+    DualityScenario,
+    QueryProgram,
+    query_program,
+    verify,
+)
 from .geometry import AffineMap
 from .numerics import (
     NEG_INF,
@@ -290,6 +311,10 @@ def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> 
     return OracleResult(value, True, None if x is None else x[:d])
 
 
+def _largest_piece(f: PolyhedralFunction, y: Vec) -> Fraction:
+    return max(c + dot(a, y) for a, c in f.pieces)
+
+
 def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
     """Evaluate a dual objective at a covector, by arithmetic.
 
@@ -300,7 +325,7 @@ def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
     total = constant
     for f in groups:
         if not isinstance(f, LowerHull):
-            total += max(c + dot(x, beta) for beta, c in f.pieces)
+            total += _largest_piece(f, x)
             continue
         part = f(x)
         if part == POS_INF:
@@ -357,15 +382,77 @@ def _witness_check(groups, constant, constraint, report) -> tuple:
     return ok, ()
 
 
+def _weighted_value(weights, samples: Sequence, target: Vec) -> Optional[Fraction]:
+    """The weights' combination of the sample values, when they are convex
+    weights over the sample points whose combination is target; else None."""
+    if weights is None or len(weights) != len(samples) or any(w < 0 for w in weights):
+        return None
+    # a basic solution puts weight on few samples: check only those
+    used = [(w, sample) for w, sample in zip(weights, samples) if w]
+    ws = [w for w, _ in used]
+    if dot(ws, [1] * len(ws)) != 1 or len(target) != len(samples[0][0]):
+        return None
+    if any(dot(ws, [p[c] for _, (p, _) in used]) != t for c, t in enumerate(target)):
+        return None
+    return dot(ws, [v for _, (_, v) in used])
+
+
+def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool:
+    """Whether the LP's primal-dual pair proves both sides: L == U == lhs == rhs.
+
+    The pair is the report's lhs_witness z with cert.term_weights and its
+    witness x* with cert.trailing_weights.  z must lie on every fiber, and
+    each sample-form term's weights must be convex weights combining to
+    M_k z; then L, the objective at z minus each term's weighted sample
+    values (its largest piece at M_k z in piece form), is at most the sup,
+    since the envelope at M_k z is at most any such weighted value.  x*
+    must meet the constraint, and each sample-form trailing group's weights
+    theta must combine to x*; then U, the dual objective at x* with theta's
+    weighted values for those groups, is at least the min.  Weak duality
+    puts the sup at most the min, so L == U pins both to that value.
+    """
+    z, xstar = rep.lhs_witness, rep.witness
+    if z is None or xstar is None or rep.lhs != rep.rhs:
+        return False
+    if len(z) != p.objective.dim or len(cert.term_weights) != len(p.terms):
+        return False
+    if any(any(b_map(z)) for b_map in p.fibers):
+        return False
+    lower = p.objective(z)
+    for (f, m), lam in zip(p.terms, cert.term_weights):
+        image = m(z)
+        part = _largest_piece(f, image) if f.form != V_FORM else _weighted_value(
+            lam, f.samples, image)
+        if part is None:
+            return False
+        lower -= part
+    if len(xstar) != p.groups[0].dim or len(cert.trailing_weights) != len(p.trailing):
+        return False
+    if any(dot(a, xstar) != r for a, r in p.constraint):
+        return False
+    upper = dual_objective_value(p.groups, p.constant, xstar)
+    for f, theta in zip(p.trailing, cert.trailing_weights):
+        part = _largest_piece(f, xstar) if f.form != V_FORM else _weighted_value(
+            theta, f.samples, xstar)
+        if part is None:
+            return False
+        upper += part
+    return lower == upper == rep.lhs
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
     """Exact-oracle verdict for one verified query.
 
-    lhs_oracle is the oracle's left side (`exact_sup`), with the LP's
-    sign.  lhs_ok and rhs_ok: the oracle's left and right sides equal the
-    LP's exactly, infinities included.  witness_ok: the dual objective
-    recomputed at the LP witness reproduces the right side, or falls along
-    the LP's unbounded ray.
+    lhs_oracle is the oracle's left side, with the LP's sign, and
+    decided_by says how it was found.  "certificate": the LP's primal-dual
+    pair closed (see `crosscheck_scenario`), so both sides are proved equal
+    to the LP's and lhs_oracle's argmax is the LP's maximizer.
+    "enumeration": both sides were solved by double description
+    (`exact_sup`).  lhs_ok and rhs_ok: the oracle's left and right sides
+    equal the LP's exactly, infinities included.  witness_ok: the dual
+    objective recomputed at the LP witness reproduces the right side, or
+    falls along the LP's unbounded ray.
     """
 
     kind: str
@@ -377,6 +464,7 @@ class CrosscheckReport:
     witness_ok: bool
     rhs_ok: bool
     ok: bool
+    decided_by: str
     notes: tuple = ()
 
 
@@ -387,28 +475,47 @@ def crosscheck_scenario(
 ) -> list:
     """Replay each verified query of a scenario against the exact oracle.
 
-    Both sides of the query's `query_program` are recomputed as polyhedral
-    optima by double description and compared with the LP's; the LP's dual
-    witness or ray is re-checked by direct arithmetic.  reports, when
-    given, are verify(s)'s reports, which are then not computed again.
-    spec is accepted for compatibility and ignored.
+    A query is decided by certificate where the report carries verify's
+    `Certificate` for this scenario and query, both sides are finite, and
+    the LP's primal-dual pair closes in exact arithmetic: the primal point
+    lies on every fiber with each sample-form term's weights convex and
+    combining to M_k z, the dual point meets the constraint with each
+    sample-form trailing group's weights convex and combining to x*, and
+    the objective values L at z and U at x* satisfy
+    L == U == lhs == rhs.  Every other query is decided by enumeration:
+    both sides of its `query_program` are recomputed as polyhedral optima
+    by double description and compared with the LP's, and the LP's dual
+    witness or ray is re-checked by direct arithmetic.  Both paths give
+    the same record for a correct report.  reports, when given, are
+    verify(s)'s reports, which are then not computed again.  spec is
+    accepted for compatibility and ignored.
     """
     if reports is None:
         reports = verify(s)
     out = []
     for rep in reports:
-        p = query_program(s, rep.query)
-        lhs_oracle = exact_sup(p.objective, p.terms, p.fibers)
-        # one hull per sample-form group, shared by every check below
-        groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups + p.trailing]
-        rhs_oracle = _dual_min(groups, p.constant, p.constraint)
-        witness_ok, notes = _witness_check(groups, p.constant, p.constraint, rep)
-        lhs_ok = lhs_oracle.value == rep.lhs
-        rhs_ok = rhs_oracle == rep.rhs
-        if not lhs_ok:
-            notes += (f"oracle left side is {lhs_oracle.value}",)
-        if not rhs_ok:
-            notes += (f"oracle right side is {rhs_oracle}",)
+        cert = rep.certificate
+        if cert is not None and (cert.scenario != s or cert.query != rep.query):
+            cert = None
+        p = query_program(s, rep.query) if cert is None else cert.program
+        if cert is not None and _pair_closes(p, cert, rep):
+            decided_by = "certificate"
+            lhs_oracle = OracleResult(rep.lhs, True, rep.lhs_witness)
+            lhs_ok = witness_ok = rhs_ok = True
+            notes = ()
+        else:
+            decided_by = "enumeration"
+            lhs_oracle = exact_sup(p.objective, p.terms, p.fibers)
+            # one hull per sample-form group, shared by every check below
+            groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups + p.trailing]
+            rhs_oracle = _dual_min(groups, p.constant, p.constraint)
+            witness_ok, notes = _witness_check(groups, p.constant, p.constraint, rep)
+            lhs_ok = lhs_oracle.value == rep.lhs
+            rhs_ok = rhs_oracle == rep.rhs
+            if not lhs_ok:
+                notes += (f"oracle left side is {lhs_oracle.value}",)
+            if not rhs_ok:
+                notes += (f"oracle right side is {rhs_oracle}",)
         out.append(
             CrosscheckReport(
                 kind=s.kind,
@@ -420,6 +527,7 @@ def crosscheck_scenario(
                 witness_ok=witness_ok,
                 rhs_ok=rhs_ok,
                 ok=lhs_ok and witness_ok and rhs_ok,
+                decided_by=decided_by,
                 notes=notes,
             )
         )

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sandwichkit.convexfn import AffineFunctional, PolyhedralFunction, evaluate
-from sandwichkit.geometry import AffineMap
+from sandwichkit.geometry import AffineMap, solve_linear
+from sandwichkit.interiority import boundedness_condition
 from sandwichkit.duality import (
     KINDS,
     MODES,
@@ -293,6 +294,38 @@ class TestIndicatorLinear:
         c_w = (w[0],)
         g_val = evaluate(s.g, c_w + u)
         assert w[0] * 1 + u[0] * 2 - g_val == report.lhs
+
+
+    def test_boundedness_flag_matches_the_sliding_base_point(self):
+        # reference: the condition at each sample q of g that C reaches, with
+        # the fiber fixing the u-part at q's and B sliding the x-part around q's
+        seen = set()
+        for i in range(60):
+            rng = random.Random(f"sliding:{i}")
+            x, u, w, v = (rng.randint(1, 2), rng.randint(0, 2),
+                          rng.randint(1, 2), rng.randint(0, 2))
+            samples = [(tuple(rng.randint(-2, 2) for _ in range(x + u)), rng.randint(0, 4))
+                       for _ in range(rng.randint(1, 6))]
+            g = PolyhedralFunction.v_form(x + u, samples + samples[:rng.randint(0, 1)])
+            c_map = AffineMap.from_rows(
+                [[rng.randint(-1, 1) for _ in range(w)] for _ in range(x)], in_dim=w)
+            d_map = AffineMap.from_rows(
+                [[rng.randint(-1, 1) for _ in range(u)] for _ in range(v)], in_dim=u)
+            s = DualityScenario.indicator_linear(g, c_map, d_map, [(0,) * (w + v)])
+            proj_u = AffineMap.from_rows(
+                [[int(j == x + r) for j in range(x + u)] for r in range(u)], in_dim=x + u)
+            delta = max(val for _, val in g.samples) + 1
+            want = any(
+                boundedness_condition(
+                    g, proj_u,
+                    AffineMap.from_rows([[int(j == r) for j in range(x + u)] for r in range(x)],
+                                        [-c for c in q[:x]], x + u),
+                    q, delta)
+                for q, _ in g.samples if solve_linear(c_map.linear, q[:x]) is not None
+            )
+            assert verify(s)[0].hypothesis_flags["boundedness"] == want, i
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestProductConstructions:

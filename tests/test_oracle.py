@@ -11,6 +11,7 @@ import pytest
 
 from sandwichkit import cli
 from sandwichkit.convexfn import (
+    V_FORM,
     AffineFunctional,
     PolyhedralFunction,
     evaluate,
@@ -23,7 +24,9 @@ from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, Structural
 from sandwichkit.oracle import (
     CrosscheckReport,
     GridSpec,
+    LowerHull,
     OracleResult,
+    _dual_min,
     crosscheck_scenario,
     double_description,
     dual_objective_value,
@@ -32,9 +35,11 @@ from sandwichkit.oracle import (
 )
 from sandwichkit.randomgen import (
     random_crosscheck_scenario,
+    random_sandwich_instance,
     random_vec,
     random_vform,
 )
+from test_acceptance import Stopwatch
 
 CORPUS = Path(cli.__file__).parent / "scenarios"
 
@@ -83,6 +88,22 @@ def subset_envelope(f: PolyhedralFunction, point) -> Fraction:
             if best is None or value < best:
                 best = value
     return POS_INF if best is None else best
+
+
+def piece_form_fenchel(rng: random.Random) -> DualityScenario:
+    """A fenchel scenario whose g is in piece form, from a sandwich instance:
+    its dual has a sample-form trailing group, g's conjugate."""
+    inst, _ = random_sandwich_instance(rng, satisfy=bool(rng.getrandbits(1)))
+    queries = [(0,) * inst.z_dim, random_vec(rng, inst.z_dim)]
+    return DualityScenario.fenchel(inst.convex, inst.sublinear.as_h_form(), inst.link, queries)
+
+
+def enumerated_sides(s: DualityScenario, query) -> tuple:
+    """Both sides of a query by double description alone."""
+    p = query_program(s, query)
+    groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups + p.trailing]
+    return (exact_sup(p.objective, p.terms, p.fibers).value,
+            _dual_min(groups, p.constant, p.constraint))
 
 
 def convex_combination(pts, weights) -> tuple:
@@ -407,15 +428,132 @@ class TestCrosscheckScenario:
             randomgen.random_violating_trivariate,
         ]
         gens += [lambda rng, k=kind: random_crosscheck_scenario(rng, k) for kind in KINDS]
+        gens.append(piece_form_fenchel)
         infinite = 0
         for g, gen in enumerate(gens):
             rng = random.Random(710 + g)
             for _ in range(6):
-                for rep in crosscheck_scenario(gen(rng)):
+                s = gen(rng)
+                for rep in crosscheck_scenario(s):
                     assert rep.lhs_oracle.value == rep.lhs_lp, (g, rep.notes)
                     assert rep.rhs_ok and rep.ok, (g, rep.notes)
-                    infinite += NEG_INF in (rep.lhs_lp, rep.rhs_lp) or POS_INF in (rep.lhs_lp, rep.rhs_lp)
+                    finite = {rep.lhs_lp, rep.rhs_lp}.isdisjoint({NEG_INF, POS_INF})
+                    assert rep.decided_by == ("certificate" if finite else "enumeration"), g
+                    if finite:
+                        # the enumeration, run on its own, agrees with the proof
+                        assert enumerated_sides(s, rep.query) == (rep.lhs_lp, rep.rhs_lp), g
+                    infinite += not finite
         assert infinite > 0
+
+    def test_broken_certificates_fall_back_to_enumeration(self):
+        def nudged(values, at=-1):
+            values = list(values)
+            values[at] += Fraction(1, 7)
+            return tuple(values)
+
+        def verdict(rec):
+            return (rec.lhs_oracle.value, rec.lhs_ok, rec.witness_ok, rec.rhs_ok, rec.ok,
+                    rec.notes)
+
+        scenarios = [random_crosscheck_scenario(random.Random(720 + k), kind)
+                     for k, kind in enumerate(KINDS)]
+        scenarios += [piece_form_fenchel(random.Random(730 + k)) for k in range(3)]
+        broken_kinds = set()
+        for s in scenarios:
+            reports = verify(s)
+            for i, rep in enumerate(reports):
+                whole = crosscheck_scenario(s, reports=[rep])[0]
+                assert whole.decided_by == "certificate"
+                cert = rep.certificate
+                breaks = {
+                    "dropped": dataclasses.replace(rep, certificate=None),
+                    "z": dataclasses.replace(rep, lhs_witness=nudged(rep.lhs_witness)),
+                    "witness": dataclasses.replace(rep, witness=nudged(rep.witness)),
+                }
+                if len(reports) > 1:
+                    other = reports[1 - i].query
+                    breaks["query"] = dataclasses.replace(rep, query=other)
+                for k, lam in enumerate(cert.term_weights):
+                    if lam is not None:
+                        weights = cert.term_weights[:k] + (nudged(lam, 0),) + cert.term_weights[k + 1:]
+                        breaks[f"term {k} weight"] = dataclasses.replace(
+                            rep, certificate=dataclasses.replace(cert, term_weights=weights))
+                for k, theta in enumerate(cert.trailing_weights):
+                    if theta is not None:
+                        weights = (cert.trailing_weights[:k] + (nudged(theta, 0),)
+                                   + cert.trailing_weights[k + 1:])
+                        breaks[f"trailing {k} weight"] = dataclasses.replace(
+                            rep, certificate=dataclasses.replace(cert, trailing_weights=weights))
+                for what, broken in breaks.items():
+                    rec = crosscheck_scenario(s, reports=[broken])[0]
+                    # with the certificate gone, the record is today's enumeration
+                    bare = dataclasses.replace(broken, certificate=None)
+                    ref = crosscheck_scenario(s, reports=[bare])[0]
+                    assert rec.decided_by == ref.decided_by == "enumeration", (s.kind, what)
+                    assert verdict(rec) == verdict(ref), (s.kind, what)
+                    broken_kinds.add(what.split()[0])
+                # the intact pair and the enumeration agree on everything else
+                assert verdict(whole) == verdict(
+                    crosscheck_scenario(s, reports=[breaks["dropped"]])[0])
+        assert broken_kinds == {"dropped", "z", "witness", "query", "term", "trailing"}
+
+    def test_doctored_pairs_with_unchanged_values_are_refused(self):
+        # each doctored pair keeps L == U == lhs == rhs and breaks one check only
+        flat = PolyhedralFunction.v_form(1, [((-1,), 0), ((0,), 0), ((1,), 0)])
+        fenchel = DualityScenario.fenchel(flat, abs_three(), identity(1), [(0,)])
+        rep = verify(fenchel)[0]
+        assert rep.lhs_witness == (0,)
+        cases = []
+        # both still combine to z = 0 at value 0: one sums to 2, one is negative
+        for weights in ((1, 0, 1), (-1, 3, -1)):
+            cert = dataclasses.replace(
+                rep.certificate, term_weights=(weights,) + rep.certificate.term_weights[1:])
+            cases.append((fenchel, dataclasses.replace(rep, certificate=cert)))
+
+        zero_on = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
+        trivariate = DualityScenario.trivariate(
+            zero_on, AffineMap.from_rows([[0]]), identity(1), [(0,)])
+        rep = verify(trivariate)[0]
+        assert rep.lhs_witness == (0,)
+        cert = dataclasses.replace(rep.certificate, term_weights=((0, 1),))
+        # z = 1 with its weights: same value, off the fiber {z = 0}
+        cases.append((trivariate, dataclasses.replace(rep, lhs_witness=(Fraction(1),),
+                                                      certificate=cert)))
+
+        g = PolyhedralFunction.v_form(2, [((sx, su), abs(sx) + abs(su))
+                                          for sx in (-1, 0, 1) for su in (-1, 0, 1)])
+        indicator = DualityScenario.indicator_linear(
+            g, AffineMap.from_rows([[1, 0]]), identity(1), [(0, 0, 0)])
+        rep = verify(indicator)[0]
+        assert rep.witness == (0,)
+        # x* = 1/2 keeps the dual value 0 but breaks x* after C = 0
+        cases.append((indicator, dataclasses.replace(rep, witness=(Fraction(1, 2),))))
+
+        for s, broken in cases:
+            rec = crosscheck_scenario(s, reports=[broken])[0]
+            bare = crosscheck_scenario(
+                s, reports=[dataclasses.replace(broken, certificate=None)])[0]
+            assert rec.decided_by == "enumeration", s.kind
+            assert rec == bare, s.kind
+        assert not rec.witness_ok
+
+    def test_dimension_five_fenchel_within_budget(self):
+        # f of 30 samples in dimension 5: double description alone takes
+        # over a minute here, the certificate pair milliseconds
+        rng = random.Random(2)
+
+        def vform(count):
+            return PolyhedralFunction.v_form(5, [
+                (tuple(rng.randint(-9, 9) for _ in range(5)), rng.randint(0, 30))
+                for _ in range(count)])
+
+        f, g = vform(30), vform(8)
+        queries = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(2)]
+        s = DualityScenario.fenchel(f, g, identity(5), queries)
+        watch = Stopwatch(60)
+        records = crosscheck_scenario(s)
+        watch.check()
+        assert [(r.ok, r.decided_by) for r in records] == [(True, "certificate")] * 2
 
     def test_raised_lhs_is_refused_on_the_corpus(self):
         refused = set()
