@@ -45,13 +45,10 @@ from .convexfn import (
 )
 from .geometry import (
     AffineMap,
-    Polytope,
     cone_union_is_subspace,
     embed,
-    polytope_contains,
     solve_linear,
     vec_neg,
-    zero_in_hull,
 )
 from .interiority import _boundedness_sweep, _fiber_value, boundedness_over_samples
 from .numerics import (
@@ -297,20 +294,6 @@ class DualityReport:
         return all(self.hypothesis_flags.values())
 
 
-def _sup_side(phi: AffineFunctional, terms: Sequence, may_escape: bool):
-    """(lhs value, attaining point, term weights) of sup phi - sum of terms.
-
-    The term weights are `SupResult.term_weights`, all None unless the sup
-    is attained.  An unbounded sup is +inf where the variable space is a
-    full vector space (may_escape); on bounded domains it would be a
-    kernel bug.
-    """
-    sup = sup_affine_minus_convex(phi, terms)
-    if sup.status == "unbounded" and not may_escape:
-        raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-    return sup.value, sup.argmax, sup.term_weights
-
-
 def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[PolyhedralFunction] = (),
              constant=Fraction(0), constraint: Sequence = ()):
     """(rhs value, witness, unbounded direction, trailing weights) of the
@@ -473,7 +456,25 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
-def _scenario_flags(s: DualityScenario):
+def _scenario_flags(s: DualityScenario, h_proper: bool):
+    """(hypothesis flags, notes) of a scenario, h_proper the last flag.
+
+    h_proper, that h has a nonempty domain, is the only qualification
+    strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
+    the feasibility of the left side's sup LP, which the caller has solved:
+    the LP's feasible set {z : M_k z in dom f_k, B z = 0} is the same for
+    every query.  Per kind, that set is nonempty exactly when
+      * sublevel, trivariate, quadrivariate: B's zero fiber meets dom psi,
+        that is, 0 lies in the hull of B's images of psi's samples;
+      * fenchel with g in sample form: C(dom f) meets dom g;
+      * bibivariate: C sends the w-part of a point of dom f to the x-part
+        of a point of dom g (partial_infconv: their x-parts meet);
+        these two are 0 in the hull of B's images of the samples of
+        `scenario_to_trivariate`'s product;
+      * indicator_linear: 0 lies in the hull of the x-parts of g's
+        samples plus range(C);
+      * fenchel with g in piece form: always, as g is finite everywhere.
+    """
     notes: list = []
     flags: dict = {}
     if s.kind == "sublevel":
@@ -482,15 +483,9 @@ def _scenario_flags(s: DualityScenario):
         q = SublevelQuery.build(s.psi, s.b_map, s.gamma)
         flags["subspace"] = q.subspace_ok
         flags["interiority"] = interiority_margin(q).holds if q.subspace_ok else False
-        flags["h_proper"] = polytope_contains(
-            Polytope.of(q.images), (Fraction(0),) * s.b_map.out_dim
-        )
         notes.append(f"interiority tested at level {s.gamma}")
-        return flags, tuple(notes)
-    if s.kind == "indicator_linear":
+    elif s.kind == "indicator_linear":
         x = s.dims[3]
-        x_pts = [q[:x] for q, _ in s.g.samples]
-        c_cols = s.c_map.columns()
         if s.hypothesis_mode == "boundedness":
             values = [val for _, val in s.g.samples]
             points = [q for q, _ in s.g.samples]
@@ -507,35 +502,30 @@ def _scenario_flags(s: DualityScenario):
             )
             notes.append("delta_uniformity_not_checked")
         else:
-            ok, _ = cone_union_is_subspace(x_pts, lineality=c_cols)
+            ok, _ = cone_union_is_subspace([q[:x] for q, _ in s.g.samples],
+                                           lineality=s.c_map.columns())
             flags["closed_subspace"] = ok
             notes.append("queries are continuous in finite dimension")
-        flags["h_proper"] = zero_in_hull(x_pts, x, c_cols)
         notes.append("the w-space is a full vector space by construction")
-        return flags, tuple(notes)
-    if s.kind == "fenchel" and s.g.form == H_FORM:
+    elif s.kind == "fenchel" and s.g.form == H_FORM:
         if s.hypothesis_mode == "boundedness":
             flags["boundedness"] = True
             notes.append("delta_uniformity_not_checked")
         else:
             flags["closed_subspace"] = True
-        flags["h_proper"] = True
         notes.append("piece-form upper function is finite everywhere")
-        return flags, tuple(notes)
-    tri = scenario_to_trivariate(s)
-    b_images = [tri.b_map(p) for p, _ in tri.psi.samples]
-    if s.hypothesis_mode == "boundedness":
-        delta = max(v for _, v in tri.psi.samples) + 1
-        flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
-        notes.append("delta_uniformity_not_checked")
     else:
-        ok, _ = cone_union_is_subspace(b_images)
-        flags["closed_subspace"] = ok
-        notes.append("queries are continuous in finite dimension")
-    flags["h_proper"] = polytope_contains(
-        Polytope.of(b_images), (Fraction(0),) * tri.b_map.out_dim
-    )
-    notes.append("sample-form functions are closed by construction")
+        tri = scenario_to_trivariate(s)
+        if s.hypothesis_mode == "boundedness":
+            delta = max(v for _, v in tri.psi.samples) + 1
+            flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
+            notes.append("delta_uniformity_not_checked")
+        else:
+            ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
+            flags["closed_subspace"] = ok
+            notes.append("queries are continuous in finite dimension")
+        notes.append("sample-form functions are closed by construction")
+    flags["h_proper"] = h_proper
     return flags, tuple(notes)
 
 
@@ -644,17 +634,28 @@ def verify(s: DualityScenario) -> list:
     Always returns a report per query.  Weak duality (gap >= 0) is enforced
     as a kernel invariant; equality is only asserted when every hypothesis
     flag is certified, in which case a nonzero gap raises rather than being
-    reported as a counterexample.  Each report carries the query's program
-    and the LP's weights as its certificate, for `oracle.crosscheck_scenario`.
+    reported as a counterexample.  Both sides of every query are solved
+    before the flags, which read h_proper off the first query's sup LP.
+    Each report carries the query's program and the LP's weights as its
+    certificate, for `oracle.crosscheck_scenario`.
     """
-    flags, notes = _scenario_flags(s)
-    reports = []
+    solved = []
     for query in s.queries:
         p = query_program(s, query)
         # each fiber B enters the LP as the indicator of B z = 0
         terms = p.terms + tuple((indicator_of_zero(b.out_dim), b) for b in p.fibers)
-        lhs, lhs_wit, weights = _sup_side(p.objective, terms, p.escapes)
-        rhs, wit, ray, thetas = _dual_lp(p.groups, p.trailing, p.constant, p.constraint)
+        sup = sup_affine_minus_convex(p.objective, terms)
+        # an unbounded sup is +inf where z ranges over a full vector space
+        if sup.status == "unbounded" and not p.escapes:
+            raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
+        solved.append((query, p, sup,
+                       _dual_lp(p.groups, p.trailing, p.constant, p.constraint)))
+    # every query's sup LP has the same feasible set, which is dom h's
+    _, _, first_sup, _ = solved[0]
+    flags, notes = _scenario_flags(s, first_sup.value is not NEG_INF)
+    reports = []
+    for query, p, sup, (rhs, wit, ray, thetas) in solved:
+        lhs = sup.value
         gap = ext_sub(rhs, lhs)
         if gap < 0:
             raise RuntimeError("weak duality violated; LP kernel is unsound")
@@ -669,9 +670,8 @@ def verify(s: DualityScenario) -> list:
                 )
         reports.append(DualityReport(
             kind=s.kind, query=query, hypothesis_flags=dict(flags),
-            lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=lhs_wit,
+            lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=sup.argmax,
             attained=attained, unbounded_direction=ray, notes=notes + extra,
-            certificate=Certificate(s, query, p, weights[:len(p.terms)], thetas),
+            certificate=Certificate(s, query, p, sup.term_weights[:len(p.terms)], thetas),
         ))
     return reports
-

@@ -20,7 +20,6 @@ from .numerics import (
     StructuralError,
     Vec,
     frac,
-    unit_vec,
     vec,
 )
 
@@ -237,11 +236,7 @@ def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], targe
     B's target followed by A's: the fiber {A z = A's target} stays fixed
     while B's coordinates move around B's target.
     """
-    units = []
-    for c in range(b_dim):
-        e = unit_vec(b_dim, c)
-        units.append(e)
-        units.append(vec_neg(e))
+    units = _basis_directions(Subspace.full(b_dim))
     return _margin_sweep(values, stacked, tuple(target), delta, units).holds
 
 

@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from sandwichkit.convexfn import AffineFunctional, PolyhedralFunction, evaluate
-from sandwichkit.geometry import AffineMap, solve_linear
-from sandwichkit.interiority import boundedness_condition
+from sandwichkit.convexfn import H_FORM, AffineFunctional, PolyhedralFunction, evaluate
+from sandwichkit.geometry import (
+    AffineMap,
+    Polytope,
+    polytope_contains,
+    solve_linear,
+    zero_in_hull,
+)
+from sandwichkit.interiority import SublevelQuery, boundedness_condition
 from sandwichkit.duality import (
     KINDS,
     MODES,
@@ -50,6 +56,38 @@ def abs_fenchel(queries) -> DualityScenario:
     return DualityScenario.fenchel(
         zero_on_interval(), abs_on_two(), AffineMap.identity(1), queries
     )
+
+
+def point_function(*points) -> PolyhedralFunction:
+    """The indicator of the hull of the given points."""
+    return PolyhedralFunction.v_form(len(points[0]), [(p, 0) for p in points])
+
+
+def empty_left_side(kind: str) -> DualityScenario:
+    """A scenario of the kind whose h is identically +inf."""
+    ident = AffineMap.identity(1)
+    if kind == "sublevel":
+        return DualityScenario.sublevel(point_function((1,), (2,)), ident)
+    if kind == "trivariate":
+        return DualityScenario.trivariate(
+            point_function((1,), (2,)), ident, ident, [(F(1),)])
+    if kind == "fenchel":
+        return random_violating_fenchel(random.Random(612))
+    if kind == "quadrivariate":
+        # B(u, v, w, x) = x - w is 1 or 2 on the samples
+        return DualityScenario.quadrivariate(
+            point_function((0, 0, 0, 1), (0, 0, 0, 2)), ident, ident,
+            (1, 1, 1, 1), [(F(1), F(-1))])
+    # f's w-part 0 never meets g's x-part 1
+    f, g = point_function((0, 0)), point_function((1, 0))
+    if kind == "bibivariate":
+        return DualityScenario.bibivariate(f, g, ident, ident, [(F(1), F(-1))])
+    if kind == "partial_infconv":
+        return DualityScenario.partial_infconv(f, g, 1, [(F(1), F(-1))])
+    # C is the zero map while dom g sits at x >= 1
+    return DualityScenario.indicator_linear(
+        point_function((1, 0), (2, 0)), AffineMap(((F(0),),), (F(0),), 1),
+        ident, [(F(0), F(0))])
 
 
 class TestQueryCoercion:
@@ -195,10 +233,7 @@ class TestTrivariate:
         assert report.witness == (F(-5),)
 
     def test_empty_fiber_gives_twin_minus_infinity(self):
-        psi = PolyhedralFunction.v_form(1, [((1,), 0), ((2,), 0)])
-        ident = AffineMap.identity(1)
-        s = DualityScenario.trivariate(psi, ident, ident, [(F(1),)])
-        report = verify(s)[0]
+        report = verify(empty_left_side("trivariate"))[0]
         assert report.lhs is NEG_INF
         assert report.rhs is NEG_INF
         assert report.gap == 0
@@ -275,13 +310,7 @@ class TestIndicatorLinear:
         assert report.all_hypotheses_hold
 
     def test_unreachable_domain_gives_minus_infinity(self):
-        # C is the zero map while dom g sits at x >= 1, so h is identically +inf
-        g = PolyhedralFunction.v_form(2, [((1, 0), 0), ((2, 0), 0)])
-        c_map = AffineMap(((F(0),),), (F(0),), 1)
-        s = DualityScenario.indicator_linear(
-            g, c_map, AffineMap.identity(1), [(F(0), F(0))]
-        )
-        report = verify(s)[0]
+        report = verify(empty_left_side("indicator_linear"))[0]
         assert report.lhs is NEG_INF
         assert report.rhs is NEG_INF
         assert not report.hypothesis_flags["h_proper"]
@@ -475,3 +504,64 @@ class TestWeakDuality:
                 assert not report.all_hypotheses_hold
                 assert report.lhs is NEG_INF
                 assert report.gap >= 0
+
+
+def hull_test_h_proper(s: DualityScenario) -> bool:
+    """h_proper decided by its own LP, kind by kind: 0 in the hull of B's
+    images of the samples (of the product, for the two-function kinds),
+    0 in the hull of g's x-parts plus range(C) for indicator_linear, and
+    True for a piece-form g, which is finite everywhere."""
+    if s.kind == "sublevel":
+        images = SublevelQuery.build(s.psi, s.b_map, s.gamma).images
+        return polytope_contains(Polytope.of(images), (F(0),) * s.b_map.out_dim)
+    if s.kind == "indicator_linear":
+        x = s.dims[3]
+        return zero_in_hull([q[:x] for q, _ in s.g.samples], x, s.c_map.columns())
+    if s.kind == "fenchel" and s.g.form == H_FORM:
+        return True
+    tri = scenario_to_trivariate(s)
+    images = [tri.b_map(p) for p, _ in tri.psi.samples]
+    return polytope_contains(Polytope.of(images), (F(0),) * tri.b_map.out_dim)
+
+
+class TestHProper:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_left_side_fails_every_flag(self, kind, mode):
+        s = dataclasses.replace(empty_left_side(kind), hypothesis_mode=mode)
+        for report in verify(s):
+            assert report.lhs is report.rhs is NEG_INF
+            assert report.gap == 0
+            assert list(report.hypothesis_flags)[-1] == "h_proper"
+            assert not any(report.hypothesis_flags.values()), report.hypothesis_flags
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_piece_form_fenchel_is_always_proper(self, mode):
+        s = DualityScenario.fenchel(
+            zero_on_interval(), abs_everywhere(), AffineMap.identity(1),
+            [(F(0),), (F(3),)], hypothesis_mode=mode,
+        )
+        for report in verify(s):
+            assert report.lhs is not NEG_INF
+            assert report.hypothesis_flags["h_proper"]
+
+    def test_left_side_feasibility_matches_the_hull_tests(self):
+        generators = [(kind, lambda rng, kind=kind: random_crosscheck_scenario(rng, kind))
+                      for kind in KINDS]
+        generators += [
+            ("separated", random_violating_fenchel),
+            ("touching", lambda rng: random_violating_fenchel(rng, touching=True)),
+            ("shifted", random_violating_trivariate),
+        ]
+        seen = set()
+        for name, draw in generators:
+            rng = random.Random(f"h_proper:{name}")
+            for _ in range(40):
+                s = draw(rng)
+                expected = hull_test_h_proper(s)
+                seen.add(expected)
+                for mode in MODES:
+                    reports = verify(dataclasses.replace(s, hypothesis_mode=mode))
+                    for report in reports:
+                        assert report.hypothesis_flags["h_proper"] == expected, (name, s)
+        assert seen == {True, False}
