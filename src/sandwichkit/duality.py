@@ -456,8 +456,10 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
-def _scenario_flags(s: DualityScenario, h_proper: bool):
+def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualityScenario]):
     """(hypothesis flags, notes) of a scenario, h_proper the last flag.
+
+    tri is `scenario_to_trivariate(s)`, or None for the kinds without one.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -515,10 +517,19 @@ def _scenario_flags(s: DualityScenario, h_proper: bool):
             flags["closed_subspace"] = True
         notes.append("piece-form upper function is finite everywhere")
     else:
-        tri = scenario_to_trivariate(s)
         if s.hypothesis_mode == "boundedness":
             delta = max(v for _, v in tri.psi.samples) + 1
-            flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
+            bases = None
+            if s.kind == "fenchel":
+                # the product's fiber over a sample p of f holds C p as its
+                # g-part, and conv(product) = conv(f's) x conv(g's): it is
+                # empty, and the condition fails, unless C p is in dom g.
+                # Each p is tested as the sweep reaches it.
+                g_dom = s.g.domain()
+                bases = (p for p in dict.fromkeys(p for p, _ in s.f.samples)
+                         if g_dom.contains(s.c_map(p)))
+            flags["boundedness"] = boundedness_over_samples(
+                tri.psi, tri.a_map, tri.b_map, delta, bases)
             notes.append("delta_uniformity_not_checked")
         else:
             ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
@@ -574,10 +585,15 @@ class Certificate:
     trailing_weights: tuple
 
 
-def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
-    """The one statement of both sides of a query, for every kind."""
+def query_program(s: DualityScenario, query: AffineFunctional,
+                  tri: Optional[DualityScenario] = None) -> QueryProgram:
+    """The one statement of both sides of a query, for every kind.
+
+    tri, when given, is `scenario_to_trivariate(s)`, built by the caller.
+    """
     if s.kind in ("trivariate", "sublevel", "quadrivariate"):
-        tri = scenario_to_trivariate(s)
+        if tri is None:
+            tri = scenario_to_trivariate(s)
         a_map, b_map = tri.a_map, tri.b_map
         # sup q(Az) - psi(z) over Bz = 0; min over x* of psi*(A^T q + B^T x*)
         return QueryProgram(
@@ -639,9 +655,12 @@ def verify(s: DualityScenario) -> list:
     Each report carries the query's program and the LP's weights as its
     certificate, for `oracle.crosscheck_scenario`.
     """
+    # the trivariate rewrite, for every query's program and for the flags
+    compact = s.kind != "indicator_linear" and (s.kind != "fenchel" or s.g.form == V_FORM)
+    tri = scenario_to_trivariate(s) if compact else None
     solved = []
     for query in s.queries:
-        p = query_program(s, query)
+        p = query_program(s, query, tri)
         # each fiber B enters the LP as the indicator of B z = 0
         terms = p.terms + tuple((indicator_of_zero(b.out_dim), b) for b in p.fibers)
         sup = sup_affine_minus_convex(p.objective, terms)
@@ -652,7 +671,7 @@ def verify(s: DualityScenario) -> list:
                        _dual_lp(p.groups, p.trailing, p.constant, p.constraint)))
     # every query's sup LP has the same feasible set, which is dom h's
     _, _, first_sup, _ = solved[0]
-    flags, notes = _scenario_flags(s, first_sup.value is not NEG_INF)
+    flags, notes = _scenario_flags(s, first_sup.value is not NEG_INF, tri)
     reports = []
     for query, p, sup, (rhs, wit, ray, thetas) in solved:
         lhs = sup.value

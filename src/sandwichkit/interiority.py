@@ -7,7 +7,7 @@ weights, so every answer is exact.
 """
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .convexfn import PolyhedralFunction, V_FORM, evaluate
 from .geometry import AffineMap, Subspace, cone_union_is_subspace, polytope_contains, vec_neg
@@ -258,7 +258,8 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
 
 
 def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
-                             b_map: AffineMap, delta) -> bool:
+                             b_map: AffineMap, delta,
+                             a_targets: Optional[Iterable[Vec]] = None) -> bool:
     """Whether boundedness_condition holds at some sample of psi as base point.
 
     Equal to any(boundedness_condition(psi, a_map, b_map, z0, delta)) over
@@ -266,7 +267,9 @@ def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
     dom psi by definition, so no domain check is made; the tested fiber
     depends on z0 only through a_map(z0), so each distinct A-image is swept
     once.  The B and A images of the samples are stacked once for every
-    sweep.
+    sweep.  a_targets, when given, yields the A-images to sweep instead, in
+    order: a caller may leave out those whose fiber misses B's zero fiber,
+    where the condition fails.
     """
     _check_fiber_maps(psi, a_map, b_map)
     delta = frac(delta)
@@ -274,7 +277,7 @@ def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
     a_images = [a_map(p) for p, _ in psi.samples]
     stacked = [b_map(p) + ai for (p, _), ai in zip(psi.samples, a_images)]
     zero = (Fraction(0),) * b_map.out_dim
-    for key in dict.fromkeys(a_images):
+    for key in dict.fromkeys(a_images) if a_targets is None else a_targets:
         if _boundedness_sweep(values, stacked, zero + key, b_map.out_dim, delta):
             return True
     return False

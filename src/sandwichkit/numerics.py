@@ -12,9 +12,11 @@ The solver is a two-phase dense simplex with Bland's rule, which keeps it
 deterministic and cycle-free.  Variables are free unless bounded; bounds are
 folded into explicit rows so dual certificates cover them uniformly.  The
 arithmetic between building a program and returning its result is on
-integers (Edmonds' fraction-free elimination; Applegate, Cook, Dash and
-Espinoza 2007): each row is read once as integers over a positive scale,
-each tableau row is held as integers over one common denominator, and each
+integers: each row is read once as integers over a positive scale s, and
+enters the tableau times s, with its artificial variable a' = s a.  The
+tableau is T = D B^-1 M' for that integer system M', its basis B and one
+common denominator D = |det B| (Edmonds 1967; Bareiss 1968), so a pivot is
+one pass per row ending in an exact integer division, with no gcd.  Each
 certificate is re-checked in integer arithmetic over common denominators.
 """
 from __future__ import annotations
@@ -240,39 +242,30 @@ def _int_rows(lp: LinearProgram) -> list[tuple[list[int], str, int, int]]:
     return rows
 
 
-# Tableau rows are lists of ints: the numerators of the row's
-# entries over one positive common denominator, which is kept last.  Integer
-# arithmetic on a whole row is several times faster than one Fraction per
-# entry, and the entries are the same rationals.
+# The tableau is all-integer over one positive common denominator D, kept
+# apart (Edmonds 1967; Bareiss 1968).  A general row (A, rel, B, s) enters
+# times s, as A x +- s slack + a' = B (negated when B < 0) with the
+# artificial a' = s a, so the artificial basis is the identity and D is 1.
+# Then T = D B^-1 M' for that integer system M' and its basis B, D = |det B|,
+# and each basic column reads D in its own row.  A pivot on p = T[r][c] keeps
+# row r, replaces every other row i, the cost row included, by
+# (p T[i] - T[i][c] T[r]) / D, an exact division, and sets D to p.  Positive
+# row and column scalings change no sign that Bland's rule or the ratio test
+# reads, so the pivots are those of the rational rows themselves.
 
-def _reduced(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return row if g == 1 else [x // g for x in row]
-
-
-def _unit_at(row: list[int], col: int) -> None:
-    """Divide row, in place, by its entry at col, so that it reads 1 there."""
-    p = row[col]
-    out = row[:-1] + [p] if p > 0 else [-x for x in row[:-1]] + [-p]
-    row[:] = _reduced(out)
-
-
-def _eliminate(row: list[int], unit: list[int], col: int) -> None:
-    """Subtract, in place, row's entry at col times unit, which reads 1 at col."""
-    f, ud = row[col], unit[-1]
-    out = [x * ud - f * y for x, y in zip(row, unit)]
-    out[-1] = row[-1] * ud
-    row[:] = _reduced(out)
+def _pivot_row(row: list[int], prow: list[int], p: int, col: int, d: int) -> list[int]:
+    """row after the pivot on p = prow[col], over the denominator d before it."""
+    f = row[col]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
 
 
-def _split_back(vals: dict, pos: list[int], neg: list[int]) -> list[Fraction]:
-    """x_j = x+_j - x-_j from {column: (numerator, denominator)}."""
-    out = []
-    for p, q in zip(pos, neg):
-        a, b = vals.get(p, (0, 1))
-        c, d = vals.get(q, (0, 1))
-        out.append(Fraction(a * d - c * b, b * d))
-    return out
+def _split_back(nums: dict, d: int, pos: list[int], neg: list[int]) -> list[Fraction]:
+    """x_j = x+_j - x-_j from {column: numerator over d}."""
+    return [Fraction(nums.get(p, 0) - nums.get(q, 0), d) for p, q in zip(pos, neg)]
 
 
 class _Unbounded(Exception):
@@ -343,46 +336,51 @@ def _solve_rows(rows, obj, minimize, n):
 
     tab: list[list[int]] = []
     flips: list[int] = []
+    scales = [rows[i][3] for i in gen]
     slack_idx = nv
     for t, i in enumerate(gen):
-        # entries over the denominator s, which appends last: 1 is s / s
         a, rel, b, s = rows[i]
         row = split_row(a, ncol + 1)
         if rel != EQ:
             row[slack_idx] = s if rel == LE else -s
             slack_idx += 1
+        row[ncol] = b
+        flips.append(-1 if b < 0 else 1)
         if b < 0:
             row = [-v for v in row]
-            b = -b
-            flips.append(-1)
-        else:
-            flips.append(1)
-        row[ns + t] = s
-        row[ncol] = b
-        row.append(s)
-        tab.append(_reduced(row))
+        row[ns + t] = 1
+        tab.append(row)
     basis = [ns + t for t in range(mt)]
+    d = 1
 
-    def pivot(rc, r, col):
+    def pivot(r, col, rc=None):
+        # a negative pivot (clean-up only) negates its row first, which
+        # negates the whole tableau and so keeps D positive
+        nonlocal d
         prow = tab[r]
-        _unit_at(prow, col)
-        for other in (*tab, rc):
-            if other is not prow and other[col]:
-                _eliminate(other, prow, col)
+        p = prow[col]
+        if p < 0:
+            p = -p
+            prow = tab[r] = [-x for x in prow]
+        for i, row in enumerate(tab):
+            if i != r:
+                tab[i] = _pivot_row(row, prow, p, col, d)
+        if rc is not None:
+            rc[:] = _pivot_row(rc, prow, p, col, d)
+        d = p
         basis[r] = col
 
-    def reduced_costs(rc):
-        # rc is the cost row, with a zero right-hand side and its
-        # denominator; each basic column is a unit column, so clearing rc
-        # there subtracts exactly rc's entry times row r
+    def reduced_costs(cost):
+        # D (c - c_B B^-1 M'): D c less each basic column's cost times its row
+        rc = cost if d == 1 else [d * x for x in cost]
         for r, row in enumerate(tab):
-            if rc[basis[r]]:
-                _eliminate(rc, row, basis[r])
+            w = cost[basis[r]]
+            if w:
+                rc = [x - w * y for x, y in zip(rc, row)]
         return rc
 
     def leaving(enter):
-        # Bland's ratio test; a row's denominator cancels in b / e, so
-        # candidates compare by cross-multiplying b and e (e > 0)
+        # Bland's ratio test on b / e, D cancelled, by cross-multiplying (e > 0)
         leave = -1
         best_b, best_e = 0, 1
         for r, row in enumerate(tab):
@@ -411,10 +409,12 @@ def _solve_rows(rows, obj, minimize, n):
             leave = leaving(enter)
             if leave < 0:
                 raise _Unbounded(enter)
-            pivot(rc, leave, enter)
+            pivot(leave, enter, rc)
 
-    # Phase 1: drive the artificial variables to zero.
-    rc1 = reduced_costs([0] * ns + [1] * mt + [0, 1])
+    # Phase 1: drive the artificial variables to zero, minimizing
+    # sum_t (L / s_t) a'_t = L sum_t a_t with L = lcm(s_t).
+    big_l = math.lcm(*scales)
+    rc1 = reduced_costs([0] * ns + [big_l // s for s in scales] + [0])
     try:
         run(rc1, ncol)
     except _Unbounded:  # pragma: no cover - phase 1 is bounded below by 0
@@ -422,49 +422,49 @@ def _solve_rows(rows, obj, minimize, n):
 
     # the ratio test keeps every right-hand side nonnegative
     if any(tab[r][ncol] > 0 for r in range(len(tab)) if basis[r] >= ns):
-        d = rc1[-1]
+        # y_t = 1 - (reduced cost of a_t) = 1 - rc1[a'_t] s_t / (L D)
+        ld = big_l * d
         farkas = [0] * m
         for t, i in enumerate(gen):
-            farkas[i] = Fraction(flips[t] * (d - rc1[ns + t]), d)
+            farkas[i] = Fraction(flips[t] * (ld - rc1[ns + t] * scales[t]), ld)
         for j, i in bound_row.items():
-            farkas[i] = Fraction(rc1[pos[j]], d)
+            farkas[i] = Fraction(rc1[pos[j]], ld)
         return ("infeasible", farkas)
 
-    # Clean-up: pivot surviving artificials out of the basis; a row with no
-    # structural entry left is redundant and is dropped (its dual is zero).
+    # Clean-up, leaving rc1 (read no more): pivot surviving artificials out;
+    # a row with no structural entry left is redundant and dropped (dual 0).
     dropped: list[int] = []
     for r in range(len(tab)):
         if basis[r] >= ns:
             col = next((j for j in range(ns) if tab[r][j]), -1)
             if col >= 0:
-                pivot(rc1, r, col)
+                pivot(r, col)
             else:
                 dropped.append(r)
     for r in reversed(dropped):
         del tab[r]
         del basis[r]
 
-    # Phase 2 over the real objective; artificial columns may not re-enter.
+    # Phase 2 over the real objective, times s; artificials may not re-enter.
     c, s = obj
-    rc2 = reduced_costs(_reduced(split_row([sign * x for x in c], ncol + 1) + [s]))
+    rc2 = reduced_costs(split_row([sign * x for x in c], ncol + 1))
     try:
         run(rc2, ns)
     except _Unbounded as ub:
-        vals = {ub.col: (1, 1)}
+        nums = {ub.col: d}
         for r, row in enumerate(tab):
-            vals[basis[r]] = (-row[ub.col], row[-1])
-        return ("unbounded", _split_back(vals, pos, neg))
+            nums[basis[r]] = -row[ub.col]
+        return ("unbounded", _split_back(nums, d, pos, neg))
 
-    point = _split_back({basis[r]: (row[ncol], row[-1]) for r, row in enumerate(tab)},
-                        pos, neg)
-    # Duals are read off the artificial columns of the final objective row;
-    # a dropped (redundant) row keeps its unit column and so reads back 0.
-    d = rc2[-1]
+    point = _split_back({basis[r]: row[ncol] for r, row in enumerate(tab)}, d, pos, neg)
+    # Duals are -sign flips_t rc2[a'_t] s_t / (s D); a dropped (redundant)
+    # row's artificial column stays zero, so its dual reads back 0.
+    sd = s * d
     duals = [0] * m
     for t, i in enumerate(gen):
-        duals[i] = Fraction(-sign * flips[t] * rc2[ns + t], d)
+        duals[i] = Fraction(-sign * flips[t] * rc2[ns + t] * scales[t], sd)
     for j, i in bound_row.items():
-        duals[i] = Fraction(sign * rc2[pos[j]], d)
+        duals[i] = Fraction(sign * rc2[pos[j]], sd)
     return ("optimal", point, duals)
 
 

@@ -13,7 +13,8 @@ from sandwichkit.geometry import (
     solve_linear,
     zero_in_hull,
 )
-from sandwichkit.interiority import SublevelQuery, boundedness_condition
+from sandwichkit import duality
+from sandwichkit.interiority import SublevelQuery, boundedness_condition, boundedness_over_samples
 from sandwichkit.duality import (
     KINDS,
     MODES,
@@ -28,11 +29,14 @@ from sandwichkit.duality import (
 )
 from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.randomgen import (
+    random_affine_map,
     random_bibivariate_scenario,
     random_crosscheck_scenario,
     random_fenchel_scenario,
     random_indicator_scenario,
     random_trivariate_scenario,
+    random_vec,
+    random_vform,
     random_violating_fenchel,
     random_violating_trivariate,
 )
@@ -199,6 +203,35 @@ class TestFenchel:
         assert report.lhs == 9
         assert report.rhs == 9
 
+    def test_boundedness_flag_matches_the_product_sweep(self):
+        # reference: the sweep at every sample of the product psi = f + g as
+        # base point, with no dom g test first
+        def free_pair(rng):
+            n, m = rng.randint(1, 2), rng.randint(1, 2)
+            return DualityScenario.fenchel(random_vform(rng, n, 5), random_vform(rng, m, 5),
+                                           random_affine_map(rng, n, m), [random_vec(rng, n)])
+
+        generators = [
+            ("crosscheck", lambda rng: random_crosscheck_scenario(rng, "fenchel")),
+            ("separated", random_violating_fenchel),
+            ("touching", lambda rng: random_violating_fenchel(rng, touching=True)),
+            ("free", free_pair),
+        ]
+        seen = set()
+        for name, draw in generators:
+            rng = random.Random(f"fenchel-boundedness:{name}")
+            for _ in range(40):
+                s = draw(rng)
+                assert s.hypothesis_mode == "boundedness"
+                tri = fenchel_to_trivariate(s)
+                delta = max(v for _, v in tri.psi.samples) + 1
+                want = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
+                assert verify(s)[0].hypothesis_flags["boundedness"] == want, (name, s)
+                # whether some sample of f is skipped, C p lying outside dom g
+                skips = not all(s.g.domain().contains(s.c_map(p)) for p, _ in s.f.samples)
+                seen.add((want, skips))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
 
 class TestSublevel:
     def test_worked_example_auto_level(self):
@@ -358,10 +391,23 @@ class TestIndicatorLinear:
 
 
 class TestProductConstructions:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", ["quadrivariate", "bibivariate", "partial_infconv"])
+    def test_verify_rewrites_the_scenario_once(self, monkeypatch, kind, mode):
+        calls = []
+        inner = duality.quad_fiber_maps
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(duality, "quad_fiber_maps", counted)
+        s = random_crosscheck_scenario(random.Random(f"rewrite:{kind}"), kind, n_queries=3)
+        verify(dataclasses.replace(s, hypothesis_mode=mode))
+        assert len(calls) == 1
+
     def test_product_adds_marginal_values(self):
         rng = random.Random(601)
-        from sandwichkit.randomgen import random_vform, random_vec
-
         for _ in range(20):
             f = random_vform(rng, rng.randint(1, 2))
             g = random_vform(rng, rng.randint(1, 2))

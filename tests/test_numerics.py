@@ -1,9 +1,12 @@
-"""LP kernel: worked optima, certificates, determinism."""
+"""LP kernel: worked optima, certificates, determinism, and agreement with
+the gcd kernel it replaced."""
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -556,3 +559,238 @@ def test_lp_solve_refuses_a_corrupted_result(monkeypatch, program, slot, message
     monkeypatch.setattr(numerics, "_solve_rows", wrong)
     with pytest.raises(RuntimeError, match=re.escape(message)):
         lp_solve(program)
+
+
+# The reference for the Bareiss kernel: the gcd kernel it replaced, step for
+# step, with its names prefixed and its comments and iteration cap left out.
+# Each tableau row holds its own positive denominator last and is divided by
+# its gcd after every pivot; the rational rows, and so every pivot, point and
+# certificate, are the same.
+
+def ref_reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def ref_unit_at(row: list[int], col: int) -> None:
+    """Divide row, in place, by its entry at col, so that it reads 1 there."""
+    p = row[col]
+    out = row[:-1] + [p] if p > 0 else [-x for x in row[:-1]] + [-p]
+    row[:] = ref_reduced(out)
+
+
+def ref_eliminate(row: list[int], unit: list[int], col: int) -> None:
+    """Subtract, in place, row's entry at col times unit, which reads 1 at col."""
+    f, ud = row[col], unit[-1]
+    out = [x * ud - f * y for x, y in zip(row, unit)]
+    out[-1] = row[-1] * ud
+    row[:] = ref_reduced(out)
+
+
+def ref_split_back(vals: dict, pos: list[int], neg: list[int]) -> list[Fraction]:
+    """x_j = x+_j - x-_j from {column: (numerator, denominator)}."""
+    out = []
+    for p, q in zip(pos, neg):
+        a, b = vals.get(p, (0, 1))
+        c, d = vals.get(q, (0, 1))
+        out.append(Fraction(a * d - c * b, b * d))
+    return out
+
+
+class RefUnbounded(Exception):
+    def __init__(self, col: int):
+        self.col = col
+
+
+def ref_solve_rows(rows, obj, minimize, n):
+    """`numerics._solve_rows` as it was with one denominator per row."""
+    m = len(rows)
+    sign = 1 if minimize else -1
+
+    bound_row: dict[int, int] = {}
+    is_bound = [False] * m
+    for i, (a, rel, b, s) in enumerate(rows):
+        if rel != GE or b:
+            continue
+        j = -1
+        simple = True
+        for k, ak in enumerate(a):
+            if not ak:
+                continue
+            if j >= 0 or ak != s:
+                simple = False
+                break
+            j = k
+        if simple and j >= 0 and j not in bound_row:
+            bound_row[j] = i
+            is_bound[i] = True
+    gen = [i for i in range(m) if not is_bound[i]]
+    mt = len(gen)
+
+    pos = [0] * n
+    neg = [-1] * n
+    nv = 0
+    for j in range(n):
+        pos[j] = nv
+        nv += 1
+        if j not in bound_row:
+            neg[j] = nv
+            nv += 1
+    n_slack = sum(1 for i in gen if rows[i][1] != EQ)
+    ns = nv + n_slack
+    ncol = ns + mt
+
+    def split_row(coeffs, width):
+        row = [0] * width
+        for j, v in enumerate(coeffs):
+            row[pos[j]] = v
+            if neg[j] >= 0:
+                row[neg[j]] = -v
+        return row
+
+    tab: list[list[int]] = []
+    flips: list[int] = []
+    slack_idx = nv
+    for t, i in enumerate(gen):
+        a, rel, b, s = rows[i]
+        row = split_row(a, ncol + 1)
+        if rel != EQ:
+            row[slack_idx] = s if rel == LE else -s
+            slack_idx += 1
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            flips.append(-1)
+        else:
+            flips.append(1)
+        row[ns + t] = s
+        row[ncol] = b
+        row.append(s)
+        tab.append(ref_reduced(row))
+    basis = [ns + t for t in range(mt)]
+
+    def pivot(rc, r, col):
+        prow = tab[r]
+        ref_unit_at(prow, col)
+        for other in (*tab, rc):
+            if other is not prow and other[col]:
+                ref_eliminate(other, prow, col)
+        basis[r] = col
+
+    def reduced_costs(rc):
+        for r, row in enumerate(tab):
+            if rc[basis[r]]:
+                ref_eliminate(rc, row, basis[r])
+        return rc
+
+    def leaving(enter):
+        leave = -1
+        best_b, best_e = 0, 1
+        for r, row in enumerate(tab):
+            e = row[enter]
+            if e > 0:
+                b = row[ncol]
+                lhs, rhs = b * best_e, best_b * e
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    best_b, best_e, leave = b, e, r
+        return leave
+
+    def run(rc, enter_limit):
+        while True:
+            enter = next((j for j in range(enter_limit) if rc[j] < 0), -1)
+            if enter < 0:
+                return
+            leave = leaving(enter)
+            if leave < 0:
+                raise RefUnbounded(enter)
+            pivot(rc, leave, enter)
+
+    rc1 = reduced_costs([0] * ns + [1] * mt + [0, 1])
+    run(rc1, ncol)
+
+    if any(tab[r][ncol] > 0 for r in range(len(tab)) if basis[r] >= ns):
+        d = rc1[-1]
+        farkas = [0] * m
+        for t, i in enumerate(gen):
+            farkas[i] = Fraction(flips[t] * (d - rc1[ns + t]), d)
+        for j, i in bound_row.items():
+            farkas[i] = Fraction(rc1[pos[j]], d)
+        return ("infeasible", farkas)
+
+    dropped: list[int] = []
+    for r in range(len(tab)):
+        if basis[r] >= ns:
+            col = next((j for j in range(ns) if tab[r][j]), -1)
+            if col >= 0:
+                pivot(rc1, r, col)
+            else:
+                dropped.append(r)
+    for r in reversed(dropped):
+        del tab[r]
+        del basis[r]
+
+    c, s = obj
+    rc2 = reduced_costs(ref_reduced(split_row([sign * x for x in c], ncol + 1) + [s]))
+    try:
+        run(rc2, ns)
+    except RefUnbounded as ub:
+        vals = {ub.col: (1, 1)}
+        for r, row in enumerate(tab):
+            vals[basis[r]] = (-row[ub.col], row[-1])
+        return ("unbounded", ref_split_back(vals, pos, neg))
+
+    point = ref_split_back({basis[r]: (row[ncol], row[-1]) for r, row in enumerate(tab)},
+                           pos, neg)
+    d = rc2[-1]
+    duals = [0] * m
+    for t, i in enumerate(gen):
+        duals[i] = Fraction(-sign * flips[t] * rc2[ns + t], d)
+    for j, i in bound_row.items():
+        duals[i] = Fraction(sign * rc2[pos[j]], d)
+    return ("optimal", point, duals)
+
+
+def test_bareiss_kernel_matches_the_gcd_kernel():
+    """Point, duals, Farkas vector, ray, status and value are equal to the
+    gcd kernel's on small programs with equality, <= and >= rows, bound
+    rows (folded x_j >= 0 ones among them), redundant rows and zeros; all
+    three statuses occur."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scalar = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5,
+                                                     max_denominator=4))
+    side = st.one_of(st.none(), st.just(F(0)), scalar)
+    seen = {"status": set(), "rel": set(), "bounds": False}
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4), "n")
+        vector = st.lists(scalar, min_size=n, max_size=n)
+        rows = data.draw(st.lists(st.tuples(vector, st.sampled_from([LE, GE, EQ]), scalar),
+                                  min_size=1, max_size=5), "rows")
+        for _ in range(data.draw(st.integers(0, 2), "redundant")):
+            # a positive multiple of a row, or the sum of two equality rows
+            (a, rel, b), (a2, rel2, b2) = (data.draw(st.sampled_from(rows)) for _ in "ab")
+            if rel == rel2 == EQ and data.draw(st.booleans()):
+                rows.append(([x + y for x, y in zip(a, a2)], EQ, b + b2))
+            else:
+                k = data.draw(st.fractions(min_value=F(1, 3), max_value=3), "k")
+                rows.append(([k * x for x in a], rel, k * b))
+        bounds = data.draw(st.one_of(st.none(), st.tuples(*[st.tuples(side, side)] * n)))
+        p = lp(n, data.draw(vector, "objective"), data.draw(st.sampled_from(["min", "max"])),
+               rows, bounds)
+
+        got = lp_solve(p)
+        with mock.patch.object(numerics, "_solve_rows", ref_solve_rows):
+            want = lp_solve(p)
+        # LpResult equality compares status, value, point, duals, Farkas
+        # vector and ray
+        assert got == want
+        seen["status"].add(got.status)
+        seen["rel"].update(rel for _, rel, _ in rows)
+        seen["bounds"] |= bounds is not None and any(lo == 0 for lo, _ in bounds)
+
+    check()
+    assert seen == {"status": {"optimal", "infeasible", "unbounded"},
+                    "rel": {LE, GE, EQ}, "bounds": True}, seen
