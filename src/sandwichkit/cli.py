@@ -52,13 +52,7 @@ from .numerics import (
     Vec,
 )
 from .oracle import crosscheck_scenario
-from .sandwich import (
-    HypothesisViolated,
-    SandwichInstance,
-    check_separator,
-    find_separator,
-    hypothesis_check,
-)
+from .sandwich import SandwichInstance, check_separator, hypothesis_check
 
 EXIT_PASS = 0
 EXIT_MATH_FAILURE = 1
@@ -531,16 +525,7 @@ def run_sandwich(sc: Scenario):
     if not check.holds:
         body["verdict"] = "hypotheses_unsatisfied"
         return EXIT_HYPOTHESES, body
-    try:
-        sep = find_separator(inst)
-    except HypothesisViolated as exc:
-        body["hypothesis"] = {
-            "holds": False,
-            "minimum": encode_scalar(exc.value),
-            "witness": encode_vector(exc.witness),
-        }
-        body["verdict"] = "hypotheses_unsatisfied"
-        return EXIT_HYPOTHESES, body
+    sep = check.separator
     valid = check_separator(inst, sep.x_prime)
     body["separator"] = {
         "x_prime": encode_vector(sep.x_prime),
@@ -744,8 +729,8 @@ def run_selftest(seed: int):
 
     def sandwich_separator():
         inst, _ = random_sandwich_instance(rng, satisfy=True)
-        sep = find_separator(inst)
-        return check_separator(inst, sep.x_prime)
+        check = hypothesis_check(inst)
+        return check.holds and check_separator(inst, check.separator.x_prime)
 
     ok &= suite("sandwich", 5, sandwich_separator)
 

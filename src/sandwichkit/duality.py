@@ -50,7 +50,13 @@ from .geometry import (
     solve_linear,
     vec_neg,
 )
-from .interiority import _boundedness_sweep, _fiber_value, boundedness_over_samples
+from .interiority import (
+    SublevelQuery,
+    _boundedness_sweep,
+    _fiber_lp,
+    boundedness_over_samples,
+    interiority_margin,
+)
 from .numerics import (
     EQ,
     GE,
@@ -135,7 +141,7 @@ class DualityScenario:
             raise StructuralError("direction map does not act on the function's space")
         if gamma is None:
             images = [b_map(p) for p, _ in phi.samples]
-            m, _ = _fiber_value(phi, images, (Fraction(0),) * b_map.out_dim)
+            m, _ = _fiber_lp([v for _, v in phi.samples], images, (Fraction(0),) * b_map.out_dim)
             gamma = Fraction(1) if m is POS_INF else m + 1
         return DualityScenario(
             kind="sublevel",
@@ -480,8 +486,6 @@ def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualitySce
     notes: list = []
     flags: dict = {}
     if s.kind == "sublevel":
-        from .interiority import SublevelQuery, interiority_margin
-
         q = SublevelQuery.build(s.psi, s.b_map, s.gamma)
         flags["subspace"] = q.subspace_ok
         flags["interiority"] = interiority_margin(q).holds if q.subspace_ok else False

@@ -32,7 +32,9 @@ class SublevelQuery:
     is the span of the scaled images of dom(phi) under b_map when those
     images positively span a linear subspace; subspace_ok records whether
     they do.  Most operations require subspace_ok, since the relative
-    interior is taken within y.
+    interior is taken within y.  fiber_value is the infimum of phi over the
+    zero-fiber of b_map (+inf when the fiber misses the domain), and
+    fiber_weights the optimal convex weights over the samples (None then).
     """
 
     phi: PolyhedralFunction
@@ -41,16 +43,24 @@ class SublevelQuery:
     subspace_ok: bool
     y: Optional[Subspace]
     images: tuple[Vec, ...]
+    fiber_value: Ext
+    fiber_weights: Optional[tuple[Fraction, ...]]
 
     @staticmethod
-    def build(phi: PolyhedralFunction, b_map: AffineMap, gamma) -> "SublevelQuery":
+    def build(phi: PolyhedralFunction, b_map: AffineMap, gamma=None) -> "SublevelQuery":
+        """The query at level gamma; None picks one above the fiber infimum
+        (1 when the fiber misses the domain).  Solves the zero-fiber LP once."""
         if phi.form != V_FORM:
             raise StructuralError("sublevel queries need a sample-form function")
         if b_map.in_dim != phi.dim:
             raise StructuralError("direction map does not act on the function's space")
         images = tuple(b_map(p) for p, _ in phi.samples)
+        m, weights = _fiber_lp([v for _, v in phi.samples], images,
+                               (Fraction(0),) * b_map.out_dim)
+        if gamma is None:
+            gamma = Fraction(1) if m is POS_INF else m + 1
         ok, span = cone_union_is_subspace(images)
-        return SublevelQuery(phi, b_map, frac(gamma), ok, span, images)
+        return SublevelQuery(phi, b_map, frac(gamma), ok, span, images, m, weights)
 
 
 @dataclass(frozen=True)
@@ -113,25 +123,7 @@ def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec):
         return POS_INF, None
     if res.status != "optimal":
         raise StructuralError("sample values bound the fiber LP below")
-    return res.value, [res.point[j] for j in lam]
-
-
-def _fiber_value(phi: PolyhedralFunction, images: Sequence[Vec], target: Vec):
-    """(inf of phi over {B z = target}, argmin), images being B's image of
-    each sample of phi in sample order.
-
-    Returns (+inf, None) when the fiber misses the domain.  The infimum is
-    attained, so a finite value always comes with an attaining point.
-    """
-    values = [v for _, v in phi.samples]
-    value, weights = _fiber_lp(values, images, tuple(target))
-    if weights is None:
-        return value, None
-    argmin = tuple(
-        sum((w * p[c] for w, (p, _) in zip(weights, phi.samples)), start=Fraction(0))
-        for c in range(phi.dim)
-    )
-    return value, argmin
+    return res.value, tuple(res.point[j] for j in lam)
 
 
 def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
@@ -167,17 +159,16 @@ def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: 
 
 
 def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
-                  gamma: Fraction, directions: Sequence[Vec]) -> MarginResult:
+                  m: Ext, gamma: Fraction, directions: Sequence[Vec]) -> MarginResult:
     """Dyadic level sweep deciding relative interiority with a margin.
 
     values are the sample values of phi; images and target are the stacked
     images and target that the fiber LP and every reach LP share (see
-    _direction_reach), built once by the caller.  The per-level reach is
-    concave and nondecreasing in the level, so a zero reach at two
-    increasing levels forces zero reach at every level below gamma; the
-    sweep never needs more than two levels.
+    _direction_reach), built once by the caller, and m is that fiber LP's
+    optimal value.  The per-level reach is concave and nondecreasing in the
+    level, so a zero reach at two increasing levels forces zero reach at
+    every level below gamma; the sweep never needs more than two levels.
     """
-    m, _ = _fiber_lp(values, images, target)
     if m is POS_INF or m >= gamma:
         return MarginResult(False, Fraction(0), gamma)
     if not directions:
@@ -213,12 +204,12 @@ def interiority_margin(q: SublevelQuery) -> MarginResult:
             "scaled images of the domain do not positively span a subspace; "
             "the relative interior is not defined by this query"
         )
+    if q.y.is_trivial:
+        return MarginResult(q.fiber_value < q.gamma, Fraction(0), q.gamma)
     values = [v for _, v in q.phi.samples]
     zero = (Fraction(0),) * q.b_map.out_dim
-    if q.y.is_trivial:
-        m, _ = _fiber_lp(values, q.images, zero)
-        return MarginResult(m < q.gamma, Fraction(0), q.gamma)
-    return _margin_sweep(values, q.images, zero, q.gamma, _basis_directions(q.y))
+    return _margin_sweep(values, q.images, zero, q.fiber_value, q.gamma,
+                         _basis_directions(q.y))
 
 
 def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMap) -> None:
@@ -236,8 +227,10 @@ def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], targe
     B's target followed by A's: the fiber {A z = A's target} stays fixed
     while B's coordinates move around B's target.
     """
+    target = tuple(target)
+    m, _ = _fiber_lp(values, stacked, target)
     units = _basis_directions(Subspace.full(b_dim))
-    return _margin_sweep(values, stacked, tuple(target), delta, units).holds
+    return _margin_sweep(values, stacked, target, m, delta, units).holds
 
 
 def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
@@ -269,16 +262,22 @@ def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
     once.  The B and A images of the samples are stacked once for every
     sweep.  a_targets, when given, yields the A-images to sweep instead, in
     order: a caller may leave out those whose fiber misses B's zero fiber,
-    where the condition fails.
+    where the condition fails.  The images are then stacked only when the
+    first target comes, so an empty a_targets maps no sample.
     """
     _check_fiber_maps(psi, a_map, b_map)
     delta = frac(delta)
     values = [v for _, v in psi.samples]
-    a_images = [a_map(p) for p, _ in psi.samples]
-    stacked = [b_map(p) + ai for (p, _), ai in zip(psi.samples, a_images)]
-    zero = (Fraction(0),) * b_map.out_dim
-    for key in dict.fromkeys(a_images) if a_targets is None else a_targets:
-        if _boundedness_sweep(values, stacked, zero + key, b_map.out_dim, delta):
+    b_dim = b_map.out_dim
+    stacked = None
+    if a_targets is None:
+        stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
+        a_targets = dict.fromkeys(row[b_dim:] for row in stacked)
+    zero = (Fraction(0),) * b_dim
+    for key in a_targets:
+        if stacked is None:
+            stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
+        if _boundedness_sweep(values, stacked, zero + key, b_dim, delta):
             return True
     return False
 
@@ -295,11 +294,16 @@ def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:
             "scaled images of the domain do not positively span a subspace; "
             "the equivalence needs that precondition"
         )
-    m, argmin = _fiber_value(q.phi, q.images, (Fraction(0),) * q.b_map.out_dim)
+    m = q.fiber_value
     c26 = m is not POS_INF and m < q.gamma
-    if argmin is None:
+    if q.fiber_weights is None:
         c25 = False
     else:
+        argmin = tuple(
+            sum((w * p[c] for w, (p, _) in zip(q.fiber_weights, q.phi.samples)),
+                start=Fraction(0))
+            for c in range(q.phi.dim)
+        )
         value = evaluate(q.phi, argmin)
         if value != m:
             raise RuntimeError("fiber argmin re-evaluation disagrees; LP kernel is unsound")
@@ -319,10 +323,9 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
     delta = frac(delta)
-    values = [v for _, v in q.phi.samples]
-    m, _ = _fiber_lp(values, q.images, (Fraction(0),) * q.b_map.out_dim)
-    if m is POS_INF or delta <= m:
+    if q.fiber_value is POS_INF or delta <= q.fiber_value:
         raise PreconditionError("the level must exceed the fiber infimum")
+    values = [v for _, v in q.phi.samples]
     assignments = []
     all_ok = True
     for raw in probes:
@@ -350,15 +353,12 @@ def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap) -> Corollary21Re
     Requires a nonempty zero-fiber and the subspace precondition; with both
     in place the margin sweep must succeed, and a failure is a kernel bug.
     """
-    images = tuple(b_map(p) for p, _ in phi.samples)
-    m, _ = _fiber_lp([v for _, v in phi.samples], images, (Fraction(0),) * b_map.out_dim)
-    if m is POS_INF:
+    q = SublevelQuery.build(phi, b_map)
+    if q.fiber_value is POS_INF:
         raise PreconditionError("the zero-fiber misses the domain; no level works")
-    ok, span = cone_union_is_subspace(images)
-    if not ok:
+    if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
-    gamma = m + 1
-    res = interiority_margin(SublevelQuery(phi, b_map, gamma, ok, span, images))
+    res = interiority_margin(q)
     if not res.holds:
         raise RuntimeError("automatic level failed the margin sweep; LP kernel is unsound")
-    return Corollary21Result(gamma, res)
+    return Corollary21Result(q.gamma, res)

@@ -3,9 +3,12 @@
 An instance couples a sublinear upper function S on the target space, a
 convex lower-bound function k in sample form on the source space, and an
 affine link B between them.  The hypothesis is that S(Bz) + k(z) >= 0 on the
-domain of k; the conclusion is a linear functional dominated by S whose
-composition with B still majorizes -k.  Both sides reduce to small LPs over
-the samples and generators, and the two optimal values agree exactly.
+domain of k; the conclusion is a linear functional x' dominated by S whose
+composition with B still majorizes -k.  Both sides are the `fenchel`
+identity of k and S (in piece form) through B at the zero query
+(Rockafellar, Convex Analysis, Thm 31.1), solved once by `duality.verify`:
+its left side is -min(S(Bz) + k(z)) and its dual witness is the max-margin
+separator, which `check_separator` re-checks by arithmetic.
 """
 from __future__ import annotations
 
@@ -14,9 +17,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .convexfn import PolyhedralFunction, SublinearFunctional, V_FORM
+from .duality import DualityScenario, verify
 from .geometry import AffineMap, Polytope, polytope_contains
 from .numerics import (
-    EQ,
     GE,
     NEG_INF,
     Ext,
@@ -77,47 +80,42 @@ class HypothesisViolated(PreconditionError):
 
 
 @dataclass(frozen=True)
-class HypothesisCheck:
-    holds: bool
-    value: Fraction
-    witness: Vec
-
-
-@dataclass(frozen=True)
 class Separator:
-    """A linear functional between -k (through B) and S."""
+    """A linear functional between -k (through B) and S, with the convex
+    weights over S's generators that combine to it."""
 
     x_prime: Vec
-    weights: tuple[Fraction, ...] | None
+    weights: tuple[Fraction, ...]
     margin: Fraction
 
 
+@dataclass(frozen=True)
+class HypothesisCheck:
+    """min S(Bz) + k(z) over dom k, a point attaining it, and, when the
+    minimum is nonnegative, the max-margin separator (else None)."""
+
+    holds: bool
+    value: Fraction
+    witness: Vec
+    separator: Separator | None
+
+
 def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
-    """Minimize S(Bz) + k(z) over the samples' hull; the witness attains it."""
-    linked = inst.linked_samples()
-    b = LpBuilder()
-    t = b.var()
-    lam = b.block(len(linked), lo=0)
-    b.add({j: 1 for j in lam}, EQ, 1)
-    for g in inst.sublinear.generators:
-        row = {t: Fraction(1)}
-        for i, (bx, _) in enumerate(linked):
-            row[lam[i]] = -dot(g, bx)
-        b.add(row, GE, 0)
-    obj = {t: Fraction(1)}
-    for i, (_, v) in enumerate(linked):
-        obj[lam[i]] = v
-    b.set_objective(obj)
-    res = b.solve()
-    if res.status != "optimal":
-        raise StructuralError("hypothesis LP is feasible and bounded by construction")
-    weights = tuple(res.point[j] for j in lam)
-    witness = tuple(
-        sum((w * p[c] for w, (p, _) in zip(weights, inst.convex.samples)),
-            start=Fraction(0))
-        for c in range(inst.z_dim)
-    )
-    return HypothesisCheck(res.value >= 0, res.value, witness)
+    """Minimize S(Bz) + k(z) as the fenchel identity at the zero query.
+
+    The value is -lhs and the witness the sup LP's maximizer.  The dual
+    witness, with the dual LP's weights over the generators, is the
+    max-margin separator, of margin -rhs: S is finite everywhere, so every
+    flag holds and `verify` certifies a zero gap.
+    """
+    zero = (Fraction(0),) * inst.z_dim
+    report = verify(DualityScenario.fenchel(
+        inst.convex, inst.sublinear.as_h_form(), inst.link, [zero]))[0]
+    value = -report.lhs
+    separator = None
+    if value >= 0:
+        separator = Separator(report.witness, report.certificate.trailing_weights[0], value)
+    return HypothesisCheck(value >= 0, value, report.lhs_witness, separator)
 
 
 def separator_margin(inst: SandwichInstance, x_prime: Sequence) -> Fraction:
@@ -135,37 +133,17 @@ def check_separator(inst: SandwichInstance, x_prime: Sequence) -> bool:
 
 
 def find_separator(inst: SandwichInstance) -> Separator:
-    """Maximize the worst sample slack over the generator hull.
+    """The max-margin separator of `hypothesis_check`, re-checked.
 
-    The optimum equals the hypothesis infimum, so a negative margin is a
+    Its margin equals the hypothesis minimum, so a negative minimum is a
     disproof of the hypothesis and raises with the witness attached.
     """
-    linked = inst.linked_samples()
-    gens = inst.sublinear.generators
-    b = LpBuilder("max")
-    s = b.var()
-    theta = b.block(len(gens), lo=0)
-    b.add({j: 1 for j in theta}, EQ, 1)
-    for bx, v in linked:
-        row = {s: Fraction(-1)}
-        for j, g in enumerate(gens):
-            row[theta[j]] = dot(g, bx)
-        b.add(row, GE, -v)
-    b.set_objective({s: 1})
-    res = b.solve()
-    if res.status != "optimal":
-        raise StructuralError("margin LP is feasible and bounded by construction")
-    if res.value < 0:
-        check = hypothesis_check(inst)
+    check = hypothesis_check(inst)
+    if not check.holds:
         raise HypothesisViolated(check.witness, check.value)
-    weights = tuple(res.point[j] for j in theta)
-    x_prime = tuple(
-        sum((weights[j] * gens[j][c] for j in range(len(gens))), start=Fraction(0))
-        for c in range(inst.x_dim)
-    )
-    if not check_separator(inst, x_prime):
+    if not check_separator(inst, check.separator.x_prime):
         raise RuntimeError("separator failed re-verification; LP kernel is unsound")
-    return Separator(x_prime, weights, separator_margin(inst, x_prime))
+    return check.separator
 
 
 def verify_hypothesis(inst: SandwichInstance) -> bool:
@@ -203,35 +181,3 @@ def aux_T(inst: SandwichInstance, x: Sequence) -> Ext:
     if res.status != "optimal":
         raise StructuralError("the weights can be zeroed, so the LP is feasible")
     return res.value
-
-
-def separator_via_conjugates(inst: SandwichInstance):
-    """Recover a separator from the conjugate-duality route.
-
-    Builds the additive-coupling identity with the lower bound as the first
-    function, the sublinear function in piece form as the second, and the
-    link as the coupling map, queried at the zero functional.  The dual
-    optimizer is the separator, and the shared optimal value is the negated
-    hypothesis infimum.  Returns (separator, report).
-    """
-    # imported here: duality builds on this module's types for cross-checks
-    from .duality import DualityScenario, verify
-
-    scenario = DualityScenario.fenchel(
-        f=inst.convex,
-        g=inst.sublinear.as_h_form(),
-        link=inst.link,
-        queries=[(Fraction(0),) * inst.z_dim],
-    )
-    report = verify(scenario)[0]
-    if report.witness is None:
-        check = hypothesis_check(inst)
-        raise HypothesisViolated(check.witness, check.value)
-    x_prime = report.witness
-    margin = separator_margin(inst, x_prime)
-    if margin < 0:
-        check = hypothesis_check(inst)
-        raise HypothesisViolated(check.witness, check.value)
-    if not check_separator(inst, x_prime):
-        raise RuntimeError("conjugate-route separator failed re-verification")
-    return Separator(x_prime, None, margin), report

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from test_acceptance import Stopwatch
 
-from sandwichkit import cli
+from sandwichkit import cli, numerics
 from sandwichkit.cli import (
     EXIT_HYPOTHESES,
     EXIT_INPUT,
@@ -161,6 +161,29 @@ class TestExitCodeContract:
         assert doc["verdict"] == "hypotheses_unsatisfied"
         assert doc["hypothesis"]["witness"] == ["0"]
         assert doc["hypothesis"]["minimum"] == "-1"
+
+
+class TestWork:
+    def test_no_command_solves_one_lp_twice(self, capsys, monkeypatch):
+        # two repeats are known and allowed: t20's c25 re-evaluates the fiber
+        # minimizer by its own evaluation LP, the independent re-check, and
+        # the sublevel factory solves the fiber LP to pick gamma before the
+        # flags build their query at that gamma
+        allowed = {"t20.json": 1, "sublevel.json": 1}
+        solved = []
+        lp_solve = numerics.lp_solve
+
+        def recording(lp):
+            solved.append(repr(lp))
+            return lp_solve(lp)
+
+        monkeypatch.setattr(numerics, "lp_solve", recording)
+        for path in sorted(CORPUS.glob("*.json")):
+            command = json.loads(path.read_text())["expect"]["command"]
+            solved.clear()
+            run(capsys, [command, str(path), "--report", "json"])
+            repeats = len(solved) - len(set(solved))
+            assert repeats == allowed.get(path.name, 0), path.name
 
 
 class TestDeterminism:

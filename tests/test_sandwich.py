@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from sandwichkit.convexfn import PolyhedralFunction, SublinearFunctional
+from sandwichkit.duality import DualityScenario, verify
 from sandwichkit.geometry import AffineMap, Polytope
-from sandwichkit.numerics import NEG_INF, StructuralError, dot
+from sandwichkit.numerics import EQ, GE, NEG_INF, LpBuilder, StructuralError, dot
 from sandwichkit.randomgen import random_sandwich_instance, random_vec
 from sandwichkit.sandwich import (
     HypothesisViolated,
@@ -16,9 +17,65 @@ from sandwichkit.sandwich import (
     find_separator,
     hypothesis_check,
     separator_margin,
-    separator_via_conjugates,
     verify_hypothesis,
 )
+
+
+def ref_hypothesis_lp(inst: SandwichInstance):
+    """(min of S(Bz) + k(z), a minimizer) from a hand-built LP.
+
+    min t + sum_i lam_i v_i over convex weights lam on the samples, with
+    t >= <g, sum_i lam_i B z_i> for every generator g of S.
+    """
+    linked = inst.linked_samples()
+    b = LpBuilder()
+    t = b.var()
+    lam = b.block(len(linked), lo=0)
+    b.add({j: 1 for j in lam}, EQ, 1)
+    for g in inst.sublinear.generators:
+        row = {t: Fraction(1)}
+        for i, (bx, _) in enumerate(linked):
+            row[lam[i]] = -dot(g, bx)
+        b.add(row, GE, 0)
+    obj = {t: Fraction(1)}
+    for i, (_, v) in enumerate(linked):
+        obj[lam[i]] = v
+    b.set_objective(obj)
+    res = b.solve()
+    assert res.status == "optimal"
+    weights = [res.point[j] for j in lam]
+    witness = tuple(sum((w * p[c] for w, (p, _) in zip(weights, inst.convex.samples)),
+                        start=Fraction(0)) for c in range(inst.z_dim))
+    return res.value, witness
+
+
+def ref_separator_lp(inst: SandwichInstance):
+    """(largest margin, an x' attaining it) from the hand-built LP dual to
+    ref_hypothesis_lp: max s over convex weights theta on the generators,
+    with <sum_j theta_j g_j, B z_i> + v_i >= s for every sample."""
+    gens = inst.sublinear.generators
+    b = LpBuilder("max")
+    s = b.var()
+    theta = b.block(len(gens), lo=0)
+    b.add({j: 1 for j in theta}, EQ, 1)
+    for bx, v in inst.linked_samples():
+        row = {s: Fraction(-1)}
+        for j, g in enumerate(gens):
+            row[theta[j]] = dot(g, bx)
+        b.add(row, GE, -v)
+    b.set_objective({s: 1})
+    res = b.solve()
+    assert res.status == "optimal"
+    x_prime = tuple(sum((res.point[theta[j]] * g[c] for j, g in enumerate(gens)),
+                        start=Fraction(0)) for c in range(inst.x_dim))
+    return res.value, x_prime
+
+
+def fenchel_report(inst: SandwichInstance):
+    """verify's report on (k + S after B)* at the zero query."""
+    scenario = DualityScenario.fenchel(inst.convex, inst.sublinear.as_h_form(), inst.link,
+                                       [(Fraction(0),) * inst.z_dim])
+    return verify(scenario)[0]
 
 
 def worked_instance() -> SandwichInstance:
@@ -143,11 +200,13 @@ class TestSeparator:
 
 
 class TestSeparatorViaConjugates:
-    """The Fenchel route: lower bound in sample form, S in piece form."""
+    """The Fenchel route: lower bound in sample form, S in piece form; the
+    separator is the dual witness of the identity at the zero query."""
 
     def test_worked_example(self):
-        sep, report = separator_via_conjugates(worked_instance())
-        assert sep.x_prime == (Fraction(1),)
+        sep = find_separator(worked_instance())
+        report = fenchel_report(worked_instance())
+        assert sep.x_prime == report.witness == (Fraction(1),)
         assert sep.margin == 0 and report.rhs == 0 and report.gap == 0
 
     def test_seeded_instances_match_the_direct_separator(self):
@@ -158,19 +217,51 @@ class TestSeparatorViaConjugates:
             inst, slack = random_sandwich_instance(
                 rng, satisfy=satisfy, tight=trial % 4 == 0)
             if satisfy:
-                sep, report = separator_via_conjugates(inst)
+                sep = find_separator(inst)
+                report = fenchel_report(inst)
                 # the dual optimum is the max-margin separator; the shared
                 # optimal value is the negated hypothesis infimum
                 assert report.gap == 0 and report.attained
-                assert sep.margin == find_separator(inst).margin == -report.rhs
+                assert sep.x_prime == report.witness
+                assert sep.margin == ref_separator_lp(inst)[0] == -report.rhs
                 assert check_separator(inst, sep.x_prime)
                 satisfied += 1
             else:
                 with pytest.raises(HypothesisViolated):
-                    separator_via_conjugates(inst)
+                    find_separator(inst)
                 assert not hypothesis_check(inst).holds
                 violated += 1
         assert satisfied == violated == 20
+
+
+class TestAgainstHandBuiltLps:
+    """hypothesis_check against the primal and dual LPs written out by hand."""
+
+    def test_seeded_draws(self):
+        rng = random.Random(606)
+        held = failed = 0
+        for trial in range(40):
+            inst, slack = random_sandwich_instance(
+                rng, satisfy=trial % 3 != 2, tight=trial % 2 == 0)
+            check = hypothesis_check(inst)
+            value, _ = ref_hypothesis_lp(inst)
+            margin, _ = ref_separator_lp(inst)
+            assert check.value == value == margin == slack
+            w = check.witness
+            assert inst.convex(w) + inst.sublinear(inst.link(w)) == check.value
+            if check.holds:
+                sep = check.separator
+                assert sep.margin == check.value
+                assert all(t >= 0 for t in sep.weights) and sum(sep.weights) == 1
+                gens = inst.sublinear.generators
+                assert sep.x_prime == tuple(
+                    sum((t * g[c] for t, g in zip(sep.weights, gens)), start=Fraction(0))
+                    for c in range(inst.x_dim))
+                held += 1
+            else:
+                assert check.separator is None
+                failed += 1
+        assert held and failed
 
 
 def konig_instance() -> SandwichInstance:
