@@ -51,11 +51,9 @@ from .geometry import (
     vec_neg,
 )
 from .interiority import (
-    SublevelQuery,
     _boundedness_sweep,
     _fiber_lp,
     boundedness_over_samples,
-    interiority_margin,
 )
 from .numerics import (
     EQ,
@@ -462,16 +460,18 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
-def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualityScenario]):
+def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualityScenario]):
     """(hypothesis flags, notes) of a scenario, h_proper the last flag.
 
-    tri is `scenario_to_trivariate(s)`, or None for the kinds without one.
+    first_lhs is the value of the first query's sup LP, which the caller has
+    solved, and tri is `scenario_to_trivariate(s)`, or None for the kinds
+    without one.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
-    the feasibility of the left side's sup LP, which the caller has solved:
-    the LP's feasible set {z : M_k z in dom f_k, B z = 0} is the same for
-    every query.  Per kind, that set is nonempty exactly when
+    the feasibility of the left side's sup LP: the LP's feasible set
+    {z : M_k z in dom f_k, B z = 0} is the same for every query.  Per kind,
+    that set is nonempty exactly when
       * sublevel, trivariate, quadrivariate: B's zero fiber meets dom psi,
         that is, 0 lies in the hull of B's images of psi's samples;
       * fenchel with g in sample form: C(dom f) meets dom g;
@@ -482,13 +482,27 @@ def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualitySce
       * indicator_linear: 0 lies in the hull of the x-parts of g's
         samples plus range(C);
       * fenchel with g in piece form: always, as g is finite everywhere.
+
+    The sublevel flags need no further LP.  The sole sublevel query is 0,
+    so first_lhs is -m, with m the infimum of psi over B's zero fiber.
+    Under `subspace`, the cone of B's sample images is a subspace Y, so 0
+    is a strictly positive combination of the images and lies in the
+    relative interior of their hull within Y.  Mixing the fiber minimiser
+    with a point that B sends a little way along any direction of Y keeps
+    psi below gamma whenever m < gamma (see interiority._margin_sweep).
+    So the interiority flag is `subspace and m < gamma`.
+
+    The boundedness flags are tested at one level delta, one above every
+    sample value.  Above the fiber's infimum the answer does not depend on
+    the level (interiority._margin_sweep), so it is the answer for every
+    such delta.
     """
     notes: list = []
     flags: dict = {}
     if s.kind == "sublevel":
-        q = SublevelQuery.build(s.psi, s.b_map, s.gamma)
-        flags["subspace"] = q.subspace_ok
-        flags["interiority"] = interiority_margin(q).holds if q.subspace_ok else False
+        ok, _ = cone_union_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
+        flags["subspace"] = ok
+        flags["interiority"] = ok and -first_lhs < s.gamma
         notes.append(f"interiority tested at level {s.gamma}")
     elif s.kind == "indicator_linear":
         x = s.dims[3]
@@ -506,7 +520,6 @@ def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualitySce
                 _boundedness_sweep(values, points, q, x, delta)
                 for q in dict.fromkeys(points) if solve_linear(s.c_map.linear, q[:x]) is not None
             )
-            notes.append("delta_uniformity_not_checked")
         else:
             ok, _ = cone_union_is_subspace([q[:x] for q, _ in s.g.samples],
                                            lineality=s.c_map.columns())
@@ -516,7 +529,6 @@ def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualitySce
     elif s.kind == "fenchel" and s.g.form == H_FORM:
         if s.hypothesis_mode == "boundedness":
             flags["boundedness"] = True
-            notes.append("delta_uniformity_not_checked")
         else:
             flags["closed_subspace"] = True
         notes.append("piece-form upper function is finite everywhere")
@@ -534,13 +546,12 @@ def _scenario_flags(s: DualityScenario, h_proper: bool, tri: Optional[DualitySce
                          if g_dom.contains(s.c_map(p)))
             flags["boundedness"] = boundedness_over_samples(
                 tri.psi, tri.a_map, tri.b_map, delta, bases)
-            notes.append("delta_uniformity_not_checked")
         else:
             ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
             flags["closed_subspace"] = ok
             notes.append("queries are continuous in finite dimension")
         notes.append("sample-form functions are closed by construction")
-    flags["h_proper"] = h_proper
+    flags["h_proper"] = first_lhs is not NEG_INF
     return flags, tuple(notes)
 
 
@@ -675,7 +686,7 @@ def verify(s: DualityScenario) -> list:
                        _dual_lp(p.groups, p.trailing, p.constant, p.constraint)))
     # every query's sup LP has the same feasible set, which is dom h's
     _, _, first_sup, _ = solved[0]
-    flags, notes = _scenario_flags(s, first_sup.value is not NEG_INF, tri)
+    flags, notes = _scenario_flags(s, first_sup.value, tri)
     reports = []
     for query, p, sup, (rhs, wit, ray, thetas) in solved:
         lhs = sup.value

@@ -268,16 +268,6 @@ class Subspace:
         return in_span(self.basis, vec(v))
 
 
-def zero_in_hull(points: Sequence[Sequence], dim: int,
-                 lineality: Sequence[Sequence] = ()) -> bool:
-    """Whether 0 lies in conv(points) + span(lineality), decided exactly."""
-    b = LpBuilder()
-    free = b.block(len(lineality))
-    span = [{free[k]: d[c] for k, d in enumerate(lineality)} for c in range(dim)]
-    b.convex_weights(points, (Fraction(0),) * dim, span)
-    return b.solve().status == "optimal"
-
-
 def _in_cone(points: Sequence[Vec], target: Vec, dim: int,
              lineality: Sequence[Vec] = ()) -> bool:
     b = LpBuilder()
@@ -295,10 +285,18 @@ def cone_union_is_subspace(points: Sequence[Sequence],
                            lineality: Sequence[Sequence] = ()) -> tuple[bool, Subspace | None]:
     """Decide whether the union over t > 0 of t * (conv(points) + L) is a subspace.
 
-    L is the span of the lineality directions (empty by default).  Working
-    modulo L, the union is a subspace iff 0 lies in conv(points) + L and the
-    negation of every point lies in cone(points) + L; the subspace is then
-    span(points and lineality).  Returns (False, None) otherwise.
+    L is the span of the lineality directions (empty by default).  The
+    union is cone(points) + L, and it is a subspace exactly when
+    -sum(points) lies in cone(points) + L, which is one LP:
+
+    * if -sum p_i = sum nu_i p_i + l with every nu_i >= 0, then
+      sum c_i p_i lies in L with every c_i = 1 + nu_i >= 1, so each -p_j
+      is c_j^-1 (sum over i != j of c_i p_i) plus a point of L, and
+      dividing by sum c_i puts 0 in conv(points) + L;
+    * conversely, if every -p_j lies in cone(points) + L, so does their sum.
+
+    The subspace is then span(points and lineality).  Returns (False, None)
+    otherwise.
     """
     pts = [vec(p) for p in points]
     if not pts:
@@ -308,15 +306,11 @@ def cone_union_is_subspace(points: Sequence[Sequence],
     for p in list(pts) + lin:
         if len(p) != dim:
             raise StructuralError("points of mixed dimensions")
-    # rays are a set: duplicates and the origin change neither the hull
-    # test nor the negation loop, only the LP count
+    # rays are a set: a duplicate only widens the LP
     pts = list(dict.fromkeys(pts))
-    zero = (Fraction(0),) * dim
-    if not zero_in_hull(pts, dim, lin):
+    total = tuple(sum(col, start=Fraction(0)) for col in zip(*pts))
+    if not _in_cone(pts, vec_neg(total), dim, lin):
         return False, None
-    for p in pts:
-        if p != zero and not _in_cone(pts, vec_neg(p), dim, lin):
-            return False, None
     return True, Subspace.from_spanning(pts + lin, dim)
 
 

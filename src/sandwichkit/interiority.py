@@ -160,27 +160,29 @@ def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: 
 
 def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
                   m: Ext, gamma: Fraction, directions: Sequence[Vec]) -> MarginResult:
-    """Dyadic level sweep deciding relative interiority with a margin.
+    """Decide relative interiority with a margin, by one reach at (gamma + m) / 2.
 
     values are the sample values of phi; images and target are the stacked
     images and target that the fiber LP and every reach LP share (see
     _direction_reach), built once by the caller, and m is that fiber LP's
-    optimal value.  The per-level reach is concave and nondecreasing in the
-    level, so a zero reach at two increasing levels forces zero reach at
-    every level below gamma; the sweep never needs more than two levels.
+    optimal value.  Write B for the moving coordinates and P for B's image
+    of dom phi cut to the fiber.  At every level l > m the reach is positive
+    exactly when 0 is interior to P within the span of the directions.  A
+    positive reach puts every r d in P.  Conversely, take z0 on the fiber
+    with B z0 = 0 and phi(z0) = m, and for each direction d a point z_d of
+    dom phi on the fiber with B z_d = r d.  For small t > 0 the point
+    (1 - t) z0 + t z_d has phi <= (1 - t) m + t max(values) < l, and B maps
+    it to t r d; the same mix works on the LP's weights.  So one level in
+    (m, gamma) decides every level, and the midpoint is the one used.
     """
     if m is POS_INF or m >= gamma:
         return MarginResult(False, Fraction(0), gamma)
     if not directions:
         # zero-dimensional direction space: membership is all there is
         return MarginResult(True, Fraction(0), gamma)
-    level = gamma
-    for k in (1, 2):
-        level = gamma - (gamma - m) / 2**k
-        reach = _direction_reach(values, images, target, level, directions)
-        if reach > 0:
-            return MarginResult(True, reach, level)
-    return MarginResult(False, Fraction(0), level)
+    level = (gamma + m) / 2
+    reach = _direction_reach(values, images, target, level, directions)
+    return MarginResult(reach > 0, reach, level)
 
 
 def _basis_directions(y: Subspace) -> list:
@@ -204,8 +206,6 @@ def interiority_margin(q: SublevelQuery) -> MarginResult:
             "scaled images of the domain do not positively span a subspace; "
             "the relative interior is not defined by this query"
         )
-    if q.y.is_trivial:
-        return MarginResult(q.fiber_value < q.gamma, Fraction(0), q.gamma)
     values = [v for _, v in q.phi.samples]
     zero = (Fraction(0),) * q.b_map.out_dim
     return _margin_sweep(values, q.images, zero, q.fiber_value, q.gamma,
@@ -239,6 +239,8 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
 
     Decides 0 in int B({z : a_map z = a_map z0, psi z < delta}) with the
     interior taken in all of B's target space.  z0 must lie in dom psi.
+    Above the infimum of psi over the fiber the answer does not depend on
+    delta (see _margin_sweep).
     """
     _check_fiber_maps(psi, a_map, b_map)
     z0 = vec(z0)

@@ -163,27 +163,44 @@ class TestExitCodeContract:
         assert doc["hypothesis"]["minimum"] == "-1"
 
 
+def corpus_lps(capsys, monkeypatch) -> dict:
+    """The repr of every LP each corpus file's expect command solves."""
+    solved = []
+    lp_solve = numerics.lp_solve
+
+    def recording(lp):
+        solved.append(repr(lp))
+        return lp_solve(lp)
+
+    monkeypatch.setattr(numerics, "lp_solve", recording)
+    out = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        command = json.loads(path.read_text())["expect"]["command"]
+        solved.clear()
+        run(capsys, [command, str(path), "--report", "json"])
+        out[path.stem] = list(solved)
+    return out
+
+
 class TestWork:
     def test_no_command_solves_one_lp_twice(self, capsys, monkeypatch):
-        # two repeats are known and allowed: t20's c25 re-evaluates the fiber
-        # minimizer by its own evaluation LP, the independent re-check, and
-        # the sublevel factory solves the fiber LP to pick gamma before the
-        # flags build their query at that gamma
-        allowed = {"t20.json": 1, "sublevel.json": 1}
-        solved = []
-        lp_solve = numerics.lp_solve
-
-        def recording(lp):
-            solved.append(repr(lp))
-            return lp_solve(lp)
-
-        monkeypatch.setattr(numerics, "lp_solve", recording)
-        for path in sorted(CORPUS.glob("*.json")):
-            command = json.loads(path.read_text())["expect"]["command"]
-            solved.clear()
-            run(capsys, [command, str(path), "--report", "json"])
+        # one repeat is known and allowed: t20's c25 re-evaluates the fiber
+        # minimizer by its own evaluation LP, the independent re-check
+        for name, solved in corpus_lps(capsys, monkeypatch).items():
             repeats = len(solved) - len(set(solved))
-            assert repeats == allowed.get(path.name, 0), path.name
+            assert repeats == (1 if name == "t20" else 0), name
+
+    def test_lp_count_per_corpus_file(self, capsys, monkeypatch):
+        # the hypothesis flags cost one LP per subspace test, none for the
+        # sublevel interiority flag and one reach level per margin
+        counts = {name: len(solved) for name, solved in corpus_lps(capsys, monkeypatch).items()}
+        assert counts == {
+            "bibivariate": 3, "boundedness": 8, "broken": 0, "corollary21": 4,
+            "fenchel": 8, "indicator_linear": 16, "interiority": 9,
+            "partial_infconv": 3, "quadrivariate": 5, "sandwich": 3,
+            "sandwich_violated": 2, "sublevel": 4, "t20": 3, "trivariate": 3,
+        }
+        assert sum(counts.values()) == 71
 
 
 class TestDeterminism:

@@ -11,7 +11,6 @@ from sandwichkit.geometry import (
     Polytope,
     polytope_contains,
     solve_linear,
-    zero_in_hull,
 )
 from sandwichkit import duality
 from sandwichkit.interiority import SublevelQuery, boundedness_condition, boundedness_over_samples
@@ -40,6 +39,7 @@ from sandwichkit.randomgen import (
     random_violating_fenchel,
     random_violating_trivariate,
 )
+from test_geometry import zero_in_hull
 
 F = Fraction
 

@@ -17,7 +17,17 @@ from sandwichkit.geometry import (
     rref,
     solve_linear,
 )
-from sandwichkit.numerics import StructuralError, frac, vec
+from sandwichkit.numerics import LpBuilder, StructuralError, frac, vec
+
+
+def zero_in_hull(points, dim, lineality=()) -> bool:
+    """Whether 0 lies in conv(points) + span(lineality), by its own LP: the
+    reference for the hull tests that the package now reads off other LPs."""
+    b = LpBuilder()
+    free = b.block(len(lineality))
+    span = [{free[k]: d[c] for k, d in enumerate(lineality)} for c in range(dim)]
+    b.convex_weights(points, (Fraction(0),) * dim, span)
+    return b.solve().status == "optimal"
 
 
 class TestAffineMap:
