@@ -50,11 +50,7 @@ from .geometry import (
     solve_linear,
     vec_neg,
 )
-from .interiority import (
-    _boundedness_sweep,
-    _fiber_lp,
-    boundedness_over_samples,
-)
+from .interiority import _interior, boundedness_over_samples
 from .numerics import (
     EQ,
     GE,
@@ -131,21 +127,18 @@ class DualityScenario:
         """min of psi*(x* after B) against -inf of psi over the zero-fiber of B.
 
         The query space is zero-dimensional; gamma is the level used by the
-        interiority flag, chosen one above the fiber infimum when omitted.
+        interiority flag.  When omitted it stays None, and `verify` picks
+        one above the fiber infimum (1 when the fiber misses the domain).
         """
         if phi.form != V_FORM:
             raise StructuralError("sublevel scenarios need a sample-form function")
         if b_map.in_dim != phi.dim:
             raise StructuralError("direction map does not act on the function's space")
-        if gamma is None:
-            images = [b_map(p) for p, _ in phi.samples]
-            m, _ = _fiber_lp([v for _, v in phi.samples], images, (Fraction(0),) * b_map.out_dim)
-            gamma = Fraction(1) if m is POS_INF else m + 1
         return DualityScenario(
             kind="sublevel",
             queries=(AffineFunctional((), Fraction(0)),),
             hypothesis_mode=hypothesis_mode,
-            psi=phi, b_map=b_map, gamma=frac(gamma),
+            psi=phi, b_map=b_map, gamma=None if gamma is None else frac(gamma),
         )
 
     @staticmethod
@@ -464,8 +457,8 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
     """(hypothesis flags, notes) of a scenario, h_proper the last flag.
 
     first_lhs is the value of the first query's sup LP, which the caller has
-    solved, and tri is `scenario_to_trivariate(s)`, or None for the kinds
-    without one.
+    solved, and tri is `scenario_to_trivariate(s)` for the kinds that read
+    it (trivariate, quadrivariate, bibivariate, partial_infconv), else None.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -484,7 +477,8 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
       * fenchel with g in piece form: always, as g is finite everywhere.
 
     The sublevel flags need no further LP.  The sole sublevel query is 0,
-    so first_lhs is -m, with m the infimum of psi over B's zero fiber.
+    so first_lhs is -m, with m the infimum of psi over B's zero fiber; with
+    no gamma the level is m + 1, or 1 when the fiber misses dom psi.
     Under `subspace`, the cone of B's sample images is a subspace Y, so 0
     is a strictly positive combination of the images and lies in the
     relative interior of their hull within Y.  Mixing the fiber minimiser
@@ -492,32 +486,40 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
     psi below gamma whenever m < gamma (see interiority._margin_sweep).
     So the interiority flag is `subspace and m < gamma`.
 
-    The boundedness flags are tested at one level delta, one above every
-    sample value.  Above the fiber's infimum the answer does not depend on
-    the level (interiority._margin_sweep), so it is the answer for every
-    such delta.
+    The boundedness flag is the condition of
+    `interiority.boundedness_condition` at some sample as base point, at a
+    level above every sample value.  That level exceeds every fiber's
+    infimum, where the condition is 0 in int P, P the image under B of
+    dom psi cut to the fiber, which no level or value changes.  So the flag
+    is the value-free `interiority._interior`, one test per base point.
+    For `fenchel` in sample form, dom psi of the product psi(p, x) =
+    f(p) + g(x) is dom f x dom g, and the fiber through a sample p of f
+    fixes p, so P = dom g - C p: the test is C p in int dom g, over g's
+    samples alone, and the closed_subspace flag reads the product's B
+    images q - C p without building the product.
     """
     notes: list = []
     flags: dict = {}
     if s.kind == "sublevel":
+        gamma = s.gamma
+        if gamma is None:
+            gamma = Fraction(1) if first_lhs is NEG_INF else 1 - first_lhs
         ok, _ = cone_union_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
         flags["subspace"] = ok
-        flags["interiority"] = ok and -first_lhs < s.gamma
-        notes.append(f"interiority tested at level {s.gamma}")
+        flags["interiority"] = ok and -first_lhs < gamma
+        notes.append(f"interiority tested at level {gamma}")
     elif s.kind == "indicator_linear":
         x = s.dims[3]
         if s.hypothesis_mode == "boundedness":
-            values = [val for _, val in s.g.samples]
             points = [q for q, _ in s.g.samples]
-            delta = max(values) + 1
-            # the boundedness condition at each sample q of g that C reaches:
-            # the x-part slides around q[:x] (B z = z[:x] - q[:x]) on the
-            # fiber that fixes the u-part at q[x:].  With the convex weights
-            # summing to 1, B's target 0 is the x-part's target q[:x], so the
-            # stacked (B, A) images are the sample points themselves and the
-            # target is q.  A repeated sample is swept once.
+            # the condition at each sample q of g that C reaches: the x-part
+            # slides around q[:x] (B z = z[:x] - q[:x]) on the fiber that
+            # fixes the u-part at q[x:].  With the convex weights summing to
+            # 1, B's target 0 is the x-part's target q[:x], so the stacked
+            # (B, A) images are the sample points themselves and the target
+            # is q.  A repeated sample is tested once.
             flags["boundedness"] = any(
-                _boundedness_sweep(values, points, q, x, delta)
+                _interior(points, q, x)
                 for q in dict.fromkeys(points) if solve_linear(s.c_map.linear, q[:x]) is not None
             )
         else:
@@ -526,26 +528,25 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
             flags["closed_subspace"] = ok
             notes.append("queries are continuous in finite dimension")
         notes.append("the w-space is a full vector space by construction")
-    elif s.kind == "fenchel" and s.g.form == H_FORM:
-        if s.hypothesis_mode == "boundedness":
-            flags["boundedness"] = True
+    elif s.kind == "fenchel":
+        f, g, link = s.f, s.g, s.c_map
+        if g.form == H_FORM:
+            flags[s.hypothesis_mode] = True
+            notes.append("piece-form upper function is finite everywhere")
         else:
-            flags["closed_subspace"] = True
-        notes.append("piece-form upper function is finite everywhere")
+            points = [q for q, _ in g.samples]
+            bases = [link(p) for p in dict.fromkeys(p for p, _ in f.samples)]
+            if s.hypothesis_mode == "boundedness":
+                flags["boundedness"] = any(_interior(points, cp, g.dim) for cp in bases)
+            else:
+                ok, _ = cone_union_is_subspace(
+                    [tuple(a - b for a, b in zip(q, cp)) for cp in bases for q in points])
+                flags["closed_subspace"] = ok
+                notes.append("queries are continuous in finite dimension")
+            notes.append("sample-form functions are closed by construction")
     else:
         if s.hypothesis_mode == "boundedness":
-            delta = max(v for _, v in tri.psi.samples) + 1
-            bases = None
-            if s.kind == "fenchel":
-                # the product's fiber over a sample p of f holds C p as its
-                # g-part, and conv(product) = conv(f's) x conv(g's): it is
-                # empty, and the condition fails, unless C p is in dom g.
-                # Each p is tested as the sweep reaches it.
-                g_dom = s.g.domain()
-                bases = (p for p in dict.fromkeys(p for p, _ in s.f.samples)
-                         if g_dom.contains(s.c_map(p)))
-            flags["boundedness"] = boundedness_over_samples(
-                tri.psi, tri.a_map, tri.b_map, delta, bases)
+            flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
         else:
             ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
             flags["closed_subspace"] = ok
@@ -670,9 +671,8 @@ def verify(s: DualityScenario) -> list:
     Each report carries the query's program and the LP's weights as its
     certificate, for `oracle.crosscheck_scenario`.
     """
-    # the trivariate rewrite, for every query's program and for the flags
-    compact = s.kind != "indicator_linear" and (s.kind != "fenchel" or s.g.form == V_FORM)
-    tri = scenario_to_trivariate(s) if compact else None
+    # the trivariate rewrite, for the kinds whose programs or flags read it
+    tri = None if s.kind in ("fenchel", "indicator_linear") else scenario_to_trivariate(s)
     solved = []
     for query in s.queries:
         p = query_program(s, query, tri)

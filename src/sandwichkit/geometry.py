@@ -152,29 +152,6 @@ def polytope_contains(p: Polytope, x: Sequence) -> bool:
     return b.solve().status == "optimal"
 
 
-def interior_margin(p: Polytope, x: Sequence) -> Fraction:
-    """Largest r with x +- r e_j in p for every coordinate direction; 0 if none.
-
-    A positive value certifies x lies in the ambient interior of p.
-    """
-    if len(x) != p.dim:
-        raise StructuralError("dimension mismatch in interior_margin")
-    if p.dim == 0:
-        return Fraction(0)
-    b = LpBuilder("max")
-    r = b.var(lo=0)
-    for c_dir in range(p.dim):
-        for sign in (1, -1):
-            # the weights reach x + sign * r * e_{c_dir}
-            shift = [{r: -sign} if c == c_dir else {} for c in range(p.dim)]
-            b.convex_weights(p.vertices, x, shift)
-    b.set_objective({r: 1})
-    res = b.solve()
-    if res.status != "optimal":
-        return Fraction(0)
-    return res.value
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns)."""
     mat = [[frac(v) for v in row] for row in rows]

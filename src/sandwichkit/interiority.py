@@ -7,10 +7,17 @@ weights, so every answer is exact.
 """
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .convexfn import PolyhedralFunction, V_FORM, evaluate
-from .geometry import AffineMap, Subspace, cone_union_is_subspace, polytope_contains, vec_neg
+from .geometry import (
+    AffineMap,
+    Polytope,
+    Subspace,
+    cone_union_is_subspace,
+    polytope_contains,
+    vec_neg,
+)
 from .numerics import (
     LE,
     POS_INF,
@@ -126,16 +133,18 @@ def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec):
     return res.value, tuple(res.point[j] for j in lam)
 
 
-def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
-                     level: Fraction, directions: Sequence[Vec]) -> Fraction:
-    """Largest r so that every r*d is hit by B from the level-sublevel set.
+def _direction_reach(images: Sequence[Vec], target: Vec, directions: Sequence[Vec],
+                     value_row=None) -> Fraction:
+    """Largest r so that every target + r*d lies in conv(images), d moving
+    only the first len(d) coordinates.
 
-    images and target are B's images of the samples and B's target, possibly
-    followed by further coordinates (a fiber map's images and its target)
-    that stay fixed while the first len(d) coordinates move to target + r*d.
-    One small LP per direction; the result is the minimum of the
-    per-direction maxima.  Callers pick levels strictly above the fiber
-    infimum, so r = 0 stays feasible and a zero minimum exits early.
+    The further coordinates of images and target (a fiber map's images and
+    its target) stay fixed, so the hull is cut to that slice.  value_row,
+    when given, is (values, level): the convex weights must also keep the
+    sample values at most level.  One small LP per direction; the result is
+    the minimum of the per-direction maxima, since each direction has its
+    own weights.  A direction whose LP is infeasible reaches 0, and a zero
+    minimum exits early.
     """
     if not directions:
         raise StructuralError("reach needs at least one direction")
@@ -143,32 +152,48 @@ def _direction_reach(values: Sequence[Fraction], images: Sequence[Vec], target: 
     for d in directions:
         b = LpBuilder("max")
         r = b.var(lo=0)
-        # B's rows reach r*d; the stacked a_map rows stay on their fiber
+        # the first len(d) rows reach r*d; the rows after them stay on their fiber
         reach = [{r: -dc} for dc in d] + [{}] * (len(target) - len(d))
         lam = b.convex_weights(images, target, reach)
-        b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)
+        if value_row is not None:
+            values, level = value_row
+            b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)
         b.set_objective({r: 1})
         res = b.solve()
-        if res.status != "optimal":
-            raise StructuralError("reach LP is feasible at r = 0 and bounded")
-        if best is None or res.value < best:
-            best = res.value
+        if res.status == "unbounded":
+            raise StructuralError("reach LP is bounded over a compact hull")
+        value = res.value if res.status == "optimal" else Fraction(0)
+        if best is None or value < best:
+            best = value
         if best == 0:
             break
     return best
+
+
+def _interior(points: Sequence[Vec], target: Vec, k: int) -> bool:
+    """Whether target's first k coordinates are interior, within Q^k, to
+    conv(points) cut to the slice where the other coordinates equal target's.
+
+    For k >= 1 that is a positive reach along every +-e_i: target + r e_i and
+    target - r e_i both in the slice put their midpoint, target, in it too,
+    so no separate membership LP is needed.  For k = 0 it is membership.
+    """
+    if k == 0:
+        return polytope_contains(Polytope(len(target), tuple(points)), target)
+    return _direction_reach(points, target, _basis_directions(Subspace.full(k))) > 0
 
 
 def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
                   m: Ext, gamma: Fraction, directions: Sequence[Vec]) -> MarginResult:
     """Decide relative interiority with a margin, by one reach at (gamma + m) / 2.
 
-    values are the sample values of phi; images and target are the stacked
-    images and target that the fiber LP and every reach LP share (see
-    _direction_reach), built once by the caller, and m is that fiber LP's
-    optimal value.  Write B for the moving coordinates and P for B's image
-    of dom phi cut to the fiber.  At every level l > m the reach is positive
-    exactly when 0 is interior to P within the span of the directions.  A
-    positive reach puts every r d in P.  Conversely, take z0 on the fiber
+    values are the sample values of phi; images and target are those the
+    fiber LP and every reach LP share (see _direction_reach), and m is that
+    fiber LP's optimal value.  Write B for the moving coordinates and P for
+    B's image of dom phi cut to the fiber.  At every level l > m the reach
+    is positive exactly when 0 is interior to P within the span of the
+    directions, which no value decides (see _interior).  A positive reach
+    puts every r d in P.  Conversely, take z0 on the fiber
     with B z0 = 0 and phi(z0) = m, and for each direction d a point z_d of
     dom phi on the fiber with B z_d = r d.  For small t > 0 the point
     (1 - t) z0 + t z_d has phi <= (1 - t) m + t max(values) < l, and B maps
@@ -181,7 +206,7 @@ def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec
         # zero-dimensional direction space: membership is all there is
         return MarginResult(True, Fraction(0), gamma)
     level = (gamma + m) / 2
-    reach = _direction_reach(values, images, target, level, directions)
+    reach = _direction_reach(images, target, directions, (values, level))
     return MarginResult(reach > 0, reach, level)
 
 
@@ -219,69 +244,46 @@ def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMa
         raise StructuralError("fiber and direction maps must act on the function's space")
 
 
-def _boundedness_sweep(values: Sequence[Fraction], stacked: Sequence[Vec], target: Vec,
-                       b_dim: int, delta: Fraction) -> bool:
-    """The margin sweep over the unit directions of the first b_dim coordinates.
-
-    stacked holds each sample's B image followed by its A image, and target
-    B's target followed by A's: the fiber {A z = A's target} stays fixed
-    while B's coordinates move around B's target.
-    """
-    target = tuple(target)
-    m, _ = _fiber_lp(values, stacked, target)
-    units = _basis_directions(Subspace.full(b_dim))
-    return _margin_sweep(values, stacked, target, m, delta, units).holds
-
-
 def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
                           b_map: AffineMap, z0: Sequence, delta) -> bool:
     """Full-space interiority of B over one fiber of A, below level delta.
 
     Decides 0 in int B({z : a_map z = a_map z0, psi z < delta}) with the
     interior taken in all of B's target space.  z0 must lie in dom psi.
-    Above the infimum of psi over the fiber the answer does not depend on
-    delta (see _margin_sweep).
+    It holds exactly when the infimum m of psi over the fiber's part in B's
+    zero fiber lies below delta and 0 is interior to P, B's image of dom psi
+    cut to the fiber: above m the level does not matter (see _margin_sweep),
+    so the interior test reads no values.
     """
     _check_fiber_maps(psi, a_map, b_map)
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0):
         raise PreconditionError(f"base point {z0} lies outside the domain")
-    values = [v for _, v in psi.samples]
     stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
     target = (Fraction(0),) * b_map.out_dim + a_map(z0)
-    return _boundedness_sweep(values, stacked, target, b_map.out_dim, frac(delta))
+    m, _ = _fiber_lp([v for _, v in psi.samples], stacked, target)
+    return (m is not POS_INF and m < frac(delta)
+            and _interior(stacked, target, b_map.out_dim))
 
 
 def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
-                             b_map: AffineMap, delta,
-                             a_targets: Optional[Iterable[Vec]] = None) -> bool:
-    """Whether boundedness_condition holds at some sample of psi as base point.
+                             b_map: AffineMap) -> bool:
+    """Whether boundedness_condition holds at some sample of psi as base point,
+    at a level above every sample value.
 
-    Equal to any(boundedness_condition(psi, a_map, b_map, z0, delta)) over
-    the sample points z0 of psi, in sample order.  The samples lie in
-    dom psi by definition, so no domain check is made; the tested fiber
-    depends on z0 only through a_map(z0), so each distinct A-image is swept
-    once.  The B and A images of the samples are stacked once for every
-    sweep.  a_targets, when given, yields the A-images to sweep instead, in
-    order: a caller may leave out those whose fiber misses B's zero fiber,
-    where the condition fails.  The images are then stacked only when the
-    first target comes, so an empty a_targets maps no sample.
+    The samples lie in dom psi by definition, so no domain check is made.
+    Such a level exceeds every finite fiber infimum, and a fiber that misses
+    B's zero fiber fails the interior test too, so only the value-free
+    interior test is left.  The tested fiber depends on z0 only through a_map(z0), so
+    each distinct A-image is tested once, in sample order, against the B and
+    A images of the samples stacked once.
     """
     _check_fiber_maps(psi, a_map, b_map)
-    delta = frac(delta)
-    values = [v for _, v in psi.samples]
     b_dim = b_map.out_dim
-    stacked = None
-    if a_targets is None:
-        stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
-        a_targets = dict.fromkeys(row[b_dim:] for row in stacked)
+    stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
     zero = (Fraction(0),) * b_dim
-    for key in a_targets:
-        if stacked is None:
-            stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
-        if _boundedness_sweep(values, stacked, zero + key, b_dim, delta):
-            return True
-    return False
+    return any(_interior(stacked, zero + key, b_dim)
+               for key in dict.fromkeys(row[b_dim:] for row in stacked))
 
 
 def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:

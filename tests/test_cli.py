@@ -192,15 +192,16 @@ class TestWork:
 
     def test_lp_count_per_corpus_file(self, capsys, monkeypatch):
         # the hypothesis flags cost one LP per subspace test, none for the
-        # sublevel interiority flag and one reach level per margin
+        # sublevel interiority flag or its level, one reach level per margin
+        # and, for boundedness, one reach LP per direction and no fiber LP
         counts = {name: len(solved) for name, solved in corpus_lps(capsys, monkeypatch).items()}
         assert counts == {
             "bibivariate": 3, "boundedness": 8, "broken": 0, "corollary21": 4,
-            "fenchel": 8, "indicator_linear": 16, "interiority": 9,
+            "fenchel": 6, "indicator_linear": 12, "interiority": 9,
             "partial_infconv": 3, "quadrivariate": 5, "sandwich": 3,
-            "sandwich_violated": 2, "sublevel": 4, "t20": 3, "trivariate": 3,
+            "sandwich_violated": 2, "sublevel": 3, "t20": 3, "trivariate": 3,
         }
-        assert sum(counts.values()) == 71
+        assert sum(counts.values()) == 64
 
 
 class TestDeterminism:

@@ -62,6 +62,28 @@ def abs_fenchel(queries) -> DualityScenario:
     )
 
 
+def free_pair(rng: random.Random) -> DualityScenario:
+    """A fenchel scenario of any two sample-form functions and any link."""
+    n, m = rng.randint(1, 2), rng.randint(1, 2)
+    return DualityScenario.fenchel(random_vform(rng, n, 5), random_vform(rng, m, 5),
+                                   random_affine_map(rng, n, m), [random_vec(rng, n)])
+
+
+def sliding_indicator(rng: random.Random) -> DualityScenario:
+    """An indicator_linear scenario with small integer samples, possibly
+    repeated, and small integer maps C and D."""
+    x, u, w, v = (rng.randint(1, 2), rng.randint(0, 2),
+                  rng.randint(1, 2), rng.randint(0, 2))
+    samples = [(tuple(rng.randint(-2, 2) for _ in range(x + u)), rng.randint(0, 4))
+               for _ in range(rng.randint(1, 6))]
+    g = PolyhedralFunction.v_form(x + u, samples + samples[:rng.randint(0, 1)])
+    c_map = AffineMap.from_rows(
+        [[rng.randint(-1, 1) for _ in range(w)] for _ in range(x)], in_dim=w)
+    d_map = AffineMap.from_rows(
+        [[rng.randint(-1, 1) for _ in range(u)] for _ in range(v)], in_dim=u)
+    return DualityScenario.indicator_linear(g, c_map, d_map, [(0,) * (w + v)])
+
+
 def point_function(*points) -> PolyhedralFunction:
     """The indicator of the hull of the given points."""
     return PolyhedralFunction.v_form(len(points[0]), [(p, 0) for p in points])
@@ -206,11 +228,6 @@ class TestFenchel:
     def test_boundedness_flag_matches_the_product_sweep(self):
         # reference: the sweep at every sample of the product psi = f + g as
         # base point, with no dom g test first
-        def free_pair(rng):
-            n, m = rng.randint(1, 2), rng.randint(1, 2)
-            return DualityScenario.fenchel(random_vform(rng, n, 5), random_vform(rng, m, 5),
-                                           random_affine_map(rng, n, m), [random_vec(rng, n)])
-
         generators = [
             ("crosscheck", lambda rng: random_crosscheck_scenario(rng, "fenchel")),
             ("separated", random_violating_fenchel),
@@ -224,8 +241,7 @@ class TestFenchel:
                 s = draw(rng)
                 assert s.hypothesis_mode == "boundedness"
                 tri = fenchel_to_trivariate(s)
-                delta = max(v for _, v in tri.psi.samples) + 1
-                want = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
+                want = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
                 assert verify(s)[0].hypothesis_flags["boundedness"] == want, (name, s)
                 # whether some sample of f is skipped, C p lying outside dom g
                 skips = not all(s.g.domain().contains(s.c_map(p)) for p, _ in s.f.samples)
@@ -237,8 +253,9 @@ class TestSublevel:
     def test_worked_example_auto_level(self):
         phi = PolyhedralFunction.v_form(1, [((-1,), 1), ((0,), 0), ((1,), 1)])
         s = DualityScenario.sublevel(phi, AffineMap.identity(1))
-        assert s.gamma == 1
         report = verify(s)[0]
+        # one above the fiber infimum 0, read off the sup LP
+        assert report.notes == ("interiority tested at level 1",)
         assert report.lhs == 0
         assert report.rhs == 0
         assert report.attained
@@ -363,17 +380,9 @@ class TestIndicatorLinear:
         # the fiber fixing the u-part at q's and B sliding the x-part around q's
         seen = set()
         for i in range(60):
-            rng = random.Random(f"sliding:{i}")
-            x, u, w, v = (rng.randint(1, 2), rng.randint(0, 2),
-                          rng.randint(1, 2), rng.randint(0, 2))
-            samples = [(tuple(rng.randint(-2, 2) for _ in range(x + u)), rng.randint(0, 4))
-                       for _ in range(rng.randint(1, 6))]
-            g = PolyhedralFunction.v_form(x + u, samples + samples[:rng.randint(0, 1)])
-            c_map = AffineMap.from_rows(
-                [[rng.randint(-1, 1) for _ in range(w)] for _ in range(x)], in_dim=w)
-            d_map = AffineMap.from_rows(
-                [[rng.randint(-1, 1) for _ in range(u)] for _ in range(v)], in_dim=u)
-            s = DualityScenario.indicator_linear(g, c_map, d_map, [(0,) * (w + v)])
+            s = sliding_indicator(random.Random(f"sliding:{i}"))
+            g, c_map = s.g, s.c_map
+            x, u = s.dims[3], s.dims[0]
             proj_u = AffineMap.from_rows(
                 [[int(j == x + r) for j in range(x + u)] for r in range(u)], in_dim=x + u)
             delta = max(val for _, val in g.samples) + 1
@@ -405,6 +414,20 @@ class TestProductConstructions:
         s = random_crosscheck_scenario(random.Random(f"rewrite:{kind}"), kind, n_queries=3)
         verify(dataclasses.replace(s, hypothesis_mode=mode))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_verify_builds_no_fenchel_product(self, monkeypatch, mode):
+        def refuse(*args):
+            raise AssertionError("fenchel flags built the product")
+
+        monkeypatch.setattr(duality, "product_function", refuse)
+        monkeypatch.setattr(duality, "fenchel_to_trivariate", refuse)
+        rng = random.Random(f"no product:{mode}")
+        for draw in (free_pair, random_violating_fenchel,
+                     lambda rng: random_crosscheck_scenario(rng, "fenchel")):
+            s = dataclasses.replace(draw(rng), hypothesis_mode=mode)
+            assert s.g.form != H_FORM
+            assert mode in verify(s)[0].hypothesis_flags
 
     def test_product_adds_marginal_values(self):
         rng = random.Random(601)

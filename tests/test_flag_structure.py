@@ -9,7 +9,9 @@ Each flag has a longer definition that spends more LPs:
   of a `SublevelQuery`; the package reads the sup LP's value, -m, against
   gamma;
 * the boundedness condition may be tested at any level above the fiber's
-  infimum; the package tests one.
+  infimum, where it is 0 in int P with no level or value in it; the
+  package tests that interior, with no fiber LP and no value row, and for
+  `fenchel` over g's samples alone rather than the product f + g.
 
 The longer definitions are the references here.  hypothesis draws the
 point sets, derandomised so every run sees the same draws; the test is
@@ -18,6 +20,7 @@ skipped where hypothesis is missing, which the package does not need.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 
@@ -27,15 +30,26 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sandwichkit.duality import DualityScenario, scenario_to_trivariate, verify  # noqa: E402
+from sandwichkit.convexfn import H_FORM, PolyhedralFunction  # noqa: E402
+from sandwichkit.duality import (  # noqa: E402
+    KINDS,
+    MODES,
+    DualityScenario,
+    scenario_to_trivariate,
+    verify,
+)
 from sandwichkit.geometry import (  # noqa: E402
+    AffineMap,
     Subspace,
     _in_cone,
     cone_union_is_subspace,
+    solve_linear,
     vec_neg,
 )
 from sandwichkit.interiority import (  # noqa: E402
     SublevelQuery,
+    _basis_directions,
+    _direction_reach,
     _fiber_lp,
     boundedness_condition,
     interiority_margin,
@@ -46,7 +60,10 @@ from sandwichkit.randomgen import (  # noqa: E402
     random_crosscheck_scenario,
     random_fraction,
     random_vform,
+    random_violating_fenchel,
+    random_violating_trivariate,
 )
+from test_duality import free_pair, sliding_indicator  # noqa: E402
 from test_geometry import zero_in_hull  # noqa: E402
 
 
@@ -153,3 +170,87 @@ def test_boundedness_is_the_same_at_two_levels(kind):
             seen |= answers
     assert seen == {True, False}
 
+
+def delta_sweep(values, stacked, target, b_dim) -> bool:
+    """The boundedness condition at level delta = max(values) + 1, as a fiber
+    LP and then one reach with the value row at (delta + m) / 2, m the
+    fiber's infimum; stacked and target hold B's coordinates first."""
+    m, _ = _fiber_lp(values, stacked, target)
+    if m is POS_INF:
+        return False
+    if b_dim == 0:
+        return True
+    delta = max(values) + 1
+    units = _basis_directions(Subspace.full(b_dim))
+    return _direction_reach(stacked, target, units, (values, (delta + m) / 2)) > 0
+
+
+def flag_by_delta_sweep(s) -> bool:
+    """The flag of the scenario's mode by the longer route: the trivariate
+    rewrite (the product f + g for the two-function kinds), then the
+    delta sweep at each distinct A-image of its samples, or the subspace
+    test on its B images; indicator_linear sweeps at each sample q of g
+    that C reaches."""
+    if s.kind == "indicator_linear":
+        x = s.dims[3]
+        if s.hypothesis_mode == "closed_subspace":
+            return cone_union_is_subspace([q[:x] for q, _ in s.g.samples],
+                                          lineality=s.c_map.columns())[0]
+        values = [val for _, val in s.g.samples]
+        points = [q for q, _ in s.g.samples]
+        return any(delta_sweep(values, points, q, x) for q in dict.fromkeys(points)
+                   if solve_linear(s.c_map.linear, q[:x]) is not None)
+    tri = scenario_to_trivariate(s)
+    psi, a_map, b_map = tri.psi, tri.a_map, tri.b_map
+    if s.hypothesis_mode == "closed_subspace":
+        return cone_union_is_subspace([b_map(p) for p, _ in psi.samples])[0]
+    values = [v for _, v in psi.samples]
+    stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
+    zero = (F(0),) * b_map.out_dim
+    return any(delta_sweep(values, stacked, zero + a_map(p), b_map.out_dim)
+               for p in dict.fromkeys(p for p, _ in psi.samples))
+
+
+FLAG_DRAWS = {
+    **{kind: functools.partial(random_crosscheck_scenario, kind=kind)
+       for kind in KINDS if kind != "sublevel"},
+    "violating fenchel": random_violating_fenchel,
+    "touching fenchel": lambda rng: random_violating_fenchel(rng, touching=True),
+    "free fenchel": free_pair,
+    "sliding indicator": sliding_indicator,
+    "violating trivariate": random_violating_trivariate,
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_flags_match_the_delta_sweep(mode):
+    # sublevel has neither flag; a piece-form g has both by structure
+    outcomes = {}
+    for name, draw in FLAG_DRAWS.items():
+        rng = random.Random(f"delta sweep:{name}")
+        for _ in range(16):
+            s = dataclasses.replace(draw(rng), hypothesis_mode=mode)
+            if s.kind == "fenchel" and s.g.form == H_FORM:
+                continue
+            got = verify(s)[0].hypothesis_flags[mode]
+            assert got == flag_by_delta_sweep(s), (name, s)
+            outcomes.setdefault(name, set()).add(got)
+    assert set().union(*outcomes.values()) == {True, False}
+    assert len(outcomes) == len(FLAG_DRAWS)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_dimensional_direction_spaces_hold(mode):
+    rng = random.Random(f"zero dimensional:{mode}")
+    for _ in range(8):
+        f = random_vform(rng, rng.randint(1, 2))
+        g = PolyhedralFunction.v_form(0, [((), random_fraction(rng, 0, 3))])
+        fenchel = DualityScenario.fenchel(f, g, AffineMap.zero_map(f.dim),
+                                          [(0,) * f.dim], mode)
+        psi = random_vform(rng, rng.randint(1, 2))
+        a_map = random_affine_map(rng, psi.dim, rng.randint(0, 2))
+        trivariate = DualityScenario.trivariate(
+            psi, a_map, AffineMap.zero_map(psi.dim), [(0,) * a_map.out_dim], mode)
+        for s in (fenchel, trivariate):
+            assert verify(s)[0].hypothesis_flags[mode] is True
+            assert flag_by_delta_sweep(s) is True

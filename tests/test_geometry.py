@@ -11,7 +11,6 @@ from sandwichkit.geometry import (
     cone_union_is_subspace,
     in_span,
     independent_rows,
-    interior_margin,
     minimal_vertices,
     polytope_contains,
     rref,
@@ -102,18 +101,6 @@ class TestPolytope:
             Polytope.of([(0, 0), (1,)])
         with pytest.raises(StructuralError):
             polytope_contains(Polytope.of([(0, 0)]), (1,))
-
-    def test_interior_margin_square(self):
-        sq = Polytope.of([(-1, -1), (1, -1), (1, 1), (-1, 1)])
-        assert interior_margin(sq, (0, 0)) == 1
-        assert interior_margin(sq, ("1/2", 0)) == Fraction(1, 2)
-        assert interior_margin(sq, (1, 0)) == 0
-        assert interior_margin(sq, (2, 0)) == 0
-
-    def test_interior_margin_segment_in_plane(self):
-        seg = Polytope.of([(-1, 0), (1, 0)])
-        # no room in the second coordinate, so no ambient interior
-        assert interior_margin(seg, (0, 0)) == 0
 
 
 class TestLinearAlgebra:

@@ -11,6 +11,8 @@ from sandwichkit.duality import scenario_to_trivariate
 from sandwichkit.geometry import AffineMap
 from sandwichkit.interiority import (
     SublevelQuery,
+    _direction_reach,
+    _interior,
     boundedness_condition,
     boundedness_over_samples,
     corollary21_auto,
@@ -18,7 +20,7 @@ from sandwichkit.interiority import (
     lemma19a_check,
     theorem20_equivalence,
 )
-from sandwichkit.numerics import PreconditionError
+from sandwichkit.numerics import PreconditionError, vec
 from sandwichkit.randomgen import random_sublevel_query
 
 
@@ -150,18 +152,53 @@ FLAG_GENERATORS = {
 }
 
 
+class TestDirectionReach:
+    UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+    def test_square(self):
+        sq = [vec(p) for p in [(-1, -1), (1, -1), (1, 1), (-1, 1)]]
+        assert _direction_reach(sq, vec((0, 0)), self.UNITS) == 1
+        assert _direction_reach(sq, vec(("1/2", 0)), self.UNITS) == Fraction(1, 2)
+        assert _direction_reach(sq, vec((1, 0)), self.UNITS) == 0
+        # outside the square every direction's LP is infeasible
+        assert _direction_reach(sq, vec((2, 0)), self.UNITS) == 0
+
+    def test_segment_in_plane(self):
+        seg = [vec(p) for p in [(-1, 0), (1, 0)]]
+        # no room in the second coordinate, so no ambient interior
+        assert _direction_reach(seg, vec((0, 0)), self.UNITS) == 0
+
+
+class TestInterior:
+    SQUARE = [vec(p) for p in [(-1, -1), (1, -1), (1, 1), (-1, 1)]]
+
+    def test_slices_of_a_square(self):
+        # k = 1: the first coordinate moves on the slice fixing the second
+        assert _interior(self.SQUARE, vec((0, 1)), 1)
+        assert not _interior(self.SQUARE, vec((1, 0)), 1)
+        assert not _interior(self.SQUARE, vec((0, 2)), 1)
+        assert _interior(self.SQUARE, vec((0, 0)), 2)
+        assert not _interior(self.SQUARE, vec((0, 1)), 2)
+
+    def test_no_moving_coordinate_is_membership(self):
+        assert _interior(self.SQUARE, vec((1, 1)), 0)
+        assert not _interior(self.SQUARE, vec((0, 2)), 0)
+
+
 class TestBoundednessOverSamples:
     def test_worked_examples(self):
-        # one fiber, the whole line: |x| < 1 around 0, and nothing below 0
+        # one fiber, the whole line: 0 is interior to [-1, 1]
         psi, zero, ident = abs_on_unit(), AffineMap.zero_map(1), AffineMap.identity(1)
-        assert boundedness_over_samples(psi, zero, ident, 1)
-        assert not boundedness_over_samples(psi, zero, ident, 0)
+        assert boundedness_over_samples(psi, zero, ident)
+        # every fiber's B image is a single point
+        assert not boundedness_over_samples(*TestBoundedness.product_example(g_points=(0,)))
 
     def test_only_sample_base_points_count(self):
-        # the fiber through (0, 0) passes, but no fiber through a sample does
-        psi, a_map, b_map = TestBoundedness.product_example()
-        assert boundedness_condition(psi, a_map, b_map, (0, 0), 1)
-        assert not boundedness_over_samples(psi, a_map, b_map, 1)
+        # the fiber through (0, 0) passes; through a sample p = +-1, B's
+        # image is [-2, 0] or [0, 2], with 0 on its boundary at any level
+        psi, a_map, b_map = TestBoundedness.product_example(g_points=(-1, 1))
+        assert boundedness_condition(psi, a_map, b_map, (0, 0), 2)
+        assert not boundedness_over_samples(psi, a_map, b_map)
 
     @pytest.mark.parametrize("kind", sorted(FLAG_GENERATORS))
     def test_equals_the_condition_at_some_sample(self, kind):
@@ -177,7 +214,7 @@ class TestBoundednessOverSamples:
             delta = max(v for _, v in tri.psi.samples) + 1
             want = any(boundedness_condition(tri.psi, tri.a_map, tri.b_map, z0, delta)
                        for z0, _ in tri.psi.samples)
-            got = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map, delta)
+            got = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
             assert got == want
             outcomes.add(got)
         assert outcomes == {True, False}
