@@ -15,6 +15,7 @@ subgradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .numerics import (
     NEG_INF,
     Ext,
     LpBuilder,
+    PointColumns,
     StructuralError,
     Vec,
     dot,
@@ -162,6 +164,11 @@ class PolyhedralFunction:
             raise StructuralError("pieces are only available in piece form")
         return self.data
 
+    @cached_property
+    def columns(self) -> PointColumns:
+        """The points' integer image for convex weights, made on first use."""
+        return PointColumns([p for p, _ in self.data], self.dim)
+
     def domain(self) -> Polytope:
         """Effective domain; only sample-form functions have a bounded one."""
         if self.form != V_FORM:
@@ -213,7 +220,7 @@ def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec 
                 best, arg = v, a
         return best, arg
     b = LpBuilder()
-    lam = b.convex_weights([p for p, _ in f.data], x)
+    lam = b.convex_weights(f.columns, x)
     b.set_objective({lam[i]: f.data[i][1] for i in range(len(lam))})
     res = b.solve()
     if res.status == "infeasible":
@@ -266,7 +273,7 @@ def sup_affine_minus_convex(
         if psi.form == V_FORM:
             # the weights' combination equals M z: sum lam_i p_i - L z = offset
             coupling = [{zvars[j]: -row[j] for j in range(n) if row[j]} for row in m.linear]
-            lam = b.convex_weights([p for p, _ in psi.data], m.offset, coupling)
+            lam = b.convex_weights(psi.columns, m.offset, coupling)
             weight_vars.append(lam)
             for i in range(len(lam)):
                 if psi.data[i][1]:

@@ -673,8 +673,11 @@ def verify(s: DualityScenario) -> list:
     """
     # the trivariate rewrite, for the kinds whose programs or flags read it
     tri = None if s.kind in ("fenchel", "indicator_linear") else scenario_to_trivariate(s)
-    solved = []
+    # a query listed twice is solved once and reported twice
+    by_query = {}
     for query in s.queries:
+        if query in by_query:
+            continue
         p = query_program(s, query, tri)
         # each fiber B enters the LP as the indicator of B z = 0
         terms = p.terms + tuple((indicator_of_zero(b.out_dim), b) for b in p.fibers)
@@ -682,8 +685,8 @@ def verify(s: DualityScenario) -> list:
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
             raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-        solved.append((query, p, sup,
-                       _dual_lp(p.groups, p.trailing, p.constant, p.constraint)))
+        by_query[query] = (p, sup, _dual_lp(p.groups, p.trailing, p.constant, p.constraint))
+    solved = [(query, *by_query[query]) for query in s.queries]
     # every query's sup LP has the same feasible set, which is dom h's
     _, _, first_sup, _ = solved[0]
     flags, notes = _scenario_flags(s, first_sup.value, tri)

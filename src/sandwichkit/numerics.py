@@ -12,8 +12,11 @@ The solver is a two-phase dense simplex with Bland's rule, which keeps it
 deterministic and cycle-free.  Variables are free unless bounded; bounds are
 folded into explicit rows so dual certificates cover them uniformly.  The
 arithmetic between building a program and returning its result is on
-integers: each row is read once as integers over a positive scale s, and
-enters the tableau times s, with its artificial variable a' = s a.  The
+integers: `LpBuilder` builds each row once, where it is assembled, as the
+integer numerators of its nonzero entries over a positive scale s (a bound
+row holds one entry), and the row enters the tableau times s, with its
+artificial variable a' = s a.  No dense Fraction row is made on the way;
+a program's rational view is made from its rows only when it is read.  The
 tableau is T = D B^-1 M' for that integer system M', its basis B and one
 common denominator D = |det B| (Edmonds 1967; Bareiss 1968), so a pivot is
 one pass per row ending in an exact integer division, with no gcd.  Each
@@ -158,40 +161,131 @@ class Constraint:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """min or max of <objective, x> subject to affine rows and optional bounds.
 
     bounds, when given, holds one (lo, hi) pair per variable with None for
     an absent side.  Variables are otherwise free.
+
+    The solver and the certificate checks read the program's integer rows
+    (see `_row_image`): the constraints, then one row per finite bound.
+    `LpBuilder` assembles those rows directly, and the rational view
+    (objective, constraints, bounds) is made from them when it is first
+    read.  A program constructed from the rational view gets its integer
+    rows once, from the same builder, when it is first solved or checked.
     """
 
-    num_vars: int
-    objective: Vec
-    sense: str
-    constraints: tuple[Constraint, ...]
-    bounds: tuple[tuple[Fraction | None, Fraction | None], ...] | None = None
+    __slots__ = ("num_vars", "sense", "_view", "_rows", "_obj", "_n_constraints")
+
+    def __init__(self, num_vars: int, objective: Vec, sense: str,
+                 constraints: tuple[Constraint, ...],
+                 bounds: tuple[tuple[Fraction | None, Fraction | None], ...] | None = None):
+        self.num_vars = num_vars
+        self.sense = sense
+        self._view = (objective, constraints, bounds)
+        self._rows = self._obj = None
+
+    @classmethod
+    def _assembled(cls, num_vars: int, sense: str, rows: list, n_constraints: int,
+                   obj: tuple[list[int], int]) -> "LinearProgram":
+        """The program of integer rows whose first n_constraints are constraints
+        and the rest bound rows, with the objective's integer image obj."""
+        lp = cls.__new__(cls)
+        lp.num_vars = num_vars
+        lp.sense = sense
+        lp._view = None
+        lp._rows = rows
+        lp._obj = obj
+        lp._n_constraints = n_constraints
+        return lp
+
+    def _rational(self) -> tuple:
+        """(objective, constraints, bounds), made from the integer rows once."""
+        if self._view is None:
+            n = self.num_vars
+            rows = self._rows
+            k = self._n_constraints
+            c, s = self._obj
+            constraints = tuple(
+                Constraint(tuple(Fraction(a.get(j, 0), t) for j in range(n)), rel, Fraction(b, t))
+                for a, rel, b, t in rows[:k]
+            )
+            bounds = None
+            if len(rows) > k:
+                pairs = [[None, None] for _ in range(n)]
+                for a, rel, b, t in rows[k:]:
+                    (j,) = a
+                    pairs[j][rel == LE] = Fraction(b, t)
+                bounds = tuple(map(tuple, pairs))
+            self._view = (tuple(Fraction(x, s) for x in c), constraints, bounds)
+        return self._view
+
+    @property
+    def objective(self) -> Vec:
+        return self._rational()[0]
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return self._rational()[1]
+
+    @property
+    def bounds(self) -> tuple[tuple[Fraction | None, Fraction | None], ...] | None:
+        return self._rational()[2]
+
+    def _int_form(self) -> tuple[list, tuple[list[int], int]]:
+        """(rows, objective image) as the kernel reads them, made once."""
+        if self._rows is None:
+            self.validate()
+            objective, constraints, bounds = self._view
+            b = LpBuilder(self.sense)
+            for lo, hi in bounds or [(None, None)] * self.num_vars:
+                b.var(lo, hi)
+            for c in constraints:
+                b.add(dict(enumerate(c.coeffs)), c.rel, c.rhs)
+            b.set_objective(dict(enumerate(objective)))
+            built = b.build()
+            self._rows, self._obj = built._rows, built._obj
+        return self._rows, self._obj
 
     def validate(self) -> None:
+        if self._view is None:
+            return  # assembled by LpBuilder, which checks every entry it takes
+        objective, constraints, bounds = self._view
         if self.num_vars < 0:
             raise StructuralError("negative variable count")
         if self.sense not in ("min", "max"):
             raise StructuralError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if len(self.objective) != self.num_vars:
+        if len(objective) != self.num_vars:
             raise StructuralError(
-                f"objective length {len(self.objective)} != num_vars {self.num_vars}"
+                f"objective length {len(objective)} != num_vars {self.num_vars}"
             )
-        for i, c in enumerate(self.constraints):
+        for i, c in enumerate(constraints):
             if c.rel not in _RELS:
                 raise StructuralError(f"constraint {i}: bad relation {c.rel!r}")
             if len(c.coeffs) != self.num_vars:
                 raise StructuralError(
                     f"constraint {i}: width {len(c.coeffs)} != num_vars {self.num_vars}"
                 )
-        if self.bounds is not None and len(self.bounds) != self.num_vars:
+        if bounds is not None and len(bounds) != self.num_vars:
             raise StructuralError(
-                f"bounds length {len(self.bounds)} != num_vars {self.num_vars}"
+                f"bounds length {len(bounds)} != num_vars {self.num_vars}"
             )
+
+    def _key(self) -> tuple:
+        return (self.num_vars, self.sense, *self._rational())
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearProgram):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        objective, constraints, bounds = self._rational()
+        return (f"LinearProgram(num_vars={self.num_vars!r}, objective={objective!r}, "
+                f"sense={self.sense!r}, constraints={constraints!r}, bounds={bounds!r})")
 
 
 @dataclass(frozen=True)
@@ -213,9 +307,13 @@ class LpResult:
     ray: tuple | None = None
 
 
-# lp_solve reads every expanded row once as integers: (A, rel, B, s) stands
-# for the row (A / s) . x  rel  B / s with the scale s > 0, so each sign and
-# each equality of the rational row is the same one of its integer image.
+# The kernel and the certificate checks read each row as integers:
+# (A, rel, B, s) stands for the row (A / s) . x  rel  B / s with the scale
+# s > 0, where A maps each variable whose coefficient is nonzero, and no
+# other, to its numerator.  Each sign and each equality of the rational row
+# is the same one of its integer image.  Rows are made once, where they are
+# assembled, by LpBuilder: a bound lo <= x_j is ({j: s}, >=, B, s) with
+# lo = B / s, and likewise for hi.
 
 def _int_image(values) -> tuple[list[int], int]:
     """(X, D) with values == X / D, for ints or Fractions and one D > 0."""
@@ -225,21 +323,12 @@ def _int_image(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int_rows(lp: LinearProgram) -> list[tuple[list[int], str, int, int]]:
-    """Constraint rows plus bound rows, in certificate order, as (A, rel, B, s)."""
-    rows = []
-    for c in lp.constraints:
-        a, s = _int_image([*c.coeffs, c.rhs])
-        b = a.pop()
-        rows.append((a, c.rel, b, s))
-    if lp.bounds is not None:
-        for j, (lo, hi) in enumerate(lp.bounds):
-            for v, rel in ((lo, GE), (hi, LE)):
-                if v is not None:
-                    a = [0] * lp.num_vars
-                    a[j] = v.denominator
-                    rows.append((a, rel, v.numerator, v.denominator))
-    return rows
+def _row_image(coeffs: Mapping[int, Fraction], rel: str, rhs: Fraction) -> tuple:
+    """The row sum_j coeffs[j] x_j rel rhs as (A, rel, B, s), over the lcm s of
+    its denominators; coeffs holds nonzero ints or Fractions only."""
+    s = math.lcm(rhs.denominator, *[v.denominator for v in coeffs.values()])
+    return ({j: v.numerator * (s // v.denominator) for j, v in coeffs.items()},
+            rel, rhs.numerator * (s // rhs.denominator), s)
 
 
 # The tableau is all-integer over one positive common denominator D, kept
@@ -274,7 +363,7 @@ class _Unbounded(Exception):
 
 
 def _solve_rows(rows, obj, minimize, n):
-    """Two-phase simplex on the integer rows of `_int_rows` over n variables.
+    """Two-phase simplex on integer rows (A, rel, B, s) over n variables.
 
     obj is the objective's integer image (C, s) from `_int_image`, minimized
     or maximized.  A row of the form x_j >= 0 is folded into its column as a
@@ -295,20 +384,12 @@ def _solve_rows(rows, obj, minimize, n):
     bound_row: dict[int, int] = {}
     is_bound = [False] * m
     for i, (a, rel, b, s) in enumerate(rows):
-        if rel != GE or b:
-            continue
-        j = -1
-        simple = True
-        for k, ak in enumerate(a):
-            if not ak:
-                continue
-            if j >= 0 or ak != s:
-                simple = False
-                break
-            j = k
-        if simple and j >= 0 and j not in bound_row:
-            bound_row[j] = i
-            is_bound[i] = True
+        # A holds nonzero entries only, so this is "exactly one nonzero, s"
+        if rel == GE and not b and len(a) == 1:
+            ((j, aj),) = a.items()
+            if aj == s and j not in bound_row:
+                bound_row[j] = i
+                is_bound[i] = True
     gen = [i for i in range(m) if not is_bound[i]]
     mt = len(gen)
 
@@ -325,10 +406,10 @@ def _solve_rows(rows, obj, minimize, n):
     ns = nv + n_slack
     ncol = ns + mt
 
-    def split_row(coeffs, width):
-        # coeffs over the n variables, on each x+ and x- column, in zeros
+    def split_row(entries, width):
+        # (variable, coefficient) pairs, on each x+ and x- column, in zeros
         row = [0] * width
-        for j, v in enumerate(coeffs):
+        for j, v in entries:
             row[pos[j]] = v
             if neg[j] >= 0:
                 row[neg[j]] = -v
@@ -340,7 +421,7 @@ def _solve_rows(rows, obj, minimize, n):
     slack_idx = nv
     for t, i in enumerate(gen):
         a, rel, b, s = rows[i]
-        row = split_row(a, ncol + 1)
+        row = split_row(a.items(), ncol + 1)
         if rel != EQ:
             row[slack_idx] = s if rel == LE else -s
             slack_idx += 1
@@ -447,7 +528,7 @@ def _solve_rows(rows, obj, minimize, n):
 
     # Phase 2 over the real objective, times s; artificials may not re-enter.
     c, s = obj
-    rc2 = reduced_costs(split_row([sign * x for x in c], ncol + 1))
+    rc2 = reduced_costs(split_row(enumerate([sign * x for x in c]), ncol + 1))
     try:
         run(rc2, ns)
     except _Unbounded as ub:
@@ -468,8 +549,8 @@ def _solve_rows(rows, obj, minimize, n):
     return ("optimal", point, duals)
 
 
-# Exact certificate checks, on the rows of `_int_rows` and the objective's
-# integer image (C, s).  A point or ray is read as X / D, so row i holds
+# Exact certificate checks, on the integer rows and the objective's integer
+# image (C, s).  A point or ray is read as X / D, so row i holds
 # exactly when A_i . X compares with B_i D as the row's relation says.  A
 # multiplier vector y is read as y_i / s_i == Z_i / E, so sum_i y_i a_i is
 # sum_i Z_i A_i / E, y . b is sum_i Z_i B_i / E, and y_i has the sign of Z_i.
@@ -482,14 +563,19 @@ def _row_holds(dot_a: int, rel: str, rhs: int) -> bool:
     return dot_a == rhs
 
 
+def _row_dot(a: dict, x: list[int]) -> int:
+    """A . X over the nonzero entries of A."""
+    return sum(map(mul, a.values(), map(x.__getitem__, a)))
+
+
 def _feasible(rows, x: list[int], d: int) -> bool:
-    return all(_row_holds(sum(map(mul, a, x)), rel, b * d) for a, rel, b, _ in rows)
+    return all(_row_holds(_row_dot(a, x), rel, b * d) for a, rel, b, _ in rows)
 
 
 def _ray_ok(rows, obj, minimize: bool, ray) -> bool:
     """Every row's recession condition holds, and the objective strictly improves."""
     r, _ = _int_image(ray)
-    if not all(_row_holds(sum(map(mul, a, r)), rel, 0) for a, rel, _, _ in rows):
+    if not all(_row_holds(_row_dot(a, r), rel, 0) for a, rel, _, _ in rows):
         return False
     gain = sum(map(mul, obj[0], r))
     return gain < 0 if minimize else gain > 0
@@ -511,7 +597,8 @@ def _combined(rows, z: list[int], n: int) -> list[int]:
     out = [0] * n
     for zi, (a, _, _, _) in zip(z, rows):
         if zi:
-            out = [o + zi * x for o, x in zip(out, a)]
+            for j, x in a.items():
+                out[j] += zi * x
     return out
 
 
@@ -557,9 +644,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     verification failure raises RuntimeError (it would mean a kernel bug, not
     a property of the input).
     """
-    lp.validate()
-    rows = _int_rows(lp)
-    obj = _int_image(lp.objective)
+    rows, obj = lp._int_form()
     minimize = lp.sense == "min"
     out = _solve_rows(rows, obj, minimize, lp.num_vars)
 
@@ -593,36 +678,56 @@ def _exact_vector(values, length: int, what: str) -> Vec:
 
 
 def check_point_feasible(lp: LinearProgram, point) -> bool:
-    lp.validate()
-    rows = _int_rows(lp)
+    rows, _ = lp._int_form()
     return _feasible(rows, *_int_image(_exact_vector(point, lp.num_vars, "point")))
 
 
 def check_dual_certificate(lp: LinearProgram, duals, value) -> bool:
     """True iff duals proves the bound `value` for lp (exact arithmetic)."""
-    lp.validate()
-    rows = _int_rows(lp)
+    rows, obj = lp._int_form()
     y = _exact_vector(duals, len(rows), "dual")
-    return _dual_ok(rows, _int_image(lp.objective), lp.sense == "min", y, parse_scalar(value))
+    return _dual_ok(rows, obj, lp.sense == "min", y, parse_scalar(value))
 
 
 def check_farkas_certificate(lp: LinearProgram, cert) -> bool:
-    lp.validate()
-    rows = _int_rows(lp)
+    rows, _ = lp._int_form()
     return _farkas_ok(rows, lp.num_vars, _exact_vector(cert, len(rows), "Farkas vector"))
 
 
 def check_ray_certificate(lp: LinearProgram, ray) -> bool:
-    lp.validate()
+    rows, obj = lp._int_form()
     ray = _exact_vector(ray, lp.num_vars, "ray")
-    return _ray_ok(_int_rows(lp), _int_image(lp.objective), lp.sense == "min", ray)
+    return _ray_ok(rows, obj, lp.sense == "min", ray)
 
 
 def dual_objective(lp: LinearProgram, duals) -> Fraction:
     """The bound sum(y_i * b_i) claimed by a dual vector."""
-    rows = _int_rows(lp)
+    rows, _ = lp._int_form()
     z, e = _multipliers(rows, _exact_vector(duals, len(rows), "dual"))
     return Fraction(_rhs_combined(rows, z), e)
+
+
+class PointColumns:
+    """A finite point set's integer image, by coordinate, for convex weights.
+
+    For each coordinate c: a scale L > 0, the lcm of the points'
+    denominators there, and the numerators p_i[c] L of the points in order.
+    A point set weighted many times, such as a sample-form function's
+    samples, keeps one and hands it to `LpBuilder.convex_weights` in place
+    of its points.
+    """
+
+    __slots__ = ("count", "columns")
+
+    def __init__(self, points: Sequence[Sequence], dim: int):
+        self.count = len(points)
+        columns = []
+        for c in range(dim):
+            vals = [frac(p[c]) for p in points]
+            scale = math.lcm(*[v.denominator for v in vals])
+            columns.append((scale, tuple([v.numerator * (scale // v.denominator)
+                                          for v in vals])))
+        self.columns = tuple(columns)
 
 
 class LpBuilder:
@@ -631,32 +736,43 @@ class LpBuilder:
     Variables are created with var()/block() and referenced by index; rows
     and the objective are sparse {index: coeff} maps.  An affine objective
     constant can be attached; solve() adds it back onto the optimal value.
+    Each row is stored as the kernel reads it (see `_row_image`) the moment
+    it is added, so build() only collects rows; bound rows are kept apart,
+    in variable order, and follow the constraints.
     """
 
     def __init__(self, sense: str = "min"):
         if sense not in ("min", "max"):
             raise StructuralError(f"sense must be 'min' or 'max', got {sense!r}")
         self._sense = sense
-        self._bounds: list[tuple[Fraction | None, Fraction | None]] = []
-        self._rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        self._n = 0
+        self._rows: list[tuple[dict[int, int], str, int, int]] = []
+        self._bound_rows: list[tuple[dict[int, int], str, int, int]] = []
         self._obj: dict[int, Fraction] = {}
         self.constant = Fraction(0)
 
     @property
     def num_vars(self) -> int:
-        return len(self._bounds)
+        return self._n
 
     def var(self, lo=None, hi=None) -> int:
-        j = len(self._bounds)
-        self._bounds.append(
-            (None if lo is None else frac(lo), None if hi is None else frac(hi))
-        )
-        return j
+        return self.block(1, lo, hi)[0]
 
     def block(self, count: int, lo=None, hi=None) -> list[int]:
-        return [self.var(lo, hi) for _ in range(count)]
+        """count new variables, each with the bounds lo <= x and x <= hi
+        where they are given."""
+        # an int is its own image, with no Fraction made for it
+        sides = [(rel, v if type(v) is int else frac(v))
+                 for v, rel in ((lo, GE), (hi, LE)) if v is not None]
+        start = self._n
+        self._n += count
+        if sides:
+            sides = [(rel, v.numerator, v.denominator) for rel, v in sides]
+            self._bound_rows.extend(({j: s}, rel, b, s)
+                                    for j in range(start, self._n) for rel, b, s in sides)
+        return list(range(start, self._n))
 
-    def convex_weights(self, points: Sequence[Sequence], rhs: Sequence,
+    def convex_weights(self, points: Sequence[Sequence] | PointColumns, rhs: Sequence,
                        extra: Sequence[Mapping[int, object]] | None = None) -> list[int]:
         """Convex weights over points, matched coordinatewise to rhs.
 
@@ -666,48 +782,57 @@ class LpBuilder:
         block's dual multipliers read the weight row first, then one per
         coordinate, which is where a subgradient is read off.  extra, when
         given, holds one sparse {index: coeff} map per coordinate, added into
-        that coordinate's row.  Each coefficient is converted once.  Returns
-        the weight variables.
+        that coordinate's row.  points may be given as their `PointColumns`.
+        Returns the weight variables.
         """
-        lam = self.block(len(points), lo=0)
-        one = Fraction(1)
-        self._rows.append(({j: one for j in lam}, EQ, one))
-        for c, target in enumerate(rhs):
-            row: dict[int, Fraction] = {}
-            for j, p in zip(lam, points):
-                v = frac(p[c])
-                if v:
-                    row[j] = v
-            if extra is not None:
-                self._merge(row, extra[c])
-            self._rows.append((row, EQ, frac(target)))
+        if not isinstance(points, PointColumns):
+            points = PointColumns(points, len(rhs))
+        elif len(points.columns) != len(rhs):
+            raise StructuralError(
+                f"{len(points.columns)} point coordinates matched to {len(rhs)} targets"
+            )
+        lam = self.block(points.count, lo=0)
+        self._rows.append((dict.fromkeys(lam, 1), EQ, 1, 1))
+        for c, (scale, column) in enumerate(points.columns):
+            # the extra terms and rhs[c] as one row, then the points' column
+            # added in over the common scale; a sum that cancels is dropped
+            e, _, b, t = _row_image(
+                self._coeffs(extra[c]) if extra is not None else {}, EQ, frac(rhs[c])
+            )
+            s = math.lcm(scale, t)
+            k, m = s // scale, s // t
+            a = {j: x * k for j, x in zip(lam, column) if x}
+            for j, x in e.items():
+                x = a.get(j, 0) + x * m
+                if x:
+                    a[j] = x
+                else:
+                    del a[j]
+            self._rows.append((a, EQ, b * m, s))
         return lam
 
     def _index(self, j) -> int:
         """j itself, when it names a variable this builder created."""
-        if type(j) is not int or not 0 <= j < len(self._bounds):
+        if type(j) is not int or not 0 <= j < self._n:
             raise StructuralError(
-                f"variable index {j!r} is not one of the {len(self._bounds)} created"
+                f"variable index {j!r} is not one of the {self._n} created"
             )
         return j
 
-    def _merge(self, row: dict, coeffs: Mapping[int, object]) -> None:
-        """Add the nonzero coefficients into the sparse row."""
+    def _coeffs(self, coeffs: Mapping[int, object]) -> dict[int, Fraction]:
+        """The nonzero coefficients, as Fractions, of variables this builder created."""
+        out = {}
         for j, v in coeffs.items():
             self._index(j)
             fv = frac(v)
             if fv:
-                if j in row:
-                    row[j] += fv
-                else:
-                    row[j] = fv
+                out[j] = fv
+        return out
 
     def add(self, coeffs: Mapping[int, object], rel: str, rhs) -> None:
         if rel not in _RELS:
             raise StructuralError(f"bad relation {rel!r}")
-        row: dict[int, Fraction] = {}
-        self._merge(row, coeffs)
-        self._rows.append((row, rel, frac(rhs)))
+        self._rows.append(_row_image(self._coeffs(coeffs), rel, frac(rhs)))
 
     def set_objective(self, coeffs: Mapping[int, object], constant=0) -> None:
         self._obj = {self._index(j): frac(v) for j, v in coeffs.items()}
@@ -721,22 +846,9 @@ class LpBuilder:
             self._obj[j] = fv
 
     def build(self) -> LinearProgram:
-        n = self.num_vars
-        obj = [Fraction(0)] * n
-        for j, v in self._obj.items():
-            obj[j] = v
-        constraints = []
-        for row, rel, rhs in self._rows:
-            coeffs = [Fraction(0)] * n
-            for j, v in row.items():
-                coeffs[j] = v
-            constraints.append(Constraint(tuple(coeffs), rel, rhs))
-        bounds = tuple(self._bounds)
-        if all(lo is None and hi is None for lo, hi in bounds):
-            bounds_arg = None
-        else:
-            bounds_arg = bounds
-        return LinearProgram(n, tuple(obj), self._sense, tuple(constraints), bounds_arg)
+        obj = _int_image([self._obj.get(j, 0) for j in range(self._n)])
+        return LinearProgram._assembled(self._n, self._sense, self._rows + self._bound_rows,
+                                        len(self._rows), obj)
 
     def solve(self) -> LpResult:
         res = lp_solve(self.build())

@@ -12,7 +12,7 @@ from sandwichkit.geometry import (
     polytope_contains,
     solve_linear,
 )
-from sandwichkit import duality
+from sandwichkit import duality, numerics
 from sandwichkit.interiority import SublevelQuery, boundedness_condition, boundedness_over_samples
 from sandwichkit.duality import (
     KINDS,
@@ -461,6 +461,32 @@ class TestProductConstructions:
         point = (F(1), F(10), F(100), F(1000))
         assert a_map(point) == (F(100), F(10) + F(3) + F(1))
         assert b_map(point) == (F(1000) - F(200),)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_repeated_query_is_solved_once(monkeypatch, kind):
+    """Listing a query again adds a report equal to the first one's, its
+    certificate included, and no LP."""
+    solved = []
+    lp_solve = numerics.lp_solve
+
+    def counted(lp):
+        solved.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(numerics, "lp_solve", counted)
+    s = random_crosscheck_scenario(random.Random(f"repeat:{kind}"), kind, n_queries=2)
+    once = verify(s)
+    n_once = len(solved)
+    solved.clear()
+    k = len(once)
+    twice = verify(dataclasses.replace(s, queries=s.queries * 2))
+    assert len(solved) == n_once
+    assert [r.query for r in twice] == list(s.queries * 2)
+    assert twice[:k] == once and twice[k:] == once
+    # a certificate names its scenario, which now lists each query twice
+    certs = [dataclasses.replace(r.certificate, scenario=s) for r in twice]
+    assert certs[:k] == certs[k:] == [r.certificate for r in once]
 
 
 class TestReductionConsistency:

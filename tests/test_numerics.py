@@ -422,6 +422,133 @@ class TestConvexWeights:
         assert slope[0] + slope[1] == 1
 
 
+def kernel_rows(monkeypatch, b: LpBuilder) -> list:
+    """The rows b's program hands to the simplex kernel."""
+    seen = []
+    solve = numerics._solve_rows
+
+    def recording(rows, *args):
+        seen.extend(rows)
+        return solve(rows, *args)
+
+    monkeypatch.setattr(numerics, "_solve_rows", recording)
+    b.solve()
+    return seen
+
+
+def test_a_cancelled_coefficient_reaches_the_kernel_as_no_entry(monkeypatch):
+    """Folding x_j >= 0 into its column needs a bound row to hold exactly one
+    entry, so no row may carry an explicit zero: not where extra cancels a
+    point's coefficient, nor where a coefficient is given as 0."""
+    b = LpBuilder()
+    # coordinate 0: lam_0 + lam_1 / 2 - lam_0; coordinate 1: 3 lam_1 - 3 lam_1 + 2 lam_0
+    lam = b.convex_weights([(1, 0), ("1/2", 3)], (1, 2), [{0: -1}, {1: -3, 0: 2}])
+    b.add({lam[0]: 0, lam[1]: 1}, GE, 0)
+    rows = kernel_rows(monkeypatch, b)
+    assert rows == [({0: 1, 1: 1}, EQ, 1, 1), ({1: 1}, EQ, 2, 2), ({0: 2}, EQ, 2, 1),
+                    ({1: 1}, GE, 0, 1), ({0: 1}, GE, 0, 1), ({1: 1}, GE, 0, 1)]
+
+
+def test_builder_programs_solve_like_their_rational_data():
+    """Programs from every LpBuilder entry point give the LpResult of the
+    program constructed from the same rational data, which is tracked here
+    apart from the builder: rows from add with each relation, convex
+    weights over points or their PointColumns with and without extra terms,
+    an objective set and then added to, and zero, nonzero, lower and upper
+    bounds.  Each kernel row is an integer image of its rational row."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scalar = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
+                                                     max_denominator=4))
+    side = st.one_of(st.none(), st.just(F(0)), scalar)
+    seen = set()
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        sense = data.draw(st.sampled_from(["min", "max"]))
+        b = LpBuilder(sense)
+        bounds: list = []
+        rows: list = []
+
+        def coeffs(n):
+            if not n:
+                return {}
+            picked = data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+            return {j: data.draw(scalar) for j in picked}
+
+        for _ in range(data.draw(st.integers(1, 4))):
+            step = data.draw(st.sampled_from(["var", "block", "add", "weights"]))
+            if step in ("var", "block") or not bounds:
+                lo, hi = data.draw(side), data.draw(side)
+                count = 1 if step == "var" else data.draw(st.integers(0, 3))
+                got = [b.var(lo, hi)] if count == 1 else b.block(count, lo, hi)
+                assert got == list(range(len(bounds), len(bounds) + count))
+                bounds += [(lo, hi)] * count
+                seen.update(k for k, v in (("lo", lo), ("hi", hi)) if v)
+            elif step == "add":
+                rel = data.draw(st.sampled_from([LE, GE, EQ]))
+                row, rhs = coeffs(len(bounds)), data.draw(scalar)
+                b.add(row, rel, rhs)
+                rows.append((row, rel, rhs))
+                seen.add(rel)
+            else:
+                dim = data.draw(st.integers(0, 2))
+                points = data.draw(st.lists(st.tuples(*[scalar] * dim), max_size=4))
+                target = data.draw(st.tuples(*[scalar] * dim))
+                extra = None
+                if data.draw(st.booleans()):
+                    # extra may name the new weights too
+                    extra = [coeffs(len(bounds) + len(points)) for _ in range(dim)]
+                    seen.add("extra")
+                given = points
+                if data.draw(st.booleans()):
+                    given = numerics.PointColumns(points, dim)
+                    seen.add("columns")
+                lam = b.convex_weights(given, target, extra)
+                bounds += [(F(0), None)] * len(points)
+                rows.append((dict.fromkeys(lam, F(1)), EQ, F(1)))
+                for c in range(dim):
+                    row = {j: p[c] for j, p in zip(lam, points)}
+                    for j, v in (extra[c] if extra else {}).items():
+                        row[j] = row.get(j, 0) + v
+                    rows.append((row, EQ, target[c]))
+        n = len(bounds)
+        objective = coeffs(n)
+        b.set_objective(objective)
+        for j, v in coeffs(n).items():
+            b.add_objective_term(j, v)
+            objective[j] = objective.get(j, 0) + v
+
+        def dense(row):
+            return tuple(F(row.get(j, 0)) for j in range(n))
+
+        hand = LinearProgram(
+            n, dense(objective), sense,
+            tuple(Constraint(dense(row), rel, F(rhs)) for row, rel, rhs in rows),
+            None if all(pair == (None, None) for pair in bounds) else tuple(bounds),
+        )
+        built = b.build()
+        assert built == hand and repr(built) == repr(hand)
+        result = lp_solve(built)
+        assert result == lp_solve(hand)
+        expanded = [(dense(row), rel, F(rhs)) for row, rel, rhs in rows]
+        for j, (lo, hi) in enumerate(bounds):
+            for v, rel in ((lo, GE), (hi, LE)):
+                if v is not None:
+                    expanded.append((dense({j: 1}), rel, v))
+        kernel, _ = built._int_form()
+        assert len(kernel) == len(expanded)
+        for (a, rel, rhs, s), (want, want_rel, want_rhs) in zip(kernel, expanded):
+            assert s > 0 and rel == want_rel and F(rhs, s) == want_rhs
+            assert all(a.values()) and dense({j: F(x, s) for j, x in a.items()}) == want
+        seen.add(result.status)
+
+    check()
+    assert seen >= {LE, GE, EQ, "lo", "hi", "extra", "columns",
+                    "optimal", "infeasible", "unbounded"}, seen
+
+
 class TestCertificateLengths:
     """A vector of the wrong length is refused, not cut to fit by zip."""
 
@@ -604,6 +731,9 @@ class RefUnbounded(Exception):
 
 def ref_solve_rows(rows, obj, minimize, n):
     """`numerics._solve_rows` as it was with one denominator per row."""
+    # `_solve_rows` takes each row's nonzero entries as {column: numerator};
+    # this kernel reads the dense rows it was written for
+    rows = [([a.get(j, 0) for j in range(n)], rel, b, s) for a, rel, b, s in rows]
     m = len(rows)
     sign = 1 if minimize else -1
 
