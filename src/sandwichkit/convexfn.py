@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .geometry import AffineMap, Polytope
 from .numerics import (
+    EQ,
     GE,
     POS_INF,
     NEG_INF,
@@ -190,10 +191,6 @@ def indicator_of_point(point: Sequence) -> PolyhedralFunction:
     return PolyhedralFunction.v_form(len(p), [(p, 0)])
 
 
-def indicator_of_zero(dim: int) -> PolyhedralFunction:
-    return indicator_of_point(zero_vec(dim))
-
-
 def constant_function(dim: int, value) -> PolyhedralFunction:
     """The constant function in piece form (finite everywhere)."""
     return PolyhedralFunction.h_form(dim, [(zero_vec(dim), frac(value))])
@@ -252,18 +249,26 @@ class SupResult:
 def sup_affine_minus_convex(
     phi: AffineFunctional,
     terms: Sequence[tuple[PolyhedralFunction, AffineMap]],
+    fibers: Sequence[AffineMap] = (),
 ) -> SupResult:
-    """sup over z of phi(z) - sum_k Psi_k(M_k z), solved as one LP.
+    """sup of phi(z) - sum_k Psi_k(M_k z) over {z : B z = 0, each B in
+    fibers}, solved as one LP.
 
+    Each fiber row is one equality row on z, ahead of the terms' rows.
     Sample-form terms contribute convex weights matched to M_k z; piece-form
     terms contribute an epigraph variable bounded below by every piece.  An
-    empty feasible region means every z leaves some term at +inf, so the sup
-    over the effective domain is -inf.
+    empty feasible region means every z leaves some term at +inf or off a
+    fiber, so the sup over the effective domain is -inf.
     """
     n = phi.dim
     b = LpBuilder("max")
     zvars = b.block(n)
     b.set_objective({zvars[j]: phi.coeffs[j] for j in range(n)}, phi.constant)
+    for m in fibers:
+        if m.in_dim != n:
+            raise StructuralError("fiber map does not act on the outer variable space")
+        for row, off in zip(m.linear, m.offset):
+            b.add(dict(zip(zvars, row)), EQ, -off)
     weight_vars: list[list[int] | None] = []
     for psi, m in terms:
         if m.in_dim != n:
@@ -281,13 +286,14 @@ def sup_affine_minus_convex(
         else:
             s = b.var()
             weight_vars.append([s])
+            # s >= <a, M z> + c for each piece (a, c); <a, M z> reads M's
+            # columns, made once per term, unless M is the identity
+            columns = None if m.is_identity() else m.columns()
             for a, const in psi.pieces:
-                comp = AffineFunctional(a, const).compose(m)
+                slope = a if columns is None else [dot(a, col) for col in columns]
                 row = {s: Fraction(1)}
-                for j in range(n):
-                    if comp.coeffs[j]:
-                        row[zvars[j]] = row.get(zvars[j], Fraction(0)) - comp.coeffs[j]
-                b.add(row, GE, comp.constant)
+                row.update((zj, -c) for zj, c in zip(zvars, slope) if c)
+                b.add(row, GE, const if columns is None else dot(a, m.offset) + const)
             b.add_objective_term(s, Fraction(-1))
     res = b.solve()
     if res.status == "infeasible":

@@ -6,19 +6,20 @@ polyhedral data, once for every kind, in a `QueryProgram`:
 
 * the left side h*(query) is sup over the primal variables z of an affine
   objective minus a sum of terms f_k(M_k z), over the fibers {B z = 0};
-* the right side is one epigraph dual (Rockafellar, Convex Analysis,
+* the right side is the epigraph dual (Rockafellar, Convex Analysis,
   Thm 16.4 and Cor. 31.2.1): minimize sum_k phi_k(x*) + constant over the
   covector x*, optionally subject to a linear constraint on x*.  Each group
-  phi_k is a polyhedral function of x*: in piece form it is
-  max over (beta, c) of c + <beta, x*>, one epigraph variable t_k with a row
-  t_k >= c + <beta, x*> per pair; in sample form (the conjugate of a
-  piece-form g) it is a block of convex weights matched to x*.
+  phi_k is a polyhedral function of x*, in piece form (a max of affine
+  pieces) or in sample form (the conjugate of a piece-form g).  The min is
+  minus a sup of the left side's shape, `QueryProgram.dual`: the objective
+  -constant, each group a term through the identity, the constraint a
+  fiber.
 
-`verify` solves each side with one LP and keeps, on each report, the
-program and the LP's primal-dual pair (a `Certificate`);
-`oracle.crosscheck_scenario` re-checks that pair by arithmetic and, where
-it does not prove both sides, solves the same program again by double
-description, with no LP code.
+`verify` solves both sides with `sup_affine_minus_convex`, one LP each,
+and keeps, on each report, the program with both LPs' points and weights
+(a `Certificate`); `oracle.crosscheck_scenario` re-checks that pair by
+arithmetic and, where it does not prove both sides, solves the same two
+sups again by double description (`oracle.exact_sup`), with no LP code.
 
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
@@ -40,7 +41,6 @@ from .convexfn import (
     H_FORM,
     PolyhedralFunction,
     V_FORM,
-    indicator_of_zero,
     sup_affine_minus_convex,
 )
 from .geometry import (
@@ -52,16 +52,14 @@ from .geometry import (
 )
 from .interiority import _interior, boundedness_over_samples
 from .numerics import (
-    EQ,
-    GE,
     NEG_INF,
     POS_INF,
     Ext,
-    LpBuilder,
     PreconditionError,
     StructuralError,
     Vec,
     dot,
+    ext_neg,
     ext_sub,
     frac,
     vec,
@@ -291,64 +289,6 @@ class DualityReport:
         return all(self.hypothesis_flags.values())
 
 
-def _dual_lp(groups: Sequence[PolyhedralFunction], trailing: Sequence[PolyhedralFunction] = (),
-             constant=Fraction(0), constraint: Sequence = ()):
-    """(rhs value, witness, unbounded direction, trailing weights) of the
-    epigraph dual.
-
-    Minimizes the sum of every group's value at x* plus constant, subject
-    to <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
-    function of x*: in piece form it is max over (beta, c) of
-    c + <beta, x*>, an epigraph variable t with one row t >= c + <beta, x*>
-    per piece; in sample form it is convex weights over its samples whose
-    combination is x*.  Columns: one t per group (all in piece form), then
-    x*, then each trailing group's t or weights.  Rows: the constraint,
-    then the groups' rows in order.  The trailing weights hold, per
-    trailing group, the optimal weights in sample form and None in piece
-    form; they are empty unless the minimum is attained.
-    """
-    b = LpBuilder()
-    objective: dict = {}
-    lead = [(phi, b.var()) for phi in groups]
-    xs = b.block(groups[0].dim)
-
-    def epigraph(phi: PolyhedralFunction, t: int) -> None:
-        objective[t] = Fraction(1)
-        for beta, c in phi.pieces:
-            row = {t: Fraction(1)}
-            for xvar, bc in zip(xs, beta):
-                if bc:
-                    row[xvar] = -bc
-            b.add(row, GE, c)
-
-    for a, r in constraint:
-        b.add(dict(zip(xs, a)), EQ, r)
-    for phi, t in lead:
-        epigraph(phi, t)
-    thetas = []
-    for phi in trailing:
-        if phi.form == H_FORM:
-            epigraph(phi, b.var())
-            thetas.append(None)
-            continue
-        # x* = sum_j theta_j p_j, written sum_j theta_j (-p_j) + x* = 0
-        theta = b.convex_weights([vec_neg(p) for p, _ in phi.samples],
-                                 (Fraction(0),) * phi.dim, [{xvar: 1} for xvar in xs])
-        thetas.append(theta)
-        for j, (_, value) in enumerate(phi.samples):
-            if value:
-                objective[theta[j]] = value
-    b.set_objective(objective, constant)
-    res = b.solve()
-    if res.status == "unbounded":
-        return NEG_INF, None, tuple(res.ray[j] for j in xs), ()
-    if res.status == "infeasible":
-        return POS_INF, None, None, ()
-    weights = tuple(None if theta is None else tuple(res.point[j] for j in theta)
-                    for theta in thetas)
-    return res.value, tuple(res.point[j] for j in xs), None, weights
-
-
 def _max_group(dim: int, pairs) -> PolyhedralFunction:
     """x* -> max over (beta, c) of c + <beta, x*>."""
     return PolyhedralFunction(dim, H_FORM, tuple(pairs))
@@ -503,7 +443,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
     if s.kind == "sublevel":
         gamma = s.gamma
         if gamma is None:
-            gamma = Fraction(1) if first_lhs is NEG_INF else 1 - first_lhs
+            gamma = Fraction(1) if first_lhs == NEG_INF else 1 - first_lhs
         ok, _ = cone_union_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
         flags["subspace"] = ok
         flags["interiority"] = ok and -first_lhs < gamma
@@ -552,7 +492,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
             flags["closed_subspace"] = ok
             notes.append("queries are continuous in finite dimension")
         notes.append("sample-form functions are closed by construction")
-    flags["h_proper"] = first_lhs is not NEG_INF
+    flags["h_proper"] = first_lhs != NEG_INF
     return flags, tuple(notes)
 
 
@@ -564,9 +504,9 @@ class QueryProgram:
     {z : B z = 0 for each B in fibers}, with terms the (f_k, M_k) pairs.
     escapes: z ranges over a full vector space, so an unbounded sup is
     +inf rather than a kernel bug.  Right side: min over the covector x*
-    of the sum of groups and trailing groups at x*, plus constant, subject
-    to <a, x*> = r for each (a, r) in constraint.  Groups are in piece form;
-    a trailing group may be in either form, and its LP columns follow x*'s.
+    of the sum of the groups at x*, plus constant, subject to
+    <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
+    function of x* in either form.
     """
 
     objective: AffineFunctional
@@ -574,9 +514,25 @@ class QueryProgram:
     fibers: tuple = ()
     escapes: bool = False
     groups: tuple
-    trailing: tuple = ()
     constant: Fraction = Fraction(0)
     constraint: tuple = ()
+
+    def dual(self) -> tuple:
+        """The right side in the left side's shape: (objective, terms,
+        fibers) whose sup is minus the min.
+
+        The objective is the constant -constant on x*, each group is a term
+        through the identity, and the constraint is one fiber map,
+        x* -> (<a, x*> - r for each (a, r)), or none.
+        """
+        dim = self.groups[0].dim
+        identity = AffineMap.identity(dim)
+        fibers = ()
+        if self.constraint:
+            rows, rhs = zip(*self.constraint)
+            fibers = (AffineMap(rows, tuple(-r for r in rhs), dim),)
+        return (AffineFunctional((Fraction(0),) * dim, -self.constant),
+                tuple((f, identity) for f in self.groups), fibers)
 
 
 @dataclass(frozen=True)
@@ -584,21 +540,21 @@ class Certificate:
     """What `verify` solved for one query, and the LP's weights.
 
     program is `query_program(scenario, query)`.  With the report's
-    lhs_witness z and witness x*, the weights complete the LP's
-    primal-dual pair.  term_weights holds, per term of the program, the sup
-    LP's convex weights over a sample-form term's samples, which combine to
-    M_k z (None for a piece-form term).  trailing_weights holds, per
-    trailing group, the dual LP's weights theta over a sample-form group's
-    samples, which combine to x* (None in piece form).  Where a side is
-    infinite the weights are all None or empty, and only the program is of
-    use.
+    lhs_witness z and witness x*, the weights complete the primal-dual
+    pair of the two LPs.  term_weights holds, per term of the program, the
+    left side's convex weights over a sample-form term's samples, which
+    combine to M_k z (None for a piece-form term).  dual_weights holds the
+    same for the terms of `program.dual()`, one per group: the weights
+    over a sample-form group's samples, which combine to x* (None in piece
+    form).  Where a side is infinite its weights are all None, and only
+    the program is of use.
     """
 
     scenario: DualityScenario
     query: AffineFunctional
     program: QueryProgram
     term_weights: tuple
-    trailing_weights: tuple
+    dual_weights: tuple
 
 
 def query_program(s: DualityScenario, query: AffineFunctional,
@@ -626,8 +582,7 @@ def query_program(s: DualityScenario, query: AffineFunctional,
             objective=query,
             terms=((f, AffineMap.identity(f.dim)), (g, link)),
             groups=(_max_group(g.dim, (
-                (vec_neg(link(p)), query(p) - v) for p, v in f.samples)),),
-            trailing=(g.conjugate(),),
+                (vec_neg(link(p)), query(p) - v) for p, v in f.samples)), g.conjugate()),
         )
     u, v, w, x = s.dims
     if s.kind == "indicator_linear":
@@ -666,10 +621,11 @@ def verify(s: DualityScenario) -> list:
     Always returns a report per query.  Weak duality (gap >= 0) is enforced
     as a kernel invariant; equality is only asserted when every hypothesis
     flag is certified, in which case a nonzero gap raises rather than being
-    reported as a counterexample.  Both sides of every query are solved
-    before the flags, which read h_proper off the first query's sup LP.
-    Each report carries the query's program and the LP's weights as its
-    certificate, for `oracle.crosscheck_scenario`.
+    reported as a counterexample.  Both sides of every query are solved,
+    each as one `sup_affine_minus_convex` (the right side as minus the sup
+    of `QueryProgram.dual`), before the flags, which read h_proper off the
+    first query's left side.  Each report carries the query's program and
+    both LPs' weights as its certificate, for `oracle.crosscheck_scenario`.
     """
     # the trivariate rewrite, for the kinds whose programs or flags read it
     tri = None if s.kind in ("fenchel", "indicator_linear") else scenario_to_trivariate(s)
@@ -679,25 +635,23 @@ def verify(s: DualityScenario) -> list:
         if query in by_query:
             continue
         p = query_program(s, query, tri)
-        # each fiber B enters the LP as the indicator of B z = 0
-        terms = p.terms + tuple((indicator_of_zero(b.out_dim), b) for b in p.fibers)
-        sup = sup_affine_minus_convex(p.objective, terms)
+        sup = sup_affine_minus_convex(p.objective, p.terms, p.fibers)
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
             raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-        by_query[query] = (p, sup, _dual_lp(p.groups, p.trailing, p.constant, p.constraint))
+        by_query[query] = (p, sup, sup_affine_minus_convex(*p.dual()))
     solved = [(query, *by_query[query]) for query in s.queries]
     # every query's sup LP has the same feasible set, which is dom h's
     _, _, first_sup, _ = solved[0]
     flags, notes = _scenario_flags(s, first_sup.value, tri)
     reports = []
-    for query, p, sup, (rhs, wit, ray, thetas) in solved:
-        lhs = sup.value
+    for query, p, sup, dual in solved:
+        lhs, rhs, wit = sup.value, ext_neg(dual.value), dual.argmax
         gap = ext_sub(rhs, lhs)
         if gap < 0:
             raise RuntimeError("weak duality violated; LP kernel is unsound")
         extra = ()
-        if p.escapes and lhs is POS_INF:
+        if p.escapes and lhs == POS_INF:
             extra = ("query escapes range(C^T); both sides are +inf",)
         attained = wit is not None and gap == 0
         if all(flags.values()) and lhs not in (POS_INF, NEG_INF):
@@ -708,7 +662,7 @@ def verify(s: DualityScenario) -> list:
         reports.append(DualityReport(
             kind=s.kind, query=query, hypothesis_flags=dict(flags),
             lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=sup.argmax,
-            attained=attained, unbounded_direction=ray, notes=notes + extra,
-            certificate=Certificate(s, query, p, sup.term_weights[:len(p.terms)], thetas),
+            attained=attained, unbounded_direction=dual.ray, notes=notes + extra,
+            certificate=Certificate(s, query, p, sup.term_weights, dual.term_weights),
         ))
     return reports

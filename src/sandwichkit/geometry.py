@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .numerics import (
@@ -51,7 +52,9 @@ class AffineMap:
             raise StructuralError(
                 f"affine map expects input of dimension {self.in_dim}, got {len(z)}"
             )
-        return tuple(dot(row, z) + off for row, off in zip(self.linear, self.offset))
+        # a zero offset adds nothing, and adding it would make a new Fraction
+        return tuple(dot(row, z) + off if off else dot(row, z)
+                     for row, off in zip(self.linear, self.offset))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner."""
@@ -73,7 +76,9 @@ class AffineMap:
         return tuple(zip(*self.linear))
 
     @staticmethod
+    @cache
     def identity(dim: int) -> "AffineMap":
+        """The identity on Q^dim, built once per dimension."""
         rows = tuple(unit_vec(dim, i) for i in range(dim))
         return AffineMap(rows, (Fraction(0),) * dim, dim)
 

@@ -65,7 +65,7 @@ class SublevelQuery:
         m, weights = _fiber_lp([v for _, v in phi.samples], images,
                                (Fraction(0),) * b_map.out_dim)
         if gamma is None:
-            gamma = Fraction(1) if m is POS_INF else m + 1
+            gamma = Fraction(1) if m == POS_INF else m + 1
         ok, span = cone_union_is_subspace(images)
         return SublevelQuery(phi, b_map, frac(gamma), ok, span, images, m, weights)
 
@@ -200,7 +200,7 @@ def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec
     it to t r d; the same mix works on the LP's weights.  So one level in
     (m, gamma) decides every level, and the midpoint is the one used.
     """
-    if m is POS_INF or m >= gamma:
+    if m == POS_INF or m >= gamma:
         return MarginResult(False, Fraction(0), gamma)
     if not directions:
         # zero-dimensional direction space: membership is all there is
@@ -262,7 +262,7 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
     target = (Fraction(0),) * b_map.out_dim + a_map(z0)
     m, _ = _fiber_lp([v for _, v in psi.samples], stacked, target)
-    return (m is not POS_INF and m < frac(delta)
+    return (m != POS_INF and m < frac(delta)
             and _interior(stacked, target, b_map.out_dim))
 
 
@@ -299,7 +299,7 @@ def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:
             "the equivalence needs that precondition"
         )
     m = q.fiber_value
-    c26 = m is not POS_INF and m < q.gamma
+    c26 = m != POS_INF and m < q.gamma
     if q.fiber_weights is None:
         c25 = False
     else:
@@ -327,7 +327,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
     delta = frac(delta)
-    if q.fiber_value is POS_INF or delta <= q.fiber_value:
+    if q.fiber_value == POS_INF or delta <= q.fiber_value:
         raise PreconditionError("the level must exceed the fiber infimum")
     values = [v for _, v in q.phi.samples]
     assignments = []
@@ -342,7 +342,7 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
         for i in range(1, i_max + 1):
             target = tuple(c / i for c in probe)
             value, _ = _fiber_lp(values, q.images, target)
-            if value is not POS_INF and value < delta:
+            if value != POS_INF and value < delta:
                 found = i
                 break
         assignments.append((probe, found))
@@ -358,7 +358,7 @@ def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap) -> Corollary21Re
     in place the margin sweep must succeed, and a failure is a kernel bug.
     """
     q = SublevelQuery.build(phi, b_map)
-    if q.fiber_value is POS_INF:
+    if q.fiber_value == POS_INF:
         raise PreconditionError("the zero-fiber misses the domain; no level works")
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")

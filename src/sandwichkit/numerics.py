@@ -110,6 +110,13 @@ def ext_sub(a: Ext, b: Ext) -> Ext:
     return a - b
 
 
+def ext_neg(a: Ext) -> Ext:
+    """-a, each infinity mapped to the other's constant."""
+    if a == POS_INF:
+        return NEG_INF
+    return POS_INF if a == NEG_INF else -a
+
+
 def vec(values: Iterable) -> Vec:
     return tuple(frac(v) for v in values)
 

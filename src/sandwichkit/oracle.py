@@ -3,13 +3,18 @@
 Nothing in this module builds a linear program.  Each query is decided in
 one of two ways, and each record names which one decided it.
 
+Both sides of a query are sups of one shape: the left side is the
+`QueryProgram`'s, and the right side is minus the sup of
+`QueryProgram.dual`.  So every check below is made once, for a sup, and
+applied to both sides.
+
 * By certificate.  `verify` keeps, on each report, the `QueryProgram` it
-  solved and the LP's primal-dual pair: the maximizer z with each
-  sample-form term's convex weights, and the dual covector x* with the
-  weights of any sample-form trailing group.  Exact arithmetic checks that
-  both points are feasible and evaluates each side's objective at its
-  point, with the weights' combined values standing in for the envelopes.
-  That gives L <= sup and U >= min, and weak duality (sup <= min, from the
+  solved and the two LPs' points: the maximizer z with each sample-form
+  term's convex weights, and the dual covector x* with each sample-form
+  group's weights.  Exact arithmetic checks that a point is feasible and
+  evaluates its objective there, with the weights' combined values
+  standing in for the envelopes.  That gives L <= sup on the left side
+  and, on the dual, U >= min, and weak duality (sup <= min, from the
   Fenchel-Young inequality) holds with no hypothesis at all.  So L == U
   proves both sides exactly, and no LP code is trusted.  This is the
   certifying-algorithm pattern (McConnell, Mehlhorn, Naher and Schweitzer
@@ -18,14 +23,13 @@ one of two ways, and each record names which one decided it.
   report without a certificate, a failed check, a mismatch) is solved
   again from the same program by a different algorithm: each side is the
   optimum of an explicit polyhedron, found by exact integer double
-  description (Motzkin et al. 1953; Fukuda and Prodon 1996).  The set
-  {x : <a, x> <= r} homogenises to a cone whose rays with a positive last
-  coordinate are its vertices, and whose other generators are its
-  recession directions.  Sample-form functions enter through their lower
-  hulls (`LowerHull`), piece-form functions and the dual's max groups
-  through one epigraph row per piece.  The left side runs over the primal
-  variables plus one epigraph variable per term, the right side over the
-  covector plus one per dual group.  The LP answers must match these
+  description (Motzkin et al. 1953; Fukuda and Prodon 1996) in
+  `exact_sup`.  The set {x : <a, x> <= r} homogenises to a cone whose
+  rays with a positive last coordinate are its vertices, and whose other
+  generators are its recession directions.  Sample-form functions enter
+  through their lower hulls (`LowerHull`), piece-form functions through
+  one epigraph row per piece, and each side runs over its variables plus
+  one epigraph variable per term.  The LP answers must match these
   optima exactly.
 """
 
@@ -44,7 +48,6 @@ from .duality import (
     query_program,
     verify,
 )
-from .geometry import AffineMap
 from .numerics import (
     NEG_INF,
     POS_INF,
@@ -53,6 +56,7 @@ from .numerics import (
     StructuralError,
     Vec,
     dot,
+    ext_neg,
     vec,
 )
 
@@ -334,18 +338,6 @@ def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
     return total
 
 
-def _dual_min(groups, constant: Fraction, constraint) -> Ext:
-    """Exact minimum of the dual objective, as minus an `exact_sup`."""
-    dim = groups[0].dim
-    fibers = ()
-    if constraint:
-        rows = tuple(a for a, _ in constraint)
-        fibers = (AffineMap(rows, tuple(-r for _, r in constraint), dim),)
-    identity = AffineMap.identity(dim)
-    sup = exact_sup(AffineFunctional.zero(dim), [(f, identity) for f in groups], fibers)
-    return constant - sup.value
-
-
 def _ray_drops(groups, constraint, ray: Vec) -> bool:
     """Whether the dual objective falls without bound along the ray.
 
@@ -369,9 +361,9 @@ def _witness_check(groups, constant, constraint, report) -> tuple:
     fall along the reported ray; +inf has no certificate to re-check.
     """
     rhs = report.rhs
-    if rhs is POS_INF:
+    if rhs == POS_INF:
         return True, ()
-    if rhs is NEG_INF:
+    if rhs == NEG_INF:
         ray = report.unbounded_direction
         ok = ray is not None and _ray_drops(groups, constraint, ray)
         return ok, ("unbounded dual checked along the reported ray",)
@@ -397,47 +389,45 @@ def _weighted_value(weights, samples: Sequence, target: Vec) -> Optional[Fractio
     return dot(ws, [v for _, (_, v) in used])
 
 
-def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool:
-    """Whether the LP's primal-dual pair proves both sides: L == U == lhs == rhs.
+def _lower_bound(objective: AffineFunctional, terms, fibers, z, weights) -> Optional[Fraction]:
+    """A lower bound on the sup of objective(z) - sum_k f_k(M_k z) over the
+    fibers, read off a point and its weights; None when a check fails.
 
-    The pair is the report's lhs_witness z with cert.term_weights and its
-    witness x* with cert.trailing_weights.  z must lie on every fiber, and
-    each sample-form term's weights must be convex weights combining to
-    M_k z; then L, the objective at z minus each term's weighted sample
-    values (its largest piece at M_k z in piece form), is at most the sup,
-    since the envelope at M_k z is at most any such weighted value.  x*
-    must meet the constraint, and each sample-form trailing group's weights
-    theta must combine to x*; then U, the dual objective at x* with theta's
-    weighted values for those groups, is at least the min.  Weak duality
-    puts the sup at most the min, so L == U pins both to that value.
+    z must lie on every fiber, and each sample-form term's weights must be
+    convex weights combining to M_k z.  The bound is the objective at z
+    minus each term's weighted sample values (its largest piece at M_k z in
+    piece form): the envelope at M_k z is at most any such weighted value.
     """
-    z, xstar = rep.lhs_witness, rep.witness
-    if z is None or xstar is None or rep.lhs != rep.rhs:
-        return False
-    if len(z) != p.objective.dim or len(cert.term_weights) != len(p.terms):
-        return False
-    if any(any(b_map(z)) for b_map in p.fibers):
-        return False
-    lower = p.objective(z)
-    for (f, m), lam in zip(p.terms, cert.term_weights):
+    if len(z) != objective.dim or len(weights) != len(terms):
+        return None
+    if any(any(b_map(z)) for b_map in fibers):
+        return None
+    lower = objective(z)
+    for (f, m), lam in zip(terms, weights):
         image = m(z)
         part = _largest_piece(f, image) if f.form != V_FORM else _weighted_value(
             lam, f.samples, image)
         if part is None:
-            return False
+            return None
         lower -= part
-    if len(xstar) != p.groups[0].dim or len(cert.trailing_weights) != len(p.trailing):
+    return lower
+
+
+def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool:
+    """Whether the LP's primal-dual pair proves both sides: L == U == lhs == rhs.
+
+    L is `_lower_bound` of the program at the report's lhs_witness z with
+    cert.term_weights, so L <= sup.  U is minus `_lower_bound` of
+    `p.dual()` at its witness x* with cert.dual_weights, so U >= min.  Weak
+    duality puts the sup at most the min, so L == U pins both to that
+    value.
+    """
+    z, xstar = rep.lhs_witness, rep.witness
+    if z is None or xstar is None or rep.lhs != rep.rhs:
         return False
-    if any(dot(a, xstar) != r for a, r in p.constraint):
-        return False
-    upper = dual_objective_value(p.groups, p.constant, xstar)
-    for f, theta in zip(p.trailing, cert.trailing_weights):
-        part = _largest_piece(f, xstar) if f.form != V_FORM else _weighted_value(
-            theta, f.samples, xstar)
-        if part is None:
-            return False
-        upper += part
-    return lower == upper == rep.lhs
+    lower = _lower_bound(p.objective, p.terms, p.fibers, z, cert.term_weights)
+    dual_lower = _lower_bound(*p.dual(), xstar, cert.dual_weights)
+    return lower is not None and dual_lower is not None and lower == -dual_lower == rep.lhs
 
 
 @dataclass(frozen=True)
@@ -480,11 +470,11 @@ def crosscheck_scenario(
     the LP's primal-dual pair closes in exact arithmetic: the primal point
     lies on every fiber with each sample-form term's weights convex and
     combining to M_k z, the dual point meets the constraint with each
-    sample-form trailing group's weights convex and combining to x*, and
-    the objective values L at z and U at x* satisfy
-    L == U == lhs == rhs.  Every other query is decided by enumeration:
-    both sides of its `query_program` are recomputed as polyhedral optima
-    by double description and compared with the LP's, and the LP's dual
+    sample-form group's weights convex and combining to x*, and the
+    objective values L at z and U at x* satisfy L == U == lhs == rhs.
+    Every other query is decided by enumeration: both sides of its
+    `query_program` are recomputed by `exact_sup`, the right side as minus
+    the sup of its `dual()`, and compared with the LP's, and the LP's dual
     witness or ray is re-checked by direct arithmetic.  Both paths give
     the same record for a correct report.  reports, when given, are
     verify(s)'s reports, which are then not computed again.  spec is
@@ -506,9 +496,11 @@ def crosscheck_scenario(
         else:
             decided_by = "enumeration"
             lhs_oracle = exact_sup(p.objective, p.terms, p.fibers)
+            phi, terms, fibers = p.dual()
             # one hull per sample-form group, shared by every check below
-            groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups + p.trailing]
-            rhs_oracle = _dual_min(groups, p.constant, p.constraint)
+            groups = [LowerHull(f) if f.form == V_FORM else f for f, _ in terms]
+            rhs_oracle = ext_neg(exact_sup(
+                phi, [(f, m) for f, (_, m) in zip(groups, terms)], fibers).value)
             witness_ok, notes = _witness_check(groups, p.constant, p.constraint, rep)
             lhs_ok = lhs_oracle.value == rep.lhs
             rhs_ok = rhs_oracle == rep.rhs

@@ -104,9 +104,10 @@ def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
     """Minimize S(Bz) + k(z) as the fenchel identity at the zero query.
 
     The value is -lhs and the witness the sup LP's maximizer.  The dual
-    witness, with the dual LP's weights over the generators, is the
-    max-margin separator, of margin -rhs: S is finite everywhere, so every
-    flag holds and `verify` certifies a zero gap.
+    witness, with the dual LP's weights over the generators (the last
+    group's, S's conjugate), is the max-margin separator, of margin -rhs:
+    S is finite everywhere, so every flag holds and `verify` certifies a
+    zero gap.
     """
     zero = (Fraction(0),) * inst.z_dim
     report = verify(DualityScenario.fenchel(
@@ -114,7 +115,7 @@ def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
     value = -report.lhs
     separator = None
     if value >= 0:
-        separator = Separator(report.witness, report.certificate.trailing_weights[0], value)
+        separator = Separator(report.witness, report.certificate.dual_weights[-1], value)
     return HypothesisCheck(value >= 0, value, report.lhs_witness, separator)
 
 

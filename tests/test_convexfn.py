@@ -13,7 +13,6 @@ from sandwichkit.convexfn import (
     evaluate,
     fenchel_young_gap,
     indicator_of_point,
-    indicator_of_zero,
     sup_affine_minus_convex,
 )
 from sandwichkit.geometry import AffineMap
@@ -28,6 +27,22 @@ def abs_v() -> PolyhedralFunction:
 def abs_h() -> PolyhedralFunction:
     """|z| on the whole line, in piece form."""
     return PolyhedralFunction.h_form(1, [((1,), 0), ((-1,), 0)])
+
+
+def assert_fiber_rows_match_indicators(phi, terms, b_map):
+    """The sup over {B z = 0} with B's rows as equality rows has the status
+    and the value of the same sup with B z = 0 as an indicator term."""
+    as_rows = sup_affine_minus_convex(phi, terms, [b_map])
+    as_term = sup_affine_minus_convex(
+        phi, list(terms) + [(indicator_of_point((0,) * b_map.out_dim), b_map)])
+    assert (as_rows.status, as_rows.value) == (as_term.status, as_term.value)
+    return as_rows
+
+
+def random_fiber(rng: random.Random, d: int) -> AffineMap:
+    """One or two small integer rows on Q^d, with an offset."""
+    rows = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(rng.randint(1, 2))]
+    return AffineMap.from_rows(rows, [rng.randint(-2, 2) for _ in rows], d)
 
 
 class TestAffineFunctional:
@@ -135,7 +150,7 @@ class TestEvaluate:
         ind = indicator_of_point((2, -1))
         assert evaluate(ind, (2, -1)) == 0
         assert evaluate(ind, (0, 0)) == POS_INF
-        assert evaluate(indicator_of_zero(2), (0, 0)) == 0
+        assert evaluate(indicator_of_point((0, 0)), (0, 0)) == 0
         c = constant_function(2, "7/2")
         assert evaluate(c, (100, -3)) == Fraction(7, 2)
 
@@ -222,6 +237,7 @@ class TestSupEngine:
 
     def test_conjugate_via_sup_matches_relabel(self):
         rng = random.Random(23)
+        seen = set()
         for _ in range(25):
             d = rng.randint(1, 2)
             pts = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
@@ -232,9 +248,13 @@ class TestSupEngine:
             res = sup_affine_minus_convex(
                 AffineFunctional.of(x), [(f, AffineMap.identity(d))])
             assert res.value == evaluate(f.conjugate(), x)
+            seen.add(assert_fiber_rows_match_indicators(
+                AffineFunctional.of(x), [(f, AffineMap.identity(d))], random_fiber(rng, d)).status)
+        assert seen == {"attained", "empty"}
 
     def test_piece_form_conjugate_via_sup_matches_relabel(self):
         rng = random.Random(29)
+        seen = set()
         for _ in range(25):
             d = rng.randint(1, 2)
             g = PolyhedralFunction.h_form(
@@ -249,6 +269,9 @@ class TestSupEngine:
                 assert res.status == "unbounded"
             else:
                 assert res.value == expected
+            seen.add(assert_fiber_rows_match_indicators(
+                AffineFunctional.of(y), [(g, AffineMap.identity(d))], random_fiber(rng, d)).status)
+        assert seen == {"attained", "unbounded", "empty"}
 
     def test_shape_validation(self):
         with pytest.raises(StructuralError):

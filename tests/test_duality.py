@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from sandwichkit.convexfn import H_FORM, AffineFunctional, PolyhedralFunction, evaluate
+from sandwichkit.convexfn import H_FORM, V_FORM, AffineFunctional, PolyhedralFunction, evaluate
 from sandwichkit.geometry import (
     AffineMap,
     Polytope,
     polytope_contains,
     solve_linear,
+    vec_neg,
 )
 from sandwichkit import duality, numerics
 from sandwichkit.interiority import SublevelQuery, boundedness_condition, boundedness_over_samples
@@ -26,7 +27,17 @@ from sandwichkit.duality import (
     scenario_to_trivariate,
     verify,
 )
-from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
+from sandwichkit.numerics import (
+    EQ,
+    GE,
+    NEG_INF,
+    POS_INF,
+    LpBuilder,
+    PreconditionError,
+    StructuralError,
+    dot,
+)
+from sandwichkit.oracle import LowerHull, dual_objective_value
 from sandwichkit.randomgen import (
     random_affine_map,
     random_bibivariate_scenario,
@@ -40,6 +51,7 @@ from sandwichkit.randomgen import (
     random_violating_trivariate,
 )
 from test_geometry import zero_in_hull
+from test_oracle import piece_form_fenchel
 
 F = Fraction
 
@@ -114,6 +126,86 @@ def empty_left_side(kind: str) -> DualityScenario:
     return DualityScenario.indicator_linear(
         point_function((1, 0), (2, 0)), AffineMap(((F(0),),), (F(0),), 1),
         ident, [(F(0), F(0))])
+
+
+def ref_dual_lp(groups, trailing=(), constant=F(0), constraint=()):
+    """(rhs value, witness, unbounded direction, trailing weights) of the
+    epigraph dual, from the LP that `verify` once built for the right side
+    by hand.
+
+    Minimizes the sum of every group's value at x* plus constant, subject
+    to <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
+    function of x*: in piece form it is max over (beta, c) of
+    c + <beta, x*>, an epigraph variable t with one row t >= c + <beta, x*>
+    per piece; in sample form it is convex weights over its samples whose
+    combination is x*.  Columns: one t per group (all in piece form), then
+    x*, then each trailing group's t or weights.  Rows: the constraint,
+    then the groups' rows in order.  The trailing weights hold, per
+    trailing group, the optimal weights in sample form and None in piece
+    form; they are empty unless the minimum is attained.
+    """
+    b = LpBuilder()
+    objective = {}
+    lead = [(phi, b.var()) for phi in groups]
+    xs = b.block(groups[0].dim)
+
+    def epigraph(phi, t):
+        objective[t] = F(1)
+        for beta, c in phi.pieces:
+            row = {t: F(1)}
+            for xvar, bc in zip(xs, beta):
+                if bc:
+                    row[xvar] = -bc
+            b.add(row, GE, c)
+
+    for a, r in constraint:
+        b.add(dict(zip(xs, a)), EQ, r)
+    for phi, t in lead:
+        epigraph(phi, t)
+    thetas = []
+    for phi in trailing:
+        if phi.form == H_FORM:
+            epigraph(phi, b.var())
+            thetas.append(None)
+            continue
+        # x* = sum_j theta_j p_j, written sum_j theta_j (-p_j) + x* = 0
+        theta = b.convex_weights([vec_neg(p) for p, _ in phi.samples],
+                                 (F(0),) * phi.dim, [{xvar: 1} for xvar in xs])
+        thetas.append(theta)
+        for j, (_, value) in enumerate(phi.samples):
+            if value:
+                objective[theta[j]] = value
+    b.set_objective(objective, constant)
+    res = b.solve()
+    if res.status == "unbounded":
+        return NEG_INF, None, tuple(res.ray[j] for j in xs), ()
+    if res.status == "infeasible":
+        return POS_INF, None, None, ()
+    weights = tuple(None if theta is None else tuple(res.point[j] for j in theta)
+                    for theta in thetas)
+    return res.value, tuple(res.point[j] for j in xs), None, weights
+
+
+def dual_side_draws():
+    """Scenarios for the right-side property test: random_crosscheck_scenario
+    of every kind in both modes, the two violating generators, fenchel
+    with g in piece form, and two indicator queries: one escapes range(C^T),
+    one has a constant term."""
+    for kind in KINDS:
+        rng = random.Random(f"dual side:{kind}")
+        for _ in range(10):
+            s = random_crosscheck_scenario(rng, kind)
+            for mode in MODES:
+                yield dataclasses.replace(s, hypothesis_mode=mode)
+    rng = random.Random("dual side:others")
+    for _ in range(10):
+        yield random_violating_fenchel(rng)
+        yield random_violating_fenchel(rng, touching=True)
+        yield random_violating_trivariate(rng)
+        yield piece_form_fenchel(rng)
+    yield cross_indicator_scenario([(F(0), F(1), F(0)), AffineFunctional.of((1, 0, 2), 3)])
+    # a draw whose unbounded ray the two LPs scale differently
+    yield random_violating_fenchel(random.Random(49))
 
 
 class TestQueryCoercion:
@@ -572,6 +664,33 @@ class TestStrongDuality:
                     finite += 1
                     assert report.gap == 0 and report.attained, (mode, report)
         assert finite > 0
+
+
+class TestDualSide:
+    def test_matches_the_hand_built_dual_lp(self):
+        # the right side, solved as minus the sup of QueryProgram.dual, has
+        # the value of the epigraph LP built by hand; a different witness
+        # must be another minimiser, a different ray a rescaling of the old
+        seen = set()
+        for s in dual_side_draws():
+            for rep in verify(s):
+                p = rep.certificate.program
+                # the old LP put fenchel's conjugate group after x*
+                split = 1 if s.kind == "fenchel" else len(p.groups)
+                rhs, witness, ray, _ = ref_dual_lp(
+                    p.groups[:split], p.groups[split:], p.constant, p.constraint)
+                assert rep.rhs == rhs, s
+                seen.add(rhs if rhs in (POS_INF, NEG_INF) else "finite")
+                if rep.witness != witness:
+                    groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups]
+                    assert dual_objective_value(groups, p.constant, rep.witness) == rhs
+                    assert all(dot(a, rep.witness) == r for a, r in p.constraint)
+                if rep.unbounded_direction != ray:
+                    new = rep.unbounded_direction
+                    k = next(i for i, c in enumerate(ray) if c)
+                    scale = new[k] / ray[k]
+                    assert scale > 0 and new == tuple(scale * c for c in ray), s
+        assert seen == {"finite", POS_INF, NEG_INF}
 
 
 class TestWeakDuality:

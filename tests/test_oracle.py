@@ -26,7 +26,7 @@ from sandwichkit.oracle import (
     GridSpec,
     LowerHull,
     OracleResult,
-    _dual_min,
+    _witness_check,
     crosscheck_scenario,
     double_description,
     dual_objective_value,
@@ -92,7 +92,7 @@ def subset_envelope(f: PolyhedralFunction, point) -> Fraction:
 
 def piece_form_fenchel(rng: random.Random) -> DualityScenario:
     """A fenchel scenario whose g is in piece form, from a sandwich instance:
-    its dual has a sample-form trailing group, g's conjugate."""
+    its dual has a sample-form group, g's conjugate."""
     inst, _ = random_sandwich_instance(rng, satisfy=bool(rng.getrandbits(1)))
     queries = [(0,) * inst.z_dim, random_vec(rng, inst.z_dim)]
     return DualityScenario.fenchel(inst.convex, inst.sublinear.as_h_form(), inst.link, queries)
@@ -101,9 +101,8 @@ def piece_form_fenchel(rng: random.Random) -> DualityScenario:
 def enumerated_sides(s: DualityScenario, query) -> tuple:
     """Both sides of a query by double description alone."""
     p = query_program(s, query)
-    groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups + p.trailing]
     return (exact_sup(p.objective, p.terms, p.fibers).value,
-            _dual_min(groups, p.constant, p.constraint))
+            -exact_sup(*p.dual()).value)
 
 
 def convex_combination(pts, weights) -> tuple:
@@ -341,13 +340,32 @@ class TestExactSup:
 
 
 class TestDualRecompute:
+    def test_witness_check_compares_infinities_by_value(self):
+        # float("inf") makes a new object, equal to the infinity constants
+        # of numerics but not the same object; the check must not care
+        g = PolyhedralFunction.v_form(2, [((sx, su), abs(sx) + abs(su))
+                                          for sx in (-1, 0, 1) for su in (-1, 0, 1)])
+        escaping = DualityScenario.indicator_linear(
+            g, AffineMap.from_rows([[1, 0]]), identity(1), [(0, 1, 0)])
+        empty = randomgen.random_violating_trivariate(random.Random(5))
+        for s, fresh in ((escaping, float("inf")), (empty, float("-inf"))):
+            rep = verify(s)[0]
+            assert rep.rhs == fresh and rep.rhs is not fresh
+            assert fresh == POS_INF or rep.unbounded_direction is not None
+            p = query_program(s, rep.query)
+            groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups]
+            expected = _witness_check(groups, p.constant, p.constraint, rep)
+            assert expected[0], s.kind
+            moved = dataclasses.replace(rep, rhs=fresh)
+            assert _witness_check(groups, p.constant, p.constraint, moved) == expected, s.kind
+
     def test_fenchel_witness_value(self):
         f0 = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
         s = DualityScenario.fenchel(f0, abs_three(), identity(1), [(3,)])
         rep = verify(s)[0]
         p = query_program(s, rep.query)
         assert p.constraint == ()
-        assert dual_objective_value(p.groups + p.trailing, p.constant, rep.witness) == rep.rhs
+        assert dual_objective_value(p.groups, p.constant, rep.witness) == rep.rhs
 
     def test_box_scan_does_not_beat_lp(self):
         rng = random.Random(706)
@@ -478,12 +496,12 @@ class TestCrosscheckScenario:
                         weights = cert.term_weights[:k] + (nudged(lam, 0),) + cert.term_weights[k + 1:]
                         breaks[f"term {k} weight"] = dataclasses.replace(
                             rep, certificate=dataclasses.replace(cert, term_weights=weights))
-                for k, theta in enumerate(cert.trailing_weights):
+                for k, theta in enumerate(cert.dual_weights):
                     if theta is not None:
-                        weights = (cert.trailing_weights[:k] + (nudged(theta, 0),)
-                                   + cert.trailing_weights[k + 1:])
-                        breaks[f"trailing {k} weight"] = dataclasses.replace(
-                            rep, certificate=dataclasses.replace(cert, trailing_weights=weights))
+                        weights = (cert.dual_weights[:k] + (nudged(theta, 0),)
+                                   + cert.dual_weights[k + 1:])
+                        breaks[f"dual {k} weight"] = dataclasses.replace(
+                            rep, certificate=dataclasses.replace(cert, dual_weights=weights))
                 for what, broken in breaks.items():
                     rec = crosscheck_scenario(s, reports=[broken])[0]
                     # with the certificate gone, the record is today's enumeration
@@ -495,7 +513,7 @@ class TestCrosscheckScenario:
                 # the intact pair and the enumeration agree on everything else
                 assert verdict(whole) == verdict(
                     crosscheck_scenario(s, reports=[breaks["dropped"]])[0])
-        assert broken_kinds == {"dropped", "z", "witness", "query", "term", "trailing"}
+        assert broken_kinds == {"dropped", "z", "witness", "query", "term", "dual"}
 
     def test_doctored_pairs_with_unchanged_values_are_refused(self):
         # each doctored pair keeps L == U == lhs == rhs and breaks one check only
