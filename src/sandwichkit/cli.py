@@ -143,51 +143,44 @@ class Scenario:
     expect: Optional[dict]
 
 
-def _section(doc: dict, name: str, default=None):
-    value = doc.get(name, {} if default is None else default)
+def _section(doc: dict, name: str):
+    value = doc.get(name, {})
     if not isinstance(value, dict):
         raise ScenarioError(name, "section must be an object")
     return value
 
 
-def _parse_function(name: str, body, field: str) -> PolyhedralFunction:
+#: each function form's data key (also `PolyhedralFunction.form` and the
+#: attribute holding the data), entry noun, pair label and factory
+FORMS = {
+    "V": (V_FORM, "sample", "[point, value]", PolyhedralFunction.v_form),
+    "H": (H_FORM, "piece", "[coeffs, constant]", PolyhedralFunction.h_form),
+}
+
+
+def _parse_function(body, field: str) -> PolyhedralFunction:
     if not isinstance(body, dict) or "form" not in body:
         raise ScenarioError(field, "a function needs a \"form\" key")
     form = body["form"]
-    if form == "V":
-        raw = body.get("samples")
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{field}.samples", "need a nonempty list of [point, value] pairs")
-        samples = []
-        for i, entry in enumerate(raw):
-            where = f"{field}.samples[{i}]"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ScenarioError(where, "each sample is a [point, value] pair")
-            samples.append((to_vector(entry[0], where), to_frac(entry[1], where)))
-        dim = len(samples[0][0])
-        try:
-            return PolyhedralFunction.v_form(dim, samples)
-        except StructuralError as exc:
-            raise ScenarioError(field, str(exc)) from None
-    if form == "H":
-        raw = body.get("pieces")
-        if not isinstance(raw, list) or not raw:
-            raise ScenarioError(f"{field}.pieces", "need a nonempty list of [coeffs, constant] pairs")
-        pieces = []
-        for i, entry in enumerate(raw):
-            where = f"{field}.pieces[{i}]"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ScenarioError(where, "each piece is a [coeffs, constant] pair")
-            pieces.append((to_vector(entry[0], where), to_frac(entry[1], where)))
-        dim = len(pieces[0][0])
-        try:
-            return PolyhedralFunction.h_form(dim, pieces)
-        except StructuralError as exc:
-            raise ScenarioError(field, str(exc)) from None
-    raise ScenarioError(f"{field}.form", f"unknown form {form!r} (expected \"V\" or \"H\")")
+    if not isinstance(form, str) or form not in FORMS:
+        raise ScenarioError(f"{field}.form", f"unknown form {form!r} (expected \"V\" or \"H\")")
+    key, noun, label, factory = FORMS[form]
+    raw = body.get(key)
+    if not isinstance(raw, list) or not raw:
+        raise ScenarioError(f"{field}.{key}", f"need a nonempty list of {label} pairs")
+    entries = []
+    for i, entry in enumerate(raw):
+        where = f"{field}.{key}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ScenarioError(where, f"each {noun} is a {label} pair")
+        entries.append((to_vector(entry[0], where), to_frac(entry[1], where)))
+    try:
+        return factory(len(entries[0][0]), entries)
+    except StructuralError as exc:
+        raise ScenarioError(field, str(exc)) from None
 
 
-def _parse_map(name: str, body, field: str) -> AffineMap:
+def _parse_map(body, field: str) -> AffineMap:
     if not isinstance(body, dict) or "matrix" not in body:
         raise ScenarioError(field, "a map needs a \"matrix\" key")
     raw = body["matrix"]
@@ -206,7 +199,7 @@ def _parse_map(name: str, body, field: str) -> AffineMap:
         raise ScenarioError(field, str(exc)) from None
 
 
-def _parse_space(name: str, body, field: str):
+def _parse_space(body, field: str):
     if isinstance(body, dict) and "vector_space" in body:
         return to_int(body["vector_space"], f"{field}.vector_space")
     if isinstance(body, list):
@@ -231,13 +224,13 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         dims[name] = to_int(value, f"dims.{name}")
     functions = {}
     for name, body in _section(doc, "functions").items():
-        functions[name] = _parse_function(name, body, f"functions.{name}")
+        functions[name] = _parse_function(body, f"functions.{name}")
     maps = {}
     for name, body in _section(doc, "maps").items():
-        maps[name] = _parse_map(name, body, f"maps.{name}")
+        maps[name] = _parse_map(body, f"maps.{name}")
     spaces = {}
     for name, body in _section(doc, "spaces").items():
-        spaces[name] = _parse_space(name, body, f"spaces.{name}")
+        spaces[name] = _parse_space(body, f"spaces.{name}")
     task = doc.get("task")
     if not isinstance(task, dict) or "kind" not in task:
         raise ScenarioError("task", "the task section needs a \"kind\" key")
@@ -256,15 +249,10 @@ def scenario_to_document(sc: Scenario) -> dict:
     if sc.functions:
         doc["functions"] = {}
         for name, f in sorted(sc.functions.items()):
-            if f.form == V_FORM:
-                body = {"form": "V", "samples": [
-                    [encode_vector(p), encode_scalar(v)] for p, v in f.samples
-                ]}
-            else:
-                body = {"form": "H", "pieces": [
-                    [encode_vector(c), encode_scalar(k)] for c, k in f.pieces
-                ]}
-            doc["functions"][name] = body
+            form = next(form for form, row in FORMS.items() if row[0] == f.form)
+            doc["functions"][name] = {"form": form, f.form: [
+                [encode_vector(a), encode_scalar(b)] for a, b in getattr(f, f.form)
+            ]}
     if sc.maps:
         doc["maps"] = {}
         for name, m in sorted(sc.maps.items()):
@@ -342,82 +330,71 @@ def _task_queries(sc: Scenario) -> list:
     return queries
 
 
-def _hypothesis_mode(sc: Scenario) -> str:
-    return sc.task.get("hypothesis_mode", "boundedness")
+def _dim(sc: Scenario, value, field: str) -> int:
+    """An integer, or the name of an entry in "dims"."""
+    if isinstance(value, str) and value in sc.dims:
+        return sc.dims[value]
+    return to_int(value, field)
+
+
+def _kind_scalar(sc: Scenario, kind: str) -> tuple:
+    """The kind's own arguments between its named parts and its queries."""
+    t = sc.task
+    if kind == "sublevel":
+        return (to_frac(t["gamma"], "task.gamma") if "gamma" in t else None,)
+    if kind == "quadrivariate":
+        raw = t.get("dims")
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise ScenarioError("task.dims", "need the four block sizes [u, v, w, x]")
+        return ([_dim(sc, d, f"task.dims[{i}]") for i, d in enumerate(raw)],)
+    if kind == "partial_infconv":
+        return (_dim(sc, t.get("x_dim"), "task.x_dim"),)
+    return ()
+
+
+def _task_error(sc: Scenario, exc: StructuralError, names) -> ScenarioError:
+    """A structural failure of the task, naming the objects it involves."""
+    involved = ", ".join(_describe(sc, n) for n in names)
+    return ScenarioError("task", f"{exc} [objects: {involved}]")
+
+
+_F, _M = "functions", "maps"
+
+#: each duality kind's `DualityScenario` factory and its named parts, as
+#: (task key, section) pairs in the factory's argument order
+KIND_PARTS = {
+    "sublevel": (DualityScenario.sublevel, (("phi", _F), ("b", _M))),
+    "trivariate": (DualityScenario.trivariate, (("psi", _F), ("a", _M), ("b", _M))),
+    "fenchel": (DualityScenario.fenchel, (("f", _F), ("g", _F), ("link", _M))),
+    "quadrivariate": (DualityScenario.quadrivariate, (("psi", _F), ("c", _M), ("d", _M))),
+    "bibivariate": (DualityScenario.bibivariate,
+                    (("f", _F), ("g", _F), ("c", _M), ("d", _M))),
+    "partial_infconv": (DualityScenario.partial_infconv, (("f", _F), ("g", _F))),
+    "indicator_linear": (DualityScenario.indicator_linear,
+                         (("g", _F), ("c", _M), ("d", _M))),
+}
 
 
 def build_duality_scenario(sc: Scenario) -> DualityScenario:
-    """Resolve task references into a scenario, naming objects on failure."""
-    kind = sc.task["kind"]
+    """Resolve task references into a scenario, naming objects on failure.
+
+    The factory takes the named parts, the kind's scalar, the queries
+    (every kind but `sublevel`) and the hypothesis mode, in that order.
+    """
     t = sc.task
-    names = [t.get(k) for k in ("f", "g", "phi", "psi", "link", "a", "b", "c", "d")
-             if t.get(k) is not None]
+    kind = t["kind"]
+    if not isinstance(kind, str) or kind not in KIND_PARTS:
+        raise ScenarioError("task.kind", f"unknown task kind {kind!r}")
+    factory, parts = KIND_PARTS[kind]
     try:
-        if kind == "fenchel":
-            return DualityScenario.fenchel(
-                _named(sc, "functions", t.get("f"), "task.f"),
-                _named(sc, "functions", t.get("g"), "task.g"),
-                _named(sc, "maps", t.get("link"), "task.link"),
-                _task_queries(sc), _hypothesis_mode(sc),
-            )
-        if kind == "sublevel":
-            gamma = None
-            if "gamma" in t:
-                gamma = to_frac(t["gamma"], "task.gamma")
-            return DualityScenario.sublevel(
-                _named(sc, "functions", t.get("phi"), "task.phi"),
-                _named(sc, "maps", t.get("b"), "task.b"),
-                gamma, _hypothesis_mode(sc),
-            )
-        if kind == "trivariate":
-            return DualityScenario.trivariate(
-                _named(sc, "functions", t.get("psi"), "task.psi"),
-                _named(sc, "maps", t.get("a"), "task.a"),
-                _named(sc, "maps", t.get("b"), "task.b"),
-                _task_queries(sc), _hypothesis_mode(sc),
-            )
-        if kind == "quadrivariate":
-            raw = t.get("dims")
-            if not isinstance(raw, list) or len(raw) != 4:
-                raise ScenarioError("task.dims", "need the four block sizes [u, v, w, x]")
-            blocks = [sc.dims[d] if isinstance(d, str) and d in sc.dims
-                      else to_int(d, f"task.dims[{i}]") for i, d in enumerate(raw)]
-            return DualityScenario.quadrivariate(
-                _named(sc, "functions", t.get("psi"), "task.psi"),
-                _named(sc, "maps", t.get("c"), "task.c"),
-                _named(sc, "maps", t.get("d"), "task.d"),
-                blocks, _task_queries(sc), _hypothesis_mode(sc),
-            )
-        if kind == "bibivariate":
-            return DualityScenario.bibivariate(
-                _named(sc, "functions", t.get("f"), "task.f"),
-                _named(sc, "functions", t.get("g"), "task.g"),
-                _named(sc, "maps", t.get("c"), "task.c"),
-                _named(sc, "maps", t.get("d"), "task.d"),
-                _task_queries(sc), _hypothesis_mode(sc),
-            )
-        if kind == "partial_infconv":
-            x_dim = t.get("x_dim")
-            if isinstance(x_dim, str) and x_dim in sc.dims:
-                x_dim = sc.dims[x_dim]
-            else:
-                x_dim = to_int(x_dim, "task.x_dim")
-            return DualityScenario.partial_infconv(
-                _named(sc, "functions", t.get("f"), "task.f"),
-                _named(sc, "functions", t.get("g"), "task.g"),
-                x_dim, _task_queries(sc), _hypothesis_mode(sc),
-            )
-        if kind == "indicator_linear":
-            return DualityScenario.indicator_linear(
-                _named(sc, "functions", t.get("g"), "task.g"),
-                _named(sc, "maps", t.get("c"), "task.c"),
-                _named(sc, "maps", t.get("d"), "task.d"),
-                _task_queries(sc), _hypothesis_mode(sc),
-            )
+        scalar = _kind_scalar(sc, kind)
+        args = [_named(sc, section, t.get(key), f"task.{key}") for key, section in parts]
+        queries = () if kind == "sublevel" else (_task_queries(sc),)
+        return factory(*args, *scalar, *queries, t.get("hypothesis_mode", "boundedness"))
     except StructuralError as exc:
-        involved = ", ".join(_describe(sc, n) for n in names)
-        raise ScenarioError("task", f"{exc} [objects: {involved}]") from None
-    raise ScenarioError("task.kind", f"unknown task kind {sc.task['kind']!r}")
+        names = [t.get(k) for k in ("f", "g", "phi", "psi", "link", "a", "b", "c", "d")
+                 if t.get(k) is not None]
+        raise _task_error(sc, exc, names) from None
 
 
 def build_sandwich_instance(sc: Scenario) -> SandwichInstance:
@@ -443,10 +420,8 @@ def build_sandwich_instance(sc: Scenario) -> SandwichInstance:
             SublinearFunctional.of([c for c, _ in upper.pieces]), lower, link, space
         )
     except StructuralError as exc:
-        involved = ", ".join(
-            _describe(sc, t.get(k)) for k in ("upper", "lower", "link") if t.get(k)
-        )
-        raise ScenarioError("task", f"{exc} [objects: {involved}]") from None
+        names = [t.get(k) for k in ("upper", "lower", "link") if t.get(k)]
+        raise _task_error(sc, exc, names) from None
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +498,6 @@ def run_sandwich(sc: Scenario):
         },
     }
     if not check.holds:
-        body["verdict"] = "hypotheses_unsatisfied"
         return EXIT_HYPOTHESES, body
     sep = check.separator
     valid = check_separator(inst, sep.x_prime)
@@ -532,7 +506,6 @@ def run_sandwich(sc: Scenario):
         "margin": encode_scalar(sep.margin),
         "valid": valid,
     }
-    body["verdict"] = "pass" if valid else "math_failure"
     return (EXIT_PASS if valid else EXIT_MATH_FAILURE), body
 
 
@@ -548,38 +521,34 @@ def run_interiority(sc: Scenario):
             gamma = to_frac(t["gamma"], "task.gamma")
             q = SublevelQuery.build(phi, b_map, gamma)
             res = interiority_margin(q)
-            body["margin"] = {
-                "gamma": encode_scalar(gamma),
-                "holds": res.holds,
-                "margin": encode_scalar(res.margin),
-                "level_used": encode_scalar(res.level_used),
-            }
-            if not res.holds:
-                code = EXIT_HYPOTHESES
-            if "delta" in t:
-                delta = to_frac(t["delta"], "task.delta")
-                probes = [to_vector(p, f"task.probes[{i}]")
-                          for i, p in enumerate(t.get("probes", []))]
-                if not probes:
-                    raise ScenarioError("task.probes", "the covering check needs probes")
-                cover = lemma19a_check(q, delta, probes)
-                body["covering"] = {
-                    "delta": encode_scalar(delta),
-                    "ok": cover.ok,
-                    "assignments": [
-                        [encode_vector(p), i] for p, i in cover.assignments
-                    ],
-                }
-                if not cover.ok:
-                    code = EXIT_HYPOTHESES
         else:
-            res = corollary21_auto(phi, b_map)
-            body["margin"] = {
-                "gamma": encode_scalar(res.gamma),
-                "holds": res.margin.holds,
-                "margin": encode_scalar(res.margin.margin),
-                "level_used": encode_scalar(res.margin.level_used),
+            # the automatic level always holds, or raises
+            auto = corollary21_auto(phi, b_map)
+            q, gamma, res = None, auto.gamma, auto.margin
+        body["margin"] = {
+            "gamma": encode_scalar(gamma),
+            "holds": res.holds,
+            "margin": encode_scalar(res.margin),
+            "level_used": encode_scalar(res.level_used),
+        }
+        if not res.holds:
+            code = EXIT_HYPOTHESES
+        if q is not None and "delta" in t:
+            delta = to_frac(t["delta"], "task.delta")
+            raw = t.get("probes", [])
+            if not isinstance(raw, list) or not raw:
+                raise ScenarioError("task.probes", "the covering check needs probes")
+            probes = [to_vector(p, f"task.probes[{i}]") for i, p in enumerate(raw)]
+            cover = lemma19a_check(q, delta, probes)
+            body["covering"] = {
+                "delta": encode_scalar(delta),
+                "ok": cover.ok,
+                "assignments": [
+                    [encode_vector(p), i] for p, i in cover.assignments
+                ],
             }
+            if not cover.ok:
+                code = EXIT_HYPOTHESES
         if "z0" in t:
             a_map = _named(sc, "maps", t.get("a"), "task.a")
             z0 = to_vector(t["z0"], "task.z0")
@@ -594,16 +563,9 @@ def run_interiority(sc: Scenario):
                 code = EXIT_HYPOTHESES
     except PreconditionError as exc:
         body["notes"] = [str(exc)]
-        body["verdict"] = "hypotheses_unsatisfied"
         return EXIT_HYPOTHESES, body
     except StructuralError as exc:
-        raise ScenarioError(
-            "task",
-            f"{exc} [objects: {_describe(sc, t.get('function'))}, "
-            f"{_describe(sc, t.get('map'))}]",
-        ) from None
-
-    body["verdict"] = "pass" if code == EXIT_PASS else "hypotheses_unsatisfied"
+        raise _task_error(sc, exc, (t.get("function"), t.get("map"))) from None
     return code, body
 
 
@@ -618,17 +580,9 @@ def run_theorem20(sc: Scenario):
         q = SublevelQuery.build(phi, b_map, gamma)
         res = theorem20_equivalence(q)
     except PreconditionError as exc:
-        return EXIT_HYPOTHESES, {
-            "kind": "theorem20",
-            "notes": [str(exc)],
-            "verdict": "hypotheses_unsatisfied",
-        }
+        return EXIT_HYPOTHESES, {"kind": "theorem20", "notes": [str(exc)]}
     except StructuralError as exc:
-        raise ScenarioError(
-            "task",
-            f"{exc} [objects: {_describe(sc, t.get('function'))}, "
-            f"{_describe(sc, t.get('map'))}]",
-        ) from None
+        raise _task_error(sc, exc, (t.get("function"), t.get("map"))) from None
     agree = res.c24 == res.c25 == res.c26
     body = {
         "kind": "theorem20",
@@ -639,7 +593,6 @@ def run_theorem20(sc: Scenario):
             "fiber_below_level": res.c26,
         },
         "fiber_value": encode_scalar(res.fiber_value),
-        "verdict": "pass" if agree else "math_failure",
     }
     return (EXIT_PASS if agree else EXIT_MATH_FAILURE), body
 
@@ -661,7 +614,6 @@ def run_conjugate(sc: Scenario, name: str, at: Vec):
     if f.form == V_FORM and value not in (POS_INF, NEG_INF):
         best = max(f.samples, key=lambda s: sum(c * x for c, x in zip(at, s[0])) - s[1])
         body["witness"] = encode_vector(best[0])
-    body["verdict"] = "pass"
     return EXIT_PASS, body
 
 
@@ -678,7 +630,6 @@ def run_eval(sc: Scenario, name: str, at: Vec):
         "function": name,
         "at": encode_vector(at),
         "value": encode_scalar(value),
-        "verdict": "pass",
     }
     return EXIT_PASS, body
 
@@ -751,7 +702,6 @@ def run_selftest(seed: int):
         "kind": "selftest",
         "seed": seed,
         "suites": suites,
-        "verdict": "pass" if ok else "math_failure",
     }
     return (EXIT_PASS if ok else EXIT_MATH_FAILURE), body
 
@@ -765,6 +715,7 @@ def _digest(data: bytes) -> str:
 
 
 def make_document(command: str, digest: str, code: int, body: dict) -> dict:
+    """The report: a common header, the body, and the exit code's verdict."""
     doc = {
         "command": command,
         "input_digest": digest,
@@ -772,13 +723,12 @@ def make_document(command: str, digest: str, code: int, body: dict) -> dict:
         "version": __version__,
     }
     doc.update(body)
-    if "verdict" not in doc:
-        doc["verdict"] = {
-            EXIT_PASS: "pass",
-            EXIT_MATH_FAILURE: "math_failure",
-            EXIT_HYPOTHESES: "hypotheses_unsatisfied",
-            EXIT_INPUT: "input_error",
-        }[code]
+    doc["verdict"] = {
+        EXIT_PASS: "pass",
+        EXIT_MATH_FAILURE: "math_failure",
+        EXIT_HYPOTHESES: "hypotheses_unsatisfied",
+        EXIT_INPUT: "input_error",
+    }[code]
     return doc
 
 
@@ -804,7 +754,6 @@ def _flat(value) -> str:
 def _error_document(command: str, digest: str, exc: ScenarioError) -> dict:
     return make_document(command, digest, EXIT_INPUT, {
         "error": {"field": exc.field, "message": str(exc)},
-        "verdict": "input_error",
     })
 
 
@@ -844,7 +793,7 @@ def _run_single(command: str, path: Path, args) -> tuple:
     except ScenarioError as exc:
         return EXIT_INPUT, _error_document(command, digest, exc)
     except RuntimeError as exc:
-        body = {"error": {"field": None, "message": str(exc)}, "verdict": "math_failure"}
+        body = {"error": {"field": None, "message": str(exc)}}
         return EXIT_MATH_FAILURE, make_document(command, digest, EXIT_MATH_FAILURE, body)
 
 

@@ -32,6 +32,7 @@ Layout conventions for concatenated variable blocks:
   partial inf-convolutions identify w = x and u = v (queries on (x, v));
   indicator scenarios take the sup over (w, u).
 """
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -517,9 +518,10 @@ class QueryProgram:
     constant: Fraction = Fraction(0)
     constraint: tuple = ()
 
+    @functools.cached_property
     def dual(self) -> tuple:
         """The right side in the left side's shape: (objective, terms,
-        fibers) whose sup is minus the min.
+        fibers) whose sup is minus the min, built once per program.
 
         The objective is the constant -constant on x*, each group is a term
         through the identity, and the constraint is one fiber map,
@@ -544,7 +546,7 @@ class Certificate:
     pair of the two LPs.  term_weights holds, per term of the program, the
     left side's convex weights over a sample-form term's samples, which
     combine to M_k z (None for a piece-form term).  dual_weights holds the
-    same for the terms of `program.dual()`, one per group: the weights
+    same for the terms of `program.dual`, one per group: the weights
     over a sample-form group's samples, which combine to x* (None in piece
     form).  Where a side is infinite its weights are all None, and only
     the program is of use.
@@ -639,7 +641,7 @@ def verify(s: DualityScenario) -> list:
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
             raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-        by_query[query] = (p, sup, sup_affine_minus_convex(*p.dual()))
+        by_query[query] = (p, sup, sup_affine_minus_convex(*p.dual))
     solved = [(query, *by_query[query]) for query in s.queries]
     # every query's sup LP has the same feasible set, which is dom h's
     _, _, first_sup, _ = solved[0]

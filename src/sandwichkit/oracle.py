@@ -418,7 +418,7 @@ def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool
 
     L is `_lower_bound` of the program at the report's lhs_witness z with
     cert.term_weights, so L <= sup.  U is minus `_lower_bound` of
-    `p.dual()` at its witness x* with cert.dual_weights, so U >= min.  Weak
+    `p.dual` at its witness x* with cert.dual_weights, so U >= min.  Weak
     duality puts the sup at most the min, so L == U pins both to that
     value.
     """
@@ -426,7 +426,7 @@ def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool
     if z is None or xstar is None or rep.lhs != rep.rhs:
         return False
     lower = _lower_bound(p.objective, p.terms, p.fibers, z, cert.term_weights)
-    dual_lower = _lower_bound(*p.dual(), xstar, cert.dual_weights)
+    dual_lower = _lower_bound(*p.dual, xstar, cert.dual_weights)
     return lower is not None and dual_lower is not None and lower == -dual_lower == rep.lhs
 
 
@@ -474,7 +474,7 @@ def crosscheck_scenario(
     objective values L at z and U at x* satisfy L == U == lhs == rhs.
     Every other query is decided by enumeration: both sides of its
     `query_program` are recomputed by `exact_sup`, the right side as minus
-    the sup of its `dual()`, and compared with the LP's, and the LP's dual
+    the sup of its `dual`, and compared with the LP's, and the LP's dual
     witness or ray is re-checked by direct arithmetic.  Both paths give
     the same record for a correct report.  reports, when given, are
     verify(s)'s reports, which are then not computed again.  spec is
@@ -496,7 +496,7 @@ def crosscheck_scenario(
         else:
             decided_by = "enumeration"
             lhs_oracle = exact_sup(p.objective, p.terms, p.fibers)
-            phi, terms, fibers = p.dual()
+            phi, terms, fibers = p.dual
             # one hull per sample-form group, shared by every check below
             groups = [LowerHull(f) if f.form == V_FORM else f for f, _ in terms]
             rhs_oracle = ext_neg(exact_sup(

@@ -6,9 +6,10 @@ affine link B between them.  The hypothesis is that S(Bz) + k(z) >= 0 on the
 domain of k; the conclusion is a linear functional x' dominated by S whose
 composition with B still majorizes -k.  Both sides are the `fenchel`
 identity of k and S (in piece form) through B at the zero query
-(Rockafellar, Convex Analysis, Thm 31.1), solved once by `duality.verify`:
-its left side is -min(S(Bz) + k(z)) and its dual witness is the max-margin
-separator, which `check_separator` re-checks by arithmetic.
+(Rockafellar, Convex Analysis, Thm 31.1), stated once by
+`duality.query_program`: its left side is -min(S(Bz) + k(z)) and, when
+that minimum is nonnegative, its dual witness is the max-margin separator,
+which `check_separator` re-checks by arithmetic.
 """
 from __future__ import annotations
 
@@ -16,8 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .convexfn import PolyhedralFunction, SublinearFunctional, V_FORM
-from .duality import DualityScenario, verify
+from .convexfn import (
+    PolyhedralFunction,
+    SublinearFunctional,
+    V_FORM,
+    sup_affine_minus_convex,
+)
+from .duality import DualityScenario, query_program
 from .geometry import AffineMap, Polytope, polytope_contains
 from .numerics import (
     GE,
@@ -103,20 +109,25 @@ class HypothesisCheck:
 def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
     """Minimize S(Bz) + k(z) as the fenchel identity at the zero query.
 
-    The value is -lhs and the witness the sup LP's maximizer.  The dual
-    witness, with the dual LP's weights over the generators (the last
-    group's, S's conjugate), is the max-margin separator, of margin -rhs:
-    S is finite everywhere, so every flag holds and `verify` certifies a
-    zero gap.
+    The value is minus the left side and the witness the sup LP's
+    maximizer.  Only a nonnegative value solves the right side: its
+    witness, with its weights over the generators (the last group's, S's
+    conjugate), is the max-margin separator, of margin the value.  S is
+    finite everywhere, so the two sides must close with a zero gap, as
+    `verify` would certify.
     """
     zero = (Fraction(0),) * inst.z_dim
-    report = verify(DualityScenario.fenchel(
-        inst.convex, inst.sublinear.as_h_form(), inst.link, [zero]))[0]
-    value = -report.lhs
+    s = DualityScenario.fenchel(inst.convex, inst.sublinear.as_h_form(), inst.link, [zero])
+    p = query_program(s, s.queries[0])
+    sup = sup_affine_minus_convex(p.objective, p.terms, p.fibers)
+    value = -sup.value
     separator = None
     if value >= 0:
-        separator = Separator(report.witness, report.certificate.dual_weights[-1], value)
-    return HypothesisCheck(value >= 0, value, report.lhs_witness, separator)
+        dual = sup_affine_minus_convex(*p.dual)
+        if -dual.value != sup.value:
+            raise RuntimeError("sandwich sides differ; LP kernel is unsound")
+        separator = Separator(dual.argmax, dual.term_weights[-1], value)
+    return HypothesisCheck(value >= 0, value, sup.argmax, separator)
 
 
 def separator_margin(inst: SandwichInstance, x_prime: Sequence) -> Fraction:

@@ -1,12 +1,13 @@
 """Tests for scenario parsing, report determinism, and the exit-code contract."""
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from test_acceptance import Stopwatch
 
-from sandwichkit import cli, numerics
+from sandwichkit import cli, duality, numerics
 from sandwichkit.cli import (
     EXIT_HYPOTHESES,
     EXIT_INPUT,
@@ -19,6 +20,7 @@ from sandwichkit.cli import (
 )
 
 CORPUS = Path(cli.__file__).parent / "scenarios"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -163,6 +165,59 @@ class TestExitCodeContract:
         assert doc["hypothesis"]["minimum"] == "-1"
 
 
+class TestMalformedInput:
+    VALUES = (None, 7, True, "nope", [], {}, [[1, 2, 3]])
+
+    def test_non_list_probes_are_input_errors(self, capsys, tmp_path):
+        doc = json.loads((CORPUS / "interiority.json").read_text())
+        for value in (None, 7, True, "nope", {"a": [2]}):
+            doc["task"]["probes"] = value
+            path = tmp_path / "probes.json"
+            path.write_text(json.dumps(doc))
+            code, report = run_json(capsys, ["interiority", str(path)])
+            assert code == EXIT_INPUT, value
+            assert report["error"]["field"] == "task.probes", value
+
+    def test_every_task_key_set_to_junk_gives_one_document(self, capsys, tmp_path):
+        path = tmp_path / "variant.json"
+        for source in sorted(CORPUS.glob("*.json")):
+            doc = json.loads(source.read_text())
+            command = doc["expect"]["command"]
+            for key in sorted(set(doc["task"]) | {"kind"}):
+                for value in self.VALUES:
+                    variant = json.loads(json.dumps(doc))
+                    variant["task"][key] = value
+                    path.write_text(json.dumps(variant))
+                    where = f"{source.name}: task.{key} = {value!r}"
+                    code, out = run(capsys, [command, str(path), "--report", "json"])
+                    report = json.loads(out)
+                    assert report["command"] == command, where
+                    if code == EXIT_INPUT:
+                        assert report["error"]["field"], where
+
+
+class TestKindTable:
+    def readme_rows(self) -> dict:
+        """kind -> named-parts cell of the README's task-kind table."""
+        section = README.read_text().split("### Task kinds", 1)[1].split("\n#", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                cells = [c.strip() for c in line.strip("|").split("|")]
+                rows[cells[0].strip("`")] = cells[2]
+        return rows
+
+    def test_kind_parts_cover_every_duality_kind(self):
+        assert set(cli.KIND_PARTS) == set(duality.KINDS)
+
+    def test_readme_rows_match_kind_parts(self):
+        rows = self.readme_rows()
+        assert set(rows) - set(cli.KIND_PARTS) == {"sandwich", "interiority", "theorem20"}
+        for kind, (_, parts) in cli.KIND_PARTS.items():
+            listed = re.findall(r"`(\w+)` (function|map)", rows[kind])
+            assert listed == [(key, section[:-1]) for key, section in parts], kind
+
+
 def corpus_lps(capsys, monkeypatch) -> dict:
     """The repr of every LP each corpus file's expect command solves."""
     solved = []
@@ -199,9 +254,9 @@ class TestWork:
             "bibivariate": 3, "boundedness": 8, "broken": 0, "corollary21": 4,
             "fenchel": 6, "indicator_linear": 12, "interiority": 9,
             "partial_infconv": 3, "quadrivariate": 5, "sandwich": 3,
-            "sandwich_violated": 2, "sublevel": 3, "t20": 3, "trivariate": 3,
+            "sandwich_violated": 1, "sublevel": 3, "t20": 3, "trivariate": 3,
         }
-        assert sum(counts.values()) == 64
+        assert sum(counts.values()) == 63
 
 
 class TestDeterminism:

@@ -102,7 +102,7 @@ def enumerated_sides(s: DualityScenario, query) -> tuple:
     """Both sides of a query by double description alone."""
     p = query_program(s, query)
     return (exact_sup(p.objective, p.terms, p.fibers).value,
-            -exact_sup(*p.dual()).value)
+            -exact_sup(*p.dual).value)
 
 
 def convex_combination(pts, weights) -> tuple:
@@ -387,6 +387,15 @@ class TestDualRecompute:
 
 
 class TestCrosscheckScenario:
+    def test_pair_check_reuses_the_programs_dual(self):
+        f0 = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
+        s = DualityScenario.fenchel(f0, abs_three(), identity(1), [(3,)])
+        reports = verify(s)
+        p = reports[0].certificate.program
+        dual = p.dual
+        assert crosscheck_scenario(s, reports=reports)[0].decided_by == "certificate"
+        assert p.dual is dual
+
     def test_worked_fenchel(self):
         f0 = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
         s = DualityScenario.fenchel(f0, abs_three(), identity(1), [(3,), (0,)])
