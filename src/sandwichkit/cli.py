@@ -392,8 +392,7 @@ def build_duality_scenario(sc: Scenario) -> DualityScenario:
         queries = () if kind == "sublevel" else (_task_queries(sc),)
         return factory(*args, *scalar, *queries, t.get("hypothesis_mode", "boundedness"))
     except StructuralError as exc:
-        names = [t.get(k) for k in ("f", "g", "phi", "psi", "link", "a", "b", "c", "d")
-                 if t.get(k) is not None]
+        names = [t[key] for key, _ in parts if t.get(key) is not None]
         raise _task_error(sc, exc, names) from None
 
 

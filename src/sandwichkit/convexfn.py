@@ -227,7 +227,7 @@ def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec 
     # duals in convex_weights' row order: the weight row, then one per
     # coordinate; the coordinate multipliers are the slope of a supporting
     # minorant at x
-    sub = tuple(res.dual[1 + c] for c in range(f.dim))
+    sub = res.dual_slice(1, 1 + f.dim)
     return res.value, sub
 
 

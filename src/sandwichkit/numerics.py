@@ -19,13 +19,16 @@ artificial variable a' = s a.  No dense Fraction row is made on the way;
 a program's rational view is made from its rows only when it is read.  The
 tableau is T = D B^-1 M' for that integer system M', its basis B and one
 common denominator D = |det B| (Edmonds 1967; Bareiss 1968), so a pivot is
-one pass per row ending in an exact integer division, with no gcd.  Each
-certificate is re-checked in integer arithmetic over common denominators.
+one pass per row ending in an exact integer division, with no gcd.  The
+kernel hands back integer images over one denominator each: the point or ray
+as X / D, and the multipliers as y_i / s_i = Z_i / E.  Each certificate is
+re-checked on those integers, and `LpResult` makes its Fraction tuples from
+them only when they are read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -295,23 +298,125 @@ class LinearProgram:
                 f"sense={self.sense!r}, constraints={constraints!r}, bounds={bounds!r})")
 
 
-@dataclass(frozen=True)
+# an LpResult field whose Fraction tuple is not made from its image yet
+_UNMADE = object()
+
+
+def _ratios(nums: list[int], den: int) -> tuple:
+    """X / D for the image (X, D) of a point or ray."""
+    return tuple([Fraction(x, den) for x in nums])
+
+
+def _scaled(rows, nums: list[int], den: int) -> tuple:
+    """The multipliers y_i = Z_i s_i / E of the image (Z, E) over rows."""
+    return tuple([Fraction(z * row[3], den) for z, row in zip(nums, rows)])
+
+
 class LpResult:
     """Outcome of lp_solve.
 
     status is one of 'optimal', 'infeasible', 'unbounded'.  Exactly one
     certificate field is set: dual (optimal), farkas (infeasible), or ray
-    (unbounded).  Certificate entries are indexed by row in the order
-    "constraints, then bound rows" (for each variable: its lo row if finite,
-    then its hi row if finite).
+    (unbounded); an optimum also has its point.  Certificate entries are
+    indexed by row in the order "constraints, then bound rows" (for each
+    variable: its lo row if finite, then its hi row if finite).
+
+    status and value are made at once.  A result of lp_solve keeps the
+    kernel's integer images, the point or ray as X / D and the multipliers
+    as y_i / s_i = Z_i / E over the rows' scales s_i, and makes each
+    Fraction tuple from them when it is first read; `dual_slice` reads some
+    multipliers without making the rest.  A result is immutable, and
+    compares, hashes and prints by its six fields.
     """
 
-    status: str
-    value: Ext
-    point: tuple | None = None
-    dual: tuple | None = None
-    farkas: tuple | None = None
-    ray: tuple | None = None
+    __slots__ = ("status", "value", "_point", "_dual", "_farkas", "_ray", "_x", "_y", "_rows")
+
+    def __init__(self, status: str, value: Ext, point: tuple | None = None,
+                 dual: tuple | None = None, farkas: tuple | None = None,
+                 ray: tuple | None = None):
+        for name, v in zip(self.__slots__, (status, value, point, dual, farkas, ray,
+                                            None, None, None)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def _of_images(cls, status: str, value: Ext, rows, x=None, y=None) -> "LpResult":
+        """The result whose point (optimal) or ray (unbounded) has the image
+        x = (X, D), and whose dual (optimal) or Farkas vector (infeasible)
+        has the image y = (Z, E) over rows."""
+        res = cls(status, value)
+        put = object.__setattr__
+        if x is not None:
+            put(res, "_point" if status == "optimal" else "_ray", _UNMADE)
+        if y is not None:
+            put(res, "_dual" if status == "optimal" else "_farkas", _UNMADE)
+        put(res, "_x", x)
+        put(res, "_y", y)
+        put(res, "_rows", rows)
+        return res
+
+    def _with_value(self, value: Ext) -> "LpResult":
+        """This result with another value, sharing its images and views."""
+        res = LpResult.__new__(LpResult)
+        for name in self.__slots__:
+            object.__setattr__(res, name, getattr(self, name))
+        object.__setattr__(res, "value", value)
+        return res
+
+    @property
+    def point(self) -> tuple | None:
+        if self._point is _UNMADE:
+            object.__setattr__(self, "_point", _ratios(*self._x))
+        return self._point
+
+    @property
+    def ray(self) -> tuple | None:
+        if self._ray is _UNMADE:
+            object.__setattr__(self, "_ray", _ratios(*self._x))
+        return self._ray
+
+    @property
+    def dual(self) -> tuple | None:
+        if self._dual is _UNMADE:
+            object.__setattr__(self, "_dual", _scaled(self._rows, *self._y))
+        return self._dual
+
+    @property
+    def farkas(self) -> tuple | None:
+        if self._farkas is _UNMADE:
+            object.__setattr__(self, "_farkas", _scaled(self._rows, *self._y))
+        return self._farkas
+
+    def dual_slice(self, start: int, stop: int) -> tuple:
+        """dual[start:stop], made without making the other multipliers."""
+        if self._dual is _UNMADE:
+            z, e = self._y
+            return _scaled(self._rows[start:stop], z[start:stop], e)
+        return self.dual[start:stop]
+
+    def _fields(self) -> tuple:
+        return (self.status, self.value, self.point, self.dual, self.farkas, self.ray)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        status, value, point, dual, farkas, ray = self._fields()
+        return (f"LpResult(status={status!r}, value={value!r}, point={point!r}, "
+                f"dual={dual!r}, farkas={farkas!r}, ray={ray!r})")
+
+    def __reduce__(self):
+        return (LpResult, self._fields())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # The kernel and the certificate checks read each row as integers:
@@ -359,9 +464,10 @@ def _pivot_row(row: list[int], prow: list[int], p: int, col: int, d: int) -> lis
     return [p * x // d for x in row]
 
 
-def _split_back(nums: dict, d: int, pos: list[int], neg: list[int]) -> list[Fraction]:
-    """x_j = x+_j - x-_j from {column: numerator over d}."""
-    return [Fraction(nums.get(p, 0) - nums.get(q, 0), d) for p, q in zip(pos, neg)]
+def _split(nums: dict, pos: list[int], neg: list[int]) -> list[int]:
+    """X_j = X+_j - X-_j from {column: numerator}."""
+    get = nums.get
+    return [get(p, 0) - get(q, 0) for p, q in zip(pos, neg)]
 
 
 class _Unbounded(Exception):
@@ -378,11 +484,12 @@ def _solve_rows(rows, obj, minimize, n):
     returned certificates is the final reduced cost at that column.  Every
     other variable is split x = x+ - x-; one slack per inequality row; one
     artificial per row.  Returns one of
-      ("optimal", point, duals_per_row)
-      ("infeasible", farkas_per_row)
-      ("unbounded", ray)
-    with everything expressed over the original n variables / len(rows) rows,
-    as Fractions.
+      ("optimal", (X, D), (Z, E))
+      ("infeasible", (Z, E))
+      ("unbounded", (X, D))
+    over the original n variables and len(rows) rows, as integer images: the
+    point or ray is X / D, and row i's multiplier y_i has y_i / s_i = Z_i / E,
+    with D and E positive.
     """
     m = len(rows)
     sign = 1 if minimize else -1
@@ -399,6 +506,8 @@ def _solve_rows(rows, obj, minimize, n):
                 is_bound[i] = True
     gen = [i for i in range(m) if not is_bound[i]]
     mt = len(gen)
+    # the multipliers' denominators carry the folded rows' scales
+    big_lb = math.lcm(*[rows[i][3] for i in bound_row.values()])
 
     pos = [0] * n
     neg = [-1] * n
@@ -510,14 +619,16 @@ def _solve_rows(rows, obj, minimize, n):
 
     # the ratio test keeps every right-hand side nonnegative
     if any(tab[r][ncol] > 0 for r in range(len(tab)) if basis[r] >= ns):
-        # y_t = 1 - (reduced cost of a_t) = 1 - rc1[a'_t] s_t / (L D)
-        ld = big_l * d
-        farkas = [0] * m
+        # y_t = 1 - (reduced cost of a_t) = 1 - rc1[a'_t] s_t / (L D), so over
+        # E = L D L_b, with L_b = lcm of the folded rows' scales, a general
+        # row reads flip_t ((L / s_t) D - rc1[a'_t]) L_b, and a folded one
+        # rc1[x_j] (L_b / s_i)
+        z = [0] * m
         for t, i in enumerate(gen):
-            farkas[i] = Fraction(flips[t] * (ld - rc1[ns + t] * scales[t]), ld)
+            z[i] = flips[t] * (big_l // scales[t] * d - rc1[ns + t]) * big_lb
         for j, i in bound_row.items():
-            farkas[i] = Fraction(rc1[pos[j]], ld)
-        return ("infeasible", farkas)
+            z[i] = rc1[pos[j]] * (big_lb // rows[i][3])
+        return ("infeasible", (z, big_l * d * big_lb))
 
     # Clean-up, leaving rc1 (read no more): pivot surviving artificials out;
     # a row with no structural entry left is redundant and dropped (dual 0).
@@ -542,25 +653,28 @@ def _solve_rows(rows, obj, minimize, n):
         nums = {ub.col: d}
         for r, row in enumerate(tab):
             nums[basis[r]] = -row[ub.col]
-        return ("unbounded", _split_back(nums, d, pos, neg))
+        return ("unbounded", (_split(nums, pos, neg), d))
 
-    point = _split_back({basis[r]: row[ncol] for r, row in enumerate(tab)}, d, pos, neg)
-    # Duals are -sign flips_t rc2[a'_t] s_t / (s D); a dropped (redundant)
+    point = _split({basis[r]: row[ncol] for r, row in enumerate(tab)}, pos, neg)
+    # Duals are -sign flips_t rc2[a'_t] s_t / (s D) and, for a folded row,
+    # sign rc2[x_j] / (s D); over E = s D L_b they read -sign flips_t
+    # rc2[a'_t] L_b and sign rc2[x_j] (L_b / s_i).  A dropped (redundant)
     # row's artificial column stays zero, so its dual reads back 0.
-    sd = s * d
-    duals = [0] * m
+    z = [0] * m
     for t, i in enumerate(gen):
-        duals[i] = Fraction(-sign * flips[t] * rc2[ns + t] * scales[t], sd)
+        z[i] = -sign * flips[t] * rc2[ns + t] * big_lb
     for j, i in bound_row.items():
-        duals[i] = Fraction(sign * rc2[pos[j]], sd)
-    return ("optimal", point, duals)
+        z[i] = sign * rc2[pos[j]] * (big_lb // rows[i][3])
+    return ("optimal", (point, d), (z, s * d * big_lb))
 
 
 # Exact certificate checks, on the integer rows and the objective's integer
-# image (C, s).  A point or ray is read as X / D, so row i holds
-# exactly when A_i . X compares with B_i D as the row's relation says.  A
-# multiplier vector y is read as y_i / s_i == Z_i / E, so sum_i y_i a_i is
-# sum_i Z_i A_i / E, y . b is sum_i Z_i B_i / E, and y_i has the sign of Z_i.
+# image (C, s), and on the integer images the kernel returns.  A point or ray
+# is read as X / D, so row i holds exactly when A_i . X compares with B_i D
+# as the row's relation says.  A multiplier vector y is read as
+# y_i / s_i == Z_i / E, so sum_i y_i a_i is sum_i Z_i A_i / E, y . b is
+# sum_i Z_i B_i / E, and y_i has the sign of Z_i.  The public check_*
+# functions take rationals and make these images first.
 
 def _row_holds(dot_a: int, rel: str, rhs: int) -> bool:
     if rel == LE:
@@ -579,9 +693,9 @@ def _feasible(rows, x: list[int], d: int) -> bool:
     return all(_row_holds(_row_dot(a, x), rel, b * d) for a, rel, b, _ in rows)
 
 
-def _ray_ok(rows, obj, minimize: bool, ray) -> bool:
-    """Every row's recession condition holds, and the objective strictly improves."""
-    r, _ = _int_image(ray)
+def _ray_ok(rows, obj, minimize: bool, r: list[int]) -> bool:
+    """Every row's recession condition holds along the ray X = r, and the
+    objective strictly improves."""
     if not all(_row_holds(_row_dot(a, r), rel, 0) for a, rel, _, _ in rows):
         return False
     gain = sum(map(mul, obj[0], r))
@@ -623,11 +737,11 @@ def _signs_ok(rows, z: list[int], minimize: bool) -> bool:
     )
 
 
-def _dual_ok(rows, obj, minimize: bool, y, value) -> bool:
-    """Adjoint equation, sign pattern, and objective match for a dual vector."""
+def _dual_ok(rows, obj, minimize: bool, z: list[int], e: int, value) -> bool:
+    """Adjoint equation, sign pattern, and objective match for the dual
+    vector of image (Z, E)."""
     if not is_finite(value):
         return False
-    z, e = _multipliers(rows, y)
     c, s = obj
     if any(s * x != e * cj for x, cj in zip(_combined(rows, z, len(c)), c)):
         return False
@@ -636,9 +750,9 @@ def _dual_ok(rows, obj, minimize: bool, y, value) -> bool:
     return _rhs_combined(rows, z) * value.denominator == value.numerator * e
 
 
-def _farkas_ok(rows, n: int, y) -> bool:
-    """y combines the rows to 0 = y . b > 0, with the minimization sign pattern."""
-    z, _ = _multipliers(rows, y)
+def _farkas_ok(rows, n: int, z: list[int]) -> bool:
+    """The multipliers of image (Z, E) combine the rows to 0 = y . b > 0,
+    with the minimization sign pattern."""
     if any(_combined(rows, z, n)) or not _signs_ok(rows, z, True):
         return False
     return _rhs_combined(rows, z) > 0
@@ -656,25 +770,27 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     out = _solve_rows(rows, obj, minimize, lp.num_vars)
 
     if out[0] == "infeasible":
-        cert = tuple(out[1])
-        if not _farkas_ok(rows, lp.num_vars, cert):
+        cert = out[1]
+        if not _farkas_ok(rows, lp.num_vars, cert[0]):
             raise RuntimeError("internal: Farkas certificate failed verification")
-        return LpResult("infeasible", POS_INF if minimize else NEG_INF, farkas=cert)
+        return LpResult._of_images("infeasible", POS_INF if minimize else NEG_INF, rows,
+                                   y=cert)
 
     if out[0] == "unbounded":
-        ray = tuple(out[1])
-        if not _ray_ok(rows, obj, minimize, ray):
+        ray = out[1]
+        if not _ray_ok(rows, obj, minimize, ray[0]):
             raise RuntimeError("internal: unbounded direction failed verification")
-        return LpResult("unbounded", NEG_INF if minimize else POS_INF, ray=ray)
+        return LpResult._of_images("unbounded", NEG_INF if minimize else POS_INF, rows,
+                                   x=ray)
 
     _, point, duals = out
-    x, d = _int_image(point)
+    x, d = point
     value = Fraction(sum(map(mul, obj[0], x)), obj[1] * d)
     if not _feasible(rows, x, d):
         raise RuntimeError("internal: optimal point failed feasibility check")
-    if not _dual_ok(rows, obj, minimize, duals, value):
+    if not _dual_ok(rows, obj, minimize, *duals, value):
         raise RuntimeError("internal: dual certificate failed verification")
-    return LpResult("optimal", value, point=tuple(point), dual=tuple(duals))
+    return LpResult._of_images("optimal", value, rows, x=point, y=duals)
 
 
 def _exact_vector(values, length: int, what: str) -> Vec:
@@ -692,19 +808,20 @@ def check_point_feasible(lp: LinearProgram, point) -> bool:
 def check_dual_certificate(lp: LinearProgram, duals, value) -> bool:
     """True iff duals proves the bound `value` for lp (exact arithmetic)."""
     rows, obj = lp._int_form()
-    y = _exact_vector(duals, len(rows), "dual")
-    return _dual_ok(rows, obj, lp.sense == "min", y, parse_scalar(value))
+    z, e = _multipliers(rows, _exact_vector(duals, len(rows), "dual"))
+    return _dual_ok(rows, obj, lp.sense == "min", z, e, parse_scalar(value))
 
 
 def check_farkas_certificate(lp: LinearProgram, cert) -> bool:
     rows, _ = lp._int_form()
-    return _farkas_ok(rows, lp.num_vars, _exact_vector(cert, len(rows), "Farkas vector"))
+    z, _ = _multipliers(rows, _exact_vector(cert, len(rows), "Farkas vector"))
+    return _farkas_ok(rows, lp.num_vars, z)
 
 
 def check_ray_certificate(lp: LinearProgram, ray) -> bool:
     rows, obj = lp._int_form()
-    ray = _exact_vector(ray, lp.num_vars, "ray")
-    return _ray_ok(rows, obj, lp.sense == "min", ray)
+    r, _ = _int_image(_exact_vector(ray, lp.num_vars, "ray"))
+    return _ray_ok(rows, obj, lp.sense == "min", r)
 
 
 def dual_objective(lp: LinearProgram, duals) -> Fraction:
@@ -861,6 +978,6 @@ class LpBuilder:
         res = lp_solve(self.build())
         if self.constant:
             if res.status == "optimal":
-                res = replace(res, value=res.value + self.constant)
+                res = res._with_value(res.value + self.constant)
             # infinite results absorb the constant
         return res

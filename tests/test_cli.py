@@ -127,6 +127,18 @@ class TestExitCodeContract:
         assert "map 'C'" in message
         assert "function 'g'" in message
 
+    def test_task_error_names_only_the_kinds_parts(self, capsys, tmp_path):
+        """Keys the kind does not read are not listed, so no object repeats."""
+        doc = json.loads((CORPUS / "broken.json").read_text())
+        doc["task"].update(phi="g", b="C")
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_INPUT
+        assert out["error"]["message"].endswith(
+            "[objects: function 'f' (dimension 1), function 'g' (dimension 1), "
+            "map 'C' (1 -> 2)]")
+
     def test_missing_file(self, capsys):
         code, doc = run_json(capsys, ["verify", "/no/such/file.json"])
         assert code == EXIT_INPUT

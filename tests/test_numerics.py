@@ -3,6 +3,7 @@ the gcd kernel it replaced."""
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -20,6 +21,7 @@ from sandwichkit.numerics import (
     Constraint,
     LinearProgram,
     LpBuilder,
+    LpResult,
     StructuralError,
     check_dual_certificate,
     check_farkas_certificate,
@@ -663,6 +665,26 @@ def test_certificate_checks_agree_with_the_naive_reference():
                         for v in (True, False)}
 
 
+def lowered(image, _rows):
+    """The image (V, W) of a vector with every entry V_i / W lowered by 1."""
+    nums, den = image
+    return [v - den for v in nums], den
+
+
+def solved_with_corruption(monkeypatch, program, slot, corrupt):
+    """lp_solve(program) with the kernel's output at slot passed through
+    corrupt(image, rows)."""
+    solve = numerics._solve_rows
+
+    def wrong(rows, *args):
+        out = list(solve(rows, *args))
+        out[slot] = corrupt(out[slot], rows)
+        return tuple(out)
+
+    monkeypatch.setattr(numerics, "_solve_rows", wrong)
+    return lp_solve(program)
+
+
 @pytest.mark.parametrize(
     "program, slot, message",
     [
@@ -675,17 +697,28 @@ def test_certificate_checks_agree_with_the_naive_reference():
     ],
 )
 def test_lp_solve_refuses_a_corrupted_result(monkeypatch, program, slot, message):
-    """Each of lp_solve's four re-checks stops a wrong kernel result."""
-    solve = numerics._solve_rows
-
-    def wrong(*args):
-        out = list(solve(*args))
-        out[slot] = [v - 1 for v in out[slot]]
-        return tuple(out)
-
-    monkeypatch.setattr(numerics, "_solve_rows", wrong)
+    """Each of lp_solve's four re-checks stops a wrong kernel result: a point,
+    a ray, or multipliers (Z, E) moved off the truth."""
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        lp_solve(program)
+        solved_with_corruption(monkeypatch, program, slot, lowered)
+
+
+def test_lp_solve_refuses_a_folded_multiplier_of_the_wrong_sign(monkeypatch):
+    """The x_0 >= 0 row folded into its column gets its multiplier from a
+    reduced cost, not from a tableau row; a sign flipped there is caught."""
+    # min x over 0 <= x <= 5: the folded row x >= 0 carries the dual 1
+    program = lp(1, [1], "min", [([1], LE, 5)], ((F(0), None),))
+
+    def flipped(image, rows):
+        nums, den = list(image[0]), image[1]
+        i = rows.index(({0: 1}, GE, 0, 1))
+        assert nums[i], "the folded row's multiplier must be nonzero to be flipped"
+        nums[i] = -nums[i]
+        return nums, den
+
+    assert lp_solve(program).dual == (F(0), F(1))
+    with pytest.raises(RuntimeError, match="dual certificate failed verification"):
+        solved_with_corruption(monkeypatch, program, 2, flipped)
 
 
 # The reference for the Bareiss kernel: the gcd kernel it replaced, step for
@@ -880,6 +913,28 @@ def ref_solve_rows(rows, obj, minimize, n):
     return ("optimal", point, duals)
 
 
+def ref_image(values) -> tuple[list[int], int]:
+    """(V, W) with values == V / W and one W > 0."""
+    den = math.lcm(*[F(v).denominator for v in values])
+    return [(v * den).numerator for v in values], den
+
+
+def ref_solve_images(rows, obj, minimize, n):
+    """`ref_solve_rows` in `numerics._solve_rows`' return contract: the point or
+    ray as (X, D) with x = X / D, and the multipliers y as (Z, E) with
+    y_i / s_i = Z_i / E."""
+    status, *parts = ref_solve_rows(rows, obj, minimize, n)
+
+    def multipliers(y):
+        return ref_image([F(yi) / s for yi, (_, _, _, s) in zip(y, rows)])
+
+    if status == "optimal":
+        return (status, ref_image(parts[0]), multipliers(parts[1]))
+    if status == "infeasible":
+        return (status, multipliers(parts[0]))
+    return (status, ref_image(parts[0]))
+
+
 def test_bareiss_kernel_matches_the_gcd_kernel():
     """Point, duals, Farkas vector, ray, status and value are equal to the
     gcd kernel's on small programs with equality, <= and >= rows, bound
@@ -912,7 +967,7 @@ def test_bareiss_kernel_matches_the_gcd_kernel():
                rows, bounds)
 
         got = lp_solve(p)
-        with mock.patch.object(numerics, "_solve_rows", ref_solve_rows):
+        with mock.patch.object(numerics, "_solve_rows", ref_solve_images):
             want = lp_solve(p)
         # LpResult equality compares status, value, point, duals, Farkas
         # vector and ray
@@ -924,3 +979,129 @@ def test_bareiss_kernel_matches_the_gcd_kernel():
     check()
     assert seen == {"status": {"optimal", "infeasible", "unbounded"},
                     "rel": {LE, GE, EQ}, "bounds": True}, seen
+
+
+def eager_result(status, value, rows, out) -> LpResult:
+    """The LpResult of a kernel output, with its Fraction tuples made at once."""
+    def ratios(image):
+        nums, den = image
+        return tuple(F(x, den) for x in nums)
+
+    def multipliers(image):
+        nums, den = image
+        return tuple(F(z * s, den) for z, (_, _, _, s) in zip(nums, rows))
+
+    if status == "optimal":
+        return LpResult(status, value, point=ratios(out[1]), dual=multipliers(out[2]))
+    if status == "infeasible":
+        return LpResult(status, value, farkas=multipliers(out[1]))
+    return LpResult(status, value, ray=ratios(out[1]))
+
+
+def solved_with_kernel_output(monkeypatch, programs):
+    """(program, result, kernel rows, kernel output) for each program."""
+    seen = []
+    solve = numerics._solve_rows
+
+    def recording(rows, *args):
+        out = solve(rows, *args)
+        seen.append((rows, out))
+        return out
+
+    monkeypatch.setattr(numerics, "_solve_rows", recording)
+    out = []
+    for p in programs:
+        r = lp_solve(p)
+        out.append((p, r, *seen.pop()))
+    return out
+
+
+def test_lazy_views_equal_the_eagerly_made_tuples(monkeypatch):
+    """point, dual, farkas and ray, made from the kernel's integer images when
+    first read, equal the tuples made from the same images at once; so do
+    equality, hashing, repr and pickling, and both results are immutable."""
+    rng = random.Random(20261019)
+    statuses = set()
+    programs = [corner_program(rng) for _ in range(150)]
+    for p, r, rows, out in solved_with_kernel_output(monkeypatch, programs):
+        statuses.add(r.status)
+        eager = eager_result(r.status, r.value, rows, out)
+        assert (r.point, r.dual, r.farkas, r.ray) == (
+            eager.point, eager.dual, eager.farkas, eager.ray)
+        assert all(type(v) is F for part in (r.point, r.dual, r.farkas, r.ray)
+                   if part is not None for v in part)
+        assert r == eager and hash(r) == hash(eager) and repr(r) == repr(eager)
+        assert pickle.loads(pickle.dumps(r)) == r
+        again = lp_solve(p)
+        assert again == r and hash(again) == hash(r)
+        for res in (r, again):
+            for name in ("status", "value", "point", "dual", "farkas", "ray"):
+                with pytest.raises(AttributeError):
+                    setattr(res, name, None)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_dual_slice_agrees_with_dual(monkeypatch):
+    """Every slice read before dual is made, and after, is that slice of dual."""
+    rng = random.Random(20261020)
+    programs = [corner_program(rng) for _ in range(100)]
+    checked = 0
+    for p, r, rows, out in solved_with_kernel_output(monkeypatch, programs):
+        if r.status != "optimal":
+            continue
+        m = len(rows)
+        for start in range(m + 1):
+            for stop in range(start, m + 1):
+                fresh = LpResult._of_images(r.status, r.value, rows, x=out[1], y=out[2])
+                assert fresh.dual_slice(start, stop) == r.dual[start:stop]
+                assert fresh.dual_slice(start, stop) == fresh.dual[start:stop]
+                checked += 1
+    assert checked > 100
+
+
+def test_integer_images_of_the_same_rows_give_the_same_result():
+    """Rows scaled by positive integers, folded x_j >= 0 rows among them (so
+    that the multipliers' denominator carries the folded rows' scales), give
+    the result of the rows as built."""
+    rng = random.Random(20261021)
+    folded = 0
+    for _ in range(150):
+        p = corner_program(rng)
+        rows, obj = p._int_form()
+        scaled = []
+        for a, rel, b, s in rows:
+            k = rng.randint(1, 4)
+            scaled.append(({j: k * x for j, x in a.items()}, rel, k * b, k * s))
+            folded += rel == GE and not b and len(a) == 1 and k > 1
+        q = LinearProgram._assembled(p.num_vars, p.sense, scaled, len(p.constraints), obj)
+        assert lp_solve(q) == lp_solve(p)
+    assert folded
+
+
+def test_builder_constant_leaves_the_solved_result_untouched(monkeypatch):
+    """solve() adds its constant on a new result: the one lp_solve returned
+    keeps its value and still passes the public checks, as a caller that
+    keeps it (such as a tracer) reads it."""
+    solved = []
+    solve = numerics.lp_solve
+
+    def recording(program):
+        res = solve(program)
+        solved.append((program, res))
+        return res
+
+    monkeypatch.setattr(numerics, "lp_solve", recording)
+    b = LpBuilder("max")
+    x = b.var(lo=0)
+    y = b.var(lo=0, hi=2)
+    b.add({x: 1, y: 1}, LE, 4)
+    b.set_objective({x: 2, y: 3}, constant=F(1, 2))
+    res = b.solve()
+    ((program, inner),) = solved
+    assert res is not inner
+    assert (res.value, res.point) == (F(21, 2), (F(2), F(2)))
+    assert res.dual_slice(0, 1) == res.dual[:1]
+    assert inner.value == 10
+    assert (inner.point, inner.dual) == (res.point, res.dual)
+    assert check_point_feasible(program, inner.point)
+    assert check_dual_certificate(program, inner.dual, inner.value)
