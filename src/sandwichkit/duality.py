@@ -394,12 +394,52 @@ def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
     )
 
 
+def _product_flag(s: DualityScenario) -> bool:
+    """The flag of s's mode for a two-function kind (fenchel with g in
+    sample form, bibivariate, partial_infconv), decided over f's and g's
+    samples apart, never over the product psi = f + g of
+    `scenario_to_trivariate`.
+
+    The product sends a pair of samples to the sum F'_i + G'_j of their
+    stacked (B, A) images: for the bibivariate kinds F'_i =
+    (-C w_i, w_i, v_i) and G'_j = (x_j, 0, D u_j), for fenchel
+    F'_i = (-C p_i, p_i) and G'_j = (q_j, 0).  Each image is lifted by one
+    coordinate after B's, +1 for f and -1 for g.  Convex weights over the
+    lifted images that keep the lift at 0 put 1/2 on each factor, so that
+    slice of their hull is 1/2 (conv F' + conv G'), half the hull of the
+    product's images.  The boundedness test of the product at the base
+    key (w_i, v_i + D u_j), in product order, is then `_interior` of the
+    lifted images at (0, 0, key / 2); each target is a midpoint of two
+    lifted images, in the hull.  For fenchel the fiber through a sample p
+    of f fixes p, so P = dom g - C p and the test is C p in int dom g,
+    over g's samples alone.  Under closed_subspace the lifted B-parts
+    (B, +-1) span a subspace exactly when the product's B images do: their
+    cone cut to lift 0 is the cone of the sums, and the negative of a
+    lifted image is a sum's negative plus an image of the other factor.
+    """
+    w, x, n = s.c_map.in_dim, s.c_map.out_dim, len(s.f.samples)
+    if s.kind == "fenchel" and s.hypothesis_mode == "boundedness":
+        g_points = [q for q, _ in s.g.samples]
+        return any(_interior(g_points, s.c_map(p), x)
+                   for p in dict.fromkeys(p for p, _ in s.f.samples))
+    d_map = AffineMap.identity(0) if s.d_map is None else s.d_map
+    zero = (Fraction(0),) * w
+    points = ([vec_neg(s.c_map(p[:w])) + (Fraction(1),) + p for p, _ in s.f.samples]
+              + [q[:x] + (Fraction(-1),) + zero + d_map(q[x:]) for q, _ in s.g.samples])
+    if s.hypothesis_mode == "closed_subspace":
+        return cone_union_is_subspace([p[:x + 1] for p in points])[0]
+    origin = (Fraction(0),) * (x + 1)
+    halves = dict.fromkeys(tuple((a + b) / 2 for a, b in zip(fp[x + 1:], gp[x + 1:]))
+                           for fp in points[:n] for gp in points[n:])
+    return any(_interior(points, origin + half, x) for half in halves)
+
+
 def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualityScenario]):
     """(hypothesis flags, notes) of a scenario, h_proper the last flag.
 
     first_lhs is the value of the first query's sup LP, which the caller has
-    solved, and tri is `scenario_to_trivariate(s)` for the kinds that read
-    it (trivariate, quadrivariate, bibivariate, partial_infconv), else None.
+    solved, and tri is `scenario_to_trivariate(s)` for the one-function
+    kinds (sublevel, trivariate, quadrivariate), else None.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -433,11 +473,10 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
     infimum, where the condition is 0 in int P, P the image under B of
     dom psi cut to the fiber, which no level or value changes.  So the flag
     is the value-free `interiority._interior`, one test per base point.
-    For `fenchel` in sample form, dom psi of the product psi(p, x) =
-    f(p) + g(x) is dom f x dom g, and the fiber through a sample p of f
-    fixes p, so P = dom g - C p: the test is C p in int dom g, over g's
-    samples alone, and the closed_subspace flag reads the product's B
-    images q - C p without building the product.
+
+    The two-function kinds read the product psi = f + g of
+    `scenario_to_trivariate` through the factors, never building it (see
+    `_product_flag`).
     """
     notes: list = []
     flags: dict = {}
@@ -469,28 +508,18 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
             flags["closed_subspace"] = ok
             notes.append("queries are continuous in finite dimension")
         notes.append("the w-space is a full vector space by construction")
-    elif s.kind == "fenchel":
-        f, g, link = s.f, s.g, s.c_map
-        if g.form == H_FORM:
-            flags[s.hypothesis_mode] = True
-            notes.append("piece-form upper function is finite everywhere")
-        else:
-            points = [q for q, _ in g.samples]
-            bases = [link(p) for p in dict.fromkeys(p for p, _ in f.samples)]
-            if s.hypothesis_mode == "boundedness":
-                flags["boundedness"] = any(_interior(points, cp, g.dim) for cp in bases)
-            else:
-                ok, _ = cone_union_is_subspace(
-                    [tuple(a - b for a, b in zip(q, cp)) for cp in bases for q in points])
-                flags["closed_subspace"] = ok
-                notes.append("queries are continuous in finite dimension")
-            notes.append("sample-form functions are closed by construction")
+    elif s.kind == "fenchel" and s.g.form == H_FORM:
+        flags[s.hypothesis_mode] = True
+        notes.append("piece-form upper function is finite everywhere")
     else:
-        if s.hypothesis_mode == "boundedness":
+        if tri is None:
+            flags[s.hypothesis_mode] = _product_flag(s)
+        elif s.hypothesis_mode == "boundedness":
             flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
         else:
             ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
             flags["closed_subspace"] = ok
+        if s.hypothesis_mode == "closed_subspace":
             notes.append("queries are continuous in finite dimension")
         notes.append("sample-form functions are closed by construction")
     flags["h_proper"] = first_lhs != NEG_INF
@@ -629,8 +658,10 @@ def verify(s: DualityScenario) -> list:
     first query's left side.  Each report carries the query's program and
     both LPs' weights as its certificate, for `oracle.crosscheck_scenario`.
     """
-    # the trivariate rewrite, for the kinds whose programs or flags read it
-    tri = None if s.kind in ("fenchel", "indicator_linear") else scenario_to_trivariate(s)
+    # the trivariate rewrite, for the one-function kinds, whose programs and
+    # flags read its maps; no kind builds a product
+    tri = scenario_to_trivariate(s) if s.kind in ("sublevel", "trivariate",
+                                                  "quadrivariate") else None
     # a query listed twice is solved once and reported twice
     by_query = {}
     for query in s.queries:

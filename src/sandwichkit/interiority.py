@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 from .convexfn import PolyhedralFunction, V_FORM, evaluate
 from .geometry import (
     AffineMap,
-    Polytope,
     Subspace,
     cone_union_is_subspace,
     polytope_contains,
@@ -176,10 +175,15 @@ def _interior(points: Sequence[Vec], target: Vec, k: int) -> bool:
 
     For k >= 1 that is a positive reach along every +-e_i: target + r e_i and
     target - r e_i both in the slice put their midpoint, target, in it too,
-    so no separate membership LP is needed.  For k = 0 it is membership.
+    so no separate membership LP is needed.  For k = 0 it is membership
+    alone, and the caller's target must lie in the hull, so it holds with
+    no LP.  Every caller's does: a stacked sample image, a sample of g, the
+    empty point, the target of a solved fiber LP, or a midpoint
+    1/2 (F'_i + G'_j) of two lifted factor images, with lift 0 (see
+    duality._product_flag).
     """
     if k == 0:
-        return polytope_contains(Polytope(len(target), tuple(points)), target)
+        return True
     return _direction_reach(points, target, _basis_directions(Subspace.full(k))) > 0
 
 

@@ -1,6 +1,7 @@
 """Tests for two-sided conjugation identities across all scenario kinds."""
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -491,7 +492,42 @@ class TestIndicatorLinear:
         assert seen == {True, False}
 
 
+def touching_partial_infconv(n: int) -> DualityScenario:
+    """Two functions of n samples on (x, v) = (2, 1) whose x-parts meet only
+    at 0: f's lie in [0, 9]^2 and g's in [-9, 0]^2, each with one sample at
+    x = 0.  The boundedness flag is false, so every base point is tested."""
+    rng = random.Random(3)
+    queries = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2)]
+
+    def draw(sign):
+        samples = [((0, 0, rng.randint(-9, 9)), rng.randint(0, 30))]
+        samples += [((sign * rng.randint(0, 9), sign * rng.randint(0, 9), rng.randint(-9, 9)),
+                     rng.randint(0, 30)) for _ in range(n - 1)]
+        return PolyhedralFunction.v_form(3, samples)
+
+    return DualityScenario.partial_infconv(draw(1), draw(-1), 2, queries)
+
+
 class TestProductConstructions:
+    def test_touching_family_scales_with_the_factors(self, monkeypatch):
+        # 40 x 40 product samples: one weight per product sample made this
+        # about 10 s; weights per factor take about 1 s
+        solved = []
+        lp_solve = numerics.lp_solve
+
+        def counted(lp):
+            solved.append(lp)
+            return lp_solve(lp)
+
+        monkeypatch.setattr(numerics, "lp_solve", counted)
+        s = touching_partial_infconv(40)
+        start = time.perf_counter()
+        reports = verify(s)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3, f"{elapsed:.1f}s exceeds 3s"
+        assert len(solved) == 566
+        assert reports[0].hypothesis_flags == {"boundedness": False, "h_proper": True}
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kind", ["quadrivariate", "bibivariate", "partial_infconv"])
     def test_verify_rewrites_the_scenario_once(self, monkeypatch, kind, mode):
@@ -505,18 +541,24 @@ class TestProductConstructions:
         monkeypatch.setattr(duality, "quad_fiber_maps", counted)
         s = random_crosscheck_scenario(random.Random(f"rewrite:{kind}"), kind, n_queries=3)
         verify(dataclasses.replace(s, hypothesis_mode=mode))
-        assert len(calls) == 1
+        # the two-function kinds read their factors, never the rewrite
+        assert len(calls) == (kind == "quadrivariate")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_verify_builds_no_fenchel_product(self, monkeypatch, mode):
         def refuse(*args):
-            raise AssertionError("fenchel flags built the product")
+            raise AssertionError("verify built a product")
 
-        monkeypatch.setattr(duality, "product_function", refuse)
-        monkeypatch.setattr(duality, "fenchel_to_trivariate", refuse)
+        for name in ("product_function", "fenchel_to_trivariate",
+                     "bibivariate_to_quadrivariate"):
+            monkeypatch.setattr(duality, name, refuse)
         rng = random.Random(f"no product:{mode}")
         for draw in (free_pair, random_violating_fenchel,
-                     lambda rng: random_crosscheck_scenario(rng, "fenchel")):
+                     lambda rng: random_crosscheck_scenario(rng, "fenchel"),
+                     lambda rng: random_crosscheck_scenario(rng, "bibivariate"),
+                     lambda rng: random_crosscheck_scenario(rng, "partial_infconv"),
+                     random_bibivariate_scenario,
+                     lambda rng: random_bibivariate_scenario(rng, partial=True)):
             s = dataclasses.replace(draw(rng), hypothesis_mode=mode)
             assert s.g.form != H_FORM
             assert mode in verify(s)[0].hypothesis_flags

@@ -10,8 +10,12 @@ Each flag has a longer definition that spends more LPs:
   gamma;
 * the boundedness condition may be tested at any level above the fiber's
   infimum, where it is 0 in int P with no level or value in it; the
-  package tests that interior, with no fiber LP and no value row, and for
-  `fenchel` over g's samples alone rather than the product f + g.
+  package tests that interior, with no fiber LP and no value row;
+* for the two-function kinds the longer definition runs over the product
+  psi = f + g of `scenario_to_trivariate`, one sample per pair; the
+  package never builds it, and decides both flags over f's and g's
+  samples apart, lifted by +-1 in one more coordinate held at 0 (for
+  `fenchel`'s boundedness, over g's samples alone).
 
 The longer definitions are the references here.  hypothesis draws the
 point sets, derandomised so every run sees the same draws; the test is
@@ -211,6 +215,31 @@ def flag_by_delta_sweep(s) -> bool:
                for p in dict.fromkeys(p for p, _ in psi.samples))
 
 
+PRODUCT_KINDS = ("fenchel", "bibivariate", "partial_infconv")
+
+
+def asymmetric_product(rng: random.Random, kind: str) -> DualityScenario:
+    """A two-function scenario whose factors are drawn apart: blocks of 1-2
+    coordinates, 1-5 samples each with coordinates in [-3, 3] and values in
+    [0, 5], and maps with an offset half the time."""
+    def draw_f(dim):
+        return PolyhedralFunction.v_form(dim, [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(0, 5))
+            for _ in range(rng.randint(1, 5))])
+
+    def draw_map(in_dim, out_dim):
+        return random_affine_map(rng, in_dim, out_dim, with_offset=rng.random() < 0.5)
+
+    u, v, w, x = (rng.randint(1, 2) for _ in range(4))
+    if kind == "fenchel":
+        return DualityScenario.fenchel(draw_f(w), draw_f(x), draw_map(w, x), [(0,) * w])
+    if kind == "partial_infconv":
+        return DualityScenario.partial_infconv(draw_f(x + v), draw_f(x + v), x,
+                                               [(0,) * (x + v)])
+    return DualityScenario.bibivariate(draw_f(w + v), draw_f(x + u), draw_map(w, x),
+                                       draw_map(u, v), [(0,) * (w + v)])
+
+
 FLAG_DRAWS = {
     **{kind: functools.partial(random_crosscheck_scenario, kind=kind)
        for kind in KINDS if kind != "sublevel"},
@@ -240,6 +269,21 @@ def test_flags_match_the_delta_sweep(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_factored_flags_match_the_product(mode):
+    # more draws than above, each kind's factors drawn apart with offset
+    # maps, so that a wrong offset, lift or scale of the targets shows
+    seen = set()
+    for kind in PRODUCT_KINDS:
+        rng = random.Random(f"factored:{kind}:{mode}")
+        for _ in range(60):
+            s = dataclasses.replace(asymmetric_product(rng, kind), hypothesis_mode=mode)
+            got = verify(s)[0].hypothesis_flags[mode]
+            assert got == flag_by_delta_sweep(s), s
+            seen.add((kind, got))
+    assert seen == {(kind, ok) for kind in PRODUCT_KINDS for ok in (True, False)}
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_zero_dimensional_direction_spaces_hold(mode):
     rng = random.Random(f"zero dimensional:{mode}")
     for _ in range(8):
@@ -251,6 +295,12 @@ def test_zero_dimensional_direction_spaces_hold(mode):
         a_map = random_affine_map(rng, psi.dim, rng.randint(0, 2))
         trivariate = DualityScenario.trivariate(
             psi, a_map, AffineMap.zero_map(psi.dim), [(0,) * a_map.out_dim], mode)
-        for s in (fenchel, trivariate):
+        # x = 0: C maps into a zero-dimensional space, so each lifted
+        # target, a midpoint of two lifted images, is tested with no LP
+        u, v, w = (rng.randint(1, 2) for _ in range(3))
+        bibivariate = DualityScenario.bibivariate(
+            random_vform(rng, w + v), random_vform(rng, u), random_affine_map(rng, w, 0),
+            random_affine_map(rng, u, v), [(0,) * (w + v)], mode)
+        for s in (fenchel, trivariate, bibivariate):
             assert verify(s)[0].hypothesis_flags[mode] is True
             assert flag_by_delta_sweep(s) is True
