@@ -46,7 +46,7 @@ from .convexfn import (
 )
 from .geometry import (
     AffineMap,
-    cone_union_is_subspace,
+    cone_is_subspace,
     embed,
     solve_linear,
     vec_neg,
@@ -427,7 +427,7 @@ def _product_flag(s: DualityScenario) -> bool:
     points = ([vec_neg(s.c_map(p[:w])) + (Fraction(1),) + p for p, _ in s.f.samples]
               + [q[:x] + (Fraction(-1),) + zero + d_map(q[x:]) for q, _ in s.g.samples])
     if s.hypothesis_mode == "closed_subspace":
-        return cone_union_is_subspace([p[:x + 1] for p in points])[0]
+        return cone_is_subspace([p[:x + 1] for p in points])
     origin = (Fraction(0),) * (x + 1)
     halves = dict.fromkeys(tuple((a + b) / 2 for a, b in zip(fp[x + 1:], gp[x + 1:]))
                            for fp in points[:n] for gp in points[n:])
@@ -484,7 +484,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
         gamma = s.gamma
         if gamma is None:
             gamma = Fraction(1) if first_lhs == NEG_INF else 1 - first_lhs
-        ok, _ = cone_union_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
+        ok = cone_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
         flags["subspace"] = ok
         flags["interiority"] = ok and -first_lhs < gamma
         notes.append(f"interiority tested at level {gamma}")
@@ -503,9 +503,8 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
                 for q in dict.fromkeys(points) if solve_linear(s.c_map.linear, q[:x]) is not None
             )
         else:
-            ok, _ = cone_union_is_subspace([q[:x] for q, _ in s.g.samples],
-                                           lineality=s.c_map.columns())
-            flags["closed_subspace"] = ok
+            flags["closed_subspace"] = cone_is_subspace([q[:x] for q, _ in s.g.samples],
+                                                        lineality=s.c_map.columns())
             notes.append("queries are continuous in finite dimension")
         notes.append("the w-space is a full vector space by construction")
     elif s.kind == "fenchel" and s.g.form == H_FORM:
@@ -517,8 +516,8 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
         elif s.hypothesis_mode == "boundedness":
             flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
         else:
-            ok, _ = cone_union_is_subspace([tri.b_map(p) for p, _ in tri.psi.samples])
-            flags["closed_subspace"] = ok
+            flags["closed_subspace"] = cone_is_subspace(
+                [tri.b_map(p) for p, _ in tri.psi.samples])
         if s.hypothesis_mode == "closed_subspace":
             notes.append("queries are continuous in finite dimension")
         notes.append("sample-form functions are closed by construction")

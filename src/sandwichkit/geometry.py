@@ -263,9 +263,8 @@ def _in_cone(points: Sequence[Vec], target: Vec, dim: int,
     return b.solve().status == "optimal"
 
 
-def cone_union_is_subspace(points: Sequence[Sequence],
-                           lineality: Sequence[Sequence] = ()) -> tuple[bool, Subspace | None]:
-    """Decide whether the union over t > 0 of t * (conv(points) + L) is a subspace.
+def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> bool:
+    """Whether the union over t > 0 of t * (conv(points) + L) is a subspace.
 
     L is the span of the lineality directions (empty by default).  The
     union is cone(points) + L, and it is a subspace exactly when
@@ -276,13 +275,10 @@ def cone_union_is_subspace(points: Sequence[Sequence],
       is c_j^-1 (sum over i != j of c_i p_i) plus a point of L, and
       dividing by sum c_i puts 0 in conv(points) + L;
     * conversely, if every -p_j lies in cone(points) + L, so does their sum.
-
-    The subspace is then span(points and lineality).  Returns (False, None)
-    otherwise.
     """
     pts = [vec(p) for p in points]
     if not pts:
-        raise StructuralError("cone_union_is_subspace needs at least one point")
+        raise StructuralError("cone_is_subspace needs at least one point")
     dim = len(pts[0])
     lin = [vec(d) for d in lineality]
     for p in list(pts) + lin:
@@ -291,9 +287,17 @@ def cone_union_is_subspace(points: Sequence[Sequence],
     # rays are a set: a duplicate only widens the LP
     pts = list(dict.fromkeys(pts))
     total = tuple(sum(col, start=Fraction(0)) for col in zip(*pts))
-    if not _in_cone(pts, vec_neg(total), dim, lin):
+    return _in_cone(pts, vec_neg(total), dim, lin)
+
+
+def cone_union_is_subspace(points: Sequence[Sequence],
+                           lineality: Sequence[Sequence] = ()) -> tuple[bool, Subspace | None]:
+    """(True, span(points and lineality)) when `cone_is_subspace` holds,
+    else (False, None)."""
+    if not cone_is_subspace(points, lineality):
         return False, None
-    return True, Subspace.from_spanning(pts + lin, dim)
+    pts = list(dict.fromkeys(vec(p) for p in points))
+    return True, Subspace.from_spanning(pts + [vec(d) for d in lineality], len(pts[0]))
 
 
 def vec_neg(a: Sequence) -> Vec:

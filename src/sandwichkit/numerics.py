@@ -8,22 +8,26 @@ re-verified in exact arithmetic before the caller sees it.  Strict
 inequalities never enter a program; callers express strictness by level
 shifts.
 
-The solver is a two-phase dense simplex with Bland's rule, which keeps it
-deterministic and cycle-free.  Variables are free unless bounded; bounds are
-folded into explicit rows so dual certificates cover them uniformly.  The
-arithmetic between building a program and returning its result is on
-integers: `LpBuilder` builds each row once, where it is assembled, as the
-integer numerators of its nonzero entries over a positive scale s (a bound
-row holds one entry), and the row enters the tableau times s, with its
-artificial variable a' = s a.  No dense Fraction row is made on the way;
-a program's rational view is made from its rows only when it is read.  The
-tableau is T = D B^-1 M' for that integer system M', its basis B and one
-common denominator D = |det B| (Edmonds 1967; Bareiss 1968), so a pivot is
-one pass per row ending in an exact integer division, with no gcd.  The
-kernel hands back integer images over one denominator each: the point or ray
-as X / D, and the multipliers as y_i / s_i = Z_i / E.  Each certificate is
-re-checked on those integers, and `LpResult` makes its Fraction tuples from
-them only when they are read.
+The solver is a two-phase dense simplex.  It prices by Dantzig's rule (the
+most negative reduced cost, smallest index on ties) and finishes a phase by
+Bland's rule once it has made 50 degenerate pivots, so it is deterministic
+and cannot cycle.  Where an optimum is not unique, the point and multipliers
+returned are the ones this rule reaches from the all-artificial basis: a
+function of the program and its row order, not of earlier calls.  Variables
+are free unless bounded; bounds are folded into explicit rows so dual
+certificates cover them uniformly.  The arithmetic between building a program
+and returning its result is on integers: `LpBuilder` builds each row once,
+where it is assembled, as the integer numerators of its nonzero entries over
+a positive scale s (a bound row holds one entry), and the row enters the
+tableau times s, with its artificial variable a' = s a.  No dense Fraction
+row is made on the way; a program's rational view is made from its rows only
+when it is read.  The tableau is T = D B^-1 M' for that integer system M',
+its basis B and one common denominator D = |det B| (Edmonds 1967; Bareiss
+1968), so a pivot is one pass per row ending in an exact integer division,
+with no gcd.  The kernel hands back integer images over one denominator each:
+the point or ray as X / D, and the multipliers as y_i / s_i = Z_i / E.  Each
+certificate is re-checked on those integers, and `LpResult` makes its
+Fraction tuples from them only when they are read.
 """
 from __future__ import annotations
 
@@ -450,9 +454,13 @@ def _row_image(coeffs: Mapping[int, Fraction], rel: str, rhs: Fraction) -> tuple
 # Then T = D B^-1 M' for that integer system M' and its basis B, D = |det B|,
 # and each basic column reads D in its own row.  A pivot on p = T[r][c] keeps
 # row r, replaces every other row i, the cost row included, by
-# (p T[i] - T[i][c] T[r]) / D, an exact division, and sets D to p.  Positive
-# row and column scalings change no sign that Bland's rule or the ratio test
-# reads, so the pivots are those of the rational rows themselves.
+# (p T[i] - T[i][c] T[r]) / D, an exact division, and sets D to p.  Row t's
+# slack enters with +-s_t, so it is the rational row's own slack, and a real
+# column's reduced cost (x+-, slacks) is the rational program's times the one
+# positive factor D s (D L in phase 1): Dantzig's rule picks the same column
+# on both.  The artificial a' = s a is scaled apart, so artificials are
+# chosen by Bland's rule, which, like the ratio test, reads signs only.  So
+# the pivots are those of the rational rows themselves.
 
 def _pivot_row(row: list[int], prow: list[int], p: int, col: int, d: int) -> list[int]:
     """row after the pivot on p = prow[col], over the denominator d before it."""
@@ -468,6 +476,11 @@ def _split(nums: dict, pos: list[int], neg: list[int]) -> list[int]:
     """X_j = X+_j - X-_j from {column: numerator}."""
     get = nums.get
     return [get(p, 0) - get(q, 0) for p, q in zip(pos, neg)]
+
+
+#: degenerate pivots a phase makes under Dantzig's rule before it falls back
+#: to Bland's rule
+_DEGENERATE_PIVOTS = 50
 
 
 class _Unbounded(Exception):
@@ -590,22 +603,32 @@ def _solve_rows(rows, obj, minimize, n):
         return leave
 
     def run(rc, enter_limit):
-        # Bland's rule: smallest improving column, smallest basis index on ties.
-        iterations = 0
+        # Dantzig's rule over the real columns (index < ns): the most negative
+        # reduced cost, the smallest index on ties.  An artificial (phase 1
+        # only) enters only when no real column prices negative, by Bland's
+        # rule.  After _DEGENERATE_PIVOTS pivots on a zero right-hand side
+        # the phase finishes under Bland's rule alone, which cannot cycle.
+        iterations = degenerate = 0
         while True:
             iterations += 1
             if iterations > 200000:
                 raise RuntimeError("simplex iteration cap exceeded (internal bug)")
-            enter = -1
-            for j in range(enter_limit):
-                if rc[j] < 0:
-                    enter = j
-                    break
+            enter, first = -1, 0
+            if degenerate < _DEGENERATE_PIVOTS:
+                low = min(rc[:ns], default=0)
+                enter, first = (rc.index(low) if low < 0 else -1), ns
             if enter < 0:
-                return
+                for j in range(first, enter_limit):
+                    if rc[j] < 0:
+                        enter = j
+                        break
+                else:
+                    return
             leave = leaving(enter)
             if leave < 0:
                 raise _Unbounded(enter)
+            if not tab[leave][ncol]:
+                degenerate += 1
             pivot(leave, enter, rc)
 
     # Phase 1: drive the artificial variables to zero, minimizing

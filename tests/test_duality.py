@@ -14,7 +14,7 @@ from sandwichkit.geometry import (
     solve_linear,
     vec_neg,
 )
-from sandwichkit import duality, numerics
+from sandwichkit import duality, geometry, numerics
 from sandwichkit.interiority import SublevelQuery, boundedness_condition, boundedness_over_samples
 from sandwichkit.duality import (
     KINDS,
@@ -562,6 +562,22 @@ class TestProductConstructions:
             s = dataclasses.replace(draw(rng), hypothesis_mode=mode)
             assert s.g.form != H_FORM
             assert mode in verify(s)[0].hypothesis_flags
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_flags_build_no_span(self, monkeypatch, mode):
+        """Every subspace flag is the one cone LP of `cone_is_subspace`:
+        verify builds no span for any kind."""
+        def refuse(*args):
+            raise AssertionError("verify built a span")
+
+        monkeypatch.setattr(geometry.Subspace, "from_spanning", refuse)
+        rng = random.Random(f"no span:{mode}")
+        for kind in KINDS:
+            for _ in range(4):
+                s = random_crosscheck_scenario(rng, kind)
+                if kind != "sublevel":
+                    s = dataclasses.replace(s, hypothesis_mode=mode)
+                assert verify(s)[0].hypothesis_flags
 
     def test_product_adds_marginal_values(self):
         rng = random.Random(601)

@@ -2,6 +2,7 @@
 the gcd kernel it replaced."""
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 import random
@@ -226,7 +227,10 @@ def test_zero_variable_program():
 
 
 def test_degenerate_cycling_guard():
-    # A classically degenerate program; Bland's rule must terminate.
+    # Beale's program, the classic one on which the textbook largest-
+    # coefficient rule cycles.  From the all-artificial basis it solves here
+    # in 5 pivots, short of the fallback to Bland's rule;
+    # test_degenerate_phase_finishes_under_blands_rule reaches the fallback.
     p = lp(
         4,
         [F(-3, 4), 150, F(-1, 50), 6],
@@ -722,7 +726,8 @@ def test_lp_solve_refuses_a_folded_multiplier_of_the_wrong_sign(monkeypatch):
 
 
 # The reference for the Bareiss kernel: the gcd kernel it replaced, step for
-# step, with its names prefixed and its comments and iteration cap left out.
+# step and with the same pivot rule, with its names prefixed and its
+# comments and iteration cap left out.
 # Each tableau row holds its own positive denominator last and is divided by
 # its gcd after every pivot; the rational rows, and so every pivot, point and
 # certificate, are the same.
@@ -762,8 +767,13 @@ class RefUnbounded(Exception):
         self.col = col
 
 
-def ref_solve_rows(rows, obj, minimize, n):
-    """`numerics._solve_rows` as it was with one denominator per row."""
+def ref_solve_rows(rows, obj, minimize, n, degenerate_limit=50):
+    """`numerics._solve_rows` as it was with one denominator per row.
+
+    It prices the real columns (x+-, slacks) by Dantzig's rule, the smallest
+    index on ties, and the artificials by Bland's rule only when no real
+    column prices negative; after degenerate_limit pivots on a zero
+    right-hand side, a phase finishes under Bland's rule alone."""
     # `_solve_rows` takes each row's nonzero entries as {column: numerator};
     # this kernel reads the dense rows it was written for
     rows = [([a.get(j, 0) for j in range(n)], rel, b, s) for a, rel, b, s in rows]
@@ -859,13 +869,21 @@ def ref_solve_rows(rows, obj, minimize, n):
         return leave
 
     def run(rc, enter_limit):
+        degenerate = 0
         while True:
-            enter = next((j for j in range(enter_limit) if rc[j] < 0), -1)
+            dantzig = degenerate < degenerate_limit
+            improving = [j for j in range(ns) if rc[j] < 0]
+            if dantzig and improving:
+                enter = min(improving, key=lambda j: (rc[j], j))
+            else:
+                first = ns if dantzig else 0
+                enter = next((j for j in range(first, enter_limit) if rc[j] < 0), -1)
             if enter < 0:
                 return
             leave = leaving(enter)
             if leave < 0:
                 raise RefUnbounded(enter)
+            degenerate += tab[leave][ncol] == 0
             pivot(rc, leave, enter)
 
     rc1 = reduced_costs([0] * ns + [1] * mt + [0, 1])
@@ -919,11 +937,11 @@ def ref_image(values) -> tuple[list[int], int]:
     return [(v * den).numerator for v in values], den
 
 
-def ref_solve_images(rows, obj, minimize, n):
+def ref_solve_images(rows, obj, minimize, n, degenerate_limit=50):
     """`ref_solve_rows` in `numerics._solve_rows`' return contract: the point or
     ray as (X, D) with x = X / D, and the multipliers y as (Z, E) with
     y_i / s_i = Z_i / E."""
-    status, *parts = ref_solve_rows(rows, obj, minimize, n)
+    status, *parts = ref_solve_rows(rows, obj, minimize, n, degenerate_limit)
 
     def multipliers(y):
         return ref_image([F(yi) / s for yi, (_, _, _, s) in zip(y, rows)])
@@ -979,6 +997,27 @@ def test_bareiss_kernel_matches_the_gcd_kernel():
     check()
     assert seen == {"status": {"optimal", "infeasible", "unbounded"},
                     "rel": {LE, GE, EQ}, "bounds": True}, seen
+
+
+def test_degenerate_phase_finishes_under_blands_rule():
+    """60 homogeneous rows a . x <= 0 over 6 variables: every pivot is
+    degenerate, and phase 1 makes more than 50 of them, so it finishes under
+    Bland's rule.  The kernel's result is exactly the reference kernel's,
+    and the reference without the fallback returns another dual, so the
+    fallback decides this result."""
+    rng = random.Random(4)
+    n = 6
+    rows = [([rng.randint(-3, 3) for _ in range(n)], LE, 0) for _ in range(60)]
+    p = lp(n, [rng.randint(-3, 3) for _ in range(n)], rng.choice(["min", "max"]), rows)
+    got = lp_solve(p)
+    with mock.patch.object(numerics, "_solve_rows", ref_solve_images):
+        want = lp_solve(p)
+    without = functools.partial(ref_solve_images, degenerate_limit=math.inf)
+    with mock.patch.object(numerics, "_solve_rows", without):
+        unguarded = lp_solve(p)
+    assert got == want
+    assert (got.status, got.value) == (unguarded.status, unguarded.value) == ("optimal", 0)
+    assert got.dual != unguarded.dual
 
 
 def eager_result(status, value, rows, out) -> LpResult:
