@@ -51,7 +51,7 @@ from .geometry import (
     solve_linear,
     vec_neg,
 )
-from .interiority import _interior, boundedness_over_samples
+from .interiority import _interior, boundedness_over_samples, sublevel_level
 from .numerics import (
     NEG_INF,
     POS_INF,
@@ -97,6 +97,10 @@ class DualityScenario:
 
     Use the per-kind constructors; they validate shapes and fill the layout
     fields.  dims is the (u, v, w, x) block-size tuple where applicable.
+    The one-function kinds (sublevel, trivariate, quadrivariate) hold psi
+    and the fiber maps A and B of the trivariate form in a_map and b_map:
+    sublevel's A is the zero map, and quadrivariate's pair is
+    `quad_fiber_maps` of its couplings.
     """
 
     kind: str
@@ -127,7 +131,7 @@ class DualityScenario:
 
         The query space is zero-dimensional; gamma is the level used by the
         interiority flag.  When omitted it stays None, and `verify` picks
-        one above the fiber infimum (1 when the fiber misses the domain).
+        `interiority.sublevel_level`'s automatic level.
         """
         if phi.form != V_FORM:
             raise StructuralError("sublevel scenarios need a sample-form function")
@@ -137,7 +141,8 @@ class DualityScenario:
             kind="sublevel",
             queries=(AffineFunctional((), Fraction(0)),),
             hypothesis_mode=hypothesis_mode,
-            psi=phi, b_map=b_map, gamma=None if gamma is None else frac(gamma),
+            psi=phi, a_map=AffineMap.zero_map(phi.dim), b_map=b_map,
+            gamma=None if gamma is None else frac(gamma),
         )
 
     @staticmethod
@@ -191,9 +196,10 @@ class DualityScenario:
         if d_map.in_dim != u or d_map.out_dim != v:
             raise StructuralError("second coupling must map the u-block to the v-block")
         qs = tuple(as_query(q, w + v) for q in queries)
+        a_map, b_map = quad_fiber_maps(c_map, d_map, dims)
         return DualityScenario(
             kind="quadrivariate", queries=qs, hypothesis_mode=hypothesis_mode,
-            psi=psi, c_map=c_map, d_map=d_map, dims=(u, v, w, x),
+            psi=psi, a_map=a_map, b_map=b_map, c_map=c_map, d_map=d_map, dims=(u, v, w, x),
         )
 
     @staticmethod
@@ -366,32 +372,22 @@ def quad_fiber_maps(c_map: AffineMap, d_map: AffineMap, dims: Sequence):
     return a_map, b_map
 
 
-def quadrivariate_to_trivariate(s: DualityScenario) -> DualityScenario:
-    if s.kind != "quadrivariate":
-        raise PreconditionError("expected a quadrivariate scenario")
-    a_map, b_map = quad_fiber_maps(s.c_map, s.d_map, s.dims)
-    return DualityScenario.trivariate(s.psi, a_map, b_map, s.queries, s.hypothesis_mode)
-
-
 def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
-    """Rewrite any compact-data scenario as a trivariate one, exactly."""
-    if s.kind == "trivariate":
-        return s
-    if s.kind == "sublevel":
-        return DualityScenario.trivariate(
-            s.psi, AffineMap.zero_map(s.psi.dim), s.b_map, s.queries,
-            s.hypothesis_mode,
+    """Rewrite any compact-data scenario as a trivariate one, exactly: the
+    one-function kinds read their stored (psi, A, B), the two-function kinds
+    build the product psi = f + g first."""
+    if s.kind == "indicator_linear":
+        raise PreconditionError(
+            "indicator scenarios quantify over a full vector space and have no "
+            "compact trivariate rewrite"
         )
     if s.kind == "fenchel":
         return fenchel_to_trivariate(s)
-    if s.kind == "quadrivariate":
-        return quadrivariate_to_trivariate(s)
     if s.kind in ("bibivariate", "partial_infconv"):
-        return quadrivariate_to_trivariate(bibivariate_to_quadrivariate(s))
-    raise PreconditionError(
-        "indicator scenarios quantify over a full vector space and have no "
-        "compact trivariate rewrite"
-    )
+        s = bibivariate_to_quadrivariate(s)
+    if s.kind == "trivariate":
+        return s
+    return DualityScenario.trivariate(s.psi, s.a_map, s.b_map, s.queries, s.hypothesis_mode)
 
 
 def _product_flag(s: DualityScenario) -> bool:
@@ -434,12 +430,12 @@ def _product_flag(s: DualityScenario) -> bool:
     return any(_interior(points, origin + half, x) for half in halves)
 
 
-def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualityScenario]):
+def _scenario_flags(s: DualityScenario, first_lhs: Ext):
     """(hypothesis flags, notes) of a scenario, h_proper the last flag.
 
     first_lhs is the value of the first query's sup LP, which the caller has
-    solved, and tri is `scenario_to_trivariate(s)` for the one-function
-    kinds (sublevel, trivariate, quadrivariate), else None.
+    solved.  The one-function kinds (sublevel, trivariate, quadrivariate)
+    read psi and the stored fiber maps A and B.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -459,7 +455,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
 
     The sublevel flags need no further LP.  The sole sublevel query is 0,
     so first_lhs is -m, with m the infimum of psi over B's zero fiber; with
-    no gamma the level is m + 1, or 1 when the fiber misses dom psi.
+    no gamma the level is `interiority.sublevel_level` of m.
     Under `subspace`, the cone of B's sample images is a subspace Y, so 0
     is a strictly positive combination of the images and lies in the
     relative interior of their hull within Y.  Mixing the fiber minimiser
@@ -481,9 +477,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
     notes: list = []
     flags: dict = {}
     if s.kind == "sublevel":
-        gamma = s.gamma
-        if gamma is None:
-            gamma = Fraction(1) if first_lhs == NEG_INF else 1 - first_lhs
+        gamma = sublevel_level(s.gamma, ext_neg(first_lhs))
         ok = cone_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
         flags["subspace"] = ok
         flags["interiority"] = ok and -first_lhs < gamma
@@ -511,13 +505,12 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext, tri: Optional[DualitySce
         flags[s.hypothesis_mode] = True
         notes.append("piece-form upper function is finite everywhere")
     else:
-        if tri is None:
+        if s.psi is None:
             flags[s.hypothesis_mode] = _product_flag(s)
         elif s.hypothesis_mode == "boundedness":
-            flags["boundedness"] = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
+            flags["boundedness"] = boundedness_over_samples(s.psi, s.a_map, s.b_map)
         else:
-            flags["closed_subspace"] = cone_is_subspace(
-                [tri.b_map(p) for p, _ in tri.psi.samples])
+            flags["closed_subspace"] = cone_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
         if s.hypothesis_mode == "closed_subspace":
             notes.append("queries are continuous in finite dimension")
         notes.append("sample-form functions are closed by construction")
@@ -587,23 +580,19 @@ class Certificate:
     dual_weights: tuple
 
 
-def query_program(s: DualityScenario, query: AffineFunctional,
-                  tri: Optional[DualityScenario] = None) -> QueryProgram:
+def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
     """The one statement of both sides of a query, for every kind.
 
-    tri, when given, is `scenario_to_trivariate(s)`, built by the caller.
+    The one-function kinds read psi and the fiber maps the scenario stores.
     """
     if s.kind in ("trivariate", "sublevel", "quadrivariate"):
-        if tri is None:
-            tri = scenario_to_trivariate(s)
-        a_map, b_map = tri.a_map, tri.b_map
         # sup q(Az) - psi(z) over Bz = 0; min over x* of psi*(A^T q + B^T x*)
         return QueryProgram(
-            objective=query.compose(a_map),
+            objective=query.compose(s.a_map),
             terms=((s.psi, AffineMap.identity(s.psi.dim)),),
-            fibers=(b_map,),
-            groups=(_max_group(b_map.out_dim, (
-                (b_map(z), query(a_map(z)) - v) for z, v in s.psi.samples)),),
+            fibers=(s.b_map,),
+            groups=(_max_group(s.b_map.out_dim, (
+                (s.b_map(z), query(s.a_map(z)) - v) for z, v in s.psi.samples)),),
         )
     if s.kind == "fenchel":
         # min over x* of f*(q - x* after C) + g*(x*)
@@ -656,17 +645,15 @@ def verify(s: DualityScenario) -> list:
     of `QueryProgram.dual`), before the flags, which read h_proper off the
     first query's left side.  Each report carries the query's program and
     both LPs' weights as its certificate, for `oracle.crosscheck_scenario`.
+    No rewritten scenario and no product is built: programs and flags read
+    the scenario's own fields.
     """
-    # the trivariate rewrite, for the one-function kinds, whose programs and
-    # flags read its maps; no kind builds a product
-    tri = scenario_to_trivariate(s) if s.kind in ("sublevel", "trivariate",
-                                                  "quadrivariate") else None
     # a query listed twice is solved once and reported twice
     by_query = {}
     for query in s.queries:
         if query in by_query:
             continue
-        p = query_program(s, query, tri)
+        p = query_program(s, query)
         sup = sup_affine_minus_convex(p.objective, p.terms, p.fibers)
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
@@ -675,7 +662,7 @@ def verify(s: DualityScenario) -> list:
     solved = [(query, *by_query[query]) for query in s.queries]
     # every query's sup LP has the same feasible set, which is dom h's
     _, _, first_sup, _ = solved[0]
-    flags, notes = _scenario_flags(s, first_sup.value, tri)
+    flags, notes = _scenario_flags(s, first_sup.value)
     reports = []
     for query, p, sup, dual in solved:
         lhs, rhs, wit = sup.value, ext_neg(dual.value), dual.argmax

@@ -54,8 +54,8 @@ class SublevelQuery:
 
     @staticmethod
     def build(phi: PolyhedralFunction, b_map: AffineMap, gamma=None) -> "SublevelQuery":
-        """The query at level gamma; None picks one above the fiber infimum
-        (1 when the fiber misses the domain).  Solves the zero-fiber LP once."""
+        """The query at level gamma; None picks `sublevel_level`'s automatic
+        level.  Solves the zero-fiber LP once."""
         if phi.form != V_FORM:
             raise StructuralError("sublevel queries need a sample-form function")
         if b_map.in_dim != phi.dim:
@@ -63,10 +63,17 @@ class SublevelQuery:
         images = tuple(b_map(p) for p, _ in phi.samples)
         m, weights = _fiber_lp([v for _, v in phi.samples], images,
                                (Fraction(0),) * b_map.out_dim)
-        if gamma is None:
-            gamma = Fraction(1) if m == POS_INF else m + 1
         ok, span = cone_union_is_subspace(images)
-        return SublevelQuery(phi, b_map, frac(gamma), ok, span, images, m, weights)
+        return SublevelQuery(phi, b_map, frac(sublevel_level(gamma, m)), ok, span,
+                             images, m, weights)
+
+
+def sublevel_level(gamma, fiber_value: Ext):
+    """gamma, or when it is None the automatic level: one above the fiber
+    infimum fiber_value, or 1 when the fiber misses the domain (+inf)."""
+    if gamma is not None:
+        return gamma
+    return Fraction(1) if fiber_value == POS_INF else fiber_value + 1
 
 
 @dataclass(frozen=True)

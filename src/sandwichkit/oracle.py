@@ -5,8 +5,11 @@ one of two ways, and each record names which one decided it.
 
 Both sides of a query are sups of one shape: the left side is the
 `QueryProgram`'s, and the right side is minus the sup of
-`QueryProgram.dual`.  So every check below is made once, for a sup, and
-applied to both sides.
+`QueryProgram.dual`.  So every check below is a check of a sup, written
+once: `_objective_at` values a sup's objective at a point, and
+`_ray_improves` checks an improving ray.  The pair check applies the first
+to both sides.  The witness or ray check of the enumeration path covers
+the right side only, since no ray of the left side reaches the report yet.
 
 * By certificate.  `verify` keeps, on each report, the `QueryProgram` it
   solved and the two LPs' points: the maximizer z with each sample-form
@@ -315,65 +318,6 @@ def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> 
     return OracleResult(value, True, None if x is None else x[:d])
 
 
-def _largest_piece(f: PolyhedralFunction, y: Vec) -> Fraction:
-    return max(c + dot(a, y) for a, c in f.pieces)
-
-
-def dual_objective_value(groups, constant: Fraction, xstar: Sequence) -> Ext:
-    """Evaluate a dual objective at a covector, by arithmetic.
-
-    Each group is a piece-form `PolyhedralFunction`, contributing its
-    largest piece at x*, or a `LowerHull`, contributing its envelope.
-    """
-    x = vec(xstar)
-    total = constant
-    for f in groups:
-        if not isinstance(f, LowerHull):
-            total += _largest_piece(f, x)
-            continue
-        part = f(x)
-        if part == POS_INF:
-            return POS_INF
-        total += part
-    return total
-
-
-def _ray_drops(groups, constraint, ray: Vec) -> bool:
-    """Whether the dual objective falls without bound along the ray.
-
-    A max group's asymptotic slope is its largest slope; an envelope
-    group has a compact domain, so no ray escapes it downward.
-    """
-    if any(dot(a, ray) for a, _ in constraint):
-        return False
-    slope = Fraction(0)
-    for f in groups:
-        if isinstance(f, LowerHull):
-            return False
-        slope += max(dot(ray, beta) for beta, _ in f.pieces)
-    return slope < 0
-
-
-def _witness_check(groups, constant, constraint, report) -> tuple:
-    """(ok, notes): the LP's dual certificate, re-checked by arithmetic.
-
-    A finite right side must be reproduced at the witness, and -inf must
-    fall along the reported ray; +inf has no certificate to re-check.
-    """
-    rhs = report.rhs
-    if rhs == POS_INF:
-        return True, ()
-    if rhs == NEG_INF:
-        ray = report.unbounded_direction
-        ok = ray is not None and _ray_drops(groups, constraint, ray)
-        return ok, ("unbounded dual checked along the reported ray",)
-    if report.witness is None:
-        return False, ("finite dual value without a witness",)
-    value = dual_objective_value(groups, constant, report.witness)
-    ok = value == rhs and all(dot(a, report.witness) == r for a, r in constraint)
-    return ok, ()
-
-
 def _weighted_value(weights, samples: Sequence, target: Vec) -> Optional[Fraction]:
     """The weights' combination of the sample values, when they are convex
     weights over the sample points whose combination is target; else None."""
@@ -389,45 +333,73 @@ def _weighted_value(weights, samples: Sequence, target: Vec) -> Optional[Fractio
     return dot(ws, [v for _, (_, v) in used])
 
 
-def _lower_bound(objective: AffineFunctional, terms, fibers, z, weights) -> Optional[Fraction]:
-    """A lower bound on the sup of objective(z) - sum_k f_k(M_k z) over the
-    fibers, read off a point and its weights; None when a check fails.
+def _objective_at(objective: AffineFunctional, terms, fibers, z,
+                  weights=None) -> Optional[Fraction]:
+    """The objective of the sup of objective(z) - sum_k f_k(M_k z) over the
+    fibers, valued at the point z by arithmetic; None when z is None, off a
+    fiber, or a term cannot be valued there.
 
-    z must lie on every fiber, and each sample-form term's weights must be
-    convex weights combining to M_k z.  The bound is the objective at z
-    minus each term's weighted sample values (its largest piece at M_k z in
-    piece form): the envelope at M_k z is at most any such weighted value.
+    Each term is valued at M_k z: a piece-form term by its largest piece, a
+    `LowerHull` by its envelope (None off its hull), and a sample-form term
+    by its weights' combination of its sample values, with weights[k]
+    convex weights combining to M_k z.  The envelope is at most any such
+    combination, so the value is a lower bound on the sup in every case.
     """
-    if len(z) != objective.dim or len(weights) != len(terms):
+    if weights is None:
+        weights = (None,) * len(terms)
+    if z is None or len(z) != objective.dim or len(weights) != len(terms):
         return None
     if any(any(b_map(z)) for b_map in fibers):
         return None
-    lower = objective(z)
+    value = objective(z)
     for (f, m), lam in zip(terms, weights):
         image = m(z)
-        part = _largest_piece(f, image) if f.form != V_FORM else _weighted_value(
-            lam, f.samples, image)
-        if part is None:
+        if isinstance(f, LowerHull):
+            part = f(image)
+        elif f.form == V_FORM:
+            part = _weighted_value(lam, f.samples, image)
+        else:
+            part = max(c + dot(a, image) for a, c in f.pieces)
+        if part is None or part == POS_INF:
             return None
-        lower -= part
-    return lower
+        value -= part
+    return value
+
+
+def _ray_improves(objective: AffineFunctional, terms, fibers, ray: Vec) -> bool:
+    """Whether the sup's objective rises without bound along the ray from
+    any point of its domain; False when there is no ray (None).
+
+    The ray must keep every fiber and leave each sample-form term's
+    argument fixed, as its domain is compact.  A piece-form term's
+    asymptotic slope is its largest slope, so the objective's slope minus
+    those slopes must be positive.
+    """
+    if ray is None or any(any(dot(row, ray) for row in b.linear) for b in fibers):
+        return False
+    slope = dot(objective.coeffs, ray)
+    for f, m in terms:
+        step = [dot(row, ray) for row in m.linear]
+        if isinstance(f, LowerHull) or f.form == V_FORM:
+            if any(step):
+                return False
+        else:
+            slope -= max(dot(a, step) for a, _ in f.pieces)
+    return slope > 0
 
 
 def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool:
     """Whether the LP's primal-dual pair proves both sides: L == U == lhs == rhs.
 
-    L is `_lower_bound` of the program at the report's lhs_witness z with
-    cert.term_weights, so L <= sup.  U is minus `_lower_bound` of
+    L is `_objective_at` of the program at the report's lhs_witness z with
+    cert.term_weights, so L <= sup.  U is minus `_objective_at` of
     `p.dual` at its witness x* with cert.dual_weights, so U >= min.  Weak
     duality puts the sup at most the min, so L == U pins both to that
     value.
     """
-    z, xstar = rep.lhs_witness, rep.witness
-    if z is None or xstar is None or rep.lhs != rep.rhs:
-        return False
-    lower = _lower_bound(p.objective, p.terms, p.fibers, z, cert.term_weights)
-    dual_lower = _lower_bound(*p.dual, xstar, cert.dual_weights)
-    return lower is not None and dual_lower is not None and lower == -dual_lower == rep.lhs
+    lower = _objective_at(p.objective, p.terms, p.fibers, rep.lhs_witness, cert.term_weights)
+    dual_lower = _objective_at(*p.dual, rep.witness, cert.dual_weights)
+    return None not in (lower, dual_lower) and lower == -dual_lower == rep.lhs == rep.rhs
 
 
 @dataclass(frozen=True)
@@ -475,7 +447,8 @@ def crosscheck_scenario(
     Every other query is decided by enumeration: both sides of its
     `query_program` are recomputed by `exact_sup`, the right side as minus
     the sup of its `dual`, and compared with the LP's, and the LP's dual
-    witness or ray is re-checked by direct arithmetic.  Both paths give
+    witness or ray is re-checked on that sup by `_objective_at` or
+    `_ray_improves`.  Both paths give
     the same record for a correct report.  reports, when given, are
     verify(s)'s reports, which are then not computed again.  spec is
     accepted for compatibility and ignored.
@@ -498,10 +471,16 @@ def crosscheck_scenario(
             lhs_oracle = exact_sup(p.objective, p.terms, p.fibers)
             phi, terms, fibers = p.dual
             # one hull per sample-form group, shared by every check below
-            groups = [LowerHull(f) if f.form == V_FORM else f for f, _ in terms]
-            rhs_oracle = ext_neg(exact_sup(
-                phi, [(f, m) for f, (_, m) in zip(groups, terms)], fibers).value)
-            witness_ok, notes = _witness_check(groups, p.constant, p.constraint, rep)
+            dual = (phi, [(LowerHull(f) if f.form == V_FORM else f, m) for f, m in terms], fibers)
+            rhs_oracle = ext_neg(exact_sup(*dual).value)
+            witness_ok, notes = True, ()  # +inf has no certificate to re-check
+            if rep.rhs == NEG_INF:
+                witness_ok = _ray_improves(*dual, rep.unbounded_direction)
+                notes = ("unbounded dual checked along the reported ray",)
+            elif rep.rhs != POS_INF:
+                witness_ok = _objective_at(*dual, rep.witness) == -rep.rhs
+                if rep.witness is None:
+                    notes = ("finite dual value without a witness",)
             lhs_ok = lhs_oracle.value == rep.lhs
             rhs_ok = rhs_oracle == rep.rhs
             if not lhs_ok:

@@ -38,7 +38,7 @@ from sandwichkit.numerics import (
     StructuralError,
     dot,
 )
-from sandwichkit.oracle import LowerHull, dual_objective_value
+from sandwichkit.oracle import LowerHull, _objective_at, crosscheck_scenario
 from sandwichkit.randomgen import (
     random_affine_map,
     random_bibivariate_scenario,
@@ -540,28 +540,39 @@ class TestProductConstructions:
 
         monkeypatch.setattr(duality, "quad_fiber_maps", counted)
         s = random_crosscheck_scenario(random.Random(f"rewrite:{kind}"), kind, n_queries=3)
+        # the quadrivariate factory stores its fiber maps; the two-function
+        # kinds read their factors, never the rewrite
+        assert len(calls) == (kind == "quadrivariate")
         verify(dataclasses.replace(s, hypothesis_mode=mode))
-        # the two-function kinds read their factors, never the rewrite
         assert len(calls) == (kind == "quadrivariate")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_verify_builds_no_fenchel_product(self, monkeypatch, mode):
-        def refuse(*args):
-            raise AssertionError("verify built a product")
-
-        for name in ("product_function", "fenchel_to_trivariate",
-                     "bibivariate_to_quadrivariate"):
-            monkeypatch.setattr(duality, name, refuse)
+        """No kind builds a product or a rewritten scenario once it is
+        constructed: neither `verify` nor the oracle's enumeration path,
+        which rebuilds each program by `query_program`."""
         rng = random.Random(f"no product:{mode}")
-        for draw in (free_pair, random_violating_fenchel,
-                     lambda rng: random_crosscheck_scenario(rng, "fenchel"),
-                     lambda rng: random_crosscheck_scenario(rng, "bibivariate"),
-                     lambda rng: random_crosscheck_scenario(rng, "partial_infconv"),
-                     random_bibivariate_scenario,
-                     lambda rng: random_bibivariate_scenario(rng, partial=True)):
-            s = dataclasses.replace(draw(rng), hypothesis_mode=mode)
-            assert s.g.form != H_FORM
-            assert mode in verify(s)[0].hypothesis_flags
+        draws = [free_pair, random_violating_fenchel, random_bibivariate_scenario,
+                 lambda rng: random_bibivariate_scenario(rng, partial=True)]
+        draws += [lambda rng, kind=kind: random_crosscheck_scenario(rng, kind)
+                  for kind in KINDS for _ in range(2)]
+        built = [dataclasses.replace(draw(rng), hypothesis_mode=mode) for draw in draws]
+        assert {s.kind for s in built} == set(KINDS)
+        assert all(s.g is None or s.g.form != H_FORM for s in built)
+
+        def refuse(*args):
+            raise AssertionError("verify built a product or a rewrite")
+
+        for name in ("scenario_to_trivariate", "fenchel_to_trivariate",
+                     "bibivariate_to_quadrivariate", "product_function",
+                     "quad_fiber_maps"):
+            monkeypatch.setattr(duality, name, refuse)
+        for s in built:
+            reports = verify(s)
+            assert s.hypothesis_mode in reports[0].hypothesis_flags or s.kind == "sublevel"
+            bare = [dataclasses.replace(r, certificate=None) for r in reports]
+            records = crosscheck_scenario(s, reports=bare)
+            assert all(r.ok and r.decided_by == "enumeration" for r in records), s
 
     @pytest.mark.parametrize("mode", MODES)
     def test_flags_build_no_span(self, monkeypatch, mode):
@@ -740,8 +751,9 @@ class TestDualSide:
                 assert rep.rhs == rhs, s
                 seen.add(rhs if rhs in (POS_INF, NEG_INF) else "finite")
                 if rep.witness != witness:
-                    groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups]
-                    assert dual_objective_value(groups, p.constant, rep.witness) == rhs
+                    phi, terms, fibers = p.dual
+                    hulls = [(LowerHull(f) if f.form == V_FORM else f, m) for f, m in terms]
+                    assert _objective_at(phi, hulls, fibers, rep.witness) == -rhs
                     assert all(dot(a, rep.witness) == r for a, r in p.constraint)
                 if rep.unbounded_direction != ray:
                     new = rep.unbounded_direction

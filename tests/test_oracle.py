@@ -11,7 +11,6 @@ import pytest
 
 from sandwichkit import cli
 from sandwichkit.convexfn import (
-    V_FORM,
     AffineFunctional,
     PolyhedralFunction,
     evaluate,
@@ -24,12 +23,10 @@ from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, Structural
 from sandwichkit.oracle import (
     CrosscheckReport,
     GridSpec,
-    LowerHull,
     OracleResult,
-    _witness_check,
+    _objective_at,
     crosscheck_scenario,
     double_description,
-    dual_objective_value,
     envelope_value,
     exact_sup,
 )
@@ -352,12 +349,10 @@ class TestDualRecompute:
             rep = verify(s)[0]
             assert rep.rhs == fresh and rep.rhs is not fresh
             assert fresh == POS_INF or rep.unbounded_direction is not None
-            p = query_program(s, rep.query)
-            groups = [LowerHull(f) if f.form == V_FORM else f for f in p.groups]
-            expected = _witness_check(groups, p.constant, p.constraint, rep)
-            assert expected[0], s.kind
+            (expected,) = crosscheck_scenario(s, reports=[rep])
+            assert expected.witness_ok and expected.decided_by == "enumeration", s.kind
             moved = dataclasses.replace(rep, rhs=fresh)
-            assert _witness_check(groups, p.constant, p.constraint, moved) == expected, s.kind
+            assert crosscheck_scenario(s, reports=[moved]) == [expected], s.kind
 
     def test_fenchel_witness_value(self):
         f0 = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
@@ -365,7 +360,7 @@ class TestDualRecompute:
         rep = verify(s)[0]
         p = query_program(s, rep.query)
         assert p.constraint == ()
-        assert dual_objective_value(p.groups, p.constant, rep.witness) == rep.rhs
+        assert -_objective_at(*p.dual, rep.witness) == rep.rhs
 
     def test_box_scan_does_not_beat_lp(self):
         rng = random.Random(706)
@@ -375,7 +370,7 @@ class TestDualRecompute:
                 p = query_program(s, rep.query)
                 for j in range(-4, 5):
                     probe = tuple(w + Fraction(j, 4) for w in rep.witness)
-                    assert dual_objective_value(p.groups, p.constant, probe) >= rep.rhs
+                    assert -_objective_at(*p.dual, probe) >= rep.rhs
 
     def test_unbounded_dual_ray(self):
         psi = abs_three()
@@ -384,6 +379,37 @@ class TestDualRecompute:
         reports = crosscheck_scenario(s, GridSpec(3))
         assert all(r.ok for r in reports)
         assert all(r.rhs_lp == float("-inf") for r in reports)
+
+    def test_unbounded_dual_ray_rejects_bad_rays(self):
+        """witness_ok turns false for a reported ray that breaks a fiber
+        row, one that is flat or rises, and one that moves a sample-form
+        group."""
+        def witness_ok(s, rep, ray):
+            moved = dataclasses.replace(rep, rhs=NEG_INF, unbounded_direction=ray,
+                                        certificate=None)
+            return crosscheck_scenario(s, reports=[moved])[0].witness_ok
+
+        # g's x-parts (x1, x2) keep x2 >= 2, off range(C) = {(t, 0)}: both
+        # sides are -inf, and the dual falls as x2 -> -inf, with x1 held at
+        # the query's w-covector by the constraint row (1, 0)
+        g = PolyhedralFunction.v_form(3, [((x1, x2, 0), 0) for x1 in (-1, 1) for x2 in (2, 3)])
+        s = DualityScenario.indicator_linear(
+            g, AffineMap.from_rows([[1], [0]]), identity(1), [(0, 0)])
+        rep = verify(s)[0]
+        assert rep.rhs == NEG_INF
+        assert witness_ok(s, rep, rep.unbounded_direction)
+        assert witness_ok(s, rep, (0, -1))
+        # x1 - x2 < 0 at every sample, so the dual falls along (1, -1) too,
+        # but off the constraint row
+        assert not witness_ok(s, rep, (1, -1))
+        assert not witness_ok(s, rep, (0, 1))
+        assert not witness_ok(s, rep, (0, 0))
+        # f's samples 1 and 2 give the piece group the slopes -1 and -2
+        # along +1, but the ray leaves the compact domain of g*, the
+        # sample-form group
+        f = PolyhedralFunction.v_form(1, [((1,), 0), ((2,), 0)])
+        s = DualityScenario.fenchel(f, abs_everywhere(), identity(1), [(0,)])
+        assert not witness_ok(s, verify(s)[0], (1,))
 
 
 class TestCrosscheckScenario:
