@@ -516,25 +516,27 @@ def run_interiority(sc: Scenario):
     code = EXIT_PASS
 
     try:
+        # one query for every check; without gamma it is at the automatic
+        # level, which always holds, or raises
         if "gamma" in t:
-            gamma = to_frac(t["gamma"], "task.gamma")
-            q = SublevelQuery.build(phi, b_map, gamma)
+            q = SublevelQuery.build(phi, b_map, to_frac(t["gamma"], "task.gamma"))
             res = interiority_margin(q)
         else:
-            # the automatic level always holds, or raises
-            auto = corollary21_auto(phi, b_map)
-            q, gamma, res = None, auto.gamma, auto.margin
+            q = SublevelQuery.build(phi, b_map)
+            res = corollary21_auto(q).margin
         body["margin"] = {
-            "gamma": encode_scalar(gamma),
+            "gamma": encode_scalar(q.gamma),
             "holds": res.holds,
             "margin": encode_scalar(res.margin),
             "level_used": encode_scalar(res.level_used),
         }
         if not res.holds:
             code = EXIT_HYPOTHESES
-        if q is not None and "delta" in t:
+        if "probes" in t:
+            if "delta" not in t:
+                raise ScenarioError("task.delta", "the covering check needs a level")
             delta = to_frac(t["delta"], "task.delta")
-            raw = t.get("probes", [])
+            raw = t["probes"]
             if not isinstance(raw, list) or not raw:
                 raise ScenarioError("task.probes", "the covering check needs probes")
             probes = [to_vector(p, f"task.probes[{i}]") for i, p in enumerate(raw)]
@@ -823,13 +825,7 @@ def _run_batch(command: str, directory: Path, args) -> tuple:
 
 def _parse_at(text: str) -> Vec:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
-    out = []
-    for i, part in enumerate(parts):
-        try:
-            out.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
-            raise ScenarioError("--at", f"not an exact number: {part!r}") from None
-    return tuple(out)
+    return tuple(to_frac(part, "--at") for part in parts)
 
 
 class _Parser(argparse.ArgumentParser):

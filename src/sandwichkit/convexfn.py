@@ -256,14 +256,16 @@ def sup_affine_minus_convex(
 
     Each fiber row is one equality row on z, ahead of the terms' rows.
     Sample-form terms contribute convex weights matched to M_k z; piece-form
-    terms contribute an epigraph variable bounded below by every piece.  An
-    empty feasible region means every z leaves some term at +inf or off a
-    fiber, so the sup over the effective domain is -inf.
+    terms contribute an epigraph variable bounded below by every piece.  The
+    LP's objective is phi's linear part, and phi's constant is added to an
+    attained value here.  An empty feasible region means every z leaves some
+    term at +inf or off a fiber, so the sup over the effective domain is
+    -inf; an unbounded sup is +inf.
     """
     n = phi.dim
     b = LpBuilder("max")
     zvars = b.block(n)
-    b.set_objective({zvars[j]: phi.coeffs[j] for j in range(n)}, phi.constant)
+    b.set_objective({zvars[j]: phi.coeffs[j] for j in range(n)})
     for m in fibers:
         if m.in_dim != n:
             raise StructuralError("fiber map does not act on the outer variable space")
@@ -308,7 +310,7 @@ def sup_affine_minus_convex(
             weights.append(tuple(res.point[j] for j in block))
         else:
             weights.append(None)
-    return SupResult("attained", res.value, argmax, None, tuple(weights))
+    return SupResult("attained", res.value + phi.constant, argmax, None, tuple(weights))
 
 
 def fenchel_young_gap(f: PolyhedralFunction, z: Sequence, x: Sequence) -> Ext:

@@ -362,13 +362,13 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     return Lemma19aResult(all_ok, tuple(assignments))
 
 
-def corollary21_auto(phi: PolyhedralFunction, b_map: AffineMap) -> Corollary21Result:
-    """Pick the level fiber-infimum + 1, where interiority always holds.
+def corollary21_auto(q: SublevelQuery) -> Corollary21Result:
+    """Decide interiority at the automatic level fiber-infimum + 1, where it
+    always holds; q is built with no gamma, so it is at that level.
 
     Requires a nonempty zero-fiber and the subspace precondition; with both
     in place the margin sweep must succeed, and a failure is a kernel bug.
     """
-    q = SublevelQuery.build(phi, b_map)
     if q.fiber_value == POS_INF:
         raise PreconditionError("the zero-fiber misses the domain; no level works")
     if not q.subspace_ok:

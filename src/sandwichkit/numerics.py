@@ -178,40 +178,26 @@ class Constraint:
 class LinearProgram:
     """min or max of <objective, x> subject to affine rows and optional bounds.
 
-    bounds, when given, holds one (lo, hi) pair per variable with None for
-    an absent side.  Variables are otherwise free.
-
-    The solver and the certificate checks read the program's integer rows
-    (see `_row_image`): the constraints, then one row per finite bound.
-    `LpBuilder` assembles those rows directly, and the rational view
-    (objective, constraints, bounds) is made from them when it is first
-    read.  A program constructed from the rational view gets its integer
-    rows once, from the same builder, when it is first solved or checked.
+    A program is exactly what `LpBuilder.build` assembles, the only way to
+    make one: its integer rows (see `_row_image`), the n_constraints
+    constraints first and then one row per finite bound, and the
+    objective's integer image obj.  The solver and the certificate checks
+    read those rows.  The rational view (objective, constraints, bounds) is
+    made from them when it is first read; bounds, when not None, holds one
+    (lo, hi) pair per variable with None for an absent side.  Variables are
+    otherwise free.
     """
 
     __slots__ = ("num_vars", "sense", "_view", "_rows", "_obj", "_n_constraints")
 
-    def __init__(self, num_vars: int, objective: Vec, sense: str,
-                 constraints: tuple[Constraint, ...],
-                 bounds: tuple[tuple[Fraction | None, Fraction | None], ...] | None = None):
+    def __init__(self, num_vars: int, sense: str, rows: list, n_constraints: int,
+                 obj: tuple[list[int], int]):
         self.num_vars = num_vars
         self.sense = sense
-        self._view = (objective, constraints, bounds)
-        self._rows = self._obj = None
-
-    @classmethod
-    def _assembled(cls, num_vars: int, sense: str, rows: list, n_constraints: int,
-                   obj: tuple[list[int], int]) -> "LinearProgram":
-        """The program of integer rows whose first n_constraints are constraints
-        and the rest bound rows, with the objective's integer image obj."""
-        lp = cls.__new__(cls)
-        lp.num_vars = num_vars
-        lp.sense = sense
-        lp._view = None
-        lp._rows = rows
-        lp._obj = obj
-        lp._n_constraints = n_constraints
-        return lp
+        self._view = None
+        self._rows = rows
+        self._obj = obj
+        self._n_constraints = n_constraints
 
     def _rational(self) -> tuple:
         """(objective, constraints, bounds), made from the integer rows once."""
@@ -245,45 +231,6 @@ class LinearProgram:
     @property
     def bounds(self) -> tuple[tuple[Fraction | None, Fraction | None], ...] | None:
         return self._rational()[2]
-
-    def _int_form(self) -> tuple[list, tuple[list[int], int]]:
-        """(rows, objective image) as the kernel reads them, made once."""
-        if self._rows is None:
-            self.validate()
-            objective, constraints, bounds = self._view
-            b = LpBuilder(self.sense)
-            for lo, hi in bounds or [(None, None)] * self.num_vars:
-                b.var(lo, hi)
-            for c in constraints:
-                b.add(dict(enumerate(c.coeffs)), c.rel, c.rhs)
-            b.set_objective(dict(enumerate(objective)))
-            built = b.build()
-            self._rows, self._obj = built._rows, built._obj
-        return self._rows, self._obj
-
-    def validate(self) -> None:
-        if self._view is None:
-            return  # assembled by LpBuilder, which checks every entry it takes
-        objective, constraints, bounds = self._view
-        if self.num_vars < 0:
-            raise StructuralError("negative variable count")
-        if self.sense not in ("min", "max"):
-            raise StructuralError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if len(objective) != self.num_vars:
-            raise StructuralError(
-                f"objective length {len(objective)} != num_vars {self.num_vars}"
-            )
-        for i, c in enumerate(constraints):
-            if c.rel not in _RELS:
-                raise StructuralError(f"constraint {i}: bad relation {c.rel!r}")
-            if len(c.coeffs) != self.num_vars:
-                raise StructuralError(
-                    f"constraint {i}: width {len(c.coeffs)} != num_vars {self.num_vars}"
-                )
-        if bounds is not None and len(bounds) != self.num_vars:
-            raise StructuralError(
-                f"bounds length {len(bounds)} != num_vars {self.num_vars}"
-            )
 
     def _key(self) -> tuple:
         return (self.num_vars, self.sense, *self._rational())
@@ -356,14 +303,6 @@ class LpResult:
         put(res, "_x", x)
         put(res, "_y", y)
         put(res, "_rows", rows)
-        return res
-
-    def _with_value(self, value: Ext) -> "LpResult":
-        """This result with another value, sharing its images and views."""
-        res = LpResult.__new__(LpResult)
-        for name in self.__slots__:
-            object.__setattr__(res, name, getattr(self, name))
-        object.__setattr__(res, "value", value)
         return res
 
     @property
@@ -788,7 +727,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     verification failure raises RuntimeError (it would mean a kernel bug, not
     a property of the input).
     """
-    rows, obj = lp._int_form()
+    rows, obj = lp._rows, lp._obj
     minimize = lp.sense == "min"
     out = _solve_rows(rows, obj, minimize, lp.num_vars)
 
@@ -824,34 +763,25 @@ def _exact_vector(values, length: int, what: str) -> Vec:
 
 
 def check_point_feasible(lp: LinearProgram, point) -> bool:
-    rows, _ = lp._int_form()
-    return _feasible(rows, *_int_image(_exact_vector(point, lp.num_vars, "point")))
+    return _feasible(lp._rows, *_int_image(_exact_vector(point, lp.num_vars, "point")))
 
 
 def check_dual_certificate(lp: LinearProgram, duals, value) -> bool:
     """True iff duals proves the bound `value` for lp (exact arithmetic)."""
-    rows, obj = lp._int_form()
+    rows = lp._rows
     z, e = _multipliers(rows, _exact_vector(duals, len(rows), "dual"))
-    return _dual_ok(rows, obj, lp.sense == "min", z, e, parse_scalar(value))
+    return _dual_ok(rows, lp._obj, lp.sense == "min", z, e, parse_scalar(value))
 
 
 def check_farkas_certificate(lp: LinearProgram, cert) -> bool:
-    rows, _ = lp._int_form()
+    rows = lp._rows
     z, _ = _multipliers(rows, _exact_vector(cert, len(rows), "Farkas vector"))
     return _farkas_ok(rows, lp.num_vars, z)
 
 
 def check_ray_certificate(lp: LinearProgram, ray) -> bool:
-    rows, obj = lp._int_form()
     r, _ = _int_image(_exact_vector(ray, lp.num_vars, "ray"))
-    return _ray_ok(rows, obj, lp.sense == "min", r)
-
-
-def dual_objective(lp: LinearProgram, duals) -> Fraction:
-    """The bound sum(y_i * b_i) claimed by a dual vector."""
-    rows, _ = lp._int_form()
-    z, e = _multipliers(rows, _exact_vector(duals, len(rows), "dual"))
-    return Fraction(_rhs_combined(rows, z), e)
+    return _ray_ok(lp._rows, lp._obj, lp.sense == "min", r)
 
 
 class PointColumns:
@@ -878,14 +808,16 @@ class PointColumns:
 
 
 class LpBuilder:
-    """Incremental assembly of a LinearProgram from sparse rows.
+    """Incremental assembly of a LinearProgram from sparse rows, the only
+    way to make one.
 
     Variables are created with var()/block() and referenced by index; rows
-    and the objective are sparse {index: coeff} maps.  An affine objective
-    constant can be attached; solve() adds it back onto the optimal value.
-    Each row is stored as the kernel reads it (see `_row_image`) the moment
-    it is added, so build() only collects rows; bound rows are kept apart,
-    in variable order, and follow the constraints.
+    and the linear objective are sparse {index: coeff} maps.  A caller whose
+    objective has a constant adds it to the solved value itself, as
+    `convexfn.sup_affine_minus_convex` does.  Each row is stored as the
+    kernel reads it (see `_row_image`) the moment it is added, so build()
+    only collects rows; bound rows are kept apart, in variable order, and
+    follow the constraints.
     """
 
     def __init__(self, sense: str = "min"):
@@ -896,7 +828,6 @@ class LpBuilder:
         self._rows: list[tuple[dict[int, int], str, int, int]] = []
         self._bound_rows: list[tuple[dict[int, int], str, int, int]] = []
         self._obj: dict[int, Fraction] = {}
-        self.constant = Fraction(0)
 
     @property
     def num_vars(self) -> int:
@@ -981,9 +912,8 @@ class LpBuilder:
             raise StructuralError(f"bad relation {rel!r}")
         self._rows.append(_row_image(self._coeffs(coeffs), rel, frac(rhs)))
 
-    def set_objective(self, coeffs: Mapping[int, object], constant=0) -> None:
+    def set_objective(self, coeffs: Mapping[int, object]) -> None:
         self._obj = {self._index(j): frac(v) for j, v in coeffs.items()}
-        self.constant = frac(constant)
 
     def add_objective_term(self, j: int, coeff) -> None:
         fv = frac(coeff)
@@ -994,13 +924,8 @@ class LpBuilder:
 
     def build(self) -> LinearProgram:
         obj = _int_image([self._obj.get(j, 0) for j in range(self._n)])
-        return LinearProgram._assembled(self._n, self._sense, self._rows + self._bound_rows,
-                                        len(self._rows), obj)
+        return LinearProgram(self._n, self._sense, self._rows + self._bound_rows,
+                             len(self._rows), obj)
 
     def solve(self) -> LpResult:
-        res = lp_solve(self.build())
-        if self.constant:
-            if res.status == "optimal":
-                res = res._with_value(res.value + self.constant)
-            # infinite results absorb the constant
-        return res
+        return lp_solve(self.build())

@@ -380,6 +380,36 @@ class TestCommands:
         assert code == EXIT_PASS
         assert doc["boundedness"]["holds"] is True
 
+    def run_interiority_variant(self, capsys, tmp_path, name, edit):
+        sc = json.loads((CORPUS / name).read_text())
+        edit(sc["task"])
+        path = tmp_path / name
+        path.write_text(json.dumps(sc))
+        return run_json(capsys, ["interiority", str(path)])
+
+    def test_covering_runs_at_the_automatic_level(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "interiority.json", lambda t: t.pop("gamma"))
+        assert code == EXIT_PASS
+        assert doc["margin"]["gamma"] == "1"
+        assert doc["covering"]["ok"] is True
+        # the same assignment as at gamma = 1/2: the covering reads no level
+        assert doc["covering"]["assignments"] == [[["2"], 5]]
+
+    def test_boundedness_with_a_level_needs_no_probes(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "boundedness.json", lambda t: t.update(gamma="1/2"))
+        assert code == EXIT_PASS
+        assert doc["margin"]["gamma"] == "1/2"
+        assert doc["boundedness"]["holds"] is True
+        assert "covering" not in doc
+
+    def test_probes_without_delta_are_an_input_error(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "interiority.json", lambda t: t.pop("delta"))
+        assert code == EXIT_INPUT
+        assert doc["error"]["field"] == "task.delta"
+
     def test_crosscheck_attaches_oracle_runs(self, capsys):
         code, doc = run_json(capsys, [
             "verify", str(CORPUS / "fenchel.json"), "--crosscheck",

@@ -16,7 +16,7 @@ from sandwichkit.convexfn import (
     sup_affine_minus_convex,
 )
 from sandwichkit.geometry import AffineMap
-from sandwichkit.numerics import POS_INF, NEG_INF, StructuralError, dot, frac, vec
+from sandwichkit.numerics import POS_INF, NEG_INF, StructuralError, dot, vec
 
 
 def abs_v() -> PolyhedralFunction:
@@ -234,6 +234,27 @@ class TestSupEngine:
         assert res.status == "attained"
         assert res.value == 8
         assert res.argmax == (Fraction(1), Fraction(2))
+
+    def test_constant_added_to_an_attained_value(self):
+        # max 2x + 3y + 1/2 over the hull of (0, 0), (4, 0), (2, 2), (0, 2),
+        # which is x, y >= 0, y <= 2, x + y <= 4: 21/2 at (2, 2)
+        region = PolyhedralFunction.v_form(
+            2, [((0, 0), 0), ((4, 0), 0), ((2, 2), 0), ((0, 2), 0)])
+        res = sup_affine_minus_convex(
+            AffineFunctional.of((2, 3), "1/2"), [(region, AffineMap.identity(2))])
+        assert (res.status, res.value) == ("attained", Fraction(21, 2))
+        assert res.argmax == (Fraction(2), Fraction(2))
+
+    def test_constant_leaves_an_infinite_sup_infinite(self):
+        ident = AffineMap.identity(1)
+        for c in ("-7/2", 5):
+            res = sup_affine_minus_convex(
+                AffineFunctional.of((1,), c), [(constant_function(1, 0), ident)])
+            assert (res.status, res.value) == ("unbounded", POS_INF)
+            res = sup_affine_minus_convex(
+                AffineFunctional.of((1,), c),
+                [(indicator_of_point((1,)), ident), (indicator_of_point((2,)), ident)])
+            assert (res.status, res.value) == ("empty", NEG_INF)
 
     def test_conjugate_via_sup_matches_relabel(self):
         rng = random.Random(23)

@@ -176,7 +176,7 @@ def ref_dual_lp(groups, trailing=(), constant=F(0), constraint=()):
         for j, (_, value) in enumerate(phi.samples):
             if value:
                 objective[theta[j]] = value
-    b.set_objective(objective, constant)
+    b.set_objective(objective)
     res = b.solve()
     if res.status == "unbounded":
         return NEG_INF, None, tuple(res.ray[j] for j in xs), ()
@@ -184,7 +184,7 @@ def ref_dual_lp(groups, trailing=(), constant=F(0), constraint=()):
         return POS_INF, None, None, ()
     weights = tuple(None if theta is None else tuple(res.point[j] for j in theta)
                     for theta in thetas)
-    return res.value, tuple(res.point[j] for j in xs), None, weights
+    return res.value + constant, tuple(res.point[j] for j in xs), None, weights
 
 
 def dual_side_draws():

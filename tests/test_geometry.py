@@ -16,7 +16,7 @@ from sandwichkit.geometry import (
     rref,
     solve_linear,
 )
-from sandwichkit.numerics import LpBuilder, StructuralError, frac, vec
+from sandwichkit.numerics import LpBuilder, StructuralError, vec
 
 
 def zero_in_hull(points, dim, lineality=()) -> bool:

@@ -1,7 +1,7 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
-No linter runs over the package, so this parses each module with `ast`
-and refuses an import that binds a name the module never reads.
+No linter runs over the package or its tests, so this parses each module
+with `ast` and refuses an import that binds a name the module never reads.
 """
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ from pathlib import Path
 import sandwichkit
 
 MODULES = sorted(Path(sandwichkit.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -30,8 +31,9 @@ def read_names(tree: ast.Module) -> set:
 
 def test_no_unused_imports():
     assert {p.name for p in MODULES} >= {"cli.py", "numerics.py", "oracle.py"}
+    assert {p.name for p in TESTS} >= {"test_imports.py", "test_numerics.py"}
     unused = []
-    for path in MODULES:
+    for path in MODULES + TESTS:
         tree = ast.parse(path.read_text(), str(path))
         read = read_names(tree)
         for name, line in imported_names(tree).items():
@@ -56,10 +58,9 @@ def used_names(node: ast.AST) -> set:
 def test_no_dead_top_level_definitions():
     """Every top-level function or class of the package is used somewhere
     in the package or the tests, outside its own definition."""
-    tests = sorted(Path(__file__).parent.glob("*.py"))
     # (module, top-level statement, names the statement uses)
     statements = []
-    for path in MODULES + tests:
+    for path in MODULES + TESTS:
         for node in ast.parse(path.read_text(), str(path)).body:
             statements.append((path, node, used_names(node)))
     dead = []

@@ -273,7 +273,7 @@ class TestLemma19a:
 
 class TestCorollary21:
     def test_worked_example(self):
-        res = corollary21_auto(abs_on_unit(), AffineMap.identity(1))
+        res = corollary21_auto(SublevelQuery.build(abs_on_unit(), AffineMap.identity(1)))
         assert res.gamma == 1
         assert res.margin.holds and res.margin.margin == Fraction(1, 2)
         assert res.margin.level_used == Fraction(1, 2)
@@ -281,17 +281,17 @@ class TestCorollary21:
     def test_empty_fiber_refused(self):
         phi = PolyhedralFunction.v_form(1, [((1,), 0), ((2,), 0)])
         with pytest.raises(PreconditionError):
-            corollary21_auto(phi, AffineMap.identity(1))
+            corollary21_auto(SublevelQuery.build(phi, AffineMap.identity(1)))
 
     def test_subspace_refused(self):
         phi = PolyhedralFunction.v_form(1, [((0,), 0), ((1,), 0)])
         with pytest.raises(PreconditionError):
-            corollary21_auto(phi, AffineMap.identity(1))
+            corollary21_auto(SublevelQuery.build(phi, AffineMap.identity(1)))
 
     def test_automatic_level_passes_equivalence(self):
         rng = random.Random(504)
         for _ in range(30):
             q = random_sublevel_query(rng)
-            res = corollary21_auto(q.phi, q.b_map)
+            res = corollary21_auto(SublevelQuery.build(q.phi, q.b_map))
             q2 = SublevelQuery.build(q.phi, q.b_map, res.gamma)
             assert theorem20_equivalence(q2).as_tuple() == (True, True, True)

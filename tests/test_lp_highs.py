@@ -20,11 +20,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from scipy.optimize import linprog  # noqa: E402
 
+from test_numerics import lp  # noqa: E402
+
 from sandwichkit.numerics import (  # noqa: E402
     EQ,
     GE,
     LE,
-    Constraint,
     LinearProgram,
     check_dual_certificate,
     check_farkas_certificate,
@@ -68,13 +69,7 @@ def programs(draw) -> LinearProgram:
     if twist != "unbounded" and draw(st.booleans()):
         side = st.one_of(st.none(), scalars)
         bounds = tuple(draw(st.tuples(side, side)) for _ in range(n))
-    return LinearProgram(
-        n,
-        tuple(draw(vector)),
-        draw(st.sampled_from(["min", "max"])),
-        tuple(Constraint(tuple(a), rel, b) for a, rel, b in rows),
-        bounds,
-    )
+    return lp(n, draw(vector), draw(st.sampled_from(["min", "max"])), rows, bounds)
 
 
 def highs(p: LinearProgram) -> tuple[str, float | None]:

@@ -28,7 +28,6 @@ from sandwichkit.numerics import (
     check_farkas_certificate,
     check_point_feasible,
     check_ray_certificate,
-    dual_objective,
     ext_sub,
     format_scalar,
     frac,
@@ -41,13 +40,15 @@ F = Fraction
 
 
 def lp(n, obj, sense, rows, bounds=None):
-    return LinearProgram(
-        n,
-        vec(obj),
-        sense,
-        tuple(Constraint(vec(a), rel, frac(b)) for a, rel, b in rows),
-        bounds,
-    )
+    """The program of dense rational data, assembled by LpBuilder: bounds
+    (or free variables), then the rows, then the objective."""
+    b = LpBuilder(sense)
+    for lo, hi in bounds or [(None, None)] * n:
+        b.var(lo, hi)
+    for a, rel, rhs in rows:
+        b.add(dict(enumerate(a)), rel, rhs)
+    b.set_objective(dict(enumerate(obj)))
+    return b.build()
 
 
 # The naive reference for the kernel's exact certificate checks: one Fraction
@@ -284,7 +285,6 @@ def test_random_programs_certified():
         if r.status == "optimal":
             assert check_point_feasible(p, r.point)
             assert check_dual_certificate(p, r.dual, r.value)
-            assert dual_objective(p, r.dual) == r.value
         elif r.status == "infeasible":
             assert check_farkas_certificate(p, r.farkas)
         else:
@@ -317,11 +317,11 @@ def test_builder():
     x = b.var(lo=0)
     y = b.var(lo=0, hi=2)
     b.add({x: 1, y: 1}, LE, 4)
-    b.set_objective({x: 2, y: 3}, constant=F(1, 2))
+    b.set_objective({x: 2, y: 3})
     r = b.solve()
     assert r.status == "optimal"
-    # max 2x + 3y + 1/2 with x + y <= 4, y <= 2: x = 2, y = 2
-    assert r.value == F(21, 2)
+    # max 2x + 3y with x + y <= 4, y <= 2: x = 2, y = 2
+    assert r.value == 10
     assert r.point == (F(2), F(2))
 
 
@@ -377,12 +377,14 @@ def test_dot_refuses_binary_floats():
 
 
 def test_validation_errors():
+    """The builder refuses an objective or a row wider than its variables,
+    and an unknown sense."""
     with pytest.raises(StructuralError):
-        lp_solve(lp(2, [1], "min", []))
+        lp(1, [1, 2], "min", [])
     with pytest.raises(StructuralError):
-        lp_solve(lp(1, [1], "min", [([1, 2], LE, 0)]))
+        lp(1, [1], "min", [([1, 2], LE, 0)])
     with pytest.raises(StructuralError):
-        lp_solve(lp(1, [1], "best", []))
+        lp(1, [1], "best", [])
 
 
 class TestConvexWeights:
@@ -456,9 +458,9 @@ def test_a_cancelled_coefficient_reaches_the_kernel_as_no_entry(monkeypatch):
 
 
 def test_builder_programs_solve_like_their_rational_data():
-    """Programs from every LpBuilder entry point give the LpResult of the
-    program constructed from the same rational data, which is tracked here
-    apart from the builder: rows from add with each relation, convex
+    """Programs from every LpBuilder entry point solve, and read back the
+    rational data tracked here apart from the builder as their objective,
+    constraints and bounds: rows from add with each relation, convex
     weights over points or their PointColumns with and without extra terms,
     an objective set and then added to, and zero, nonzero, lower and upper
     bounds.  Each kernel row is an integer image of its rational row."""
@@ -529,21 +531,21 @@ def test_builder_programs_solve_like_their_rational_data():
         def dense(row):
             return tuple(F(row.get(j, 0)) for j in range(n))
 
-        hand = LinearProgram(
-            n, dense(objective), sense,
-            tuple(Constraint(dense(row), rel, F(rhs)) for row, rel, rhs in rows),
-            None if all(pair == (None, None) for pair in bounds) else tuple(bounds),
-        )
         built = b.build()
-        assert built == hand and repr(built) == repr(hand)
+        assert built.objective == dense(objective)
+        assert built.constraints == tuple(
+            Constraint(dense(row), rel, F(rhs)) for row, rel, rhs in rows)
+        if all(pair == (None, None) for pair in bounds):
+            assert built.bounds is None
+        else:
+            assert built.bounds == tuple(bounds)
         result = lp_solve(built)
-        assert result == lp_solve(hand)
         expanded = [(dense(row), rel, F(rhs)) for row, rel, rhs in rows]
         for j, (lo, hi) in enumerate(bounds):
             for v, rel in ((lo, GE), (hi, LE)):
                 if v is not None:
                     expanded.append((dense({j: 1}), rel, v))
-        kernel, _ = built._int_form()
+        kernel = built._rows
         assert len(kernel) == len(expanded)
         for (a, rel, rhs, s), (want, want_rel, want_rhs) in zip(kernel, expanded):
             assert s > 0 and rel == want_rel and F(rhs, s) == want_rhs
@@ -1106,41 +1108,12 @@ def test_integer_images_of_the_same_rows_give_the_same_result():
     folded = 0
     for _ in range(150):
         p = corner_program(rng)
-        rows, obj = p._int_form()
+        rows = p._rows
         scaled = []
         for a, rel, b, s in rows:
             k = rng.randint(1, 4)
             scaled.append(({j: k * x for j, x in a.items()}, rel, k * b, k * s))
             folded += rel == GE and not b and len(a) == 1 and k > 1
-        q = LinearProgram._assembled(p.num_vars, p.sense, scaled, len(p.constraints), obj)
+        q = LinearProgram(p.num_vars, p.sense, scaled, len(p.constraints), p._obj)
         assert lp_solve(q) == lp_solve(p)
     assert folded
-
-
-def test_builder_constant_leaves_the_solved_result_untouched(monkeypatch):
-    """solve() adds its constant on a new result: the one lp_solve returned
-    keeps its value and still passes the public checks, as a caller that
-    keeps it (such as a tracer) reads it."""
-    solved = []
-    solve = numerics.lp_solve
-
-    def recording(program):
-        res = solve(program)
-        solved.append((program, res))
-        return res
-
-    monkeypatch.setattr(numerics, "lp_solve", recording)
-    b = LpBuilder("max")
-    x = b.var(lo=0)
-    y = b.var(lo=0, hi=2)
-    b.add({x: 1, y: 1}, LE, 4)
-    b.set_objective({x: 2, y: 3}, constant=F(1, 2))
-    res = b.solve()
-    ((program, inner),) = solved
-    assert res is not inner
-    assert (res.value, res.point) == (F(21, 2), (F(2), F(2)))
-    assert res.dual_slice(0, 1) == res.dual[:1]
-    assert inner.value == 10
-    assert (inner.point, inner.dual) == (res.point, res.dual)
-    assert check_point_feasible(program, inner.point)
-    assert check_dual_certificate(program, inner.dual, inner.value)
