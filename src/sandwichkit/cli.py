@@ -514,6 +514,8 @@ def run_interiority(sc: Scenario):
     b_map = _named(sc, "maps", t.get("map"), "task.map")
     body = {"kind": "interiority"}
     code = EXIT_PASS
+    if "delta" in t and "probes" not in t and "z0" not in t:
+        raise ScenarioError("task.delta", "delta is read only with probes or z0")
 
     try:
         # one query for every check; without gamma it is at the automatic

@@ -11,23 +11,29 @@ shifts.
 The solver is a two-phase dense simplex.  It prices by Dantzig's rule (the
 most negative reduced cost, smallest index on ties) and finishes a phase by
 Bland's rule once it has made 50 degenerate pivots, so it is deterministic
-and cannot cycle.  Where an optimum is not unique, the point and multipliers
-returned are the ones this rule reaches from the all-artificial basis: a
-function of the program and its row order, not of earlier calls.  Variables
-are free unless bounded; bounds are folded into explicit rows so dual
-certificates cover them uniformly.  The arithmetic between building a program
-and returning its result is on integers: `LpBuilder` builds each row once,
-where it is assembled, as the integer numerators of its nonzero entries over
-a positive scale s (a bound row holds one entry), and the row enters the
-tableau times s, with its artificial variable a' = s a.  No dense Fraction
-row is made on the way; a program's rational view is made from its rows only
-when it is read.  The tableau is T = D B^-1 M' for that integer system M',
-its basis B and one common denominator D = |det B| (Edmonds 1967; Bareiss
-1968), so a pivot is one pass per row ending in an exact integer division,
-with no gcd.  The kernel hands back integer images over one denominator each:
-the point or ray as X / D, and the multipliers as y_i / s_i = Z_i / E.  Each
-certificate is re-checked on those integers, and `LpResult` makes its
-Fraction tuples from them only when they are read.
+and cannot cycle.  Each program is solved in one of two orientations, by a
+rule on its shape alone: a tall program, one whose general rows (those left
+after folding the x_j >= 0 rows) number more than 1.5 n + 1 for its n
+variables, is solved as its transpose by the same kernel, and its point,
+multipliers or Farkas vector are read off that solve; every other program,
+and a tall one whose transpose is infeasible, is solved directly.  Where an
+optimum is not unique, the point and multipliers returned are the ones this
+rule reaches from the all-artificial basis, of the transpose for a tall
+program: a function of the program and its row order, not of earlier calls.
+Variables are free unless bounded; bounds are folded into explicit rows so
+dual certificates cover them uniformly.  The arithmetic between building a
+program and returning its result is on integers: `LpBuilder` builds each row
+once, where it is assembled, as the integer numerators of its nonzero entries
+over a positive scale s (a bound row holds one entry), and the row enters the
+tableau times s, with its artificial variable a' = s a.  No dense Fraction row
+is made on the way; a program's rational view is made from its rows only when
+it is read.  The tableau is T = D B^-1 M' for that integer system M', its
+basis B and one common denominator D = |det B| (Edmonds 1967; Bareiss 1968),
+so a pivot is one pass per row ending in an exact integer division, with no
+gcd.  The kernel hands back integer images over one denominator each: the
+point or ray as X / D, and the multipliers as y_i / s_i = Z_i / E.  Each
+certificate is re-checked on those integers, and `LpResult` makes its Fraction
+tuples from them only when they are read.
 """
 from __future__ import annotations
 
@@ -427,15 +433,32 @@ class _Unbounded(Exception):
         self.col = col
 
 
-def _solve_rows(rows, obj, minimize, n):
+def _folded(rows) -> tuple[dict[int, int], list[bool]]:
+    """({j: i}, is_folded) for the rows i of the form x_j >= 0 that the
+    kernel folds into their columns: at most one per variable, the first;
+    duplicates stay rows."""
+    bound_row: dict[int, int] = {}
+    is_bound = [False] * len(rows)
+    for i, (a, rel, b, s) in enumerate(rows):
+        # A holds nonzero entries only, so this is "exactly one nonzero, s"
+        if rel == GE and not b and len(a) == 1:
+            ((j, aj),) = a.items()
+            if aj == s and j not in bound_row:
+                bound_row[j] = i
+                is_bound[i] = True
+    return bound_row, is_bound
+
+
+def _solve_rows(rows, obj, minimize, n, fold=None):
     """Two-phase simplex on integer rows (A, rel, B, s) over n variables.
 
     obj is the objective's integer image (C, s) from `_int_image`, minimized
     or maximized.  A row of the form x_j >= 0 is folded into its column as a
-    sign condition (no split, no slack, no artificial); its multiplier in the
-    returned certificates is the final reduced cost at that column.  Every
-    other variable is split x = x+ - x-; one slack per inequality row; one
-    artificial per row.  Returns one of
+    sign condition (no split, no slack, no artificial); fold is
+    `_folded(rows)`, made here unless the caller has it.  A folded row's
+    multiplier in the returned certificates is the final reduced cost at
+    that column.  Every other variable is split x = x+ - x-; one slack per
+    inequality row; one artificial per row.  Returns one of
       ("optimal", (X, D), (Z, E))
       ("infeasible", (Z, E))
       ("unbounded", (X, D))
@@ -446,16 +469,7 @@ def _solve_rows(rows, obj, minimize, n):
     m = len(rows)
     sign = 1 if minimize else -1
 
-    # At most one x_j >= 0 row is folded per variable; duplicates stay rows.
-    bound_row: dict[int, int] = {}
-    is_bound = [False] * m
-    for i, (a, rel, b, s) in enumerate(rows):
-        # A holds nonzero entries only, so this is "exactly one nonzero, s"
-        if rel == GE and not b and len(a) == 1:
-            ((j, aj),) = a.items()
-            if aj == s and j not in bound_row:
-                bound_row[j] = i
-                is_bound[i] = True
+    bound_row, is_bound = fold or _folded(rows)
     gen = [i for i in range(m) if not is_bound[i]]
     mt = len(gen)
     # the multipliers' denominators carry the folded rows' scales
@@ -630,6 +644,84 @@ def _solve_rows(rows, obj, minimize, n):
     return ("optimal", (point, d), (z, s * d * big_lb))
 
 
+# A tall program, one with many more general rows than variables, is solved
+# through its transpose (LP duality: Dantzig 1963; Chvatal 1983, ch. 5).
+# Take min c . x (max is alike, with the multipliers' signs reversed) over
+# the general rows (A_t / s_t) . x  rel_t  B_t / s_t and the folded rows
+# x_j >= 0.  Its dual asks for multipliers y_t of the signs `_signs_ok`
+# requires, with sum_t y_t A_tj / s_t = c_j for a free x_j and <= c_j for a
+# folded one (the folded row's multiplier is the difference), and maximizes
+# sum_t y_t B_t / s_t.  With u_t = y_t s g_t / s_t, for the objective's image
+# (C, s) and g_t the gcd of row t's integers, that is
+# sum_t (A_tj / g_t) u_t = C_j, maximizing sum_t (B_t / g_t) u_t / s: the
+# transpose's rows are the integer rows read by column, with no lcm.  Over
+# g_t each column is the same for every integer image of its rational row,
+# so the transpose, and its pivots, are functions of the rational program.
+# Each sign-constrained u_t is written w_t = +-u_t >= 0, a row the kernel
+# folds.  The transpose's optimal point w gives the multipliers,
+# y_t / s_t = +-w_t / (s g_t); its multipliers are the point; and its ray,
+# along which the dual objective grows without bound, is a Farkas vector of
+# the program.
+
+def _tall(n: int) -> int:
+    """The most general rows a program over n variables is solved with
+    directly: 1.5 n + 1, rounded down.  More are solved through the
+    transpose.  The ladder of shapes in BENCH_26.json sets the line."""
+    return (3 * n + 2) // 2
+
+
+def _solve_transposed(rows, obj, minimize, n, fold):
+    """`_solve_rows`' result for the rows, read off a solve of their
+    transpose; None when the transpose is infeasible, which leaves the
+    program unbounded or infeasible, to be solved directly.  fold is
+    `_folded(rows)`."""
+    sign = 1 if minimize else -1
+    bound_row, is_bound = fold
+    gen = [i for i in range(len(rows)) if not is_bound[i]]
+    # flip_t u_t >= 0 for general row t, whose multiplier has a sign
+    flip = [sign if rows[i][1] == GE else -sign if rows[i][1] == LE else 1 for i in gen]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
+    gcds = []
+    t_obj = []
+    for t, i in enumerate(gen):
+        a, _, b, _ = rows[i]
+        f = flip[t]
+        g = math.gcd(b, *a.values()) or 1
+        gcds.append(g)
+        for j, x in a.items():
+            cols[j][t] = f * x // g
+        t_obj.append(f * b // g)
+    c, s = obj
+    folded_rel = LE if minimize else GE
+    t_rows = [(cols[j], folded_rel if j in bound_row else EQ, c[j], 1) for j in range(n)]
+    t_rows += [({t: 1}, GE, 0, 1) for t, i in enumerate(gen) if rows[i][1] != EQ]
+    out = _solve_rows(t_rows, (t_obj, 1), not minimize, len(gen))
+    if out[0] == "infeasible":
+        return None
+    # Over E = s D L_b G, with L_b and G the lcms of the folded rows' scales
+    # and of the gcds, y_t / s_t = flip_t W_t / (s D g_t) reads
+    # flip_t W_t L_b (G / g_t), and a folded row's multiplier, the reduced
+    # cost c_j - sum_t y_t A_tj / s_t, reads (C_j D - cols_j . W) L_b G / s_i.
+    # A ray W solves the same system with c = 0; times sign, its multipliers
+    # take the minimization's signs, as a Farkas vector's do.
+    big_lb = math.lcm(*[rows[i][3] for i in bound_row.values()])
+    big_g = math.lcm(*gcds)
+    w, d = out[1]
+    optimal = out[0] == "optimal"
+    k = 1 if optimal else sign
+    z = [0] * len(rows)
+    for t, i in enumerate(gen):
+        z[i] = k * flip[t] * w[t] * big_lb * (big_g // gcds[t])
+    for j, i in bound_row.items():
+        cj = c[j] * d if optimal else 0
+        z[i] = k * (cj - _row_dot(cols[j], w)) * big_g * (big_lb // rows[i][3])
+    e = s * d * big_lb * big_g
+    if optimal:
+        x, e_t = out[2]
+        return ("optimal", (x[:n], e_t), (z, e))
+    return ("infeasible", (z, e))
+
+
 # Exact certificate checks, on the integer rows and the objective's integer
 # image (C, s), and on the integer images the kernel returns.  A point or ray
 # is read as X / D, so row i holds exactly when A_i . X compares with B_i D
@@ -723,13 +815,22 @@ def _farkas_ok(rows, n: int, z: list[int]) -> bool:
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve lp exactly, returning an optimum with a certificate.
 
-    The point and the certificate are re-verified before returning; a
-    verification failure raises RuntimeError (it would mean a kernel bug, not
-    a property of the input).
+    A tall program is solved through its transpose (`_tall`,
+    `_solve_transposed`).  The point and the certificate are re-verified on
+    lp's own rows before returning; a verification failure raises
+    RuntimeError (it would mean a kernel bug, not a property of the input).
     """
     rows, obj = lp._rows, lp._obj
     minimize = lp.sense == "min"
-    out = _solve_rows(rows, obj, minimize, lp.num_vars)
+    n = lp.num_vars
+    out = fold = None
+    tall = _tall(n)
+    if len(rows) > tall:
+        fold = _folded(rows)
+        if len(rows) - len(fold[0]) > tall:
+            out = _solve_transposed(rows, obj, minimize, n, fold)
+    if out is None:
+        out = _solve_rows(rows, obj, minimize, n, fold)
 
     if out[0] == "infeasible":
         cert = out[1]

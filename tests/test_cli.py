@@ -410,6 +410,12 @@ class TestCommands:
         assert code == EXIT_INPUT
         assert doc["error"]["field"] == "task.delta"
 
+    def test_delta_without_probes_or_z0_is_an_input_error(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "corollary21.json", lambda t: t.update(delta="1/2"))
+        assert code == EXIT_INPUT
+        assert doc["error"]["field"] == "task.delta"
+
     def test_crosscheck_attaches_oracle_runs(self, capsys):
         code, doc = run_json(capsys, [
             "verify", str(CORPUS / "fenchel.json"), "--crosscheck",

@@ -508,6 +508,29 @@ def touching_partial_infconv(n: int) -> DualityScenario:
     return DualityScenario.partial_infconv(draw(1), draw(-1), 2, queries)
 
 
+def test_tall_fenchel_right_side_within_budget():
+    """Dimension 3, f of 400 samples and g of 160, identity link: the
+    right side has 5 variables and 560 general rows, one per piece of
+    the conjugates, and is solved through its transpose.  Solved
+    directly, verify took about 12 s."""
+    rng = random.Random(2)
+
+    def draw(n, reach):
+        return PolyhedralFunction.v_form(3, [
+            (tuple(rng.randint(-reach, reach) for _ in range(3)), rng.randint(0, 30))
+            for _ in range(n)])
+
+    f, g = draw(400, 9), draw(160, 20)
+    queries = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2)]
+    s = DualityScenario.fenchel(f, g, AffineMap.identity(3), queries)
+    start = time.perf_counter()
+    reports = verify(s)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3, f"{elapsed:.1f}s exceeds 3s"
+    assert [(r.lhs, r.gap) for r in reports] == [(F(167633, 5207), 0), (44, 0)]
+    assert reports[0].hypothesis_flags == {"boundedness": True, "h_proper": True}
+
+
 class TestProductConstructions:
     def test_touching_family_scales_with_the_factors(self, monkeypatch):
         # 40 x 40 product samples: one weight per product sample made this

@@ -677,17 +677,18 @@ def lowered(image, _rows):
     return [v - den for v in nums], den
 
 
-def solved_with_corruption(monkeypatch, program, slot, corrupt):
-    """lp_solve(program) with the kernel's output at slot passed through
-    corrupt(image, rows)."""
-    solve = numerics._solve_rows
+def solved_with_corruption(monkeypatch, program, slot, corrupt, kernel="_solve_rows"):
+    """lp_solve(program) with the output of the named kernel (or of
+    `_solve_transposed`, the images mapped back from the transpose) at slot
+    passed through corrupt(image, rows)."""
+    solve = getattr(numerics, kernel)
 
     def wrong(rows, *args):
         out = list(solve(rows, *args))
         out[slot] = corrupt(out[slot], rows)
         return tuple(out)
 
-    monkeypatch.setattr(numerics, "_solve_rows", wrong)
+    monkeypatch.setattr(numerics, kernel, wrong)
     return lp_solve(program)
 
 
@@ -725,6 +726,37 @@ def test_lp_solve_refuses_a_folded_multiplier_of_the_wrong_sign(monkeypatch):
     assert lp_solve(program).dual == (F(0), F(1))
     with pytest.raises(RuntimeError, match="dual certificate failed verification"):
         solved_with_corruption(monkeypatch, program, 2, flipped)
+
+
+def first_sign_flipped(image, _rows):
+    """The image (V, W) with the sign of its first nonzero V_i flipped."""
+    nums, den = list(image[0]), image[1]
+    i = next(i for i, v in enumerate(nums) if v)
+    nums[i] = -nums[i]
+    return nums, den
+
+
+# tall: more general rows than _tall(1) = 2, so solved through the transpose
+TALL_OPTIMUM = lp(1, [1], "min", [([1], GE, 3), ([1], LE, 10), ([2], GE, 5), ([1], GE, 1)])
+TALL_INFEASIBLE = lp(1, [0], "min", [([1], LE, 0), ([1], GE, 1), ([1], LE, 5), ([1], GE, -2)])
+
+
+@pytest.mark.parametrize(
+    "program, slot, message",
+    [
+        (TALL_OPTIMUM, 1, "optimal point failed feasibility check"),
+        (TALL_OPTIMUM, 2, "dual certificate failed verification"),
+        (TALL_INFEASIBLE, 1, "Farkas certificate failed verification"),
+    ],
+)
+def test_lp_solve_refuses_a_corrupted_transposed_result(monkeypatch, program, slot, message):
+    """The images mapped back from the transpose meet the same re-checks on
+    the program's own rows: a point, a multiplier or a Farkas entry with its
+    sign flipped is refused."""
+    assert lp_solve(program).status == ("optimal" if program is TALL_OPTIMUM else "infeasible")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        solved_with_corruption(monkeypatch, program, slot, first_sign_flipped,
+                               "_solve_transposed")
 
 
 # The reference for the Bareiss kernel: the gcd kernel it replaced, step for
@@ -939,10 +971,11 @@ def ref_image(values) -> tuple[list[int], int]:
     return [(v * den).numerator for v in values], den
 
 
-def ref_solve_images(rows, obj, minimize, n, degenerate_limit=50):
+def ref_solve_images(rows, obj, minimize, n, fold=None, degenerate_limit=50):
     """`ref_solve_rows` in `numerics._solve_rows`' return contract: the point or
     ray as (X, D) with x = X / D, and the multipliers y as (Z, E) with
-    y_i / s_i = Z_i / E."""
+    y_i / s_i = Z_i / E.  fold, the folded rows lp_solve may hand over, is
+    found again by the reference itself."""
     status, *parts = ref_solve_rows(rows, obj, minimize, n, degenerate_limit)
 
     def multipliers(y):
@@ -1006,20 +1039,24 @@ def test_degenerate_phase_finishes_under_blands_rule():
     degenerate, and phase 1 makes more than 50 of them, so it finishes under
     Bland's rule.  The kernel's result is exactly the reference kernel's,
     and the reference without the fallback returns another dual, so the
-    fallback decides this result."""
+    fallback decides this result.  The kernel is called on the rows
+    directly: lp_solve solves so tall a program through its transpose."""
     rng = random.Random(4)
     n = 6
     rows = [([rng.randint(-3, 3) for _ in range(n)], LE, 0) for _ in range(60)]
     p = lp(n, [rng.randint(-3, 3) for _ in range(n)], rng.choice(["min", "max"]), rows)
-    got = lp_solve(p)
-    with mock.patch.object(numerics, "_solve_rows", ref_solve_images):
-        want = lp_solve(p)
-    without = functools.partial(ref_solve_images, degenerate_limit=math.inf)
-    with mock.patch.object(numerics, "_solve_rows", without):
-        unguarded = lp_solve(p)
-    assert got == want
-    assert (got.status, got.value) == (unguarded.status, unguarded.value) == ("optimal", 0)
-    assert got.dual != unguarded.dual
+
+    def solved(kernel):
+        out = kernel(p._rows, p._obj, p.sense == "min", n)
+        r = eager_result(out[0], F(0), p._rows, out)
+        assert r.status == "optimal" and numerics.dot(p.objective, r.point) == 0
+        return r
+
+    got = solved(numerics._solve_rows)
+    assert got == solved(ref_solve_images)
+    assert got.dual != solved(functools.partial(ref_solve_images, degenerate_limit=math.inf)).dual
+    r = lp_solve(p)
+    assert (r.status, r.value) == ("optimal", 0)
 
 
 def eager_result(status, value, rows, out) -> LpResult:
@@ -1040,16 +1077,17 @@ def eager_result(status, value, rows, out) -> LpResult:
 
 
 def solved_with_kernel_output(monkeypatch, programs):
-    """(program, result, kernel rows, kernel output) for each program."""
+    """(program, result, rows, images) for each program: the rows and the
+    integer images lp_solve makes its result of (the kernel's own, or those
+    read off the transpose's solve), in `_solve_rows`' return shape."""
     seen = []
-    solve = numerics._solve_rows
+    of_images = LpResult._of_images
 
-    def recording(rows, *args):
-        out = solve(rows, *args)
-        seen.append((rows, out))
-        return out
+    def recording(status, value, rows, x=None, y=None):
+        seen.append((rows, (status, *[v for v in (x, y) if v is not None])))
+        return of_images(status, value, rows, x=x, y=y)
 
-    monkeypatch.setattr(numerics, "_solve_rows", recording)
+    monkeypatch.setattr(LpResult, "_of_images", recording)
     out = []
     for p in programs:
         r = lp_solve(p)
@@ -1058,8 +1096,8 @@ def solved_with_kernel_output(monkeypatch, programs):
 
 
 def test_lazy_views_equal_the_eagerly_made_tuples(monkeypatch):
-    """point, dual, farkas and ray, made from the kernel's integer images when
-    first read, equal the tuples made from the same images at once; so do
+    """point, dual, farkas and ray, made from the integer images when first
+    read, equal the tuples made from the same images at once; so do
     equality, hashing, repr and pickling, and both results are immutable."""
     rng = random.Random(20261019)
     statuses = set()

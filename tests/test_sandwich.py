@@ -1,10 +1,11 @@
 """Tests for the sandwich hypothesis, separators, and the homogenized bound."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from sandwichkit.convexfn import PolyhedralFunction, SublinearFunctional
+from sandwichkit.convexfn import PolyhedralFunction, SublinearFunctional, evaluate
 from sandwichkit.duality import DualityScenario, verify
 from sandwichkit.geometry import AffineMap, Polytope
 from sandwichkit.numerics import EQ, GE, NEG_INF, LpBuilder, StructuralError, dot
@@ -128,6 +129,28 @@ class TestHypothesis:
             SandwichInstance(s, k, AffineMap.identity(1))
         with pytest.raises(StructuralError):
             SandwichInstance(s, k.conjugate(), AffineMap.from_rows([[1], [0]]))
+
+
+    def test_many_generators_within_budget(self):
+        """Dimension 3, 300 generators of S and k of 20 samples: the left
+        side is 24 variables by 304 general rows, solved through its
+        transpose.  Solved directly it took about a minute.  The separator's
+        margin equals S(Bz) + k(z) at the witness, which certifies both."""
+        rng = random.Random(4)
+        s = SublinearFunctional.of([tuple(rng.randint(-9, 9) for _ in range(3))
+                                    for _ in range(300)])
+        k = PolyhedralFunction.v_form(3, [(tuple(rng.randint(-5, 5) for _ in range(3)),
+                                           rng.randint(0, 30)) for _ in range(20)])
+        inst = SandwichInstance(s, k, AffineMap.identity(3))
+        start = time.perf_counter()
+        check = hypothesis_check(inst)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3, f"{elapsed:.1f}s exceeds 3s"
+        assert check.holds and check.value > 0
+        x_prime = check.separator.x_prime
+        assert check_separator(inst, x_prime)
+        assert separator_margin(inst, x_prime) == check.value == s(check.witness) + evaluate(
+            k, check.witness)
 
 
 class TestSeparator:
