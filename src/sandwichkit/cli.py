@@ -239,56 +239,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     return Scenario(dims, functions, maps, spaces, task, description, expect)
 
 
-def scenario_to_document(sc: Scenario) -> dict:
-    """Canonical serialization; parsing it back reproduces the content."""
-    doc = {}
-    if sc.description is not None:
-        doc["description"] = sc.description
-    if sc.dims:
-        doc["dims"] = dict(sorted(sc.dims.items()))
-    if sc.functions:
-        doc["functions"] = {}
-        for name, f in sorted(sc.functions.items()):
-            form = next(form for form, row in FORMS.items() if row[0] == f.form)
-            doc["functions"][name] = {"form": form, f.form: [
-                [encode_vector(a), encode_scalar(b)] for a, b in getattr(f, f.form)
-            ]}
-    if sc.maps:
-        doc["maps"] = {}
-        for name, m in sorted(sc.maps.items()):
-            doc["maps"][name] = {
-                "matrix": [encode_vector(r) for r in m.linear],
-                "offset": encode_vector(m.offset),
-                "in_dim": m.in_dim,
-            }
-    if sc.spaces:
-        doc["spaces"] = {}
-        for name, s in sorted(sc.spaces.items()):
-            if isinstance(s, int):
-                doc["spaces"][name] = {"vector_space": s}
-            else:
-                doc["spaces"][name] = [encode_vector(v) for v in s.vertices]
-    doc["task"] = _normalize_task(sc.task)
-    if sc.expect is not None:
-        doc["expect"] = sc.expect
-    return doc
-
-
-def _normalize_task(value):
-    if isinstance(value, dict):
-        return {k: _normalize_task(v) for k, v in sorted(value.items())}
-    if isinstance(value, list):
-        return [_normalize_task(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, Fraction, str)):
-        try:
-            return encode_scalar(to_frac(value, "task"))
-        except ScenarioError:
-            return value
-    return value
-
-
 # ---------------------------------------------------------------------------
 # named lookups with diagnostics
 

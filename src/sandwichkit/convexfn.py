@@ -71,10 +71,6 @@ class AffineFunctional:
     def of(coeffs: Sequence, constant=0) -> "AffineFunctional":
         return AffineFunctional(vec(coeffs), frac(constant))
 
-    @staticmethod
-    def zero(dim: int) -> "AffineFunctional":
-        return AffineFunctional(zero_vec(dim), Fraction(0))
-
 
 @dataclass(frozen=True)
 class SublinearFunctional:
@@ -105,11 +101,6 @@ class SublinearFunctional:
 
     def as_h_form(self) -> "PolyhedralFunction":
         return PolyhedralFunction.h_form(self.dim,
-                                         [(g, Fraction(0)) for g in self.generators])
-
-    def conjugate(self) -> "PolyhedralFunction":
-        """The indicator of the generator hull, in sample form."""
-        return PolyhedralFunction.v_form(self.dim,
                                          [(g, Fraction(0)) for g in self.generators])
 
     def generator_hull(self) -> Polytope:
@@ -183,12 +174,6 @@ class PolyhedralFunction:
 
     def __call__(self, x: Sequence) -> Ext:
         return evaluate(self, x)
-
-
-def indicator_of_point(point: Sequence) -> PolyhedralFunction:
-    """0 at the point, +inf elsewhere."""
-    p = vec(point)
-    return PolyhedralFunction.v_form(len(p), [(p, 0)])
 
 
 def constant_function(dim: int, value) -> PolyhedralFunction:

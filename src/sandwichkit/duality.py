@@ -56,7 +56,6 @@ from .numerics import (
     NEG_INF,
     POS_INF,
     Ext,
-    PreconditionError,
     StructuralError,
     Vec,
     dot,
@@ -314,51 +313,6 @@ def _g_term_map(c_map: AffineMap, n: int, u: int) -> AffineMap:
     return AffineMap(tuple(rows), tuple(c_map.offset) + (Fraction(0),) * u, n)
 
 
-def product_function(f: PolyhedralFunction, g: PolyhedralFunction) -> PolyhedralFunction:
-    """Sample form of (p, x) -> f(p) + g(x); envelopes add across blocks."""
-    if f.form != V_FORM or g.form != V_FORM:
-        raise StructuralError("products need sample-form factors")
-    samples = []
-    for p, a in f.samples:
-        for q, bval in g.samples:
-            samples.append((p + q, a + bval))
-    return PolyhedralFunction.v_form(f.dim + g.dim, samples)
-
-
-def fenchel_to_trivariate(s: DualityScenario) -> DualityScenario:
-    """Product construction: psi(p, x) = f(p) + g(x), A = p, B = x - Cp."""
-    if s.kind != "fenchel":
-        raise PreconditionError("expected a fenchel scenario")
-    if s.g.form != V_FORM:
-        raise PreconditionError("piece-form upper functions have no compact product")
-    f, g, link = s.f, s.g, s.c_map
-    psi = product_function(f, g)
-    n, m = f.dim, g.dim
-    a_map = AffineMap(tuple(embed(n + m, (c, (1,))) for c in range(n)),
-                      (Fraction(0),) * n, n + m)
-    b_rows = tuple(embed(n + m, (0, vec_neg(row)), (n + c, (1,)))
-                   for c, row in enumerate(link.linear))
-    b_map = AffineMap(b_rows, tuple(-o for o in link.offset), n + m)
-    return DualityScenario.trivariate(psi, a_map, b_map, s.queries, s.hypothesis_mode)
-
-
-def bibivariate_to_quadrivariate(s: DualityScenario) -> DualityScenario:
-    """Product construction: psi(u, v, w, x) = f(w, v) + g(x, u)."""
-    if s.kind not in ("bibivariate", "partial_infconv"):
-        raise PreconditionError("expected a bibivariate-family scenario")
-    u, v, w, x = s.dims
-    samples = []
-    for p, a in s.f.samples:
-        w_i, v_i = p[:w], p[w:]
-        for q, bval in s.g.samples:
-            x_j, u_j = q[:x], q[x:]
-            samples.append((u_j + v_i + w_i + x_j, a + bval))
-    psi = PolyhedralFunction.v_form(u + v + w + x, samples)
-    return DualityScenario.quadrivariate(
-        psi, s.c_map, s.d_map, s.dims, s.queries, s.hypothesis_mode
-    )
-
-
 def quad_fiber_maps(c_map: AffineMap, d_map: AffineMap, dims: Sequence):
     """A(u,v,w,x) = (w, v + Du) and B(u,v,w,x) = x - Cw on the (u,v,w,x) layout."""
     u, v, w, x = (int(n) for n in dims)
@@ -372,29 +326,11 @@ def quad_fiber_maps(c_map: AffineMap, d_map: AffineMap, dims: Sequence):
     return a_map, b_map
 
 
-def scenario_to_trivariate(s: DualityScenario) -> DualityScenario:
-    """Rewrite any compact-data scenario as a trivariate one, exactly: the
-    one-function kinds read their stored (psi, A, B), the two-function kinds
-    build the product psi = f + g first."""
-    if s.kind == "indicator_linear":
-        raise PreconditionError(
-            "indicator scenarios quantify over a full vector space and have no "
-            "compact trivariate rewrite"
-        )
-    if s.kind == "fenchel":
-        return fenchel_to_trivariate(s)
-    if s.kind in ("bibivariate", "partial_infconv"):
-        s = bibivariate_to_quadrivariate(s)
-    if s.kind == "trivariate":
-        return s
-    return DualityScenario.trivariate(s.psi, s.a_map, s.b_map, s.queries, s.hypothesis_mode)
-
-
 def _product_flag(s: DualityScenario) -> bool:
     """The flag of s's mode for a two-function kind (fenchel with g in
     sample form, bibivariate, partial_infconv), decided over f's and g's
-    samples apart, never over the product psi = f + g of
-    `scenario_to_trivariate`.
+    samples apart, never over the product psi = f + g, which only the
+    tests build (tests/support.py), as their reference.
 
     The product sends a pair of samples to the sum F'_i + G'_j of their
     stacked (B, A) images: for the bibivariate kinds F'_i =
@@ -447,8 +383,8 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
       * fenchel with g in sample form: C(dom f) meets dom g;
       * bibivariate: C sends the w-part of a point of dom f to the x-part
         of a point of dom g (partial_infconv: their x-parts meet);
-        these two are 0 in the hull of B's images of the samples of
-        `scenario_to_trivariate`'s product;
+        these two are 0 in the hull of B's images of the samples of the
+        product psi = f + g;
       * indicator_linear: 0 lies in the hull of the x-parts of g's
         samples plus range(C);
       * fenchel with g in piece form: always, as g is finite everywhere.
@@ -470,9 +406,9 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
     dom psi cut to the fiber, which no level or value changes.  So the flag
     is the value-free `interiority._interior`, one test per base point.
 
-    The two-function kinds read the product psi = f + g of
-    `scenario_to_trivariate` through the factors, never building it (see
-    `_product_flag`).
+    The two-function kinds read the product psi = f + g through the
+    factors, never building it (see `_product_flag`); tests/support.py
+    builds it, as the tests' reference.
     """
     notes: list = []
     flags: dict = {}

@@ -240,10 +240,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.basis
-
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise StructuralError("dimension mismatch in Subspace.contains")

@@ -5,6 +5,7 @@ B into a direction space, and a level gamma, does 0 lie in the relative
 interior of B({Phi < gamma})?  Everything reduces to small LPs over simplex
 weights, so every answer is exact.
 """
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -97,9 +98,6 @@ class Theorem20Result:
     c26: bool
     fiber_value: Ext
 
-    def as_tuple(self) -> tuple:
-        return (self.c24, self.c25, self.c26)
-
 
 @dataclass(frozen=True)
 class Lemma19aResult:
@@ -110,13 +108,6 @@ class Lemma19aResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    @property
-    def failing_probe(self) -> Optional[Vec]:
-        for probe, i in self.assignments:
-            if i is None:
-                return probe
-        return None
 
 
 @dataclass(frozen=True)
@@ -334,6 +325,18 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     For probe y the check finds the smallest i <= i_max with y/i in
     B({phi < delta}); the union over i of the i-scaled images should cover
     the whole direction space, so failures carry the uncovered probe.
+
+    One reach LP per probe decides every i.  Let t be the largest r with
+    r y = B z for some z with phi(z) <= delta (`_direction_reach` along y,
+    value row at delta), m < delta the zero fiber's infimum, attained at z0.
+    Every s in [0, t) is covered: with z1 the point that reaches t y, the
+    mix (1 - s/t) z0 + (s/t) z1 goes to s y with phi at most
+    (1 - s/t) m + (s/t) delta < delta.  No s > t is covered, since s y is
+    not reached even at phi <= delta.  So y/i is covered for every i > 1/t
+    and for no i < 1/t, and the smallest i is ceil(1/t), except where 1/t
+    is an integer n: there one fiber LP at t y decides s = t itself, giving
+    n when its infimum lies below delta and n + 1 otherwise.  A zero probe
+    is the zero fiber, covered at i = 1 with no LP; t = 0 covers nothing.
     """
     if not q.subspace_ok:
         raise PreconditionError("scaled domain images do not span a subspace")
@@ -341,25 +344,24 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     if q.fiber_value == POS_INF or delta <= q.fiber_value:
         raise PreconditionError("the level must exceed the fiber infimum")
     values = [v for _, v in q.phi.samples]
+    zero = (Fraction(0),) * q.b_map.out_dim
     assignments = []
-    all_ok = True
     for raw in probes:
         probe = vec(raw)
         if len(probe) != q.b_map.out_dim:
             raise PreconditionError(f"probe {probe} has the wrong dimension")
         if not q.y.contains(probe):
             raise PreconditionError(f"probe {probe} lies outside the direction span")
-        found = None
-        for i in range(1, i_max + 1):
-            target = tuple(c / i for c in probe)
-            value, _ = _fiber_lp(values, q.images, target)
-            if value != POS_INF and value < delta:
-                found = i
-                break
-        assignments.append((probe, found))
-        if found is None:
-            all_ok = False
-    return Lemma19aResult(all_ok, tuple(assignments))
+        n = 1
+        if probe != zero:
+            t = _direction_reach(q.images, zero, [probe], (values, delta))
+            n = math.ceil(1 / t) if t > 0 else i_max + 1
+            if n * t == 1 and n <= i_max:
+                value, _ = _fiber_lp(values, q.images, tuple(t * c for c in probe))
+                if value >= delta:
+                    n += 1
+        assignments.append((probe, n if n <= i_max else None))
+    return Lemma19aResult(all(i is not None for _, i in assignments), tuple(assignments))
 
 
 def corollary21_auto(q: SublevelQuery) -> Corollary21Result:

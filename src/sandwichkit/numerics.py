@@ -98,16 +98,6 @@ def parse_scalar(x: int | str | Fraction | float) -> Ext:
     return frac(x)
 
 
-def format_scalar(v: Ext) -> str:
-    if isinstance(v, float):
-        if v == POS_INF:
-            return "inf"
-        if v == NEG_INF:
-            return "-inf"
-        return repr(v)
-    return str(v)
-
-
 def is_finite(v: Ext) -> bool:
     return not (isinstance(v, float) and math.isinf(v))
 

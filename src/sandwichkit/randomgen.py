@@ -1,4 +1,6 @@
-"""Seeded generators for small exact test instances.
+"""Seeded generators for the small exact instances that `selftest` and the
+benchmark draw, and the tests too; generators only the tests use are in
+tests/support.py.
 
 Everything takes an explicit random.Random so test runs are reproducible.
 Coefficients are small Fractions; dimensions stay tiny because downstream
@@ -125,139 +127,6 @@ def random_trivariate_scenario(rng: random.Random, max_dim: int = 2,
     queries = [random_vec(rng, a_map.out_dim) for _ in range(n_queries)]
     return DualityScenario.trivariate(psi, a_map, b_map, queries,
                                       hypothesis_mode="closed_subspace")
-
-
-def random_bibivariate_scenario(rng: random.Random, max_dim: int = 2,
-                                n_queries: int = 2, partial: bool = False):
-    """Bibivariate (or partial inf-convolution) pair with symmetric samples.
-
-    Whole-vector +-pairs keep the folded kernel images symmetric, so the
-    closed-subspace flag holds by construction.
-    """
-    from .duality import DualityScenario
-
-    if partial:
-        x = rng.randint(1, max_dim)
-        v = rng.randint(1, max_dim)
-        f = random_symmetric_vform(rng, x + v)
-        g = random_symmetric_vform(rng, x + v)
-        queries = [random_vec(rng, x + v) for _ in range(n_queries)]
-        return DualityScenario.partial_infconv(
-            f, g, x, queries, hypothesis_mode="closed_subspace")
-    u = rng.randint(1, max_dim)
-    v = rng.randint(1, max_dim)
-    w = rng.randint(1, max_dim)
-    x = rng.randint(1, max_dim)
-    c_map = random_affine_map(rng, w, x, with_offset=False)
-    d_map = random_affine_map(rng, u, v)
-    f = random_symmetric_vform(rng, w + v)
-    g = random_symmetric_vform(rng, x + u)
-    queries = [random_vec(rng, w + v) for _ in range(n_queries)]
-    return DualityScenario.bibivariate(f, g, c_map, d_map, queries,
-                                       hypothesis_mode="closed_subspace")
-
-
-def random_indicator_scenario(rng: random.Random, max_dim: int = 2,
-                              n_queries: int = 2,
-                              hypothesis_mode: str = "boundedness"):
-    """Indicator-constrained scenario with certified hypotheses.
-
-    g's sample points include a unit cross around x = 0 at a shared u-point
-    and otherwise come in +-pairs, so both hypothesis modes certify; each
-    query routes a random covector through C^T so both sides stay finite.
-    """
-    from .duality import DualityScenario
-
-    u = rng.randint(1, max_dim)
-    v = rng.randint(1, max_dim)
-    w = rng.randint(1, max_dim)
-    x = rng.randint(1, max_dim)
-    c_map = random_affine_map(rng, w, x, with_offset=False)
-    d_map = random_affine_map(rng, u, v)
-    u0 = random_vec(rng, u, -2, 2)
-    samples = [((Fraction(0),) * x + u0, random_fraction(rng))]
-    for c in range(x):
-        for sign in (1, -1):
-            e = tuple(Fraction(sign if j == c else 0) for j in range(x))
-            samples.append((e + u0, random_fraction(rng)))
-    for _ in range(rng.randint(0, 2)):
-        p = random_vec(rng, x + u, -2, 2)
-        samples.append((p, random_fraction(rng)))
-        samples.append((tuple(-c for c in p), random_fraction(rng)))
-    g = PolyhedralFunction.v_form(x + u, samples)
-    queries = []
-    for _ in range(n_queries):
-        xstar = random_vec(rng, x, -2, 2)
-        w_cov = tuple(
-            sum((xstar[c] * c_map.linear[c][j] for c in range(x)),
-                start=Fraction(0))
-            for j in range(w)
-        )
-        queries.append(w_cov + random_vec(rng, v, -2, 2))
-    return DualityScenario.indicator_linear(g, c_map, d_map, queries,
-                                            hypothesis_mode=hypothesis_mode)
-
-
-def random_violating_fenchel(rng: random.Random, max_dim: int = 2,
-                             touching: bool = False, n_queries: int = 2):
-    """Fenchel pair whose certificates fail because dom g misses C(dom f).
-
-    With touching=True the two sets meet in exactly one point, so the
-    composite stays proper but every interiority-style flag is false; with
-    touching=False they are strictly separated and the composite is
-    identically +inf.
-    """
-    import itertools
-
-    from .duality import DualityScenario
-
-    n = rng.randint(1, max_dim)
-    m = rng.randint(1, max_dim)
-    f = random_vform(rng, n, 4)
-    link = random_affine_map(rng, n, m)
-    if touching:
-        anchor = rng.choice(f.samples)[0]
-        base = link(anchor)
-        kept = [
-            (p, val) for p, val in f.samples
-            if all(link(p)[c] <= base[c] for c in range(m))
-        ]
-        f = PolyhedralFunction.v_form(n, kept)
-    else:
-        images = [link(p) for p, _ in f.samples]
-        base = tuple(max(img[c] for img in images) + 1 for c in range(m))
-    rho = Fraction(rng.randint(1, 2))
-    samples = []
-    for corner in itertools.product((Fraction(0), 2 * rho), repeat=m):
-        point = tuple(base[c] + corner[c] for c in range(m))
-        samples.append((point, random_fraction(rng)))
-    g = PolyhedralFunction.v_form(m, samples)
-    queries = [random_vec(rng, n) for _ in range(n_queries)]
-    return DualityScenario.fenchel(f, g, link, queries)
-
-
-def random_violating_trivariate(rng: random.Random, max_dim: int = 2,
-                                n_queries: int = 2):
-    """Trivariate instance whose zero fiber misses the domain entirely.
-
-    The kernel map is shifted so every sample image has first coordinate at
-    least 1; both sides of the identity are then -inf and every flag fails.
-    """
-    from .duality import DualityScenario
-
-    n = rng.randint(1, max_dim)
-    psi = random_vform(rng, n, 4)
-    b_out = rng.randint(1, max_dim)
-    linear = tuple(random_vec(rng, n, -2, 2) for _ in range(b_out))
-    lowest = min(
-        sum((linear[0][j] * p[j] for j in range(n)), start=Fraction(0))
-        for p, _ in psi.samples
-    )
-    offset = (1 - lowest,) + tuple(random_fraction(rng) for _ in range(b_out - 1))
-    b_map = AffineMap(linear, offset, n)
-    a_map = random_affine_map(rng, n, rng.randint(1, max_dim))
-    queries = [random_vec(rng, a_map.out_dim) for _ in range(n_queries)]
-    return DualityScenario.trivariate(psi, a_map, b_map, queries)
 
 
 def random_sublevel_query(rng: random.Random, max_dim: int = 2):

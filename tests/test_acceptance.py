@@ -11,12 +11,7 @@ from pathlib import Path
 
 from sandwichkit import cli
 from sandwichkit.convexfn import PolyhedralFunction, SublinearFunctional, evaluate
-from sandwichkit.duality import (
-    DualityScenario,
-    bibivariate_to_quadrivariate,
-    scenario_to_trivariate,
-    verify,
-)
+from sandwichkit.duality import DualityScenario, verify
 from sandwichkit.geometry import AffineMap
 from sandwichkit.interiority import theorem20_equivalence
 from sandwichkit.numerics import dot
@@ -28,8 +23,6 @@ from sandwichkit.randomgen import (
     random_sublevel_query,
     random_trivariate_scenario,
     random_vec,
-    random_violating_fenchel,
-    random_violating_trivariate,
 )
 from sandwichkit.sandwich import (
     SandwichInstance,
@@ -37,6 +30,12 @@ from sandwichkit.sandwich import (
     check_separator,
     find_separator,
     verify_hypothesis,
+)
+from support import (
+    bibivariate_to_quadrivariate,
+    random_violating_fenchel,
+    random_violating_trivariate,
+    scenario_to_trivariate,
 )
 
 CORPUS = Path(cli.__file__).parent / "scenarios"
@@ -153,7 +152,7 @@ def test_criterion_07_reduction_consistency_20_plus_20():
         s = random_fenchel_scenario(rng, n_queries=1)
         for a, b in zip(verify(s), verify(scenario_to_trivariate(s))):
             assert (a.lhs, a.rhs, a.gap) == (b.lhs, b.rhs, b.gap)
-    from sandwichkit.randomgen import random_bibivariate_scenario
+    from support import random_bibivariate_scenario
     for _ in range(20):
         s = random_bibivariate_scenario(rng, n_queries=1)
         for a, b in zip(verify(s), verify(bibivariate_to_quadrivariate(s))):

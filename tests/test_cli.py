@@ -15,7 +15,6 @@ from sandwichkit.cli import (
     EXIT_PASS,
     ScenarioError,
     parse_scenario,
-    scenario_to_document,
     to_frac,
 )
 
@@ -94,17 +93,6 @@ class TestParsing:
             assert sc.task["kind"]
             assert sc.description
             assert isinstance(sc.expect["exit"], int)
-
-    def test_round_trip_is_identity_on_content(self):
-        for path in sorted(CORPUS.glob("*.json")):
-            first = parse_scenario(path.read_text(), path.name)
-            doc = scenario_to_document(first)
-            second = parse_scenario(json.dumps(doc), path.name)
-            assert second.functions == first.functions
-            assert second.maps == first.maps
-            assert second.spaces == first.spaces
-            assert second.dims == first.dims
-            assert scenario_to_document(second) == doc
 
 
 class TestExitCodeContract:
@@ -260,15 +248,17 @@ class TestWork:
     def test_lp_count_per_corpus_file(self, capsys, monkeypatch):
         # the hypothesis flags cost one LP per subspace test, none for the
         # sublevel interiority flag or its level, one reach level per margin
-        # and, for boundedness, one reach LP per direction and no fiber LP
+        # and, for boundedness, one reach LP per direction and no fiber LP;
+        # the covering check one reach LP per probe, and one fiber LP where
+        # the reach is 1/n
         counts = {name: len(solved) for name, solved in corpus_lps(capsys, monkeypatch).items()}
         assert counts == {
             "bibivariate": 3, "boundedness": 8, "broken": 0, "corollary21": 4,
-            "fenchel": 6, "indicator_linear": 12, "interiority": 9,
+            "fenchel": 6, "indicator_linear": 12, "interiority": 6,
             "partial_infconv": 3, "quadrivariate": 5, "sandwich": 3,
             "sandwich_violated": 1, "sublevel": 3, "t20": 3, "trivariate": 3,
         }
-        assert sum(counts.values()) == 63
+        assert sum(counts.values()) == 60
 
 
 class TestDeterminism:

@@ -12,11 +12,11 @@ from sandwichkit.convexfn import (
     eval_with_subgradient,
     evaluate,
     fenchel_young_gap,
-    indicator_of_point,
     sup_affine_minus_convex,
 )
 from sandwichkit.geometry import AffineMap
 from sandwichkit.numerics import POS_INF, NEG_INF, StructuralError, dot, vec
+from support import indicator_of_point
 
 
 def abs_v() -> PolyhedralFunction:
@@ -80,7 +80,7 @@ class TestSublinear:
 
     def test_conjugate_is_indicator_of_hull(self):
         s = SublinearFunctional.of([(1,), (-1,)])
-        ind = s.conjugate()
+        ind = s.as_h_form().conjugate()
         assert evaluate(ind, ("1/2",)) == 0
         assert evaluate(ind, (1,)) == 0
         assert evaluate(ind, (2,)) == POS_INF

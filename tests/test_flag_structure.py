@@ -12,7 +12,7 @@ Each flag has a longer definition that spends more LPs:
   infimum, where it is 0 in int P with no level or value in it; the
   package tests that interior, with no fiber LP and no value row;
 * for the two-function kinds the longer definition runs over the product
-  psi = f + g of `scenario_to_trivariate`, one sample per pair; the
+  psi = f + g of `support.scenario_to_trivariate`, one sample per pair; the
   package never builds it, and decides both flags over f's and g's
   samples apart, lifted by +-1 in one more coordinate held at 0 (for
   `fenchel`'s boundedness, over g's samples alone).
@@ -39,7 +39,6 @@ from sandwichkit.duality import (  # noqa: E402
     KINDS,
     MODES,
     DualityScenario,
-    scenario_to_trivariate,
     verify,
 )
 from sandwichkit.geometry import (  # noqa: E402
@@ -64,8 +63,11 @@ from sandwichkit.randomgen import (  # noqa: E402
     random_crosscheck_scenario,
     random_fraction,
     random_vform,
+)
+from support import (  # noqa: E402
     random_violating_fenchel,
     random_violating_trivariate,
+    scenario_to_trivariate,
 )
 from test_duality import free_pair, sliding_indicator  # noqa: E402
 from test_geometry import zero_in_hull  # noqa: E402

@@ -150,7 +150,7 @@ class TestSubspace:
 
     def test_trivial_and_full(self):
         z = Subspace.from_spanning([], 2)
-        assert z.is_trivial
+        assert not z.basis
         assert z.contains((0, 0))
         assert not z.contains((1, 0))
         f = Subspace.full(3)
@@ -170,7 +170,7 @@ class TestConeUnion:
 
     def test_origin_alone_is_trivial_subspace(self):
         ok, s = cone_union_is_subspace([(0, 0)])
-        assert ok and s is not None and s.is_trivial
+        assert ok and s is not None and not s.basis
 
     def test_shifted_simplex_spanning_plane(self):
         # triangle with 0 inside and symmetric directions: spans the plane

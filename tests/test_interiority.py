@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sandwichkit import randomgen
+from sandwichkit import numerics, randomgen
 from sandwichkit.convexfn import V_FORM, PolyhedralFunction
-from sandwichkit.duality import scenario_to_trivariate
 from sandwichkit.geometry import AffineMap
 from sandwichkit.interiority import (
     SublevelQuery,
@@ -22,6 +21,13 @@ from sandwichkit.interiority import (
 )
 from sandwichkit.numerics import PreconditionError, vec
 from sandwichkit.randomgen import random_sublevel_query
+from support import (
+    lemma19a_by_scales,
+    random_bibivariate_scenario,
+    random_violating_fenchel,
+    random_violating_trivariate,
+    scenario_to_trivariate,
+)
 
 
 def abs_on_unit() -> PolyhedralFunction:
@@ -56,7 +62,7 @@ class TestMargin:
     def test_trivial_direction_space(self):
         zero_map = AffineMap(((Fraction(0),),), (Fraction(0),), 1)
         q = SublevelQuery.build(abs_on_unit(), zero_map, Fraction(1, 2))
-        assert q.subspace_ok and q.y.is_trivial
+        assert q.subspace_ok and not q.y.basis
         res = interiority_margin(q)
         assert res.holds and res.margin == 0 and res.level_used == Fraction(1, 2)
         assert not interiority_margin(
@@ -132,22 +138,22 @@ FLAG_GENERATORS = {
     "trivariate": (
         lambda rng: randomgen.random_crosscheck_scenario(rng, "trivariate"),
         randomgen.random_trivariate_scenario,
-        randomgen.random_violating_trivariate,
+        random_violating_trivariate,
     ),
     "fenchel": (
         lambda rng: randomgen.random_crosscheck_scenario(rng, "fenchel"),
-        randomgen.random_violating_fenchel,
+        random_violating_fenchel,
     ),
     "quadrivariate": (
         lambda rng: randomgen.random_crosscheck_scenario(rng, "quadrivariate"),
     ),
     "bibivariate": (
         lambda rng: randomgen.random_crosscheck_scenario(rng, "bibivariate"),
-        randomgen.random_bibivariate_scenario,
+        random_bibivariate_scenario,
     ),
     "partial_infconv": (
         lambda rng: randomgen.random_crosscheck_scenario(rng, "partial_infconv"),
-        lambda rng: randomgen.random_bibivariate_scenario(rng, partial=True),
+        lambda rng: random_bibivariate_scenario(rng, partial=True),
     ),
 }
 
@@ -222,8 +228,9 @@ class TestBoundednessOverSamples:
 
 class TestTheorem20:
     def test_worked_queries(self):
-        assert theorem20_equivalence(query(Fraction(1, 2))).as_tuple() == (True,) * 3
-        assert theorem20_equivalence(query(0)).as_tuple() == (False,) * 3
+        for gamma, want in ((Fraction(1, 2), True), (0, False)):
+            res = theorem20_equivalence(query(gamma))
+            assert (res.c24, res.c25, res.c26) == (want,) * 3
 
     def test_refuses_without_subspace(self):
         phi = PolyhedralFunction.v_form(1, [((0,), 0), ((1,), 0)])
@@ -248,7 +255,7 @@ class TestLemma19a:
     def test_exhaustion_reports_probe(self):
         res = lemma19a_check(query(Fraction(1, 2)), Fraction(1, 2), [(100,)], i_max=16)
         assert not res
-        assert res.failing_probe == (Fraction(100),)
+        assert res.assignments == (((Fraction(100),), None),)
 
     def test_monotone_in_cap_and_level(self):
         q = query(Fraction(1, 2))
@@ -269,6 +276,34 @@ class TestLemma19a:
         q = SublevelQuery.build(abs_on_unit(), zero_map, 1)
         with pytest.raises(PreconditionError):
             lemma19a_check(q, 1, [(1,)])
+
+    def test_matches_one_fiber_lp_per_scale(self, monkeypatch):
+        """The one reach LP per probe gives the assignments of the
+        definition, one fiber LP per scale (support.lemma19a_by_scales),
+        with at most one more LP per probe."""
+        solves = []
+        lp_solve = numerics.lp_solve
+        monkeypatch.setattr(numerics, "lp_solve",
+                            lambda *args: solves.append(1) or lp_solve(*args))
+        rng = random.Random(505)
+        outcomes = set()
+        for _ in range(300):
+            q = random_sublevel_query(rng)
+            delta = q.fiber_value + Fraction(rng.randint(1, 6), rng.choice((1, 2, 4)))
+            probes = []
+            for _ in range(3):
+                scale = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))
+                coeffs = [rng.randint(-2, 2) for _ in q.y.basis]
+                probes.append(tuple(
+                    scale * sum((k * base[c] for k, base in zip(coeffs, q.y.basis)), Fraction(0))
+                    for c in range(q.b_map.out_dim)))
+            i_max = rng.randint(0, 16)
+            solves.clear()
+            got = lemma19a_check(q, delta, probes, i_max)
+            assert len(solves) <= 2 * len(probes)
+            assert got == lemma19a_by_scales(q, delta, probes, i_max)
+            outcomes.update(i if i is None else min(i, 2) for _, i in got.assignments)
+        assert outcomes == {None, 1, 2}
 
 
 class TestCorollary21:
@@ -294,4 +329,5 @@ class TestCorollary21:
             q = random_sublevel_query(rng)
             res = corollary21_auto(SublevelQuery.build(q.phi, q.b_map))
             q2 = SublevelQuery.build(q.phi, q.b_map, res.gamma)
-            assert theorem20_equivalence(q2).as_tuple() == (True, True, True)
+            res2 = theorem20_equivalence(q2)
+            assert res2.c24 and res2.c25 and res2.c26

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 
 from sandwichkit import numerics
+from sandwichkit.cli import encode_scalar
 from sandwichkit.numerics import (
     EQ,
     GE,
@@ -29,7 +30,6 @@ from sandwichkit.numerics import (
     check_point_feasible,
     check_ray_certificate,
     ext_sub,
-    format_scalar,
     frac,
     lp_solve,
     parse_scalar,
@@ -136,7 +136,7 @@ def test_frac_parsing():
 
 def test_scalar_round_trip():
     for s in ("2", "-7/3", "0", "inf", "-inf"):
-        assert format_scalar(parse_scalar(s)) == s.lstrip("+")
+        assert encode_scalar(parse_scalar(s)) == s.lstrip("+")
     assert parse_scalar("0.5") == F(1, 2)
 
 

@@ -17,7 +17,7 @@ from sandwichkit.convexfn import (
     sup_affine_minus_convex,
 )
 from sandwichkit import randomgen
-from sandwichkit.duality import KINDS, DualityScenario, product_function, query_program, verify
+from sandwichkit.duality import KINDS, DualityScenario, query_program, verify
 from sandwichkit.geometry import AffineMap, solve_linear
 from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.oracle import (
@@ -35,6 +35,13 @@ from sandwichkit.randomgen import (
     random_sandwich_instance,
     random_vec,
     random_vform,
+)
+from support import (
+    product_function,
+    random_bibivariate_scenario,
+    random_indicator_scenario,
+    random_violating_fenchel,
+    random_violating_trivariate,
 )
 from test_acceptance import Stopwatch
 
@@ -344,7 +351,7 @@ class TestDualRecompute:
                                           for sx in (-1, 0, 1) for su in (-1, 0, 1)])
         escaping = DualityScenario.indicator_linear(
             g, AffineMap.from_rows([[1, 0]]), identity(1), [(0, 1, 0)])
-        empty = randomgen.random_violating_trivariate(random.Random(5))
+        empty = random_violating_trivariate(random.Random(5))
         for s, fresh in ((escaping, float("inf")), (empty, float("-inf"))):
             rep = verify(s)[0]
             assert rep.rhs == fresh and rep.rhs is not fresh
@@ -471,14 +478,14 @@ class TestCrosscheckScenario:
         gens = [
             randomgen.random_fenchel_scenario,
             randomgen.random_trivariate_scenario,
-            randomgen.random_bibivariate_scenario,
-            lambda rng: randomgen.random_bibivariate_scenario(rng, partial=True),
-            randomgen.random_indicator_scenario,
-            lambda rng: randomgen.random_indicator_scenario(
+            random_bibivariate_scenario,
+            lambda rng: random_bibivariate_scenario(rng, partial=True),
+            random_indicator_scenario,
+            lambda rng: random_indicator_scenario(
                 rng, hypothesis_mode="closed_subspace"),
-            randomgen.random_violating_fenchel,
-            lambda rng: randomgen.random_violating_fenchel(rng, touching=True),
-            randomgen.random_violating_trivariate,
+            random_violating_fenchel,
+            lambda rng: random_violating_fenchel(rng, touching=True),
+            random_violating_trivariate,
         ]
         gens += [lambda rng, k=kind: random_crosscheck_scenario(rng, k) for kind in KINDS]
         gens.append(piece_form_fenchel)
