@@ -14,6 +14,7 @@ subgradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .numerics import (
     PointColumns,
     StructuralError,
     Vec,
+    _int_image,
     dot,
     frac,
     vec,
@@ -161,6 +163,12 @@ class PolyhedralFunction:
         """The points' integer image for convex weights, made on first use."""
         return PointColumns([p for p, _ in self.data], self.dim)
 
+    @cached_property
+    def value_image(self) -> tuple[list[int], int]:
+        """The attached scalars' integer image (see `numerics._int_image`),
+        the objective of every evaluation LP, made on first use."""
+        return _int_image([v for _, v in self.data])
+
     def domain(self) -> Polytope:
         """Effective domain; only sample-form functions have a bounded one."""
         if self.form != V_FORM:
@@ -202,8 +210,7 @@ def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec 
                 best, arg = v, a
         return best, arg
     b = LpBuilder()
-    lam = b.convex_weights(f.columns, x)
-    b.set_objective({lam[i]: f.data[i][1] for i in range(len(lam))})
+    b.weights_program(f.columns, x, f.value_image)
     res = b.solve()
     if res.status == "infeasible":
         return POS_INF, None
@@ -278,9 +285,14 @@ def sup_affine_minus_convex(
             columns = None if m.is_identity() else m.columns()
             for a, const in psi.pieces:
                 slope = a if columns is None else [dot(a, col) for col in columns]
-                row = {s: Fraction(1)}
-                row.update((zj, -c) for zj, c in zip(zvars, slope) if c)
-                b.add(row, GE, const if columns is None else dot(a, m.offset) + const)
+                rhs = const if columns is None else dot(a, m.offset) + const
+                # the row's integer image over the lcm of its denominators,
+                # made here in the order add would make it
+                t = math.lcm(rhs.denominator, *[c.denominator for c in slope if c])
+                row = {s: t}
+                row.update((zj, -c.numerator * (t // c.denominator))
+                           for zj, c in zip(zvars, slope) if c)
+                b.add_image(row, GE, rhs.numerator * (t // rhs.denominator), t)
             b.add_objective_term(s, Fraction(-1))
     res = b.solve()
     if res.status == "infeasible":

@@ -27,7 +27,15 @@ once, where it is assembled, as the integer numerators of its nonzero entries
 over a positive scale s (a bound row holds one entry), and the row enters the
 tableau times s, with its artificial variable a' = s a.  No dense Fraction row
 is made on the way; a program's rational view is made from its rows only when
-it is read.  The tableau is T = D B^-1 M' for that integer system M', its
+it is read.  A program of convex weights solved at many targets, such as a
+sample-form function's evaluation LP, is made from prepared parts
+(`LpBuilder.weights_program`): per call only the rows that read the target
+are made, the weight row and the bound rows are shared by every program of
+the shape, the objective's integer image is the caller's, and the program
+carries its fold (which rows x_j >= 0 the kernel folds into their columns),
+so the kernel does not rescan its rows for it.
+
+The tableau is T = D B^-1 M' for that integer system M', its
 basis B and one common denominator D = |det B| (Edmonds 1967; Bareiss 1968),
 so a pivot is one pass per row ending in an exact integer division, with no
 gcd.  The kernel hands back integer images over one denominator each: the
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -176,24 +185,26 @@ class LinearProgram:
 
     A program is exactly what `LpBuilder.build` assembles, the only way to
     make one: its integer rows (see `_row_image`), the n_constraints
-    constraints first and then one row per finite bound, and the
-    objective's integer image obj.  The solver and the certificate checks
-    read those rows.  The rational view (objective, constraints, bounds) is
-    made from them when it is first read; bounds, when not None, holds one
-    (lo, hi) pair per variable with None for an absent side.  Variables are
-    otherwise free.
+    constraints first and then one row per finite bound, the objective's
+    integer image obj, and the rows' fold `_folded(rows)` where the builder
+    has it prepared (None otherwise; `lp_solve` then finds it where it
+    needs it).  The solver and the certificate checks read those rows.  The
+    rational view (objective, constraints, bounds) is made from them when
+    it is first read; bounds, when not None, holds one (lo, hi) pair per
+    variable with None for an absent side.  Variables are otherwise free.
     """
 
-    __slots__ = ("num_vars", "sense", "_view", "_rows", "_obj", "_n_constraints")
+    __slots__ = ("num_vars", "sense", "_view", "_rows", "_obj", "_n_constraints", "_fold")
 
     def __init__(self, num_vars: int, sense: str, rows: list, n_constraints: int,
-                 obj: tuple[list[int], int]):
+                 obj: tuple[list[int], int], fold: tuple | None = None):
         self.num_vars = num_vars
         self.sense = sense
         self._view = None
         self._rows = rows
         self._obj = obj
         self._n_constraints = n_constraints
+        self._fold = fold
 
     def _rational(self) -> tuple:
         """(objective, constraints, bounds), made from the integer rows once."""
@@ -806,17 +817,18 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve lp exactly, returning an optimum with a certificate.
 
     A tall program is solved through its transpose (`_tall`,
-    `_solve_transposed`).  The point and the certificate are re-verified on
-    lp's own rows before returning; a verification failure raises
+    `_solve_transposed`).  The rows' fold is the one lp carries, or is found
+    here where it is needed.  The point and the certificate are re-verified
+    on lp's own rows before returning; a verification failure raises
     RuntimeError (it would mean a kernel bug, not a property of the input).
     """
-    rows, obj = lp._rows, lp._obj
+    rows, obj, fold = lp._rows, lp._obj, lp._fold
     minimize = lp.sense == "min"
     n = lp.num_vars
-    out = fold = None
+    out = None
     tall = _tall(n)
     if len(rows) > tall:
-        fold = _folded(rows)
+        fold = fold or _folded(rows)
         if len(rows) - len(fold[0]) > tall:
             out = _solve_transposed(rows, obj, minimize, n, fold)
     if out is None:
@@ -898,6 +910,44 @@ class PointColumns:
         self.columns = tuple(columns)
 
 
+def _coordinate_row(scale: int, column: tuple, lam, extra: dict, b: int, t: int) -> tuple:
+    """The row sum_i lam_i p_i[c] + extra . x = B / t for the points' column
+    (scale, column) of `PointColumns`, where extra is the integer image of
+    the extra terms over t: over the lcm of scale and t, the column's
+    numerators in weight order, the extra terms added in, a sum that cancels
+    dropped."""
+    s = math.lcm(scale, t)
+    k, m = s // scale, s // t
+    a = {j: x * k for j, x in zip(lam, column) if x}
+    for j, x in extra.items():
+        x = a.get(j, 0) + x * m
+        if x:
+            a[j] = x
+        else:
+            del a[j]
+    return (a, EQ, b * m, s)
+
+
+@lru_cache(maxsize=64)
+def _weight_rows(n: int) -> tuple:
+    """The weight row sum_i lam_i = 1 and the n bound rows lam_i >= 0 of
+    convex weights over n points that are a program's first variables."""
+    return (dict.fromkeys(range(n), 1), EQ, 1, 1), tuple(({j: 1}, GE, 0, 1) for j in range(n))
+
+
+@lru_cache(maxsize=64)
+def _weight_parts(n: int, d: int) -> tuple:
+    """The parts of convex weights over n points in dimension d that no
+    target reads, when the weights are a program's only variables: the
+    weight row, the n bound rows, and the fold of the program whose rows
+    are the weight row, d coordinate rows and the bound rows, in that
+    order.  Every program of the shape shares them, and the rows are shared
+    across dimensions too, so nothing may mutate them."""
+    weight, bounds = _weight_rows(n)
+    fold = ({j: d + 1 + j for j in range(n)}, [False] * (d + 1) + [True] * n)
+    return weight, bounds, fold
+
+
 class LpBuilder:
     """Incremental assembly of a LinearProgram from sparse rows, the only
     way to make one.
@@ -908,7 +958,10 @@ class LpBuilder:
     `convexfn.sup_affine_minus_convex` does.  Each row is stored as the
     kernel reads it (see `_row_image`) the moment it is added, so build()
     only collects rows; bound rows are kept apart, in variable order, and
-    follow the constraints.
+    follow the constraints.  A caller that has a row's integer image
+    already hands it over with add_image.  weights_program makes a whole
+    program of convex weights from prepared parts, and the program carries
+    its fold.
     """
 
     def __init__(self, sense: str = "min"):
@@ -917,8 +970,10 @@ class LpBuilder:
         self._sense = sense
         self._n = 0
         self._rows: list[tuple[dict[int, int], str, int, int]] = []
-        self._bound_rows: list[tuple[dict[int, int], str, int, int]] = []
+        self._bound_rows: Sequence[tuple[dict[int, int], str, int, int]] = []
         self._obj: dict[int, Fraction] = {}
+        # (objective image, fold) of a program made from prepared parts
+        self._prepared: tuple | None = None
 
     @property
     def num_vars(self) -> int:
@@ -930,6 +985,7 @@ class LpBuilder:
     def block(self, count: int, lo=None, hi=None) -> list[int]:
         """count new variables, each with the bounds lo <= x and x <= hi
         where they are given."""
+        self._open()
         # an int is its own image, with no Fraction made for it
         sides = [(rel, v if type(v) is int else frac(v))
                  for v, rel in ((lo, GE), (hi, LE)) if v is not None]
@@ -964,21 +1020,40 @@ class LpBuilder:
         self._rows.append((dict.fromkeys(lam, 1), EQ, 1, 1))
         for c, (scale, column) in enumerate(points.columns):
             # the extra terms and rhs[c] as one row, then the points' column
-            # added in over the common scale; a sum that cancels is dropped
+            # added in over the common scale
             e, _, b, t = _row_image(
                 self._coeffs(extra[c]) if extra is not None else {}, EQ, frac(rhs[c])
             )
-            s = math.lcm(scale, t)
-            k, m = s // scale, s // t
-            a = {j: x * k for j, x in zip(lam, column) if x}
-            for j, x in e.items():
-                x = a.get(j, 0) + x * m
-                if x:
-                    a[j] = x
-                else:
-                    del a[j]
-            self._rows.append((a, EQ, b * m, s))
+            self._rows.append(_coordinate_row(scale, column, lam, e, b, t))
         return lam
+
+    def weights_program(self, points: PointColumns, rhs: Vec,
+                        obj: tuple[list[int], int]) -> None:
+        """Make this empty builder's program min sum_i c_i lam_i over convex
+        weights lam on points matched to rhs, from prepared parts.
+
+        The program is the one `convex_weights(points, rhs)` and
+        `set_objective({lam[i]: c[i]})` make, row for row, and obj is its
+        objective's integer image, `_int_image(c)`, prepared by the caller.
+        Only the d coordinate rows, the ones rhs is read by, are made here.
+        The weight row, the bound rows and the fold come from
+        `_weight_parts`, shared by every program of the shape, and the
+        program carries the fold.  rhs holds Fractions.  The builder takes
+        no further variables, rows or objective terms.
+        """
+        if self._n or self._rows:
+            raise StructuralError("prepared parts make a whole program, on an empty builder")
+        d = len(points.columns)
+        if len(rhs) != d:
+            raise StructuralError(f"{d} point coordinates matched to {len(rhs)} targets")
+        weight, bounds, fold = _weight_parts(points.count, d)
+        lam = range(points.count)
+        self._rows = [weight]
+        self._rows += [_coordinate_row(scale, column, lam, {}, v.numerator, v.denominator)
+                       for (scale, column), v in zip(points.columns, rhs)]
+        self._bound_rows = bounds
+        self._n = points.count
+        self._prepared = (obj, fold)
 
     def _index(self, j) -> int:
         """j itself, when it names a variable this builder created."""
@@ -998,15 +1073,30 @@ class LpBuilder:
                 out[j] = fv
         return out
 
+    def _open(self) -> None:
+        if self._prepared is not None:
+            raise StructuralError("a program made from prepared parts takes nothing more")
+
     def add(self, coeffs: Mapping[int, object], rel: str, rhs) -> None:
+        self._open()
         if rel not in _RELS:
             raise StructuralError(f"bad relation {rel!r}")
         self._rows.append(_row_image(self._coeffs(coeffs), rel, frac(rhs)))
 
+    def add_image(self, a: dict[int, int], rel: str, b: int, s: int) -> None:
+        """add for a row given as its integer image (A, rel, B, s), the one
+        `_row_image` makes: A maps variables this builder created, each
+        with a nonzero coefficient, to their numerators over the row's scale
+        s > 0.  The image is taken as it is, unchecked."""
+        self._open()
+        self._rows.append((a, rel, b, s))
+
     def set_objective(self, coeffs: Mapping[int, object]) -> None:
+        self._open()
         self._obj = {self._index(j): frac(v) for j, v in coeffs.items()}
 
     def add_objective_term(self, j: int, coeff) -> None:
+        self._open()
         fv = frac(coeff)
         if self._index(j) in self._obj:
             self._obj[j] += fv
@@ -1014,9 +1104,12 @@ class LpBuilder:
             self._obj[j] = fv
 
     def build(self) -> LinearProgram:
-        obj = _int_image([self._obj.get(j, 0) for j in range(self._n)])
-        return LinearProgram(self._n, self._sense, self._rows + self._bound_rows,
-                             len(self._rows), obj)
+        if self._prepared is None:
+            obj, fold = _int_image([self._obj.get(j, 0) for j in range(self._n)]), None
+        else:
+            obj, fold = self._prepared
+        return LinearProgram(self._n, self._sense, [*self._rows, *self._bound_rows],
+                             len(self._rows), obj, fold)
 
     def solve(self) -> LpResult:
         return lp_solve(self.build())

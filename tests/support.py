@@ -10,18 +10,34 @@ state a reference or draw an instance no command draws, lives here:
 * seeded generators of bibivariate, indicator and violating scenarios;
 * `indicator_of_point`;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
-  reference for `interiority.lemma19a_check`.
+  reference for `interiority.lemma19a_check`;
+* `evaluation_lp_by_builder` and `sup_lp_by_builder`, the LPs of
+  `convexfn.eval_with_subgradient` and `convexfn.sup_affine_minus_convex`
+  assembled through `LpBuilder.convex_weights`, `set_objective` and `add`,
+  one Fraction row at a time: the references for the prepared evaluation
+  program and the piece rows handed over as integer images.
 """
 import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from sandwichkit.convexfn import V_FORM, PolyhedralFunction
+from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction
 from sandwichkit.duality import DualityScenario
 from sandwichkit.geometry import AffineMap, embed, vec_neg
 from sandwichkit.interiority import Lemma19aResult, SublevelQuery, _fiber_lp
-from sandwichkit.numerics import POS_INF, PreconditionError, StructuralError, frac, vec
+from sandwichkit.numerics import (
+    EQ,
+    GE,
+    POS_INF,
+    LinearProgram,
+    LpBuilder,
+    PreconditionError,
+    StructuralError,
+    dot,
+    frac,
+    vec,
+)
 from sandwichkit.randomgen import (
     random_affine_map,
     random_fraction,
@@ -257,3 +273,41 @@ def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],
         if found is None:
             all_ok = False
     return Lemma19aResult(all_ok, tuple(assignments))
+
+
+def evaluation_lp_by_builder(f: PolyhedralFunction, x: Sequence) -> LinearProgram:
+    """The LP that evaluates the sample-form f at x, assembled row by row:
+    convex weights on f's points matched to x, the values as objective."""
+    b = LpBuilder()
+    lam = b.convex_weights([p for p, _ in f.samples], vec(x))
+    b.set_objective({lam[i]: f.data[i][1] for i in range(len(lam))})
+    return b.build()
+
+
+def sup_lp_by_builder(phi: AffineFunctional, terms, fibers=()) -> LinearProgram:
+    """The LP of `sup_affine_minus_convex(phi, terms, fibers)`, every row
+    given to `LpBuilder.add` or `convex_weights` as Fractions."""
+    n = phi.dim
+    b = LpBuilder("max")
+    zvars = b.block(n)
+    b.set_objective({zvars[j]: phi.coeffs[j] for j in range(n)})
+    for m in fibers:
+        for row, off in zip(m.linear, m.offset):
+            b.add(dict(zip(zvars, row)), EQ, -off)
+    for psi, m in terms:
+        if psi.form == V_FORM:
+            coupling = [{zvars[j]: -row[j] for j in range(n) if row[j]} for row in m.linear]
+            lam = b.convex_weights(psi.columns, m.offset, coupling)
+            for i in range(len(lam)):
+                if psi.data[i][1]:
+                    b.add_objective_term(lam[i], -psi.data[i][1])
+        else:
+            s = b.var()
+            columns = None if m.is_identity() else m.columns()
+            for a, const in psi.pieces:
+                slope = a if columns is None else [dot(a, col) for col in columns]
+                row = {s: Fraction(1)}
+                row.update((zj, -c) for zj, c in zip(zvars, slope) if c)
+                b.add(row, GE, const if columns is None else dot(a, m.offset) + const)
+            b.add_objective_term(s, Fraction(-1))
+    return b.build()

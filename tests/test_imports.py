@@ -50,18 +50,19 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def read_counts(tree: ast.AST) -> Counter:
-    """How often a subtree reads each name: as a variable, as an attribute
-    or imported by name."""
-    out = Counter()
+def read_counts(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often a subtree reads each name: (every read, as a variable, as
+    an attribute or imported by name; attribute reads obj.name alone)."""
+    out, attributes = Counter(), Counter()
     for sub in ast.walk(tree):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out[sub.attr] += 1
+            attributes[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
-    return out
+    return out, attributes
 
 
 def documented_names() -> set:
@@ -79,35 +80,44 @@ def documented_names() -> set:
 
 
 def package_definitions(tree: ast.Module):
-    """Each top-level function or class, and each public method of a
-    public class, dunders aside."""
+    """(definition, is a method) for each top-level function or class, and
+    each public method of a public class, dunders aside."""
     for node in tree.body:
         if not isinstance(node, DEFINITIONS):
             continue
-        yield node
+        yield node, False
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for member in node.body:
                 if (isinstance(member, DEFINITIONS)
                         and not member.name.startswith("_")):
-                    yield member
+                    yield member, True
 
 
 def test_no_dead_top_level_definitions():
     """Every top-level function or class of the package, and every public
     method of a public package class, is read outside its own definition by
     a package module or a perfbench script, or is documented API named in
-    README's module table.  A read from the tests alone does not keep
+    README's module table.  A method counts as read only through an
+    attribute, obj.name: a bare name, such as a local variable of the same
+    name, does not keep it alive.  Two classes' methods of one name are
+    still not told apart.  A read from the tests alone does not keep
     package code alive: test-only code lives in tests/support.py."""
     assert {p.name for p in PERFBENCH} >= {"run.py", "workloads.py"}
     trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES + PERFBENCH}
-    reads = Counter()
+    reads, attribute_reads = Counter(), Counter()
     for tree in trees.values():
-        reads.update(read_counts(tree))
+        every, attributes = read_counts(tree)
+        reads.update(every)
+        attribute_reads.update(attributes)
     documented = documented_names()
     dead = []
     for path in MODULES:
-        for node in package_definitions(trees[path]):
-            outside = reads[node.name] - read_counts(node)[node.name]
+        for node, is_method in package_definitions(trees[path]):
+            every, attributes = read_counts(node)
+            if is_method:
+                outside = attribute_reads[node.name] - attributes[node.name]
+            else:
+                outside = reads[node.name] - every[node.name]
             if outside <= 0 and node.name not in documented:
                 dead.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not dead, "read by no package module or perfbench script: " + ", ".join(dead)

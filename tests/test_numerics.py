@@ -24,6 +24,7 @@ from sandwichkit.numerics import (
     LinearProgram,
     LpBuilder,
     LpResult,
+    PointColumns,
     StructuralError,
     check_dual_certificate,
     check_farkas_certificate,
@@ -428,6 +429,32 @@ class TestConvexWeights:
         assert weight_dual + 2 * slope[0] + 2 * slope[1] == 2
         assert weight_dual == 0
         assert slope[0] + slope[1] == 1
+
+    def test_prepared_program_takes_an_empty_builder_and_nothing_more(self):
+        cols = PointColumns([(1,), (2,)], 1)
+        obj = numerics._int_image(vec((0, 1)))
+        b = LpBuilder()
+        b.var()
+        with pytest.raises(StructuralError, match="empty builder"):
+            b.weights_program(cols, vec((1,)), obj)
+        with pytest.raises(StructuralError, match="matched to 2 targets"):
+            LpBuilder().weights_program(cols, vec((1, 1)), obj)
+        b = LpBuilder()
+        b.weights_program(cols, vec((1,)), obj)
+        for edit in (lambda: b.var(), lambda: b.add({0: 1}, GE, 0),
+                     lambda: b.add_image({0: 1}, GE, 0, 1),
+                     lambda: b.set_objective({0: 1}), lambda: b.add_objective_term(0, 1)):
+            with pytest.raises(StructuralError, match="takes nothing more"):
+                edit()
+        assert b.solve().value == 0
+
+    def test_a_row_image_is_the_row_add_makes(self):
+        b, c = LpBuilder(), LpBuilder()
+        for builder in (b, c):
+            builder.block(3)
+        b.add({2: F(1, 2), 0: F(-2, 3)}, LE, F(5, 4))
+        c.add_image({2: 6, 0: -8}, LE, 15, 12)
+        assert b.build()._rows == c.build()._rows
 
 
 def kernel_rows(monkeypatch, b: LpBuilder) -> list:

@@ -1,0 +1,199 @@
+"""LPs made from prepared parts against the same LPs made row by row.
+
+A sample-form function's evaluation LP is made by
+`LpBuilder.weights_program` from the function's cached images and rows
+shared per shape, and `sup_affine_minus_convex` hands its piece rows to the
+builder as integer images.  Both must give the kernel exactly the program
+that `LpBuilder.convex_weights`, `set_objective` and `add` assemble: the same
+rows in the same order, each with the same entries in the same order over the
+same scale, the same objective image, and for a prepared program a carried
+fold equal to the one the kernel would find.  The references are in
+tests/support.py.  hypothesis draws the instances; the module is skipped
+where hypothesis is missing, which the package does not need.
+"""
+import random
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sandwichkit import numerics  # noqa: E402
+from sandwichkit.convexfn import (  # noqa: E402
+    AffineFunctional,
+    PolyhedralFunction,
+    eval_with_subgradient,
+    sup_affine_minus_convex,
+)
+from sandwichkit.geometry import AffineMap  # noqa: E402
+from sandwichkit.numerics import _folded, _weight_parts, _weight_rows, lp_solve  # noqa: E402
+from sandwichkit.randomgen import random_affine_map, random_fraction, random_vec  # noqa: E402
+from support import evaluation_lp_by_builder, sup_lp_by_builder  # noqa: E402
+
+#: the (dimension, sample count) shapes of the benchmark's evaluate workload
+EVALUATE_SHAPES = [(d, n) for d in (1, 2, 3, 4) for n in (3, 5, 8, 12, 16)]
+
+
+def solved_lps(call) -> tuple:
+    """call's return value and every program it hands to lp_solve."""
+    seen = []
+
+    def recording(lp):
+        seen.append(lp)
+        return lp_solve(lp)
+
+    with mock.patch.object(numerics, "lp_solve", recording):
+        out = call()
+    return out, seen
+
+
+def ordered(rows) -> list:
+    """Integer rows with each row's entry order."""
+    return [(list(a.items()), rel, b, s) for a, rel, b, s in rows]
+
+
+def layout(lp) -> tuple:
+    """Everything the kernel reads of lp, with each row's entry order."""
+    return lp.num_vars, lp.sense, lp._n_constraints, ordered(lp._rows), lp._obj
+
+
+def assert_evaluation_matches_the_builder(f: PolyhedralFunction, x) -> None:
+    (value, sub), (lp,) = solved_lps(lambda: eval_with_subgradient(f, x))
+    ref = evaluation_lp_by_builder(f, x)
+    assert layout(lp) == layout(ref)
+    assert lp._fold == _folded(lp._rows)
+    # and the function's result is the reference program's
+    res = lp_solve(ref)
+    if res.status == "infeasible":
+        assert (value, sub) == (numerics.POS_INF, None)
+    else:
+        assert (value, sub) == (res.value, res.dual[1:1 + f.dim])
+
+
+def random_function(rng: random.Random, dim: int, n: int) -> PolyhedralFunction:
+    return PolyhedralFunction.v_form(dim, [
+        (tuple(F(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(dim)),
+         F(rng.randint(-20, 20), rng.randint(1, 20)))
+        for _ in range(n)
+    ])
+
+
+def hull_point(rng: random.Random, f: PolyhedralFunction) -> tuple:
+    weights = [rng.randint(0, 5) for _ in f.samples]
+    weights[rng.randrange(len(weights))] += 1
+    total = sum(weights)
+    return tuple(sum((F(w, total) * p[c] for w, (p, _) in zip(weights, f.samples)), F(0))
+                 for c in range(f.dim))
+
+
+def off_hull_point(rng: random.Random, f: PolyhedralFunction) -> tuple:
+    x = list(hull_point(rng, f))
+    c = rng.randrange(f.dim)
+    x[c] = max(p[c] for p, _ in f.samples) + F(rng.randint(1, 20), rng.randint(1, 20))
+    return tuple(x)
+
+
+def evaluate_round(seed: int, functions_per_shape: int = 2) -> list:
+    """(f, x) pairs in every evaluate shape: four points on the hull and
+    one off it per function."""
+    rng = random.Random(seed)
+    items = []
+    for dim, n in EVALUATE_SHAPES:
+        for _ in range(functions_per_shape):
+            f = random_function(rng, dim, n)
+            items.append((f, off_hull_point(rng, f)))
+            items.extend((f, hull_point(rng, f)) for _ in range(4))
+    return items
+
+
+@st.composite
+def evaluations(draw):
+    """A sample-form function and a point: dimension 0 to 4, 1 to 16
+    samples drawn from a small pool, so points and whole samples repeat, and
+    the point on the hull, off it, or anywhere."""
+    dim = draw(st.integers(0, 4))
+    scalar = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(st.tuples(*[scalar] * dim), scalar), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=16))
+    f = PolyhedralFunction.v_form(dim, [pool[i] for i in picks])
+    where = draw(st.sampled_from(["on", "off", "anywhere"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if where == "on" or dim == 0:
+        x = hull_point(rng, f)
+    elif where == "off":
+        x = off_hull_point(rng, f)
+    else:
+        x = tuple(draw(scalar) for _ in range(dim))
+    return f, x
+
+
+class TestEvaluationProgram:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(evaluations())
+    def test_matches_the_builders_program(self, case):
+        assert_evaluation_matches_the_builder(*case)
+
+    def test_every_evaluate_shape_matches_the_builders_program(self):
+        items = evaluate_round(28)
+        assert {(f.dim, len(f.data)) for f, _ in items} == set(EVALUATE_SHAPES)
+        for f, x in items:
+            assert_evaluation_matches_the_builder(f, x)
+
+    def test_a_round_leaves_the_shared_parts_unchanged(self):
+        items = evaluate_round(5)
+        shapes = {(f.dim, len(f.data)) for f, _ in items}
+        for f, x in items:
+            eval_with_subgradient(f, x)
+        # the shared parts: still cached, and equal, entry order included,
+        # to parts made afresh
+        for dim, n in shapes:
+            weight, bounds, fold = _weight_parts(n, dim)
+            assert _weight_parts(n, dim)[0] is weight
+            fresh_weight, fresh_bounds = _weight_rows.__wrapped__(n)
+            assert ordered([weight, *bounds]) == ordered([fresh_weight, *fresh_bounds])
+            assert fold == _weight_parts.__wrapped__(n, dim)[2]
+
+    def test_the_values_image_is_made_once(self):
+        f = random_function(random.Random(3), 2, 5)
+        (_, first), (_, second) = (solved_lps(lambda: eval_with_subgradient(f, x))
+                                   for x in (hull_point(random.Random(1), f),
+                                             hull_point(random.Random(2), f)))
+        assert first[0]._obj is second[0]._obj is f.value_image
+
+
+@st.composite
+def piece_sups(draw):
+    """A sup over 1 to 3 terms of either form, under identity or random maps,
+    with up to one fiber."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        dim = draw(st.integers(1, 3))
+        entries = [(random_vec(rng, dim), random_fraction(rng, denominators=(1, 2, 3, 5)))
+                   for _ in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            psi = PolyhedralFunction.h_form(dim, entries)
+        else:
+            psi = PolyhedralFunction.v_form(dim, entries)
+        if dim == n and draw(st.booleans()):
+            m = AffineMap.identity(n)
+        else:
+            m = random_affine_map(rng, n, dim)
+        terms.append((psi, m))
+    fibers = [random_affine_map(rng, n, 1)] if draw(st.booleans()) else []
+    phi = AffineFunctional(random_vec(rng, n), random_fraction(rng))
+    return phi, terms, fibers
+
+
+class TestSupProgram:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(piece_sups())
+    def test_matches_the_builders_program(self, case):
+        phi, terms, fibers = case
+        _, (lp,) = solved_lps(lambda: sup_affine_minus_convex(phi, terms, fibers))
+        assert layout(lp) == layout(sup_lp_by_builder(phi, terms, fibers))
+        assert lp._fold is None
