@@ -217,6 +217,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(
             "document", f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        # the decoder recurses once per level of nesting
+        raise ScenarioError("document", f"{source}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError("document", "the top level must be an object")
     dims = {}
@@ -719,7 +722,11 @@ def _load(path: Path):
         data = path.read_bytes()
     except OSError as exc:
         raise ScenarioError("file", f"cannot read {path}: {exc.strerror}") from None
-    return parse_scenario(data.decode("utf-8"), str(path)), _digest(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("file", f"{path} is not UTF-8: byte {exc.start}: {exc.reason}") from None
+    return parse_scenario(text, str(path)), _digest(data)
 
 
 def _run_single(command: str, path: Path, args) -> tuple:

@@ -31,6 +31,7 @@ from .numerics import (
     PointColumns,
     StructuralError,
     Vec,
+    _coordinate_row,
     _int_image,
     dot,
     frac,
@@ -253,16 +254,25 @@ def sup_affine_minus_convex(
     attained value here.  An empty feasible region means every z leaves some
     term at +inf or off a fiber, so the sup over the effective domain is
     -inf; an unbounded sup is +inf.
+
+    Rows reach the builder as integer images: a fiber's from the map's
+    `fiber_rows`, a sample-form term's coordinate rows from its function's
+    `columns` and its map's `coupling_rows`, each image made once per map or
+    function, and the objective as one image over phi's coefficients and the
+    terms' `value_image`s.
     """
     n = phi.dim
     b = LpBuilder("max")
     zvars = b.block(n)
-    b.set_objective({zvars[j]: phi.coeffs[j] for j in range(n)})
     for m in fibers:
         if m.in_dim != n:
             raise StructuralError("fiber map does not act on the outer variable space")
-        for row, off in zip(m.linear, m.offset):
-            b.add(dict(zip(zvars, row)), EQ, -off)
+        for row in m.fiber_rows:
+            b.add_image(*row)
+    # the objective by blocks (numerators, denominator, sign): phi's linear
+    # part over z, then per term a sample-form term's values on its weights
+    # or 1 on a piece-form term's epigraph variable, each subtracted
+    blocks = [(*_int_image(phi.coeffs), 1)]
     weight_vars: list[list[int] | None] = []
     for psi, m in terms:
         if m.in_dim != n:
@@ -270,13 +280,14 @@ def sup_affine_minus_convex(
         if m.out_dim != psi.dim:
             raise StructuralError("term map lands in the wrong dimension for its function")
         if psi.form == V_FORM:
-            # the weights' combination equals M z: sum lam_i p_i - L z = offset
-            coupling = [{zvars[j]: -row[j] for j in range(n) if row[j]} for row in m.linear]
-            lam = b.convex_weights(psi.columns, m.offset, coupling)
+            # convex weights whose combination equals M z: sum lam_i p_i - L z = offset
+            points = psi.columns
+            lam = b.block(points.count, lo=0)
             weight_vars.append(lam)
-            for i in range(len(lam)):
-                if psi.data[i][1]:
-                    b.add_objective_term(lam[i], -psi.data[i][1])
+            b.add_image(dict.fromkeys(lam, 1), EQ, 1, 1)
+            for (scale, column), (extra, rhs, t) in zip(points.columns, m.coupling_rows):
+                b.add_image(*_coordinate_row(scale, column, lam, extra, rhs, t))
+            blocks.append((*psi.value_image, -1))
         else:
             s = b.var()
             weight_vars.append([s])
@@ -293,7 +304,13 @@ def sup_affine_minus_convex(
                 row.update((zj, -c.numerator * (t // c.denominator))
                            for zj, c in zip(zvars, slope) if c)
                 b.add_image(row, GE, rhs.numerator * (t // rhs.denominator), t)
-            b.add_objective_term(s, Fraction(-1))
+            blocks.append(((1,), 1, -1))
+    scale = math.lcm(*[den for _, den, _ in blocks])
+    obj = []
+    for nums, den, sign in blocks:
+        k = sign * (scale // den)
+        obj += [x * k for x in nums]
+    b.set_objective_image((obj, scale))
     res = b.solve()
     if res.status == "infeasible":
         return SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms))

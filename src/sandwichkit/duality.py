@@ -123,6 +123,53 @@ class DualityScenario:
         if not self.queries:
             raise StructuralError("a scenario needs at least one query")
 
+    # What `query_program` reads of the scenario at every query, made on first
+    # use and kept, so a query computes only the values that read it.
+
+    @functools.cached_property
+    def _terms(self) -> tuple:
+        """The left side's (function, map) terms."""
+        if self.psi is not None:
+            return ((self.psi, AffineMap.identity(self.psi.dim)),)
+        if self.kind == "fenchel":
+            return ((self.f, AffineMap.identity(self.f.dim)), (self.g, self.c_map))
+        u, v, w, _ = self.dims
+        if self.kind == "indicator_linear":
+            # z = (w, u)
+            return ((self.g, _g_term_map(self.c_map, w + u, u)),)
+        # z = (w, v, u): f reads (w, v - D u)
+        n = w + v + u
+        f_rows = [embed(n, (j, (1,))) for j in range(w)]
+        f_rows += [embed(n, (w + r, (1,)), (w + v, vec_neg(row)))
+                   for r, row in enumerate(self.d_map.linear)]
+        f_map = AffineMap(tuple(f_rows), (Fraction(0),) * w + vec_neg(self.d_map.offset), n)
+        return ((self.f, f_map), (self.g, _g_term_map(self.c_map, n, u)))
+
+    @functools.cached_property
+    def _f_parts(self) -> tuple:
+        """Per sample (p, c) of psi, or of f, the parts (beta, point, c) of
+        the first group's piece (see `_query_group`): (B p, A p, c) for the
+        one-function kinds, and (-C p_w, p, c) for the two-function kinds,
+        p_w the w-block of p (all of p for fenchel)."""
+        if self.psi is not None:
+            return tuple((self.b_map(p), self.a_map(p), c) for p, c in self.psi.samples)
+        w = self.c_map.in_dim
+        return tuple((vec_neg(self.c_map(p[:w])), p, c) for p, c in self.f.samples)
+
+    @functools.cached_property
+    def _g_parts(self) -> tuple:
+        """Per sample (q, c) of a sample-form g on the (x, u) product space,
+        (q_x, D q_u, c), with q_x and q_u its x- and u-blocks; fenchel's g has
+        no u-block."""
+        x = self.c_map.out_dim
+        d_map = AffineMap.identity(0) if self.d_map is None else self.d_map
+        return tuple((q[:x], d_map(q[x:]), c) for q, c in self.g.samples)
+
+    @functools.cached_property
+    def _g_conjugate(self) -> PolyhedralFunction:
+        """g*, fenchel's last group."""
+        return self.g.conjugate()
+
     @staticmethod
     def sublevel(phi: PolyhedralFunction, b_map: AffineMap, gamma=None,
                  hypothesis_mode: str = "boundedness") -> "DualityScenario":
@@ -295,14 +342,12 @@ class DualityReport:
         return all(self.hypothesis_flags.values())
 
 
-def _max_group(dim: int, pairs) -> PolyhedralFunction:
-    """x* -> max over (beta, c) of c + <beta, x*>."""
-    return PolyhedralFunction(dim, H_FORM, tuple(pairs))
-
-
-def _g_group(g: PolyhedralFunction, d_map: AffineMap, x: int, v_cov) -> PolyhedralFunction:
-    """x* -> g*(x*, v' after D), for g on the (x, u) product space."""
-    return _max_group(x, ((q[:x], dot(v_cov, d_map(q[x:])) - val) for q, val in g.samples))
+def _query_group(dim: int, parts, coeffs, constant=0) -> PolyhedralFunction:
+    """x* -> max over (beta, point, c) in parts of
+    <beta, x*> + <coeffs, point> + constant - c: a group whose pieces read
+    the query only through coeffs and constant."""
+    return PolyhedralFunction(dim, H_FORM, tuple(
+        (beta, dot(coeffs, point) + constant - c) for beta, point, c in parts))
 
 
 def _g_term_map(c_map: AffineMap, n: int, u: int) -> AffineMap:
@@ -354,10 +399,10 @@ def _product_flag(s: DualityScenario) -> bool:
         g_points = [q for q, _ in s.g.samples]
         return any(_interior(g_points, s.c_map(p), x)
                    for p in dict.fromkeys(p for p, _ in s.f.samples))
-    d_map = AffineMap.identity(0) if s.d_map is None else s.d_map
+    # the scenario's parts hold -C p_w and (q_x, D q_u)
     zero = (Fraction(0),) * w
-    points = ([vec_neg(s.c_map(p[:w])) + (Fraction(1),) + p for p, _ in s.f.samples]
-              + [q[:x] + (Fraction(-1),) + zero + d_map(q[x:]) for q, _ in s.g.samples])
+    points = ([beta + (Fraction(1),) + p for beta, p, _ in s._f_parts]
+              + [qx + (Fraction(-1),) + zero + dq for qx, dq, _ in s._g_parts])
     if s.hypothesis_mode == "closed_subspace":
         return cone_is_subspace([p[:x + 1] for p in points])
     origin = (Fraction(0),) * (x + 1)
@@ -414,7 +459,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
     flags: dict = {}
     if s.kind == "sublevel":
         gamma = sublevel_level(s.gamma, ext_neg(first_lhs))
-        ok = cone_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
+        ok = cone_is_subspace([bp for bp, _, _ in s._f_parts])
         flags["subspace"] = ok
         flags["interiority"] = ok and -first_lhs < gamma
         notes.append(f"interiority tested at level {gamma}")
@@ -446,7 +491,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
         elif s.hypothesis_mode == "boundedness":
             flags["boundedness"] = boundedness_over_samples(s.psi, s.a_map, s.b_map)
         else:
-            flags["closed_subspace"] = cone_is_subspace([s.b_map(p) for p, _ in s.psi.samples])
+            flags["closed_subspace"] = cone_is_subspace([bp for bp, _, _ in s._f_parts])
         if s.hypothesis_mode == "closed_subspace":
             notes.append("queries are continuous in finite dimension")
         notes.append("sample-form functions are closed by construction")
@@ -520,24 +565,26 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
     """The one statement of both sides of a query, for every kind.
 
     The one-function kinds read psi and the fiber maps the scenario stores.
+    The terms and the parts of the groups that no query reads are the
+    scenario's own, made once (`DualityScenario._terms`, `_f_parts`,
+    `_g_parts`, `_g_conjugate`); only the values that read the query are
+    computed here.
     """
     if s.kind in ("trivariate", "sublevel", "quadrivariate"):
         # sup q(Az) - psi(z) over Bz = 0; min over x* of psi*(A^T q + B^T x*)
         return QueryProgram(
             objective=query.compose(s.a_map),
-            terms=((s.psi, AffineMap.identity(s.psi.dim)),),
+            terms=s._terms,
             fibers=(s.b_map,),
-            groups=(_max_group(s.b_map.out_dim, (
-                (s.b_map(z), query(s.a_map(z)) - v) for z, v in s.psi.samples)),),
+            groups=(_query_group(s.b_map.out_dim, s._f_parts, query.coeffs, query.constant),),
         )
     if s.kind == "fenchel":
         # min over x* of f*(q - x* after C) + g*(x*)
-        f, g, link = s.f, s.g, s.c_map
         return QueryProgram(
             objective=query,
-            terms=((f, AffineMap.identity(f.dim)), (g, link)),
-            groups=(_max_group(g.dim, (
-                (vec_neg(link(p)), query(p) - v) for p, v in f.samples)), g.conjugate()),
+            terms=s._terms,
+            groups=(_query_group(s.g.dim, s._f_parts, query.coeffs, query.constant),
+                    s._g_conjugate),
         )
     u, v, w, x = s.dims
     if s.kind == "indicator_linear":
@@ -548,25 +595,19 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
         via_d = AffineFunctional(v_cov, query.constant).compose(s.d_map)
         return QueryProgram(
             objective=AffineFunctional(w_cov + via_d.coeffs, via_d.constant),
-            terms=((s.g, _g_term_map(s.c_map, w + u, u)),),
+            terms=s._terms,
             escapes=True,
-            groups=(_g_group(s.g, s.d_map, x, v_cov),),
+            groups=(_query_group(x, s._g_parts, v_cov),),
             constant=query.constant,
             constraint=tuple(zip(s.c_map.columns(), w_cov)),
         )
     # z = (w, v, u): q(w, v) - f(w, v - D u) - g(C w, u);
     # min over x* of f*(q - (x* after C, 0)) + g*(x*, v' after D)
-    n = w + v + u
-    f_rows = [embed(n, (j, (1,))) for j in range(w)]
-    f_rows += [embed(n, (w + r, (1,)), (w + v, vec_neg(row)))
-               for r, row in enumerate(s.d_map.linear)]
-    f_map = AffineMap(tuple(f_rows), (Fraction(0),) * w + vec_neg(s.d_map.offset), n)
     return QueryProgram(
         objective=AffineFunctional(query.coeffs + (Fraction(0),) * u, query.constant),
-        terms=((s.f, f_map), (s.g, _g_term_map(s.c_map, n, u))),
-        groups=(_max_group(x, ((vec_neg(s.c_map(p[:w])), query(p) - a)
-                               for p, a in s.f.samples)),
-                _g_group(s.g, s.d_map, x, query.coeffs[w:])),
+        terms=s._terms,
+        groups=(_query_group(x, s._f_parts, query.coeffs, query.constant),
+                _query_group(x, s._g_parts, query.coeffs[w:])),
     )
 
 

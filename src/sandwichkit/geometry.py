@@ -6,9 +6,10 @@ linear solve.  All arithmetic is exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .numerics import (
@@ -28,6 +29,9 @@ class AffineMap:
     """z -> linear @ z + offset, with linear stored as a tuple of rows.
 
     in_dim is explicit because maps into zero-dimensional space have no rows.
+    A map read by many LPs keeps, made on first use, its rows' integer
+    images (`fiber_rows`, `coupling_rows`) and whether it is the identity;
+    applying it (`__call__`) reads none of them.
     """
 
     linear: tuple[Vec, ...]
@@ -102,6 +106,10 @@ class AffineMap:
         return AffineMap((), (), in_dim)
 
     def is_identity(self) -> bool:
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> bool:
         if self.in_dim != self.out_dim or any(self.offset):
             return False
         return all(
@@ -109,6 +117,28 @@ class AffineMap:
             for i in range(self.out_dim)
             for j in range(self.in_dim)
         )
+
+    @cached_property
+    def fiber_rows(self) -> tuple:
+        """The fiber {z : linear @ z + offset = 0} as one integer row
+        (A, EQ, B, s) per row of the map, over the lcm s of its denominators
+        (see `numerics._row_image`), on the variables z_0 .. z_{in_dim - 1};
+        made on first use, and shared by every LP that reads it, so nothing
+        may mutate it."""
+        rows = []
+        for row, off in zip(self.linear, self.offset):
+            s = math.lcm(off.denominator, *[c.denominator for c in row if c])
+            rows.append(({j: c.numerator * (s // c.denominator) for j, c in enumerate(row) if c},
+                         EQ, -off.numerator * (s // off.denominator), s))
+        return tuple(rows)
+
+    @cached_property
+    def coupling_rows(self) -> tuple:
+        """Per row of the map, the extra terms -linear @ z with the offset
+        on the right, as (A, B, s) over the same scale as `fiber_rows`, the
+        form `numerics._coordinate_row` reads; made on first use, and shared
+        like `fiber_rows`."""
+        return tuple(({j: -x for j, x in a.items()}, -b, s) for a, _, b, s in self.fiber_rows)
 
 
 def embed(n: int, *blocks) -> Vec:

@@ -23,6 +23,7 @@ from .numerics import (
     POS_INF,
     Ext,
     LpBuilder,
+    PointColumns,
     PreconditionError,
     StructuralError,
     Vec,
@@ -141,17 +142,19 @@ def _direction_reach(images: Sequence[Vec], target: Vec, directions: Sequence[Ve
     sample values at most level.  One small LP per direction; the result is
     the minimum of the per-direction maxima, since each direction has its
     own weights.  A direction whose LP is infeasible reaches 0, and a zero
-    minimum exits early.
+    minimum exits early.  The images' integer image is made once, for every
+    direction.
     """
     if not directions:
         raise StructuralError("reach needs at least one direction")
+    points = PointColumns(images, len(target))
     best = None
     for d in directions:
         b = LpBuilder("max")
         r = b.var(lo=0)
         # the first len(d) rows reach r*d; the rows after them stay on their fiber
         reach = [{r: -dc} for dc in d] + [{}] * (len(target) - len(d))
-        lam = b.convex_weights(images, target, reach)
+        lam = b.convex_weights(points, target, reach)
         if value_row is not None:
             values, level = value_row
             b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)

@@ -33,7 +33,10 @@ sample-form function's evaluation LP, is made from prepared parts
 are made, the weight row and the bound rows are shared by every program of
 the shape, the objective's integer image is the caller's, and the program
 carries its fold (which rows x_j >= 0 the kernel folds into their columns),
-so the kernel does not rescan its rows for it.
+so the kernel does not rescan its rows for it.  A caller that keeps rows or
+an objective as integer images already, as `convexfn.sup_affine_minus_convex`
+does with the images an `AffineMap` or a sample-form function caches, hands
+them over as they are (`LpBuilder.add_image`, `set_objective_image`).
 
 The tableau is T = D B^-1 M' for that integer system M', its
 basis B and one common denominator D = |det B| (Edmonds 1967; Bareiss 1968),
@@ -959,9 +962,9 @@ class LpBuilder:
     kernel reads it (see `_row_image`) the moment it is added, so build()
     only collects rows; bound rows are kept apart, in variable order, and
     follow the constraints.  A caller that has a row's integer image
-    already hands it over with add_image.  weights_program makes a whole
-    program of convex weights from prepared parts, and the program carries
-    its fold.
+    already hands it over with add_image, and one that has the objective's
+    with set_objective_image.  weights_program makes a whole program of
+    convex weights from prepared parts, and the program carries its fold.
     """
 
     def __init__(self, sense: str = "min"):
@@ -972,7 +975,8 @@ class LpBuilder:
         self._rows: list[tuple[dict[int, int], str, int, int]] = []
         self._bound_rows: Sequence[tuple[dict[int, int], str, int, int]] = []
         self._obj: dict[int, Fraction] = {}
-        # (objective image, fold) of a program made from prepared parts
+        # (objective image, fold) of a program whose objective is set as an
+        # image, fold None unless it is made from prepared parts
         self._prepared: tuple | None = None
 
     @property
@@ -1075,7 +1079,7 @@ class LpBuilder:
 
     def _open(self) -> None:
         if self._prepared is not None:
-            raise StructuralError("a program made from prepared parts takes nothing more")
+            raise StructuralError("a program whose objective image is set takes nothing more")
 
     def add(self, coeffs: Mapping[int, object], rel: str, rhs) -> None:
         self._open()
@@ -1095,13 +1099,15 @@ class LpBuilder:
         self._open()
         self._obj = {self._index(j): frac(v) for j, v in coeffs.items()}
 
-    def add_objective_term(self, j: int, coeff) -> None:
+    def set_objective_image(self, obj: tuple[list[int], int]) -> None:
+        """set_objective for an objective given as its integer image (C, s),
+        the one `_int_image` makes of its coefficients, one per variable
+        created.  The image is taken as it is, unchecked, and it fixes the
+        variables, so the builder takes nothing more."""
         self._open()
-        fv = frac(coeff)
-        if self._index(j) in self._obj:
-            self._obj[j] += fv
-        else:
-            self._obj[j] = fv
+        if len(obj[0]) != self._n:
+            raise StructuralError(f"{len(obj[0])} objective entries for {self._n} variables")
+        self._prepared = (obj, None)
 
     def build(self) -> LinearProgram:
         if self._prepared is None:

@@ -14,8 +14,8 @@ state a reference or draw an instance no command draws, lives here:
 * `evaluation_lp_by_builder` and `sup_lp_by_builder`, the LPs of
   `convexfn.eval_with_subgradient` and `convexfn.sup_affine_minus_convex`
   assembled through `LpBuilder.convex_weights`, `set_objective` and `add`,
-  one Fraction row at a time: the references for the prepared evaluation
-  program and the piece rows handed over as integer images.
+  one Fraction row at a time: the references for the programs built from
+  prepared parts and cached integer images.
 """
 import itertools
 import random
@@ -286,28 +286,28 @@ def evaluation_lp_by_builder(f: PolyhedralFunction, x: Sequence) -> LinearProgra
 
 def sup_lp_by_builder(phi: AffineFunctional, terms, fibers=()) -> LinearProgram:
     """The LP of `sup_affine_minus_convex(phi, terms, fibers)`, every row
-    given to `LpBuilder.add` or `convex_weights` as Fractions."""
+    given to `LpBuilder.add` or `convex_weights` as Fractions and the
+    objective summed into one `set_objective`, with no image cached on a
+    map or a function read."""
     n = phi.dim
     b = LpBuilder("max")
     zvars = b.block(n)
-    b.set_objective({zvars[j]: phi.coeffs[j] for j in range(n)})
+    objective = {zvars[j]: phi.coeffs[j] for j in range(n)}
     for m in fibers:
         for row, off in zip(m.linear, m.offset):
             b.add(dict(zip(zvars, row)), EQ, -off)
     for psi, m in terms:
         if psi.form == V_FORM:
             coupling = [{zvars[j]: -row[j] for j in range(n) if row[j]} for row in m.linear]
-            lam = b.convex_weights(psi.columns, m.offset, coupling)
-            for i in range(len(lam)):
-                if psi.data[i][1]:
-                    b.add_objective_term(lam[i], -psi.data[i][1])
+            lam = b.convex_weights([p for p, _ in psi.data], m.offset, coupling)
+            objective.update((j, -v) for j, (_, v) in zip(lam, psi.data))
         else:
             s = b.var()
-            columns = None if m.is_identity() else m.columns()
             for a, const in psi.pieces:
-                slope = a if columns is None else [dot(a, col) for col in columns]
+                slope = [dot(a, col) for col in m.columns()]
                 row = {s: Fraction(1)}
                 row.update((zj, -c) for zj, c in zip(zvars, slope) if c)
-                b.add(row, GE, const if columns is None else dot(a, m.offset) + const)
-            b.add_objective_term(s, Fraction(-1))
+                b.add(row, GE, dot(a, m.offset) + const)
+            objective[s] = Fraction(-1)
+    b.set_objective(objective)
     return b.build()

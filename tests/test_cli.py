@@ -178,6 +178,29 @@ class TestMalformedInput:
             assert code == EXIT_INPUT, value
             assert report["error"]["field"] == "task.probes", value
 
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        """In a batch it is one file's input error, and the files after it
+        still run."""
+        (tmp_path / "a.json").write_bytes('{"task": {"kind": "é"}}'.encode("latin-1"))
+        (tmp_path / "b.json").write_bytes((CORPUS / "fenchel.json").read_bytes())
+        code, doc = run_json(capsys, ["verify", str(tmp_path / "a.json")])
+        assert code == EXIT_INPUT
+        assert doc["error"]["field"] == "file"
+        assert "not UTF-8" in doc["error"]["message"]
+        code, doc = run_json(capsys, ["verify", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert [(f["file"], f["exit"]) for f in doc["files"]] == [
+            ("a.json", EXIT_INPUT), ("b.json", EXIT_PASS)]
+
+    def test_a_document_nested_too_deeply_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, doc = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_INPUT
+        assert doc["verdict"] == "input_error"
+        assert doc["error"]["field"] == "document"
+        assert doc["error"]["message"].endswith("nested too deeply")
+
     def test_every_task_key_set_to_junk_gives_one_document(self, capsys, tmp_path):
         path = tmp_path / "variant.json"
         for source in sorted(CORPUS.glob("*.json")):

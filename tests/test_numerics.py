@@ -360,14 +360,15 @@ class TestBuilderIndices:
         with pytest.raises(StructuralError):
             b.set_objective({1: 1})
 
-    def test_add_objective_term(self):
+    def test_set_objective_image(self):
         b = LpBuilder()
-        x = b.var()
-        b.add_objective_term(x, 1)
-        b.add_objective_term(x, 2)
-        assert b.build().objective == (F(3),)
-        with pytest.raises(StructuralError):
-            b.add_objective_term(-1, 1)
+        b.block(2)
+        with pytest.raises(StructuralError, match="2 variables"):
+            b.set_objective_image(([1], 2))
+        b.set_objective_image(([1, -3], 6))
+        assert b.build().objective == (F(1, 6), F(-1, 2))
+        with pytest.raises(StructuralError, match="takes nothing more"):
+            b.var()
 
 
 def test_dot_refuses_binary_floats():
@@ -443,7 +444,8 @@ class TestConvexWeights:
         b.weights_program(cols, vec((1,)), obj)
         for edit in (lambda: b.var(), lambda: b.add({0: 1}, GE, 0),
                      lambda: b.add_image({0: 1}, GE, 0, 1),
-                     lambda: b.set_objective({0: 1}), lambda: b.add_objective_term(0, 1)):
+                     lambda: b.set_objective({0: 1}),
+                     lambda: b.set_objective_image(([0, 1], 1))):
             with pytest.raises(StructuralError, match="takes nothing more"):
                 edit()
         assert b.solve().value == 0
@@ -489,8 +491,8 @@ def test_builder_programs_solve_like_their_rational_data():
     rational data tracked here apart from the builder as their objective,
     constraints and bounds: rows from add with each relation, convex
     weights over points or their PointColumns with and without extra terms,
-    an objective set and then added to, and zero, nonzero, lower and upper
-    bounds.  Each kernel row is an integer image of its rational row."""
+    an objective set as coefficients or as its integer image, and zero,
+    nonzero, lower and upper bounds.  Each kernel row is an integer image of its rational row."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     scalar = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
@@ -550,13 +552,15 @@ def test_builder_programs_solve_like_their_rational_data():
                     rows.append((row, EQ, target[c]))
         n = len(bounds)
         objective = coeffs(n)
-        b.set_objective(objective)
-        for j, v in coeffs(n).items():
-            b.add_objective_term(j, v)
-            objective[j] = objective.get(j, 0) + v
 
         def dense(row):
             return tuple(F(row.get(j, 0)) for j in range(n))
+
+        if data.draw(st.booleans()):
+            b.set_objective(objective)
+        else:
+            b.set_objective_image(numerics._int_image(dense(objective)))
+            seen.add("objective image")
 
         built = b.build()
         assert built.objective == dense(objective)
@@ -580,7 +584,7 @@ def test_builder_programs_solve_like_their_rational_data():
         seen.add(result.status)
 
     check()
-    assert seen >= {LE, GE, EQ, "lo", "hi", "extra", "columns",
+    assert seen >= {LE, GE, EQ, "lo", "hi", "extra", "columns", "objective image",
                     "optimal", "infeasible", "unbounded"}, seen
 
 

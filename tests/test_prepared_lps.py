@@ -2,17 +2,23 @@
 
 A sample-form function's evaluation LP is made by
 `LpBuilder.weights_program` from the function's cached images and rows
-shared per shape, and `sup_affine_minus_convex` hands its piece rows to the
-builder as integer images.  Both must give the kernel exactly the program
+shared per shape, and `sup_affine_minus_convex` hands every row and its
+objective to the builder as integer images, the fiber and coupling rows
+cached on each map.  Both must give the kernel exactly the program
 that `LpBuilder.convex_weights`, `set_objective` and `add` assemble: the same
 rows in the same order, each with the same entries in the same order over the
 same scale, the same objective image, and for a prepared program a carried
-fold equal to the one the kernel would find.  The references are in
-tests/support.py.  hypothesis draws the instances; the module is skipped
+fold equal to the one the kernel would find.  Every sup LP `verify` makes,
+with the images its scenario caches, must do the same, every cached image
+must equal one made afresh, and building a scenario makes none.  The
+references are in tests/support.py.  hypothesis draws the instances; the module is skipped
 where hypothesis is missing, which the package does not need.
 """
+import dataclasses
+import functools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,17 +27,25 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sandwichkit import numerics  # noqa: E402
+from sandwichkit import cli, duality, numerics  # noqa: E402
 from sandwichkit.convexfn import (  # noqa: E402
     AffineFunctional,
     PolyhedralFunction,
     eval_with_subgradient,
     sup_affine_minus_convex,
 )
+from sandwichkit.duality import KINDS, MODES, DualityScenario  # noqa: E402
 from sandwichkit.geometry import AffineMap  # noqa: E402
 from sandwichkit.numerics import _folded, _weight_parts, _weight_rows, lp_solve  # noqa: E402
-from sandwichkit.randomgen import random_affine_map, random_fraction, random_vec  # noqa: E402
+from sandwichkit.randomgen import (  # noqa: E402
+    random_affine_map,
+    random_crosscheck_scenario,
+    random_fraction,
+    random_vec,
+)
 from support import evaluation_lp_by_builder, sup_lp_by_builder  # noqa: E402
+
+CORPUS = Path(cli.__file__).parent / "scenarios"
 
 #: the (dimension, sample count) shapes of the benchmark's evaluate workload
 EVALUATE_SHAPES = [(d, n) for d in (1, 2, 3, 4) for n in (3, 5, 8, 12, 16)]
@@ -197,3 +211,128 @@ class TestSupProgram:
         _, (lp,) = solved_lps(lambda: sup_affine_minus_convex(phi, terms, fibers))
         assert layout(lp) == layout(sup_lp_by_builder(phi, terms, fibers))
         assert lp._fold is None
+
+
+def verify_sups(s) -> list:
+    """(phi, terms, fibers, program) of every sup LP that verify(s) solves."""
+    seen = []
+
+    def recording(phi, terms, fibers=()):
+        out, (lp,) = solved_lps(lambda: sup_affine_minus_convex(phi, terms, fibers))
+        seen.append((phi, terms, fibers, lp))
+        return out
+
+    with mock.patch.object(duality, "sup_affine_minus_convex", recording):
+        duality.verify(s)
+    return seen
+
+
+def corpus_scenarios() -> list:
+    """The duality scenario of every bundled verify file."""
+    out = []
+    for path in sorted(CORPUS.glob("*.json")):
+        try:
+            sc = cli.parse_scenario(path.read_text(), path.name)
+            if sc.expect["command"] == "verify":
+                out.append(cli.build_duality_scenario(sc))
+        except cli.ScenarioError:
+            pass  # broken.json
+    return out
+
+
+def drawn_scenarios(seed: int) -> list:
+    """Seeded draws of all seven kinds in both modes, one fenchel draw with
+    g in piece form, and each with its first query listed again."""
+    rng = random.Random(seed)
+    out = []
+    for kind in KINDS:
+        for mode in MODES:
+            s = random_crosscheck_scenario(rng, kind)
+            if kind != "sublevel":
+                s = dataclasses.replace(s, hypothesis_mode=mode)
+            out.append(s)
+    f = out[KINDS.index("fenchel") * len(MODES)]
+    out.append(DualityScenario.fenchel(f.f, f.g.conjugate(), f.c_map, f.queries))
+    return [dataclasses.replace(s, queries=s.queries + s.queries[:1]) for s in out]
+
+
+def cached(obj) -> dict:
+    """The cached properties obj's class declares, by name, with their
+    functions."""
+    return {name: attr.func for klass in type(obj).__mro__ for name, attr in vars(klass).items()
+            if isinstance(attr, functools.cached_property)}
+
+
+def holders(*roots) -> list:
+    """Every object reachable from roots, through fields, cached values,
+    tuples, lists and dict values, whose class has a cached property."""
+    found, seen, stack = [], set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, str, F, float, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            if cached(obj):
+                found.append(obj)
+            stack.extend(vars(obj).values())
+    return found
+
+
+def canonical(x):
+    """x with dict entry order and PointColumns' contents made comparable."""
+    if isinstance(x, dict):
+        return ("dict", [(k, canonical(v)) for k, v in x.items()])
+    if isinstance(x, (tuple, list)):
+        return (type(x).__name__, [canonical(v) for v in x])
+    if isinstance(x, numerics.PointColumns):
+        return ("columns", x.count, canonical(x.columns))
+    return x
+
+
+class TestCachedImages:
+    """verify builds every sup LP from images cached on the scenario, its
+    maps and its functions, made on first use."""
+
+    def scenarios(self) -> list:
+        return corpus_scenarios() + drawn_scenarios(29)
+
+    def test_every_sup_lp_matches_the_builders_program(self):
+        kinds = set()
+        for s in self.scenarios():
+            # twice: the second verify reads the images the first one made
+            for _ in range(2):
+                sups = verify_sups(s)
+                assert len(sups) == 2 * len(set(s.queries))
+                for phi, terms, fibers, lp in sups:
+                    assert layout(lp) == layout(sup_lp_by_builder(phi, terms, fibers))
+            kinds.add((s.kind, s.g is not None and s.g.form))
+        assert {k for k, _ in kinds} == set(KINDS)
+        assert ("fenchel", "pieces") in kinds
+
+    def test_cached_images_equal_fresh_ones(self):
+        scenarios = self.scenarios()
+        reports = [duality.verify(s) for s in scenarios]
+        objects = holders(scenarios, reports)
+        made = 0
+        for obj in objects:
+            for name, make in cached(obj).items():
+                if name in vars(obj):
+                    made += 1
+                    assert canonical(vars(obj)[name]) == canonical(make(obj)), (obj, name)
+        names = {name for obj in objects for name in cached(obj) if name in vars(obj)}
+        assert names >= {"fiber_rows", "coupling_rows", "_identity", "columns", "value_image",
+                         "_terms", "_f_parts", "_g_parts", "_g_conjugate"}, names
+        assert made
+
+    def test_building_a_scenario_makes_no_image(self):
+        # the identity maps are shared per dimension, and earlier tests may
+        # have made their images
+        AffineMap.identity.cache_clear()
+        for s in self.scenarios():
+            for obj in holders(s):
+                assert not set(cached(obj)) & set(vars(obj)), (s.kind, obj)
