@@ -372,27 +372,24 @@ def build_sandwich_instance(sc: Scenario) -> SandwichInstance:
             SublinearFunctional.of([c for c, _ in upper.pieces]), lower, link, space
         )
     except StructuralError as exc:
-        names = [t.get(k) for k in ("upper", "lower", "link") if t.get(k)]
+        names = [t.get(k) for k in ("upper", "lower", "link", "space") if t.get(k)]
         raise _task_error(sc, exc, names) from None
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (exit_code, report_body)
+# command runners: each takes the scenario and the parsed arguments and
+# returns (exit_code, report_body)
 
 
-def run_verify(sc: Scenario, crosscheck: bool):
+def run_verify(sc: Scenario, args):
     kind = sc.task["kind"]
-    if kind == "sandwich":
-        return run_sandwich(sc)
-    if kind == "interiority":
-        return run_interiority(sc)
+    # the two task kinds verify runs by their own command's runner
+    if kind in ("sandwich", "interiority"):
+        return COMMANDS[kind][0](sc, args)
     s = build_duality_scenario(sc)
-    try:
-        reports = verify(s)
-    except PreconditionError as exc:
-        return EXIT_HYPOTHESES, {"kind": kind, "queries": [], "notes": [str(exc)]}
+    reports = verify(s)
     checks = [None] * len(reports)
-    if crosscheck:
+    if args.crosscheck:
         checks = crosscheck_scenario(s, reports=reports)
     records = []
     code = EXIT_PASS
@@ -438,7 +435,9 @@ def run_verify(sc: Scenario, crosscheck: bool):
     return code, {"kind": kind, "queries": records}
 
 
-def run_sandwich(sc: Scenario):
+def run_sandwich(sc: Scenario, args):
+    if sc.task["kind"] != "sandwich":
+        raise ScenarioError("task.kind", "the sandwich command needs a sandwich task")
     inst = build_sandwich_instance(sc)
     check = hypothesis_check(inst)
     body = {
@@ -461,10 +460,16 @@ def run_sandwich(sc: Scenario):
     return (EXIT_PASS if valid else EXIT_MATH_FAILURE), body
 
 
-def run_interiority(sc: Scenario):
+def _sublevel_parts(sc: Scenario) -> tuple:
+    """The task's function and map, and their names for a task error."""
+    names = (sc.task.get("function"), sc.task.get("map"))
+    return (_named(sc, "functions", names[0], "task.function"),
+            _named(sc, "maps", names[1], "task.map"), names)
+
+
+def run_interiority(sc: Scenario, args):
     t = sc.task
-    phi = _named(sc, "functions", t.get("function"), "task.function")
-    b_map = _named(sc, "maps", t.get("map"), "task.map")
+    phi, b_map, names = _sublevel_parts(sc)
     body = {"kind": "interiority"}
     code = EXIT_PASS
     if "delta" in t and "probes" not in t and "z0" not in t:
@@ -521,14 +526,13 @@ def run_interiority(sc: Scenario):
         body["notes"] = [str(exc)]
         return EXIT_HYPOTHESES, body
     except StructuralError as exc:
-        raise _task_error(sc, exc, (t.get("function"), t.get("map"))) from None
+        raise _task_error(sc, exc, names) from None
     return code, body
 
 
-def run_theorem20(sc: Scenario):
+def run_theorem20(sc: Scenario, args):
     t = sc.task
-    phi = _named(sc, "functions", t.get("function"), "task.function")
-    b_map = _named(sc, "maps", t.get("map"), "task.map")
+    phi, b_map, names = _sublevel_parts(sc)
     if "gamma" not in t:
         raise ScenarioError("task.gamma", "the equivalence check needs a level")
     gamma = to_frac(t["gamma"], "task.gamma")
@@ -538,7 +542,7 @@ def run_theorem20(sc: Scenario):
     except PreconditionError as exc:
         return EXIT_HYPOTHESES, {"kind": "theorem20", "notes": [str(exc)]}
     except StructuralError as exc:
-        raise _task_error(sc, exc, (t.get("function"), t.get("map"))) from None
+        raise _task_error(sc, exc, names) from None
     agree = res.c24 == res.c25 == res.c26
     body = {
         "kind": "theorem20",
@@ -553,41 +557,43 @@ def run_theorem20(sc: Scenario):
     return (EXIT_PASS if agree else EXIT_MATH_FAILURE), body
 
 
-def run_conjugate(sc: Scenario, name: str, at: Vec):
+#: what --at names under each command that reads it
+AT_NOUNS = {"conjugate": "covector", "eval": "point"}
+
+
+def run_function_at(sc: Scenario, args):
+    """A named function (eval) or its conjugate (conjugate) at --at."""
+    name, at = args.function, args.at
+    conjugate = args.command == "conjugate"
     f = _named(sc, "functions", name, "--function")
     if len(at) != f.dim:
         raise ScenarioError(
             "--at",
-            f"covector of dimension {len(at)} against {_describe(sc, name)}",
+            f"{AT_NOUNS[args.command]} of dimension {len(at)} against {_describe(sc, name)}",
         )
-    value = evaluate(f.conjugate(), at)
+    value = evaluate(f.conjugate() if conjugate else f, at)
     body = {
-        "kind": "conjugate",
+        "kind": args.command,
         "function": name,
         "at": encode_vector(at),
         "value": encode_scalar(value),
     }
-    if f.form == V_FORM and value not in (POS_INF, NEG_INF):
+    if conjugate and f.form == V_FORM and value not in (POS_INF, NEG_INF):
         best = max(f.samples, key=lambda s: sum(c * x for c, x in zip(at, s[0])) - s[1])
         body["witness"] = encode_vector(best[0])
     return EXIT_PASS, body
 
 
-def run_eval(sc: Scenario, name: str, at: Vec):
-    f = _named(sc, "functions", name, "--function")
-    if len(at) != f.dim:
-        raise ScenarioError(
-            "--at",
-            f"point of dimension {len(at)} against {_describe(sc, name)}",
-        )
-    value = evaluate(f, at)
-    body = {
-        "kind": "eval",
-        "function": name,
-        "at": encode_vector(at),
-        "value": encode_scalar(value),
-    }
-    return EXIT_PASS, body
+#: each command that reads a scenario file: its runner and its help text,
+#: in the parser's order
+COMMANDS = {
+    "conjugate": (run_function_at, "evaluate a named function's conjugate"),
+    "eval": (run_function_at, "evaluate a named function"),
+    "sandwich": (run_sandwich, "check the hypothesis and produce a separator"),
+    "verify": (run_verify, "verify the task's conjugation identity two-sidedly"),
+    "interiority": (run_interiority, "margin, covering, and boundedness checks"),
+    "theorem20": (run_theorem20, "three-way interiority equivalence at a level"),
+}
 
 
 def run_selftest(seed: int):
@@ -700,11 +706,22 @@ def render(doc: dict, fmt: str) -> str:
 
 
 def _flat(value) -> str:
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}: {_flat(v)}" for k, v in sorted(value.items())) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(_flat(v) for v in value) + "]"
-    return str(value)
+    """value on one line, dicts by sorted key.  It works through an explicit
+    stack of what is left to write, not by recursion, so no depth of nesting
+    is too deep; a string on the stack, text or value, is written as is."""
+    out, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            entries, ends = [(f"{k}: ", v) for k, v in sorted(item.items())], "{}"
+        elif isinstance(item, list):
+            entries, ends = [("", v) for v in item], "[]"
+        else:
+            out.append(str(item))
+            continue
+        tokens = [t for label, v in entries for t in (", ", label, v)][1:]
+        stack += [ends[1], *reversed(tokens), ends[0]]
+    return "".join(out)
 
 
 def _error_document(command: str, digest: str, exc: ScenarioError) -> dict:
@@ -733,20 +750,7 @@ def _run_single(command: str, path: Path, args) -> tuple:
     digest = "sha256:" + "0" * 64
     try:
         sc, digest = _load(path)
-        if command == "verify":
-            code, body = run_verify(sc, args.crosscheck)
-        elif command == "sandwich":
-            if sc.task["kind"] != "sandwich":
-                raise ScenarioError("task.kind", "the sandwich command needs a sandwich task")
-            code, body = run_sandwich(sc)
-        elif command == "interiority":
-            code, body = run_interiority(sc)
-        elif command == "theorem20":
-            code, body = run_theorem20(sc)
-        elif command == "conjugate":
-            code, body = run_conjugate(sc, args.function, args.at)
-        else:
-            code, body = run_eval(sc, args.function, args.at)
+        code, body = COMMANDS[command][0](sc, args)
         if sc.description is not None:
             body.setdefault("description", sc.description)
         return code, make_document(command, digest, code, body)
@@ -804,36 +808,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="scenario file (or directory for batches)")
-        p.add_argument("--report", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("conjugate", help="evaluate a named function's conjugate")
-    common(p)
-    p.add_argument("--function", required=True)
-    p.add_argument("--at", required=True, help="comma-separated exact covector")
-
-    p = sub.add_parser("eval", help="evaluate a named function")
-    common(p)
-    p.add_argument("--function", required=True)
-    p.add_argument("--at", required=True, help="comma-separated exact point")
-
-    for name, text in (
-        ("sandwich", "check the hypothesis and produce a separator"),
-        ("verify", "verify the task's conjugation identity two-sidedly"),
-        ("interiority", "margin, covering, and boundedness checks"),
-        ("theorem20", "three-way interiority equivalence at a level"),
-    ):
+    for name, (_, text) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        common(p)
+        p.add_argument("file", help="scenario file (or directory for batches)")
+        p.add_argument("--report", choices=("json", "text"), default="text")
+        if name in AT_NOUNS:
+            p.add_argument("--function", required=True)
+            p.add_argument("--at", required=True, help=f"comma-separated exact {AT_NOUNS[name]}")
         if name == "verify":
             p.add_argument("--crosscheck", action="store_true",
                            help="attach exact LP-free oracle checks of both sides")
-
     p = sub.add_parser("selftest", help="run the random property suites")
-    common(p, needs_file=False)
+    p.add_argument("--report", choices=("json", "text"), default="text")
     p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -847,7 +833,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
 
     try:
-        if args.command in ("conjugate", "eval"):
+        if args.command in AT_NOUNS:
             args.at = _parse_at(args.at)
         path = Path(args.file)
         if path.is_dir():

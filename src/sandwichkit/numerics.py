@@ -242,17 +242,6 @@ class LinearProgram:
     def bounds(self) -> tuple[tuple[Fraction | None, Fraction | None], ...] | None:
         return self._rational()[2]
 
-    def _key(self) -> tuple:
-        return (self.num_vars, self.sense, *self._rational())
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearProgram):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         objective, constraints, bounds = self._rational()
         return (f"LinearProgram(num_vars={self.num_vars!r}, objective={objective!r}, "
@@ -978,10 +967,6 @@ class LpBuilder:
         # (objective image, fold) of a program whose objective is set as an
         # image, fold None unless it is made from prepared parts
         self._prepared: tuple | None = None
-
-    @property
-    def num_vars(self) -> int:
-        return self._n
 
     def var(self, lo=None, hi=None) -> int:
         return self.block(1, lo, hi)[0]

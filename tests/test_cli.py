@@ -17,6 +17,7 @@ from sandwichkit.cli import (
     parse_scenario,
     to_frac,
 )
+from sandwichkit.geometry import Polytope
 
 CORPUS = Path(cli.__file__).parent / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -201,6 +202,24 @@ class TestMalformedInput:
         assert doc["error"]["field"] == "document"
         assert doc["error"]["message"].endswith("nested too deeply")
 
+    def test_a_deeply_nested_description_renders_as_text(self, capsys, tmp_path):
+        """The free-form description is copied into the report; the text
+        report flattens it without recursion, so it gives the same verdict
+        as the JSON report however deep the decoder let it be."""
+        depth = 600
+        doc = json.loads((CORPUS / "trivariate.json").read_text())
+        doc["description"] = "deep"
+        for _ in range(depth):
+            doc["description"] = [doc["description"]]
+        path = tmp_path / "deep_description.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_PASS and report["verdict"] == "pass"
+        code, out = run(capsys, ["verify", str(path)])
+        assert code == EXIT_PASS
+        assert out.startswith("verify: verdict pass\n")
+        assert f"\n  description: {'[' * depth}deep{']' * depth}\n" in out
+
     def test_every_task_key_set_to_junk_gives_one_document(self, capsys, tmp_path):
         path = tmp_path / "variant.json"
         for source in sorted(CORPUS.glob("*.json")):
@@ -217,6 +236,56 @@ class TestMalformedInput:
                     assert report["command"] == command, where
                     if code == EXIT_INPUT:
                         assert report["error"]["field"], where
+
+
+class TestSpaces:
+    """The "spaces" section, read by a sandwich task's "space"."""
+
+    def run_sandwich(self, capsys, tmp_path, spaces, space="P"):
+        doc = json.loads((CORPUS / "sandwich.json").read_text())
+        doc["spaces"] = spaces
+        doc["task"]["space"] = space
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        return run_json(capsys, ["sandwich", str(path)])
+
+    def test_parsed_forms(self):
+        sc = parse_scenario(json.dumps({
+            "spaces": {"P": [[0, 1], [2, "1/2"]], "V": {"vector_space": 3}},
+            "task": {"kind": "eval"},
+        }))
+        assert sc.spaces == {"P": Polytope(2, ((0, 1), (2, Fraction(1, 2)))), "V": 3}
+
+    def test_a_space_holding_every_sample_changes_no_report(self, capsys, tmp_path):
+        code, plain = run_json(capsys, ["sandwich", str(CORPUS / "sandwich.json")])
+        assert code == EXIT_PASS
+        del plain["input_digest"]
+        for spaces in ({"P": [[-1], [1]]}, {"P": [[-2], [3]]}, {"P": {"vector_space": 1}}):
+            code, doc = self.run_sandwich(capsys, tmp_path, spaces)
+            assert code == EXIT_PASS, spaces
+            del doc["input_digest"]
+            assert doc == plain, spaces
+
+    def test_a_space_excluding_a_sample_names_the_tasks_objects(self, capsys, tmp_path):
+        code, doc = self.run_sandwich(capsys, tmp_path, {"P": [[0], [1]]})
+        assert code == EXIT_INPUT
+        assert doc["error"]["field"] == "task"
+        assert "lies outside the ambient set" in doc["error"]["message"]
+        assert doc["error"]["message"].endswith(
+            "[objects: function 'S' (dimension 1), function 'k' (dimension 1), "
+            "map 'B' (1 -> 1), space 'P']")
+
+    def test_malformed_spaces_are_input_errors(self, capsys, tmp_path):
+        for body, field in ((5, "spaces.P"), ("P", "spaces.P"), ({"dim": 1}, "spaces.P"),
+                            ([], "spaces.P"), ([[1], [1, 2]], "spaces.P"),
+                            ([[1], "x"], "spaces.P[1]"),
+                            ({"vector_space": "1/2"}, "spaces.P.vector_space")):
+            code, doc = self.run_sandwich(capsys, tmp_path, {"P": body})
+            assert code == EXIT_INPUT, body
+            assert doc["error"]["field"] == field, body
+        code, doc = self.run_sandwich(capsys, tmp_path, {"P": [[1]]}, space="Q")
+        assert code == EXIT_INPUT
+        assert doc["error"]["field"] == "task.space"
 
 
 class TestKindTable:
@@ -428,6 +497,50 @@ class TestCommands:
             capsys, tmp_path, "corollary21.json", lambda t: t.update(delta="1/2"))
         assert code == EXIT_INPUT
         assert doc["error"]["field"] == "task.delta"
+
+    def test_verify_runs_sandwich_and_interiority_tasks_only(self, capsys, tmp_path):
+        """verify hands these two task kinds to their own commands' runners,
+        for the same report; a theorem20 task is not one of them."""
+        for name, command in (("sandwich.json", "sandwich"),
+                              ("interiority.json", "interiority")):
+            code, own = run_json(capsys, [command, str(CORPUS / name)])
+            assert code == EXIT_PASS
+            code, via = run_json(capsys, ["verify", str(CORPUS / name)])
+            assert code == EXIT_PASS
+            assert (own.pop("command"), via.pop("command")) == (command, "verify")
+            assert via == own
+        doc = json.loads((CORPUS / "t20.json").read_text())
+        doc["task"]["kind"] = "theorem20"
+        path = tmp_path / "t20.json"
+        path.write_text(json.dumps(doc))
+        assert run_json(capsys, ["theorem20", str(path)])[0] == EXIT_PASS
+        code, report = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_INPUT
+        assert report["error"]["field"] == "task.kind"
+
+    def test_unsatisfied_hypotheses_exit_two(self, capsys, tmp_path):
+        """f = 0 on [-1, 0] and g = 0 on [0, 1] meet only at 0, a boundary
+        point of dom g, so the boundedness flag is false: every record is
+        reported, not asserted, and verify exits 2, alone or in a batch."""
+        doc = json.loads((CORPUS / "fenchel.json").read_text())
+        doc["functions"]["f"]["samples"] = [[[-1], 0], [[0], 0]]
+        doc["functions"]["g"]["samples"] = [[[0], 0], [[1], 0]]
+        del doc["description"], doc["expect"]
+        (tmp_path / "touching.json").write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["verify", str(tmp_path / "touching.json")])
+        assert code == EXIT_HYPOTHESES
+        assert report["verdict"] == "hypotheses_unsatisfied"
+        assert len(report["queries"]) == 2
+        for record in report["queries"]:
+            assert record["hypothesis_flags"] == {"boundedness": False, "h_proper": True}
+            assert record["verdict"] == "hypotheses_unsatisfied"
+            assert (record["lhs"], record["rhs"], record["gap"]) == ("0", "0", "0")
+        (tmp_path / "fenchel.json").write_bytes((CORPUS / "fenchel.json").read_bytes())
+        code, batch = run_json(capsys, ["verify", str(tmp_path)])
+        assert code == EXIT_HYPOTHESES
+        assert batch["verdict"] == "hypotheses_unsatisfied"
+        assert [(f["file"], f["exit"]) for f in batch["files"]] == [
+            ("fenchel.json", EXIT_PASS), ("touching.json", EXIT_HYPOTHESES)]
 
     def test_crosscheck_attaches_oracle_runs(self, capsys):
         code, doc = run_json(capsys, [
