@@ -366,6 +366,13 @@ def build_sandwich_instance(sc: Scenario) -> SandwichInstance:
     if t.get("space") is not None:
         space = _named(sc, "spaces", t["space"], "task.space")
         if isinstance(space, int):
+            # the whole sample space holds every sample, so it is no cut
+            if space != lower.dim:
+                raise ScenarioError(
+                    f"spaces.{t['space']}",
+                    f"a vector space of dimension {space} does not match the sample "
+                    f"space of dimension {lower.dim}",
+                )
             space = None
     try:
         return SandwichInstance(

@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from . import numerics
 from .geometry import AffineMap, Polytope
 from .numerics import (
     EQ,
@@ -259,9 +260,29 @@ def sup_affine_minus_convex(
     `fiber_rows`, a sample-form term's coordinate rows from its function's
     `columns` and its map's `coupling_rows`, each image made once per map or
     function, and the objective as one image over phi's coefficients and the
-    terms' `value_image`s.
+    terms' `value_image`s.  It is the one-objective case of
+    `sups_affine_minus_convex`.
     """
-    n = phi.dim
+    (res,) = sups_affine_minus_convex((phi,), terms, fibers)
+    return res
+
+
+def sups_affine_minus_convex(
+    phis: Sequence[AffineFunctional],
+    terms: Sequence[tuple[PolyhedralFunction, AffineMap]],
+    fibers: Sequence[AffineMap] = (),
+) -> Iterator[SupResult]:
+    """`sup_affine_minus_convex(phi, terms, fibers)` for each phi of phis in
+    turn, every phi on the same space.
+
+    The rows are the same for every phi, so the LPs are built on them at
+    once, as siblings (`LpBuilder.build_siblings`), and the kernel runs
+    phase 1 once for all of them.  Each LP is solved when its result is
+    asked for, so a caller may solve other LPs in between.
+    """
+    n = phis[0].dim
+    if any(phi.dim != n for phi in phis):
+        raise StructuralError("the objectives act on different spaces")
     b = LpBuilder("max")
     zvars = b.block(n)
     for m in fibers:
@@ -269,10 +290,10 @@ def sup_affine_minus_convex(
             raise StructuralError("fiber map does not act on the outer variable space")
         for row in m.fiber_rows:
             b.add_image(*row)
-    # the objective by blocks (numerators, denominator, sign): phi's linear
-    # part over z, then per term a sample-form term's values on its weights
-    # or 1 on a piece-form term's epigraph variable, each subtracted
-    blocks = [(*_int_image(phi.coeffs), 1)]
+    # the objective by blocks (numerators, denominator, sign): per term a
+    # sample-form term's values on its weights or 1 on a piece-form term's
+    # epigraph variable, each subtracted, after each phi's linear part over z
+    blocks = []
     weight_vars: list[list[int] | None] = []
     for psi, m in terms:
         if m.in_dim != n:
@@ -305,26 +326,32 @@ def sup_affine_minus_convex(
                            for zj, c in zip(zvars, slope) if c)
                 b.add_image(row, GE, rhs.numerator * (t // rhs.denominator), t)
             blocks.append(((1,), 1, -1))
-    scale = math.lcm(*[den for _, den, _ in blocks])
-    obj = []
-    for nums, den, sign in blocks:
-        k = sign * (scale // den)
-        obj += [x * k for x in nums]
-    b.set_objective_image((obj, scale))
-    res = b.solve()
-    if res.status == "infeasible":
-        return SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms))
-    if res.status == "unbounded":
-        ray = tuple(res.ray[zvars[j]] for j in range(n))
-        return SupResult("unbounded", POS_INF, None, ray, tuple(None for _ in terms))
-    argmax = tuple(res.point[zvars[j]] for j in range(n))
-    weights = []
-    for (psi, _), block in zip(terms, weight_vars):
-        if psi.form == V_FORM:
-            weights.append(tuple(res.point[j] for j in block))
+    objectives = []
+    for phi in phis:
+        phi_blocks = [(*_int_image(phi.coeffs), 1), *blocks]
+        scale = math.lcm(*[den for _, den, _ in phi_blocks])
+        obj = []
+        for nums, den, sign in phi_blocks:
+            k = sign * (scale // den)
+            obj += [x * k for x in nums]
+        objectives.append((obj, scale))
+    for phi, lp in zip(phis, b.build_siblings(objectives)):
+        res = numerics.lp_solve(lp)
+        if res.status == "infeasible":
+            yield SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms))
+        elif res.status == "unbounded":
+            ray = tuple(res.ray[zvars[j]] for j in range(n))
+            yield SupResult("unbounded", POS_INF, None, ray, tuple(None for _ in terms))
         else:
-            weights.append(None)
-    return SupResult("attained", res.value + phi.constant, argmax, None, tuple(weights))
+            argmax = tuple(res.point[zvars[j]] for j in range(n))
+            weights = []
+            for (psi, _), block in zip(terms, weight_vars):
+                if psi.form == V_FORM:
+                    weights.append(tuple(res.point[j] for j in block))
+                else:
+                    weights.append(None)
+            yield SupResult("attained", res.value + phi.constant, argmax, None,
+                            tuple(weights))
 
 
 def fenchel_young_gap(f: PolyhedralFunction, z: Sequence, x: Sequence) -> Ext:

@@ -15,8 +15,8 @@ polyhedral data, once for every kind, in a `QueryProgram`:
   -constant, each group a term through the identity, the constraint a
   fiber.
 
-`verify` solves both sides with `sup_affine_minus_convex`, one LP each,
-and keeps, on each report, the program with both LPs' points and weights
+`verify` solves both sides as sups, one LP each, the left sides of all
+queries as siblings that share their rows and phase 1, and keeps, on each report, the program with both LPs' points and weights
 (a `Certificate`); `oracle.crosscheck_scenario` re-checks that pair by
 arithmetic and, where it does not prove both sides, solves the same two
 sups again by double description (`oracle.exact_sup`), with no LP code.
@@ -43,6 +43,7 @@ from .convexfn import (
     PolyhedralFunction,
     V_FORM,
     sup_affine_minus_convex,
+    sups_affine_minus_convex,
 )
 from .geometry import (
     AffineMap,
@@ -618,20 +619,24 @@ def verify(s: DualityScenario) -> list:
     as a kernel invariant; equality is only asserted when every hypothesis
     flag is certified, in which case a nonzero gap raises rather than being
     reported as a counterexample.  Both sides of every query are solved,
-    each as one `sup_affine_minus_convex` (the right side as minus the sup
-    of `QueryProgram.dual`), before the flags, which read h_proper off the
-    first query's left side.  Each report carries the query's program and
-    both LPs' weights as its certificate, for `oracle.crosscheck_scenario`.
+    query by query, each as one sup LP (the right side as minus the
+    `sup_affine_minus_convex` of `QueryProgram.dual`), before the flags,
+    which read h_proper off the first query's left side.  The left sides
+    differ only in their objective, so they are solved as siblings by
+    `sups_affine_minus_convex`, which runs phase 1 once for all of them.
+    Each report carries the query's program and both LPs' weights as its
+    certificate, for `oracle.crosscheck_scenario`.
     No rewritten scenario and no product is built: programs and flags read
     the scenario's own fields.
     """
     # a query listed twice is solved once and reported twice
+    queries = list(dict.fromkeys(s.queries))
+    programs = [query_program(s, query) for query in queries]
+    # every query's program has the scenario's own terms and fibers
+    first = programs[0]
+    lefts = sups_affine_minus_convex([p.objective for p in programs], first.terms, first.fibers)
     by_query = {}
-    for query in s.queries:
-        if query in by_query:
-            continue
-        p = query_program(s, query)
-        sup = sup_affine_minus_convex(p.objective, p.terms, p.fibers)
+    for query, p, sup in zip(queries, programs, lefts):
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
             raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")

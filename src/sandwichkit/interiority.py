@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import numerics
 from .convexfn import PolyhedralFunction, V_FORM, evaluate
 from .geometry import (
     AffineMap,
@@ -29,6 +30,7 @@ from .numerics import (
     Vec,
     frac,
     vec,
+    vec_text,
 )
 
 
@@ -139,34 +141,54 @@ def _direction_reach(images: Sequence[Vec], target: Vec, directions: Sequence[Ve
     The further coordinates of images and target (a fiber map's images and
     its target) stay fixed, so the hull is cut to that slice.  value_row,
     when given, is (values, level): the convex weights must also keep the
-    sample values at most level.  One small LP per direction; the result is
-    the minimum of the per-direction maxima, since each direction has its
-    own weights.  A direction whose LP is infeasible reaches 0, and a zero
-    minimum exits early.  The images' integer image is made once, for every
-    direction.
+    sample values at most level.  A direction d reaches the largest r >= 0
+    with target + r*d in the hull, or 0 where there is none; the result is
+    the minimum over the directions, since each has its own weights, and a
+    zero minimum exits early.
+
+    d and a -d listed right after it are decided by one row set:
+    sum_i lam_i images_i - s*d = target over convex weights lam (and the
+    value row), with the step s free.  Those rows hold exactly where
+    target + s*d is reached, and since the hull is convex, the steps that
+    hold form one segment [s_min, s_max] of the line, empty where the rows
+    are infeasible.  The program of d alone, max r subject to the same rows
+    with r >= 0 in place of s, is that segment cut at s >= 0, so d reaches
+    max(0, s_max); likewise -d reaches max(0, -s_min), and both reach 0
+    where the rows are infeasible.  s_max and -s_min are the optima of the
+    objectives +s and -s, two LPs on the same rows that the kernel solves as
+    siblings, sharing phase 1 (`LpBuilder.build_siblings`); the -s one is
+    solved only while the minimum is still positive.  A lone direction is
+    one LP, with the objective +s.  The images' integer image is made once,
+    for every direction.
     """
     if not directions:
         raise StructuralError("reach needs at least one direction")
     points = PointColumns(images, len(target))
     best = None
-    for d in directions:
+    k = 0
+    while k < len(directions):
+        d = directions[k]
+        paired = k + 1 < len(directions) and directions[k + 1] == vec_neg(d)
+        k += 1 + paired
         b = LpBuilder("max")
-        r = b.var(lo=0)
-        # the first len(d) rows reach r*d; the rows after them stay on their fiber
-        reach = [{r: -dc} for dc in d] + [{}] * (len(target) - len(d))
-        lam = b.convex_weights(points, target, reach)
+        s = b.var()
+        # the first len(d) rows move by s*d; the rows after them stay on their fiber
+        step = [{s: -dc} for dc in d] + [{}] * (len(target) - len(d))
+        lam = b.convex_weights(points, target, step)
         if value_row is not None:
             values, level = value_row
             b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)
-        b.set_objective({r: 1})
-        res = b.solve()
-        if res.status == "unbounded":
-            raise StructuralError("reach LP is bounded over a compact hull")
-        value = res.value if res.status == "optimal" else Fraction(0)
-        if best is None or value < best:
-            best = value
-        if best == 0:
-            break
+        rest = [0] * len(lam)
+        signs = (1, -1) if paired else (1,)
+        for lp in b.build_siblings([([sign, *rest], 1) for sign in signs]):
+            res = numerics.lp_solve(lp)
+            if res.status == "unbounded":
+                raise StructuralError("reach LP is bounded over a compact hull")
+            value = res.value if res.status == "optimal" and res.value > 0 else Fraction(0)
+            if best is None or value < best:
+                best = value
+            if best == 0:
+                return best
     return best
 
 
@@ -263,7 +285,7 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     _check_fiber_maps(psi, a_map, b_map)
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0):
-        raise PreconditionError(f"base point {z0} lies outside the domain")
+        raise PreconditionError(f"base point {vec_text(z0)} lies outside the domain")
     stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
     target = (Fraction(0),) * b_map.out_dim + a_map(z0)
     m, _ = _fiber_lp([v for _, v in psi.samples], stacked, target)
@@ -352,9 +374,9 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
     for raw in probes:
         probe = vec(raw)
         if len(probe) != q.b_map.out_dim:
-            raise PreconditionError(f"probe {probe} has the wrong dimension")
+            raise PreconditionError(f"probe {vec_text(probe)} has the wrong dimension")
         if not q.y.contains(probe):
-            raise PreconditionError(f"probe {probe} lies outside the direction span")
+            raise PreconditionError(f"probe {vec_text(probe)} lies outside the direction span")
         n = 1
         if probe != zero:
             t = _direction_reach(q.images, zero, [probe], (values, delta))

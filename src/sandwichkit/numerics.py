@@ -36,7 +36,11 @@ carries its fold (which rows x_j >= 0 the kernel folds into their columns),
 so the kernel does not rescan its rows for it.  A caller that keeps rows or
 an objective as integer images already, as `convexfn.sup_affine_minus_convex`
 does with the images an `AffineMap` or a sample-form function caches, hands
-them over as they are (`LpBuilder.add_image`, `set_objective_image`).
+them over as they are (`LpBuilder.add_image`, and the objective's image to
+`build_siblings`).  Programs that share their rows and differ only in the
+objective, such as the left sides of one scenario's queries, are built at
+once as siblings (`LpBuilder.build_siblings`), and the kernel runs set-up,
+phase 1 and clean-up once for all of them.
 
 The tableau is T = D B^-1 M' for that integer system M', its
 basis B and one common denominator D = |det B| (Edmonds 1967; Bareiss 1968),
@@ -144,6 +148,12 @@ def unit_vec(n: int, j: int) -> Vec:
     return tuple(Fraction(1 if i == j else 0) for i in range(n))
 
 
+def vec_text(v: Sequence) -> str:
+    """v as a message shows it, the way the text report prints a vector:
+    [a, b, ...] with each entry exact, such as [1/2, -1]."""
+    return "[" + ", ".join(str(c) for c in v) + "]"
+
+
 def dot(a: Sequence, b: Sequence) -> Fraction:
     """Exact inner product of two equally long vectors, as a Fraction.
 
@@ -195,12 +205,17 @@ class LinearProgram:
     rational view (objective, constraints, bounds) is made from them when
     it is first read; bounds, when not None, holds one (lo, hi) pair per
     variable with None for an absent side.  Variables are otherwise free.
+    Programs that `LpBuilder.build_siblings` makes at once are siblings:
+    they share the rows, the fold and one `_Siblings`, so the kernel runs
+    phase 1 once for all of them (see `_solve_rows`).
     """
 
-    __slots__ = ("num_vars", "sense", "_view", "_rows", "_obj", "_n_constraints", "_fold")
+    __slots__ = ("num_vars", "sense", "_view", "_rows", "_obj", "_n_constraints", "_fold",
+                 "_siblings")
 
     def __init__(self, num_vars: int, sense: str, rows: list, n_constraints: int,
-                 obj: tuple[list[int], int], fold: tuple | None = None):
+                 obj: tuple[list[int], int], fold: tuple | None = None,
+                 siblings: "_Siblings | None" = None):
         self.num_vars = num_vars
         self.sense = sense
         self._view = None
@@ -208,6 +223,7 @@ class LinearProgram:
         self._obj = obj
         self._n_constraints = n_constraints
         self._fold = fold
+        self._siblings = siblings
 
     def _rational(self) -> tuple:
         """(objective, constraints, bounds), made from the integer rows once."""
@@ -442,47 +458,75 @@ def _folded(rows) -> tuple[dict[int, int], list[bool]]:
     return bound_row, is_bound
 
 
-def _solve_rows(rows, obj, minimize, n, fold=None):
-    """Two-phase simplex on integer rows (A, rel, B, s) over n variables.
+class _Tableau:
+    """The integer tableau of `_solve_rows` and the column layout it is read by.
 
-    obj is the objective's integer image (C, s) from `_int_image`, minimized
-    or maximized.  A row of the form x_j >= 0 is folded into its column as a
-    sign condition (no split, no slack, no artificial); fold is
-    `_folded(rows)`, made here unless the caller has it.  A folded row's
-    multiplier in the returned certificates is the final reduced cost at
-    that column.  Every other variable is split x = x+ - x-; one slack per
-    inequality row; one artificial per row.  Returns one of
-      ("optimal", (X, D), (Z, E))
-      ("infeasible", (Z, E))
-      ("unbounded", (X, D))
-    over the original n variables and len(rows) rows, as integer images: the
-    point or ray is X / D, and row i's multiplier y_i has y_i / s_i = Z_i / E,
-    with D and E positive.
+    Set-up (see `_solve_rows`) makes it from the rows: tab holds one list
+    per general row, its right-hand side last; basis names each row's basic
+    column, and d is the common denominator D.  Variable j has its x+
+    column pos[j] and its x- column neg[j], -1 where j's row x_j >= 0 is
+    folded; the ns real columns (x+-, then one slack per inequality row)
+    are followed by one artificial per general row, ncol columns in all.
+    gen lists the general rows, flips the sign each one's right-hand side
+    took and scales their scales; bound_row maps each folded variable to
+    its row, and big_lb is the lcm of the folded rows' scales.
     """
-    m = len(rows)
-    sign = 1 if minimize else -1
 
-    bound_row, is_bound = fold or _folded(rows)
-    gen = [i for i in range(m) if not is_bound[i]]
-    mt = len(gen)
-    # the multipliers' denominators carry the folded rows' scales
-    big_lb = math.lcm(*[rows[i][3] for i in bound_row.values()])
+    __slots__ = ("tab", "basis", "d", "ns", "ncol", "pos", "neg", "gen", "flips", "scales",
+                 "bound_row", "big_lb")
 
-    pos = [0] * n
-    neg = [-1] * n
-    nv = 0
-    for j in range(n):
-        pos[j] = nv
-        nv += 1
-        if j not in bound_row:
-            neg[j] = nv
+    def __init__(self, rows, n, fold):
+        bound_row, is_bound = fold or _folded(rows)
+        self.bound_row = bound_row
+        self.gen = gen = [i for i in range(len(rows)) if not is_bound[i]]
+        mt = len(gen)
+        # the multipliers' denominators carry the folded rows' scales
+        self.big_lb = math.lcm(*[rows[i][3] for i in bound_row.values()])
+        self.pos = pos = [0] * n
+        self.neg = neg = [-1] * n
+        nv = 0
+        for j in range(n):
+            pos[j] = nv
             nv += 1
-    n_slack = sum(1 for i in gen if rows[i][1] != EQ)
-    ns = nv + n_slack
-    ncol = ns + mt
+            if j not in bound_row:
+                neg[j] = nv
+                nv += 1
+        n_slack = sum(1 for i in gen if rows[i][1] != EQ)
+        self.ns = ns = nv + n_slack
+        self.ncol = ncol = ns + mt
+        self.tab = tab = []
+        self.flips = flips = []
+        self.scales = [rows[i][3] for i in gen]
+        slack_idx = nv
+        for t, i in enumerate(gen):
+            a, rel, b, s = rows[i]
+            row = self.split_row(a.items(), ncol + 1)
+            if rel != EQ:
+                row[slack_idx] = s if rel == LE else -s
+                slack_idx += 1
+            row[ncol] = b
+            flips.append(-1 if b < 0 else 1)
+            if b < 0:
+                row = [-v for v in row]
+            row[ns + t] = 1
+            tab.append(row)
+        self.basis = [ns + t for t in range(mt)]
+        self.d = 1
 
-    def split_row(entries, width):
-        # (variable, coefficient) pairs, on each x+ and x- column, in zeros
+    def copy(self) -> "_Tableau":
+        """A tableau that pivots apart from this one.  A pivot replaces the
+        rows it changes and changes none in place, so the copy shares the
+        rows themselves and the layout."""
+        new = _Tableau.__new__(_Tableau)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
+        new.tab = list(self.tab)
+        new.basis = list(self.basis)
+        return new
+
+    def split_row(self, entries, width: int) -> list[int]:
+        """(variable, coefficient) pairs, on each x+ and x- column, in zeros."""
+        pos, neg = self.pos, self.neg
         row = [0] * width
         for j, v in entries:
             row[pos[j]] = v
@@ -490,29 +534,10 @@ def _solve_rows(rows, obj, minimize, n, fold=None):
                 row[neg[j]] = -v
         return row
 
-    tab: list[list[int]] = []
-    flips: list[int] = []
-    scales = [rows[i][3] for i in gen]
-    slack_idx = nv
-    for t, i in enumerate(gen):
-        a, rel, b, s = rows[i]
-        row = split_row(a.items(), ncol + 1)
-        if rel != EQ:
-            row[slack_idx] = s if rel == LE else -s
-            slack_idx += 1
-        row[ncol] = b
-        flips.append(-1 if b < 0 else 1)
-        if b < 0:
-            row = [-v for v in row]
-        row[ns + t] = 1
-        tab.append(row)
-    basis = [ns + t for t in range(mt)]
-    d = 1
-
-    def pivot(r, col, rc=None):
+    def pivot(self, r: int, col: int, rc=None) -> None:
         # a negative pivot (clean-up only) negates its row first, which
         # negates the whole tableau and so keeps D positive
-        nonlocal d
+        tab, d = self.tab, self.d
         prow = tab[r]
         p = prow[col]
         if p < 0:
@@ -523,23 +548,25 @@ def _solve_rows(rows, obj, minimize, n, fold=None):
                 tab[i] = _pivot_row(row, prow, p, col, d)
         if rc is not None:
             rc[:] = _pivot_row(rc, prow, p, col, d)
-        d = p
-        basis[r] = col
+        self.d = p
+        self.basis[r] = col
 
-    def reduced_costs(cost):
+    def reduced_costs(self, cost: list[int]) -> list[int]:
         # D (c - c_B B^-1 M'): D c less each basic column's cost times its row
+        d, basis = self.d, self.basis
         rc = cost if d == 1 else [d * x for x in cost]
-        for r, row in enumerate(tab):
+        for r, row in enumerate(self.tab):
             w = cost[basis[r]]
             if w:
                 rc = [x - w * y for x, y in zip(rc, row)]
         return rc
 
-    def leaving(enter):
+    def leaving(self, enter: int) -> int:
         # Bland's ratio test on b / e, D cancelled, by cross-multiplying (e > 0)
+        ncol, basis = self.ncol, self.basis
         leave = -1
         best_b, best_e = 0, 1
-        for r, row in enumerate(tab):
+        for r, row in enumerate(self.tab):
             e = row[enter]
             if e > 0:
                 b = row[ncol]
@@ -548,12 +575,13 @@ def _solve_rows(rows, obj, minimize, n, fold=None):
                     best_b, best_e, leave = b, e, r
         return leave
 
-    def run(rc, enter_limit):
+    def run(self, rc: list[int], enter_limit: int) -> None:
         # Dantzig's rule over the real columns (index < ns): the most negative
         # reduced cost, the smallest index on ties.  An artificial (phase 1
         # only) enters only when no real column prices negative, by Bland's
         # rule.  After _DEGENERATE_PIVOTS pivots on a zero right-hand side
         # the phase finishes under Bland's rule alone, which cannot cycle.
+        ns, ncol, tab = self.ns, self.ncol, self.tab
         iterations = degenerate = 0
         while True:
             iterations += 1
@@ -570,19 +598,27 @@ def _solve_rows(rows, obj, minimize, n, fold=None):
                         break
                 else:
                     return
-            leave = leaving(enter)
+            leave = self.leaving(enter)
             if leave < 0:
                 raise _Unbounded(enter)
             if not tab[leave][ncol]:
                 degenerate += 1
-            pivot(leave, enter, rc)
+            self.pivot(leave, enter, rc)
+
+
+def _phase1(rows, n: int, fold=None) -> tuple:
+    """Set-up, phase 1 and clean-up of `_solve_rows` on the rows over n
+    variables: ("infeasible", (Z, E)) as `_solve_rows` returns it, or
+    ("feasible", the `_Tableau` phase 2 starts from).  No objective is read."""
+    t = _Tableau(rows, n, fold)
+    ns, ncol, tab, basis, scales = t.ns, t.ncol, t.tab, t.basis, t.scales
 
     # Phase 1: drive the artificial variables to zero, minimizing
     # sum_t (L / s_t) a'_t = L sum_t a_t with L = lcm(s_t).
     big_l = math.lcm(*scales)
-    rc1 = reduced_costs([0] * ns + [big_l // s for s in scales] + [0])
+    rc1 = t.reduced_costs([0] * ns + [big_l // s for s in scales] + [0])
     try:
-        run(rc1, ncol)
+        t.run(rc1, ncol)
     except _Unbounded:  # pragma: no cover - phase 1 is bounded below by 0
         raise RuntimeError("phase-1 unbounded (internal bug)")
 
@@ -592,12 +628,13 @@ def _solve_rows(rows, obj, minimize, n, fold=None):
         # E = L D L_b, with L_b = lcm of the folded rows' scales, a general
         # row reads flip_t ((L / s_t) D - rc1[a'_t]) L_b, and a folded one
         # rc1[x_j] (L_b / s_i)
-        z = [0] * m
-        for t, i in enumerate(gen):
-            z[i] = flips[t] * (big_l // scales[t] * d - rc1[ns + t]) * big_lb
-        for j, i in bound_row.items():
-            z[i] = rc1[pos[j]] * (big_lb // rows[i][3])
-        return ("infeasible", (z, big_l * d * big_lb))
+        big_lb = t.big_lb
+        z = [0] * len(rows)
+        for k, i in enumerate(t.gen):
+            z[i] = t.flips[k] * (big_l // scales[k] * t.d - rc1[ns + k]) * big_lb
+        for j, i in t.bound_row.items():
+            z[i] = rc1[t.pos[j]] * (big_lb // rows[i][3])
+        return ("infeasible", (z, big_l * t.d * big_lb))
 
     # Clean-up, leaving rc1 (read no more): pivot surviving artificials out;
     # a row with no structural entry left is redundant and dropped (dual 0).
@@ -606,35 +643,102 @@ def _solve_rows(rows, obj, minimize, n, fold=None):
         if basis[r] >= ns:
             col = next((j for j in range(ns) if tab[r][j]), -1)
             if col >= 0:
-                pivot(r, col)
+                t.pivot(r, col)
             else:
                 dropped.append(r)
     for r in reversed(dropped):
         del tab[r]
         del basis[r]
+    return ("feasible", t)
+
+
+class _Siblings:
+    """What the programs built at once on one builder's rows share besides
+    the rows and their fold: `_phase1`'s outcome, made when the first of
+    them is solved and kept until each has taken it (see `_solve_rows`).
+
+    A tableau taken while others are still to take it is a copy; the last
+    one taken is the tableau itself, and the set keeps nothing after it.  A
+    program solved again after that makes the outcome anew.
+    """
+
+    __slots__ = ("untaken", "start")
+
+    def __init__(self, count: int):
+        self.untaken = count
+        self.start = None
+
+    def take(self, rows, n: int, fold) -> tuple:
+        start = self.start or _phase1(rows, n, fold)
+        self.untaken -= 1
+        self.start = start if self.untaken > 0 else None
+        if self.start is not None and start[0] == "feasible":
+            return ("feasible", start[1].copy())
+        return start
+
+
+def _solve_rows(rows, obj, minimize, n, fold=None, siblings=None):
+    """Two-phase simplex on integer rows (A, rel, B, s) over n variables.
+
+    obj is the objective's integer image (C, s) from `_int_image`, minimized
+    or maximized.  A row of the form x_j >= 0 is folded into its column as a
+    sign condition (no split, no slack, no artificial); fold is
+    `_folded(rows)`, made here unless the caller has it.  A folded row's
+    multiplier in the returned certificates is the final reduced cost at
+    that column.  Every other variable is split x = x+ - x-; one slack per
+    inequality row; one artificial per row.  Returns one of
+      ("optimal", (X, D), (Z, E))
+      ("infeasible", (Z, E))
+      ("unbounded", (X, D))
+    over the original n variables and len(rows) rows, as integer images: the
+    point or ray is X / D, and row i's multiplier y_i has y_i / s_i = Z_i / E,
+    with D and E positive.
+
+    siblings, when given, is the `_Siblings` of the programs that share
+    these rows: set-up, phase 1 and clean-up (`_phase1`) then run once for
+    all of them, and this solve runs phase 2 alone, on its own copy of the
+    tableau that clean-up left.  No result can move by that:
+      - set-up, phase 1 and clean-up never read the objective; obj is first
+        read after clean-up;
+      - `_Tableau.run` counts its degenerate pivots afresh in each phase;
+      - so each sibling's phase 2 starts from the tableau a lone solve
+        reaches, makes the same pivots, and returns the same point,
+        multipliers and ray;
+      - rows that are infeasible give every sibling the same phase-1 Farkas
+        vector.
+    A tall program is solved through `_solve_transposed` (see `lp_solve`),
+    whose phase 1 reads the objective as its right-hand side, so siblings
+    solved there share nothing.
+    """
+    status, t = _phase1(rows, n, fold) if siblings is None else siblings.take(rows, n, fold)
+    if status == "infeasible":
+        return status, t
+    sign = 1 if minimize else -1
+    ns, ncol, tab, basis, pos, neg = t.ns, t.ncol, t.tab, t.basis, t.pos, t.neg
 
     # Phase 2 over the real objective, times s; artificials may not re-enter.
     c, s = obj
-    rc2 = reduced_costs(split_row(enumerate([sign * x for x in c]), ncol + 1))
+    rc2 = t.reduced_costs(t.split_row(enumerate([sign * x for x in c]), ncol + 1))
     try:
-        run(rc2, ns)
+        t.run(rc2, ns)
     except _Unbounded as ub:
-        nums = {ub.col: d}
+        nums = {ub.col: t.d}
         for r, row in enumerate(tab):
             nums[basis[r]] = -row[ub.col]
-        return ("unbounded", (_split(nums, pos, neg), d))
+        return ("unbounded", (_split(nums, pos, neg), t.d))
 
     point = _split({basis[r]: row[ncol] for r, row in enumerate(tab)}, pos, neg)
     # Duals are -sign flips_t rc2[a'_t] s_t / (s D) and, for a folded row,
     # sign rc2[x_j] / (s D); over E = s D L_b they read -sign flips_t
     # rc2[a'_t] L_b and sign rc2[x_j] (L_b / s_i).  A dropped (redundant)
     # row's artificial column stays zero, so its dual reads back 0.
-    z = [0] * m
-    for t, i in enumerate(gen):
-        z[i] = -sign * flips[t] * rc2[ns + t] * big_lb
-    for j, i in bound_row.items():
+    big_lb = t.big_lb
+    z = [0] * len(rows)
+    for k, i in enumerate(t.gen):
+        z[i] = -sign * t.flips[k] * rc2[ns + k] * big_lb
+    for j, i in t.bound_row.items():
         z[i] = sign * rc2[pos[j]] * (big_lb // rows[i][3])
-    return ("optimal", (point, d), (z, s * d * big_lb))
+    return ("optimal", (point, t.d), (z, s * t.d * big_lb))
 
 
 # A tall program, one with many more general rows than variables, is solved
@@ -810,7 +914,8 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
     A tall program is solved through its transpose (`_tall`,
     `_solve_transposed`).  The rows' fold is the one lp carries, or is found
-    here where it is needed.  The point and the certificate are re-verified
+    here where it is needed.  A program solved directly shares phase 1 with
+    its siblings, if it has any (`_solve_rows`).  The point and the certificate are re-verified
     on lp's own rows before returning; a verification failure raises
     RuntimeError (it would mean a kernel bug, not a property of the input).
     """
@@ -824,7 +929,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         if len(rows) - len(fold[0]) > tall:
             out = _solve_transposed(rows, obj, minimize, n, fold)
     if out is None:
-        out = _solve_rows(rows, obj, minimize, n, fold)
+        out = _solve_rows(rows, obj, minimize, n, fold, lp._siblings)
 
     if out[0] == "infeasible":
         cert = out[1]
@@ -951,9 +1056,10 @@ class LpBuilder:
     kernel reads it (see `_row_image`) the moment it is added, so build()
     only collects rows; bound rows are kept apart, in variable order, and
     follow the constraints.  A caller that has a row's integer image
-    already hands it over with add_image, and one that has the objective's
-    with set_objective_image.  weights_program makes a whole program of
-    convex weights from prepared parts, and the program carries its fold.
+    already hands it over with add_image.  build_siblings makes one
+    program per objective, given as its integer image, on the same rows.
+    weights_program makes a whole program of convex weights from prepared
+    parts, and the program carries its fold.
     """
 
     def __init__(self, sense: str = "min"):
@@ -964,8 +1070,7 @@ class LpBuilder:
         self._rows: list[tuple[dict[int, int], str, int, int]] = []
         self._bound_rows: Sequence[tuple[dict[int, int], str, int, int]] = []
         self._obj: dict[int, Fraction] = {}
-        # (objective image, fold) of a program whose objective is set as an
-        # image, fold None unless it is made from prepared parts
+        # (objective image, fold) of a program made from prepared parts
         self._prepared: tuple | None = None
 
     def var(self, lo=None, hi=None) -> int:
@@ -1064,7 +1169,7 @@ class LpBuilder:
 
     def _open(self) -> None:
         if self._prepared is not None:
-            raise StructuralError("a program whose objective image is set takes nothing more")
+            raise StructuralError("a program made from prepared parts takes nothing more")
 
     def add(self, coeffs: Mapping[int, object], rel: str, rhs) -> None:
         self._open()
@@ -1084,16 +1189,6 @@ class LpBuilder:
         self._open()
         self._obj = {self._index(j): frac(v) for j, v in coeffs.items()}
 
-    def set_objective_image(self, obj: tuple[list[int], int]) -> None:
-        """set_objective for an objective given as its integer image (C, s),
-        the one `_int_image` makes of its coefficients, one per variable
-        created.  The image is taken as it is, unchecked, and it fixes the
-        variables, so the builder takes nothing more."""
-        self._open()
-        if len(obj[0]) != self._n:
-            raise StructuralError(f"{len(obj[0])} objective entries for {self._n} variables")
-        self._prepared = (obj, None)
-
     def build(self) -> LinearProgram:
         if self._prepared is None:
             obj, fold = _int_image([self._obj.get(j, 0) for j in range(self._n)]), None
@@ -1101,6 +1196,29 @@ class LpBuilder:
             obj, fold = self._prepared
         return LinearProgram(self._n, self._sense, [*self._rows, *self._bound_rows],
                              len(self._rows), obj, fold)
+
+    def build_siblings(self, objectives: Sequence[tuple[list[int], int]]) -> list[LinearProgram]:
+        """One program per objective, on the rows as they stand.
+
+        Each objective is given as its integer image (C, s), the one
+        `_int_image` makes of its coefficients, one per variable created,
+        and is taken as it is, unchecked; the objective set_objective holds
+        is not read.  Two or more programs are siblings: they share the
+        rows, their fold and one `_Siblings`, so `lp_solve` runs set-up,
+        phase 1 and clean-up once for all of them (see `_solve_rows`).  One
+        objective makes a lone program, as build() does.  Rows added later
+        make programs of their own.
+        """
+        self._open()
+        for obj in objectives:
+            if len(obj[0]) != self._n:
+                raise StructuralError(f"{len(obj[0])} objective entries for {self._n} variables")
+        rows = [*self._rows, *self._bound_rows]
+        fold = siblings = None
+        if len(objectives) > 1:
+            fold, siblings = _folded(rows), _Siblings(len(objectives))
+        return [LinearProgram(self._n, self._sense, rows, len(self._rows), obj, fold, siblings)
+                for obj in objectives]
 
     def solve(self) -> LpResult:
         return lp_solve(self.build())

@@ -35,6 +35,7 @@ from .numerics import (
     Vec,
     dot,
     vec,
+    vec_text,
 )
 
 
@@ -58,7 +59,7 @@ class SandwichInstance:
             for p, _ in self.convex.samples:
                 if not polytope_contains(self.space, p):
                     raise StructuralError(
-                        f"sample point {p} lies outside the ambient set"
+                        f"sample point {vec_text(p)} lies outside the ambient set"
                     )
 
     @property

@@ -11,6 +11,8 @@ state a reference or draw an instance no command draws, lives here:
 * `indicator_of_point`;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
   reference for `interiority.lemma19a_check`;
+* `direction_reach_by_halflines`, the reach one LP per direction with the
+  step r >= 0, the reference for `interiority._direction_reach`;
 * `evaluation_lp_by_builder` and `sup_lp_by_builder`, the LPs of
   `convexfn.eval_with_subgradient` and `convexfn.sup_affine_minus_convex`
   assembled through `LpBuilder.convex_weights`, `set_objective` and `add`,
@@ -29,9 +31,11 @@ from sandwichkit.interiority import Lemma19aResult, SublevelQuery, _fiber_lp
 from sandwichkit.numerics import (
     EQ,
     GE,
+    LE,
     POS_INF,
     LinearProgram,
     LpBuilder,
+    PointColumns,
     PreconditionError,
     StructuralError,
     dot,
@@ -273,6 +277,35 @@ def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],
         if found is None:
             all_ok = False
     return Lemma19aResult(all_ok, tuple(assignments))
+
+
+def direction_reach_by_halflines(images: Sequence, target: Sequence, directions: Sequence,
+                                 value_row=None) -> Fraction:
+    """`interiority._direction_reach` one LP per direction d: max r over
+    r >= 0 and convex weights with sum_i lam_i images_i - r*d = target (d
+    moving the first len(d) coordinates) and the value row, 0 where that
+    LP is infeasible; the minimum over the directions, with an early exit
+    at 0."""
+    points = PointColumns(images, len(target))
+    best = None
+    for d in directions:
+        b = LpBuilder("max")
+        r = b.var(lo=0)
+        reach = [{r: -dc} for dc in d] + [{}] * (len(target) - len(d))
+        lam = b.convex_weights(points, target, reach)
+        if value_row is not None:
+            values, level = value_row
+            b.add({lam[i]: values[i] for i in range(len(values))}, LE, level)
+        b.set_objective({r: 1})
+        res = b.solve()
+        if res.status == "unbounded":
+            raise StructuralError("reach LP is bounded over a compact hull")
+        value = res.value if res.status == "optimal" else Fraction(0)
+        if best is None or value < best:
+            best = value
+        if best == 0:
+            break
+    return best
 
 
 def evaluation_lp_by_builder(f: PolyhedralFunction, x: Sequence) -> LinearProgram:

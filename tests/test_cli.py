@@ -275,6 +275,30 @@ class TestSpaces:
             "[objects: function 'S' (dimension 1), function 'k' (dimension 1), "
             "map 'B' (1 -> 1), space 'P']")
 
+    def test_an_excluded_sample_reads_as_reports_print_points(self, capsys, tmp_path):
+        for report in ([], ["--report", "json"]):
+            doc = json.loads((CORPUS / "sandwich.json").read_text())
+            doc["spaces"] = {"P": [[0], [1]]}
+            doc["task"]["space"] = "P"
+            path = tmp_path / "space.json"
+            path.write_text(json.dumps(doc))
+            code, out = run(capsys, ["sandwich", str(path), *report])
+            assert code == EXIT_INPUT
+            assert "sample point [-1] lies outside the ambient set" in out
+            assert "Fraction" not in out
+
+    @pytest.mark.parametrize("dim", [2, 0, -3])
+    def test_a_vector_space_of_another_dimension_is_an_input_error(self, capsys, tmp_path,
+                                                                   dim):
+        """The samples live in dimension 1, so {"vector_space": d} must have
+        d = 1, as a vertex list must hold points of dimension 1."""
+        code, doc = self.run_sandwich(capsys, tmp_path, {"P": {"vector_space": dim}})
+        assert code == EXIT_INPUT
+        assert doc["error"] == {
+            "field": "spaces.P",
+            "message": f"a vector space of dimension {dim} does not match the sample "
+                       f"space of dimension 1"}
+
     def test_malformed_spaces_are_input_errors(self, capsys, tmp_path):
         for body, field in ((5, "spaces.P"), ("P", "spaces.P"), ({"dim": 1}, "spaces.P"),
                             ([], "spaces.P"), ([[1], [1, 2]], "spaces.P"),
@@ -517,6 +541,75 @@ class TestCommands:
         code, report = run_json(capsys, ["verify", str(path)])
         assert code == EXIT_INPUT
         assert report["error"]["field"] == "task.kind"
+
+    def test_a_failing_covering_check_exits_two(self, capsys, tmp_path):
+        """The probe 20 lies in i B({phi < 1/2}) only for i >= 40, past the
+        cap of 16: one reach LP along it, with the value row at 1/2."""
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "interiority.json", lambda t: t.update(probes=[[20]]))
+        assert code == EXIT_HYPOTHESES
+        assert doc["margin"]["holds"] is True
+        assert doc["covering"] == {"delta": "1/2", "ok": False, "assignments": [[["20"], None]]}
+
+    def test_a_failing_boundedness_check_exits_two(self, capsys, tmp_path):
+        """At delta 0 the sublevel set {psi < 0} is empty."""
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "boundedness.json", lambda t: t.update(delta=0))
+        assert code == EXIT_HYPOTHESES
+        assert doc["margin"]["holds"] is True
+        assert doc["boundedness"] == {"z0": ["0", "0"], "delta": "0", "holds": False}
+
+    def test_points_in_notes_read_as_reports_print_points(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "boundedness.json", lambda t: t.update(z0=[5, "1/2"]))
+        assert code == EXIT_HYPOTHESES
+        assert doc["notes"] == ["base point [5, 1/2] lies outside the domain"]
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "interiority.json", lambda t: t.update(probes=[[1, 2]]))
+        assert code == EXIT_HYPOTHESES
+        assert doc["notes"] == ["probe [1, 2] has the wrong dimension"]
+
+    def run_theorem20_variant(self, capsys, tmp_path, edit):
+        sc = json.loads((CORPUS / "t20.json").read_text())
+        edit(sc)
+        path = tmp_path / "t20.json"
+        path.write_text(json.dumps(sc))
+        return run_json(capsys, ["theorem20", str(path)])
+
+    def test_theorem20_without_the_subspace_precondition_exits_two(self, capsys, tmp_path):
+        """phi on [0, 1] with B the identity: the images of its domain span a
+        ray, not a subspace."""
+        code, doc = self.run_theorem20_variant(
+            capsys, tmp_path,
+            lambda sc: sc["functions"]["phi"].update(samples=[[[0], 0], [[1], 1]]))
+        assert code == EXIT_HYPOTHESES
+        assert doc["kind"] == "theorem20"
+        assert doc["notes"] == [
+            "scaled images of the domain do not positively span a subspace; "
+            "the equivalence needs that precondition"]
+
+    def test_theorem20_needs_a_level(self, capsys, tmp_path):
+        code, doc = self.run_theorem20_variant(
+            capsys, tmp_path, lambda sc: sc["task"].pop("gamma"))
+        assert code == EXIT_INPUT
+        assert doc["error"]["field"] == "task.gamma"
+
+    def test_a_nonzero_gap_under_a_false_flag_is_not_asserted(self, capsys, tmp_path):
+        """C = 0 maps every w to x = 0, which dom g misses, so the left side
+        is -inf; the right side's constraint x* after C = w' reads 0 = 1, so
+        it is +inf.  The gap is +inf, reported under a note, not raised."""
+        doc = {"functions": {"g": {"form": "V", "samples": [[[1, 0], 0], [[2, 0], 0]]}},
+               "maps": {"C": {"matrix": [[0]]}, "D": {"matrix": [[1]]}},
+               "task": {"kind": "indicator_linear", "g": "g", "c": "C", "d": "D",
+                        "queries": [[1, 0]]}}
+        (tmp_path / "gap.json").write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["verify", str(tmp_path / "gap.json")])
+        assert code == EXIT_HYPOTHESES
+        (record,) = report["queries"]
+        assert (record["lhs"], record["rhs"], record["gap"]) == ("-inf", "inf", "inf")
+        assert record["hypothesis_flags"] == {"boundedness": False, "h_proper": False}
+        assert record["verdict"] == "hypotheses_unsatisfied"
+        assert "equality not asserted; hypotheses unsatisfied" in record["notes"]
 
     def test_unsatisfied_hypotheses_exit_two(self, capsys, tmp_path):
         """f = 0 on [-1, 0] and g = 0 on [0, 1] meet only at 0, a boundary

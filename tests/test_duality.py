@@ -674,6 +674,31 @@ def test_a_repeated_query_is_solved_once(monkeypatch, kind):
     assert certs[:k] == certs[k:] == [r.certificate for r in once]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_left_sides_share_one_phase_1(monkeypatch, kind):
+    """verify solves a scenario's left sides as siblings: its n distinct
+    queries' left sides share their rows and run phase 1 once, and the
+    sides are solved in the order left q1, dual q1, left q2, dual q2, and
+    so on.  A lone query's left side is a lone program (sublevel's)."""
+    solved, phase1 = [], []
+    lp_solve, real_phase1 = numerics.lp_solve, numerics._phase1
+    monkeypatch.setattr(numerics, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
+    monkeypatch.setattr(numerics, "_phase1",
+                        lambda rows, *args: phase1.append(rows) or real_phase1(rows, *args))
+    s = random_crosscheck_scenario(random.Random(f"siblings:{kind}"), kind, n_queries=3)
+    n = len(set(s.queries))
+    assert n == (1 if kind == "sublevel" else 3)
+    verify(s)
+    lefts, duals = solved[0:2 * n:2], solved[1:2 * n:2]
+    rows = lefts[0]._rows
+    # solved directly, not through the transpose
+    assert len(rows) - len(numerics._folded(rows)[0]) <= numerics._tall(lefts[0].num_vars)
+    assert all(p._rows is rows and p._siblings is lefts[0]._siblings for p in lefts)
+    assert (lefts[0]._siblings is None) == (n == 1)
+    assert all(p._siblings is None and p._rows is not rows for p in duals)
+    assert sum(r is rows for r in phase1) == 1
+
+
 class TestReductionConsistency:
     def test_fenchel_matches_trivariate_rewrite(self):
         rng = random.Random(602)

@@ -7,7 +7,7 @@ import pytest
 
 from sandwichkit import numerics, randomgen
 from sandwichkit.convexfn import V_FORM, PolyhedralFunction
-from sandwichkit.geometry import AffineMap
+from sandwichkit.geometry import AffineMap, vec_neg
 from sandwichkit.interiority import (
     SublevelQuery,
     _direction_reach,
@@ -22,6 +22,7 @@ from sandwichkit.interiority import (
 from sandwichkit.numerics import PreconditionError, vec
 from sandwichkit.randomgen import random_sublevel_query
 from support import (
+    direction_reach_by_halflines,
     lemma19a_by_scales,
     random_bibivariate_scenario,
     random_violating_fenchel,
@@ -173,6 +174,62 @@ class TestDirectionReach:
         seg = [vec(p) for p in [(-1, 0), (1, 0)]]
         # no room in the second coordinate, so no ambient interior
         assert _direction_reach(seg, vec((0, 0)), self.UNITS) == 0
+
+    def test_equals_one_lp_per_halfline(self, monkeypatch):
+        """The free step, solved under +s and then -s for each +-pair, gives
+        the reach of one LP per direction with r >= 0
+        (support.direction_reach_by_halflines), from as many LPs: random
+        points, targets in the hull and off it, unit and non-unit pairs,
+        lone directions, fiber coordinates and value rows."""
+        solves = []
+        lp_solve = numerics.lp_solve
+        monkeypatch.setattr(numerics, "lp_solve",
+                            lambda *args: solves.append(1) or lp_solve(*args))
+        rng = random.Random(3101)
+        seen = set()
+
+        def scalar(lo, hi):
+            return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3)))
+
+        for _ in range(400):
+            dim, fiber = rng.randint(1, 3), rng.randint(0, 2)
+            width = dim + fiber
+            points = [tuple(scalar(-4, 4) for _ in range(width))
+                      for _ in range(rng.randint(1, 6))]
+            weights = [rng.randint(0, 3) for _ in points]
+            weights[0] += 1
+            target = [sum((w * p[c] for w, p in zip(weights, points)), Fraction(0))
+                      / sum(weights) for c in range(width)]
+            if rng.random() < 0.3:
+                target[rng.randrange(width)] += rng.randint(1, 5)
+                seen.add("off the hull")
+            directions = []
+            for _ in range(rng.randint(1, 3)):
+                d = tuple(scalar(-3, 3) for _ in range(dim))
+                if not any(d):
+                    d = (Fraction(1),) + d[1:]
+                directions.append(d)
+                if rng.random() < 0.7:
+                    directions.append(vec_neg(d))
+                    seen.add("pair")
+                else:
+                    seen.add("lone")
+            value_row = None
+            if rng.random() < 0.5:
+                value_row = ([Fraction(rng.randint(0, 6)) for _ in points],
+                             Fraction(rng.randint(0, 12), 2))
+                seen.add("value row")
+            solves.clear()
+            got = _direction_reach(points, tuple(target), directions, value_row)
+            n_got = len(solves)
+            solves.clear()
+            want = direction_reach_by_halflines(points, tuple(target), directions, value_row)
+            assert got == want and type(got) is Fraction
+            assert n_got == len(solves)
+            seen.add("positive" if got > 0 else "zero")
+            seen.update({"fiber"} if fiber else set())
+        assert seen == {"off the hull", "pair", "lone", "value row", "positive", "zero",
+                        "fiber"}
 
 
 class TestInterior:

@@ -360,15 +360,21 @@ class TestBuilderIndices:
         with pytest.raises(StructuralError):
             b.set_objective({1: 1})
 
-    def test_set_objective_image(self):
+    def test_build_siblings(self):
+        """One objective image makes a lone program; more make siblings on
+        one row list; rows added later make programs of their own."""
         b = LpBuilder()
         b.block(2)
         with pytest.raises(StructuralError, match="2 variables"):
-            b.set_objective_image(([1], 2))
-        b.set_objective_image(([1, -3], 6))
-        assert b.build().objective == (F(1, 6), F(-1, 2))
-        with pytest.raises(StructuralError, match="takes nothing more"):
-            b.var()
+            b.build_siblings([([1, -3], 6), ([1], 2)])
+        (lone,) = b.build_siblings([([1, -3], 6)])
+        assert lone.objective == (F(1, 6), F(-1, 2)) and lone._siblings is None
+        first, second = b.build_siblings([([1, -3], 6), ([0, 1], 1)])
+        assert (first.objective, second.objective) == (lone.objective, (0, 1))
+        assert first._rows is second._rows and first._siblings is second._siblings
+        b.add({0: 1}, GE, 0)
+        (later,) = b.build_siblings([([0, 1], 1)])
+        assert len(later._rows) == 1 and not first._rows
 
 
 def test_dot_refuses_binary_floats():
@@ -445,7 +451,7 @@ class TestConvexWeights:
         for edit in (lambda: b.var(), lambda: b.add({0: 1}, GE, 0),
                      lambda: b.add_image({0: 1}, GE, 0, 1),
                      lambda: b.set_objective({0: 1}),
-                     lambda: b.set_objective_image(([0, 1], 1))):
+                     lambda: b.build_siblings([([0, 1], 1)])):
             with pytest.raises(StructuralError, match="takes nothing more"):
                 edit()
         assert b.solve().value == 0
@@ -558,11 +564,11 @@ def test_builder_programs_solve_like_their_rational_data():
 
         if data.draw(st.booleans()):
             b.set_objective(objective)
+            built = b.build()
         else:
-            b.set_objective_image(numerics._int_image(dense(objective)))
+            (built,) = b.build_siblings([numerics._int_image(dense(objective))])
             seen.add("objective image")
 
-        built = b.build()
         assert built.objective == dense(objective)
         assert built.constraints == tuple(
             Constraint(dense(row), rel, F(rhs)) for row, rel, rhs in rows)
@@ -1002,11 +1008,12 @@ def ref_image(values) -> tuple[list[int], int]:
     return [(v * den).numerator for v in values], den
 
 
-def ref_solve_images(rows, obj, minimize, n, fold=None, degenerate_limit=50):
+def ref_solve_images(rows, obj, minimize, n, fold=None, siblings=None, degenerate_limit=50):
     """`ref_solve_rows` in `numerics._solve_rows`' return contract: the point or
     ray as (X, D) with x = X / D, and the multipliers y as (Z, E) with
     y_i / s_i = Z_i / E.  fold, the folded rows lp_solve may hand over, is
-    found again by the reference itself."""
+    found again by the reference itself, and siblings is not read: the
+    reference solves every program alone."""
     status, *parts = ref_solve_rows(rows, obj, minimize, n, degenerate_limit)
 
     def multipliers(y):
@@ -1186,3 +1193,82 @@ def test_integer_images_of_the_same_rows_give_the_same_result():
         q = LinearProgram(p.num_vars, p.sense, scaled, len(p.constraints), p._obj)
         assert lp_solve(q) == lp_solve(p)
     assert folded
+
+
+def row_builder(rng: random.Random, shape: str) -> tuple[LpBuilder, int]:
+    """(a builder holding seeded rows and no objective, its variable count).
+    "mixed" rows are `corner_program`'s: zero coefficients, a redundant row,
+    bound rows more often than not.  "degenerate" rows are homogeneous,
+    a . x <= 0 or >= 0 over the box 0 <= x <= 2, so every phase-1 pivot
+    there is degenerate.  "tall" rows outnumber `_tall(n)` general rows, so
+    their programs are solved through the transpose."""
+    n = rng.randint(1, 4)
+
+    def rnd():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-5, 5), rng.randint(1, 3))
+
+    b = LpBuilder(rng.choice(["min", "max"]))
+    if shape == "degenerate":
+        b.block(n, 0, 2)
+    elif rng.random() < 0.6:
+        for _ in range(n):
+            b.var(rng.choice([None, F(0), F(-rng.randint(1, 4), 2)]),
+                  rng.choice([None, F(rng.randint(0, 5), rng.randint(1, 2))]))
+    else:
+        b.block(n)
+    count = {"mixed": rng.randint(1, 5), "degenerate": rng.randint(2, 2 * n),
+             "tall": numerics._tall(n) + rng.randint(1, 3)}[shape]
+    rows = []
+    for _ in range(count):
+        a = [rnd() for _ in range(n)]
+        if shape == "degenerate":
+            rows.append((a, rng.choice([LE, GE]), F(0)))
+        else:
+            rows.append((a, rng.choice([LE, GE, EQ]), rnd()))
+    a, rel, rhs = rng.choice(rows)
+    k = F(rng.randint(1, 3), rng.randint(1, 2))
+    rows.append(([k * x for x in a], rel, k * rhs))
+    for a, rel, rhs in rows:
+        b.add(dict(enumerate(a)), rel, rhs)
+    return b, n
+
+
+def test_siblings_give_the_results_of_lone_programs(monkeypatch):
+    """Programs built at once on one builder's rows, solved in any order
+    and again, give exactly the results of the same programs solved alone,
+    certificates included.  A set solved directly runs phase 1 once, and a
+    tall one at most once, where a transpose is infeasible.  A row added to the builder between two sets gives the second set rows
+    and a phase 1 of its own.  The rows are mixed, degenerate or tall, and
+    every status occurs."""
+    rng = random.Random(20261031)
+    phase1 = []
+    real_phase1 = numerics._phase1
+    monkeypatch.setattr(numerics, "_phase1",
+                        lambda rows, *args: phase1.append(rows) or real_phase1(rows, *args))
+    statuses = set()
+    for shape in ("mixed", "degenerate", "tall") * 80:
+        b, n = row_builder(rng, shape)
+        objectives = [numerics._int_image([F(rng.randint(-4, 4), rng.randint(1, 3))
+                                           for _ in range(n)])
+                      for _ in range(rng.randint(2, 4))]
+        first = b.build_siblings(objectives)
+        b.add({j: rng.randint(-3, 3) for j in range(n)}, rng.choice([LE, GE]), rng.randint(-2, 2))
+        second = b.build_siblings(objectives[:2])
+        programs = first + second
+        alone = [lp_solve(LinearProgram(p.num_vars, p.sense, p._rows, p._n_constraints, p._obj))
+                 for p in programs]
+        order = list(range(len(programs)))
+        rng.shuffle(order)
+        phase1.clear()
+        for i in order:
+            assert lp_solve(programs[i]) == alone[i], (shape, i)
+            statuses.add((shape, alone[i].status))
+        for siblings in (first, second):
+            rows = siblings[0]._rows
+            runs = sum(r is rows for r in phase1)
+            tall = len(rows) - len(numerics._folded(rows)[0]) > numerics._tall(n)
+            assert runs == 1 or (tall and runs == 0), (shape, runs)
+        for i in rng.sample(order, 2):
+            assert lp_solve(programs[i]) == alone[i], (shape, i)
+    assert {status for _, status in statuses} == {"optimal", "infeasible", "unbounded"}
+    assert {shape for shape, _ in statuses} == {"mixed", "degenerate", "tall"}

@@ -33,6 +33,7 @@ from sandwichkit.convexfn import (  # noqa: E402
     PolyhedralFunction,
     eval_with_subgradient,
     sup_affine_minus_convex,
+    sups_affine_minus_convex,
 )
 from sandwichkit.duality import KINDS, MODES, DualityScenario  # noqa: E402
 from sandwichkit.geometry import AffineMap  # noqa: E402
@@ -214,7 +215,9 @@ class TestSupProgram:
 
 
 def verify_sups(s) -> list:
-    """(phi, terms, fibers, program) of every sup LP that verify(s) solves."""
+    """(phi, terms, fibers, program) of every sup LP that verify(s) solves:
+    the right sides, one `sup_affine_minus_convex` each, and the left sides,
+    solved one at a time by `sups_affine_minus_convex`."""
     seen = []
 
     def recording(phi, terms, fibers=()):
@@ -222,7 +225,15 @@ def verify_sups(s) -> list:
         seen.append((phi, terms, fibers, lp))
         return out
 
-    with mock.patch.object(duality, "sup_affine_minus_convex", recording):
+    def recording_each(phis, terms, fibers=()):
+        lefts = sups_affine_minus_convex(phis, terms, fibers)
+        for phi in phis:
+            out, (lp,) = solved_lps(lambda: next(lefts))
+            seen.append((phi, terms, fibers, lp))
+            yield out
+
+    with mock.patch.object(duality, "sup_affine_minus_convex", recording), \
+            mock.patch.object(duality, "sups_affine_minus_convex", recording_each):
         duality.verify(s)
     return seen
 
