@@ -507,6 +507,10 @@ def run_interiority(sc: Scenario, args):
             if not isinstance(raw, list) or not raw:
                 raise ScenarioError("task.probes", "the covering check needs probes")
             probes = [to_vector(p, f"task.probes[{i}]") for i, p in enumerate(raw)]
+            for i, p in enumerate(probes):
+                if len(p) != b_map.out_dim:
+                    raise ScenarioError(f"task.probes[{i}]", f"probe of dimension {len(p)} "
+                                        f"against {_describe(sc, names[1])}")
             cover = lemma19a_check(q, delta, probes)
             body["covering"] = {
                 "delta": encode_scalar(delta),
@@ -520,6 +524,9 @@ def run_interiority(sc: Scenario, args):
         if "z0" in t:
             a_map = _named(sc, "maps", t.get("a"), "task.a")
             z0 = to_vector(t["z0"], "task.z0")
+            if len(z0) != phi.dim:
+                raise ScenarioError("task.z0", f"base point of dimension {len(z0)} "
+                                    f"against {_describe(sc, names[0])}")
             delta = to_frac(t.get("delta", 1), "task.delta")
             bounded = boundedness_condition(phi, a_map, b_map, z0, delta)
             body["boundedness"] = {

@@ -226,14 +226,37 @@ def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec 
 
 
 @dataclass(frozen=True)
+class Farkas:
+    """Why the feasible set of a sup is empty, in the program's own terms.
+
+    fibers holds, per fiber map B, one multiplier y per row of B z + o = 0.
+    terms holds, per term, None for a piece-form term and (mu, pi) for a
+    sample-form term: the multipliers of its weight row sum_i lam_i = 1 and
+    of its coordinate rows sum_i lam_i p_i - L z = o, where M z = L z + o.
+    """
+
+    fibers: tuple[Vec, ...]
+    terms: tuple[tuple[Fraction, Vec] | None, ...]
+
+
+@dataclass(frozen=True)
 class SupResult:
-    """Outcome of maximizing an affine functional minus a sum of convex terms."""
+    """Outcome of maximizing an affine functional minus a sum of convex terms.
+
+    term_weights holds, per term, the convex weights over a sample-form
+    term's samples at argmax, or at base when the sup is unbounded (None
+    for a piece-form term, and for every term when the sup is empty).  An
+    unbounded sup rises without bound along ray from the feasible point
+    base; an empty one carries its `Farkas` certificate in farkas.
+    """
 
     status: str  # "attained" | "unbounded" | "empty"
     value: Ext
     argmax: Vec | None
     ray: Vec | None
     term_weights: tuple[tuple[Fraction, ...] | None, ...]
+    base: Vec | None = None
+    farkas: Farkas | None = None
 
     def __post_init__(self):
         if self.status not in ("attained", "unbounded", "empty"):
@@ -254,7 +277,10 @@ def sup_affine_minus_convex(
     LP's objective is phi's linear part, and phi's constant is added to an
     attained value here.  An empty feasible region means every z leaves some
     term at +inf or off a fiber, so the sup over the effective domain is
-    -inf; an unbounded sup is +inf.
+    -inf, and the LP's Farkas vector, read row by row, is the result's
+    `Farkas`; a piece row's multiplier is 0, as the free epigraph variable's
+    column forces.  An unbounded sup is +inf, and the kernel's ray and the
+    point it starts from are the result's ray and base.
 
     Rows reach the builder as integer images: a fiber's from the map's
     `fiber_rows`, a sample-form term's coordinate rows from its function's
@@ -295,6 +321,11 @@ def sups_affine_minus_convex(
     # epigraph variable, each subtracted, after each phi's linear part over z
     blocks = []
     weight_vars: list[list[int] | None] = []
+    # the index of each sample-form term's weight row, None for a piece-form
+    # term: after the fiber rows, a sample-form term adds 1 + dim rows and a
+    # piece-form term one per piece
+    weight_rows: list[int | None] = []
+    at = sum(m.out_dim for m in fibers)
     for psi, m in terms:
         if m.in_dim != n:
             raise StructuralError("term map does not act on the outer variable space")
@@ -305,13 +336,17 @@ def sups_affine_minus_convex(
             points = psi.columns
             lam = b.block(points.count, lo=0)
             weight_vars.append(lam)
+            weight_rows.append(at)
+            at += 1 + psi.dim
             b.add_image(dict.fromkeys(lam, 1), EQ, 1, 1)
             for (scale, column), (extra, rhs, t) in zip(points.columns, m.coupling_rows):
                 b.add_image(*_coordinate_row(scale, column, lam, extra, rhs, t))
             blocks.append((*psi.value_image, -1))
         else:
             s = b.var()
-            weight_vars.append([s])
+            weight_vars.append(None)
+            weight_rows.append(None)
+            at += len(psi.pieces)
             # s >= <a, M z> + c for each piece (a, c); <a, M z> reads M's
             # columns, made once per term, unless M is the identity
             columns = None if m.is_identity() else m.columns()
@@ -338,20 +373,25 @@ def sups_affine_minus_convex(
     for phi, lp in zip(phis, b.build_siblings(objectives)):
         res = numerics.lp_solve(lp)
         if res.status == "infeasible":
-            yield SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms))
-        elif res.status == "unbounded":
-            ray = tuple(res.ray[zvars[j]] for j in range(n))
-            yield SupResult("unbounded", POS_INF, None, ray, tuple(None for _ in terms))
+            y = res.farkas
+            fiber_ys, row = [], 0
+            for m in fibers:
+                fiber_ys.append(y[row:row + m.out_dim])
+                row += m.out_dim
+            multipliers = tuple(None if i is None else (y[i], y[i + 1:i + 1 + psi.dim])
+                                for (psi, _), i in zip(terms, weight_rows))
+            yield SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms),
+                            farkas=Farkas(tuple(fiber_ys), multipliers))
+            continue
+        # the optimum, or the feasible point an unbounded ray starts from
+        x = res.point
+        point = x[:n]
+        weights = tuple(None if block is None else tuple(x[j] for j in block)
+                        for block in weight_vars)
+        if res.status == "unbounded":
+            yield SupResult("unbounded", POS_INF, None, res.ray[:n], weights, base=point)
         else:
-            argmax = tuple(res.point[zvars[j]] for j in range(n))
-            weights = []
-            for (psi, _), block in zip(terms, weight_vars):
-                if psi.form == V_FORM:
-                    weights.append(tuple(res.point[j] for j in block))
-                else:
-                    weights.append(None)
-            yield SupResult("attained", res.value + phi.constant, argmax, None,
-                            tuple(weights))
+            yield SupResult("attained", res.value + phi.constant, point, None, weights)
 
 
 def fenchel_young_gap(f: PolyhedralFunction, z: Sequence, x: Sequence) -> Ext:

@@ -16,10 +16,11 @@ polyhedral data, once for every kind, in a `QueryProgram`:
   fiber.
 
 `verify` solves both sides as sups, one LP each, the left sides of all
-queries as siblings that share their rows and phase 1, and keeps, on each report, the program with both LPs' points and weights
-(a `Certificate`); `oracle.crosscheck_scenario` re-checks that pair by
-arithmetic and, where it does not prove both sides, solves the same two
-sups again by double description (`oracle.exact_sup`), with no LP code.
+queries as siblings that share their rows and phase 1.  It keeps, on each
+report, the program with what both LPs prove (a `Certificate`): the points
+and weights of a finite pair, and the base point and ray, or the Farkas
+certificate, of an infinite side.  `oracle.crosscheck_scenario` re-checks
+each certificate by arithmetic, with no LP code.
 
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
@@ -39,6 +40,7 @@ from typing import Optional, Sequence
 
 from .convexfn import (
     AffineFunctional,
+    Farkas,
     H_FORM,
     PolyhedralFunction,
     V_FORM,
@@ -320,9 +322,10 @@ class DualityReport:
     witness is the dual covector attaining the min, when attained; it pairs
     with the kernel map through a plus sign, so rewriting a scenario into
     fiber form leaves the witness unchanged.  certificate is what `verify`
-    solved and the LP's weights (a `Certificate`); it is no part of the
+    solved and what its LPs prove (a `Certificate`); it is no part of the
     report's value, so it stays out of its repr, its equality and the JSON
-    document, and a hand-built report may leave it None.
+    document.  A hand-built report may leave it None, and the oracle then
+    proves nothing of it.
     """
 
     kind: str
@@ -542,7 +545,7 @@ class QueryProgram:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What `verify` solved for one query, and the LP's weights.
+    """What `verify` solved for one query, and what its two LPs prove.
 
     program is `query_program(scenario, query)`.  With the report's
     lhs_witness z and witness x*, the weights complete the primal-dual
@@ -551,8 +554,16 @@ class Certificate:
     combine to M_k z (None for a piece-form term).  dual_weights holds the
     same for the terms of `program.dual`, one per group: the weights
     over a sample-form group's samples, which combine to x* (None in piece
-    form).  Where a side is infinite its weights are all None, and only
-    the program is of use.
+    form).
+
+    An infinite side has no z or x*, and carries the certificate of its
+    sup instead (see `convexfn.SupResult`).  A sup of +inf: its base point,
+    lhs_base or dual_base, at which the weights above are taken, and an
+    improving ray, lhs_ray for the left side and the report's
+    unbounded_direction for the dual.  A sup of -inf: the `Farkas`
+    certificate of its empty feasible set, lhs_farkas or dual_farkas.
+    The dual's sup is minus the right side, so a right side of -inf has
+    a base point and a ray, and one of +inf a Farkas certificate.
     """
 
     scenario: DualityScenario
@@ -560,6 +571,11 @@ class Certificate:
     program: QueryProgram
     term_weights: tuple
     dual_weights: tuple
+    lhs_base: Optional[Vec] = None
+    lhs_ray: Optional[Vec] = None
+    lhs_farkas: Optional[Farkas] = None
+    dual_base: Optional[Vec] = None
+    dual_farkas: Optional[Farkas] = None
 
 
 def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
@@ -624,7 +640,7 @@ def verify(s: DualityScenario) -> list:
     which read h_proper off the first query's left side.  The left sides
     differ only in their objective, so they are solved as siblings by
     `sups_affine_minus_convex`, which runs phase 1 once for all of them.
-    Each report carries the query's program and both LPs' weights as its
+    Each report carries the query's program and what both LPs prove as its
     certificate, for `oracle.crosscheck_scenario`.
     No rewritten scenario and no product is built: programs and flags read
     the scenario's own fields.
@@ -664,6 +680,9 @@ def verify(s: DualityScenario) -> list:
             kind=s.kind, query=query, hypothesis_flags=dict(flags),
             lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=sup.argmax,
             attained=attained, unbounded_direction=dual.ray, notes=notes + extra,
-            certificate=Certificate(s, query, p, sup.term_weights, dual.term_weights),
+            certificate=Certificate(s, query, p, sup.term_weights, dual.term_weights,
+                                    lhs_base=sup.base, lhs_ray=sup.ray,
+                                    lhs_farkas=sup.farkas, dual_base=dual.base,
+                                    dual_farkas=dual.farkas),
         ))
     return reports

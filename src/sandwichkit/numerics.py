@@ -283,7 +283,8 @@ class LpResult:
 
     status is one of 'optimal', 'infeasible', 'unbounded'.  Exactly one
     certificate field is set: dual (optimal), farkas (infeasible), or ray
-    (unbounded); an optimum also has its point.  Certificate entries are
+    (unbounded).  An optimum also has its point, and so has an unbounded
+    result: the feasible point the ray starts from.  Certificate entries are
     indexed by row in the order "constraints, then bound rows" (for each
     variable: its lo row if finite, then its hi row if finite).
 
@@ -295,28 +296,32 @@ class LpResult:
     compares, hashes and prints by its six fields.
     """
 
-    __slots__ = ("status", "value", "_point", "_dual", "_farkas", "_ray", "_x", "_y", "_rows")
+    __slots__ = ("status", "value", "_point", "_dual", "_farkas", "_ray", "_x", "_y", "_r",
+                 "_rows")
 
     def __init__(self, status: str, value: Ext, point: tuple | None = None,
                  dual: tuple | None = None, farkas: tuple | None = None,
                  ray: tuple | None = None):
         for name, v in zip(self.__slots__, (status, value, point, dual, farkas, ray,
-                                            None, None, None)):
+                                            None, None, None, None)):
             object.__setattr__(self, name, v)
 
     @classmethod
-    def _of_images(cls, status: str, value: Ext, rows, x=None, y=None) -> "LpResult":
-        """The result whose point (optimal) or ray (unbounded) has the image
-        x = (X, D), and whose dual (optimal) or Farkas vector (infeasible)
-        has the image y = (Z, E) over rows."""
+    def _of_images(cls, status: str, value: Ext, rows, x=None, y=None, r=None) -> "LpResult":
+        """The result whose point has the image x = (X, D), whose ray has
+        the image r = (R, D), and whose dual (optimal) or Farkas vector
+        (infeasible) has the image y = (Z, E) over rows."""
         res = cls(status, value)
         put = object.__setattr__
         if x is not None:
-            put(res, "_point" if status == "optimal" else "_ray", _UNMADE)
+            put(res, "_point", _UNMADE)
+        if r is not None:
+            put(res, "_ray", _UNMADE)
         if y is not None:
             put(res, "_dual" if status == "optimal" else "_farkas", _UNMADE)
         put(res, "_x", x)
         put(res, "_y", y)
+        put(res, "_r", r)
         put(res, "_rows", rows)
         return res
 
@@ -329,7 +334,7 @@ class LpResult:
     @property
     def ray(self) -> tuple | None:
         if self._ray is _UNMADE:
-            object.__setattr__(self, "_ray", _ratios(*self._x))
+            object.__setattr__(self, "_ray", _ratios(*self._r))
         return self._ray
 
     @property
@@ -689,10 +694,11 @@ def _solve_rows(rows, obj, minimize, n, fold=None, siblings=None):
     inequality row; one artificial per row.  Returns one of
       ("optimal", (X, D), (Z, E))
       ("infeasible", (Z, E))
-      ("unbounded", (X, D))
+      ("unbounded", (R, D), (X, D))
     over the original n variables and len(rows) rows, as integer images: the
-    point or ray is X / D, and row i's multiplier y_i has y_i / s_i = Z_i / E,
-    with D and E positive.
+    point is X / D and the ray R / D, the ray starting at the basic feasible
+    point where phase 2 found it, and row i's multiplier y_i has
+    y_i / s_i = Z_i / E, with D and E positive.
 
     siblings, when given, is the `_Siblings` of the programs that share
     these rows: set-up, phase 1 and clean-up (`_phase1`) then run once for
@@ -722,10 +728,12 @@ def _solve_rows(rows, obj, minimize, n, fold=None, siblings=None):
     try:
         t.run(rc2, ns)
     except _Unbounded as ub:
+        # phase 2 keeps the basis feasible, so the ray starts at its point
         nums = {ub.col: t.d}
         for r, row in enumerate(tab):
             nums[basis[r]] = -row[ub.col]
-        return ("unbounded", (_split(nums, pos, neg), t.d))
+        point = _split({basis[r]: row[ncol] for r, row in enumerate(tab)}, pos, neg)
+        return ("unbounded", (_split(nums, pos, neg), t.d), (point, t.d))
 
     point = _split({basis[r]: row[ncol] for r, row in enumerate(tab)}, pos, neg)
     # Duals are -sign flips_t rc2[a'_t] s_t / (s D) and, for a folded row,
@@ -939,11 +947,13 @@ def lp_solve(lp: LinearProgram) -> LpResult:
                                    y=cert)
 
     if out[0] == "unbounded":
-        ray = out[1]
+        _, ray, point = out
         if not _ray_ok(rows, obj, minimize, ray[0]):
             raise RuntimeError("internal: unbounded direction failed verification")
+        if not _feasible(rows, *point):
+            raise RuntimeError("internal: the unbounded ray's point failed feasibility check")
         return LpResult._of_images("unbounded", NEG_INF if minimize else POS_INF, rows,
-                                   x=ray)
+                                   x=point, r=ray)
 
     _, point, duals = out
     x, d = point

@@ -7,7 +7,11 @@ state a reference or draw an instance no command draws, lives here:
   `fenchel_to_trivariate`, `bibivariate_to_quadrivariate` and
   `scenario_to_trivariate`), which build the product psi = f + g that
   `verify` reads through the factors without building it;
-* seeded generators of bibivariate, indicator and violating scenarios;
+* seeded generators of bibivariate, indicator and violating scenarios, and
+  of the draws that reach every infinite side: empty fibers and disjoint
+  domains (the violating ones), queries off range(C^T) and empty indicator
+  domains (`random_escaping_indicator`), and piece-form g
+  (`random_piece_form_fenchel`);
 * `indicator_of_point`;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
   reference for `interiority.lemma19a_check`;
@@ -17,11 +21,18 @@ state a reference or draw an instance no command draws, lives here:
   `convexfn.eval_with_subgradient` and `convexfn.sup_affine_minus_convex`
   assembled through `LpBuilder.convex_weights`, `set_objective` and `add`,
   one Fraction row at a time: the references for the programs built from
-  prepared parts and cached integer images.
+  prepared parts and cached integer images;
+* exact integer double description (`double_description`), and on it the
+  lower hull of a sample-form function (`LowerHull`, `envelope_value`) and
+  the exact sup of an affine functional minus convex terms (`exact_sup`):
+  the reference, by another algorithm than the simplex, for every value the
+  oracle's certificates prove.
 """
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction
@@ -32,7 +43,9 @@ from sandwichkit.numerics import (
     EQ,
     GE,
     LE,
+    NEG_INF,
     POS_INF,
+    Ext,
     LinearProgram,
     LpBuilder,
     PointColumns,
@@ -42,9 +55,11 @@ from sandwichkit.numerics import (
     frac,
     vec,
 )
+from sandwichkit.oracle import OracleResult
 from sandwichkit.randomgen import (
     random_affine_map,
     random_fraction,
+    random_sandwich_instance,
     random_symmetric_vform,
     random_vec,
     random_vform,
@@ -241,6 +256,52 @@ def random_violating_trivariate(rng: random.Random, max_dim: int = 2,
     return DualityScenario.trivariate(psi, a_map, b_map, queries)
 
 
+def random_piece_form_fenchel(rng: random.Random) -> DualityScenario:
+    """A fenchel scenario whose g is in piece form, from a sandwich instance:
+    its dual has a sample-form group, g's conjugate."""
+    inst, _ = random_sandwich_instance(rng, satisfy=bool(rng.getrandbits(1)))
+    queries = [(0,) * inst.z_dim, random_vec(rng, inst.z_dim)]
+    return DualityScenario.fenchel(inst.convex, inst.sublinear.as_h_form(), inst.link, queries)
+
+
+def random_escaping_indicator(rng: random.Random, max_dim: int = 2, n_queries: int = 2,
+                              empty: bool = False) -> DualityScenario:
+    """Indicator scenario whose queries may leave range(C^T), and whose
+    domain is empty with empty=True.
+
+    C's last column and last row are zero, so range(C^T) misses the last
+    w-coordinate and range(C) the last x-coordinate.  Each query's last
+    w-entry is 0 or not, at random: a nonzero one leaves range(C^T), so the
+    right side's constraint x* after C = w' has no solution (+inf).  Without
+    empty, one sample of g has x-part 0 = C 0, so dom h is nonempty; a
+    query in range(C^T) has two finite sides, and one off it escapes along
+    the last w-coordinate (+inf on both sides).  With empty, every sample
+    of g has its last x-coordinate at least 1, which no C w reaches, so the
+    left side is -inf at every query, and the right side -inf or +inf.
+    """
+    u, v, w, x = (rng.randint(1, max_dim) for _ in range(4))
+    c_map = AffineMap.from_rows(
+        [[rng.randint(-2, 2) if r < x - 1 and j < w - 1 else 0 for j in range(w)]
+         for r in range(x)], in_dim=w)
+    d_map = random_affine_map(rng, u, v)
+    samples = []
+    for i in range(rng.randint(1, 4)):
+        point = random_vec(rng, x + u, -2, 2)
+        if empty:
+            point = point[:x - 1] + (Fraction(rng.randint(1, 3)),) + point[x:]
+        elif i == 0:
+            point = (Fraction(0),) * x + point[x:]
+        samples.append((point, random_fraction(rng)))
+    g = PolyhedralFunction.v_form(x + u, samples)
+    queries = []
+    for _ in range(n_queries):
+        xstar = random_vec(rng, x, -2, 2)
+        w_cov = tuple(dot(col, xstar) for col in c_map.columns())
+        w_cov = w_cov[:-1] + (w_cov[-1] + rng.choice((0, 0, 1, -2)),)
+        queries.append(w_cov + random_vec(rng, v, -2, 2))
+    return DualityScenario.indicator_linear(g, c_map, d_map, queries)
+
+
 def indicator_of_point(point: Sequence) -> PolyhedralFunction:
     """0 at the point, +inf elsewhere."""
     p = vec(point)
@@ -344,3 +405,230 @@ def sup_lp_by_builder(phi: AffineFunctional, terms, fibers=()) -> LinearProgram:
             objective[s] = Fraction(-1)
     b.set_objective(objective)
     return b.build()
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _primitive(v: Sequence[int]) -> tuple:
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple:
+    """(row, scale): a rational row times the lcm of its denominators."""
+    scale = lcm(*[c.denominator for c in coeffs])
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs), scale
+
+
+def _integer_row(coeffs: Sequence[Fraction]) -> tuple:
+    """A rational row scaled by the lcm of its denominators."""
+    return _scaled(coeffs)[0]
+
+
+def _clear(v: tuple, row: Sequence[int], cut: tuple, rc: int) -> tuple:
+    """v plus a multiple of cut, on the row's hyperplane; rc is <row, cut>."""
+    rv = _dot(row, v)
+    if not rv:
+        return v
+    if rc < 0:
+        rc, rv = -rc, -rv
+    return _primitive([rc * x - rv * y for x, y in zip(v, cut)])
+
+
+def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple:
+    """Generators of the cone {x in Q^n : <r, x> <= 0 for every row r}.
+
+    Returns (lineality, rays), integer vectors with gcd 1: the cone is the
+    span of the lineality vectors plus the conic hull of the rays, and each
+    ray is extreme modulo the lineality.  Rows are added one at a time
+    (Motzkin et al. 1953; Fukuda and Prodon 1996).  A row that cuts the
+    current lineality pivots one cut lineality vector into a ray, after
+    clearing the row from the other lineality vectors and from every ray.
+    Otherwise the rays the row keeps stay, and each adjacent pair it
+    separates contributes the ray on the row's hyperplane between them;
+    adjacency is decided combinatorially, from the sets of processed rows
+    each ray makes tight.
+    """
+    lineality = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # (ray, bitmask of the processed rows it makes tight)
+    rays: list = []
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        cut = next((v for v in lineality if _dot(row, v)), None)
+        if cut is not None:
+            rc = _dot(row, cut)
+            lineality = [_clear(v, row, cut, rc) for v in lineality if v is not cut]
+            # the cut vector was tight on every earlier row
+            rays = [(_clear(v, row, cut, rc), tight | bit) for v, tight in rays]
+            rays.append((tuple(-y if rc > 0 else y for y in cut), bit - 1))
+            continue
+        values = [_dot(row, v) for v, _ in rays]
+        kept = [
+            (v, tight if rv else tight | bit)
+            for (v, tight), rv in zip(rays, values)
+            if rv <= 0
+        ]
+        plus = [i for i, rv in enumerate(values) if rv > 0]
+        if plus:
+            minus = [i for i, rv in enumerate(values) if rv < 0]
+            tights = [tight for _, tight in rays]
+            # two adjacent rays span a 2-face, tight on rank n - dim L - 2 rows
+            need = n - len(lineality) - 2
+            for i in plus:
+                for j in minus:
+                    common = tights[i] & tights[j]
+                    if common.bit_count() < need:
+                        continue
+                    if any(
+                        (tz & common) == common and h != i and h != j
+                        for h, tz in enumerate(tights)
+                    ):
+                        continue
+                    vi, vj = rays[i][0], rays[j][0]
+                    ri, rj = values[i], values[j]
+                    kept.append((
+                        _primitive([ri * b - rj * a for a, b in zip(vi, vj)]),
+                        common | bit,
+                    ))
+        rays = kept
+    return lineality, [v for v, _ in rays]
+
+
+class LowerHull:
+    """The lower convex hull of a sample-form function, built once.
+
+    The affine minorants (a, b) of the samples, <a, p_i> + b <= v_i,
+    homogenise to the cone {(a, b, t) : <a, p_i> + b - t v_i <= 0, -t <= 0},
+    whose generators come from `double_description`.  Rays with t > 0 are
+    the facet pieces, so the envelope at y is the largest <a, y> + b over
+    them, divided by t.  Rays with t = 0 are the hull's inequalities and
+    lineality vectors its equalities: a point breaking one is off the hull.
+    """
+
+    def __init__(self, f: PolyhedralFunction):
+        if f.form != V_FORM:
+            raise PreconditionError("envelope evaluation needs the sample form")
+        self.dim = f.dim
+        rows = [(0,) * (f.dim + 1) + (-1,)] + [
+            _integer_row(p + (Fraction(1), -v)) for p, v in f.samples
+        ]
+        lineality, rays = double_description(rows, f.dim + 2)
+        self.pieces = [(r[:-1], r[-1]) for r in rays if r[-1] > 0]
+        self.walls = [r[:-1] for r in rays if r[-1] == 0]
+        self.equalities = [r[:-1] for r in lineality]
+
+    def __call__(self, point: Sequence[Fraction]) -> Ext:
+        """Envelope value at a point of Fractions or ints, +inf off the hull."""
+        if len(point) != self.dim:
+            raise StructuralError("point dimension does not match the function")
+        den = lcm(*(c.denominator for c in point))
+        y = [c.numerator * (den // c.denominator) for c in point]
+        y.append(den)
+        if any(_dot(w, y) > 0 for w in self.walls) or any(
+            _dot(e, y) for e in self.equalities
+        ):
+            return POS_INF
+        best, best_t = None, 1
+        for ab, t in self.pieces:
+            num = _dot(ab, y)
+            if best is None or num * best_t > best * t:
+                best, best_t = num, t
+        return Fraction(best, best_t * den)
+
+    def epigraph(self) -> list:
+        """Triples (a, b, t): the envelope at y is at most s exactly when
+        <a, y> + b <= t s for each; walls and equalities carry t = 0."""
+        return (
+            [(r[:-1], r[-1], t) for r, t in self.pieces]
+            + [(w[:-1], w[-1], 0) for w in self.walls]
+            + [(e[:-1], e[-1], 0) for e in self.equalities]
+            + [(tuple(-c for c in e[:-1]), -e[-1], 0) for e in self.equalities]
+        )
+
+
+def envelope_value(f: PolyhedralFunction, point: Sequence) -> Ext:
+    """Exact convex-envelope value at a point, +inf off the sample hull.
+
+    Builds the function's `LowerHull` and evaluates it once; callers with
+    many points build the hull themselves and reuse it.
+    """
+    return LowerHull(f)(vec(point))
+
+
+def _polyhedron_max(objective: Sequence, constant, rows: Sequence, n: int) -> tuple:
+    """(sup, argmax) of <objective, x> + constant over {x : <a, x> <= r}.
+
+    rows are (a, r) pairs of rationals over Q^n; a may omit trailing
+    zeros.  The set homogenises to the cone {(x, s) : <a, x> - r s <= 0,
+    -s <= 0}, whose rays with s > 0 are its vertices x / s modulo the
+    lineality.  No such ray means the set is empty (-inf); a lineality
+    vector or an s = 0 ray that raises the objective means +inf; otherwise
+    the best vertex attains the sup.
+    """
+    cone = [(0,) * n + (-1,)] + [
+        _integer_row(tuple(a) + (0,) * (n - len(a)) + (-r,)) for a, r in rows
+    ]
+    lineality, rays = double_description(cone, n + 1)
+    scale = lcm(*(q.denominator for q in objective))
+    c = _integer_row(tuple(objective) + (0,))
+    best, vertex = None, None
+    for ray in rays:
+        num = _dot(c, ray)
+        if ray[-1] and (best is None or num * vertex[-1] > best * ray[-1]):
+            best, vertex = num, ray
+    if vertex is None:
+        return NEG_INF, None
+    if any(_dot(c, v) for v in lineality) or any(
+        _dot(c, r) > 0 for r in rays if not r[-1]
+    ):
+        return POS_INF, None
+    point = tuple(Fraction(x, vertex[-1]) for x in vertex[:-1])
+    return Fraction(best, vertex[-1] * scale) + constant, point
+
+
+def _epigraph(f) -> list:
+    """Triples (a, b, t) with f(y) <= s exactly when <a, y> + b <= t s for each."""
+    if isinstance(f, LowerHull):
+        return f.epigraph()
+    if f.form == V_FORM:
+        return LowerHull(f).epigraph()
+    triples = []
+    for a, c in f.pieces:
+        row, scale = _scaled(a + (c,))
+        triples.append((row[:-1], row[-1], scale))
+    return triples
+
+
+def exact_sup(phi: AffineFunctional, terms: Sequence, fibers: Sequence = ()) -> OracleResult:
+    """Exact sup of phi(z) - sum of f_k(M_k z) over {z : B z = 0, each B}.
+
+    Each term is (f, M) with f a `PolyhedralFunction` or a `LowerHull`
+    and M an `AffineMap` on z; each fiber is an `AffineMap` on z.  The
+    polyhedron runs over z and one epigraph variable s_k per term, with
+    the rows of <a, M_k z> + b <= t s_k for f_k's epigraph triples and
+    two opposite rows per row of each fiber map.  The sup is -inf on an
+    empty polyhedron and +inf along an improving recession direction.
+    """
+    d, k = phi.dim, len(terms)
+    n = d + k
+    rows = []
+    for b_map in fibers:
+        for row, off in zip(b_map.linear, b_map.offset):
+            rows += [(row, -off), (tuple(-c for c in row), off)]
+    for slot, (f, m) in enumerate(terms, start=d):
+        if m.in_dim != d or m.out_dim != f.dim:
+            raise StructuralError("term map does not fit the variables and the function")
+        # m z == (L z + o) / den with integer L and o: each epigraph row,
+        # times den, is integral
+        flat, den = _scaled([c for row in m.linear for c in row] + list(m.offset))
+        columns = [flat[j:d * f.dim:d] for j in range(d)]
+        offset = flat[d * f.dim:]
+        for a, b, t in _epigraph(f):
+            coeffs = [_dot(a, col) for col in columns] + [0] * k
+            coeffs[slot] = -t * den
+            rows.append((coeffs, -(_dot(a, offset) + b * den)))
+    value, x = _polyhedron_max(phi.coeffs + (-1,) * k, phi.constant, rows, n)
+    return OracleResult(value, True, None if x is None else x[:d])

@@ -564,10 +564,31 @@ class TestCommands:
             capsys, tmp_path, "boundedness.json", lambda t: t.update(z0=[5, "1/2"]))
         assert code == EXIT_HYPOTHESES
         assert doc["notes"] == ["base point [5, 1/2] lies outside the domain"]
-        code, doc = self.run_interiority_variant(
-            capsys, tmp_path, "interiority.json", lambda t: t.update(probes=[[1, 2]]))
+        # B sends phi's line onto the first axis of the plane, so the probe
+        # (1, 2) has B's dimension and lies outside its direction span
+        sc = json.loads((CORPUS / "interiority.json").read_text())
+        sc["maps"]["B"]["matrix"] = [[1], [0]]
+        sc["task"]["probes"] = [[1, 2]]
+        path = tmp_path / "span.json"
+        path.write_text(json.dumps(sc))
+        code, doc = run_json(capsys, ["interiority", str(path)])
         assert code == EXIT_HYPOTHESES
-        assert doc["notes"] == ["probe [1, 2] has the wrong dimension"]
+        assert doc["notes"] == ["probe [1, 2] lies outside the direction span"]
+
+    def test_a_probe_of_the_wrong_dimension_is_an_input_error(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "interiority.json", lambda t: t.update(probes=[[2], [1, 2, 3]]))
+        assert code == EXIT_INPUT
+        assert doc["error"] == {"field": "task.probes[1]",
+                                "message": "probe of dimension 3 against map 'B' (1 -> 1)"}
+
+    def test_a_base_point_of_the_wrong_dimension_is_an_input_error(self, capsys, tmp_path):
+        code, doc = self.run_interiority_variant(
+            capsys, tmp_path, "boundedness.json", lambda t: t.update(z0=[0, 0, 0]))
+        assert code == EXIT_INPUT
+        assert doc["error"] == {
+            "field": "task.z0",
+            "message": "base point of dimension 3 against function 'psi' (dimension 2)"}
 
     def run_theorem20_variant(self, capsys, tmp_path, edit):
         sc = json.loads((CORPUS / "t20.json").read_text())

@@ -34,7 +34,7 @@ from sandwichkit.numerics import (
     StructuralError,
     dot,
 )
-from sandwichkit.oracle import LowerHull, _objective_at, crosscheck_scenario
+from sandwichkit.oracle import _objective_at, crosscheck_scenario
 from sandwichkit.randomgen import (
     random_affine_map,
     random_crosscheck_scenario,
@@ -44,17 +44,18 @@ from sandwichkit.randomgen import (
     random_vform,
 )
 from support import (
+    LowerHull,
     bibivariate_to_quadrivariate,
     fenchel_to_trivariate,
     product_function,
     random_bibivariate_scenario,
     random_indicator_scenario,
+    random_piece_form_fenchel,
     random_violating_fenchel,
     random_violating_trivariate,
     scenario_to_trivariate,
 )
 from test_geometry import zero_in_hull
-from test_oracle import piece_form_fenchel
 
 F = Fraction
 
@@ -205,7 +206,7 @@ def dual_side_draws():
         yield random_violating_fenchel(rng)
         yield random_violating_fenchel(rng, touching=True)
         yield random_violating_trivariate(rng)
-        yield piece_form_fenchel(rng)
+        yield random_piece_form_fenchel(rng)
     yield cross_indicator_scenario([(F(0), F(1), F(0)), AffineFunctional.of((1, 0, 2), 3)])
     # a draw whose unbounded ray the two LPs scale differently
     yield random_violating_fenchel(random.Random(49))
@@ -574,10 +575,10 @@ class TestProductConstructions:
     @pytest.mark.parametrize("mode", MODES)
     def test_verify_builds_no_fenchel_product(self, monkeypatch, mode):
         """No kind builds a product or a rewritten scenario once it is
-        constructed: neither `verify` nor the oracle's enumeration path,
-        which rebuilds each program by `query_program`.  The product
-        rewrites live in tests/support.py, out of the package's reach, so
-        the one map builder left to refuse is the quadrivariate factory's."""
+        constructed: neither `verify` nor the oracle, which checks the
+        programs `verify` kept.  The product rewrites live in
+        tests/support.py, out of the package's reach, so the one map builder
+        left to refuse is the quadrivariate factory's."""
         rng = random.Random(f"no product:{mode}")
         draws = [free_pair, random_violating_fenchel, random_bibivariate_scenario,
                  lambda rng: random_bibivariate_scenario(rng, partial=True)]
@@ -594,9 +595,8 @@ class TestProductConstructions:
         for s in built:
             reports = verify(s)
             assert s.hypothesis_mode in reports[0].hypothesis_flags or s.kind == "sublevel"
-            bare = [dataclasses.replace(r, certificate=None) for r in reports]
-            records = crosscheck_scenario(s, reports=bare)
-            assert all(r.ok and r.decided_by == "enumeration" for r in records), s
+            records = crosscheck_scenario(s, reports=reports)
+            assert all(r.ok for r in records), s
 
     @pytest.mark.parametrize("mode", MODES)
     def test_flags_build_no_span(self, monkeypatch, mode):

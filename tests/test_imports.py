@@ -121,3 +121,37 @@ def test_no_dead_top_level_definitions():
             if outside <= 0 and node.name not in documented:
                 dead.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not dead, "read by no package module or perfbench script: " + ", ".join(dead)
+
+
+#: the LP code the oracle must not reach: it checks certificates by arithmetic
+LP_NAMES = {"LpBuilder", "lp_solve", "LinearProgram", "sup_affine_minus_convex",
+            "sups_affine_minus_convex", "evaluate", "eval_with_subgradient"}
+
+
+def test_the_oracle_binds_no_lp_code():
+    """sandwichkit.oracle neither imports nor reads, as a name or as an
+    attribute, any of the package's LP entry points."""
+    (path,) = [p for p in MODULES if p.name == "oracle.py"]
+    tree = ast.parse(path.read_text(), str(path))
+    every, _ = read_counts(tree)
+    bound = set(imported_names(tree)) | set(every) | read_names(tree)
+    assert not bound & LP_NAMES, sorted(bound & LP_NAMES)
+
+
+def test_no_package_module_imports_the_tests():
+    """The package runs without the tests: no module under src imports
+    tests/support.py or any other test module."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            else:
+                continue
+            for name in modules:
+                root = name.split(".")[0]
+                if root in ("tests", "support", "conftest") or root.startswith("test_"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

@@ -189,6 +189,9 @@ def test_unbounded_with_ray():
     assert r.status == "unbounded"
     assert r.value == NEG_INF
     assert check_ray_certificate(p, r.ray)
+    # the ray starts at a feasible point, and is no dual or Farkas vector
+    assert check_point_feasible(p, r.point)
+    assert r.dual is None and r.farkas is None
 
 
 def test_equality_and_negative_rhs():
@@ -738,11 +741,14 @@ def solved_with_corruption(monkeypatch, program, slot, corrupt, kernel="_solve_r
          "unbounded direction failed verification"),
         (lp(1, [1], "min", [([1], GE, 3)]), 1, "optimal point failed feasibility check"),
         (lp(1, [1], "min", [([1], GE, 3)]), 2, "dual certificate failed verification"),
+        (lp(2, [1, 0], "min", [([0, 1], EQ, 2)]), 2,
+         "the unbounded ray's point failed feasibility check"),
     ],
 )
 def test_lp_solve_refuses_a_corrupted_result(monkeypatch, program, slot, message):
-    """Each of lp_solve's four re-checks stops a wrong kernel result: a point,
-    a ray, or multipliers (Z, E) moved off the truth."""
+    """Each of lp_solve's five re-checks stops a wrong kernel result: a point
+    (of an optimum or of an unbounded ray), a ray, or multipliers (Z, E)
+    moved off the truth."""
     with pytest.raises(RuntimeError, match=re.escape(message)):
         solved_with_corruption(monkeypatch, program, slot, lowered)
 
@@ -989,7 +995,10 @@ def ref_solve_rows(rows, obj, minimize, n, degenerate_limit=50):
         vals = {ub.col: (1, 1)}
         for r, row in enumerate(tab):
             vals[basis[r]] = (-row[ub.col], row[-1])
-        return ("unbounded", ref_split_back(vals, pos, neg))
+        # the ray starts at the basic feasible point phase 2 stopped at
+        point = ref_split_back({basis[r]: (row[ncol], row[-1]) for r, row in enumerate(tab)},
+                               pos, neg)
+        return ("unbounded", ref_split_back(vals, pos, neg), point)
 
     point = ref_split_back({basis[r]: (row[ncol], row[-1]) for r, row in enumerate(tab)},
                            pos, neg)
@@ -1023,7 +1032,7 @@ def ref_solve_images(rows, obj, minimize, n, fold=None, siblings=None, degenerat
         return (status, ref_image(parts[0]), multipliers(parts[1]))
     if status == "infeasible":
         return (status, multipliers(parts[0]))
-    return (status, ref_image(parts[0]))
+    return (status, ref_image(parts[0]), ref_image(parts[1]))
 
 
 def test_bareiss_kernel_matches_the_gcd_kernel():
@@ -1111,7 +1120,7 @@ def eager_result(status, value, rows, out) -> LpResult:
         return LpResult(status, value, point=ratios(out[1]), dual=multipliers(out[2]))
     if status == "infeasible":
         return LpResult(status, value, farkas=multipliers(out[1]))
-    return LpResult(status, value, ray=ratios(out[1]))
+    return LpResult(status, value, point=ratios(out[2]), ray=ratios(out[1]))
 
 
 def solved_with_kernel_output(monkeypatch, programs):
@@ -1121,9 +1130,10 @@ def solved_with_kernel_output(monkeypatch, programs):
     seen = []
     of_images = LpResult._of_images
 
-    def recording(status, value, rows, x=None, y=None):
-        seen.append((rows, (status, *[v for v in (x, y) if v is not None])))
-        return of_images(status, value, rows, x=x, y=y)
+    def recording(status, value, rows, x=None, y=None, r=None):
+        images = (r, x) if status == "unbounded" else (x, y)
+        seen.append((rows, (status, *[v for v in images if v is not None])))
+        return of_images(status, value, rows, x=x, y=y, r=r)
 
     monkeypatch.setattr(LpResult, "_of_images", recording)
     out = []
