@@ -377,6 +377,43 @@ class TestWork:
         assert sum(counts.values()) == 60
 
 
+#: each sample-form `verify` file under the mode it is not bundled with:
+#: (that mode, the exit code, its flag on every record)
+OTHER_MODE = {
+    "trivariate": ("boundedness", EXIT_HYPOTHESES, False),
+    "quadrivariate": ("boundedness", EXIT_HYPOTHESES, False),
+    "bibivariate": ("boundedness", EXIT_HYPOTHESES, False),
+    "partial_infconv": ("boundedness", EXIT_HYPOTHESES, False),
+    "fenchel": ("closed_subspace", EXIT_PASS, True),
+    "indicator_linear": ("closed_subspace", EXIT_PASS, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_MODE))
+def test_verify_under_the_other_mode(capsys, tmp_path, name):
+    """Every bundled sample-form file runs its kind's cheap flag, so the
+    other mode's flag is reached only here: each record's flags, each
+    crosscheck and the exit code are pinned.
+
+    The four boundedness flags are False because they test sample base
+    points only (ROADMAP item 2).  Deciding each flag over the whole domain
+    is expected to flip those four files to exit 0; that change of output
+    must be declared where it lands.
+    """
+    mode, code, flag = OTHER_MODE[name]
+    doc = json.loads((CORPUS / f"{name}.json").read_text())
+    assert doc["task"].get("hypothesis_mode", "boundedness") != mode
+    doc["task"]["hypothesis_mode"] = mode
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    got, out = run_json(capsys, ["verify", "--crosscheck", str(path)])
+    assert got == code
+    assert out["queries"]
+    for record in out["queries"]:
+        assert record["hypothesis_flags"] == {mode: flag, "h_proper": True}
+        assert record["crosscheck"]["ok"]
+
+
 class TestDeterminism:
     def test_single_file_byte_identical(self, capsys):
         argv = ["verify", str(CORPUS / "fenchel.json"), "--report", "json"]

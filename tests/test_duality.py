@@ -674,6 +674,34 @@ def test_a_repeated_query_is_solved_once(monkeypatch, kind):
     assert certs[:k] == certs[k:] == [r.certificate for r in once]
 
 
+#: LPs `verify` solves over ten `random_crosscheck_scenario` draws of each
+#: kind: (in each draw's own mode, with the mode flipped)
+LP_COUNTS = {
+    "sublevel": (30, 30), "trivariate": (50, 72), "fenchel": (72, 50),
+    "quadrivariate": (50, 101), "bibivariate": (50, 90), "partial_infconv": (50, 85),
+    "indicator_linear": (68, 50),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lp_count_per_kind(monkeypatch, kind):
+    """A deterministic work counter of `verify`, sides and flags together,
+    in both modes; sublevel's flags read no mode."""
+    solved = []
+    lp_solve = numerics.lp_solve
+    monkeypatch.setattr(numerics, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
+    other = dict(zip(MODES, reversed(MODES)))
+    rng = random.Random(f"lp count:{kind}")
+    counts = [0, 0]
+    for _ in range(10):
+        s = random_crosscheck_scenario(rng, kind)
+        for i, mode in enumerate((s.hypothesis_mode, other[s.hypothesis_mode])):
+            solved.clear()
+            verify(dataclasses.replace(s, hypothesis_mode=mode))
+            counts[i] += len(solved)
+    assert tuple(counts) == LP_COUNTS[kind]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_left_sides_share_one_phase_1(monkeypatch, kind):
     """verify solves a scenario's left sides as siblings: its n distinct
