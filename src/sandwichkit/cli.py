@@ -523,6 +523,7 @@ def run_interiority(sc: Scenario, args):
                 code = EXIT_HYPOTHESES
         if "z0" in t:
             a_map = _named(sc, "maps", t.get("a"), "task.a")
+            names = (*names, t["a"])
             z0 = to_vector(t["z0"], "task.z0")
             if len(z0) != phi.dim:
                 raise ScenarioError("task.z0", f"base point of dimension {len(z0)} "

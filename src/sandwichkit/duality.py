@@ -17,15 +17,18 @@ polyhedral data, once for every kind, in a `QueryProgram`:
 
 `verify` solves both sides as sups, one LP each, the left sides of all
 queries as siblings that share their rows and phase 1.  It keeps, on each
-report, the program with what both LPs prove (a `Certificate`): the points
-and weights of a finite pair, and the base point and ray, or the Farkas
-certificate, of an infinite side.  `oracle.crosscheck_scenario` re-checks
-each certificate by arithmetic, with no LP code.
+report, a `Certificate`: the program and the two `SupResult`s it solved,
+which hold the weights of a finite pair, and the base point and ray, or
+the Farkas certificate, of an infinite side.  `oracle.crosscheck_scenario`
+re-checks each certificate by arithmetic, with no LP code.
 
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
 with the minimum attained, and a certified-but-nonzero gap is treated as a
-kernel bug, never reported.
+kernel bug, never reported.  Every flag has one of two shapes, an interior
+test at some target or a subspace test of a cone; each kind states its
+flag's inputs in one place (`DualityScenario._flag_inputs`), and
+`_scenario_flags` decides them all.
 
 Layout conventions for concatenated variable blocks:
   quadrivariate functions live on (u, v, w, x) in that order;
@@ -40,9 +43,9 @@ from typing import Optional, Sequence
 
 from .convexfn import (
     AffineFunctional,
-    Farkas,
     H_FORM,
     PolyhedralFunction,
+    SupResult,
     V_FORM,
     sup_affine_minus_convex,
     sups_affine_minus_convex,
@@ -54,7 +57,7 @@ from .geometry import (
     solve_linear,
     vec_neg,
 )
-from .interiority import _interior, boundedness_over_samples, sublevel_level
+from .interiority import _interior, sublevel_level
 from .numerics import (
     NEG_INF,
     POS_INF,
@@ -173,6 +176,84 @@ class DualityScenario:
         """g*, fenchel's last group."""
         return self.g.conjugate()
 
+    def _flag_inputs(self, subspace: bool) -> Optional[tuple]:
+        """What decides the scenario's flag, for `_scenario_flags`: with
+        subspace False, the boundedness flag's (points, k, targets), which
+        holds when `interiority._interior(points, target, k)` holds for some
+        target; with subspace True, a subspace flag's (rays, lineality),
+        which holds when `geometry.cone_is_subspace(rays, lineality)` does.
+        None where the flag holds by structure: fenchel with g in piece
+        form, which is finite everywhere.  targets is lazy, so no target
+        after the first that holds is made.
+
+        Boundedness is `interiority.boundedness_condition` at some sample as
+        base point, at a level above every sample value.  Such a level
+        exceeds every finite fiber infimum, and a fiber that misses B's zero
+        fiber fails the interior test too, so only the value-free interior
+        test is left: 0 in int P, P B's image of dom psi cut to the fiber.
+        The fiber depends on the base point z0 only through A z0, so the
+        one-function kinds test each distinct A-image of psi's samples once,
+        in sample order, against the stacked (B, A) images of `_f_parts`.
+        Their subspace flag asks whether B's images of the samples span a
+        subspace.
+
+        The two-function kinds (fenchel with g in sample form, bibivariate,
+        partial_infconv) read the product psi = f + g through its factors,
+        never building it; tests/support.py builds it, as the tests'
+        reference.  The product sends a pair of samples to the sum
+        F'_i + G'_j of their stacked (B, A) images: for the bibivariate
+        kinds F'_i = (-C w_i, w_i, v_i) and G'_j = (x_j, 0, D u_j), for
+        fenchel F'_i = (-C p_i, p_i) and G'_j = (q_j, 0), read off `_f_parts`
+        and `_g_parts`.  Each image is lifted by one coordinate after B's,
+        +1 for f and -1 for g.  Convex weights over the lifted images that
+        keep the lift at 0 put 1/2 on each factor, so that slice of their
+        hull is 1/2 (conv F' + conv G'), half the hull of the product's
+        images.  The boundedness test of the product at the base key
+        (w_i, v_i + D u_j), in product order, is then the interior test of
+        the lifted images at (0, 0, key / 2); each target is a midpoint of
+        two lifted images, in the hull.  For fenchel the fiber through a
+        sample p of f fixes p, so P = dom g - C p and the test is C p in
+        int dom g, over g's samples alone.  Under closed_subspace the lifted
+        B-parts (B, +-1) span a subspace exactly when the product's B images
+        do: their cone cut to lift 0 is the cone of the sums, and the
+        negative of a lifted image is a sum's negative plus an image of the
+        other factor.
+
+        indicator_linear tests each sample q of g that C reaches: the x-part
+        slides around q[:x] (B z = z[:x] - q[:x]) on the fiber that fixes
+        the u-part at q[x:].  With the convex weights summing to 1, B's
+        target 0 is the x-part's target q[:x], so the stacked (B, A) images
+        are the sample points themselves and the target is q.  A repeated
+        sample is tested once.  Its subspace flag takes range(C) as
+        lineality.
+        """
+        if self.psi is not None:
+            if subspace:
+                return [bp for bp, _, _ in self._f_parts], ()
+            zero = (Fraction(0),) * self.b_map.out_dim
+            return ([bp + ap for bp, ap, _ in self._f_parts], self.b_map.out_dim,
+                    (zero + ap for ap in dict.fromkeys(ap for _, ap, _ in self._f_parts)))
+        if self.kind == "fenchel" and self.g.form == H_FORM:
+            return None
+        x = self.c_map.out_dim
+        if self.kind == "indicator_linear":
+            points = [q for q, _ in self.g.samples]
+            if subspace:
+                return [q[:x] for q in points], self.c_map.columns()
+            return points, x, (q for q in dict.fromkeys(points)
+                               if solve_linear(self.c_map.linear, q[:x]) is not None)
+        if self.kind == "fenchel" and not subspace:
+            return ([q for q, _ in self.g.samples], x,
+                    (self.c_map(p) for p in dict.fromkeys(p for p, _ in self.f.samples)))
+        zero = (Fraction(0),) * self.c_map.in_dim
+        lifted_f = [beta + (Fraction(1),) + p for beta, p, _ in self._f_parts]
+        lifted_g = [qx + (Fraction(-1),) + zero + dq for qx, dq, _ in self._g_parts]
+        if subspace:
+            return [p[:x + 1] for p in lifted_f + lifted_g], ()
+        halves = dict.fromkeys(tuple((a + b) / 2 for a, b in zip(fp[x + 1:], gp[x + 1:]))
+                               for fp in lifted_f for gp in lifted_g)
+        return lifted_f + lifted_g, x, ((Fraction(0),) * (x + 1) + half for half in halves)
+
     @staticmethod
     def sublevel(phi: PolyhedralFunction, b_map: AffineMap, gamma=None,
                  hypothesis_mode: str = "boundedness") -> "DualityScenario":
@@ -236,6 +317,8 @@ class DualityScenario:
         d_map: U -> V; queries live on (w, v).
         """
         u, v, w, x = (int(n) for n in dims)
+        if min(u, v, w, x) < 0:
+            raise StructuralError(f"dims {[u, v, w, x]} has a negative block size")
         if psi.form != V_FORM:
             raise StructuralError("quadrivariate scenarios need a sample-form function")
         if psi.dim != u + v + w + x:
@@ -375,52 +458,12 @@ def quad_fiber_maps(c_map: AffineMap, d_map: AffineMap, dims: Sequence):
     return a_map, b_map
 
 
-def _product_flag(s: DualityScenario) -> bool:
-    """The flag of s's mode for a two-function kind (fenchel with g in
-    sample form, bibivariate, partial_infconv), decided over f's and g's
-    samples apart, never over the product psi = f + g, which only the
-    tests build (tests/support.py), as their reference.
-
-    The product sends a pair of samples to the sum F'_i + G'_j of their
-    stacked (B, A) images: for the bibivariate kinds F'_i =
-    (-C w_i, w_i, v_i) and G'_j = (x_j, 0, D u_j), for fenchel
-    F'_i = (-C p_i, p_i) and G'_j = (q_j, 0).  Each image is lifted by one
-    coordinate after B's, +1 for f and -1 for g.  Convex weights over the
-    lifted images that keep the lift at 0 put 1/2 on each factor, so that
-    slice of their hull is 1/2 (conv F' + conv G'), half the hull of the
-    product's images.  The boundedness test of the product at the base
-    key (w_i, v_i + D u_j), in product order, is then `_interior` of the
-    lifted images at (0, 0, key / 2); each target is a midpoint of two
-    lifted images, in the hull.  For fenchel the fiber through a sample p
-    of f fixes p, so P = dom g - C p and the test is C p in int dom g,
-    over g's samples alone.  Under closed_subspace the lifted B-parts
-    (B, +-1) span a subspace exactly when the product's B images do: their
-    cone cut to lift 0 is the cone of the sums, and the negative of a
-    lifted image is a sum's negative plus an image of the other factor.
-    """
-    w, x, n = s.c_map.in_dim, s.c_map.out_dim, len(s.f.samples)
-    if s.kind == "fenchel" and s.hypothesis_mode == "boundedness":
-        g_points = [q for q, _ in s.g.samples]
-        return any(_interior(g_points, s.c_map(p), x)
-                   for p in dict.fromkeys(p for p, _ in s.f.samples))
-    # the scenario's parts hold -C p_w and (q_x, D q_u)
-    zero = (Fraction(0),) * w
-    points = ([beta + (Fraction(1),) + p for beta, p, _ in s._f_parts]
-              + [qx + (Fraction(-1),) + zero + dq for qx, dq, _ in s._g_parts])
-    if s.hypothesis_mode == "closed_subspace":
-        return cone_is_subspace([p[:x + 1] for p in points])
-    origin = (Fraction(0),) * (x + 1)
-    halves = dict.fromkeys(tuple((a + b) / 2 for a, b in zip(fp[x + 1:], gp[x + 1:]))
-                           for fp in points[:n] for gp in points[n:])
-    return any(_interior(points, origin + half, x) for half in halves)
-
-
 def _scenario_flags(s: DualityScenario, first_lhs: Ext):
     """(hypothesis flags, notes) of a scenario, h_proper the last flag.
 
     first_lhs is the value of the first query's sup LP, which the caller has
-    solved.  The one-function kinds (sublevel, trivariate, quadrivariate)
-    read psi and the stored fiber maps A and B.
+    solved.  Every other flag is decided here, from the scenario's
+    `DualityScenario._flag_inputs`.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -438,67 +481,37 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
         samples plus range(C);
       * fenchel with g in piece form: always, as g is finite everywhere.
 
-    The sublevel flags need no further LP.  The sole sublevel query is 0,
-    so first_lhs is -m, with m the infimum of psi over B's zero fiber; with
-    no gamma the level is `interiority.sublevel_level` of m.
+    The sublevel interiority flag needs no further LP.  The sole sublevel
+    query is 0, so first_lhs is -m, with m the infimum of psi over B's zero
+    fiber; with no gamma the level is `interiority.sublevel_level` of m.
     Under `subspace`, the cone of B's sample images is a subspace Y, so 0
     is a strictly positive combination of the images and lies in the
     relative interior of their hull within Y.  Mixing the fiber minimiser
     with a point that B sends a little way along any direction of Y keeps
     psi below gamma whenever m < gamma (see interiority._margin_sweep).
     So the interiority flag is `subspace and m < gamma`.
-
-    The boundedness flag is the condition of
-    `interiority.boundedness_condition` at some sample as base point, at a
-    level above every sample value.  That level exceeds every fiber's
-    infimum, where the condition is 0 in int P, P the image under B of
-    dom psi cut to the fiber, which no level or value changes.  So the flag
-    is the value-free `interiority._interior`, one test per base point.
-
-    The two-function kinds read the product psi = f + g through the
-    factors, never building it (see `_product_flag`); tests/support.py
-    builds it, as the tests' reference.
     """
-    notes: list = []
-    flags: dict = {}
+    name = "subspace" if s.kind == "sublevel" else s.hypothesis_mode
+    inputs = s._flag_inputs(subspace=name != "boundedness")
+    if inputs is None:
+        ok = True
+    elif name == "boundedness":
+        points, k, targets = inputs
+        ok = any(_interior(points, target, k) for target in targets)
+    else:
+        ok = cone_is_subspace(*inputs)
+    flags = {name: ok}
     if s.kind == "sublevel":
         gamma = sublevel_level(s.gamma, ext_neg(first_lhs))
-        ok = cone_is_subspace([bp for bp, _, _ in s._f_parts])
-        flags["subspace"] = ok
         flags["interiority"] = ok and -first_lhs < gamma
-        notes.append(f"interiority tested at level {gamma}")
-    elif s.kind == "indicator_linear":
-        x = s.dims[3]
-        if s.hypothesis_mode == "boundedness":
-            points = [q for q, _ in s.g.samples]
-            # the condition at each sample q of g that C reaches: the x-part
-            # slides around q[:x] (B z = z[:x] - q[:x]) on the fiber that
-            # fixes the u-part at q[x:].  With the convex weights summing to
-            # 1, B's target 0 is the x-part's target q[:x], so the stacked
-            # (B, A) images are the sample points themselves and the target
-            # is q.  A repeated sample is tested once.
-            flags["boundedness"] = any(
-                _interior(points, q, x)
-                for q in dict.fromkeys(points) if solve_linear(s.c_map.linear, q[:x]) is not None
-            )
-        else:
-            flags["closed_subspace"] = cone_is_subspace([q[:x] for q, _ in s.g.samples],
-                                                        lineality=s.c_map.columns())
-            notes.append("queries are continuous in finite dimension")
-        notes.append("the w-space is a full vector space by construction")
-    elif s.kind == "fenchel" and s.g.form == H_FORM:
-        flags[s.hypothesis_mode] = True
-        notes.append("piece-form upper function is finite everywhere")
+        notes = [f"interiority tested at level {gamma}"]
+    elif inputs is None:
+        notes = ["piece-form upper function is finite everywhere"]
     else:
-        if s.psi is None:
-            flags[s.hypothesis_mode] = _product_flag(s)
-        elif s.hypothesis_mode == "boundedness":
-            flags["boundedness"] = boundedness_over_samples(s.psi, s.a_map, s.b_map)
-        else:
-            flags["closed_subspace"] = cone_is_subspace([bp for bp, _, _ in s._f_parts])
-        if s.hypothesis_mode == "closed_subspace":
-            notes.append("queries are continuous in finite dimension")
-        notes.append("sample-form functions are closed by construction")
+        notes = ["queries are continuous in finite dimension"] if name == "closed_subspace" else []
+        notes.append("the w-space is a full vector space by construction"
+                     if s.kind == "indicator_linear"
+                     else "sample-form functions are closed by construction")
     flags["h_proper"] = first_lhs != NEG_INF
     return flags, tuple(notes)
 
@@ -547,35 +560,25 @@ class QueryProgram:
 class Certificate:
     """What `verify` solved for one query, and what its two LPs prove.
 
-    program is `query_program(scenario, query)`.  With the report's
-    lhs_witness z and witness x*, the weights complete the primal-dual
-    pair of the two LPs.  term_weights holds, per term of the program, the
-    left side's convex weights over a sample-form term's samples, which
-    combine to M_k z (None for a piece-form term).  dual_weights holds the
-    same for the terms of `program.dual`, one per group: the weights
-    over a sample-form group's samples, which combine to x* (None in piece
-    form).
-
-    An infinite side has no z or x*, and carries the certificate of its
-    sup instead (see `convexfn.SupResult`).  A sup of +inf: its base point,
-    lhs_base or dual_base, at which the weights above are taken, and an
-    improving ray, lhs_ray for the left side and the report's
-    unbounded_direction for the dual.  A sup of -inf: the `Farkas`
-    certificate of its empty feasible set, lhs_farkas or dual_farkas.
-    The dual's sup is minus the right side, so a right side of -inf has
-    a base point and a ray, and one of +inf a Farkas certificate.
+    program is `query_program(scenario, query)`.  lhs is the `SupResult` of
+    the program's sup, and dual that of `program.dual`'s, minus the right
+    side.  With the report's lhs_witness z and witness x*, their
+    term_weights complete the primal-dual pair of the two LPs: per term,
+    the convex weights over a sample-form term's samples, which combine to
+    M_k z, or for `program.dual`, one term per group, to x* (None in piece
+    form).  An infinite side has no z or x*, and its `SupResult` carries
+    the certificate of its sup instead: a sup of +inf its base point, at
+    which its weights are taken, and an improving ray, and a sup of -inf
+    the `Farkas` certificate of its empty feasible set.  The dual's sup is
+    minus the right side, so a right side of -inf has a base point and a
+    ray, and one of +inf a Farkas certificate.
     """
 
     scenario: DualityScenario
     query: AffineFunctional
     program: QueryProgram
-    term_weights: tuple
-    dual_weights: tuple
-    lhs_base: Optional[Vec] = None
-    lhs_ray: Optional[Vec] = None
-    lhs_farkas: Optional[Farkas] = None
-    dual_base: Optional[Vec] = None
-    dual_farkas: Optional[Farkas] = None
+    lhs: SupResult
+    dual: SupResult
 
 
 def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
@@ -640,8 +643,8 @@ def verify(s: DualityScenario) -> list:
     which read h_proper off the first query's left side.  The left sides
     differ only in their objective, so they are solved as siblings by
     `sups_affine_minus_convex`, which runs phase 1 once for all of them.
-    Each report carries the query's program and what both LPs prove as its
-    certificate, for `oracle.crosscheck_scenario`.
+    Each report carries the query's `Certificate`, its program and the two
+    `SupResult`s, for `oracle.crosscheck_scenario`.
     No rewritten scenario and no product is built: programs and flags read
     the scenario's own fields.
     """
@@ -651,24 +654,22 @@ def verify(s: DualityScenario) -> list:
     # every query's program has the scenario's own terms and fibers
     first = programs[0]
     lefts = sups_affine_minus_convex([p.objective for p in programs], first.terms, first.fibers)
-    by_query = {}
+    certs = {}
     for query, p, sup in zip(queries, programs, lefts):
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
             raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-        by_query[query] = (p, sup, sup_affine_minus_convex(*p.dual))
-    solved = [(query, *by_query[query]) for query in s.queries]
+        certs[query] = Certificate(s, query, p, sup, sup_affine_minus_convex(*p.dual))
     # every query's sup LP has the same feasible set, which is dom h's
-    _, _, first_sup, _ = solved[0]
-    flags, notes = _scenario_flags(s, first_sup.value)
+    flags, notes = _scenario_flags(s, certs[s.queries[0]].lhs.value)
     reports = []
-    for query, p, sup, dual in solved:
-        lhs, rhs, wit = sup.value, ext_neg(dual.value), dual.argmax
+    for cert in (certs[query] for query in s.queries):
+        lhs, rhs, wit = cert.lhs.value, ext_neg(cert.dual.value), cert.dual.argmax
         gap = ext_sub(rhs, lhs)
         if gap < 0:
             raise RuntimeError("weak duality violated; LP kernel is unsound")
         extra = ()
-        if p.escapes and lhs == POS_INF:
+        if cert.program.escapes and lhs == POS_INF:
             extra = ("query escapes range(C^T); both sides are +inf",)
         attained = wit is not None and gap == 0
         if all(flags.values()) and lhs not in (POS_INF, NEG_INF):
@@ -677,12 +678,9 @@ def verify(s: DualityScenario) -> list:
                     "certified hypotheses with a nonzero gap; LP kernel is unsound"
                 )
         reports.append(DualityReport(
-            kind=s.kind, query=query, hypothesis_flags=dict(flags),
-            lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=sup.argmax,
-            attained=attained, unbounded_direction=dual.ray, notes=notes + extra,
-            certificate=Certificate(s, query, p, sup.term_weights, dual.term_weights,
-                                    lhs_base=sup.base, lhs_ray=sup.ray,
-                                    lhs_farkas=sup.farkas, dual_base=dual.base,
-                                    dual_farkas=dual.farkas),
+            kind=s.kind, query=cert.query, hypothesis_flags=dict(flags),
+            lhs=lhs, rhs=rhs, gap=gap, witness=wit, lhs_witness=cert.lhs.argmax,
+            attained=attained, unbounded_direction=cert.dual.ray, notes=notes + extra,
+            certificate=cert,
         ))
     return reports

@@ -203,7 +203,7 @@ def _interior(points: Sequence[Vec], target: Vec, k: int) -> bool:
     no LP.  Every caller's does: a stacked sample image, a sample of g, the
     empty point, the target of a solved fiber LP, or a midpoint
     1/2 (F'_i + G'_j) of two lifted factor images, with lift 0 (see
-    duality._product_flag).
+    duality.DualityScenario._flag_inputs).
     """
     if k == 0:
         return True
@@ -264,13 +264,6 @@ def interiority_margin(q: SublevelQuery) -> MarginResult:
                          _basis_directions(q.y))
 
 
-def _check_fiber_maps(psi: PolyhedralFunction, a_map: AffineMap, b_map: AffineMap) -> None:
-    if psi.form != V_FORM:
-        raise StructuralError("the boundedness test needs a sample-form function")
-    if a_map.in_dim != psi.dim or b_map.in_dim != psi.dim:
-        raise StructuralError("fiber and direction maps must act on the function's space")
-
-
 def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
                           b_map: AffineMap, z0: Sequence, delta) -> bool:
     """Full-space interiority of B over one fiber of A, below level delta.
@@ -282,7 +275,10 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     cut to the fiber: above m the level does not matter (see _margin_sweep),
     so the interior test reads no values.
     """
-    _check_fiber_maps(psi, a_map, b_map)
+    if psi.form != V_FORM:
+        raise StructuralError("the boundedness test needs a sample-form function")
+    if a_map.in_dim != psi.dim or b_map.in_dim != psi.dim:
+        raise StructuralError("fiber and direction maps must act on the function's space")
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0):
         raise PreconditionError(f"base point {vec_text(z0)} lies outside the domain")
@@ -291,26 +287,6 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     m, _ = _fiber_lp([v for _, v in psi.samples], stacked, target)
     return (m != POS_INF and m < frac(delta)
             and _interior(stacked, target, b_map.out_dim))
-
-
-def boundedness_over_samples(psi: PolyhedralFunction, a_map: AffineMap,
-                             b_map: AffineMap) -> bool:
-    """Whether boundedness_condition holds at some sample of psi as base point,
-    at a level above every sample value.
-
-    The samples lie in dom psi by definition, so no domain check is made.
-    Such a level exceeds every finite fiber infimum, and a fiber that misses
-    B's zero fiber fails the interior test too, so only the value-free
-    interior test is left.  The tested fiber depends on z0 only through a_map(z0), so
-    each distinct A-image is tested once, in sample order, against the B and
-    A images of the samples stacked once.
-    """
-    _check_fiber_maps(psi, a_map, b_map)
-    b_dim = b_map.out_dim
-    stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
-    zero = (Fraction(0),) * b_dim
-    return any(_interior(stacked, zero + key, b_dim)
-               for key in dict.fromkeys(row[b_dim:] for row in stacked))
 
 
 def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:

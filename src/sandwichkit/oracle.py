@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexfn import V_FORM, AffineFunctional, Farkas
-from .duality import Certificate, DualityReport, DualityScenario, QueryProgram, verify
+from .convexfn import V_FORM, AffineFunctional, Farkas, SupResult
+from .duality import Certificate, DualityReport, DualityScenario, verify
 from .numerics import NEG_INF, POS_INF, Ext, StructuralError, Vec, dot, ext_neg
 
 
@@ -181,33 +181,33 @@ def _farkas_holds(objective: AffineFunctional, terms, fibers,
     return not any(balance) and gain > 0
 
 
-def _pair_closes(p: QueryProgram, cert: Certificate, rep: DualityReport) -> bool:
+def _pair_closes(cert: Certificate, rep: DualityReport) -> bool:
     """Whether the LP's primal-dual pair proves both sides: L == U == lhs == rhs.
 
     L is `_objective_at` of the program at the report's lhs_witness z with
-    cert.term_weights, so L <= sup.  U is minus `_objective_at` of
-    `p.dual` at its witness x* with cert.dual_weights, so U >= min.  Weak
-    duality puts the sup at most the min, so L == U pins both to that
-    value.
+    the left sup's term weights, so L <= sup.  U is minus `_objective_at`
+    of `program.dual` at its witness x* with the dual sup's term weights,
+    so U >= min.  Weak duality puts the sup at most the min, so L == U pins
+    both to that value.
     """
-    lower = _objective_at(p.objective, p.terms, p.fibers, rep.lhs_witness, cert.term_weights)
-    dual_lower = _objective_at(*p.dual, rep.witness, cert.dual_weights)
+    p = cert.program
+    lower = _objective_at(p.objective, p.terms, p.fibers, rep.lhs_witness, cert.lhs.term_weights)
+    dual_lower = _objective_at(*p.dual, rep.witness, cert.dual.term_weights)
     return None not in (lower, dual_lower) and lower == -dual_lower == rep.lhs == rep.rhs
 
 
-def _infinite_sup_fails(sup: tuple, value: Ext, base, weights, ray,
-                        farkas) -> Optional[str]:
+def _infinite_sup_fails(sup: tuple, value: Ext, side: SupResult, ray) -> Optional[str]:
     """What fails in the certificate that the sup (objective, terms,
     fibers) is value, +inf or -inf; None when it holds.  +inf needs the
-    feasible base point with its weights and an improving ray, and -inf
-    the Farkas certificate."""
+    side's feasible base point with its weights and an improving ray, and
+    -inf the side's Farkas certificate."""
     if value == POS_INF:
-        if _objective_at(*sup, base, weights) is None:
+        if _objective_at(*sup, side.base, side.term_weights) is None:
             return "no feasible base point"
         if not _ray_improves(*sup, ray):
             return "the ray does not improve"
         return None
-    return None if _farkas_holds(*sup, farkas) else "the Farkas certificate fails"
+    return None if _farkas_holds(*sup, side.farkas) else "the Farkas certificate fails"
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def crosscheck_scenario(
         if cert is None or cert.scenario != s or cert.query != rep.query:
             notes = ("no certificate for this scenario and query",)
         elif not (lhs_infinite or rhs_infinite):
-            lhs_ok = witness_ok = rhs_ok = _pair_closes(cert.program, cert, rep)
+            lhs_ok = witness_ok = rhs_ok = _pair_closes(cert, rep)
             if not lhs_ok:
                 notes = ("the primal-dual pair does not close",)
         elif not (lhs_infinite and rhs_infinite):
@@ -274,11 +274,9 @@ def crosscheck_scenario(
         else:
             p = cert.program
             lhs_fails = _infinite_sup_fails(
-                (p.objective, p.terms, p.fibers), rep.lhs,
-                cert.lhs_base, cert.term_weights, cert.lhs_ray, cert.lhs_farkas)
+                (p.objective, p.terms, p.fibers), rep.lhs, cert.lhs, cert.lhs.ray)
             rhs_fails = _infinite_sup_fails(
-                p.dual, ext_neg(rep.rhs),
-                cert.dual_base, cert.dual_weights, rep.unbounded_direction, cert.dual_farkas)
+                p.dual, ext_neg(rep.rhs), cert.dual, rep.unbounded_direction)
             lhs_ok, rhs_ok = lhs_fails is None, rhs_fails is None
             witness_ok = True
             if rep.rhs == NEG_INF:

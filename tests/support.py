@@ -13,6 +13,9 @@ state a reference or draw an instance no command draws, lives here:
   domains (`random_escaping_indicator`), and piece-form g
   (`random_piece_form_fenchel`);
 * `indicator_of_point`;
+* `boundedness_at_some_sample`, `interiority.boundedness_condition` at every
+  sample as base point: the reference for the boundedness flag of the
+  one-function kinds;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
   reference for `interiority.lemma19a_check`;
 * `direction_reach_by_halflines`, the reach one LP per direction with the
@@ -38,7 +41,12 @@ from typing import Sequence
 from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction
 from sandwichkit.duality import DualityScenario
 from sandwichkit.geometry import AffineMap, embed, vec_neg
-from sandwichkit.interiority import Lemma19aResult, SublevelQuery, _fiber_lp
+from sandwichkit.interiority import (
+    Lemma19aResult,
+    SublevelQuery,
+    _fiber_lp,
+    boundedness_condition,
+)
 from sandwichkit.numerics import (
     EQ,
     GE,
@@ -306,6 +314,14 @@ def indicator_of_point(point: Sequence) -> PolyhedralFunction:
     """0 at the point, +inf elsewhere."""
     p = vec(point)
     return PolyhedralFunction.v_form(len(p), [(p, 0)])
+
+
+def boundedness_at_some_sample(psi: PolyhedralFunction, a_map: AffineMap,
+                               b_map: AffineMap) -> bool:
+    """Whether `boundedness_condition` holds at some sample of psi as base
+    point, at a level above every sample value."""
+    delta = max(v for _, v in psi.samples) + 1
+    return any(boundedness_condition(psi, a_map, b_map, z0, delta) for z0, _ in psi.samples)
 
 
 def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],

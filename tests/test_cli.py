@@ -128,6 +128,34 @@ class TestExitCodeContract:
             "[objects: function 'f' (dimension 1), function 'g' (dimension 1), "
             "map 'C' (1 -> 2)]")
 
+    def test_boundedness_error_names_the_a_map(self, capsys, tmp_path):
+        doc = json.loads((CORPUS / "boundedness.json").read_text())
+        doc["maps"]["A"] = {"matrix": [[1, 0, 0]]}
+        path = tmp_path / "boundedness.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["interiority", str(path)])
+        assert code == EXIT_INPUT
+        assert out["error"]["message"] == (
+            "fiber and direction maps must act on the function's space [objects: "
+            "function 'psi' (dimension 2), map 'B' (2 -> 1), map 'A' (3 -> 1)]")
+
+    @pytest.mark.parametrize("named", [False, True])
+    def test_negative_block_size_is_refused(self, capsys, tmp_path, named):
+        """dims [-1, 1, 2, 2] still sums to psi's dimension; the block size
+        is refused as negative, also through an entry of the dims section."""
+        doc = json.loads((CORPUS / "quadrivariate.json").read_text())
+        doc["task"]["dims"] = [-1, 1, 2, 2]
+        if named:
+            doc["dims"] = {"u": -1}
+            doc["task"]["dims"][0] = "u"
+        path = tmp_path / "quadrivariate.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", str(path)])
+        assert code == EXIT_INPUT
+        assert out["error"]["field"] == "task"
+        assert out["error"]["message"].startswith(
+            "dims [-1, 1, 2, 2] has a negative block size [objects: function 'psi'")
+
     def test_missing_file(self, capsys):
         code, doc = run_json(capsys, ["verify", "/no/such/file.json"])
         assert code == EXIT_INPUT

@@ -15,7 +15,7 @@ from sandwichkit.geometry import (
     vec_neg,
 )
 from sandwichkit import duality, geometry, numerics
-from sandwichkit.interiority import SublevelQuery, boundedness_condition, boundedness_over_samples
+from sandwichkit.interiority import SublevelQuery, boundedness_condition
 from sandwichkit.duality import (
     KINDS,
     MODES,
@@ -46,6 +46,7 @@ from sandwichkit.randomgen import (
 from support import (
     LowerHull,
     bibivariate_to_quadrivariate,
+    boundedness_at_some_sample,
     fenchel_to_trivariate,
     product_function,
     random_bibivariate_scenario,
@@ -337,7 +338,7 @@ class TestFenchel:
                 s = draw(rng)
                 assert s.hypothesis_mode == "boundedness"
                 tri = fenchel_to_trivariate(s)
-                want = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
+                want = boundedness_at_some_sample(tri.psi, tri.a_map, tri.b_map)
                 assert verify(s)[0].hypothesis_flags["boundedness"] == want, (name, s)
                 # whether some sample of f is skipped, C p lying outside dom g
                 skips = not all(s.g.domain().contains(s.c_map(p)) for p, _ in s.f.samples)

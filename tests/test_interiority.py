@@ -7,13 +7,13 @@ import pytest
 
 from sandwichkit import numerics, randomgen
 from sandwichkit.convexfn import V_FORM, PolyhedralFunction
+from sandwichkit.duality import DualityScenario, verify
 from sandwichkit.geometry import AffineMap, vec_neg
 from sandwichkit.interiority import (
     SublevelQuery,
     _direction_reach,
     _interior,
     boundedness_condition,
-    boundedness_over_samples,
     corollary21_auto,
     interiority_margin,
     lemma19a_check,
@@ -22,6 +22,7 @@ from sandwichkit.interiority import (
 from sandwichkit.numerics import PreconditionError, vec
 from sandwichkit.randomgen import random_sublevel_query
 from support import (
+    boundedness_at_some_sample,
     direction_reach_by_halflines,
     lemma19a_by_scales,
     random_bibivariate_scenario,
@@ -248,20 +249,33 @@ class TestInterior:
         assert _interior(self.SQUARE, vec((1, 1)), 0)
 
 
+def sample_flag(psi, a_map, b_map) -> bool:
+    """verify's boundedness flag of the trivariate scenario (psi, A, B)."""
+    s = DualityScenario.trivariate(psi, a_map, b_map, [(0,) * a_map.out_dim])
+    return verify(s)[0].hypothesis_flags["boundedness"]
+
+
 class TestBoundednessOverSamples:
+    """The boundedness flag of the one-function kinds tests sample base
+    points only, against `boundedness_condition` at every sample."""
+
     def test_worked_examples(self):
         # one fiber, the whole line: 0 is interior to [-1, 1]
         psi, zero, ident = abs_on_unit(), AffineMap.zero_map(1), AffineMap.identity(1)
-        assert boundedness_over_samples(psi, zero, ident)
+        assert sample_flag(psi, zero, ident)
+        assert boundedness_at_some_sample(psi, zero, ident)
         # every fiber's B image is a single point
-        assert not boundedness_over_samples(*TestBoundedness.product_example(g_points=(0,)))
+        example = TestBoundedness.product_example(g_points=(0,))
+        assert not sample_flag(*example)
+        assert not boundedness_at_some_sample(*example)
 
     def test_only_sample_base_points_count(self):
         # the fiber through (0, 0) passes; through a sample p = +-1, B's
         # image is [-2, 0] or [0, 2], with 0 on its boundary at any level
         psi, a_map, b_map = TestBoundedness.product_example(g_points=(-1, 1))
         assert boundedness_condition(psi, a_map, b_map, (0, 0), 2)
-        assert not boundedness_over_samples(psi, a_map, b_map)
+        assert not sample_flag(psi, a_map, b_map)
+        assert not boundedness_at_some_sample(psi, a_map, b_map)
 
     @pytest.mark.parametrize("kind", sorted(FLAG_GENERATORS))
     def test_equals_the_condition_at_some_sample(self, kind):
@@ -274,10 +288,8 @@ class TestBoundednessOverSamples:
                 continue
             tri = scenario_to_trivariate(
                 dataclasses.replace(s, hypothesis_mode="boundedness"))
-            delta = max(v for _, v in tri.psi.samples) + 1
-            want = any(boundedness_condition(tri.psi, tri.a_map, tri.b_map, z0, delta)
-                       for z0, _ in tri.psi.samples)
-            got = boundedness_over_samples(tri.psi, tri.a_map, tri.b_map)
+            want = boundedness_at_some_sample(tri.psi, tri.a_map, tri.b_map)
+            got = verify(tri)[0].hypothesis_flags["boundedness"]
             assert got == want
             outcomes.add(got)
         assert outcomes == {True, False}

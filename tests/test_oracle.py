@@ -530,17 +530,13 @@ class TestCrosscheckScenario:
                 if len(reports) > 1:
                     other = reports[1 - i].query
                     breaks["query"] = dataclasses.replace(rep, query=other)
-                for k, lam in enumerate(cert.term_weights):
-                    if lam is not None:
-                        weights = cert.term_weights[:k] + (nudged(lam, 0),) + cert.term_weights[k + 1:]
-                        breaks[f"term {k} weight"] = dataclasses.replace(
-                            rep, certificate=dataclasses.replace(cert, term_weights=weights))
-                for k, theta in enumerate(cert.dual_weights):
-                    if theta is not None:
-                        weights = (cert.dual_weights[:k] + (nudged(theta, 0),)
-                                   + cert.dual_weights[k + 1:])
-                        breaks[f"dual {k} weight"] = dataclasses.replace(
-                            rep, certificate=dataclasses.replace(cert, dual_weights=weights))
+                for side, name in (("lhs", "term"), ("dual", "dual")):
+                    weights = getattr(cert, side).term_weights
+                    for k, lam in enumerate(weights):
+                        if lam is not None:
+                            moved = weights[:k] + (nudged(lam, 0),) + weights[k + 1:]
+                            breaks[f"{name} {k} weight"] = dataclasses.replace(
+                                rep, certificate=with_side(cert, side, term_weights=moved))
                 for what, broken in breaks.items():
                     rec = crosscheck_scenario(s, reports=[broken])[0]
                     assert not (rec.ok or rec.lhs_ok or rec.witness_ok or rec.rhs_ok), (
@@ -562,8 +558,8 @@ class TestCrosscheckScenario:
         cases = []
         # both still combine to z = 0 at value 0: one sums to 2, one is negative
         for weights in ((1, 0, 1), (-1, 3, -1)):
-            cert = dataclasses.replace(
-                rep.certificate, term_weights=(weights,) + rep.certificate.term_weights[1:])
+            cert = with_side(rep.certificate, "lhs",
+                             term_weights=(weights,) + rep.certificate.lhs.term_weights[1:])
             cases.append((fenchel, dataclasses.replace(rep, certificate=cert)))
 
         zero_on = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
@@ -571,7 +567,7 @@ class TestCrosscheckScenario:
             zero_on, AffineMap.from_rows([[0]]), identity(1), [(0,)])
         rep = verify(trivariate)[0]
         assert rep.lhs_witness == (0,)
-        cert = dataclasses.replace(rep.certificate, term_weights=((0, 1),))
+        cert = with_side(rep.certificate, "lhs", term_weights=((0, 1),))
         # z = 1 with its weights: same value, off the fiber {z = 0}
         cases.append((trivariate, dataclasses.replace(rep, lhs_witness=(Fraction(1),),
                                                       certificate=cert)))
@@ -661,16 +657,22 @@ def negated(farkas):
                     for t in farkas.terms))
 
 
+def with_side(cert, side: str, **changes):
+    """cert with the `SupResult` of one side, "lhs" or "dual", changed."""
+    return dataclasses.replace(cert, **{side: dataclasses.replace(getattr(cert, side), **changes)})
+
+
 def first_report(s: DualityScenario, lhs, rhs):
     """The first report of s with the given sides."""
     return next(r for r in verify(s) if (r.lhs, r.rhs) == (lhs, rhs))
 
 
-def refused(s, rep, **changes) -> tuple:
-    """The record of rep with its certificate changed, which must not be ok."""
-    cert = dataclasses.replace(rep.certificate, **changes)
+def refused(s, rep, side, **changes) -> tuple:
+    """The record of rep with one side of its certificate changed, which
+    must not be ok."""
+    cert = with_side(rep.certificate, side, **changes)
     (rec,) = crosscheck_scenario(s, reports=[dataclasses.replace(rep, certificate=cert)])
-    assert not rec.ok, changes
+    assert not rec.ok, (side, changes)
     return rec.notes
 
 
@@ -694,19 +696,19 @@ class TestInfiniteSides:
         proves nothing."""
         s = random_violating_trivariate(random.Random(5))
         rep = first_report(s, NEG_INF, NEG_INF)
-        farkas = rep.certificate.lhs_farkas
+        farkas = rep.certificate.lhs.farkas
         assert crosscheck_scenario(s, reports=[rep])[0].ok
-        assert refused(s, rep, lhs_farkas=negated(farkas)) == (
+        assert refused(s, rep, "lhs", farkas=negated(farkas)) == (
             "unbounded dual checked along the reported ray",
             "left side: the Farkas certificate fails")
         (mu, pi), = farkas.terms
         for c in range(len(pi)):
             moved = pi[:c] + (pi[c] + 1,) + pi[c + 1:]
-            refused(s, rep, lhs_farkas=dataclasses.replace(farkas, terms=((mu, moved),)))
-        refused(s, rep, lhs_farkas=dataclasses.replace(farkas, terms=((mu + 1, pi),)))
-        refused(s, rep, lhs_farkas=None)
+            refused(s, rep, "lhs", farkas=dataclasses.replace(farkas, terms=((mu, moved),)))
+        refused(s, rep, "lhs", farkas=dataclasses.replace(farkas, terms=((mu + 1, pi),)))
+        refused(s, rep, "lhs", farkas=None)
         # a piece-form term carries no multipliers
-        assert refused(s, rep, lhs_farkas=dataclasses.replace(farkas, terms=(None,)))
+        assert refused(s, rep, "lhs", farkas=dataclasses.replace(farkas, terms=(None,)))
 
     def test_right_farkas_mutations_are_refused(self):
         """A query off range(C^T): the dual's constraint has no solution, and
@@ -718,18 +720,18 @@ class TestInfiniteSides:
         s = DualityScenario.indicator_linear(
             g, AffineMap.from_rows([[1, 0]]), identity(1), [(0, 1, 0)])
         rep = first_report(s, POS_INF, POS_INF)
-        farkas = rep.certificate.dual_farkas
+        farkas = rep.certificate.dual.farkas
         assert crosscheck_scenario(s, reports=[rep])[0].ok
-        assert refused(s, rep, dual_farkas=negated(farkas)) == (
+        assert refused(s, rep, "dual", farkas=negated(farkas)) == (
             "right side: the Farkas certificate fails",)
         (ys,) = farkas.fibers
         assert ys[1] > 0
         for c, k in ((0, 1), (0, -1), (1, -ys[1])):
             moved = ys[:c] + (ys[c] + k,) + ys[c + 1:]
-            refused(s, rep, dual_farkas=dataclasses.replace(farkas, fibers=(moved,)))
-        assert crosscheck_scenario(s, reports=[dataclasses.replace(rep, certificate=(
-            dataclasses.replace(rep.certificate, dual_farkas=dataclasses.replace(
-                farkas, fibers=((ys[0], 2 * ys[1]),)))))])[0].ok
+            refused(s, rep, "dual", farkas=dataclasses.replace(farkas, fibers=(moved,)))
+        assert crosscheck_scenario(s, reports=[dataclasses.replace(rep, certificate=with_side(
+            rep.certificate, "dual",
+            farkas=dataclasses.replace(farkas, fibers=((ys[0], 2 * ys[1]),))))])[0].ok
 
     def test_base_point_and_ray_mutations_are_refused(self):
         """An escaping query: moving weight between two samples of the base
@@ -742,17 +744,17 @@ class TestInfiniteSides:
             rep = next((r for r in verify(s) if r.lhs == POS_INF), None)
         cert = rep.certificate
         assert crosscheck_scenario(s, reports=[rep])[0].ok
-        (lam,) = cert.term_weights
+        (lam,) = cert.lhs.term_weights
         points = [p for p, _ in s.g.samples]
         i = next(k for k, w in enumerate(lam) if w)
         j = next(k for k, p in enumerate(points) if p != points[i])
         moved = list(lam)
         moved[i], moved[j] = 0, moved[j] + lam[i]
-        assert refused(s, rep, term_weights=(tuple(moved),)) == (
+        assert refused(s, rep, "lhs", term_weights=(tuple(moved),)) == (
             "left side: no feasible base point",)
-        assert refused(s, rep, lhs_ray=tuple(-c for c in cert.lhs_ray)) == (
+        assert refused(s, rep, "lhs", ray=tuple(-c for c in cert.lhs.ray)) == (
             "left side: the ray does not improve",)
-        refused(s, rep, lhs_base=None)
+        refused(s, rep, "lhs", base=None)
 
         s = random_violating_trivariate(random.Random(5))
         rep = first_report(s, NEG_INF, NEG_INF)
@@ -762,7 +764,7 @@ class TestInfiniteSides:
         assert not (rec.ok or rec.witness_ok or rec.rhs_ok) and rec.lhs_ok
         assert rec.notes == ("unbounded dual checked along the reported ray",
                              "right side: the ray does not improve")
-        refused(s, rep, dual_base=None)
+        refused(s, rep, "dual", base=None)
 
     def test_reports_without_a_proof_are_refused(self):
         """A hand-built report with no certificate, one with another
