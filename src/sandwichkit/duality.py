@@ -26,8 +26,8 @@ Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
 with the minimum attained, and a certified-but-nonzero gap is treated as a
 kernel bug, never reported.  Every flag has one of two shapes, an interior
-test at some target or a subspace test of a cone; each kind states its
-flag's inputs in one place (`DualityScenario._flag_inputs`), and
+test over the whole domain or a subspace test of a cone; each kind states
+its flag's inputs in one place (`DualityScenario._flag_inputs`), and
 `_scenario_flags` decides them all.
 
 Layout conventions for concatenated variable blocks:
@@ -54,14 +54,14 @@ from .geometry import (
     AffineMap,
     cone_is_subspace,
     embed,
-    solve_linear,
     vec_neg,
 )
-from .interiority import _interior, sublevel_level
+from .interiority import interior_through_domain, sublevel_level
 from .numerics import (
     NEG_INF,
     POS_INF,
     Ext,
+    PointColumns,
     StructuralError,
     Vec,
     dot,
@@ -178,22 +178,28 @@ class DualityScenario:
 
     def _flag_inputs(self, subspace: bool) -> Optional[tuple]:
         """What decides the scenario's flag, for `_scenario_flags`: with
-        subspace False, the boundedness flag's (points, k, targets), which
-        holds when `interiority._interior(points, target, k)` holds for some
-        target; with subspace True, a subspace flag's (rays, lineality),
-        which holds when `geometry.cone_is_subspace(rays, lineality)` does.
-        None where the flag holds by structure: fenchel with g in piece
-        form, which is finite everywhere.  targets is lazy, so no target
-        after the first that holds is made.
+        subspace False, the boundedness flag's (blocks, k, link), which holds
+        when `interiority.interior_through_domain(blocks, k, link)` does;
+        with subspace True, a subspace flag's (rays, lineality), which holds
+        when `geometry.cone_is_subspace(rays, lineality)` does.  None where
+        the flag holds by structure: fenchel with g in piece form, which is
+        finite everywhere.  The blocks' integer images are made here, once
+        per `verify`.
 
-        Boundedness is `interiority.boundedness_condition` at some sample as
-        base point, at a level above every sample value.  Such a level
-        exceeds every finite fiber infimum, and a fiber that misses B's zero
-        fiber fails the interior test too, so only the value-free interior
-        test is left: 0 in int P, P B's image of dom psi cut to the fiber.
-        The fiber depends on the base point z0 only through A z0, so the
-        one-function kinds test each distinct A-image of psi's samples once,
-        in sample order, against the stacked (B, A) images of `_f_parts`.
+        Boundedness is `interiority.boundedness_condition` at some point z0
+        of the domain as base point, at a level above every sample value.
+        Such a level exceeds every finite fiber infimum, and a fiber that
+        misses B's zero fiber fails the interior test too, so only the
+        value-free part is left: for some key a = A z0, 0 is interior to
+        {b : (b, a) in D}, with D the image of dom psi under (B, A).  That
+        is `interior_through_domain`'s question, decided by one rank test
+        and at most one LP, whose proof is there; each kind gives its D as
+        a sum of hulls of stacked (B, A) images, one block per hull.
+
+        The one-function kinds have one block, the stacked images
+        (B p, A p) of psi's samples p from `_f_parts`: the LP has a weight
+        row and out_dim B rows, and the rank test asks that the affine hull
+        of the images loses out_dim B dimensions on dropping the B-part.
         Their subspace flag asks whether B's images of the samples span a
         subspace.
 
@@ -204,55 +210,48 @@ class DualityScenario:
         F'_i + G'_j of their stacked (B, A) images: for the bibivariate
         kinds F'_i = (-C w_i, w_i, v_i) and G'_j = (x_j, 0, D u_j), for
         fenchel F'_i = (-C p_i, p_i) and G'_j = (q_j, 0), read off `_f_parts`
-        and `_g_parts`.  Each image is lifted by one coordinate after B's,
-        +1 for f and -1 for g.  Convex weights over the lifted images that
-        keep the lift at 0 put 1/2 on each factor, so that slice of their
-        hull is 1/2 (conv F' + conv G'), half the hull of the product's
-        images.  The boundedness test of the product at the base key
-        (w_i, v_i + D u_j), in product order, is then the interior test of
-        the lifted images at (0, 0, key / 2); each target is a midpoint of
-        two lifted images, in the hull.  For fenchel the fiber through a
-        sample p of f fixes p, so P = dom g - C p and the test is C p in
-        int dom g, over g's samples alone.  Under closed_subspace the lifted
-        B-parts (B, +-1) span a subspace exactly when the product's B images
-        do: their cone cut to lift 0 is the cone of the sums, and the
-        negative of a lifted image is a sum's negative plus an image of the
-        other factor.
+        and `_g_parts`.  So D = conv F' + conv G', two blocks: the LP has
+        two weight rows sharing eps and x = out_dim C rows, and the rank
+        test reads the differences of both blocks.  For fenchel this is
+        C(dom f) meeting int dom g: the fiber through p fixes p, so the
+        slice is dom g - C p, and the rank test holds exactly when dom g is
+        full-dimensional, as F' has no difference with a zero key part.
+        Under closed_subspace the product's B images span a subspace
+        exactly when the B-parts lifted by one coordinate, +1 for f and -1
+        for g, do: their cone cut to lift 0 is the cone of the sums, and
+        the negative of a lifted image is a sum's negative plus an image of
+        the other factor.
 
-        indicator_linear tests each sample q of g that C reaches: the x-part
-        slides around q[:x] (B z = z[:x] - q[:x]) on the fiber that fixes
-        the u-part at q[x:].  With the convex weights summing to 1, B's
-        target 0 is the x-part's target q[:x], so the stacked (B, A) images
-        are the sample points themselves and the target is q.  A repeated
-        sample is tested once.  Its subspace flag takes range(C) as
+        indicator_linear slides the x-part of dom g: its condition is some
+        (x0, u0) in dom g with x0 in range(C) (C w = x0, C linear) and x0
+        interior to {y : (y, u0) in dom g}.  That is the lemma with the one
+        block g's samples (b the x-part, a the u-part) and T = range(C), so
+        the LP's x rows read sum_i lam_i q_i[:x] = C w with w free, and the
+        rank test asks that the hull of g's samples loses x dimensions on
+        dropping the x-part.  Its subspace flag takes range(C) as
         lineality.
         """
         if self.psi is not None:
             if subspace:
                 return [bp for bp, _, _ in self._f_parts], ()
-            zero = (Fraction(0),) * self.b_map.out_dim
-            return ([bp + ap for bp, ap, _ in self._f_parts], self.b_map.out_dim,
-                    (zero + ap for ap in dict.fromkeys(ap for _, ap, _ in self._f_parts)))
+            k = self.b_map.out_dim
+            points = [bp + ap for bp, ap, _ in self._f_parts]
+            return [PointColumns(points, k + self.a_map.out_dim)], k, None
         if self.kind == "fenchel" and self.g.form == H_FORM:
             return None
         x = self.c_map.out_dim
         if self.kind == "indicator_linear":
-            points = [q for q, _ in self.g.samples]
             if subspace:
-                return [q[:x] for q in points], self.c_map.columns()
-            return points, x, (q for q in dict.fromkeys(points)
-                               if solve_linear(self.c_map.linear, q[:x]) is not None)
-        if self.kind == "fenchel" and not subspace:
-            return ([q for q, _ in self.g.samples], x,
-                    (self.c_map(p) for p in dict.fromkeys(p for p, _ in self.f.samples)))
-        zero = (Fraction(0),) * self.c_map.in_dim
-        lifted_f = [beta + (Fraction(1),) + p for beta, p, _ in self._f_parts]
-        lifted_g = [qx + (Fraction(-1),) + zero + dq for qx, dq, _ in self._g_parts]
+                return [q[:x] for q, _ in self.g.samples], self.c_map.columns()
+            return [self.g.columns], x, self.c_map
         if subspace:
-            return [p[:x + 1] for p in lifted_f + lifted_g], ()
-        halves = dict.fromkeys(tuple((a + b) / 2 for a, b in zip(fp[x + 1:], gp[x + 1:]))
-                               for fp in lifted_f for gp in lifted_g)
-        return lifted_f + lifted_g, x, ((Fraction(0),) * (x + 1) + half for half in halves)
+            return ([beta + (Fraction(1),) for beta, _, _ in self._f_parts]
+                    + [qx + (Fraction(-1),) for qx, _, _ in self._g_parts], ())
+        zero = (Fraction(0),) * self.c_map.in_dim
+        f_points = [beta + p for beta, p, _ in self._f_parts]
+        g_points = [qx + zero + dq for qx, dq, _ in self._g_parts]
+        dim = len(f_points[0])
+        return [PointColumns(f_points, dim), PointColumns(g_points, dim)], x, None
 
     @staticmethod
     def sublevel(phi: PolyhedralFunction, b_map: AffineMap, gamma=None,
@@ -463,7 +462,15 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
 
     first_lhs is the value of the first query's sup LP, which the caller has
     solved.  Every other flag is decided here, from the scenario's
-    `DualityScenario._flag_inputs`.
+    `DualityScenario._flag_inputs`.  A boundedness flag is one integer rank
+    test and at most one LP, over the whole domain: some key a whose slice
+    {b : (b, a) in D} of the stacked (B, A) image D of dom psi holds 0 in
+    its interior.  By `interiority.interior_through_domain`'s lemma that is
+    a point (0, a) of ri D, found by the LP "maximize eps" over weights
+    eps + rho_i, strictly positive once eps > 0, with one weight row per
+    block of `_flag_inputs` and one row per coordinate of B (indicator_linear:
+    B's target C w, with w free), together with Q^k x {0} in lin aff D, a
+    comparison of two ranks.  A subspace flag is one cone LP.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -496,8 +503,7 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
     if inputs is None:
         ok = True
     elif name == "boundedness":
-        points, k, targets = inputs
-        ok = any(_interior(points, target, k) for target in targets)
+        ok = interior_through_domain(*inputs)
     else:
         ok = cone_is_subspace(*inputs)
     flags = {name: ok}

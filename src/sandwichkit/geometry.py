@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .numerics import (
     EQ,
     LpBuilder,
+    PointColumns,
     StructuralError,
     Vec,
     dot,
@@ -276,19 +277,6 @@ class Subspace:
         return in_span(self.basis, vec(v))
 
 
-def _in_cone(points: Sequence[Vec], target: Vec, dim: int,
-             lineality: Sequence[Vec] = ()) -> bool:
-    b = LpBuilder()
-    mu = b.block(len(points), lo=0)
-    free = b.block(len(lineality))
-    for c in range(dim):
-        row = {mu[i]: points[i][c] for i in range(len(points))}
-        for k, direction in enumerate(lineality):
-            row[free[k]] = direction[c]
-        b.add(row, EQ, target[c])
-    return b.solve().status == "optimal"
-
-
 def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> bool:
     """Whether the union over t > 0 of t * (conv(points) + L) is a subspace.
 
@@ -301,19 +289,35 @@ def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] =
       is c_j^-1 (sum over i != j of c_i p_i) plus a point of L, and
       dividing by sum c_i puts 0 in conv(points) + L;
     * conversely, if every -p_j lies in cone(points) + L, so does their sum.
+
+    The LP asks for mu >= 0 and free weights on the directions with
+    sum_i mu_i p_i + sum_k l_k d_k = -sum_i p_i, one row per coordinate.
+    Its rows reach the builder as integer images, made from the points'
+    `PointColumns`: the points' numerators over their column's scale, the
+    directions' over the lcm of that scale and their denominators, the
+    image `LpBuilder.add` would make of the same rational row.  Rays are a
+    set, so a repeated point, the same integer image, is dropped.
     """
-    pts = [vec(p) for p in points]
-    if not pts:
+    if not points:
         raise StructuralError("cone_is_subspace needs at least one point")
-    dim = len(pts[0])
-    lin = [vec(d) for d in lineality]
-    for p in list(pts) + lin:
+    dim = len(points[0])
+    for p in (*points, *lineality):
         if len(p) != dim:
             raise StructuralError("points of mixed dimensions")
-    # rays are a set: a duplicate only widens the LP
-    pts = list(dict.fromkeys(pts))
-    total = tuple(sum(col, start=Fraction(0)) for col in zip(*pts))
-    return _in_cone(pts, vec_neg(total), dim, lin)
+    columns = PointColumns(points, dim).columns
+    rays = list(dict.fromkeys(zip(*[column for _, column in columns]))) if dim else [()]
+    lin = [vec(d) for d in lineality]
+    b = LpBuilder()
+    mu = b.block(len(rays), lo=0)
+    free = b.block(len(lin))
+    for c, (scale, _) in enumerate(columns):
+        terms = [(j, d[c]) for j, d in zip(free, lin) if d[c]]
+        s = math.lcm(scale, *[v.denominator for _, v in terms])
+        m = s // scale
+        row = {j: ray[c] * m for j, ray in zip(mu, rays) if ray[c]}
+        row.update((j, v.numerator * (s // v.denominator)) for j, v in terms)
+        b.add_image(row, EQ, -sum(ray[c] for ray in rays) * m, s)
+    return b.solve().status == "optimal"
 
 
 def cone_union_is_subspace(points: Sequence[Sequence],

@@ -20,6 +20,7 @@ from .geometry import (
     vec_neg,
 )
 from .numerics import (
+    EQ,
     LE,
     POS_INF,
     Ext,
@@ -200,14 +201,140 @@ def _interior(points: Sequence[Vec], target: Vec, k: int) -> bool:
     target - r e_i both in the slice put their midpoint, target, in it too,
     so no separate membership LP is needed.  For k = 0 it is membership
     alone, and the caller's target must lie in the hull, so it holds with
-    no LP.  Every caller's does: a stacked sample image, a sample of g, the
-    empty point, the target of a solved fiber LP, or a midpoint
-    1/2 (F'_i + G'_j) of two lifted factor images, with lift 0 (see
-    duality.DualityScenario._flag_inputs).
+    no LP.  The one caller's does: `boundedness_condition` asks only at the
+    target of a fiber LP it has solved.
     """
     if k == 0:
         return True
     return _direction_reach(points, target, _basis_directions(Subspace.full(k))) > 0
+
+
+def interior_through_domain(blocks: Sequence[PointColumns], k: int,
+                            link: Optional[AffineMap] = None) -> bool:
+    """Whether, for some key a, a target t is interior within Q^k to the
+    slice {b : (b, a) in D}, with t = 0, or t anywhere in range(link).
+
+    D is the sum P_1 + ... + P_m of the blocks' hulls in Q^k x Q^n, each
+    block given by its points' `PointColumns` of dimension k + n: the first
+    k coordinates b move, the last n are the key a.  link, when given, is a
+    linear map into Q^k.  The answer is one integer rank test and at most
+    one LP, which are the two parts of this lemma, with T = range(link), or
+    T = {0}:
+
+        some (t, a) in D with t in T has t in int {b : (b, a) in D}
+        if and only if
+        [some (t, a) in ri D has t in T] and [Q^k x {0} lies in lin aff D].
+
+    (<=) ri D is open in aff D, so some ball around (t, a) within aff D
+    lies in D; aff D holds (t, a) + Q^k x {0}, the line set of the slice,
+    so the ball's part in it is a neighbourhood of t in the slice.  (=>) The slice holds
+    t +- r e_i for some r > 0, and the differences 2r e_i x {0} of those
+    points of D span Q^k x {0}.  Take any (b1, a1) in ri D, and for
+    0 < s < 1 the point y = (t + s (t - b1) / (1 - s), a), which lies in D
+    once s is small.  The point (1 - s) y + s (b1, a1) is (t, a') for some
+    a', and it lies in ri D, since a segment from a point of D to a point
+    of ri D lies in ri D past its first end (Rockafellar, Convex Analysis,
+    Thm 6.1).
+
+    The first part is an LP.  ri conv{v_i} is the set of sums
+    sum_i lam_i v_i with every lam_i > 0 and sum_i lam_i = 1, and
+    ri (C1 + C2) = ri C1 + ri C2 (Thm 6.6 and Cor. 6.6.2).  So some (t, a)
+    of ri D has t in T exactly when the LP "maximize eps over eps >= 0,
+    rho >= 0 and a free w, subject to, per block j of n_j points,
+    sum_i rho_ji + n_j eps = 1, and in each moving coordinate
+    sum_j sum_i (eps + rho_ji) b_ji = link(w)" has an optimum above 0:
+    lam_ji = eps + rho_ji are strictly positive convex weights per block,
+    and conversely such weights give eps = min lam.  It is one weight row
+    per block, all sharing eps, and k rows: no bigger than one reach LP.
+    Its optimum is at most 1 / n_j, and it is infeasible where T misses
+    the b-part of D.
+
+    The second part is a rank count.  lin aff D is the span of every
+    block's differences v_i - v_0, and Q^k x {0} lies in it exactly when
+    its dimension drops by k on dropping the b-part.  Each point v of block
+    j gives the integer row (e_j, a, b), e_j the block's unit vector and
+    each coordinate scaled by its `PointColumns` scale, which changes no
+    rank.  These rows span m + dim lin aff D dimensions, and their (e_j, a)
+    parts m + the dimension of the key parts.  An echelon basis of the rows
+    has its lead entries in the same columns as any other, and those in the
+    first p columns count the rank of the rows' first p entries, so the
+    condition is that each of the last k columns is a lead: the rank test
+    of `_moving_columns_lead`.  It runs first, and the LP only where it
+    holds.  At k = 0 both parts hold with no work.
+
+    The LP's variables are w, then each block's rho in block order, then
+    eps.  At an optimum above 0, sum_j sum_i (eps + rho_ji) v_ji is a point
+    of ri D whose b-part lies in T.
+    """
+    if k == 0:
+        return True
+    if not _moving_columns_lead(blocks, k):
+        return False
+    b = LpBuilder("max")
+    # w first, so that link's fiber rows name its variables
+    b.block(0 if link is None else link.in_dim)
+    rhos = [b.block(pc.count, lo=0) for pc in blocks]
+    eps = b.var(lo=0)
+    for rho in rhos:
+        row = dict.fromkeys(rho, 1)
+        row[eps] = len(rho)
+        b.add_image(row, EQ, 1, 1)
+    # link's rows as the fiber link(w) = 0, over their own scales
+    couplings = [({}, 1)] * k if link is None else [(a, s) for a, _, _, s in link.fiber_rows]
+    for c, (w_row, t) in enumerate(couplings):
+        s = math.lcm(t, *[pc.columns[c][0] for pc in blocks])
+        row = {j: -x * (s // t) for j, x in w_row.items()}
+        total = 0
+        for rho, pc in zip(rhos, blocks):
+            scale, column = pc.columns[c]
+            mult = s // scale
+            row.update((j, x * mult) for j, x in zip(rho, column) if x)
+            total += sum(column) * mult
+        if total:
+            row[eps] = total
+        b.add_image(row, EQ, 0, s)
+    (lp,) = b.build_siblings([([0] * eps + [1], 1)])
+    res = numerics.lp_solve(lp)
+    return res.status == "optimal" and res.value > 0
+
+
+def _moving_columns_lead(blocks: Sequence[PointColumns], k: int) -> bool:
+    """Whether each of the last k columns is a lead column of an echelon
+    basis of the rows (e_j, a, b) of `interior_through_domain`, made from
+    each block's integer columns.
+
+    The basis is kept by lead column.  A row is scanned left to right: a
+    nonzero entry in a column that leads a basis row is cleared by that
+    row, which is zero before its lead, and at the first nonzero entry in
+    a column that leads none, the row, divided by its entries' gcd, joins
+    the basis with that lead.  The leads are the pivot columns of the
+    rows' echelon form so far, and no basis row is ever dropped, so the
+    test stops once every moving column leads.
+    """
+    m = len(blocks)
+    width = m + len(blocks[0].columns)
+    first = width - k
+    basis = {}
+    for j, pc in enumerate(blocks):
+        columns = [column for _, column in pc.columns]
+        head = [0] * m
+        head[j] = 1
+        for point in zip(*columns[k:], *columns[:k]):
+            row = [*head, *point]
+            for c in range(width):
+                x = row[c]
+                if not x:
+                    continue
+                lead = basis.get(c)
+                if lead is None:
+                    g = math.gcd(*row)
+                    basis[c] = [v // g for v in row] if g > 1 else row
+                    if all(col in basis for col in range(first, width)):
+                        return True
+                    break
+                y = lead[c]
+                row = [y * u - x * v for u, v in zip(row, lead)]
+    return False
 
 
 def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,

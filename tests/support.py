@@ -14,8 +14,13 @@ state a reference or draw an instance no command draws, lives here:
   (`random_piece_form_fenchel`);
 * `indicator_of_point`;
 * `boundedness_at_some_sample`, `interiority.boundedness_condition` at every
-  sample as base point: the reference for the boundedness flag of the
-  one-function kinds;
+  sample as base point, which implies the boundedness flag;
+  `reach_over_domain` and `boundedness_over_domain`, the condition over
+  the whole domain by one LP of 2k convex-weight blocks on a free key: the
+  reference for the boundedness flag of every kind; `interior_point`, the
+  point of the domain at the optimum of the flag's own LP;
+* `cone_lp_by_builder`, the cone LP assembled from Fractions: the
+  reference for the integer rows of `geometry.cone_is_subspace`;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
   reference for `interiority.lemma19a_check`;
 * `direction_reach_by_halflines`, the reach one LP per direction with the
@@ -37,7 +42,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
+from unittest import mock
 
+from sandwichkit import numerics
 from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction
 from sandwichkit.duality import DualityScenario
 from sandwichkit.geometry import AffineMap, embed, vec_neg
@@ -46,6 +53,7 @@ from sandwichkit.interiority import (
     SublevelQuery,
     _fiber_lp,
     boundedness_condition,
+    interior_through_domain,
 )
 from sandwichkit.numerics import (
     EQ,
@@ -61,6 +69,7 @@ from sandwichkit.numerics import (
     StructuralError,
     dot,
     frac,
+    lp_solve,
     vec,
 )
 from sandwichkit.oracle import OracleResult
@@ -324,6 +333,93 @@ def boundedness_at_some_sample(psi: PolyhedralFunction, a_map: AffineMap,
     return any(boundedness_condition(psi, a_map, b_map, z0, delta) for z0, _ in psi.samples)
 
 
+def reach_over_domain(stacked: Sequence[Sequence], k: int,
+                      lineality: Sequence[Sequence] = ()) -> Fraction:
+    """The largest r such that, for some key a and some t in the span T of
+    the lineality directions (T = {0} without them), every t +- r e_i with
+    key a lies in conv(stacked); stacked holds the moving k coordinates
+    first, then the key's.  One LP with a free key a, free weights w of
+    t = sum_j w_j L_j, r >= 0 and 2k blocks of convex weights over the
+    stacked points, block (i, +-) matched to (t +- r e_i, a), each row
+    assembled from Fractions through `LpBuilder.add`.  The boundedness
+    condition over the whole domain holds exactly when r > 0: the 2k
+    points put t, their mean, in the hull, with a ball of the slice around
+    it.  k is at least 1."""
+    if k < 1:
+        raise StructuralError("the reach needs a moving coordinate")
+    dim = len(stacked[0])
+    b = LpBuilder("max")
+    key = b.block(dim - k)
+    w = b.block(len(lineality))
+    r = b.var(lo=0)
+    for i in range(k):
+        for sign in (1, -1):
+            lam = b.block(len(stacked), lo=0)
+            b.add(dict.fromkeys(lam, 1), EQ, 1)
+            for c in range(dim):
+                row = {lam[j]: frac(p[c]) for j, p in enumerate(stacked)}
+                if c < k:
+                    row.update((wj, -frac(d[c])) for wj, d in zip(w, lineality))
+                    if c == i:
+                        row[r] = -sign
+                else:
+                    row[key[c - k]] = -1
+                b.add(row, EQ, 0)
+    b.set_objective({r: 1})
+    res = b.solve()
+    # infeasible where no point of the hull has its moving part in T
+    return res.value if res.status == "optimal" else Fraction(0)
+
+
+def interior_point(s: DualityScenario) -> tuple:
+    """The point sum_i lam_i p_i of a one-function scenario's samples at the
+    optimum of the LP that decides its boundedness flag, which must hold:
+    lam_i = eps + rho_i, read off the program that
+    `interiority.interior_through_domain` solves, whose variables are the
+    one block's rho and then eps.  With no moving coordinate there is no
+    LP, and every point of the domain will do: the samples' mean."""
+    solved = []
+
+    def recording(lp):
+        solved.append(lp)
+        return lp_solve(lp)
+
+    with mock.patch.object(numerics, "lp_solve", recording):
+        assert interior_through_domain(*s._flag_inputs(subspace=False))
+    samples = [p for p, _ in s.psi.samples]
+    if not solved:
+        weights = [Fraction(1, len(samples))] * len(samples)
+    else:
+        (lp,) = solved
+        *rho, eps = lp_solve(lp).point
+        weights = [eps + r for r in rho]
+    assert all(w > 0 for w in weights)
+    return tuple(sum((w * p[c] for w, p in zip(weights, samples)), Fraction(0))
+                 for c in range(s.psi.dim))
+
+
+def boundedness_over_domain(s: DualityScenario) -> bool:
+    """The exact boundedness condition of a scenario, by
+    `reach_over_domain`: for the kinds with a trivariate rewrite, over the
+    stacked (B, A) images of its psi's samples (the product f + g for the
+    two-function kinds), and for indicator_linear over g's samples, whose
+    x-part moves around a target in range(C) with the u-part as key.  A
+    piece-form g holds by structure."""
+    if s.kind == "fenchel" and s.g.form != V_FORM:
+        return True
+    if s.kind == "indicator_linear":
+        x = s.dims[3]
+        if x == 0:
+            return True
+        return reach_over_domain([q for q, _ in s.g.samples], x, s.c_map.columns()) > 0
+    tri = scenario_to_trivariate(s)
+    k = tri.b_map.out_dim
+    if k == 0:
+        return True
+    stacked = [tri.b_map(p) + tri.a_map(p) for p, _ in tri.psi.samples]
+    return reach_over_domain(stacked, k) > 0
+
+
 def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],
                        i_max: int = 16) -> Lemma19aResult:
     """`interiority.lemma19a_check` by its definition: for each probe y, one
@@ -420,6 +516,25 @@ def sup_lp_by_builder(phi: AffineFunctional, terms, fibers=()) -> LinearProgram:
                 b.add(row, GE, dot(a, m.offset) + const)
             objective[s] = Fraction(-1)
     b.set_objective(objective)
+    return b.build()
+
+
+def cone_lp_by_builder(points: Sequence[Sequence], target: Sequence,
+                       lineality: Sequence[Sequence] = ()) -> LinearProgram:
+    """The LP of "target lies in cone(points) + span(lineality)": mu >= 0
+    over the points and free weights over the directions, one row per
+    coordinate given to `LpBuilder.add` as Fractions.  With the distinct
+    points and target -sum(points) it is the LP of
+    `geometry.cone_is_subspace`, whose rows are made from integer images."""
+    pts = [vec(p) for p in points]
+    lin = [vec(d) for d in lineality]
+    b = LpBuilder()
+    mu = b.block(len(pts), lo=0)
+    free = b.block(len(lin))
+    for c in range(len(target)):
+        row = {mu[i]: p[c] for i, p in enumerate(pts)}
+        row.update((free[k], d[c]) for k, d in enumerate(lin))
+        b.add(row, EQ, target[c])
     return b.build()
 
 

@@ -392,26 +392,26 @@ class TestWork:
     def test_lp_count_per_corpus_file(self, capsys, monkeypatch):
         # the hypothesis flags cost one LP per subspace test, none for the
         # sublevel interiority flag or its level, one reach level per margin
-        # and, for boundedness, one reach LP per direction and no fiber LP;
+        # and, for a boundedness flag, at most one LP over the whole domain;
         # the covering check one reach LP per probe, and one fiber LP where
         # the reach is 1/n
         counts = {name: len(solved) for name, solved in corpus_lps(capsys, monkeypatch).items()}
         assert counts == {
             "bibivariate": 3, "boundedness": 8, "broken": 0, "corollary21": 4,
-            "fenchel": 6, "indicator_linear": 12, "interiority": 6,
+            "fenchel": 5, "indicator_linear": 5, "interiority": 6,
             "partial_infconv": 3, "quadrivariate": 5, "sandwich": 3,
             "sandwich_violated": 1, "sublevel": 3, "t20": 3, "trivariate": 3,
         }
-        assert sum(counts.values()) == 60
+        assert sum(counts.values()) == 52
 
 
 #: each sample-form `verify` file under the mode it is not bundled with:
 #: (that mode, the exit code, its flag on every record)
 OTHER_MODE = {
     "trivariate": ("boundedness", EXIT_HYPOTHESES, False),
-    "quadrivariate": ("boundedness", EXIT_HYPOTHESES, False),
-    "bibivariate": ("boundedness", EXIT_HYPOTHESES, False),
-    "partial_infconv": ("boundedness", EXIT_HYPOTHESES, False),
+    "quadrivariate": ("boundedness", EXIT_PASS, True),
+    "bibivariate": ("boundedness", EXIT_PASS, True),
+    "partial_infconv": ("boundedness", EXIT_PASS, True),
     "fenchel": ("closed_subspace", EXIT_PASS, True),
     "indicator_linear": ("closed_subspace", EXIT_PASS, True),
 }
@@ -423,10 +423,10 @@ def test_verify_under_the_other_mode(capsys, tmp_path, name):
     other mode's flag is reached only here: each record's flags, each
     crosscheck and the exit code are pinned.
 
-    The four boundedness flags are False because they test sample base
-    points only (ROADMAP item 2).  Deciding each flag over the whole domain
-    is expected to flip those four files to exit 0; that change of output
-    must be declared where it lands.
+    Each boundedness flag is decided over the whole domain.  It holds for
+    three of the four files; trivariate.json's A and B are both the
+    identity, so every fiber of A is one point, whose B image has no
+    interior.
     """
     mode, code, flag = OTHER_MODE[name]
     doc = json.loads((CORPUS / f"{name}.json").read_text())
@@ -439,6 +439,48 @@ def test_verify_under_the_other_mode(capsys, tmp_path, name):
     assert out["queries"]
     for record in out["queries"]:
         assert record["hypothesis_flags"] == {mode: flag, "h_proper": True}
+        assert record["crosscheck"]["ok"]
+
+
+#: boundedness flags that hold through a point of the domain off every
+#: sample: psi = 0 on a tetrahedron, with A(z) = z1 and B(z) = (z2, z3),
+#: whose fiber through z1 = 0 has B image the square with corners
+#: (+-1/2, +-1/2), while through each vertex it is a segment; and
+#: fenchel's f = 0 on the segment from (0, 1/2) to (1, 1/2) and g = 0 on
+#: the unit square, where C(dom f) meets int dom g off f's samples only
+OFF_SAMPLE_FLAGS = {
+    "tetrahedron": {
+        "functions": {"psi": {"form": "V", "samples": [
+            [[-1, 1, 0], 0], [[-1, -1, 0], 0], [[1, 0, 1], 0], [[1, 0, -1], 0]]}},
+        "maps": {"A": {"matrix": [[1, 0, 0]]}, "B": {"matrix": [[0, 1, 0], [0, 0, 1]]}},
+        "task": {"kind": "trivariate", "psi": "psi", "a": "A", "b": "B",
+                 "queries": [[1], [0], [-2]], "hypothesis_mode": "boundedness"},
+    },
+    "segment": {
+        "functions": {
+            "f": {"form": "V", "samples": [[[0, "1/2"], 0], [[1, "1/2"], 0]]},
+            "g": {"form": "V", "samples": [[[0, 0], 0], [[1, 0], 0], [[0, 1], 0], [[1, 1], 0]]},
+        },
+        "maps": {"C": {"matrix": [[1, 0], [0, 1]]}},
+        "task": {"kind": "fenchel", "f": "f", "g": "g", "link": "C",
+                 "queries": [[0, 0], [1, -2]], "hypothesis_mode": "boundedness"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SAMPLE_FLAGS))
+def test_boundedness_through_a_point_off_the_samples(capsys, tmp_path, name):
+    """Each file's boundedness condition fails at every sample as base
+    point and holds at a point off them, so its flag is True, and
+    `verify --crosscheck` passes every query."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(OFF_SAMPLE_FLAGS[name]))
+    got, out = run_json(capsys, ["verify", "--crosscheck", str(path)])
+    assert got == EXIT_PASS
+    assert len(out["queries"]) == len(OFF_SAMPLE_FLAGS[name]["task"]["queries"])
+    for record in out["queries"]:
+        assert record["hypothesis_flags"] == {"boundedness": True, "h_proper": True}
+        assert record["gap"] == "0"
         assert record["crosscheck"]["ok"]
 
 

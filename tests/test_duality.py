@@ -47,6 +47,7 @@ from support import (
     LowerHull,
     bibivariate_to_quadrivariate,
     boundedness_at_some_sample,
+    boundedness_over_domain,
     fenchel_to_trivariate,
     product_function,
     random_bibivariate_scenario,
@@ -323,8 +324,9 @@ class TestFenchel:
         assert report.rhs == 9
 
     def test_boundedness_flag_matches_the_product_sweep(self):
-        # reference: the sweep at every sample of the product psi = f + g as
-        # base point, with no dom g test first
+        # reference: the condition over the whole domain of the product
+        # psi = f + g; the sweep at every sample of the product as base
+        # point, with no dom g test first, implies it
         generators = [
             ("crosscheck", lambda rng: random_crosscheck_scenario(rng, "fenchel")),
             ("separated", random_violating_fenchel),
@@ -338,8 +340,9 @@ class TestFenchel:
                 s = draw(rng)
                 assert s.hypothesis_mode == "boundedness"
                 tri = fenchel_to_trivariate(s)
-                want = boundedness_at_some_sample(tri.psi, tri.a_map, tri.b_map)
+                want = boundedness_over_domain(s)
                 assert verify(s)[0].hypothesis_flags["boundedness"] == want, (name, s)
+                assert want or not boundedness_at_some_sample(tri.psi, tri.a_map, tri.b_map)
                 # whether some sample of f is skipped, C p lying outside dom g
                 skips = not all(s.g.domain().contains(s.c_map(p)) for p, _ in s.f.samples)
                 seen.add((want, skips))
@@ -473,8 +476,11 @@ class TestIndicatorLinear:
 
 
     def test_boundedness_flag_matches_the_sliding_base_point(self):
-        # reference: the condition at each sample q of g that C reaches, with
-        # the fiber fixing the u-part at q's and B sliding the x-part around q's
+        # reference: the condition over the whole domain, some (x0, u0) in
+        # dom g with x0 in range(C) and interior to its u-slice; the
+        # condition at each sample q of g that C reaches, with the fiber
+        # fixing the u-part at q's and B sliding the x-part around q's,
+        # implies it
         seen = set()
         for i in range(60):
             s = sliding_indicator(random.Random(f"sliding:{i}"))
@@ -483,7 +489,7 @@ class TestIndicatorLinear:
             proj_u = AffineMap.from_rows(
                 [[int(j == x + r) for j in range(x + u)] for r in range(u)], in_dim=x + u)
             delta = max(val for _, val in g.samples) + 1
-            want = any(
+            at_sample = any(
                 boundedness_condition(
                     g, proj_u,
                     AffineMap.from_rows([[int(j == r) for j in range(x + u)] for r in range(x)],
@@ -491,15 +497,18 @@ class TestIndicatorLinear:
                     q, delta)
                 for q, _ in g.samples if solve_linear(c_map.linear, q[:x]) is not None
             )
+            want = boundedness_over_domain(s)
             assert verify(s)[0].hypothesis_flags["boundedness"] == want, i
-            seen.add(want)
-        assert seen == {True, False}
+            assert want or not at_sample, i
+            seen.add((want, at_sample))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 def touching_partial_infconv(n: int) -> DualityScenario:
     """Two functions of n samples on (x, v) = (2, 1) whose x-parts meet only
     at 0: f's lie in [0, 9]^2 and g's in [-9, 0]^2, each with one sample at
-    x = 0.  The boundedness flag is false, so every base point is tested."""
+    x = 0.  The boundedness flag is false: 0 is a corner of the sum of the
+    x-parts' hulls."""
     rng = random.Random(3)
     queries = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2)]
 
@@ -535,10 +544,87 @@ def test_tall_fenchel_right_side_within_budget():
     assert reports[0].hypothesis_flags == {"boundedness": True, "h_proper": True}
 
 
+def product_wall(kind: str, n: int = 320) -> DualityScenario:
+    """A bibivariate or partial_infconv scenario of two functions of n
+    samples on a space of dimension 4, drawn from random.Random(n) in the
+    order f, g, then C and D (2 x 2, bibivariate only): per sample four
+    coordinates randint(-9, 9), then a value randint(0, 30); per map entry,
+    row by row, randint(-2, 2), with no offset.  Testing the boundedness
+    condition at the product's keys, one midpoint of an f- and a g-sample
+    at a time, took 1,086 interior tests and 19 s on the bibivariate one."""
+    rng = random.Random(n)
+
+    def draw():
+        return PolyhedralFunction.v_form(4, [
+            (tuple(rng.randint(-9, 9) for _ in range(4)), rng.randint(0, 30))
+            for _ in range(n)])
+
+    f, g = draw(), draw()
+    queries = [(1, 0, 0, 1), (0, 1, -1, 0)]
+    if kind == "partial_infconv":
+        return DualityScenario.partial_infconv(f, g, 2, queries)
+    c_map, d_map = (AffineMap.from_rows([[rng.randint(-2, 2) for _ in range(2)]
+                                         for _ in range(2)]) for _ in range(2))
+    return DualityScenario.bibivariate(f, g, c_map, d_map, queries)
+
+
+@pytest.mark.parametrize("kind", ["bibivariate", "partial_infconv"])
+def test_product_boundedness_within_budget(kind):
+    s = product_wall(kind)
+    start = time.perf_counter()
+    reports = verify(s)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3, f"{elapsed:.1f}s exceeds 3s"
+    assert reports[0].hypothesis_flags == {"boundedness": True, "h_proper": True}
+    assert [r.gap for r in reports] == [0, 0]
+
+
+def test_fenchel_flag_is_one_lp_whatever_the_samples_images(monkeypatch):
+    """f sampled at (1, 0) and (1, 1), g at -1 and 1, C(p) = p_1: both
+    samples of f have the image 1, on the boundary of dom g, so the flag is
+    False, and it is one LP, not one per sample of f."""
+    solved, per_flags = [], []
+    lp_solve = numerics.lp_solve
+    monkeypatch.setattr(numerics, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
+    flags = duality._scenario_flags
+
+    def counted(*args):
+        before = len(solved)
+        out = flags(*args)
+        per_flags.append(len(solved) - before)
+        return out
+
+    monkeypatch.setattr(duality, "_scenario_flags", counted)
+    f = PolyhedralFunction.v_form(2, [((1, 0), 0), ((1, 1), 0)])
+    g = PolyhedralFunction.v_form(1, [((-1,), 0), ((1,), 0)])
+    s = DualityScenario.fenchel(f, g, AffineMap.from_rows([[1, 0]]), [(0, 0)])
+    (report,) = verify(s)
+    assert report.hypothesis_flags == {"boundedness": False, "h_proper": True}
+    assert per_flags == [1]
+    assert len(solved) == 3
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_violating_generators_stay_violating(mode):
+    """The generators drawn to fail every flag still fail it, whichever
+    point of the domain the flag may use."""
+    draws = {
+        "separated fenchel": random_violating_fenchel,
+        "touching fenchel": lambda rng: random_violating_fenchel(rng, touching=True),
+        "trivariate": random_violating_trivariate,
+    }
+    for name, draw in draws.items():
+        rng = random.Random(f"violating:{name}")
+        for _ in range(30):
+            s = dataclasses.replace(draw(rng), hypothesis_mode=mode)
+            assert verify(s)[0].hypothesis_flags[mode] is False, (name, s)
+
+
 class TestProductConstructions:
     def test_touching_family_scales_with_the_factors(self, monkeypatch):
         # 40 x 40 product samples: one weight per product sample made this
-        # about 10 s; weights per factor take about 1 s
+        # about 10 s; a boundedness test per product key, weights per factor,
+        # took 562 LPs in about 1 s; the flag over the whole domain is one
         solved = []
         lp_solve = numerics.lp_solve
 
@@ -552,7 +638,7 @@ class TestProductConstructions:
         reports = verify(s)
         elapsed = time.perf_counter() - start
         assert elapsed < 3, f"{elapsed:.1f}s exceeds 3s"
-        assert len(solved) == 566
+        assert len(solved) == 5
         assert reports[0].hypothesis_flags == {"boundedness": False, "h_proper": True}
 
     @pytest.mark.parametrize("mode", MODES)
@@ -678,16 +764,17 @@ def test_a_repeated_query_is_solved_once(monkeypatch, kind):
 #: LPs `verify` solves over ten `random_crosscheck_scenario` draws of each
 #: kind: (in each draw's own mode, with the mode flipped)
 LP_COUNTS = {
-    "sublevel": (30, 30), "trivariate": (50, 72), "fenchel": (72, 50),
-    "quadrivariate": (50, 101), "bibivariate": (50, 90), "partial_infconv": (50, 85),
-    "indicator_linear": (68, 50),
+    "sublevel": (30, 30), "trivariate": (50, 41), "fenchel": (50, 50),
+    "quadrivariate": (50, 45), "bibivariate": (50, 41), "partial_infconv": (50, 41),
+    "indicator_linear": (50, 50),
 }
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_lp_count_per_kind(monkeypatch, kind):
     """A deterministic work counter of `verify`, sides and flags together,
-    in both modes; sublevel's flags read no mode."""
+    in both modes; sublevel's flags read no mode.  Each flag is at most one
+    LP: a boundedness flag whose rank test fails solves none."""
     solved = []
     lp_solve = numerics.lp_solve
     monkeypatch.setattr(numerics, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))

@@ -10,12 +10,17 @@ Each flag has a longer definition that spends more LPs:
   gamma;
 * the boundedness condition may be tested at any level above the fiber's
   infimum, where it is 0 in int P with no level or value in it; the
-  package tests that interior, with no fiber LP and no value row;
+  package decides that interior over every fiber at once, by a rank test
+  and one LP of strictly positive weights, against the longer
+  `support.reach_over_domain`, 2k blocks of convex weights on a free key;
+  the delta sweep, that condition at each sample as base point, a fiber
+  LP and a reach with a value row, is sufficient for it;
 * for the two-function kinds the longer definition runs over the product
   psi = f + g of `support.scenario_to_trivariate`, one sample per pair; the
   package never builds it, and decides both flags over f's and g's
-  samples apart, lifted by +-1 in one more coordinate held at 0 (for
-  `fenchel`'s boundedness, over g's samples alone).
+  samples apart: the boundedness LP with one weight block per factor,
+  the subspace LP over images lifted by +-1 in one more coordinate held
+  at 0.
 
 The longer definitions are the references here.  hypothesis draws the
 point sets, derandomised so every run sees the same draws; the test is
@@ -44,7 +49,6 @@ from sandwichkit.duality import (  # noqa: E402
 from sandwichkit.geometry import (  # noqa: E402
     AffineMap,
     Subspace,
-    _in_cone,
     cone_union_is_subspace,
     solve_linear,
     vec_neg,
@@ -57,14 +61,18 @@ from sandwichkit.interiority import (  # noqa: E402
     boundedness_condition,
     interiority_margin,
 )
-from sandwichkit.numerics import POS_INF, vec  # noqa: E402
+from sandwichkit.numerics import POS_INF, lp_solve, vec  # noqa: E402
 from sandwichkit.randomgen import (  # noqa: E402
     random_affine_map,
     random_crosscheck_scenario,
     random_fraction,
+    random_trivariate_scenario,
     random_vform,
 )
 from support import (  # noqa: E402
+    boundedness_over_domain,
+    cone_lp_by_builder,
+    interior_point,
     random_violating_fenchel,
     random_violating_trivariate,
     scenario_to_trivariate,
@@ -80,7 +88,8 @@ def cone_union_reference(points, lineality=()) -> bool:
     dim = len(pts[0])
     if not zero_in_hull(pts, dim, lin):
         return False
-    return all(_in_cone(pts, vec_neg(p), dim, lin) for p in pts if any(p))
+    return all(lp_solve(cone_lp_by_builder(pts, vec_neg(p), lin)).status == "optimal"
+               for p in pts if any(p))
 
 
 @st.composite
@@ -194,9 +203,9 @@ def delta_sweep(values, stacked, target, b_dim) -> bool:
 def flag_by_delta_sweep(s) -> bool:
     """The flag of the scenario's mode by the longer route: the trivariate
     rewrite (the product f + g for the two-function kinds), then the
-    delta sweep at each distinct A-image of its samples, or the subspace
-    test on its B images; indicator_linear sweeps at each sample q of g
-    that C reaches."""
+    subspace test on its B images, or the delta sweep at each distinct
+    A-image of its samples, which implies the boundedness flag;
+    indicator_linear sweeps at each sample q of g that C reaches."""
     if s.kind == "indicator_linear":
         x = s.dims[3]
         if s.hypothesis_mode == "closed_subspace":
@@ -253,6 +262,17 @@ FLAG_DRAWS = {
 }
 
 
+def assert_flag_matches(s, got: bool) -> None:
+    """A subspace flag equals its longer definition; a boundedness flag
+    equals the condition over the whole domain and follows from the
+    delta sweep at the samples."""
+    if s.hypothesis_mode == "closed_subspace":
+        assert got == flag_by_delta_sweep(s), s
+    else:
+        assert got == boundedness_over_domain(s), s
+        assert got or not flag_by_delta_sweep(s), s
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_flags_match_the_delta_sweep(mode):
     # sublevel has neither flag; a piece-form g has both by structure
@@ -264,7 +284,7 @@ def test_flags_match_the_delta_sweep(mode):
             if s.kind == "fenchel" and s.g.form == H_FORM:
                 continue
             got = verify(s)[0].hypothesis_flags[mode]
-            assert got == flag_by_delta_sweep(s), (name, s)
+            assert_flag_matches(s, got)
             outcomes.setdefault(name, set()).add(got)
     assert set().union(*outcomes.values()) == {True, False}
     assert len(outcomes) == len(FLAG_DRAWS)
@@ -280,7 +300,7 @@ def test_factored_flags_match_the_product(mode):
         for _ in range(60):
             s = dataclasses.replace(asymmetric_product(rng, kind), hypothesis_mode=mode)
             got = verify(s)[0].hypothesis_flags[mode]
-            assert got == flag_by_delta_sweep(s), s
+            assert_flag_matches(s, got)
             seen.add((kind, got))
     assert seen == {(kind, ok) for kind in PRODUCT_KINDS for ok in (True, False)}
 
@@ -306,3 +326,41 @@ def test_zero_dimensional_direction_spaces_hold(mode):
         for s in (fenchel, trivariate, bibivariate):
             assert verify(s)[0].hypothesis_flags[mode] is True
             assert flag_by_delta_sweep(s) is True
+
+
+#: per kind, the draws of the property test below
+PROPERTY_DRAWS = {
+    "trivariate": (FLAG_DRAWS["trivariate"], FLAG_DRAWS["violating trivariate"],
+                   random_trivariate_scenario),
+    "quadrivariate": (FLAG_DRAWS["quadrivariate"],),
+    "fenchel": (FLAG_DRAWS["fenchel"], free_pair, random_violating_fenchel),
+    **{kind: (FLAG_DRAWS[kind], functools.partial(asymmetric_product, kind=kind))
+       for kind in ("bibivariate", "partial_infconv")},
+    "indicator_linear": (FLAG_DRAWS["indicator_linear"], sliding_indicator),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROPERTY_DRAWS))
+def test_the_flag_over_the_domain_follows_from_the_samples(kind):
+    """Per kind: the boundedness flag is the exact condition, the flag at
+    sample base points (the delta sweep) implies it, and for the
+    one-function kinds the point sum_i lam_i p_i at the weights that decide
+    a true flag passes `boundedness_condition` at a level above every
+    sample value."""
+    seen = set()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(PROPERTY_DRAWS[kind]), st.integers(0, 2 ** 32))
+    def check(draw, seed):
+        s = dataclasses.replace(draw(random.Random(seed)), hypothesis_mode="boundedness")
+        got = verify(s)[0].hypothesis_flags["boundedness"]
+        at_sample = flag_by_delta_sweep(s)
+        assert got == boundedness_over_domain(s), s
+        assert got or not at_sample, s
+        if got and s.psi is not None:
+            delta = max(v for _, v in s.psi.samples) + 1
+            assert boundedness_condition(s.psi, s.a_map, s.b_map, interior_point(s), delta), s
+        seen.add(got)
+
+    check()
+    assert seen == {True, False}

@@ -23,7 +23,9 @@ from sandwichkit.numerics import PreconditionError, vec
 from sandwichkit.randomgen import random_sublevel_query
 from support import (
     boundedness_at_some_sample,
+    boundedness_over_domain,
     direction_reach_by_halflines,
+    interior_point,
     lemma19a_by_scales,
     random_bibivariate_scenario,
     random_violating_fenchel,
@@ -256,8 +258,11 @@ def sample_flag(psi, a_map, b_map) -> bool:
 
 
 class TestBoundednessOverSamples:
-    """The boundedness flag of the one-function kinds tests sample base
-    points only, against `boundedness_condition` at every sample."""
+    """The boundedness flag of the one-function kinds is the condition
+    over the whole domain, `support.boundedness_over_domain`: it holds
+    wherever `boundedness_condition` holds at some sample, and also where
+    it holds at a base point off the samples only, such as the point in
+    the relative interior its LP finds."""
 
     def test_worked_examples(self):
         # one fiber, the whole line: 0 is interior to [-1, 1]
@@ -269,16 +274,19 @@ class TestBoundednessOverSamples:
         assert not sample_flag(*example)
         assert not boundedness_at_some_sample(*example)
 
-    def test_only_sample_base_points_count(self):
+    def test_a_base_point_off_the_samples_counts(self):
         # the fiber through (0, 0) passes; through a sample p = +-1, B's
         # image is [-2, 0] or [0, 2], with 0 on its boundary at any level
         psi, a_map, b_map = TestBoundedness.product_example(g_points=(-1, 1))
         assert boundedness_condition(psi, a_map, b_map, (0, 0), 2)
-        assert not sample_flag(psi, a_map, b_map)
         assert not boundedness_at_some_sample(psi, a_map, b_map)
+        assert sample_flag(psi, a_map, b_map)
 
     @pytest.mark.parametrize("kind", sorted(FLAG_GENERATORS))
     def test_equals_the_condition_at_some_sample(self, kind):
+        # the condition at some point of the domain: the flag is the exact
+        # reference, the condition at some sample implies it, and a true
+        # flag's own point passes the condition
         gens = FLAG_GENERATORS[kind]
         rng = random.Random(f"flags:{kind}")
         outcomes = set()
@@ -288,11 +296,16 @@ class TestBoundednessOverSamples:
                 continue
             tri = scenario_to_trivariate(
                 dataclasses.replace(s, hypothesis_mode="boundedness"))
-            want = boundedness_at_some_sample(tri.psi, tri.a_map, tri.b_map)
             got = verify(tri)[0].hypothesis_flags["boundedness"]
-            assert got == want
-            outcomes.add(got)
-        assert outcomes == {True, False}
+            assert got == boundedness_over_domain(tri)
+            at_sample = boundedness_at_some_sample(tri.psi, tri.a_map, tri.b_map)
+            assert got or not at_sample
+            if got:
+                delta = max(v for _, v in tri.psi.samples) + 1
+                assert boundedness_condition(tri.psi, tri.a_map, tri.b_map,
+                                             interior_point(tri), delta)
+            outcomes.add((got, at_sample))
+        assert {got for got, _ in outcomes} == {True, False}
 
 
 class TestTheorem20:

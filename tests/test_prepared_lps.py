@@ -10,7 +10,9 @@ rows in the same order, each with the same entries in the same order over the
 same scale, the same objective image, and for a prepared program a carried
 fold equal to the one the kernel would find.  Every sup LP `verify` makes,
 with the images its scenario caches, must do the same, every cached image
-must equal one made afresh, and building a scenario makes none.  The
+must equal one made afresh, and building a scenario makes none.  So must
+the cone LP of `geometry.cone_is_subspace`, whose rows are made from the
+points' integer image, on its own and in every subspace flag.  The
 references are in tests/support.py.  hypothesis draws the instances; the module is skipped
 where hypothesis is missing, which the package does not need.
 """
@@ -36,7 +38,7 @@ from sandwichkit.convexfn import (  # noqa: E402
     sups_affine_minus_convex,
 )
 from sandwichkit.duality import KINDS, MODES, DualityScenario  # noqa: E402
-from sandwichkit.geometry import AffineMap  # noqa: E402
+from sandwichkit.geometry import AffineMap, cone_is_subspace  # noqa: E402
 from sandwichkit.numerics import _folded, _weight_parts, _weight_rows, lp_solve  # noqa: E402
 from sandwichkit.randomgen import (  # noqa: E402
     random_affine_map,
@@ -44,7 +46,11 @@ from sandwichkit.randomgen import (  # noqa: E402
     random_fraction,
     random_vec,
 )
-from support import evaluation_lp_by_builder, sup_lp_by_builder  # noqa: E402
+from support import (  # noqa: E402
+    cone_lp_by_builder,
+    evaluation_lp_by_builder,
+    sup_lp_by_builder,
+)
 
 CORPUS = Path(cli.__file__).parent / "scenarios"
 
@@ -347,3 +353,54 @@ class TestCachedImages:
         for s in self.scenarios():
             for obj in holders(s):
                 assert not set(cached(obj)) & set(vars(obj)), (s.kind, obj)
+
+
+@st.composite
+def cones(draw):
+    """Points and lineality directions in dimension 0 to 3, with rational
+    entries: the points drawn from a small pool, so that they repeat."""
+    dim = draw(st.integers(0, 3))
+    scalar = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[scalar] * dim), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    lineality = draw(st.lists(st.tuples(*[scalar] * dim), max_size=2))
+    return [pool[i] for i in picks], lineality
+
+
+def assert_cone_matches_the_builder(points, lineality, lp) -> None:
+    """lp is the program of the distinct points' cone test at -sum(points),
+    row for row."""
+    distinct = list(dict.fromkeys(tuple(F(c) for c in p) for p in points))
+    target = tuple(-sum(column, F(0)) for column in zip(*distinct))
+    assert layout(lp) == layout(cone_lp_by_builder(distinct, target, lineality))
+
+
+class TestConeProgram:
+    """`cone_is_subspace` hands the builder the integer images of the rows
+    that `support.cone_lp_by_builder` adds as Fractions."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(cones())
+    def test_matches_the_builders_program(self, case):
+        points, lineality = case
+        ok, (lp,) = solved_lps(lambda: cone_is_subspace(points, lineality))
+        assert_cone_matches_the_builder(points, lineality, lp)
+        assert ok == (lp_solve(lp).status == "optimal")
+
+    def test_every_subspace_flag_matches_the_builders_program(self):
+        seen = []
+
+        def recording(points, lineality=()):
+            ok, (lp,) = solved_lps(lambda: cone_is_subspace(points, lineality))
+            seen.append((points, lineality, lp))
+            return ok
+
+        scenarios = corpus_scenarios() + drawn_scenarios(29)
+        with mock.patch.object(duality, "cone_is_subspace", recording):
+            for s in scenarios:
+                duality.verify(s)
+        subspace = [s for s in scenarios
+                    if s.kind == "sublevel" or s.hypothesis_mode == "closed_subspace"]
+        assert len(seen) == len(subspace)
+        for points, lineality, lp in seen:
+            assert_cone_matches_the_builder(points, lineality, lp)
