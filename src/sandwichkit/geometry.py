@@ -18,6 +18,7 @@ from .numerics import (
     PointColumns,
     StructuralError,
     Vec,
+    _coordinate_row,
     dot,
     frac,
     unit_vec,
@@ -228,24 +229,6 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     return before == after
 
 
-def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    if len(a_rows) != len(b):
-        raise StructuralError("solve_linear: row count does not match rhs length")
-    if not a_rows:
-        return ()
-    ncols = len(a_rows[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
-    reduced, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        if c == ncols:
-            return None  # row reads 0 = 1
-        x[c] = row[-1]
-    # rows beyond the pivot count are zero rows by construction of rref
-    return tuple(x)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace given by a reduced spanning basis (possibly empty)."""
@@ -292,11 +275,12 @@ def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] =
 
     The LP asks for mu >= 0 and free weights on the directions with
     sum_i mu_i p_i + sum_k l_k d_k = -sum_i p_i, one row per coordinate.
-    Its rows reach the builder as integer images, made from the points'
-    `PointColumns`: the points' numerators over their column's scale, the
-    directions' over the lcm of that scale and their denominators, the
-    image `LpBuilder.add` would make of the same rational row.  Rays are a
-    set, so a repeated point, the same integer image, is dropped.
+    Its rows reach the builder as integer images, each made by
+    `numerics._coordinate_row` from the points' `PointColumns` column, the
+    directions' terms over their own scale and the right side over the
+    column's: the image `LpBuilder.add` would make of the same rational
+    row.  Rays are a set, so a repeated point, the same integer image, is
+    dropped.
     """
     if not points:
         raise StructuralError("cone_is_subspace needs at least one point")
@@ -311,12 +295,11 @@ def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] =
     mu = b.block(len(rays), lo=0)
     free = b.block(len(lin))
     for c, (scale, _) in enumerate(columns):
+        column = tuple([ray[c] for ray in rays])
         terms = [(j, d[c]) for j, d in zip(free, lin) if d[c]]
-        s = math.lcm(scale, *[v.denominator for _, v in terms])
-        m = s // scale
-        row = {j: ray[c] * m for j, ray in zip(mu, rays) if ray[c]}
-        row.update((j, v.numerator * (s // v.denominator)) for j, v in terms)
-        b.add_image(row, EQ, -sum(ray[c] for ray in rays) * m, s)
+        t = math.lcm(*[v.denominator for _, v in terms])
+        extra = {j: v.numerator * (t // v.denominator) for j, v in terms}
+        b.add_image(*_coordinate_row(scale, column, mu, extra, 0, t, -sum(column)))
     return b.solve().status == "optimal"
 
 

@@ -5,6 +5,7 @@ B into a direction space, and a level gamma, does 0 lie in the relative
 interior of B({Phi < gamma})?  Everything reduces to small LPs over simplex
 weights, so every answer is exact.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .numerics import (
     PreconditionError,
     StructuralError,
     Vec,
+    _coordinate_row,
     frac,
     vec,
     vec_text,
@@ -253,9 +255,12 @@ def interior_through_domain(blocks: Sequence[PointColumns], k: int,
     block's differences v_i - v_0, and Q^k x {0} lies in it exactly when
     its dimension drops by k on dropping the b-part.  Each point v of block
     j gives the integer row (e_j, a, b), e_j the block's unit vector and
-    each coordinate scaled by its `PointColumns` scale, which changes no
-    rank.  These rows span m + dim lin aff D dimensions, and their (e_j, a)
-    parts m + the dimension of the key parts.  An echelon basis of the rows
+    each coordinate scaled by one factor for all blocks, the lcm of the
+    blocks' `PointColumns` scales there (`PointColumns.joined`).  That
+    scales each column of one matrix, which changes no rank; a scale per
+    block would not, and could put a direction in the rows' span that
+    lin aff D lacks.  These rows span m + dim lin aff D dimensions, and
+    their (e_j, a) parts m + the dimension of the key parts.  An echelon basis of the rows
     has its lead entries in the same columns as any other, and those in the
     first p columns count the rank of the rows' first p entries, so the
     condition is that each of the last k columns is a lead: the rank test
@@ -268,10 +273,11 @@ def interior_through_domain(blocks: Sequence[PointColumns], k: int,
     """
     if k == 0:
         return True
-    if not _moving_columns_lead(blocks, k):
+    joined = PointColumns.joined(blocks)
+    if not _moving_columns_lead([pc.count for pc in blocks], joined, k):
         return False
     b = LpBuilder("max")
-    # w first, so that link's fiber rows name its variables
+    # w first, so that link's coupling rows name its variables
     b.block(0 if link is None else link.in_dim)
     rhos = [b.block(pc.count, lo=0) for pc in blocks]
     eps = b.var(lo=0)
@@ -279,29 +285,21 @@ def interior_through_domain(blocks: Sequence[PointColumns], k: int,
         row = dict.fromkeys(rho, 1)
         row[eps] = len(rho)
         b.add_image(row, EQ, 1, 1)
-    # link's rows as the fiber link(w) = 0, over their own scales
-    couplings = [({}, 1)] * k if link is None else [(a, s) for a, _, _, s in link.fiber_rows]
-    for c, (w_row, t) in enumerate(couplings):
-        s = math.lcm(t, *[pc.columns[c][0] for pc in blocks])
-        row = {j: -x * (s // t) for j, x in w_row.items()}
-        total = 0
-        for rho, pc in zip(rhos, blocks):
-            scale, column = pc.columns[c]
-            mult = s // scale
-            row.update((j, x * mult) for j, x in zip(rho, column) if x)
-            total += sum(column) * mult
-        if total:
-            row[eps] = total
-        b.add_image(row, EQ, 0, s)
+    # per moving coordinate, the joined column with eps's coefficient, the
+    # column's sum, last, and link's terms -link(w) over their own scale
+    lam = range(eps - joined.count, eps + 1)
+    couplings = [({}, 0, 1)] * k if link is None else link.coupling_rows
+    for (scale, column), (extra, rhs, t) in zip(joined.columns, couplings):
+        b.add_image(*_coordinate_row(scale, column + (sum(column),), lam, extra, rhs, t))
     (lp,) = b.build_siblings([([0] * eps + [1], 1)])
     res = numerics.lp_solve(lp)
     return res.status == "optimal" and res.value > 0
 
 
-def _moving_columns_lead(blocks: Sequence[PointColumns], k: int) -> bool:
+def _moving_columns_lead(counts: Sequence[int], joined: PointColumns, k: int) -> bool:
     """Whether each of the last k columns is a lead column of an echelon
     basis of the rows (e_j, a, b) of `interior_through_domain`, made from
-    each block's integer columns.
+    the blocks' joined integer columns, block j the next counts[j] points.
 
     The basis is kept by lead column.  A row is scanned left to right: a
     nonzero entry in a column that leads a basis row is cleared by that
@@ -311,15 +309,16 @@ def _moving_columns_lead(blocks: Sequence[PointColumns], k: int) -> bool:
     rows' echelon form so far, and no basis row is ever dropped, so the
     test stops once every moving column leads.
     """
-    m = len(blocks)
-    width = m + len(blocks[0].columns)
+    m = len(counts)
+    columns = [column for _, column in joined.columns]
+    width = m + len(columns)
     first = width - k
+    points = zip(*columns[k:], *columns[:k])
     basis = {}
-    for j, pc in enumerate(blocks):
-        columns = [column for _, column in pc.columns]
+    for j, count in enumerate(counts):
         head = [0] * m
         head[j] = 1
-        for point in zip(*columns[k:], *columns[:k]):
+        for point in itertools.islice(points, count):
             row = [*head, *point]
             for c in range(width):
                 x = row[c]

@@ -1016,13 +1016,31 @@ class PointColumns:
                                           for v in vals])))
         self.columns = tuple(columns)
 
+    @classmethod
+    def joined(cls, parts: Sequence["PointColumns"]) -> "PointColumns":
+        """The image of the parts' point lists taken one after another: the
+        `PointColumns` of the joined list, each column over the lcm of the
+        parts' scales there, made from the parts' numerators."""
+        if len(parts) == 1:
+            return parts[0]
+        out = cls.__new__(cls)
+        out.count = sum(pc.count for pc in parts)
+        columns = []
+        for cols in zip(*[pc.columns for pc in parts]):
+            scale = math.lcm(*[s for s, _ in cols])
+            columns.append((scale, tuple([x * (scale // s) for s, column in cols
+                                          for x in column])))
+        out.columns = tuple(columns)
+        return out
 
-def _coordinate_row(scale: int, column: tuple, lam, extra: dict, b: int, t: int) -> tuple:
-    """The row sum_i lam_i p_i[c] + extra . x = B / t for the points' column
-    (scale, column) of `PointColumns`, where extra is the integer image of
-    the extra terms over t: over the lcm of scale and t, the column's
-    numerators in weight order, the extra terms added in, a sum that cancels
-    dropped."""
+
+def _coordinate_row(scale: int, column: tuple, lam, extra: dict, b: int, t: int,
+                    own: int = 0) -> tuple:
+    """The row sum_i lam_i p_i[c] + extra . x = B / t + own / scale for the
+    points' column (scale, column) of `PointColumns`, where extra is the
+    integer image of the extra terms over t: over the lcm of scale and t,
+    the column's numerators in weight order, the extra terms added in, a
+    sum that cancels dropped."""
     s = math.lcm(scale, t)
     k, m = s // scale, s // t
     a = {j: x * k for j, x in zip(lam, column) if x}
@@ -1032,7 +1050,7 @@ def _coordinate_row(scale: int, column: tuple, lam, extra: dict, b: int, t: int)
             a[j] = x
         else:
             del a[j]
-    return (a, EQ, b * m, s)
+    return (a, EQ, b * m + own * k, s)
 
 
 @lru_cache(maxsize=64)

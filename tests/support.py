@@ -19,6 +19,8 @@ state a reference or draw an instance no command draws, lives here:
   the whole domain by one LP of 2k convex-weight blocks on a free key: the
   reference for the boundedness flag of every kind; `interior_point`, the
   point of the domain at the optimum of the flag's own LP;
+* `solve_linear`, one exact solution of A x = b, which the tests use to
+  ask whether a linear map reaches a point;
 * `cone_lp_by_builder`, the cone LP assembled from Fractions: the
   reference for the integer rows of `geometry.cone_is_subspace`;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
@@ -41,13 +43,13 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 from unittest import mock
 
 from sandwichkit import numerics
 from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction
 from sandwichkit.duality import DualityScenario
-from sandwichkit.geometry import AffineMap, embed, vec_neg
+from sandwichkit.geometry import AffineMap, embed, rref, vec_neg
 from sandwichkit.interiority import (
     Lemma19aResult,
     SublevelQuery,
@@ -517,6 +519,24 @@ def sup_lp_by_builder(phi: AffineFunctional, terms, fibers=()) -> LinearProgram:
             objective[s] = Fraction(-1)
     b.set_objective(objective)
     return b.build()
+
+
+def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
+    """One exact solution of A x = b (free variables set to 0), or None."""
+    if len(a_rows) != len(b):
+        raise StructuralError("solve_linear: row count does not match rhs length")
+    if not a_rows:
+        return ()
+    ncols = len(a_rows[0])
+    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
+    reduced, pivots = rref(aug)
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        if c == ncols:
+            return None  # row reads 0 = 1
+        x[c] = row[-1]
+    # rows beyond the pivot count are zero rows by construction of rref
+    return tuple(x)
 
 
 def cone_lp_by_builder(points: Sequence[Sequence], target: Sequence,

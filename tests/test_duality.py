@@ -11,7 +11,6 @@ from sandwichkit.geometry import (
     AffineMap,
     Polytope,
     polytope_contains,
-    solve_linear,
     vec_neg,
 )
 from sandwichkit import duality, geometry, numerics
@@ -56,6 +55,7 @@ from support import (
     random_violating_fenchel,
     random_violating_trivariate,
     scenario_to_trivariate,
+    solve_linear,
 )
 from test_geometry import zero_in_hull
 

@@ -50,7 +50,6 @@ from sandwichkit.geometry import (  # noqa: E402
     AffineMap,
     Subspace,
     cone_union_is_subspace,
-    solve_linear,
     vec_neg,
 )
 from sandwichkit.interiority import (  # noqa: E402
@@ -76,6 +75,7 @@ from support import (  # noqa: E402
     random_violating_fenchel,
     random_violating_trivariate,
     scenario_to_trivariate,
+    solve_linear,
 )
 from test_duality import free_pair, sliding_indicator  # noqa: E402
 from test_geometry import zero_in_hull  # noqa: E402
@@ -232,10 +232,13 @@ PRODUCT_KINDS = ("fenchel", "bibivariate", "partial_infconv")
 def asymmetric_product(rng: random.Random, kind: str) -> DualityScenario:
     """A two-function scenario whose factors are drawn apart: blocks of 1-2
     coordinates, 1-5 samples each with coordinates in [-3, 3] and values in
-    [0, 5], and maps with an offset half the time."""
+    [0, 5], and maps with an offset half the time.  Each factor's
+    coordinate is a multiple of 1/d for a d of its own, from 1 to 3, so the
+    two factors' integer images scale a shared column differently."""
     def draw_f(dim):
+        dens = [rng.randint(1, 3) for _ in range(dim)]
         return PolyhedralFunction.v_form(dim, [
-            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(0, 5))
+            (tuple(F(rng.randint(-3 * d, 3 * d), d) for d in dens), rng.randint(0, 5))
             for _ in range(rng.randint(1, 5))])
 
     def draw_map(in_dim, out_dim):
@@ -303,6 +306,20 @@ def test_factored_flags_match_the_product(mode):
             assert_flag_matches(s, got)
             seen.add((kind, got))
     assert seen == {(kind, ok) for kind in PRODUCT_KINDS for ok in (True, False)}
+
+
+def test_factors_on_their_own_scales_span_no_more_than_their_sum():
+    """The third coordinate of the stacked images has the scale 1 in f's
+    block and 2 in g's.  The differences of both blocks span
+    {(0, 0, 1, 1), (1, 0, 1, 2)}, which lacks the moving direction
+    (1, 0, 0, 0), so every slice is one point.  Rows that scaled that
+    coordinate by 1 in f's rows and by 2 in g's would span it."""
+    f = PolyhedralFunction.v_form(3, [((0, 0, 0), 0), ((0, 1, 1), 0)])
+    g = PolyhedralFunction.v_form(3, [((0, F(1, 2), 0), 0), ((1, F(3, 2), 2), 0),
+                                      ((-1, F(-1, 2), -2), 0)])
+    s = DualityScenario.partial_infconv(f, g, 1, [(0, 0, 0)], "boundedness")
+    assert verify(s)[0].hypothesis_flags["boundedness"] is False
+    assert boundedness_over_domain(s) is False
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -14,9 +14,9 @@ from sandwichkit.geometry import (
     minimal_vertices,
     polytope_contains,
     rref,
-    solve_linear,
 )
 from sandwichkit.numerics import LpBuilder, StructuralError, vec
+from support import solve_linear
 
 
 def zero_in_hull(points, dim, lineality=()) -> bool:

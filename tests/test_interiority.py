@@ -8,18 +8,19 @@ import pytest
 from sandwichkit import numerics, randomgen
 from sandwichkit.convexfn import V_FORM, PolyhedralFunction
 from sandwichkit.duality import DualityScenario, verify
-from sandwichkit.geometry import AffineMap, vec_neg
+from sandwichkit.geometry import AffineMap, independent_rows, vec_neg
 from sandwichkit.interiority import (
     SublevelQuery,
     _direction_reach,
     _interior,
+    _moving_columns_lead,
     boundedness_condition,
     corollary21_auto,
     interiority_margin,
     lemma19a_check,
     theorem20_equivalence,
 )
-from sandwichkit.numerics import PreconditionError, vec
+from sandwichkit.numerics import PointColumns, PreconditionError, vec
 from sandwichkit.randomgen import random_sublevel_query
 from support import (
     boundedness_at_some_sample,
@@ -249,6 +250,52 @@ class TestInterior:
     def test_no_moving_coordinate_is_membership(self):
         # every caller's target lies in the hull, so k = 0 holds with no LP
         assert _interior(self.SQUARE, vec((1, 1)), 0)
+
+
+class TestMovingColumnsLead:
+    """The rank test of `interior_through_domain` against ranks taken over
+    the rationals: Q^k x {0} lies in lin aff D, the span of each block's
+    differences, exactly when dropping the moving part loses k dimensions.
+    Each block's coordinate c is a multiple of 1/d for a d of its own, so
+    the blocks' integer images scale a shared column differently."""
+
+    @staticmethod
+    def draw_blocks(rng, k, n):
+        # points base + sum_j t_j g_j, with integer t_j, over 0-2 integer
+        # generators shared by every block and 0-1 of the block's own, so
+        # the span often misses a moving direction; the base's coordinate c
+        # is over a denominator of the block's own
+        dim = k + n
+        shared = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            gens = shared + [[rng.randint(-2, 2) for _ in range(dim)]
+                             for _ in range(rng.randint(0, 1))]
+            base = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+            points = []
+            for _ in range(rng.randint(1, 4)):
+                ts = [rng.randint(-2, 2) for _ in gens]
+                points.append(tuple(base[c] + sum(s * g[c] for s, g in zip(ts, gens))
+                                    for c in range(dim)))
+            blocks.append(points)
+        return blocks
+
+    def test_matches_the_rational_ranks(self):
+        rng = random.Random("moving columns lead")
+        seen = set()
+        for _ in range(400):
+            k, n = rng.randint(1, 2), rng.randint(0, 2)
+            blocks = self.draw_blocks(rng, k, n)
+            diffs = [tuple(a - b for a, b in zip(p, points[0]))
+                     for points in blocks for p in points[1:]]
+            want = (len(independent_rows(diffs))
+                    - len(independent_rows([d[k:] for d in diffs])) == k) if diffs else False
+            images = [PointColumns(points, k + n) for points in blocks]
+            got = _moving_columns_lead([len(points) for points in blocks],
+                                       PointColumns.joined(images), k)
+            assert got == want, (blocks, k)
+            seen.add((len(blocks) > 1, got))
+        assert seen == {(many, ok) for many in (False, True) for ok in (False, True)}
 
 
 def sample_flag(psi, a_map, b_map) -> bool:

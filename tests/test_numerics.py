@@ -427,6 +427,21 @@ class TestConvexWeights:
         assert rows[1].coeffs == vec((-1, 1, 0)) and rows[1].rhs == 0
         assert rows[2].coeffs == vec((2, 0, "3/2")) and rows[2].rhs == 5
 
+    def test_joined_columns_are_the_joined_points_columns(self):
+        first = [(F(1, 2), 1, 0), (1, F(1, 3), 0)]
+        second = [(F(1, 3), 2, 0), (0, F(1, 2), 0), (2, 1, 0)]
+        joined = PointColumns.joined([PointColumns(first, 3), PointColumns(second, 3)])
+        whole = PointColumns(first + second, 3)
+        assert (joined.count, joined.columns) == (whole.count, whole.columns)
+        assert joined.columns[0] == (6, (3, 6, 2, 0, 12))
+        one = PointColumns(first, 3)
+        assert PointColumns.joined([one]) is one
+
+    def test_coordinate_row_takes_a_right_side_over_the_column_scale(self):
+        # 1/2 lam_0 + 1/3 lam_1 + 3/4 x_5 = 1/4 + 5/6, over the lcm 12
+        row = numerics._coordinate_row(6, (3, 2), [0, 1], {5: 3}, 1, 4, 5)
+        assert row == ({0: 6, 1: 4, 5: 9}, EQ, 13, 12)
+
     def test_duals_follow_the_row_order(self):
         # min over the segment [(0, 0), (2, 2)] of 0 and 2 at its ends:
         # the value at (1, 1) is 1 and the coordinate duals are a slope

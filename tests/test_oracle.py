@@ -23,7 +23,7 @@ from sandwichkit.convexfn import (
 )
 from sandwichkit import randomgen
 from sandwichkit.duality import KINDS, DualityScenario, query_program, verify
-from sandwichkit.geometry import AffineMap, solve_linear
+from sandwichkit.geometry import AffineMap
 from sandwichkit.numerics import NEG_INF, POS_INF, PreconditionError, StructuralError
 from sandwichkit.oracle import (
     CrosscheckReport,
@@ -49,6 +49,7 @@ from support import (
     random_piece_form_fenchel,
     random_violating_fenchel,
     random_violating_trivariate,
+    solve_linear,
 )
 from test_acceptance import Stopwatch
 
