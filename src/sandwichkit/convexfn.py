@@ -226,17 +226,29 @@ def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec 
 
 
 @dataclass(frozen=True)
-class Farkas:
-    """Why the feasible set of a sup is empty, in the program's own terms.
+class Multipliers:
+    """The multipliers of an attained sup's LP at its optimum, in the
+    program's own terms, with the signs the LP's dual takes for its max.
 
-    fibers holds, per fiber map B, one multiplier y per row of B z + o = 0.
-    terms holds, per term, None for a piece-form term and (mu, pi) for a
-    sample-form term: the multipliers of its weight row sum_i lam_i = 1 and
-    of its coordinate rows sum_i lam_i p_i - L z = o, where M z = L z + o.
+    fibers holds, per fiber map B, one multiplier per row of B z + o = 0.
+    terms holds, per term, (mu, pi) for a sample-form term: the multipliers
+    of its weight row sum_i lam_i = 1 and of its coordinate rows
+    sum_i lam_i p_i - L z = o, where M z = L z + o; and for a piece-form
+    term one multiplier per piece (a, c), of its row s >= <a, M z> + c,
+    each at most 0 and summing to -1.  LP duality makes them a minimizer of
+    the right side (see `duality.QueryProgram.dual_at`).
     """
 
     fibers: tuple[Vec, ...]
-    terms: tuple[tuple[Fraction, Vec] | None, ...]
+    terms: tuple[tuple[Fraction, Vec] | Vec, ...]
+
+
+@dataclass(frozen=True)
+class Farkas(Multipliers):
+    """Why the feasible set of a sup is empty, in the program's own terms:
+    multipliers read as `Multipliers` are, but of the LP's Farkas vector,
+    and None for a piece-form term, whose multipliers the free epigraph
+    variable's column forces to 0."""
 
 
 @dataclass(frozen=True)
@@ -246,7 +258,8 @@ class SupResult:
     term_weights holds, per term, the convex weights over a sample-form
     term's samples at argmax, or at base when the sup is unbounded (None
     for a piece-form term, and for every term when the sup is empty).  An
-    unbounded sup rises without bound along ray from the feasible point
+    attained sup solved as an LP carries its `Multipliers` in multipliers.
+    An unbounded sup rises without bound along ray from the feasible point
     base; an empty one carries its `Farkas` certificate in farkas.
     """
 
@@ -257,10 +270,60 @@ class SupResult:
     term_weights: tuple[tuple[Fraction, ...] | None, ...]
     base: Vec | None = None
     farkas: Farkas | None = None
+    multipliers: Multipliers | None = None
 
     def __post_init__(self):
         if self.status not in ("attained", "unbounded", "empty"):
             raise StructuralError(f"unknown sup status {self.status!r}")
+
+
+def _weighted_value(weights, samples: Sequence, target: Vec) -> Fraction | None:
+    """The weights' combination of the sample values, when they are convex
+    weights over the sample points whose combination is target; else None."""
+    if weights is None or len(weights) != len(samples) or any(w < 0 for w in weights):
+        return None
+    # a basic solution puts weight on few samples: check only those
+    used = [(w, sample) for w, sample in zip(weights, samples) if w]
+    ws = [w for w, _ in used]
+    if dot(ws, [1] * len(ws)) != 1 or len(target) != len(samples[0][0]):
+        return None
+    if any(dot(ws, [p[c] for _, (p, _) in used]) != t for c, t in enumerate(target)):
+        return None
+    return dot(ws, [v for _, (_, v) in used])
+
+
+def _objective_at(objective: AffineFunctional, terms, fibers, z,
+                  weights=None) -> Fraction | None:
+    """The objective of the sup of objective(z) - sum_k f_k(M_k z) over the
+    fibers, valued at the point z by arithmetic; None when z is None, off a
+    fiber, or a term cannot be valued there.
+
+    Each term is valued at M_k z (z itself where M_k is the identity): a
+    piece-form term by its largest piece, and a sample-form term by its
+    weights' combination of its sample values, with weights[k] convex
+    weights combining to M_k z.  The envelope is at most any such
+    combination, so the value is a lower bound on the sup, and z is a
+    feasible point of it.  No LP is solved: `duality.verify` closes each
+    right side it reads off the left LP with it, and `oracle` checks every
+    certificate with it.
+    """
+    if weights is None:
+        weights = (None,) * len(terms)
+    if z is None or len(z) != objective.dim or len(weights) != len(terms):
+        return None
+    if any(any(b_map(z)) for b_map in fibers):
+        return None
+    value = objective(z)
+    for (f, m), lam in zip(terms, weights):
+        image = z if m.is_identity() else m(z)
+        if f.form == V_FORM:
+            part = _weighted_value(lam, f.samples, image)
+        else:
+            part = max(c + dot(a, image) for a, c in f.pieces)
+        if part is None:
+            return None
+        value -= part
+    return value
 
 
 def sup_affine_minus_convex(
@@ -275,12 +338,14 @@ def sup_affine_minus_convex(
     Sample-form terms contribute convex weights matched to M_k z; piece-form
     terms contribute an epigraph variable bounded below by every piece.  The
     LP's objective is phi's linear part, and phi's constant is added to an
-    attained value here.  An empty feasible region means every z leaves some
-    term at +inf or off a fiber, so the sup over the effective domain is
-    -inf, and the LP's Farkas vector, read row by row, is the result's
-    `Farkas`; a piece row's multiplier is 0, as the free epigraph variable's
-    column forces.  An unbounded sup is +inf, and the kernel's ray and the
-    point it starts from are the result's ray and base.
+    attained value here; the LP's multipliers at the optimum, read row by
+    row, are the result's `Multipliers`.  An empty feasible region means
+    every z leaves some term at +inf or off a fiber, so the sup over the
+    effective domain is -inf, and the LP's Farkas vector, read row by row,
+    is the result's `Farkas`; a piece row's multiplier is 0, as the free
+    epigraph variable's column forces.  An unbounded sup is +inf, and the
+    kernel's ray and the point it starts from are the result's ray and
+    base.
 
     Rows reach the builder as integer images: a fiber's from the map's
     `fiber_rows`, a sample-form term's coordinate rows from its function's
@@ -321,10 +386,10 @@ def sups_affine_minus_convex(
     # epigraph variable, each subtracted, after each phi's linear part over z
     blocks = []
     weight_vars: list[list[int] | None] = []
-    # the index of each sample-form term's weight row, None for a piece-form
-    # term: after the fiber rows, a sample-form term adds 1 + dim rows and a
-    # piece-form term one per piece
-    weight_rows: list[int | None] = []
+    # the index of each term's first row: after the fiber rows, a
+    # sample-form term adds its weight row and one row per coordinate, and
+    # a piece-form term one row per piece
+    first_rows: list[int] = []
     at = sum(m.out_dim for m in fibers)
     for psi, m in terms:
         if m.in_dim != n:
@@ -336,7 +401,7 @@ def sups_affine_minus_convex(
             points = psi.columns
             lam = b.block(points.count, lo=0)
             weight_vars.append(lam)
-            weight_rows.append(at)
+            first_rows.append(at)
             at += 1 + psi.dim
             b.add_image(dict.fromkeys(lam, 1), EQ, 1, 1)
             for (scale, column), (extra, rhs, t) in zip(points.columns, m.coupling_rows):
@@ -345,7 +410,7 @@ def sups_affine_minus_convex(
         else:
             s = b.var()
             weight_vars.append(None)
-            weight_rows.append(None)
+            first_rows.append(at)
             at += len(psi.pieces)
             # s >= <a, M z> + c for each piece (a, c); <a, M z> reads M's
             # columns, made once per term, unless M is the identity
@@ -370,18 +435,30 @@ def sups_affine_minus_convex(
             k = sign * (scale // den)
             obj += [x * k for x in nums]
         objectives.append((obj, scale))
+
+    def by_rows(read, pieces: bool) -> tuple:
+        """(per fiber, per term) of the multipliers read(start, stop) gives
+        for the rows start to stop; a piece-form term's are None unless
+        pieces."""
+        fiber_ys, row = [], 0
+        for m in fibers:
+            fiber_ys.append(read(row, row + m.out_dim))
+            row += m.out_dim
+        per_term = []
+        for (psi, _), i in zip(terms, first_rows):
+            if psi.form == V_FORM:
+                y = read(i, i + 1 + psi.dim)
+                per_term.append((y[0], y[1:]))
+            else:
+                per_term.append(read(i, i + len(psi.pieces)) if pieces else None)
+        return tuple(fiber_ys), tuple(per_term)
+
     for phi, lp in zip(phis, b.build_siblings(objectives)):
         res = numerics.lp_solve(lp)
         if res.status == "infeasible":
             y = res.farkas
-            fiber_ys, row = [], 0
-            for m in fibers:
-                fiber_ys.append(y[row:row + m.out_dim])
-                row += m.out_dim
-            multipliers = tuple(None if i is None else (y[i], y[i + 1:i + 1 + psi.dim])
-                                for (psi, _), i in zip(terms, weight_rows))
             yield SupResult("empty", NEG_INF, None, None, tuple(None for _ in terms),
-                            farkas=Farkas(tuple(fiber_ys), multipliers))
+                            farkas=Farkas(*by_rows(lambda i, j: y[i:j], False)))
             continue
         # the optimum, or the feasible point an unbounded ray starts from
         x = res.point
@@ -391,7 +468,8 @@ def sups_affine_minus_convex(
         if res.status == "unbounded":
             yield SupResult("unbounded", POS_INF, None, res.ray[:n], weights, base=point)
         else:
-            yield SupResult("attained", res.value + phi.constant, point, None, weights)
+            yield SupResult("attained", res.value + phi.constant, point, None, weights,
+                            multipliers=Multipliers(*by_rows(res.dual_slice, True)))
 
 
 def fenchel_young_gap(f: PolyhedralFunction, z: Sequence, x: Sequence) -> Ext:

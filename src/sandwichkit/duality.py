@@ -15,11 +15,15 @@ polyhedral data, once for every kind, in a `QueryProgram`:
   -constant, each group a term through the identity, the constraint a
   fiber.
 
-`verify` solves both sides as sups, one LP each, the left sides of all
-queries as siblings that share their rows and phase 1.  It keeps, on each
-report, a `Certificate`: the program and the two `SupResult`s it solved,
-which hold the weights of a finite pair, and the base point and ray, or
-the Farkas certificate, of an infinite side.  `oracle.crosscheck_scenario`
+`verify` solves the left sides of all queries as sups, one LP each, as
+siblings that share their rows and phase 1.  A finite left side's LP
+multipliers hold a minimizer x* of the right side (LP duality), so its
+right side is read off them (`right_side_of`), valued by arithmetic and
+kept only if it equals the left side; only an infinite left side's right
+side is solved, as the sup of `QueryProgram.dual`.  It keeps, on each
+report, a `Certificate`: the program and a `SupResult` per side, which
+hold the weights of a finite pair, and the base point and ray, or the
+Farkas certificate, of an infinite side.  `oracle.crosscheck_scenario`
 re-checks each certificate by arithmetic, with no LP code.
 
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
@@ -47,6 +51,7 @@ from .convexfn import (
     PolyhedralFunction,
     SupResult,
     V_FORM,
+    _objective_at,
     sup_affine_minus_convex,
     sups_affine_minus_convex,
 )
@@ -403,10 +408,12 @@ class DualityReport:
     sup (kind-specific layout; for indicator scenarios it is (w, u)).
     witness is the dual covector attaining the min, when attained; it pairs
     with the kernel map through a plus sign, so rewriting a scenario into
-    fiber form leaves the witness unchanged.  certificate is what `verify`
-    solved and what its LPs prove (a `Certificate`); it is no part of the
-    report's value, so it stays out of its repr, its equality and the JSON
-    document.  A hand-built report may leave it None, and the oracle then
+    fiber form leaves the witness unchanged.  It is read off the left LP's
+    multipliers at its final basis (`right_side_of`): deterministic, but
+    where the min has more than one minimizer not canonical.  certificate
+    is what `verify` found and what proves it (a `Certificate`); it is no
+    part of the report's value, so it stays out of its repr, its equality
+    and the JSON document.  A hand-built report may leave it None, and the oracle then
     proves nothing of it.
     """
 
@@ -532,7 +539,9 @@ class QueryProgram:
     +inf rather than a kernel bug.  Right side: min over the covector x*
     of the sum of the groups at x*, plus constant, subject to
     <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
-    function of x* in either form.
+    function of x* in either form.  dual_at says where a minimizer x* sits
+    among the left side's `convexfn.Multipliers` (`right_side_of`):
+    "fiber", "coordinates" or "pieces".
     """
 
     objective: AffineFunctional
@@ -540,6 +549,7 @@ class QueryProgram:
     fibers: tuple = ()
     escapes: bool = False
     groups: tuple
+    dual_at: str
     constant: Fraction = Fraction(0)
     constraint: tuple = ()
 
@@ -564,12 +574,14 @@ class QueryProgram:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What `verify` solved for one query, and what its two LPs prove.
+    """What `verify` found for one query, and what proves it.
 
     program is `query_program(scenario, query)`.  lhs is the `SupResult` of
     the program's sup, and dual that of `program.dual`'s, minus the right
-    side.  With the report's lhs_witness z and witness x*, their
-    term_weights complete the primal-dual pair of the two LPs: per term,
+    side: read off the left LP's multipliers by `right_side_of` when the
+    left side is finite, and solved as an LP of its own when it is not.
+    With the report's lhs_witness z and witness x*, their term_weights
+    complete the primal-dual pair: per term,
     the convex weights over a sample-form term's samples, which combine to
     M_k z, or for `program.dual`, one term per group, to x* (None in piece
     form).  An infinite side has no z or x*, and its `SupResult` carries
@@ -603,6 +615,7 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
             terms=s._terms,
             fibers=(s.b_map,),
             groups=(_query_group(s.b_map.out_dim, s._f_parts, query.coeffs, query.constant),),
+            dual_at="fiber",
         )
     if s.kind == "fenchel":
         # min over x* of f*(q - x* after C) + g*(x*)
@@ -611,6 +624,7 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
             terms=s._terms,
             groups=(_query_group(s.g.dim, s._f_parts, query.coeffs, query.constant),
                     s._g_conjugate),
+            dual_at="pieces" if s.g.form == H_FORM else "coordinates",
         )
     u, v, w, x = s.dims
     if s.kind == "indicator_linear":
@@ -624,6 +638,7 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
             terms=s._terms,
             escapes=True,
             groups=(_query_group(x, s._g_parts, v_cov),),
+            dual_at="coordinates",
             constant=query.constant,
             constraint=tuple(zip(s.c_map.columns(), w_cov)),
         )
@@ -634,7 +649,47 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
         terms=s._terms,
         groups=(_query_group(x, s._f_parts, query.coeffs, query.constant),
                 _query_group(x, s._g_parts, query.coeffs[w:])),
+        dual_at="coordinates",
     )
+
+
+def right_side_of(p: QueryProgram, lhs: SupResult) -> SupResult:
+    """The sup of `p.dual`, minus the right side, read off the attained
+    left side lhs with no LP of its own.
+
+    The left LP's optimal multipliers (lhs.multipliers) hold a minimizer
+    x* of the right side (LP duality and complementary slackness; Chvatal,
+    Linear Programming, 1983, ch. 5), and p.dual_at says where:
+      * "fiber" (sublevel, trivariate, quadrivariate): x* is minus the
+        multipliers of the fiber rows B z + o = 0;
+      * "coordinates" (fenchel with g in sample form, bibivariate,
+        partial_infconv, indicator_linear): x* is minus the multipliers of
+        the first dim x* coordinate rows of g, the last term;
+      * "pieces" (fenchel with g in piece form): the last group is g*,
+        whose samples are g's piece slopes a_j, and its weights nu_j are
+        minus the multipliers of g's piece rows, nonnegative with sum 1;
+        x* is sum_j nu_j a_j.
+    The dual objective is valued at x* with those weights by arithmetic
+    (`convexfn._objective_at`), and must be minus lhs's value: anything
+    else is a kernel fault and raises RuntimeError.  x* is the left LP's
+    dual at its final basis, deterministic but not canonical.
+    """
+    mult = lhs.multipliers
+    weights = (None,) * len(p.groups)
+    if p.dual_at == "fiber":
+        x = vec_neg(mult.fibers[0])
+    elif p.dual_at == "coordinates":
+        x = vec_neg(mult.terms[-1][1][:p.groups[0].dim])
+    else:
+        nu = vec_neg(mult.terms[-1])
+        used = [(w, a) for w, (a, _) in zip(nu, p.terms[-1][0].pieces) if w]
+        x = tuple(dot([w for w, _ in used], col) for col in zip(*(a for _, a in used)))
+        weights = weights[:-1] + (nu,)
+    value = _objective_at(*p.dual, x, weights)
+    if value is None or value != -lhs.value:
+        raise RuntimeError("the left LP's multipliers do not close the right side; "
+                           "LP kernel is unsound")
+    return SupResult("attained", value, x, None, weights)
 
 
 def verify(s: DualityScenario) -> list:
@@ -643,14 +698,18 @@ def verify(s: DualityScenario) -> list:
     Always returns a report per query.  Weak duality (gap >= 0) is enforced
     as a kernel invariant; equality is only asserted when every hypothesis
     flag is certified, in which case a nonzero gap raises rather than being
-    reported as a counterexample.  Both sides of every query are solved,
-    query by query, each as one sup LP (the right side as minus the
-    `sup_affine_minus_convex` of `QueryProgram.dual`), before the flags,
-    which read h_proper off the first query's left side.  The left sides
-    differ only in their objective, so they are solved as siblings by
+    reported as a counterexample.  Both sides of every query are found,
+    query by query, before the flags, which read h_proper off the first
+    query's left side.  The left side is one sup LP; the left sides differ
+    only in their objective, so they are solved as siblings by
     `sups_affine_minus_convex`, which runs phase 1 once for all of them.
-    Each report carries the query's `Certificate`, its program and the two
-    `SupResult`s, for `oracle.crosscheck_scenario`.
+    A finite left side's right side is read off its LP's multipliers by
+    `right_side_of`, which raises RuntimeError unless its value, found by
+    arithmetic, is the left side's; an infinite left side's right side is
+    minus the `sup_affine_minus_convex` of `QueryProgram.dual`, one LP
+    more, as the left LP holds no base point and ray, nor Farkas
+    certificate, of it.  Each report carries the query's `Certificate`, its
+    program and a `SupResult` per side, for `oracle.crosscheck_scenario`.
     No rewritten scenario and no product is built: programs and flags read
     the scenario's own fields.
     """
@@ -665,7 +724,13 @@ def verify(s: DualityScenario) -> list:
         # an unbounded sup is +inf where z ranges over a full vector space
         if sup.status == "unbounded" and not p.escapes:
             raise RuntimeError("sup LP unbounded on bounded domains; kernel is unsound")
-        certs[query] = Certificate(s, query, p, sup, sup_affine_minus_convex(*p.dual))
+        # only an infinite left side takes a second LP: the left LP holds
+        # no base point and ray, nor Farkas certificate, of the right side
+        if sup.status == "attained":
+            dual = right_side_of(p, sup)
+        else:
+            dual = sup_affine_minus_convex(*p.dual)
+        certs[query] = Certificate(s, query, p, sup, dual)
     # every query's sup LP has the same feasible set, which is dom h's
     flags, notes = _scenario_flags(s, certs[s.queries[0]].lhs.value)
     reports = []

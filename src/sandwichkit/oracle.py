@@ -1,10 +1,14 @@
 """Exact, LP-free second opinion on the duality verifier.
 
 Nothing in this module builds or solves a linear program.  `verify` keeps,
-on each report, the `QueryProgram` it solved and what its two LPs prove (a
-`Certificate`), and every record is decided by checking that certificate by
-arithmetic on the program's data.  This is the certifying-algorithm pattern
-(McConnell, Mehlhorn, Naher and Schweitzer 2011): no LP code is trusted.
+on each report, the `QueryProgram` it solved and what proves each side (a
+`Certificate`): the left LP's result, and the right side read off that
+LP's multipliers, or solved as an LP of its own where the left side is
+infinite.  Every record is decided by checking that certificate by
+arithmetic on the program's data, with `convexfn._objective_at`, the one
+valuation that `verify` also closes each read-off right side with.  This
+is the certifying-algorithm pattern (McConnell, Mehlhorn, Naher and
+Schweitzer 2011): no LP code is trusted.
 
 Both sides of a query are sups of one shape: the left side is the
 `QueryProgram`'s, and the right side is minus the sup of
@@ -13,9 +17,10 @@ once, and a side's value picks its check:
 
 * Both sides finite: the primal-dual pair (`_pair_closes`).  The left
   objective valued at the maximizer z with each sample-form term's convex
-  weights is L <= sup, and minus the dual objective valued at x* is
-  U >= min.  Weak duality (sup <= min, from the Fenchel-Young inequality)
-  holds with no hypothesis at all, so L == U proves both sides.
+  weights is L <= sup, and minus the dual objective valued at the witness
+  x* read off the left LP is U >= min.  Weak duality (sup <= min, from
+  the Fenchel-Young inequality) holds with no hypothesis at all, so
+  L == U proves both sides.
 * A sup of +inf (a left side of +inf, a right side of -inf): a feasible
   base point with its weights, valued by `_objective_at`, and a ray along
   which the objective rises without bound (`_ray_improves`).
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexfn import V_FORM, AffineFunctional, Farkas, SupResult
+from .convexfn import V_FORM, AffineFunctional, Farkas, SupResult, _objective_at
 from .duality import Certificate, DualityReport, DualityScenario, verify
 from .numerics import NEG_INF, POS_INF, Ext, StructuralError, Vec, dot, ext_neg
 
@@ -63,52 +68,6 @@ class OracleResult:
     argmax: Optional[Vec] = None
 
 
-def _weighted_value(weights, samples: Sequence, target: Vec) -> Optional[Fraction]:
-    """The weights' combination of the sample values, when they are convex
-    weights over the sample points whose combination is target; else None."""
-    if weights is None or len(weights) != len(samples) or any(w < 0 for w in weights):
-        return None
-    # a basic solution puts weight on few samples: check only those
-    used = [(w, sample) for w, sample in zip(weights, samples) if w]
-    ws = [w for w, _ in used]
-    if dot(ws, [1] * len(ws)) != 1 or len(target) != len(samples[0][0]):
-        return None
-    if any(dot(ws, [p[c] for _, (p, _) in used]) != t for c, t in enumerate(target)):
-        return None
-    return dot(ws, [v for _, (_, v) in used])
-
-
-def _objective_at(objective: AffineFunctional, terms, fibers, z,
-                  weights=None) -> Optional[Fraction]:
-    """The objective of the sup of objective(z) - sum_k f_k(M_k z) over the
-    fibers, valued at the point z by arithmetic; None when z is None, off a
-    fiber, or a term cannot be valued there.
-
-    Each term is valued at M_k z: a piece-form term by its largest piece,
-    and a sample-form term by its weights' combination of its sample
-    values, with weights[k] convex weights combining to M_k z.  The
-    envelope is at most any such combination, so the value is a lower
-    bound on the sup, and z is a feasible point of it.
-    """
-    if weights is None:
-        weights = (None,) * len(terms)
-    if z is None or len(z) != objective.dim or len(weights) != len(terms):
-        return None
-    if any(any(b_map(z)) for b_map in fibers):
-        return None
-    value = objective(z)
-    for (f, m), lam in zip(terms, weights):
-        image = m(z)
-        if f.form == V_FORM:
-            part = _weighted_value(lam, f.samples, image)
-        else:
-            part = max(c + dot(a, image) for a, c in f.pieces)
-        if part is None:
-            return None
-        value -= part
-    return value
-
-
 def _ray_improves(objective: AffineFunctional, terms, fibers, ray: Vec) -> bool:
     """Whether the sup's objective rises without bound along the ray from
     any point of its domain; False when there is no ray (None).
@@ -124,7 +83,7 @@ def _ray_improves(objective: AffineFunctional, terms, fibers, ray: Vec) -> bool:
         return False
     slope = dot(objective.coeffs, ray)
     for f, m in terms:
-        step = [dot(row, ray) for row in m.linear]
+        step = ray if m.is_identity() else [dot(row, ray) for row in m.linear]
         if f.form == V_FORM:
             if any(step):
                 return False
@@ -182,7 +141,7 @@ def _farkas_holds(objective: AffineFunctional, terms, fibers,
 
 
 def _pair_closes(cert: Certificate, rep: DualityReport) -> bool:
-    """Whether the LP's primal-dual pair proves both sides: L == U == lhs == rhs.
+    """Whether the primal-dual pair proves both sides: L == U == lhs == rhs.
 
     L is `_objective_at` of the program at the report's lhs_witness z with
     the left sup's term weights, so L <= sup.  U is minus `_objective_at`
@@ -217,8 +176,8 @@ class CrosscheckReport:
     lhs_oracle is the left side the certificate proves, with the LP's sign,
     and its argmax the LP's maximizer.  lhs_ok and rhs_ok: the certificate
     of the left and the right side holds (a finite pair proves both or
-    neither).  witness_ok: the dual objective valued at the LP witness
-    reproduces the right side, or rises along the LP's unbounded ray; a
+    neither).  witness_ok: the dual objective valued at the reported
+    witness reproduces the right side, or rises along the LP's unbounded ray; a
     right side of +inf has neither, and its Farkas certificate is rhs_ok's.
     """
 
@@ -242,7 +201,8 @@ def crosscheck_scenario(
     """Check the certificate of each verified query of a scenario.
 
     Each report must carry verify's `Certificate` for this scenario and
-    query.  Both sides finite: the LP's primal-dual pair must close in
+    query.  Both sides finite: the primal-dual pair, the left LP's
+    maximizer and the witness read off its multipliers, must close in
     exact arithmetic (`_pair_closes`): the primal point lies on every fiber
     with each sample-form term's weights convex and combining to M_k z, the
     dual point meets the constraint with each sample-form group's weights

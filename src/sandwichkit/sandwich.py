@@ -8,8 +8,9 @@ composition with B still majorizes -k.  Both sides are the `fenchel`
 identity of k and S (in piece form) through B at the zero query
 (Rockafellar, Convex Analysis, Thm 31.1), stated once by
 `duality.query_program`: its left side is -min(S(Bz) + k(z)) and, when
-that minimum is nonnegative, its dual witness is the max-margin separator,
-which `check_separator` re-checks by arithmetic.
+that minimum is nonnegative, its dual witness, read off the left LP's
+multipliers, is the max-margin separator, which `check_separator`
+re-checks by arithmetic.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .convexfn import (
     V_FORM,
     sup_affine_minus_convex,
 )
-from .duality import DualityScenario, query_program
+from .duality import DualityScenario, query_program, right_side_of
 from .geometry import AffineMap, Polytope, polytope_contains
 from .numerics import (
     GE,
@@ -111,11 +112,13 @@ def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
     """Minimize S(Bz) + k(z) as the fenchel identity at the zero query.
 
     The value is minus the left side and the witness the sup LP's
-    maximizer.  Only a nonnegative value solves the right side: its
-    witness, with its weights over the generators (the last group's, S's
-    conjugate), is the max-margin separator, of margin the value.  S is
-    finite everywhere, so the two sides must close with a zero gap, as
-    `verify` would certify.
+    maximizer, one LP in all.  When the value is nonnegative, the right
+    side's witness, read off that LP's multipliers by
+    `duality.right_side_of` with its weights over the generators (the last
+    group's, S's conjugate), is the max-margin separator, of margin the
+    value.  S is finite everywhere, so the two sides must close with a
+    zero gap, as `verify` would certify; `right_side_of` raises
+    RuntimeError where they do not.
     """
     zero = (Fraction(0),) * inst.z_dim
     s = DualityScenario.fenchel(inst.convex, inst.sublinear.as_h_form(), inst.link, [zero])
@@ -124,9 +127,7 @@ def hypothesis_check(inst: SandwichInstance) -> HypothesisCheck:
     value = -sup.value
     separator = None
     if value >= 0:
-        dual = sup_affine_minus_convex(*p.dual)
-        if -dual.value != sup.value:
-            raise RuntimeError("sandwich sides differ; LP kernel is unsound")
+        dual = right_side_of(p, sup)
         separator = Separator(dual.argmax, dual.term_weights[-1], value)
     return HypothesisCheck(value >= 0, value, sup.argmax, separator)
 

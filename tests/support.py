@@ -13,6 +13,8 @@ state a reference or draw an instance no command draws, lives here:
   domains (`random_escaping_indicator`), and piece-form g
   (`random_piece_form_fenchel`);
 * `indicator_of_point`;
+* `misread_multipliers`, the mutants of the right side's reading off the
+  left LP: every multiplier read with the opposite sign, or one row off;
 * `boundedness_at_some_sample`, `interiority.boundedness_condition` at every
   sample as base point, which implies the boundedness flag;
   `reach_over_domain` and `boundedness_over_domain`, the condition over
@@ -371,6 +373,28 @@ def reach_over_domain(stacked: Sequence[Sequence], k: int,
     res = b.solve()
     # infeasible where no point of the hull has its moving part in T
     return res.value if res.status == "optimal" else Fraction(0)
+
+
+#: the ways `misread_multipliers` misreads the left LP's multipliers
+MISREADINGS = ("opposite sign", "one row off")
+
+
+def misread_multipliers(how: str):
+    """A patch of `numerics.LpResult.dual_slice`, the one reader of an
+    optimum's multipliers, that misreads them: how is "opposite sign",
+    which negates every multiplier it reads, or "one row off", which reads
+    each slice one row later.  Under it the x* that `verify` reads off a
+    left LP has the wrong sign or comes from the wrong rows."""
+    read = numerics.LpResult.dual_slice
+
+    def opposite(res, start, stop):
+        return tuple(-y for y in read(res, start, stop))
+
+    def shifted(res, start, stop):
+        return read(res, start + 1, stop + 1)
+
+    wrong = {"opposite sign": opposite, "one row off": shifted}[how]
+    return mock.patch.object(numerics.LpResult, "dual_slice", wrong)
 
 
 def interior_point(s: DualityScenario) -> tuple:

@@ -18,6 +18,7 @@ from sandwichkit.cli import (
     to_frac,
 )
 from sandwichkit.geometry import Polytope
+from support import MISREADINGS, misread_multipliers
 
 CORPUS = Path(cli.__file__).parent / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -390,19 +391,21 @@ class TestWork:
             assert repeats == (1 if name == "t20" else 0), name
 
     def test_lp_count_per_corpus_file(self, capsys, monkeypatch):
-        # the hypothesis flags cost one LP per subspace test, none for the
-        # sublevel interiority flag or its level, one reach level per margin
-        # and, for a boundedness flag, at most one LP over the whole domain;
-        # the covering check one reach LP per probe, and one fiber LP where
-        # the reach is 1/n
+        # a query's right side is read off its left LP, and solved as an LP
+        # of its own only where the left side is infinite (the one query of
+        # indicator_linear.json that escapes); the hypothesis flags cost one
+        # LP per subspace test, none for the sublevel interiority flag or its
+        # level, one reach level per margin and, for a boundedness flag, at
+        # most one LP over the whole domain; the covering check one reach LP
+        # per probe, and one fiber LP where the reach is 1/n
         counts = {name: len(solved) for name, solved in corpus_lps(capsys, monkeypatch).items()}
         assert counts == {
-            "bibivariate": 3, "boundedness": 8, "broken": 0, "corollary21": 4,
-            "fenchel": 5, "indicator_linear": 5, "interiority": 6,
-            "partial_infconv": 3, "quadrivariate": 5, "sandwich": 3,
-            "sandwich_violated": 1, "sublevel": 3, "t20": 3, "trivariate": 3,
+            "bibivariate": 2, "boundedness": 8, "broken": 0, "corollary21": 4,
+            "fenchel": 3, "indicator_linear": 4, "interiority": 6,
+            "partial_infconv": 2, "quadrivariate": 3, "sandwich": 2,
+            "sandwich_violated": 1, "sublevel": 2, "t20": 3, "trivariate": 2,
         }
-        assert sum(counts.values()) == 52
+        assert sum(counts.values()) == 42
 
 
 #: each sample-form `verify` file under the mode it is not bundled with:
@@ -844,3 +847,20 @@ class TestCommands:
         assert code == EXIT_MATH_FAILURE
         assert doc["verdict"] == "math_failure"
         assert "unsound" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("how", MISREADINGS)
+    @pytest.mark.parametrize("name", ["trivariate", "fenchel", "sandwich"])
+    def test_a_misread_witness_exits_one(self, capsys, name, how):
+        """A right side misread off the left LP's multipliers, with the
+        opposite sign or one row off, fails the closing check: exit 1 with
+        the error and no report.  trivariate.json reads x* at its fiber
+        rows, fenchel.json at g's coordinate rows, and sandwich.json its
+        separator at S's piece rows."""
+        path = CORPUS / f"{name}.json"
+        command = json.loads(path.read_text())["expect"]["command"]
+        with misread_multipliers(how):
+            code, doc = run_json(capsys, [command, str(path)])
+        assert code == EXIT_MATH_FAILURE
+        assert doc["verdict"] == "math_failure"
+        assert "do not close the right side" in doc["error"]["message"]
+        assert not {"queries", "hypothesis", "separator"} & set(doc)

@@ -1,6 +1,7 @@
 """Tests for interiority margins, the fiber boundedness test, and friends."""
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from sandwichkit.convexfn import V_FORM, PolyhedralFunction
 from sandwichkit.duality import DualityScenario, verify
 from sandwichkit.geometry import AffineMap, independent_rows, vec_neg
 from sandwichkit.interiority import (
+    MarginResult,
     SublevelQuery,
+    Theorem20Result,
     _direction_reach,
     _interior,
     _moving_columns_lead,
@@ -41,6 +44,30 @@ def abs_on_unit() -> PolyhedralFunction:
 
 def query(gamma) -> SublevelQuery:
     return SublevelQuery.build(abs_on_unit(), AffineMap.identity(1), gamma)
+
+
+def margin_wall(n: int = 320) -> SublevelQuery:
+    """phi of n samples on a space of dimension 6 and B 3 x 6, drawn from
+    random.Random(n) in that order: per sample six coordinates
+    randint(-5, 5), then a value randint(0, 30); per entry of B, row by
+    row, randint(-2, 2), with no offset.  The level is the automatic one."""
+    rng = random.Random(n)
+    phi = PolyhedralFunction.v_form(6, [
+        (tuple(rng.randint(-5, 5) for _ in range(6)), rng.randint(0, 30)) for _ in range(n)])
+    b_map = AffineMap.from_rows([[rng.randint(-2, 2) for _ in range(6)] for _ in range(3)])
+    return SublevelQuery.build(phi, b_map)
+
+
+def test_margin_and_theorem20_wall_within_budget():
+    start = time.perf_counter()
+    q = margin_wall()
+    margin = interiority_margin(q)
+    t20 = theorem20_equivalence(q)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3, f"{elapsed:.1f}s exceeds 3s"
+    assert (q.fiber_value, q.gamma, q.subspace_ok) == (0, 1, True)
+    assert margin == MarginResult(True, Fraction(1809, 302), Fraction(1, 2))
+    assert t20 == Theorem20Result(True, True, True, Fraction(0))
 
 
 class TestMargin:

@@ -39,7 +39,14 @@ from sandwichkit.convexfn import (  # noqa: E402
 )
 from sandwichkit.duality import KINDS, MODES, DualityScenario  # noqa: E402
 from sandwichkit.geometry import AffineMap, cone_is_subspace  # noqa: E402
-from sandwichkit.numerics import _folded, _weight_parts, _weight_rows, lp_solve  # noqa: E402
+from sandwichkit.numerics import (  # noqa: E402
+    NEG_INF,
+    POS_INF,
+    _folded,
+    _weight_parts,
+    _weight_rows,
+    lp_solve,
+)
 from sandwichkit.randomgen import (  # noqa: E402
     random_affine_map,
     random_crosscheck_scenario,
@@ -222,8 +229,9 @@ class TestSupProgram:
 
 def verify_sups(s) -> list:
     """(phi, terms, fibers, program) of every sup LP that verify(s) solves:
-    the right sides, one `sup_affine_minus_convex` each, and the left sides,
-    solved one at a time by `sups_affine_minus_convex`."""
+    the left sides, solved one at a time by `sups_affine_minus_convex`, and
+    the right side of each infinite left side, one `sup_affine_minus_convex`
+    each."""
     seen = []
 
     def recording(phi, terms, fibers=()):
@@ -324,7 +332,9 @@ class TestCachedImages:
             # twice: the second verify reads the images the first one made
             for _ in range(2):
                 sups = verify_sups(s)
-                assert len(sups) == 2 * len(set(s.queries))
+                lefts = {r.query: r.lhs for r in duality.verify(s)}
+                infinite = sum(lhs in (POS_INF, NEG_INF) for lhs in lefts.values())
+                assert len(sups) == len(lefts) + infinite
                 for phi, terms, fibers, lp in sups:
                     assert layout(lp) == layout(sup_lp_by_builder(phi, terms, fibers))
             kinds.add((s.kind, s.g is not None and s.g.form))
