@@ -32,6 +32,7 @@ from .convexfn import (
     PolyhedralFunction,
     SublinearFunctional,
     V_FORM,
+    eval_with_subgradient,
     evaluate,
 )
 from .duality import DualityScenario, verify
@@ -586,16 +587,17 @@ def run_function_at(sc: Scenario, args):
             "--at",
             f"{AT_NOUNS[args.command]} of dimension {len(at)} against {_describe(sc, name)}",
         )
-    value = evaluate(f.conjugate() if conjugate else f, at)
+    value, slope = eval_with_subgradient(f.conjugate() if conjugate else f, at)
     body = {
         "kind": args.command,
         "function": name,
         "at": encode_vector(at),
         "value": encode_scalar(value),
     }
-    if conjugate and f.form == V_FORM and value not in (POS_INF, NEG_INF):
-        best = max(f.samples, key=lambda s: sum(c * x for c, x in zip(at, s[0])) - s[1])
-        body["witness"] = encode_vector(best[0])
+    # f* of a sample-form f is the max of its pieces (p, -c), one per
+    # sample (p, c), and the witness is the first maximal piece's slope p
+    if conjugate and f.form == V_FORM:
+        body["witness"] = encode_vector(slope)
     return EXIT_PASS, body
 
 

@@ -29,11 +29,13 @@ from .numerics import (
     NEG_INF,
     Ext,
     LpBuilder,
+    LpResult,
     PointColumns,
     StructuralError,
     Vec,
     _coordinate_row,
     _int_image,
+    _row_image,
     dot,
     frac,
     vec,
@@ -211,18 +213,28 @@ def eval_with_subgradient(f: PolyhedralFunction, x: Sequence) -> tuple[Ext, Vec 
             if best is None or v > best:
                 best, arg = v, a
         return best, arg
-    b = LpBuilder()
-    b.weights_program(f.columns, x, f.value_image)
-    res = b.solve()
+    res = _evaluation(f, x)
     if res.status == "infeasible":
         return POS_INF, None
-    if res.status != "optimal":
-        raise StructuralError("sample-form evaluation cannot be unbounded")
     # duals in convex_weights' row order: the weight row, then one per
     # coordinate; the coordinate multipliers are the slope of a supporting
     # minorant at x
     sub = res.dual_slice(1, 1 + f.dim)
     return res.value, sub
+
+
+def _evaluation(f: PolyhedralFunction, x: Vec) -> LpResult:
+    """The solved evaluation LP of the sample-form f at the point x of
+    Fractions: min sum_i lam_i c_i over convex weights lam on f's samples
+    (p_i, c_i) with sum_i lam_i p_i = x, made by `LpBuilder.weights_program`
+    from f's cached `columns` and `value_image`.  Its variables are the
+    weights; it is optimal, or infeasible where x is off the domain."""
+    b = LpBuilder()
+    b.weights_program(f.columns, x, f.value_image)
+    res = b.solve()
+    if res.status == "unbounded":
+        raise StructuralError("sample-form evaluation cannot be unbounded")
+    return res
 
 
 @dataclass(frozen=True)
@@ -418,13 +430,9 @@ def sups_affine_minus_convex(
             for a, const in psi.pieces:
                 slope = a if columns is None else [dot(a, col) for col in columns]
                 rhs = const if columns is None else dot(a, m.offset) + const
-                # the row's integer image over the lcm of its denominators,
-                # made here in the order add would make it
-                t = math.lcm(rhs.denominator, *[c.denominator for c in slope if c])
-                row = {s: t}
-                row.update((zj, -c.numerator * (t // c.denominator))
-                           for zj, c in zip(zvars, slope) if c)
-                b.add_image(row, GE, rhs.numerator * (t // rhs.denominator), t)
+                row = {s: 1}
+                row.update((zj, -c) for zj, c in zip(zvars, slope) if c)
+                b.add_image(*_row_image(row, GE, rhs))
             blocks.append(((1,), 1, -1))
     objectives = []
     for phi in phis:

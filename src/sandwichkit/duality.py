@@ -29,10 +29,9 @@ re-checks each certificate by arithmetic, with no LP code.
 Weak duality (gap >= 0) holds unconditionally; hypothesis flags record
 certified sufficient conditions under which the gap must be exactly zero
 with the minimum attained, and a certified-but-nonzero gap is treated as a
-kernel bug, never reported.  Every flag has one of two shapes, an interior
-test over the whole domain or a subspace test of a cone; each kind states
-its flag's inputs in one place (`DualityScenario._flag_inputs`), and
-`_scenario_flags` decides them all.
+kernel bug, never reported.  Every flag is one cone LP, a boundedness flag
+after an integer rank test, on the inputs each kind states in one place
+(`DualityScenario._flag_inputs`), and `_scenario_flags` decides them all.
 
 Layout conventions for concatenated variable blocks:
   quadrivariate functions live on (u, v, w, x) in that order;
@@ -57,8 +56,8 @@ from .convexfn import (
 )
 from .geometry import (
     AffineMap,
-    cone_is_subspace,
     embed,
+    ri_meets_range,
     vec_neg,
 )
 from .interiority import interior_through_domain, sublevel_level
@@ -181,15 +180,18 @@ class DualityScenario:
         """g*, fenchel's last group."""
         return self.g.conjugate()
 
-    def _flag_inputs(self, subspace: bool) -> Optional[tuple]:
-        """What decides the scenario's flag, for `_scenario_flags`: with
-        subspace False, the boundedness flag's (blocks, k, link), which holds
-        when `interiority.interior_through_domain(blocks, k, link)` does;
-        with subspace True, a subspace flag's (rays, lineality), which holds
-        when `geometry.cone_is_subspace(rays, lineality)` does.  None where
-        the flag holds by structure: fenchel with g in piece form, which is
-        finite everywhere.  The blocks' integer images are made here, once
-        per `verify`.
+    def _flag_inputs(self) -> Optional[tuple]:
+        """What decides the scenario's flag, for `_scenario_flags`: the
+        (blocks, k, link) of a sum D of hulls, each block its points'
+        `PointColumns` with k moving coordinates b first and a key a after
+        them, and T = range(link), or {0} where link is None.  Both modes
+        read them: a subspace flag holds when
+        `geometry.ri_meets_range(blocks, k, link)` does, some point of ri D
+        having its b-part in T, and a boundedness flag when
+        `interiority.interior_through_domain(blocks, k, link)` does, which
+        adds a rank test.  None where the flag holds by structure: fenchel
+        with g in piece form, which is finite everywhere.  The blocks'
+        integer images are made here, once per `verify`.
 
         Boundedness is `interiority.boundedness_condition` at some point z0
         of the domain as base point, at a level above every sample value.
@@ -198,15 +200,18 @@ class DualityScenario:
         value-free part is left: for some key a = A z0, 0 is interior to
         {b : (b, a) in D}, with D the image of dom psi under (B, A).  That
         is `interior_through_domain`'s question, decided by one rank test
-        and at most one LP, whose proof is there; each kind gives its D as
-        a sum of hulls of stacked (B, A) images, one block per hull.
+        and then the cone LP, whose proof is there; each kind gives its D as
+        a sum of hulls of stacked (B, A) images, one block per hull.  The
+        subspace flag asks whether the cone of B's images of dom psi is a
+        subspace, which is that LP alone: the cone is a subspace exactly
+        when some strictly positive combination of the images is 0
+        (`geometry.cone_is_subspace`), that is, when ri D has a point with
+        b-part 0.
 
         The one-function kinds have one block, the stacked images
-        (B p, A p) of psi's samples p from `_f_parts`: the LP has a weight
-        row and out_dim B rows, and the rank test asks that the affine hull
-        of the images loses out_dim B dimensions on dropping the B-part.
-        Their subspace flag asks whether B's images of the samples span a
-        subspace.
+        (B p, A p) of psi's samples p from `_f_parts`: the LP has
+        out_dim B rows, and the rank test asks that the affine hull of the
+        images loses out_dim B dimensions on dropping the B-part.
 
         The two-function kinds (fenchel with g in sample form, bibivariate,
         partial_infconv) read the product psi = f + g through its factors,
@@ -216,29 +221,22 @@ class DualityScenario:
         kinds F'_i = (-C w_i, w_i, v_i) and G'_j = (x_j, 0, D u_j), for
         fenchel F'_i = (-C p_i, p_i) and G'_j = (q_j, 0), read off `_f_parts`
         and `_g_parts`.  So D = conv F' + conv G', two blocks: the LP has
-        two weight rows sharing eps and x = out_dim C rows, and the rank
-        test reads the differences of both blocks.  For fenchel this is
-        C(dom f) meeting int dom g: the fiber through p fixes p, so the
-        slice is dom g - C p, and the rank test holds exactly when dom g is
+        x = out_dim C rows and one lift row, and the rank test reads the
+        differences of both blocks.  For fenchel this is C(dom f) meeting
+        int dom g: the fiber through p fixes p, so the slice is
+        dom g - C p, and the rank test holds exactly when dom g is
         full-dimensional, as F' has no difference with a zero key part.
-        Under closed_subspace the product's B images span a subspace
-        exactly when the B-parts lifted by one coordinate, +1 for f and -1
-        for g, do: their cone cut to lift 0 is the cone of the sums, and
-        the negative of a lifted image is a sum's negative plus an image of
-        the other factor.
 
         indicator_linear slides the x-part of dom g: its condition is some
         (x0, u0) in dom g with x0 in range(C) (C w = x0, C linear) and x0
         interior to {y : (y, u0) in dom g}.  That is the lemma with the one
         block g's samples (b the x-part, a the u-part) and T = range(C), so
-        the LP's x rows read sum_i lam_i q_i[:x] = C w with w free, and the
-        rank test asks that the hull of g's samples loses x dimensions on
-        dropping the x-part.  Its subspace flag takes range(C) as
-        lineality.
+        the LP's x rows read sum_i nu_i q_i[:x] - C w = -sum_i q_i[:x] with
+        w free, and the rank test asks that the hull of g's samples loses x
+        dimensions on dropping the x-part.  Its subspace flag asks whether
+        the cone of the x-parts plus range(C) is a subspace.
         """
         if self.psi is not None:
-            if subspace:
-                return [bp for bp, _, _ in self._f_parts], ()
             k = self.b_map.out_dim
             points = [bp + ap for bp, ap, _ in self._f_parts]
             return [PointColumns(points, k + self.a_map.out_dim)], k, None
@@ -246,12 +244,7 @@ class DualityScenario:
             return None
         x = self.c_map.out_dim
         if self.kind == "indicator_linear":
-            if subspace:
-                return [q[:x] for q, _ in self.g.samples], self.c_map.columns()
             return [self.g.columns], x, self.c_map
-        if subspace:
-            return ([beta + (Fraction(1),) for beta, _, _ in self._f_parts]
-                    + [qx + (Fraction(-1),) for qx, _, _ in self._g_parts], ())
         zero = (Fraction(0),) * self.c_map.in_dim
         f_points = [beta + p for beta, p, _ in self._f_parts]
         g_points = [qx + zero + dq for qx, dq, _ in self._g_parts]
@@ -469,15 +462,16 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
 
     first_lhs is the value of the first query's sup LP, which the caller has
     solved.  Every other flag is decided here, from the scenario's
-    `DualityScenario._flag_inputs`.  A boundedness flag is one integer rank
-    test and at most one LP, over the whole domain: some key a whose slice
-    {b : (b, a) in D} of the stacked (B, A) image D of dom psi holds 0 in
-    its interior.  By `interiority.interior_through_domain`'s lemma that is
-    a point (0, a) of ri D, found by the LP "maximize eps" over weights
-    eps + rho_i, strictly positive once eps > 0, with one weight row per
-    block of `_flag_inputs` and one row per coordinate of B (indicator_linear:
-    B's target C w, with w free), together with Q^k x {0} in lin aff D, a
-    comparison of two ranks.  A subspace flag is one cone LP.
+    `DualityScenario._flag_inputs`, by one LP, the cone LP of
+    `geometry.ri_meets_range`: whether some point of ri D, the stacked
+    (B, A) image of dom psi, has B-part 0 (indicator_linear: B-part C w,
+    with w free).  It has one row per coordinate of B and a lift row where
+    `_flag_inputs` gives two blocks.  A subspace flag is that LP alone.  A
+    boundedness flag is one integer rank test and then that LP, over the
+    whole domain: some key a whose slice {b : (b, a) in D} holds 0 in its
+    interior, which by `interiority.interior_through_domain`'s lemma is
+    that point of ri D together with Q^k x {0} in lin aff D, a comparison
+    of two ranks.
 
     h_proper, that h has a nonempty domain, is the only qualification
     strong duality needs for polyhedral data (Rockafellar, Thm 20.1).  It is
@@ -506,13 +500,13 @@ def _scenario_flags(s: DualityScenario, first_lhs: Ext):
     So the interiority flag is `subspace and m < gamma`.
     """
     name = "subspace" if s.kind == "sublevel" else s.hypothesis_mode
-    inputs = s._flag_inputs(subspace=name != "boundedness")
+    inputs = s._flag_inputs()
     if inputs is None:
         ok = True
     elif name == "boundedness":
         ok = interior_through_domain(*inputs)
     else:
-        ok = cone_is_subspace(*inputs)
+        ok = ri_meets_range(*inputs)
     flags = {name: ok}
     if s.kind == "sublevel":
         gamma = sublevel_level(s.gamma, ext_neg(first_lhs))
@@ -539,9 +533,7 @@ class QueryProgram:
     +inf rather than a kernel bug.  Right side: min over the covector x*
     of the sum of the groups at x*, plus constant, subject to
     <a, x*> = r for each (a, r) in constraint.  A group is a polyhedral
-    function of x* in either form.  dual_at says where a minimizer x* sits
-    among the left side's `convexfn.Multipliers` (`right_side_of`):
-    "fiber", "coordinates" or "pieces".
+    function of x* in either form.
     """
 
     objective: AffineFunctional
@@ -549,9 +541,18 @@ class QueryProgram:
     fibers: tuple = ()
     escapes: bool = False
     groups: tuple
-    dual_at: str
     constant: Fraction = Fraction(0)
     constraint: tuple = ()
+
+    @property
+    def dual_at(self) -> str:
+        """Where a minimizer x* sits among the left side's
+        `convexfn.Multipliers` (`right_side_of`): "fiber" when the program
+        has fibers, "pieces" when its last term is in piece form, and
+        "coordinates" otherwise."""
+        if self.fibers:
+            return "fiber"
+        return "pieces" if self.terms[-1][0].form == H_FORM else "coordinates"
 
     @functools.cached_property
     def dual(self) -> tuple:
@@ -615,7 +616,6 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
             terms=s._terms,
             fibers=(s.b_map,),
             groups=(_query_group(s.b_map.out_dim, s._f_parts, query.coeffs, query.constant),),
-            dual_at="fiber",
         )
     if s.kind == "fenchel":
         # min over x* of f*(q - x* after C) + g*(x*)
@@ -624,7 +624,6 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
             terms=s._terms,
             groups=(_query_group(s.g.dim, s._f_parts, query.coeffs, query.constant),
                     s._g_conjugate),
-            dual_at="pieces" if s.g.form == H_FORM else "coordinates",
         )
     u, v, w, x = s.dims
     if s.kind == "indicator_linear":
@@ -638,7 +637,6 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
             terms=s._terms,
             escapes=True,
             groups=(_query_group(x, s._g_parts, v_cov),),
-            dual_at="coordinates",
             constant=query.constant,
             constraint=tuple(zip(s.c_map.columns(), w_cov)),
         )
@@ -649,7 +647,6 @@ def query_program(s: DualityScenario, query: AffineFunctional) -> QueryProgram:
         terms=s._terms,
         groups=(_query_group(x, s._f_parts, query.coeffs, query.constant),
                 _query_group(x, s._g_parts, query.coeffs[w:])),
-        dual_at="coordinates",
     )
 
 

@@ -6,7 +6,6 @@ linear solve.  All arithmetic is exact.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -19,6 +18,7 @@ from .numerics import (
     StructuralError,
     Vec,
     _coordinate_row,
+    _row_image,
     dot,
     frac,
     unit_vec,
@@ -124,15 +124,11 @@ class AffineMap:
     def fiber_rows(self) -> tuple:
         """The fiber {z : linear @ z + offset = 0} as one integer row
         (A, EQ, B, s) per row of the map, over the lcm s of its denominators
-        (see `numerics._row_image`), on the variables z_0 .. z_{in_dim - 1};
+        (`numerics._row_image`), on the variables z_0 .. z_{in_dim - 1};
         made on first use, and shared by every LP that reads it, so nothing
         may mutate it."""
-        rows = []
-        for row, off in zip(self.linear, self.offset):
-            s = math.lcm(off.denominator, *[c.denominator for c in row if c])
-            rows.append(({j: c.numerator * (s // c.denominator) for j, c in enumerate(row) if c},
-                         EQ, -off.numerator * (s // off.denominator), s))
-        return tuple(rows)
+        return tuple(_row_image({j: c for j, c in enumerate(row) if c}, EQ, -off)
+                     for row, off in zip(self.linear, self.offset))
 
     @cached_property
     def coupling_rows(self) -> tuple:
@@ -179,13 +175,15 @@ class Polytope:
 
 
 def polytope_contains(p: Polytope, x: Sequence) -> bool:
-    """Membership in conv(vertices), decided by LP feasibility."""
+    """Membership in conv(vertices), decided by LP feasibility: the
+    evaluation program (`LpBuilder.weights_program`) with a zero objective."""
     if len(x) != p.dim:
         raise StructuralError(
             f"point of dimension {len(x)} tested against polytope of dimension {p.dim}"
         )
+    n = len(p.vertices)
     b = LpBuilder()
-    b.convex_weights(p.vertices, x)
+    b.weights_program(PointColumns(p.vertices, p.dim), vec(x), ([0] * n, 1))
     return b.solve().status == "optimal"
 
 
@@ -260,12 +258,50 @@ class Subspace:
         return in_span(self.basis, vec(v))
 
 
+def ri_meets_range(blocks: Sequence[PointColumns], k: int,
+                   link: AffineMap | None = None) -> bool:
+    """Whether some strictly positive convex weights, one set per block,
+    put the moving part of sum_j sum_i lam_ji v_ji in T: whether the
+    relative interior of the sum of the blocks' hulls meets T x Q^n.
+
+    Each block is its points' `PointColumns`; the first k coordinates move,
+    and the rest, a key, are read by no row.  T is range(link) for a linear
+    map link into Q^k, or {0}.  It is one LP, the cone test: with each
+    point's moving part lifted by one coordinate per block after the first,
+    +1 on the first block's points and -1 on that block's, the weights
+    exist exactly when -sum(lifted) lies in cone(lifted) + T x {0} (proof
+    at `interiority.interior_through_domain`).  The LP asks for a free w,
+    then nu >= 0 over the distinct lifted points l_i, with
+    sum_i nu_i l_i - link(w) = -sum_i l_i: one row per moving coordinate,
+    link's terms from its cached `coupling_rows`, then one per lift.  Each
+    row's integer image is made by `numerics._coordinate_row` from the
+    blocks' joined column (`PointColumns.joined`), the image
+    `LpBuilder.add` would make of the same rational row.  With no row at
+    all there is one empty ray.
+    """
+    columns = list(PointColumns.joined(blocks).columns[:k])
+    owner = [j for j, pc in enumerate(blocks) for _ in range(pc.count)]
+    columns += [(1, tuple([1 if o == 0 else -(o == j) for o in owner]))
+                for j in range(1, len(blocks))]
+    rays = list(dict.fromkeys(zip(*[column for _, column in columns]))) if columns else [()]
+    b = LpBuilder()
+    # w first, so that link's coupling rows name its variables
+    b.block(0 if link is None else link.in_dim)
+    nu = b.block(len(rays), lo=0)
+    couplings = [({}, 0, 1)] * k if link is None else list(link.coupling_rows)
+    couplings += [({}, 0, 1)] * (len(columns) - k)
+    for c, ((scale, _), (extra, rhs, t)) in enumerate(zip(columns, couplings)):
+        column = tuple([ray[c] for ray in rays])
+        b.add_image(*_coordinate_row(scale, column, nu, extra, rhs, t, -sum(column)))
+    return b.solve().status == "optimal"
+
+
 def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> bool:
     """Whether the union over t > 0 of t * (conv(points) + L) is a subspace.
 
     L is the span of the lineality directions (empty by default).  The
     union is cone(points) + L, and it is a subspace exactly when
-    -sum(points) lies in cone(points) + L, which is one LP:
+    -sum(points) lies in cone(points) + L:
 
     * if -sum p_i = sum nu_i p_i + l with every nu_i >= 0, then
       sum c_i p_i lies in L with every c_i = 1 + nu_i >= 1, so each -p_j
@@ -273,14 +309,8 @@ def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] =
       dividing by sum c_i puts 0 in conv(points) + L;
     * conversely, if every -p_j lies in cone(points) + L, so does their sum.
 
-    The LP asks for mu >= 0 and free weights on the directions with
-    sum_i mu_i p_i + sum_k l_k d_k = -sum_i p_i, one row per coordinate.
-    Its rows reach the builder as integer images, each made by
-    `numerics._coordinate_row` from the points' `PointColumns` column, the
-    directions' terms over their own scale and the right side over the
-    column's: the image `LpBuilder.add` would make of the same rational
-    row.  Rays are a set, so a repeated point, the same integer image, is
-    dropped.
+    That is the one-block case of `ri_meets_range`, every coordinate
+    moving and L the range of w -> sum_k w_k d_k.
     """
     if not points:
         raise StructuralError("cone_is_subspace needs at least one point")
@@ -288,19 +318,10 @@ def cone_is_subspace(points: Sequence[Sequence], lineality: Sequence[Sequence] =
     for p in (*points, *lineality):
         if len(p) != dim:
             raise StructuralError("points of mixed dimensions")
-    columns = PointColumns(points, dim).columns
-    rays = list(dict.fromkeys(zip(*[column for _, column in columns]))) if dim else [()]
-    lin = [vec(d) for d in lineality]
-    b = LpBuilder()
-    mu = b.block(len(rays), lo=0)
-    free = b.block(len(lin))
-    for c, (scale, _) in enumerate(columns):
-        column = tuple([ray[c] for ray in rays])
-        terms = [(j, d[c]) for j, d in zip(free, lin) if d[c]]
-        t = math.lcm(*[v.denominator for _, v in terms])
-        extra = {j: v.numerator * (t // v.denominator) for j, v in terms}
-        b.add_image(*_coordinate_row(scale, column, mu, extra, 0, t, -sum(column)))
-    return b.solve().status == "optimal"
+    link = None
+    if lineality:
+        link = AffineMap.from_rows(zip(*lineality), in_dim=len(lineality))
+    return ri_meets_range([PointColumns(points, dim)], dim, link)
 
 
 def cone_union_is_subspace(points: Sequence[Sequence],
@@ -326,12 +347,7 @@ def minimal_vertices(points: Sequence[Sequence]) -> list[Vec]:
             pts.append(q)
     keep: list[Vec] = []
     for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if not others:
-            keep.append(p)
-            continue
-        b = LpBuilder()
-        b.convex_weights(others, p)
-        if b.solve().status != "optimal":
+        others = tuple(q for j, q in enumerate(pts) if j != i)
+        if not others or not polytope_contains(Polytope(len(p), others), p):
             keep.append(p)
     return keep

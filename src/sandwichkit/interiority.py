@@ -12,16 +12,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import numerics
-from .convexfn import PolyhedralFunction, V_FORM, evaluate
+from .convexfn import PolyhedralFunction, V_FORM, _evaluation, evaluate
 from .geometry import (
     AffineMap,
     Subspace,
     cone_union_is_subspace,
     polytope_contains,
+    ri_meets_range,
     vec_neg,
 )
 from .numerics import (
-    EQ,
     LE,
     POS_INF,
     Ext,
@@ -30,7 +30,6 @@ from .numerics import (
     PreconditionError,
     StructuralError,
     Vec,
-    _coordinate_row,
     frac,
     vec,
     vec_text,
@@ -41,13 +40,16 @@ from .numerics import (
 class SublevelQuery:
     """A function, a map into the direction space, and a level to test at.
 
-    images holds b_map's image of each sample of phi, in sample order.  y
-    is the span of the scaled images of dom(phi) under b_map when those
+    image is b_map's image of phi, the sample-form function of the samples
+    (B p, phi(p)), in phi's sample order: its evaluation LP at a point y is
+    the fiber LP at y, and its cached `columns` are read by every reach LP.
+    y is the span of the scaled images of dom(phi) under b_map when those
     images positively span a linear subspace; subspace_ok records whether
     they do.  Most operations require subspace_ok, since the relative
     interior is taken within y.  fiber_value is the infimum of phi over the
-    zero-fiber of b_map (+inf when the fiber misses the domain), and
-    fiber_weights the optimal convex weights over the samples (None then).
+    zero-fiber of b_map, image's value at 0 (+inf when the fiber misses the
+    domain), and fiber_weights the optimal convex weights over the samples
+    (None then).
     """
 
     phi: PolyhedralFunction
@@ -55,7 +57,7 @@ class SublevelQuery:
     gamma: Fraction
     subspace_ok: bool
     y: Optional[Subspace]
-    images: tuple[Vec, ...]
+    image: PolyhedralFunction
     fiber_value: Ext
     fiber_weights: Optional[tuple[Fraction, ...]]
 
@@ -67,12 +69,12 @@ class SublevelQuery:
             raise StructuralError("sublevel queries need a sample-form function")
         if b_map.in_dim != phi.dim:
             raise StructuralError("direction map does not act on the function's space")
-        images = tuple(b_map(p) for p, _ in phi.samples)
-        m, weights = _fiber_lp([v for _, v in phi.samples], images,
-                               (Fraction(0),) * b_map.out_dim)
-        ok, span = cone_union_is_subspace(images)
+        image = PolyhedralFunction(b_map.out_dim, V_FORM,
+                                   tuple((b_map(p), v) for p, v in phi.samples))
+        m, weights = _fiber(image, (Fraction(0),) * b_map.out_dim)
+        ok, span = cone_union_is_subspace([bp for bp, _ in image.samples])
         return SublevelQuery(phi, b_map, frac(sublevel_level(gamma, m)), ok, span,
-                             images, m, weights)
+                             image, m, weights)
 
 
 def sublevel_level(gamma, fiber_value: Ext):
@@ -122,27 +124,25 @@ class Corollary21Result:
     margin: MarginResult
 
 
-def _fiber_lp(values: Sequence[Fraction], images: Sequence[Vec], target: Vec):
-    """(min of sum lam_i values_i over convex weights with sum lam_i images_i
-    = target, the optimal weights), or (+inf, None) when target is not hit."""
-    b = LpBuilder()
-    lam = b.convex_weights(images, target)
-    b.set_objective({lam[i]: values[i] for i in range(len(values))})
-    res = b.solve()
+def _fiber(image: PolyhedralFunction, target: Vec):
+    """(min of sum lam_i c_i over convex weights with sum lam_i p_i = target,
+    the optimal weights), over image's samples (p_i, c_i), or (+inf, None)
+    when target is not hit: image's evaluation LP at target
+    (`convexfn._evaluation`), whose variables are the weights."""
+    res = _evaluation(image, target)
     if res.status == "infeasible":
         return POS_INF, None
-    if res.status != "optimal":
-        raise StructuralError("sample values bound the fiber LP below")
-    return res.value, tuple(res.point[j] for j in lam)
+    return res.value, res.point
 
 
-def _direction_reach(images: Sequence[Vec], target: Vec, directions: Sequence[Vec],
+def _direction_reach(points: PointColumns, target: Vec, directions: Sequence[Vec],
                      value_row=None) -> Fraction:
-    """Largest r so that every target + r*d lies in conv(images), d moving
-    only the first len(d) coordinates.
+    """Largest r so that every target + r*d lies in the hull of the points,
+    given as their `PointColumns`, d moving only the first len(d)
+    coordinates.
 
-    The further coordinates of images and target (a fiber map's images and
-    its target) stay fixed, so the hull is cut to that slice.  value_row,
+    The further coordinates of the points and target (a fiber map's images
+    and its target) stay fixed, so the hull is cut to that slice.  value_row,
     when given, is (values, level): the convex weights must also keep the
     sample values at most level.  A direction d reaches the largest r >= 0
     with target + r*d in the hull, or 0 where there is none; the result is
@@ -161,12 +161,11 @@ def _direction_reach(images: Sequence[Vec], target: Vec, directions: Sequence[Ve
     objectives +s and -s, two LPs on the same rows that the kernel solves as
     siblings, sharing phase 1 (`LpBuilder.build_siblings`); the -s one is
     solved only while the minimum is still positive.  A lone direction is
-    one LP, with the objective +s.  The images' integer image is made once,
-    for every direction.
+    one LP, with the objective +s.  Every direction reads the same integer
+    image of the points, made once by the caller's function.
     """
     if not directions:
         raise StructuralError("reach needs at least one direction")
-    points = PointColumns(images, len(target))
     best = None
     k = 0
     while k < len(directions):
@@ -193,22 +192,6 @@ def _direction_reach(images: Sequence[Vec], target: Vec, directions: Sequence[Ve
             if best == 0:
                 return best
     return best
-
-
-def _interior(points: Sequence[Vec], target: Vec, k: int) -> bool:
-    """Whether target's first k coordinates are interior, within Q^k, to
-    conv(points) cut to the slice where the other coordinates equal target's.
-
-    For k >= 1 that is a positive reach along every +-e_i: target + r e_i and
-    target - r e_i both in the slice put their midpoint, target, in it too,
-    so no separate membership LP is needed.  For k = 0 it is membership
-    alone, and the caller's target must lie in the hull, so it holds with
-    no LP.  The one caller's does: `boundedness_condition` asks only at the
-    target of a fiber LP it has solved.
-    """
-    if k == 0:
-        return True
-    return _direction_reach(points, target, _basis_directions(Subspace.full(k))) > 0
 
 
 def interior_through_domain(blocks: Sequence[PointColumns], k: int,
@@ -238,18 +221,19 @@ def interior_through_domain(blocks: Sequence[PointColumns], k: int,
     of ri D lies in ri D past its first end (Rockafellar, Convex Analysis,
     Thm 6.1).
 
-    The first part is an LP.  ri conv{v_i} is the set of sums
-    sum_i lam_i v_i with every lam_i > 0 and sum_i lam_i = 1, and
-    ri (C1 + C2) = ri C1 + ri C2 (Thm 6.6 and Cor. 6.6.2).  So some (t, a)
-    of ri D has t in T exactly when the LP "maximize eps over eps >= 0,
-    rho >= 0 and a free w, subject to, per block j of n_j points,
-    sum_i rho_ji + n_j eps = 1, and in each moving coordinate
-    sum_j sum_i (eps + rho_ji) b_ji = link(w)" has an optimum above 0:
-    lam_ji = eps + rho_ji are strictly positive convex weights per block,
-    and conversely such weights give eps = min lam.  It is one weight row
-    per block, all sharing eps, and k rows: no bigger than one reach LP.
-    Its optimum is at most 1 / n_j, and it is infeasible where T misses
-    the b-part of D.
+    The first part is the cone LP of `geometry.ri_meets_range` on the same
+    blocks, k and link.  ri conv{v_i} is the set of sums sum_i lam_i v_i
+    with every lam_i > 0 and sum_i lam_i = 1, and ri (C1 + C2) =
+    ri C1 + ri C2 (Thm 6.6 and Cor. 6.6.2).  So some (t, a) of ri D has t
+    in T exactly when strictly positive convex weights per block put the
+    b-part of sum_j sum_i lam_ji v_ji in T.  In cone form, with each
+    b-part lifted by +1 in the first block and -1 in the second, they exist
+    exactly when -sum(lifted) lies in cone(lifted) + T x {0}.  Given the
+    weights, divided by their least entry they are some c = 1 + nu with
+    nu >= 0 and equal sums per block, so the lifts cancel.  Given nu, the
+    lift row makes the blocks' sums of c = 1 + nu equal, to S say, and
+    c / S are the weights, since T is a subspace.  The LP has one row per
+    moving coordinate and one lift row: no bigger than one reach LP.
 
     The second part is a rank count.  lin aff D is the span of every
     block's differences v_i - v_0, and Q^k x {0} lies in it exactly when
@@ -266,34 +250,10 @@ def interior_through_domain(blocks: Sequence[PointColumns], k: int,
     condition is that each of the last k columns is a lead: the rank test
     of `_moving_columns_lead`.  It runs first, and the LP only where it
     holds.  At k = 0 both parts hold with no work.
-
-    The LP's variables are w, then each block's rho in block order, then
-    eps.  At an optimum above 0, sum_j sum_i (eps + rho_ji) v_ji is a point
-    of ri D whose b-part lies in T.
     """
-    if k == 0:
-        return True
-    joined = PointColumns.joined(blocks)
-    if not _moving_columns_lead([pc.count for pc in blocks], joined, k):
-        return False
-    b = LpBuilder("max")
-    # w first, so that link's coupling rows name its variables
-    b.block(0 if link is None else link.in_dim)
-    rhos = [b.block(pc.count, lo=0) for pc in blocks]
-    eps = b.var(lo=0)
-    for rho in rhos:
-        row = dict.fromkeys(rho, 1)
-        row[eps] = len(rho)
-        b.add_image(row, EQ, 1, 1)
-    # per moving coordinate, the joined column with eps's coefficient, the
-    # column's sum, last, and link's terms -link(w) over their own scale
-    lam = range(eps - joined.count, eps + 1)
-    couplings = [({}, 0, 1)] * k if link is None else link.coupling_rows
-    for (scale, column), (extra, rhs, t) in zip(joined.columns, couplings):
-        b.add_image(*_coordinate_row(scale, column + (sum(column),), lam, extra, rhs, t))
-    (lp,) = b.build_siblings([([0] * eps + [1], 1)])
-    res = numerics.lp_solve(lp)
-    return res.status == "optimal" and res.value > 0
+    return k == 0 or (
+        _moving_columns_lead([pc.count for pc in blocks], PointColumns.joined(blocks), k)
+        and ri_meets_range(blocks, k, link))
 
 
 def _moving_columns_lead(counts: Sequence[int], joined: PointColumns, k: int) -> bool:
@@ -336,16 +296,16 @@ def _moving_columns_lead(counts: Sequence[int], joined: PointColumns, k: int) ->
     return False
 
 
-def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec,
+def _margin_sweep(values: Sequence[Fraction], points: PointColumns, target: Vec,
                   m: Ext, gamma: Fraction, directions: Sequence[Vec]) -> MarginResult:
     """Decide relative interiority with a margin, by one reach at (gamma + m) / 2.
 
-    values are the sample values of phi; images and target are those the
+    values are the sample values of phi; points and target are those the
     fiber LP and every reach LP share (see _direction_reach), and m is that
     fiber LP's optimal value.  Write B for the moving coordinates and P for
     B's image of dom phi cut to the fiber.  At every level l > m the reach
     is positive exactly when 0 is interior to P within the span of the
-    directions, which no value decides (see _interior).  A positive reach
+    directions, which no value decides.  A positive reach
     puts every r d in P.  Conversely, take z0 on the fiber
     with B z0 = 0 and phi(z0) = m, and for each direction d a point z_d of
     dom phi on the fiber with B z_d = r d.  For small t > 0 the point
@@ -359,7 +319,7 @@ def _margin_sweep(values: Sequence[Fraction], images: Sequence[Vec], target: Vec
         # zero-dimensional direction space: membership is all there is
         return MarginResult(True, Fraction(0), gamma)
     level = (gamma + m) / 2
-    reach = _direction_reach(images, target, directions, (values, level))
+    reach = _direction_reach(points, target, directions, (values, level))
     return MarginResult(reach > 0, reach, level)
 
 
@@ -386,7 +346,7 @@ def interiority_margin(q: SublevelQuery) -> MarginResult:
         )
     values = [v for _, v in q.phi.samples]
     zero = (Fraction(0),) * q.b_map.out_dim
-    return _margin_sweep(values, q.images, zero, q.fiber_value, q.gamma,
+    return _margin_sweep(values, q.image.columns, zero, q.fiber_value, q.gamma,
                          _basis_directions(q.y))
 
 
@@ -399,7 +359,13 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     It holds exactly when the infimum m of psi over the fiber's part in B's
     zero fiber lies below delta and 0 is interior to P, B's image of dom psi
     cut to the fiber: above m the level does not matter (see _margin_sweep),
-    so the interior test reads no values.
+    so the interior test reads no values.  m is the evaluation LP of the
+    stacked function, the samples (B p, A p) with psi's values, at
+    (0, A z0).  The interior test is a positive reach along every +-e_i of
+    B's target space: t + r e_i and t - r e_i both in P put their midpoint
+    t in it too, so no separate membership LP is needed.  With B into a
+    zero-dimensional space it is membership alone, which m < delta has
+    shown.
     """
     if psi.form != V_FORM:
         raise StructuralError("the boundedness test needs a sample-form function")
@@ -408,11 +374,14 @@ def boundedness_condition(psi: PolyhedralFunction, a_map: AffineMap,
     z0 = vec(z0)
     if not polytope_contains(psi.domain(), z0):
         raise PreconditionError(f"base point {vec_text(z0)} lies outside the domain")
-    stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
-    target = (Fraction(0),) * b_map.out_dim + a_map(z0)
-    m, _ = _fiber_lp([v for _, v in psi.samples], stacked, target)
+    k = b_map.out_dim
+    stacked = PolyhedralFunction(k + a_map.out_dim, V_FORM,
+                                 tuple((b_map(p) + a_map(p), v) for p, v in psi.samples))
+    target = (Fraction(0),) * k + a_map(z0)
+    m, _ = _fiber(stacked, target)
     return (m != POS_INF and m < frac(delta)
-            and _interior(stacked, target, b_map.out_dim))
+            and (k == 0 or _direction_reach(stacked.columns, target,
+                                            _basis_directions(Subspace.full(k))) > 0))
 
 
 def theorem20_equivalence(q: SublevelQuery) -> Theorem20Result:
@@ -481,10 +450,10 @@ def lemma19a_check(q: SublevelQuery, delta, probes: Sequence[Sequence],
             raise PreconditionError(f"probe {vec_text(probe)} lies outside the direction span")
         n = 1
         if probe != zero:
-            t = _direction_reach(q.images, zero, [probe], (values, delta))
+            t = _direction_reach(q.image.columns, zero, [probe], (values, delta))
             n = math.ceil(1 / t) if t > 0 else i_max + 1
             if n * t == 1 and n <= i_max:
-                value, _ = _fiber_lp(values, q.images, tuple(t * c for c in probe))
+                value, _ = _fiber(q.image, tuple(t * c for c in probe))
                 if value >= delta:
                     n += 1
         assignments.append((probe, n if n <= i_max else None))

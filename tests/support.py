@@ -19,12 +19,15 @@ state a reference or draw an instance no command draws, lives here:
   sample as base point, which implies the boundedness flag;
   `reach_over_domain` and `boundedness_over_domain`, the condition over
   the whole domain by one LP of 2k convex-weight blocks on a free key: the
-  reference for the boundedness flag of every kind; `interior_point`, the
+  reference for the boundedness flag of every kind; `subspace_over_images`,
+  the cone test of `cone_lp_by_builder` on the product's images: the
+  reference for the subspace flag of every kind; `interior_point`, the
   point of the domain at the optimum of the flag's own LP;
 * `solve_linear`, one exact solution of A x = b, which the tests use to
   ask whether a linear map reaches a point;
-* `cone_lp_by_builder`, the cone LP assembled from Fractions: the
-  reference for the integer rows of `geometry.cone_is_subspace`;
+* `cone_lp_by_builder` and `flag_lp_by_builder`, the cone LP assembled
+  from Fractions: the references for the integer rows of
+  `geometry.ri_meets_range`, the one flag LP;
 * `lemma19a_by_scales`, the covering check one fiber LP per scale, the
   reference for `interiority.lemma19a_check`;
 * `direction_reach_by_halflines`, the reach one LP per direction with the
@@ -42,6 +45,7 @@ state a reference or draw an instance no command draws, lives here:
 """
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -49,13 +53,12 @@ from typing import Optional, Sequence
 from unittest import mock
 
 from sandwichkit import numerics
-from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction
+from sandwichkit.convexfn import V_FORM, AffineFunctional, PolyhedralFunction, evaluate
 from sandwichkit.duality import DualityScenario
 from sandwichkit.geometry import AffineMap, embed, rref, vec_neg
 from sandwichkit.interiority import (
     Lemma19aResult,
     SublevelQuery,
-    _fiber_lp,
     boundedness_condition,
     interior_through_domain,
 )
@@ -399,11 +402,14 @@ def misread_multipliers(how: str):
 
 def interior_point(s: DualityScenario) -> tuple:
     """The point sum_i lam_i p_i of a one-function scenario's samples at the
-    optimum of the LP that decides its boundedness flag, which must hold:
-    lam_i = eps + rho_i, read off the program that
-    `interiority.interior_through_domain` solves, whose variables are the
-    one block's rho and then eps.  With no moving coordinate there is no
-    LP, and every point of the domain will do: the samples' mean."""
+    optimum of the cone LP that decides its boundedness flag, which must
+    hold.  That LP (`geometry.ri_meets_range`, with no link) has one
+    variable nu_b per distinct B image b of the samples, in sample order,
+    and sum_b (1 + nu_b) b = 0; a sample p gets lam_p proportional to
+    1 + nu_{B p} shared among the samples with the same B image, so that
+    every lam_p > 0 and sum_p lam_p B p = 0.  With no moving coordinate
+    there is no LP, and every point of the domain will do: the samples'
+    mean."""
     solved = []
 
     def recording(lp):
@@ -411,16 +417,18 @@ def interior_point(s: DualityScenario) -> tuple:
         return lp_solve(lp)
 
     with mock.patch.object(numerics, "lp_solve", recording):
-        assert interior_through_domain(*s._flag_inputs(subspace=False))
+        assert interior_through_domain(*s._flag_inputs())
     samples = [p for p, _ in s.psi.samples]
     if not solved:
-        weights = [Fraction(1, len(samples))] * len(samples)
+        weights = [Fraction(1)] * len(samples)
     else:
         (lp,) = solved
-        *rho, eps = lp_solve(lp).point
-        weights = [eps + r for r in rho]
-    assert all(w > 0 for w in weights)
-    return tuple(sum((w * p[c] for w, p in zip(weights, samples)), Fraction(0))
+        images = [s.b_map(p) for p in samples]
+        nu = dict(zip(dict.fromkeys(images), lp_solve(lp).point))
+        count = Counter(images)
+        weights = [(1 + nu[b]) / count[b] for b in images]
+    total = sum(weights)
+    return tuple(sum((w * p[c] for w, p in zip(weights, samples)), Fraction(0)) / total
                  for c in range(s.psi.dim))
 
 
@@ -446,6 +454,27 @@ def boundedness_over_domain(s: DualityScenario) -> bool:
     return reach_over_domain(stacked, k) > 0
 
 
+def subspace_over_images(s: DualityScenario) -> bool:
+    """The exact subspace flag of a scenario: whether -sum(P) lies in
+    cone(P) + L, by the rational-builder LP `cone_lp_by_builder`, with P
+    the distinct B images of the samples of psi (of the product f + g for
+    the two-function kinds, with no lift) and L = {0}, and for
+    indicator_linear the x-parts of g's samples with L = range(C).  A
+    piece-form g holds by structure."""
+    if s.kind == "fenchel" and s.g.form != V_FORM:
+        return True
+    if s.kind == "indicator_linear":
+        x = s.dims[3]
+        points, lineality = [q[:x] for q, _ in s.g.samples], s.c_map.columns()
+    else:
+        tri = s if s.psi is not None else scenario_to_trivariate(s)
+        points, lineality = [tri.b_map(p) for p, _ in tri.psi.samples], ()
+    distinct = list(dict.fromkeys(points))
+    target = tuple(-sum(column, Fraction(0)) for column in zip(*distinct))
+    lp = cone_lp_by_builder(distinct, target, lineality)
+    return lp_solve(lp).status == "optimal"
+
+
 def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],
                        i_max: int = 16) -> Lemma19aResult:
     """`interiority.lemma19a_check` by its definition: for each probe y, one
@@ -456,7 +485,6 @@ def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],
     delta = frac(delta)
     if q.fiber_value == POS_INF or delta <= q.fiber_value:
         raise PreconditionError("the level must exceed the fiber infimum")
-    values = [v for _, v in q.phi.samples]
     assignments = []
     all_ok = True
     for raw in probes:
@@ -467,8 +495,7 @@ def lemma19a_by_scales(q: SublevelQuery, delta, probes: Sequence[Sequence],
             raise PreconditionError(f"probe {probe} lies outside the direction span")
         found = None
         for i in range(1, i_max + 1):
-            target = tuple(c / i for c in probe)
-            value, _ = _fiber_lp(values, q.images, target)
+            value = evaluate(q.image, tuple(c / i for c in probe))
             if value != POS_INF and value < delta:
                 found = i
                 break
@@ -565,21 +592,39 @@ def solve_linear(a_rows: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
 
 def cone_lp_by_builder(points: Sequence[Sequence], target: Sequence,
                        lineality: Sequence[Sequence] = ()) -> LinearProgram:
-    """The LP of "target lies in cone(points) + span(lineality)": mu >= 0
-    over the points and free weights over the directions, one row per
-    coordinate given to `LpBuilder.add` as Fractions.  With the distinct
+    """The LP of "target lies in cone(points) + span(lineality)": free
+    weights w over the directions d_k, then mu >= 0 over the points, and
+    per coordinate c the row sum_i mu_i p_i[c] - sum_k w_k d_k[c] =
+    target[c], given to `LpBuilder.add` as Fractions.  With the distinct
     points and target -sum(points) it is the LP of
     `geometry.cone_is_subspace`, whose rows are made from integer images."""
     pts = [vec(p) for p in points]
     lin = [vec(d) for d in lineality]
     b = LpBuilder()
-    mu = b.block(len(pts), lo=0)
     free = b.block(len(lin))
+    mu = b.block(len(pts), lo=0)
     for c in range(len(target)):
         row = {mu[i]: p[c] for i, p in enumerate(pts)}
-        row.update((free[k], d[c]) for k, d in enumerate(lin))
+        row.update((free[k], -d[c]) for k, d in enumerate(lin))
         b.add(row, EQ, target[c])
     return b.build()
+
+
+def flag_lp_by_builder(blocks: Sequence[Sequence[Sequence]], k: int,
+                       link: Optional[AffineMap] = None) -> LinearProgram:
+    """The LP of `geometry.ri_meets_range` on the blocks' points, made by
+    `cone_lp_by_builder`: each point's first k coordinates, lifted by one
+    coordinate per block after the first (+1 on the first block's points,
+    -1 on that block's), taken once each, at the target -sum of them, with
+    link's columns, lifted by zeros, as the lineality directions."""
+    m = len(blocks)
+    lifted = [tuple(p[:k]) + tuple(Fraction(1 if j == 0 else -(j == i)) for i in range(1, m))
+              for j, points in enumerate(blocks) for p in points]
+    distinct = list(dict.fromkeys(lifted))
+    target = tuple(-sum(column, Fraction(0)) for column in zip(*distinct))
+    lineality = () if link is None else [col + (Fraction(0),) * (m - 1)
+                                         for col in link.columns()]
+    return cone_lp_by_builder(distinct, target, lineality)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

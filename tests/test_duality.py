@@ -727,8 +727,8 @@ class TestProductConstructions:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_flags_build_no_span(self, monkeypatch, mode):
-        """Every subspace flag is the one cone LP of `cone_is_subspace`:
-        verify builds no span for any kind."""
+        """Every flag is the one cone LP of `ri_meets_range`: verify builds
+        no span for any kind."""
         def refuse(*args):
             raise AssertionError("verify built a span")
 
@@ -1097,7 +1097,7 @@ def hull_test_h_proper(s: DualityScenario) -> bool:
     0 in the hull of g's x-parts plus range(C) for indicator_linear, and
     True for a piece-form g, which is finite everywhere."""
     if s.kind == "sublevel":
-        images = SublevelQuery.build(s.psi, s.b_map, s.gamma).images
+        images = [bp for bp, _ in SublevelQuery.build(s.psi, s.b_map, s.gamma).image.samples]
         return polytope_contains(Polytope.of(images), (F(0),) * s.b_map.out_dim)
     if s.kind == "indicator_linear":
         x = s.dims[3]

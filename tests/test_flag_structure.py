@@ -18,11 +18,13 @@ Each flag has a longer definition that spends more LPs:
 * for the two-function kinds the longer definition runs over the product
   psi = f + g of `support.scenario_to_trivariate`, one sample per pair; the
   package never builds it, and decides both flags over f's and g's
-  samples apart: the boundedness LP with one weight block per factor,
-  the subspace LP over images lifted by +-1 in one more coordinate held
-  at 0.
+  samples apart, by one cone LP over their images lifted by +-1 in one
+  more coordinate held at 0.
 
-The longer definitions are the references here.  hypothesis draws the
+Every flag, in both modes, is one cone LP on the same inputs
+(`geometry.ri_meets_range`), the boundedness flag after a rank test; the
+property test at the end holds each against a reference that shares no
+code with it.  The longer definitions are the references here.  hypothesis draws the
 point sets, derandomised so every run sees the same draws; the test is
 skipped where hypothesis is missing, which the package does not need.
 """
@@ -39,7 +41,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sandwichkit.convexfn import H_FORM, PolyhedralFunction  # noqa: E402
+from sandwichkit.convexfn import H_FORM, V_FORM, PolyhedralFunction, evaluate  # noqa: E402
 from sandwichkit.duality import (  # noqa: E402
     KINDS,
     MODES,
@@ -56,7 +58,6 @@ from sandwichkit.interiority import (  # noqa: E402
     SublevelQuery,
     _basis_directions,
     _direction_reach,
-    _fiber_lp,
     boundedness_condition,
     interiority_margin,
 )
@@ -72,10 +73,15 @@ from support import (  # noqa: E402
     boundedness_over_domain,
     cone_lp_by_builder,
     interior_point,
+    random_bibivariate_scenario,
+    random_escaping_indicator,
+    random_indicator_scenario,
+    random_piece_form_fenchel,
     random_violating_fenchel,
     random_violating_trivariate,
     scenario_to_trivariate,
     solve_linear,
+    subspace_over_images,
 )
 from test_duality import free_pair, sliding_indicator  # noqa: E402
 from test_geometry import zero_in_hull  # noqa: E402
@@ -173,10 +179,10 @@ def test_boundedness_is_the_same_at_two_levels(kind):
         tri = scenario_to_trivariate(s)
         psi, a_map, b_map = tri.psi, tri.a_map, tri.b_map
         values = [v for _, v in psi.samples]
-        stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
+        stacked = stacked_function(psi, a_map, b_map)
         zero = (F(0),) * b_map.out_dim
         for z0 in dict.fromkeys(p for p, _ in psi.samples):
-            m, _ = _fiber_lp(values, stacked, zero + a_map(z0))
+            m = evaluate(stacked, zero + a_map(z0))
             high = max(values) + 1  # the level the flag uses
             low = high if m is POS_INF else m + (high - m) / 64
             answers = {boundedness_condition(psi, a_map, b_map, z0, level)
@@ -186,18 +192,26 @@ def test_boundedness_is_the_same_at_two_levels(kind):
     assert seen == {True, False}
 
 
-def delta_sweep(values, stacked, target, b_dim) -> bool:
+def stacked_function(psi, a_map, b_map) -> PolyhedralFunction:
+    """The samples (B p, A p) with psi's values."""
+    return PolyhedralFunction(b_map.out_dim + a_map.out_dim, V_FORM,
+                              tuple((b_map(p) + a_map(p), v) for p, v in psi.samples))
+
+
+def delta_sweep(stacked, target, b_dim) -> bool:
     """The boundedness condition at level delta = max(values) + 1, as a fiber
     LP and then one reach with the value row at (delta + m) / 2, m the
-    fiber's infimum; stacked and target hold B's coordinates first."""
-    m, _ = _fiber_lp(values, stacked, target)
+    fiber's infimum; the sample-form stacked and target hold B's
+    coordinates first."""
+    m = evaluate(stacked, target)
     if m is POS_INF:
         return False
     if b_dim == 0:
         return True
+    values = [v for _, v in stacked.samples]
     delta = max(values) + 1
     units = _basis_directions(Subspace.full(b_dim))
-    return _direction_reach(stacked, target, units, (values, (delta + m) / 2)) > 0
+    return _direction_reach(stacked.columns, target, units, (values, (delta + m) / 2)) > 0
 
 
 def flag_by_delta_sweep(s) -> bool:
@@ -211,18 +225,16 @@ def flag_by_delta_sweep(s) -> bool:
         if s.hypothesis_mode == "closed_subspace":
             return cone_union_is_subspace([q[:x] for q, _ in s.g.samples],
                                           lineality=s.c_map.columns())[0]
-        values = [val for _, val in s.g.samples]
         points = [q for q, _ in s.g.samples]
-        return any(delta_sweep(values, points, q, x) for q in dict.fromkeys(points)
+        return any(delta_sweep(s.g, q, x) for q in dict.fromkeys(points)
                    if solve_linear(s.c_map.linear, q[:x]) is not None)
     tri = scenario_to_trivariate(s)
     psi, a_map, b_map = tri.psi, tri.a_map, tri.b_map
     if s.hypothesis_mode == "closed_subspace":
         return cone_union_is_subspace([b_map(p) for p, _ in psi.samples])[0]
-    values = [v for _, v in psi.samples]
-    stacked = [b_map(p) + a_map(p) for p, _ in psi.samples]
+    stacked = stacked_function(psi, a_map, b_map)
     zero = (F(0),) * b_map.out_dim
-    return any(delta_sweep(values, stacked, zero + a_map(p), b_map.out_dim)
+    return any(delta_sweep(stacked, zero + a_map(p), b_map.out_dim)
                for p in dict.fromkeys(p for p, _ in psi.samples))
 
 
@@ -381,3 +393,57 @@ def test_the_flag_over_the_domain_follows_from_the_samples(kind):
 
     check()
     assert seen == {True, False}
+
+
+def any_sublevel(rng: random.Random) -> DualityScenario:
+    """A sublevel scenario of any samples and any affine map, often with no
+    subspace, or no fiber."""
+    dim = rng.randint(1, 2)
+    return DualityScenario.sublevel(random_vform(rng, dim),
+                                    random_affine_map(rng, dim, rng.randint(0, 2)))
+
+
+#: every family of `randomgen` and tests/support.py that the flags are
+#: drawn from, with the draws of the tests above
+EVERY_FAMILY = {
+    **FLAG_DRAWS,
+    "sublevel": functools.partial(random_crosscheck_scenario, kind="sublevel"),
+    "any sublevel": any_sublevel,
+    "any trivariate": random_trivariate_scenario,
+    "bibivariate family": random_bibivariate_scenario,
+    "partial family": lambda rng: random_bibivariate_scenario(rng, partial=True),
+    "indicator family": random_indicator_scenario,
+    "escaping indicator": random_escaping_indicator,
+    "piece-form fenchel": random_piece_form_fenchel,
+    **{f"asymmetric {kind}": functools.partial(asymmetric_product, kind=kind)
+       for kind in PRODUCT_KINDS},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_flag_equals_an_independent_reference(mode):
+    """Each flag against a reference that shares no code with the cone LP
+    that decides it: a subspace flag against `support.subspace_over_images`,
+    the cone test over the product's B images built row by row from
+    Fractions with no lift, and a boundedness flag against
+    `support.boundedness_over_domain`, 2k convex-weight blocks on a free
+    key.  sublevel's subspace flag reads no mode.  Both outcomes occur in
+    each mode."""
+    seen = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(EVERY_FAMILY)), st.integers(0, 2 ** 32))
+    def check(family, seed):
+        s = EVERY_FAMILY[family](random.Random(seed))
+        if s.kind != "sublevel":
+            s = dataclasses.replace(s, hypothesis_mode=mode)
+        name = "subspace" if s.kind == "sublevel" else mode
+        got = verify(s)[0].hypothesis_flags[name]
+        want = (boundedness_over_domain(s) if name == "boundedness"
+                else subspace_over_images(s))
+        assert got == want, (family, s)
+        seen.add((name, got))
+
+    check()
+    assert {ok for name, ok in seen if name == mode} == {True, False}
+    assert {ok for name, ok in seen if name == "subspace"} == {True, False}

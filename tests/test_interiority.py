@@ -15,7 +15,6 @@ from sandwichkit.interiority import (
     SublevelQuery,
     Theorem20Result,
     _direction_reach,
-    _interior,
     _moving_columns_lead,
     boundedness_condition,
     corollary21_auto,
@@ -194,7 +193,7 @@ class TestDirectionReach:
     UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
     def test_square(self):
-        sq = [vec(p) for p in [(-1, -1), (1, -1), (1, 1), (-1, 1)]]
+        sq = PointColumns([vec(p) for p in [(-1, -1), (1, -1), (1, 1), (-1, 1)]], 2)
         assert _direction_reach(sq, vec((0, 0)), self.UNITS) == 1
         assert _direction_reach(sq, vec(("1/2", 0)), self.UNITS) == Fraction(1, 2)
         assert _direction_reach(sq, vec((1, 0)), self.UNITS) == 0
@@ -202,7 +201,7 @@ class TestDirectionReach:
         assert _direction_reach(sq, vec((2, 0)), self.UNITS) == 0
 
     def test_segment_in_plane(self):
-        seg = [vec(p) for p in [(-1, 0), (1, 0)]]
+        seg = PointColumns([vec(p) for p in [(-1, 0), (1, 0)]], 2)
         # no room in the second coordinate, so no ambient interior
         assert _direction_reach(seg, vec((0, 0)), self.UNITS) == 0
 
@@ -251,7 +250,8 @@ class TestDirectionReach:
                              Fraction(rng.randint(0, 12), 2))
                 seen.add("value row")
             solves.clear()
-            got = _direction_reach(points, tuple(target), directions, value_row)
+            got = _direction_reach(PointColumns(points, width), tuple(target), directions,
+                                   value_row)
             n_got = len(solves)
             solves.clear()
             want = direction_reach_by_halflines(points, tuple(target), directions, value_row)
@@ -264,19 +264,40 @@ class TestDirectionReach:
 
 
 class TestInterior:
-    SQUARE = [vec(p) for p in [(-1, -1), (1, -1), (1, 1), (-1, 1)]]
+    """The interior test of `boundedness_condition`, B's moving coordinates
+    of the target (0, A z0) against the square's slice through z0."""
+
+    SQUARE = PolyhedralFunction.v_form(2, [(p, 0) for p in [(-1, -1), (1, -1), (1, 1), (-1, 1)]])
+
+    @staticmethod
+    def interior(target, k, z0=None) -> bool:
+        """Whether target's first k coordinates are interior, within Q^k, to
+        the square cut to the slice where the others equal target's: B
+        moves the first k coordinates off target, and A reads the rest."""
+        rows = [[1 if j == i else 0 for j in range(2)] for i in range(2)]
+        b_map = AffineMap.from_rows(rows[:k], [-t for t in target[:k]], in_dim=2)
+        a_map = AffineMap.from_rows(rows[k:], in_dim=2)
+        return boundedness_condition(TestInterior.SQUARE, a_map, b_map,
+                                     target if z0 is None else z0, 1)
 
     def test_slices_of_a_square(self):
         # k = 1: the first coordinate moves on the slice fixing the second
-        assert _interior(self.SQUARE, vec((0, 1)), 1)
-        assert not _interior(self.SQUARE, vec((1, 0)), 1)
-        assert not _interior(self.SQUARE, vec((0, 2)), 1)
-        assert _interior(self.SQUARE, vec((0, 0)), 2)
-        assert not _interior(self.SQUARE, vec((0, 1)), 2)
+        assert self.interior(vec((0, 1)), 1)
+        assert not self.interior(vec((1, 0)), 1)
+        # off the square: the fiber LP is infeasible
+        assert not self.interior(vec((2, 0)), 1, z0=(0, 0))
+        assert self.interior(vec((0, 0)), 2)
+        assert not self.interior(vec((0, 1)), 2)
 
-    def test_no_moving_coordinate_is_membership(self):
-        # every caller's target lies in the hull, so k = 0 holds with no LP
-        assert _interior(self.SQUARE, vec((1, 1)), 0)
+    def test_no_moving_coordinate_is_membership(self, monkeypatch):
+        # at k = 0 the fiber LP decides membership: after the check that z0
+        # lies in the domain, one LP, and no reach LP
+        solves = []
+        lp_solve = numerics.lp_solve
+        monkeypatch.setattr(numerics, "lp_solve",
+                            lambda *args: solves.append(1) or lp_solve(*args))
+        assert self.interior(vec((1, 1)), 0)
+        assert len(solves) == 2
 
 
 class TestMovingColumnsLead:

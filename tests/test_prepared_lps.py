@@ -11,9 +11,11 @@ same scale, the same objective image, and for a prepared program a carried
 fold equal to the one the kernel would find.  Every sup LP `verify` makes,
 with the images its scenario caches, must do the same, every cached image
 must equal one made afresh, and building a scenario makes none.  So must
-the cone LP of `geometry.cone_is_subspace`, whose rows are made from the
-points' integer image, on its own and in every subspace flag.  The
-references are in tests/support.py.  hypothesis draws the instances; the module is skipped
+the fiber LP of `interiority` and the membership LP of
+`geometry.polytope_contains`, both made by `weights_program`, and the one
+flag LP, `geometry.ri_meets_range`, whose rows are made from the points'
+integer image: on its own, as `cone_is_subspace`, and in every flag of
+both modes.  The references are in tests/support.py.  hypothesis draws the instances; the module is skipped
 where hypothesis is missing, which the package does not need.
 """
 import dataclasses
@@ -29,7 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sandwichkit import cli, duality, numerics  # noqa: E402
+from sandwichkit import cli, duality, interiority, numerics  # noqa: E402
 from sandwichkit.convexfn import (  # noqa: E402
     AffineFunctional,
     PolyhedralFunction,
@@ -38,10 +40,19 @@ from sandwichkit.convexfn import (  # noqa: E402
     sups_affine_minus_convex,
 )
 from sandwichkit.duality import KINDS, MODES, DualityScenario  # noqa: E402
-from sandwichkit.geometry import AffineMap, cone_is_subspace  # noqa: E402
+from sandwichkit.geometry import (  # noqa: E402
+    AffineMap,
+    Polytope,
+    cone_is_subspace,
+    polytope_contains,
+    ri_meets_range,
+)
+from sandwichkit.interiority import _fiber  # noqa: E402
 from sandwichkit.numerics import (  # noqa: E402
     NEG_INF,
     POS_INF,
+    LpBuilder,
+    PointColumns,
     _folded,
     _weight_parts,
     _weight_rows,
@@ -56,6 +67,7 @@ from sandwichkit.randomgen import (  # noqa: E402
 from support import (  # noqa: E402
     cone_lp_by_builder,
     evaluation_lp_by_builder,
+    flag_lp_by_builder,
     sup_lp_by_builder,
 )
 
@@ -190,6 +202,39 @@ class TestEvaluationProgram:
                                    for x in (hull_point(random.Random(1), f),
                                              hull_point(random.Random(2), f)))
         assert first[0]._obj is second[0]._obj is f.value_image
+
+
+class TestWeightsPrograms:
+    """The fiber LP and the membership LP, made by `weights_program` from
+    prepared parts, are the programs `convex_weights` and `set_objective`
+    assemble."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(evaluations())
+    def test_fiber_matches_the_builders_program(self, case):
+        f, x = case
+        got, (lp,) = solved_lps(lambda: _fiber(f, x))
+        ref = evaluation_lp_by_builder(f, x)
+        assert layout(lp) == layout(ref)
+        assert lp._fold == _folded(lp._rows)
+        res = lp_solve(ref)
+        if res.status == "infeasible":
+            assert got == (POS_INF, None)
+        else:
+            assert got == (res.value, res.point)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(evaluations())
+    def test_membership_matches_the_builders_program(self, case):
+        f, x = case
+        points = [p for p, _ in f.samples]
+        got, (lp,) = solved_lps(lambda: polytope_contains(Polytope(f.dim, tuple(points)), x))
+        b = LpBuilder()
+        b.convex_weights(points, x)
+        ref = b.build()
+        assert layout(lp) == layout(ref)
+        assert lp._fold == _folded(lp._rows)
+        assert got == (lp_solve(ref).status == "optimal")
 
 
 @st.composite
@@ -385,9 +430,38 @@ def assert_cone_matches_the_builder(points, lineality, lp) -> None:
     assert layout(lp) == layout(cone_lp_by_builder(distinct, target, lineality))
 
 
+def rational_points(pc: PointColumns) -> list:
+    """The points whose integer image pc is."""
+    return [tuple(F(column[i], scale) for scale, column in pc.columns) for i in range(pc.count)]
+
+
+@st.composite
+def flag_inputs(draw):
+    """ri_meets_range's inputs: one or two blocks of points in dimension
+    k + n, k from 0 to 2 and n from 0 to 1, with rational entries drawn from
+    a small pool so that moving parts repeat, and half the time a linear
+    link of 1 to 2 columns into Q^k."""
+    k, n = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    scalar = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[scalar] * k), min_size=1, max_size=4))
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+        blocks.append([pool[i] + tuple(draw(st.lists(scalar, min_size=n, max_size=n)))
+                       for i in picks])
+    link = None
+    if draw(st.booleans()):
+        w = draw(st.integers(1, 2))
+        link = AffineMap.from_rows(
+            [draw(st.lists(scalar, min_size=w, max_size=w)) for _ in range(k)], in_dim=w)
+    return blocks, k, link
+
+
 class TestConeProgram:
-    """`cone_is_subspace` hands the builder the integer images of the rows
-    that `support.cone_lp_by_builder` adds as Fractions."""
+    """`ri_meets_range`, the one flag LP, hands the builder the integer
+    images of the rows that `support.flag_lp_by_builder` adds as
+    Fractions: on its own, as `cone_is_subspace`, and in every flag that
+    `verify` decides."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(cones())
@@ -397,20 +471,33 @@ class TestConeProgram:
         assert_cone_matches_the_builder(points, lineality, lp)
         assert ok == (lp_solve(lp).status == "optimal")
 
-    def test_every_subspace_flag_matches_the_builders_program(self):
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(flag_inputs())
+    def test_blocks_match_the_builders_program(self, case):
+        blocks, k, link = case
+        dim = len(blocks[0][0])
+        ok, (lp,) = solved_lps(
+            lambda: ri_meets_range([PointColumns(points, dim) for points in blocks], k, link))
+        assert layout(lp) == layout(flag_lp_by_builder(blocks, k, link))
+        assert ok == (lp_solve(lp).status == "optimal")
+
+    def test_every_flag_lp_matches_the_builders_program(self):
         seen = []
 
-        def recording(points, lineality=()):
-            ok, (lp,) = solved_lps(lambda: cone_is_subspace(points, lineality))
-            seen.append((points, lineality, lp))
+        def recording(blocks, k, link=None):
+            ok, (lp,) = solved_lps(lambda: ri_meets_range(blocks, k, link))
+            seen.append(([rational_points(pc) for pc in blocks], k, link, lp))
             return ok
 
         scenarios = corpus_scenarios() + drawn_scenarios(29)
-        with mock.patch.object(duality, "cone_is_subspace", recording):
+        with mock.patch.object(duality, "ri_meets_range", recording), \
+                mock.patch.object(interiority, "ri_meets_range", recording):
             for s in scenarios:
                 duality.verify(s)
         subspace = [s for s in scenarios
                     if s.kind == "sublevel" or s.hypothesis_mode == "closed_subspace"]
-        assert len(seen) == len(subspace)
-        for points, lineality, lp in seen:
-            assert_cone_matches_the_builder(points, lineality, lp)
+        assert len(seen) > len(subspace)
+        assert {len(blocks) for blocks, _, _, _ in seen} == {1, 2}
+        assert any(link is not None for _, _, link, _ in seen)
+        for blocks, k, link, lp in seen:
+            assert layout(lp) == layout(flag_lp_by_builder(blocks, k, link))
